@@ -37,11 +37,7 @@ from fqtraces.specializations import (
     Specialization,
     _check_weakly_decreasing_nonneg,
 )
-from fqtraces.symfunc import hl_q_in_p, modified_hl_q
-
-# Hall-Littlewood expansions stay practical only through moderate degrees;
-# beyond this the named closed-form families must be used.
-EXACT_HL_DEGREE_CAP = 12
+from fqtraces.symfunc import EXACT_HL_DEGREE_CAP, hl_q_in_p, modified_hl_q
 
 
 @dataclass(frozen=True)
@@ -147,6 +143,8 @@ def _added_column(lam: Partition, mu: Partition) -> int | None:
 @cache
 def hl_weight(params: MeasureParams, lam: Partition) -> Fraction:
     """Specialized Hall-Littlewood Q weight, through the exact expansion."""
+    # the exact Q stops at the cap symfunc sets; the named closed-form
+    # families of measure_weight have none
     if size(lam) > EXACT_HL_DEGREE_CAP:
         raise ValueError(
             f"exact Hall-Littlewood expansion capped at degree {EXACT_HL_DEGREE_CAP}; "
@@ -184,8 +182,11 @@ def cyl_prob(params: MeasureParams, lam: Partition) -> Fraction:
     lam = check_partition(lam)
     n = size(lam)
     q = params.q
+    # the weight first: above the degree cap it raises before the prefactor,
+    # whose size grows with n**2, is built
+    weight = measure_weight(params, lam)
     pref = q_power(q, -(n * (n - 1)) // 2) / (1 - 1 / q) ** n
-    return pref * q_power(q, n_stat(lam)) * measure_weight(params, lam)
+    return pref * q_power(q, n_stat(lam)) * weight
 
 
 def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
@@ -199,8 +200,9 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
     lam = check_partition(lam)
     q = Fraction(q)
     n = size(lam)
+    weight = sp.apply(modified_hl_q(lam, 1 / q))
     pref = q_power(q, -(n * (n - 1)) // 2)
-    return pref * q_power(q, n_stat(lam)) * sp.apply(modified_hl_q(lam, 1 / q))
+    return pref * q_power(q, n_stat(lam)) * weight
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,21 @@
 Everything is expressed through :class:`PowerSumElement`, a finite linear
 combination of power-sum products ``p_rho`` with `Fraction` coefficients.
 Schur functions enter via the Murnaghan-Nakayama expansion, Hall-Littlewood
-P/Q functions via the inverse of the charge-weighted Kostka matrix, and the
-modified Q functions by rescaling each ``p_k`` by ``1/(1 - t**k)``.
+Q functions via Jing's vertex operator (one Q_lam at a time, up to
+:data:`EXACT_HL_DEGREE_CAP`), and the modified Q functions by rescaling each
+``p_k`` by ``1/(1 - t**k)``.  Charge-weighted Kostka polynomials come from
+tableau enumeration; they are the independent check on the operator.
 
-All basis tables are built lazily per degree and memoized, so repeated
-queries at the same degree cost one table construction.
+Characters, Schur functions, charge polynomials and the series
+coefficients q_N of the operator are memoized, so repeated queries reuse
+them.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import product
+from math import comb
 
 from fqtraces.partitions import (
     Partition,
@@ -22,7 +28,7 @@ from fqtraces.partitions import (
     size,
     z_factor,
 )
-from fqtraces.tpoly import TPolynomial, one_minus_t_power
+from fqtraces.tpoly import TPolynomial
 
 
 class PowerSumElement:
@@ -319,78 +325,83 @@ def kostka_foulkes(shape: Partition, content: Partition) -> TPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Hall-Littlewood P and Q
+# Hall-Littlewood Q
+
+
+# One Q_lam at degree 16 costs under half a second, and the cost about
+# triples every two degrees; hl_q_in_p refuses larger degrees up front.
+EXACT_HL_DEGREE_CAP = 16
 
 
 @cache
-def b_poly(lam: Partition) -> TPolynomial:
-    """Normalizing factor between P and Q: product of (1 - t**j) per part multiplicity."""
-    out = TPolynomial((1,))
-    for part in set(lam):
-        for j in range(1, lam.count(part) + 1):
-            out = out * one_minus_t_power(j)
-    return out
+def _q_series(n: int, t: Fraction) -> tuple[tuple[Partition, Fraction], ...]:
+    """Degree-n part of Q(z) = exp(sum_k (1 - t**k) p_k z**k / k), as (rho, coefficient) pairs."""
+    out = []
+    for rho in partitions_of(n):
+        c = Fraction(1, z_factor(rho))
+        for part in rho:
+            c *= 1 - t**part
+        if c:
+            out.append((rho, c))
+    return tuple(out)
 
 
-@cache
-def _kf_matrix_inverse(n: int):
-    """Inverse of the charge-weighted Kostka matrix at degree n.
+def _translate(f: dict[Partition, Fraction]) -> dict[int, dict[Partition, Fraction]]:
+    """f[p_k -> p_k - z**-k] split by powers of z: {m: coefficient of z**-m}.
 
-    Partitions are listed in decreasing lexicographic order, a linear
-    extension of dominance, which makes the matrix upper unitriangular.
-    Returns (order, inverse rows) with polynomial entries.
+    Each p_rho expands binomially, one factor (p_k - z**-k)**m_k per
+    distinct part k; dropping j copies of p_k contributes
+    (-1)**j * C(m_k, j) * z**(-k j).
     """
-    order = partitions_of(n)
-    index = {lam: i for i, lam in enumerate(order)}
-    m = len(order)
-    mat = [[TPolynomial() for _ in range(m)] for _ in range(m)]
-    for i, shape in enumerate(order):
-        for j in range(i, m):
-            mat[i][j] = kostka_foulkes(shape, order[j])
-    inv = [[TPolynomial() for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        inv[i][i] = TPolynomial((1,))
-    for span in range(1, m):
-        for i in range(m - span):
-            j = i + span
-            acc = TPolynomial()
-            for k in range(i + 1, j + 1):
-                if mat[i][k] and inv[k][j]:
-                    acc = acc + mat[i][k] * inv[k][j]
-            inv[i][j] = -acc
-    return order, index, inv
-
-
-@cache
-def hl_p_in_schur_sym(lam: Partition) -> dict[Partition, TPolynomial]:
-    """P_lam expanded over Schur functions, coefficients polynomial in t."""
-    lam = check_partition(lam)
-    order, index, inv = _kf_matrix_inverse(size(lam))
-    i = index[lam]
-    return {order[j]: inv[i][j] for j in range(len(order)) if inv[i][j]}
-
-
-def hl_q_in_schur_sym(lam: Partition) -> dict[Partition, TPolynomial]:
-    """Q_lam = b_lam(t) * P_lam over Schur functions, polynomial in t."""
-    b = b_poly(lam)
-    return {mu: b * c for mu, c in hl_p_in_schur_sym(lam).items()}
+    out: dict[int, dict[Partition, Fraction]] = {}
+    for rho, c in f.items():
+        mult = Counter(rho)
+        for drops in product(*(range(m + 1) for m in mult.values())):
+            coeff, m, rest = c, 0, []
+            for (k, mk), j in zip(mult.items(), drops):
+                coeff *= comb(mk, j)
+                m += k * j
+                rest += [k] * (mk - j)
+            if sum(drops) % 2:
+                coeff = -coeff
+            bucket = out.setdefault(m, {})
+            key = tuple(rest)
+            bucket[key] = bucket.get(key, 0) + coeff
+    return out
 
 
 def hl_q_in_p(lam: Partition, t) -> PowerSumElement:
-    """Hall-Littlewood Q function at an exact rational parameter t."""
+    """Hall-Littlewood Q function at an exact rational parameter t.
+
+    Built by Jing's vertex operator (Adv. Math. 87, 1991; Macdonald III.5),
+    Q_lam = H_{lam_1} ... H_{lam_l} . 1 with the last part applied first,
+    where H_n f = sum_m q_{n+m} f_m with q_N from :func:`_q_series` and f_m
+    from :func:`_translate`.
+    """
+    lam = check_partition(lam)
+    if size(lam) > EXACT_HL_DEGREE_CAP:
+        raise ValueError(
+            f"exact Hall-Littlewood Q capped at degree {EXACT_HL_DEGREE_CAP}; "
+            f"got degree {size(lam)}"
+        )
     t = Fraction(t)
-    out = PowerSumElement()
-    for mu, poly in hl_q_in_schur_sym(lam).items():
-        c = poly(t)
-        if c:
-            out = out + schur_in_p(mu) * c
-    return out
+    f = {(): Fraction(1)}
+    for n in reversed(lam):
+        out: dict[Partition, Fraction] = {}
+        for m, fm in _translate(f).items():
+            for rho, a in _q_series(n + m, t):
+                for sigma, b in fm.items():
+                    key = tuple(sorted(rho + sigma, reverse=True))
+                    out[key] = out.get(key, 0) + a * b
+        f = {rho: c for rho, c in out.items() if c}
+    return PowerSumElement(f)
 
 
 def modified_hl_q(lam: Partition, t) -> PowerSumElement:
     """Modified Q function: rescale the p_rho coefficient by prod 1/(1 - t**rho_i)."""
     t = Fraction(t)
-    for k in range(1, size(check_partition(lam)) + 1):
+    # the only rational roots of unity are 1 and -1, so k <= 2 suffices
+    for k in range(1, min(2, size(check_partition(lam))) + 1):
         if t**k == 1:
             raise ValueError(f"t = {t} has t**{k} = 1; modified Q is undefined")
     out = {}

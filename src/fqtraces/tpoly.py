@@ -1,8 +1,8 @@
 """Dense univariate polynomials in a formal parameter t.
 
-Coefficients are exact (integers in all public results; rationals are
-accepted so intermediate matrices stay exact).  Stored constant term
-first, normalized so the leading coefficient is nonzero.
+The carrier of the charge (Kostka-Foulkes) polynomials: integer
+coefficients stored constant term first, normalized so the leading
+coefficient is nonzero, evaluated exactly at rational points.
 """
 
 from fractions import Fraction
@@ -17,70 +17,16 @@ class TPolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def constant(cls, c):
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, power: int, c=1):
-        return cls((0,) * power + (c,))
-
-    def degree(self) -> int:
-        """Degree, with the zero polynomial conventionally at -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, TPolynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == TPolynomial.constant(other)
         return NotImplemented
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TPolynomial(
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (other.coeffs[i] if i < len(other.coeffs) else 0)
-            for i in range(n)
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TPolynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TPolynomial(c * other for c in self.coeffs)
-        if not isinstance(other, TPolynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return TPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return TPolynomial(out)
-
-    __rmul__ = __mul__
 
     def __call__(self, t):
         """Evaluate at an exact rational point by Horner's rule."""
@@ -90,7 +36,7 @@ class TPolynomial:
         return value
 
     def __repr__(self):
-        if self.is_zero():
+        if not self.coeffs:
             return "TPolynomial(0)"
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -106,16 +52,3 @@ class TPolynomial:
     def to_list(self) -> list:
         """Coefficient list, constant term first (the wire format)."""
         return list(self.coeffs)
-
-
-def _coerce(x) -> TPolynomial:
-    if isinstance(x, TPolynomial):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return TPolynomial.constant(x)
-    raise TypeError(f"cannot coerce {type(x)!r} to TPolynomial")
-
-
-def one_minus_t_power(k: int) -> TPolynomial:
-    """The polynomial 1 - t**k."""
-    return TPolynomial((1,) + (0,) * (k - 1) + (-1,))

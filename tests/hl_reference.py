@@ -10,8 +10,9 @@ Two ways to get Hall-Littlewood data without the charge statistic:
   by peeling one variable at a time with horizontal-strip weights, and
   solve for the Schur transition coefficients by matching monomials.
 
-Both are deliberately different from the production path (charge
-enumeration plus unitriangular inversion).
+Both are deliberately different from the production paths: charge
+enumeration for the Kostka-Foulkes polynomials and Jing's vertex operator
+for Q.
 """
 
 from fractions import Fraction

@@ -1,6 +1,9 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
 
 from fqtraces import verify
 from fqtraces.cli import main
@@ -134,6 +137,24 @@ def test_validation_errors_exit_one():
     assert code == 1
     code, _, err = run([])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hl-expand", "--lam", "17", "--t", "1/2"],
+        ["cyl", "--from-trace", "--q", "2", "--lam", "17"],
+        ["cyl", "--q", "2", "--r", "1/2", "--lam", "17"],
+        ["hl-expand", "--lam", "1000000", "--t", "1/2", "--modified"],
+        ["cyl", "--from-trace", "--q", "2", "--lam", "1000000"],
+    ],
+)
+def test_above_hl_degree_cap_exits_one_at_once(argv):
+    start = time.perf_counter()
+    code, out, err = run(argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert "capped at degree 16" in err and "Traceback" not in err
 
 
 def test_verify_suite_pass_exit_zero():

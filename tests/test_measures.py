@@ -17,7 +17,7 @@ from fqtraces.measures import (
     transition_distribution,
     transition_prob,
 )
-from fqtraces.partitions import partitions_of, q_power
+from fqtraces.partitions import box_additions, partitions_of, q_power
 from fqtraces.specializations import GeometricSpread, Specialization
 
 HALF = Fraction(1, 2)
@@ -192,6 +192,18 @@ def test_degree_cap_raises_for_generic_params():
         hl_weight(MIXED, lam)
     # closed-form families keep working far beyond the cap
     assert cyl_prob(DELTA2, (1,) * 30) == 1
+
+
+def test_hl_weight_generic_at_degree_13():
+    # above the former cap of 12: a degree-12 cylinder still splits over its
+    # one-box extensions, every one of which needs a degree-13 weight
+    lam = (4, 3, 2, 2, 1)
+    assert all(hl_weight(MIXED, mu) > 0 for mu, _ in box_additions(lam))
+    total = sum(
+        extension_count(lam, mu, MIXED.q) * cyl_prob(MIXED, mu)
+        for mu, _ in box_additions(lam)
+    )
+    assert total == cyl_prob(MIXED, lam)
 
 
 def test_deterministic_chains():

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fqtraces.partitions import dominance_leq, partitions_of, size
+from fqtraces.partitions import dominance_leq, partitions_of, size, z_factor
 from fqtraces.specializations import Specialization
 from fqtraces.symfunc import (
     PowerSumElement,
@@ -16,6 +18,7 @@ from fqtraces.symfunc import (
     schur_in_p,
     sym_character,
 )
+from fqtraces.verify import hl_q_by_charge
 
 from hl_reference import kostka_foulkes_branching, kostka_foulkes_reference
 
@@ -200,6 +203,42 @@ def test_hl_q_examples():
         {(1, 1): HALF * (1 - t) * (1 - t), (2,): HALF * (1 - t) * (1 + t)}
     )
     assert hl_q_in_p((2,), t) == expected
+
+
+def partitions_up_to(max_n):
+    return st.integers(0, max_n).flatmap(lambda n: st.sampled_from(partitions_of(n)))
+
+
+@given(partitions_up_to(9))
+def test_hl_q_at_t_zero_is_schur(lam):
+    assert hl_q_in_p(lam, 0) == schur_in_p(lam)
+
+
+@settings(deadline=None)
+@given(partitions_up_to(7), st.fractions(-3, 3, max_denominator=12))
+def test_hl_q_equals_rescaled_charge_column(lam, t):
+    assert hl_q_in_p(lam, t) == hl_q_by_charge(lam, t)
+
+
+def test_hl_q_closed_forms_above_old_cap():
+    n, t = 14, Fraction(2, 9)
+    # Q_(n) = q_n, the degree-n part of exp(sum_k (1 - t**k) p_k z**k / k)
+    q_n = PowerSumElement(
+        {
+            rho: Fraction(prod(1 - t**part for part in rho), z_factor(rho))
+            for rho in partitions_of(n)
+        }
+    )
+    assert hl_q_in_p((n,), t) == q_n
+    # Q_(1^n) = prod_{i <= n} (1 - t**i) e_n, e_n = sum_rho sign(rho) p_rho / z_rho
+    e_n = PowerSumElement(
+        {
+            rho: Fraction((-1) ** (n - len(rho)), z_factor(rho))
+            for rho in partitions_of(n)
+        }
+    )
+    b = prod(1 - t**i for i in range(1, n + 1))
+    assert hl_q_in_p((1,) * n, t) == e_n * b
 
 
 def test_modified_hl_examples():
