@@ -1,0 +1,72 @@
+"""CLI stdout of the growth chain and the cylinders, byte for byte.
+
+The files in ``tests/golden/`` hold the stdout of ``sample``, ``lln`` and
+``cyl`` for the three named measure families at q = 2 and 3 (and a custom
+measure for ``cyl``), each invocation preceded by a ``$ fqtraces ...``
+line.  They change only with an intended change of output; rewrite them
+from the repository root with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import shlex
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from fqtraces.cli import main
+from fqtraces.partitions import format_partition, partitions_of
+
+GOLDEN = Path(__file__).parent / "golden"
+COMMANDS = ("sample", "lln", "cyl")
+
+_NAMED = [
+    ["--q", str(q), "--measure", measure]
+    for measure in ("haar", "delta", "single-row")
+    for q in (2, 3)
+]
+_CUSTOM = [["--q", str(q), "--r", "1/4", "--c", "1/4"] for q in (2, 3)]
+
+
+def invocations(command: str) -> list[list[str]]:
+    if command == "sample":
+        return [
+            ["sample", *m, "--nmax", "300", "--seed", str(seed)]
+            for m in _NAMED
+            for seed in (1, 2, 3)
+        ]
+    if command == "lln":
+        return [
+            ["lln", *m, "--nmax", "300", "--trials", "4", "--seed", str(seed)]
+            for m in _NAMED
+            for seed in (1, 2)
+        ]
+    return [
+        ["cyl", *m, "--lam", format_partition(lam)]
+        for m in _NAMED + _CUSTOM
+        for n in range(7)
+        for lam in partitions_of(n)
+    ]
+
+
+def render(command: str) -> bytes:
+    out = io.StringIO()
+    for argv in invocations(command):
+        out.write(f"$ fqtraces {shlex.join(argv)}\n")
+        with redirect_stdout(out):
+            code = main(argv)
+        assert code == 0, argv
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_output_matches_golden(command):
+    assert render(command) == (GOLDEN / f"{command}.txt").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for command in COMMANDS:
+        (GOLDEN / f"{command}.txt").write_bytes(render(command))
