@@ -81,7 +81,8 @@ def _family(text: str) -> DiagramFamily:
 def _emit(fmt: str, rows: list[dict], header: list[str]):
     out = sys.stdout
     if fmt == "json":
-        out.write(json.dumps({"results": rows}, indent=2))
+        # exact values print as reduced-fraction strings, as in CSV
+        out.write(json.dumps({"results": rows}, indent=2, default=str))
         out.write("\n")
         return
     out.write(",".join(header) + "\n")
@@ -101,22 +102,24 @@ def _specialization(args) -> Specialization:
     return Specialization.finite(args.alpha, args.beta, getattr(args, "gamma", 1))
 
 
+_NAMED_MEASURES = {
+    "haar": MeasureParams.haar,
+    "delta": MeasureParams.delta_identity,
+    "single-row": MeasureParams.single_row,
+}
+
+
 def _measure(args) -> MeasureParams:
-    q = args.q
-    if args.measure == "haar":
-        return MeasureParams.haar(q)
-    if args.measure == "delta":
-        return MeasureParams.delta_identity(q)
-    if args.measure == "single-row":
-        return MeasureParams.single_row(q)
-    return MeasureParams(args.r, args.c, q)
+    if args.measure in _NAMED_MEASURES:
+        return _NAMED_MEASURES[args.measure](args.q)
+    return MeasureParams(args.r, args.c, args.q)
 
 
 def _add_measure_flags(p):
     p.add_argument("--q", type=_fraction, required=True)
     p.add_argument(
         "--measure",
-        choices=["haar", "delta", "single-row", "custom"],
+        choices=[*_NAMED_MEASURES, "custom"],
         default="custom",
         help="named parameter family, or custom with --r/--c",
     )

@@ -6,16 +6,23 @@ is parameterized by row frequencies ``r`` and column frequencies ``c``
 with total mass at most 1; the column side always enters through its
 geometric spread with ratio 1/q.
 
+The cylinder probability of type lam is an explicit q-power prefactor
+times the Q weight W(lam), a specialized Hall-Littlewood Q function.
+Each :class:`MeasureParams` resolves, once, to the object of its family
+that computes W: closed forms for the Haar, delta and single-row
+families, at any level, and the exact Hall-Littlewood expansion up to
+its degree cap for every other parameter set.
+
 The growth of the Jordan type under adding one row and column is an
 explicit Markov chain on Young diagrams whose transition weights combine
-the parabolic extension counts with ratios of cylinder probabilities.
+the parabolic extension counts with the family's one-box weight ratios.
 Everything except the Monte Carlo summary statistics is exact rational
 arithmetic; sampling compares exact cumulative probabilities against a
 uniform variate of fixed denominator 2**64.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import sqrt
@@ -52,6 +59,9 @@ class MeasureParams:
     r: object
     c: tuple[Fraction, ...]
     q: Fraction
+    # the weight object of the parameter family, picked once from r, c, q;
+    # kept out of eq, hash and repr, which stay those of (r, c, q)
+    family: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = Fraction(self.q)
@@ -71,6 +81,7 @@ class MeasureParams:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "family", _resolve_family(self))
 
     @classmethod
     def haar(cls, q) -> "MeasureParams":
@@ -106,7 +117,7 @@ def extension_count(lam: Partition, mu: Partition, q) -> Fraction:
     Of the q**n extensions of a unipotent corner of type lam (n = |lam|),
     counts those of type mu.  Nonzero only when mu adds a single box to
     lam; with the new box in column j the count is
-    q**n * q**(-lam'_j) * (1 - q**(lam'_j - lam'_{j-1})), where the
+    q**(n - lam'_j) * (1 - q**(lam'_j - lam'_{j-1})), where the
     convention lam'_0 = infinity kills the subtracted term at j = 1.
     """
     lam = check_partition(lam)
@@ -114,26 +125,17 @@ def extension_count(lam: Partition, mu: Partition, q) -> Fraction:
     q = Fraction(q)
     if size(mu) != size(lam) + 1:
         raise ValueError("extension counts need |mu| = |lam| + 1")
-    j = _added_column(lam, mu)
-    if j is None:
-        return Fraction(0)
-    n = size(lam)
-    col_j = conj_prefix(lam, j)
-    base = q_power(q, n - col_j)
-    if j == 1:
-        return base
-    return base - q_power(q, n - conj_prefix(lam, j - 1))
+    for nu, col in box_additions(lam):
+        if nu == mu:
+            return q_power(q, size(lam) - conj_prefix(lam, col)) * _count_factor(lam, col, q)
+    return Fraction(0)
 
 
-def _added_column(lam: Partition, mu: Partition) -> int | None:
-    """Column of the single box of mu \\ lam, or None if not a one-box cover."""
-    padded = lam + (0,) * (len(mu) - len(lam))
-    if len(mu) < len(lam):
-        return None
-    diff_rows = [i for i in range(len(mu)) if mu[i] != padded[i]]
-    if len(diff_rows) != 1 or mu[diff_rows[0]] != padded[diff_rows[0]] + 1:
-        return None
-    return mu[diff_rows[0]]
+def _count_factor(lam: Partition, col: int, q: Fraction) -> Fraction:
+    """1 - q**(lam'_col - lam'_{col-1}) for a new box in column ``col``; 1 at col = 1."""
+    if col == 1:
+        return Fraction(1)
+    return 1 - q_power(q, conj_prefix(lam, col) - conj_prefix(lam, col - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -143,38 +145,14 @@ def _added_column(lam: Partition, mu: Partition) -> int | None:
 @cache
 def hl_weight(params: MeasureParams, lam: Partition) -> Fraction:
     """Specialized Hall-Littlewood Q weight, through the exact expansion."""
-    # the exact Q stops at the cap symfunc sets; the named closed-form
-    # families of measure_weight have none
+    # the exact Q stops at the cap symfunc sets; the closed-form families
+    # below have none
     if size(lam) > EXACT_HL_DEGREE_CAP:
         raise ValueError(
             f"exact Hall-Littlewood expansion capped at degree {EXACT_HL_DEGREE_CAP}; "
             "use a closed-form parameter family for longer diagrams"
         )
     return params.specialization().apply(hl_q_in_p(lam, 1 / params.q))
-
-
-def _closed_form_weight(params: MeasureParams, lam: Partition) -> Fraction | None:
-    """Closed-form Q weights for the three named parameter families."""
-    q = params.q
-    n = size(lam)
-    kind = _family_kind(params)
-    if kind == "haar":
-        return (1 - 1 / q) ** n / q_power(q, n_stat(lam))
-    if kind == "delta":
-        return (1 - 1 / q) ** n if all(p == 1 for p in lam) else Fraction(0)
-    if kind == "row":
-        if len(lam) <= 1:
-            return (1 - 1 / q) if n >= 1 else Fraction(1)
-        return Fraction(0)
-    return None
-
-
-def measure_weight(params: MeasureParams, lam: Partition) -> Fraction:
-    """Q weight of a Jordan type: closed form when available, else exact HL."""
-    closed = _closed_form_weight(params, lam)
-    if closed is not None:
-        return closed
-    return hl_weight(params, lam)
 
 
 def cyl_prob(params: MeasureParams, lam: Partition) -> Fraction:
@@ -184,7 +162,7 @@ def cyl_prob(params: MeasureParams, lam: Partition) -> Fraction:
     q = params.q
     # the weight first: above the degree cap it raises before the prefactor,
     # whose size grows with n**2, is built
-    weight = measure_weight(params, lam)
+    weight = params.family.weight(lam)
     pref = q_power(q, -(n * (n - 1)) // 2) / (1 - 1 / q) ** n
     return pref * q_power(q, n_stat(lam)) * weight
 
@@ -206,74 +184,125 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Measure families
+#
+# Every family object answers three questions about the Q weight W:
+# ``weight(lam)`` is W(lam); ``ratio(lam, mu, row)`` is W(mu) / W(lam) for
+# mu = lam plus one box in ``row``, defined where ``supports(lam)``, that is
+# where W(lam) > 0.  The Haar, delta and single-row families answer in
+# closed form at any level; every other parameter set goes through
+# :func:`hl_weight`, called by its module name so that wrappers installed
+# on it see every call.
+
+
+class _ClosedForm:
+    def __init__(self, q: Fraction):
+        self.q = q
+        self.keep = 1 - 1 / q
+
+
+class _Haar(_ClosedForm):
+    """Geometric row frequencies: W(lam) = (1 - 1/q)**|lam| / q**n(lam)."""
+
+    def weight(self, lam: Partition) -> Fraction:
+        return self.keep ** size(lam) / q_power(self.q, n_stat(lam))
+
+    def ratio(self, lam: Partition, mu: Partition, row: int) -> Fraction:
+        return self.keep * q_power(self.q, 1 - row)
+
+    def supports(self, lam: Partition) -> bool:
+        return True
+
+
+class _Delta(_ClosedForm):
+    """Column frequency 1: W(lam) = (1 - 1/q)**|lam| on one-column lam, else 0."""
+
+    def weight(self, lam: Partition) -> Fraction:
+        return self.keep ** size(lam) if self.supports(lam) else Fraction(0)
+
+    def ratio(self, lam: Partition, mu: Partition, row: int) -> Fraction:
+        return self.keep if self.supports(mu) else Fraction(0)
+
+    def supports(self, lam: Partition) -> bool:
+        return all(p == 1 for p in lam)
+
+
+class _Row(_ClosedForm):
+    """Row frequency 1: W = 1 on the empty diagram, 1 - 1/q on one row, else 0."""
+
+    def weight(self, lam: Partition) -> Fraction:
+        if not self.supports(lam):
+            return Fraction(0)
+        return self.keep if lam else Fraction(1)
+
+    def ratio(self, lam: Partition, mu: Partition, row: int) -> Fraction:
+        if not self.supports(mu):
+            return Fraction(0)
+        return Fraction(1) if lam else self.keep
+
+    def supports(self, lam: Partition) -> bool:
+        return len(lam) <= 1
+
+
+class _Generic:
+    """Any other parameters: the exact Hall-Littlewood weight, up to its cap."""
+
+    def __init__(self, params: MeasureParams):
+        self.params = params
+
+    def weight(self, lam: Partition) -> Fraction:
+        return hl_weight(self.params, lam)
+
+    def ratio(self, lam: Partition, mu: Partition, row: int) -> Fraction:
+        return hl_weight(self.params, mu) / hl_weight(self.params, lam)
+
+    def supports(self, lam: Partition) -> bool:
+        return hl_weight(self.params, lam) > 0
+
+
+def _resolve_family(params: MeasureParams):
+    """The family object of validated parameters; equal parameters, equal kind."""
+    q, r, c = params.q, params.r, params.c
+    if isinstance(r, GeometricSpread):
+        if r.seq == (Fraction(1),) and r.q == q and not c:
+            return _Haar(q)
+    elif r.values == () and c == (Fraction(1),):
+        return _Delta(q)
+    elif r.values == (Fraction(1),) and not c:
+        return _Row(q)
+    return _Generic(params)
+
+
+# ---------------------------------------------------------------------------
 # The growth chain
 #
 # The transition probability is N_{lam,mu} * cyl(mu) / cyl(lam).  The huge
 # q**(n(n-1)/2) prefactors cancel in the ratio: with the new box in row r
 # and column j (so lam'_j = r - 1), the probability simplifies to
 #
-#     (1 - q**(lam'_j - lam'_{j-1})) * [W(mu) / W(lam)] / (1 - 1/q),
+#     _count_factor(lam, j) * family.ratio(lam, mu, r) / (1 - 1/q).
 #
-# with the j = 1 convention dropping the subtracted term.  The closed-form
-# families additionally have small closed-form weight ratios, which keeps
-# long trajectories exact and fast.
-
-
-def _family_kind(params: MeasureParams) -> str | None:
-    q = params.q
-    if isinstance(params.r, GeometricSpread):
-        if params.r.seq == (Fraction(1),) and params.r.q == q and not params.c:
-            return "haar"
-        return None
-    if params.r.values == () and params.c == (Fraction(1),):
-        return "delta"
-    if params.r.values == (Fraction(1),) and not params.c:
-        return "row"
-    return None
-
-
-def _weight_ratio(params: MeasureParams, lam: Partition, mu: Partition, row: int) -> Fraction:
-    """W(mu) / W(lam) for a one-box extension with the new box in ``row``."""
-    q = params.q
-    kind = _family_kind(params)
-    if kind == "haar":
-        return (1 - 1 / q) * q_power(q, 1 - row)
-    if kind == "delta":
-        return (1 - 1 / q) if all(p == 1 for p in mu) else Fraction(0)
-    if kind == "row":
-        if len(mu) > 1:
-            return Fraction(0)
-        return Fraction(1) if lam else (1 - 1 / q)
-    return measure_weight(params, mu) / measure_weight(params, lam)
-
-
-def _source_weight_positive(params: MeasureParams, lam: Partition) -> bool:
-    kind = _family_kind(params)
-    if kind == "haar":
-        return True
-    if kind == "delta":
-        return all(p == 1 for p in lam)
-    if kind == "row":
-        return len(lam) <= 1
-    return measure_weight(params, lam) > 0
+# The closed-form families have small closed-form ratios, which keeps long
+# trajectories exact and fast.
 
 
 def transition_distribution(
     params: MeasureParams, lam: Partition
 ) -> list[tuple[Partition, Fraction]]:
-    """All one-box successors with their transition probabilities."""
-    if not _source_weight_positive(params, lam):
+    """All one-box successors with their transition probabilities.
+
+    Successors come in :func:`box_additions` order, zero-probability ones
+    included.
+    """
+    family = params.family
+    if not family.supports(lam):
         raise ValueError(f"source class {lam} has zero probability")
     q = params.q
+    keep = 1 - 1 / q
     out = []
     for mu, col in box_additions(lam):
         row = conj_prefix(lam, col) + 1
-        if col == 1:
-            count_factor = Fraction(1)
-        else:
-            count_factor = 1 - q_power(q, conj_prefix(lam, col) - conj_prefix(lam, col - 1))
-        p = count_factor * _weight_ratio(params, lam, mu, row) / (1 - 1 / q)
-        out.append((mu, p))
+        out.append((mu, _count_factor(lam, col, q) * family.ratio(lam, mu, row) / keep))
     return out
 
 

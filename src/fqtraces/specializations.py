@@ -85,19 +85,6 @@ class GeometricSpread:
         return out + [Fraction(0)] * (count - len(out))
 
 
-@dataclass(frozen=True)
-class FunctionPowerSums:
-    """Power sums given by an arbitrary callable (k >= 1)."""
-
-    fn: object
-
-    def power(self, k: int) -> Fraction:
-        return Fraction(self.fn(k))
-
-    def frequencies(self, count: int) -> list[Fraction]:
-        raise TypeError("function-backed power sums have no explicit entries")
-
-
 EMPTY = FinitePowerSums(())
 
 
@@ -121,15 +108,6 @@ class Specialization:
             raise ValueError("sum(alpha) + sum(beta) must not exceed gamma")
         return cls(FinitePowerSums(alphas), FinitePowerSums(betas), gamma)
 
-    @classmethod
-    def from_power_values(cls, gamma, fn) -> "Specialization":
-        """Presentation through precomputed combined power-sum values.
-
-        ``fn(k)`` must return the full value of p_k for k >= 2; no sign
-        convention is applied on top of it.
-        """
-        return cls(FunctionPowerSums(fn), EMPTY, Fraction(gamma))
-
     def power_sum(self, k: int) -> Fraction:
         if k < 1:
             raise ValueError("power sum index must be >= 1")
@@ -145,14 +123,6 @@ class Specialization:
                 value *= self.power_sum(part)
             total += value
         return total
-
-
-def spec_power_sum(sp: Specialization, k: int) -> Fraction:
-    return sp.power_sum(k)
-
-
-def specialize(sp: Specialization, f: PowerSumElement) -> Fraction:
-    return sp.apply(f)
 
 
 def geometric_spread(seq, q) -> Specialization:

@@ -109,10 +109,6 @@ class DiagramFamily:
         return f"DiagramFamily([{inner}])"
 
 
-# ``ClassLabel`` is the same data read as a conjugacy class (Jordan data per
-# irreducible factor) rather than a representation label.
-ClassLabel = DiagramFamily
-
 EMPTY_FAMILY = DiagramFamily(())
 
 
@@ -201,8 +197,12 @@ def unipotent_block_value(sp: Specialization, d: int, lam: Partition, q) -> Frac
     return q_power(q, d * n_stat(lam)) * sp.apply(f)
 
 
-def unipotent_trace_value(sp: Specialization, cls: ClassLabel, q) -> Fraction:
-    """Trace value on an arbitrary conjugacy class: product over blocks."""
+def unipotent_trace_value(sp: Specialization, cls: DiagramFamily, q) -> Fraction:
+    """Trace value on an arbitrary conjugacy class: product over blocks.
+
+    ``cls`` is a family of diagrams read as a conjugacy class (Jordan data
+    per irreducible factor) rather than as a representation label.
+    """
     _check_linear_capacity(cls, _check_q(q))
     value = Fraction(1)
     for _, d, lam in cls.blocks:

@@ -19,7 +19,6 @@ from fqtraces.measures import (
     lln_experiment,
     transition_distribution,
 )
-from fqtraces.measures import _source_weight_positive
 from fqtraces.oracle import (
     FqMatrix,
     all_matrices,
@@ -84,15 +83,6 @@ class SuiteResult:
     def failures(self) -> list[CheckRow]:
         return [r for r in self.rows if not r.ok]
 
-    def to_csv(self) -> str:
-        lines = ["suite,instance,left,right,status"]
-        for r in self.rows:
-            lines.append(
-                f"{r.suite},{r.instance},{r.left},{r.right},"
-                + ("pass" if r.ok else "fail")
-            )
-        return "\n".join(lines) + "\n"
-
 
 _SUITES: dict[str, object] = {}
 
@@ -113,10 +103,6 @@ def run_suite(name: str) -> SuiteResult:
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(_SUITES)}")
     return SuiteResult(name, tuple(_SUITES[name]()))
-
-
-def run_all() -> list[SuiteResult]:
-    return [run_suite(name) for name in _SUITES]
 
 
 def _row(suite, instance, left, right) -> CheckRow:
@@ -318,7 +304,7 @@ def _check_growth_normalization():
         bad = checked = 0
         for n in range(0, 9):
             for lam in partitions_of(n):
-                if not _source_weight_positive(params, lam):
+                if not params.family.supports(lam):
                     continue
                 checked += 1
                 if sum(p for _, p in transition_distribution(params, lam)) != 1:

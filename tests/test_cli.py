@@ -111,6 +111,20 @@ def test_json_format():
     assert json.loads(out) == {"results": [{"value": "1"}]}
 
 
+@pytest.mark.parametrize(
+    "argv, key, expected",
+    [
+        (["hl-expand", "--lam", "2,1", "--t", "1/2"], "coeff", ["1/4", "-3/16"]),
+        (["coeffs", "--n", "2", "--alpha", "1/2,1/2"], "coeff", ["3/4", "1/4"]),
+        (["biregular", "--q", "2", "--max-size", "2"], "weight", ["1", "1/3"]),
+    ],
+)
+def test_json_format_prints_exact_values_as_fractions(argv, key, expected):
+    code, out, err = run(["--format", "json", *argv])
+    assert code == 0 and err == ""
+    assert [row[key] for row in json.loads(out)["results"]] == expected
+
+
 def test_kostka_foulkes_json_is_coefficient_list():
     code, out, _ = run(
         ["--format", "json", "kostka-foulkes", "--shape", "2,1", "--content", "1,1,1"]

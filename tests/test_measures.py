@@ -7,17 +7,20 @@ from hypothesis import given, strategies as st
 from fqtraces.measures import (
     EXACT_HL_DEGREE_CAP,
     MeasureParams,
+    _Delta,
+    _Generic,
+    _Haar,
+    _Row,
     cyl_prob,
     cyl_prob_from_trace,
     extension_count,
     hl_weight,
     lln_experiment,
-    measure_weight,
     sample_trajectory,
     transition_distribution,
     transition_prob,
 )
-from fqtraces.partitions import box_additions, partitions_of, q_power
+from fqtraces.partitions import box_additions, conj_prefix, partitions_of, q_power
 from fqtraces.specializations import GeometricSpread, Specialization
 
 HALF = Fraction(1, 2)
@@ -86,6 +89,58 @@ def test_haar_weight_identity_generic_path():
                 assert hl_weight(params, lam) == closed
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize(
+    "make", [MeasureParams.haar, MeasureParams.delta_identity, MeasureParams.single_row]
+)
+def test_closed_form_family_matches_generic_route(make, q):
+    params = make(q)
+    family = params.family
+    for n in range(0, 8):
+        for lam in partitions_of(n):
+            w = hl_weight(params, lam)
+            assert family.weight(lam) == w, lam
+            assert family.supports(lam) == (w > 0), lam
+            if not family.supports(lam):
+                continue
+            for mu, col in box_additions(lam):
+                row = conj_prefix(lam, col) + 1
+                assert family.ratio(lam, mu, row) == hl_weight(params, mu) / w, (lam, mu)
+
+
+def test_family_resolution():
+    cases = [
+        (MeasureParams.haar(2), MeasureParams(GeometricSpread((1,), 2), (), 2), _Haar),
+        (MeasureParams.delta_identity(2), MeasureParams((), (1,), 2), _Delta),
+        (MeasureParams.single_row(3), MeasureParams((1,), (), 3), _Row),
+    ]
+    for named, custom, kind in cases:
+        assert named == custom
+        assert type(named.family) is kind and type(custom.family) is kind
+    near_misses = [
+        MIXED,
+        MeasureParams(GeometricSpread((1,), 3), (), 2),
+        MeasureParams(GeometricSpread((HALF,), 2), (), 2),
+        MeasureParams((), (HALF,), 2),
+        MeasureParams((HALF, HALF), (), 2),
+    ]
+    for params in near_misses:
+        assert type(params.family) is _Generic
+
+
+def test_family_stays_out_of_eq_hash_repr():
+    for params in (HAAR2, DELTA2, MIXED):
+        assert hash(params) == hash((params.r, params.c, params.q))
+    assert repr(HAAR2) == (
+        "MeasureParams(r=GeometricSpread(seq=(Fraction(1, 1),), q=Fraction(2, 1)), "
+        "c=(), q=Fraction(2, 1))"
+    )
+    assert repr(MIXED) == (
+        "MeasureParams(r=FinitePowerSums(values=(Fraction(1, 4),)), "
+        "c=(Fraction(1, 4),), q=Fraction(2, 1))"
+    )
+
+
 def test_cyl_prob_positivity_grid():
     grid = [
         MeasureParams((Fraction(1, 4),), (Fraction(1, 4),), 2),
@@ -150,7 +205,7 @@ def test_transition_matches_direct_cylinder_ratio():
     for params in (HAAR2, DELTA2, ROW2, MIXED):
         for n in range(0, 6):
             for lam in partitions_of(n):
-                if measure_weight(params, lam) <= 0:
+                if not params.family.supports(lam):
                     continue
                 for mu, p in transition_distribution(params, lam):
                     direct = (
@@ -165,7 +220,7 @@ def test_transition_rows_sum_to_one():
     for params in (HAAR2, HAAR3, MIXED):
         for n in range(0, 8):
             for lam in partitions_of(n):
-                if not measure_weight(params, lam) > 0:
+                if not params.family.supports(lam):
                     continue
                 assert sum(p for _, p in transition_distribution(params, lam)) == 1
 

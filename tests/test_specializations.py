@@ -5,11 +5,10 @@ import pytest
 
 from fqtraces.partitions import partitions_of, transpose
 from fqtraces.specializations import (
+    EMPTY,
     GeometricSpread,
     Specialization,
     geometric_spread,
-    spec_power_sum,
-    specialize,
 )
 from fqtraces.symfunc import PowerSumElement, plethysm_pl, schur_in_p
 
@@ -18,12 +17,12 @@ HALF = Fraction(1, 2)
 
 def test_power_sum_values():
     sp = Specialization.finite((1,), (), 1)
-    assert spec_power_sum(sp, 5) == 1
+    assert sp.power_sum(5) == 1
     sp = Specialization.finite((), (1,), 1)
-    assert spec_power_sum(sp, 2) == -1
-    assert spec_power_sum(sp, 3) == 1
+    assert sp.power_sum(2) == -1
+    assert sp.power_sum(3) == 1
     sp = Specialization.finite((HALF, HALF), (), 1)
-    assert spec_power_sum(sp, 2) == HALF
+    assert sp.power_sum(2) == HALF
 
 
 def test_finite_form_validation():
@@ -37,11 +36,11 @@ def test_finite_form_validation():
 
 def test_schur_values_single_parameter():
     sp_a = Specialization.finite((1,), (), 1)
-    assert specialize(sp_a, schur_in_p((2,))) == 1
-    assert specialize(sp_a, schur_in_p((1, 1))) == 0
+    assert sp_a.apply(schur_in_p((2,))) == 1
+    assert sp_a.apply(schur_in_p((1, 1))) == 0
     sp_b = Specialization.finite((), (1,), 1)
-    assert specialize(sp_b, schur_in_p((1, 1))) == 1
-    assert specialize(sp_b, schur_in_p((2,))) == 0
+    assert sp_b.apply(schur_in_p((1, 1))) == 1
+    assert sp_b.apply(schur_in_p((2,))) == 0
 
 
 @pytest.mark.parametrize(
@@ -101,6 +100,13 @@ def test_spread_frequencies_sorted():
     assert GeometricSpread((1,), 2).frequencies(3) == [HALF, Fraction(1, 4), Fraction(1, 8)]
 
 
+class _PowerSums:
+    """Power sums given by a callable: the full value of p_k for k >= 2."""
+
+    def __init__(self, fn):
+        self.power = fn
+
+
 def test_plethysm_specialization_identity():
     # composing with index stretching equals the power-twisted parameters
     alphas = (HALF,)
@@ -115,14 +121,8 @@ def test_plethysm_specialization_identity():
             )
 
         gamma = sp.power_sum(n)
-        twisted = Specialization.from_power_values(gamma, pk)
+        twisted = Specialization(_PowerSums(pk), EMPTY, gamma)
         for deg in range(1, 5):
             for lam in partitions_of(deg):
                 f = schur_in_p(lam)
                 assert sp.apply(plethysm_pl(f, n)) == twisted.apply(f), (n, lam)
-
-
-def test_power_values_presentation():
-    sp = Specialization.from_power_values(1, lambda k: Fraction(1, 2**k))
-    assert sp.power_sum(1) == 1
-    assert sp.power_sum(3) == Fraction(1, 8)
