@@ -11,7 +11,8 @@ lengths converge to the measure's frequency parameters.
 from fractions import Fraction
 
 from fqtraces import MeasureParams, cyl_prob, sample_trajectory, transition_prob
-from fqtraces.measures import lln_experiment, transition_distribution
+from fqtraces.cli import main
+from fqtraces.measures import transition_distribution
 from fqtraces.partitions import partitions_of
 
 haar = MeasureParams.haar(2)
@@ -46,5 +47,6 @@ for lam in [(3, 1), (2, 2, 1), (4, 2, 1)]:
 
 print()
 print("== law of large numbers for the uniform measure (short run) ==")
-report = lln_experiment(haar, n_max=300, trials=40, seed=2024, track=3)
-print(report.to_csv())
+main(["lln", "--q", "2", "--measure", "haar", "--nmax", "300", "--trials", "40",
+      "--seed", "2024", "--track", "3"])
+print()

@@ -64,6 +64,19 @@ def _fractions(text: str) -> tuple:
     return tuple(_fraction(p) for p in text.split(","))
 
 
+def _count(low: int):
+    """An integer flag that must be at least ``low``."""
+
+    def integer(text: str) -> int:
+        # argparse reports a ValueError from int() as "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _partition(text: str):
     try:
         return parse_partition(text)
@@ -71,35 +84,71 @@ def _partition(text: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _family(text: str) -> DiagramFamily:
-    try:
-        return DiagramFamily.from_json_obj(json.loads(text))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(f"invalid family JSON: {exc}")
+def _json_arg(what: str, build):
+    """A flag holding JSON, turned into an object by ``build``."""
+
+    def convert(text: str):
+        try:
+            return build(json.loads(text))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(f"invalid {what} JSON: {exc}")
+
+    return convert
 
 
-def _emit(fmt: str, rows: list[dict], header: list[str]):
+def _string_field(record, key: str, default=None) -> str:
+    if not isinstance(record, dict):
+        raise TypeError(f"expected a JSON object, got {record!r}")
+    value = record[key] if default is None else record.get(key, default)
+    if not isinstance(value, str):
+        raise TypeError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
+def _glu_params(data) -> GLUTraceParams:
+    entries = tuple(
+        (
+            _string_field(e, "label"),
+            Specialization.finite(
+                _fractions(_string_field(e, "alpha", "")),
+                _fractions(_string_field(e, "beta", "")),
+                _fraction(_string_field(e, "gamma")),
+            ),
+        )
+        for e in data["entries"]
+    )
+    return GLUTraceParams(entries, DiagramFamily.from_json_obj(data.get("family", [])))
+
+
+_family = _json_arg("family", DiagramFamily.from_json_obj)
+
+
+class _PartitionCell(str):
+    """Partitions in one cell, such as "2,1" or "2;1,1": CSV quotes them, JSON does not."""
+
+
+def _emit(fmt: str, rows: list[dict], header: list[str] | None = None):
+    """Write rows as CSV or as one JSON object with a "results" array.
+
+    Without a header the rows are bare values, which CSV prints alone.
+    """
     out = sys.stdout
     if fmt == "json":
         # exact values print as reduced-fraction strings, as in CSV
         out.write(json.dumps({"results": rows}, indent=2, default=str))
         out.write("\n")
         return
-    out.write(",".join(header) + "\n")
+    if header is not None:
+        out.write(",".join(header) + "\n")
     for row in rows:
-        out.write(",".join(str(row[h]) for h in header) + "\n")
-
-
-def _emit_value(fmt: str, value):
-    if fmt == "json":
-        sys.stdout.write(json.dumps({"results": [{"value": str(value)}]}, indent=2))
-        sys.stdout.write("\n")
-    else:
-        sys.stdout.write(f"{value}\n")
+        cells = row.values() if header is None else (row[h] for h in header)
+        out.write(
+            ",".join(f'"{c}"' if isinstance(c, _PartitionCell) else str(c) for c in cells) + "\n"
+        )
 
 
 def _specialization(args) -> Specialization:
-    return Specialization.finite(args.alpha, args.beta, getattr(args, "gamma", 1))
+    return Specialization.finite(args.alpha, args.beta)
 
 
 _NAMED_MEASURES = {
@@ -156,19 +205,19 @@ def build_parser() -> _Parser:
     p.add_argument("--class", dest="cls", type=_family, required=True)
 
     p = sub.add_parser("coeffs", help="trace coefficients over irreducible characters")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count(0), required=True)
     p.add_argument("--alpha", type=_fractions, default=())
     p.add_argument("--beta", type=_fractions, default=())
     p.add_argument(
         "--glu-params",
-        type=str,
+        type=_json_arg("params", _glu_params),
         default=None,
         help='JSON {"entries": [{"label", "alpha", "beta", "gamma"}], "family": [...]}',
     )
 
     p = sub.add_parser("biregular", help="biregular weights C(f) for unit-free families")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=_count(0), required=True)
 
     p = sub.add_parser("cyl", help="cylinder probability of a Jordan type")
     _add_measure_flags(p)
@@ -179,15 +228,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="sample one growth trajectory of Jordan types")
     _add_measure_flags(p)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_count(0), required=True)
     p.add_argument("--seed", type=int, required=True)
 
     p = sub.add_parser("lln", help="law-of-large-numbers experiment")
     _add_measure_flags(p)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--nmax", type=_count(1), required=True)
+    p.add_argument("--trials", type=_count(1), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--track", type=int, default=4)
+    p.add_argument("--track", type=_count(1), default=4)
 
     p = sub.add_parser("verify", help="run named verification suites")
     p.add_argument("suite", nargs="?", default="all", help="suite name or 'all'")
@@ -198,62 +247,41 @@ def build_parser() -> _Parser:
 
 def _run(args) -> int:
     fmt = args.format
+    header, code = None, 0
     if args.command == "dim":
-        _emit_value(fmt, green_dimension(args.family, args.q))
+        rows = [{"value": str(green_dimension(args.family, args.q))}]
     elif args.command == "kostka":
-        _emit_value(fmt, kostka(args.shape, args.content))
+        rows = [{"value": str(kostka(args.shape, args.content))}]
     elif args.command == "kostka-foulkes":
-        poly = kostka_foulkes(args.shape, args.content)
-        if fmt == "json":
-            blob = {"results": [{"coefficients": poly.to_list()}]}
-            sys.stdout.write(json.dumps(blob, indent=2) + "\n")
+        coeffs = kostka_foulkes(args.shape, args.content).to_list()
+        header = ["power", "coeff"]
+        if fmt == "json":  # one row holding the whole list
+            rows = [{"coefficients": coeffs}]
         else:
-            _emit(fmt, [{"power": i, "coeff": c} for i, c in enumerate(poly.to_list())], ["power", "coeff"])
+            rows = [{"power": i, "coeff": c} for i, c in enumerate(coeffs)]
     elif args.command == "hl-expand":
         f = modified_hl_q(args.lam, args.t) if args.modified else hl_q_in_p(args.lam, args.t)
+        header = ["mu", "coeff"]
         rows = [
-            {"mu": f'"{format_partition(mu)}"', "coeff": c}
+            {"mu": _PartitionCell(format_partition(mu)), "coeff": c}
             for mu, c in sorted(schur_expand(f).items(), reverse=True)
         ]
-        _emit(fmt, rows, ["mu", "coeff"])
     elif args.command == "trace":
-        sp = _specialization(args)
-        _emit_value(fmt, unipotent_trace_value(sp, args.cls, args.q))
+        rows = [{"value": str(unipotent_trace_value(_specialization(args), args.cls, args.q))}]
+    elif args.command == "coeffs" and args.glu_params is not None:
+        header = ["labels", "coeff"]
+        rows = [
+            {"labels": _PartitionCell(";".join(map(format_partition, key))), "coeff": value}
+            for key, value in glu_trace_coefficients(args.glu_params, args.n).items()
+        ]
     elif args.command == "coeffs":
-        if args.glu_params is not None:
-            try:
-                data = json.loads(args.glu_params)
-                entries = tuple(
-                    (
-                        e["label"],
-                        Specialization.finite(
-                            _fractions(e.get("alpha", "")),
-                            _fractions(e.get("beta", "")),
-                            Fraction(e["gamma"]),
-                        ),
-                    )
-                    for e in data["entries"]
-                )
-                background = DiagramFamily.from_json_obj(data.get("family", []))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise CliError(f"invalid --glu-params: {exc}")
-            params = GLUTraceParams(entries, background)
-            rows = [
-                {
-                    "labels": '"' + ";".join(format_partition(lam) for lam in key) + '"',
-                    "coeff": value,
-                }
-                for key, value in glu_trace_coefficients(params, args.n).items()
-            ]
-            _emit(fmt, rows, ["labels", "coeff"])
-        else:
-            sp = _specialization(args)
-            rows = [
-                {"lambda": f'"{format_partition(lam)}"', "coeff": c}
-                for lam, c in trace_coefficients(sp, args.n).items()
-            ]
-            _emit(fmt, rows, ["lambda", "coeff"])
+        header = ["lambda", "coeff"]
+        rows = [
+            {"lambda": _PartitionCell(format_partition(lam)), "coeff": c}
+            for lam, c in trace_coefficients(_specialization(args), args.n).items()
+        ]
     elif args.command == "biregular":
+        header = ["family", "weight"]
         rows = []
         for k in range(0, args.max_size + 1):
             for fam in families_enumerate(k, args.q):
@@ -266,72 +294,56 @@ def _run(args) -> int:
                 rows.append(
                     {"family": json.dumps(fam.to_json_obj()).replace(",", ";"), "weight": weight}
                 )
-        _emit(fmt, rows, ["family", "weight"])
     elif args.command == "cyl":
         if args.from_trace:
-            sp = Specialization.finite(args.alpha, args.beta, 1)
-            _emit_value(fmt, cyl_prob_from_trace(sp, args.lam, args.q))
+            value = cyl_prob_from_trace(_specialization(args), args.lam, args.q)
         else:
-            _emit_value(fmt, cyl_prob(_measure(args), args.lam))
+            value = cyl_prob(_measure(args), args.lam)
+        rows = [{"value": str(value)}]
     elif args.command == "sample":
+        header = ["level", "lambda"]
         traj = sample_trajectory(_measure(args), args.nmax, args.seed)
         rows = [
-            {"level": i, "lambda": f'"{format_partition(lam)}"'}
+            {"level": i, "lambda": _PartitionCell(format_partition(lam))}
             for i, lam in enumerate(traj)
         ]
-        _emit(fmt, rows, ["level", "lambda"])
     elif args.command == "lln":
-        report = lln_experiment(
-            _measure(args), args.nmax, args.trials, args.seed, track=args.track
-        )
-        if fmt == "json":
-            rows = [
-                {
-                    "statistic": r.statistic,
-                    "i": r.index,
-                    "empirical": repr(r.empirical),
-                    "predicted": str(r.predicted),
-                    "stderr": repr(r.stderr),
-                }
-                for r in report.rows
-            ]
-            _emit(fmt, rows, [])
-        else:
-            sys.stdout.write(report.to_csv())
-    elif args.command == "verify":
-        if args.list:
-            for name in verify.suite_names():
-                sys.stdout.write(name + "\n")
-            return 0
+        report = lln_experiment(_measure(args), args.nmax, args.trials, args.seed, track=args.track)
+        header = ["statistic", "i", "empirical", "predicted", "stderr"]
+        rows = [
+            {
+                "statistic": r.statistic,
+                "i": r.index,
+                "empirical": repr(r.empirical),
+                "predicted": str(r.predicted),
+                "stderr": repr(r.stderr),
+            }
+            for r in report.rows
+        ]
+    elif args.command == "verify" and args.list:
+        rows = [{"suite": name} for name in verify.suite_names()]
+    else:  # verify
         names = verify.suite_names() if args.suite == "all" else [args.suite]
         try:
             results = [verify.run_suite(name) for name in names]
         except KeyError as exc:
             raise CliError(str(exc))
-        if fmt == "json":
-            rows = [
-                {
-                    "suite": r.suite,
-                    "instance": r.instance,
-                    "left": r.left,
-                    "right": r.right,
-                    "status": "pass" if r.ok else "fail",
-                }
-                for res in results
-                for r in res.rows
-            ]
-            sys.stdout.write(json.dumps({"results": rows}, indent=2) + "\n")
-        else:
-            sys.stdout.write("suite,instance,left,right,status\n")
-            for res in results:
-                for r in res.rows:
-                    status = "pass" if r.ok else "fail"
-                    sys.stdout.write(
-                        f"{r.suite},{r.instance},{r.left},{r.right},{status}\n"
-                    )
+        header = ["suite", "instance", "left", "right", "status"]
+        rows = [
+            {
+                "suite": r.suite,
+                "instance": r.instance,
+                "left": r.left,
+                "right": r.right,
+                "status": "pass" if r.ok else "fail",
+            }
+            for res in results
+            for r in res.rows
+        ]
         if any(not res.passed for res in results):
-            return 2
-    return 0
+            code = 2
+    _emit(fmt, rows, header)
+    return code
 
 
 def main(argv=None) -> int:
@@ -343,7 +355,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         sys.stderr.write("run 'fqtraces --help' for usage\n")
         return 1
-    except (argparse.ArgumentTypeError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -33,7 +33,6 @@ from fqtraces.partitions import (
     check_partition,
     conj_prefix,
     n_stat,
-    q_power,
     size,
     transpose,
 )
@@ -127,7 +126,7 @@ def extension_count(lam: Partition, mu: Partition, q) -> Fraction:
         raise ValueError("extension counts need |mu| = |lam| + 1")
     for nu, col in box_additions(lam):
         if nu == mu:
-            return q_power(q, size(lam) - conj_prefix(lam, col)) * _count_factor(lam, col, q)
+            return q ** (size(lam) - conj_prefix(lam, col)) * _count_factor(lam, col, q)
     return Fraction(0)
 
 
@@ -135,7 +134,7 @@ def _count_factor(lam: Partition, col: int, q: Fraction) -> Fraction:
     """1 - q**(lam'_col - lam'_{col-1}) for a new box in column ``col``; 1 at col = 1."""
     if col == 1:
         return Fraction(1)
-    return 1 - q_power(q, conj_prefix(lam, col) - conj_prefix(lam, col - 1))
+    return 1 - q ** (conj_prefix(lam, col) - conj_prefix(lam, col - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +162,8 @@ def cyl_prob(params: MeasureParams, lam: Partition) -> Fraction:
     # the weight first: above the degree cap it raises before the prefactor,
     # whose size grows with n**2, is built
     weight = params.family.weight(lam)
-    pref = q_power(q, -(n * (n - 1)) // 2) / (1 - 1 / q) ** n
-    return pref * q_power(q, n_stat(lam)) * weight
+    pref = q ** (-(n * (n - 1)) // 2) / (1 - 1 / q) ** n
+    return pref * q ** n_stat(lam) * weight
 
 
 def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
@@ -177,10 +176,12 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
         raise ValueError("cylinder probabilities need gamma = 1")
     lam = check_partition(lam)
     q = Fraction(q)
+    if q <= 1:
+        raise ValueError("q must exceed 1")
     n = size(lam)
     weight = sp.apply(modified_hl_q(lam, 1 / q))
-    pref = q_power(q, -(n * (n - 1)) // 2)
-    return pref * q_power(q, n_stat(lam)) * weight
+    pref = q ** (-(n * (n - 1)) // 2)
+    return pref * q ** n_stat(lam) * weight
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +206,10 @@ class _Haar(_ClosedForm):
     """Geometric row frequencies: W(lam) = (1 - 1/q)**|lam| / q**n(lam)."""
 
     def weight(self, lam: Partition) -> Fraction:
-        return self.keep ** size(lam) / q_power(self.q, n_stat(lam))
+        return self.keep ** size(lam) / self.q ** n_stat(lam)
 
     def ratio(self, lam: Partition, mu: Partition, row: int) -> Fraction:
-        return self.keep * q_power(self.q, 1 - row)
+        return self.keep * self.q ** (1 - row)
 
     def supports(self, lam: Partition) -> bool:
         return True
@@ -372,15 +373,6 @@ class LLNReport:
     trials: int
     seed: int
     rows: tuple[LLNRow, ...]
-
-    def to_csv(self) -> str:
-        lines = ["statistic,i,empirical,predicted,stderr"]
-        for row in self.rows:
-            lines.append(
-                f"{row.statistic},{row.index},{row.empirical!r},"
-                f"{row.predicted},{row.stderr!r}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _mean_stderr(samples: list[Fraction]) -> tuple[float, float]:

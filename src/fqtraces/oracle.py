@@ -8,6 +8,7 @@ unit); for prime powers the index encodes the coefficient vector of the
 residue polynomial in base p.
 """
 
+from bisect import bisect_right
 from functools import cache
 from itertools import combinations, product
 
@@ -638,21 +639,22 @@ def families_enumerate(n: int, q: int) -> list[DiagramFamily]:
         ((poly_name(field, poly), d) for d in range(1, n + 1) for poly in irreducible_polys(q, d)),
         key=lambda t: (t[1], t[0]),
     )
+    degrees = [d for _, d in polys]
     out = []
 
-    def rec(i: int, remaining: int, acc: list):
+    def rec(start: int, remaining: int, acc: list):
+        # one frame per block: the next block sits on some poly j >= start
+        # of degree <= remaining, tried from the last such j down
         if remaining == 0:
             out.append(DiagramFamily(tuple(acc)))
             return
-        if i == len(polys):
-            return
-        tag, d = polys[i]
-        rec(i + 1, remaining, acc)
-        for k in range(1, remaining // d + 1):
-            for lam in partitions_of(k):
-                acc.append((tag, d, lam))
-                rec(i + 1, remaining - d * k, acc)
-                acc.pop()
+        for j in range(bisect_right(degrees, remaining) - 1, start - 1, -1):
+            tag, d = polys[j]
+            for k in range(1, remaining // d + 1):
+                for lam in partitions_of(k):
+                    acc.append((tag, d, lam))
+                    rec(j + 1, remaining - d * k, acc)
+                    acc.pop()
 
     rec(0, n, [])
     return out

@@ -5,7 +5,6 @@ stored, and the empty partition is ``()``.  Everything here is a pure
 function of that tuple, so results can be cached and shared freely.
 """
 
-from fractions import Fraction
 from functools import cache
 from math import factorial
 
@@ -22,12 +21,14 @@ def is_partition(parts) -> bool:
 def check_partition(parts) -> Partition:
     lam = tuple(parts)
     if not is_partition(lam):
-        raise ValueError(f"not a partition: {parts!r}")
+        raise ValueError(f"not a partition: {lam!r}")
     return lam
 
 
 def parse_partition(text: str) -> Partition:
     """Parse the serialized form ``"3,1,1"``; the empty string is ``()``."""
+    if not isinstance(text, str):
+        raise TypeError(f"a partition is written like '3,1,1', not {text!r}")
     text = text.strip()
     if not text:
         return ()
@@ -145,9 +146,3 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 def conj_prefix(lam: Partition, j: int) -> int:
     """Column length lam'_j (number of parts >= j); j >= 1."""
     return sum(1 for p in lam if p >= j)
-
-
-def q_power(q: Fraction, e: int) -> Fraction:
-    """q**e for exact rational q and possibly negative integer e."""
-    q = Fraction(q)
-    return q**e if e >= 0 else 1 / q ** (-e)

@@ -24,7 +24,6 @@ from fqtraces.partitions import (
     n_stat,
     parse_partition,
     partitions_of,
-    q_power,
     size,
 )
 from fqtraces.specializations import EMPTY, GeometricSpread, Specialization
@@ -97,7 +96,7 @@ class DiagramFamily:
     def from_json_obj(cls, records) -> "DiagramFamily":
         return cls(
             tuple(
-                (r["tag"], int(r["d"]), parse_partition(r["lambda"]))
+                (r["tag"], r["d"], parse_partition(r["lambda"]))
                 for r in records
             )
         )
@@ -136,9 +135,9 @@ def _check_linear_capacity(f: DiagramFamily, q: Fraction):
 
 def q_hook_weight(lam: Partition, d: int, q: Fraction) -> Fraction:
     """The per-block factor q**(d n(lam)) / prod (q**(d h) - 1)."""
-    value = q_power(q, d * n_stat(lam))
+    value = q ** (d * n_stat(lam))
     for h in hook_lengths(lam):
-        value /= q_power(q, d * h) - 1
+        value /= q ** (d * h) - 1
     return value
 
 
@@ -153,7 +152,7 @@ def green_dimension(f: DiagramFamily, q) -> Fraction:
     k = f.degree
     value = Fraction(1)
     for i in range(1, k + 1):
-        value *= q_power(q, i) - 1
+        value *= q**i - 1
     for _, d, lam in f.blocks:
         value *= q_hook_weight(lam, d, q)
     return value
@@ -192,9 +191,9 @@ def unipotent_block_value(sp: Specialization, d: int, lam: Partition, q) -> Frac
     q = _check_q(q)
     if sp.power_sum(1) != 1:
         raise ValueError("unipotent trace values need gamma = 1")
-    t = 1 / q_power(q, d)
+    t = 1 / q**d
     f = plethysm_pl(modified_hl_q(lam, t), d)
-    return q_power(q, d * n_stat(lam)) * sp.apply(f)
+    return q ** (d * n_stat(lam)) * sp.apply(f)
 
 
 def unipotent_trace_value(sp: Specialization, cls: DiagramFamily, q) -> Fraction:

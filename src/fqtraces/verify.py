@@ -38,7 +38,6 @@ from fqtraces.partitions import (
     hook_lengths,
     n_stat,
     partitions_of,
-    q_power,
     size,
 )
 from fqtraces.specializations import GeometricSpread, Specialization
@@ -256,9 +255,9 @@ def _check_haar_flatness():
         params = MeasureParams.haar(q)
         for n in range(0, 9):
             bad = 0
-            flat = q_power(Fraction(q), -(n * (n - 1)) // 2)
+            flat = Fraction(q) ** (-(n * (n - 1)) // 2)
             for lam in partitions_of(n):
-                closed = (1 - Fraction(1, q)) ** n / q_power(Fraction(q), n_stat(lam))
+                closed = (1 - Fraction(1, q)) ** n / Fraction(q) ** n_stat(lam)
                 if hl_weight(params, lam) != closed:
                     bad += 1
                 if cyl_prob(params, lam) != flat:
@@ -373,7 +372,7 @@ def _check_trace_measure_map():
 
 def _unipotent_character_value(lam, nu, q) -> Fraction:
     """Value of the unipotent character lam on the unipotent class nu."""
-    return q_power(Fraction(q), n_stat(nu)) * kostka_foulkes(lam, nu)(Fraction(1, q))
+    return Fraction(q) ** n_stat(nu) * kostka_foulkes(lam, nu)(Fraction(1, q))
 
 
 @_suite("flag-kostka")
@@ -454,7 +453,7 @@ def _check_biregular():
         for n in range(1, 7):
             for lam in partitions_of(n):
                 checked += 1
-                closed = Fraction(q - 1) ** n * q_power(Fraction(q), n_stat(lam))
+                closed = Fraction(q - 1) ** n * Fraction(q) ** n_stat(lam)
                 for h in hook_lengths(lam):
                     closed /= q**h - 1
                 if sp_principal_schur(lam, q) != closed:
@@ -513,7 +512,7 @@ def _check_steinberg():
                     "steinberg",
                     f"identity-n={n}-q={q}",
                     value,
-                    q_power(Fraction(q), n * (n - 1) // 2),
+                    Fraction(q) ** (n * (n - 1) // 2),
                 )
             )
         elliptic = family(("irreducible-quadratic", 2, (1,)))

@@ -4,6 +4,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fqtraces import verify
 from fqtraces.cli import main
@@ -142,6 +143,21 @@ def test_biregular_table():
     assert lines[2].endswith(",1/3")
 
 
+def test_json_partition_cells_are_plain_strings():
+    glu = json.dumps({"entries": [{"label": "1", "gamma": "1/2"}, {"label": "2", "gamma": "1/2"}]})
+    cases = [
+        (["hl-expand", "--lam", "1,1", "--t", "1/2", "--modified"], "mu", ["2", "1,1"]),
+        (["coeffs", "--n", "2", "--alpha", "1/2,1/2"], "lambda", ["2", "1,1"]),
+        (["coeffs", "--n", "1", "--glu-params", glu], "labels", [";1", "1;"]),
+        (["sample", "--q", "2", "--measure", "delta", "--nmax", "2", "--seed", "5"],
+         "lambda", ["", "1", "1,1"]),
+    ]
+    for argv, key, expected in cases:
+        code, out, _ = run(["--format", "json", *argv])
+        assert code == 0
+        assert [row[key] for row in json.loads(out)["results"]] == expected
+
+
 def test_validation_errors_exit_one():
     code, _, err = run(["dim", "--q", "zebra", "--family", "[]"])
     assert code == 1 and "invalid rational" in err
@@ -151,6 +167,35 @@ def test_validation_errors_exit_one():
     assert code == 1
     code, _, err = run([])
     assert code == 1
+    haar = ["--q", "2", "--measure", "haar", "--seed", "1"]
+    for argv in [
+        ["lln", *haar, "--nmax", "0", "--trials", "2"],
+        ["lln", *haar, "--nmax", "3", "--trials", "0"],
+        ["lln", *haar, "--nmax", "3", "--trials", "2", "--track", "0"],
+        ["lln", *haar, "--nmax", "3", "--trials", "2", "--track", "-1"],
+        ["sample", *haar, "--nmax", "-3"],
+        ["biregular", "--q", "2", "--max-size", "-1"],
+        ["coeffs", "--n", "-1"],
+    ]:
+        code, out, err = run(argv)
+        assert code == 1 and out == ""
+        assert "error: argument --" in err and "must be at least" in err
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"entries": [{"label": "a", "alpha": 5, "gamma": "1"}]},
+        {"entries": [{"label": ["a"], "gamma": "1"}]},
+        {"entries": [{"label": "a", "gamma": "1/0"}]},
+        {"entries": [3]},
+        {"entries": [{"label": "a", "gamma": "1"}], "family": [{"tag": "c", "d": 2, "lambda": [1]}]},
+    ],
+)
+def test_bad_glu_params_exit_one(params):
+    code, out, err = run(["coeffs", "--n", "2", "--glu-params", json.dumps(params)])
+    assert code == 1 and out == ""
+    assert "error: argument --glu-params: " in err
 
 
 @pytest.mark.parametrize(
@@ -197,3 +242,94 @@ def test_verify_failure_exit_two(monkeypatch):
     code, out, _ = run(["verify", "always-fails"])
     assert code == 2
     assert "fail" in out
+
+
+# argv fuzzing: every size stays <= 4 so each input finishes quickly; verify
+# draws only --list and unknown suites, since the real suites take minutes
+_INTS = ["-3", "-1", "0", "1", "2", "3", "4", "x", ""]
+_RATIONALS = ["-1", "0", "1", "2", "3", "1/2", "5/2", "1/0", "zebra", ""]
+_RATIONAL_LISTS = _RATIONALS + ["1/2,1/4", "1/4,1/2", "1,1", "1/2,,1"]
+_PARTITIONS = ["", "1", "2,1", "1,1,1", "4", "2,2", "1,2", "0", "-1", "a", "1,,1"]
+_FAMILIES = [
+    "", "{", "[]", "3", '"x"', "null", '{"tag": "x-1"}',
+    '[{"tag":"x-1","d":1,"lambda":"1,1"}]',
+    '[{"tag":"x-1","d":1,"lambda":"1"},{"tag":"c","d":2,"lambda":"1"}]',
+    '[{"tag":"a","d":1,"lambda":"1"},{"tag":"b","d":1,"lambda":"1"}]',
+    '[{"tag":["a"],"d":1,"lambda":"1"}]',
+    '[{"tag":"a","d":"1","lambda":"1"}]',
+    '[{"tag":"a","d":1e999,"lambda":"1"}]',
+    '[{"tag":"a","d":1,"lambda":[1]}]',
+    '[{"tag":"a","d":1,"lambda":2}]',
+    '[{"tag":"x-1","d":2,"lambda":"1"}]',
+    '[{"tag":"a","d":0,"lambda":"1"}]',
+    '[{"tag":"a","d":1}]',
+    "[3]",
+]
+_GLU = [
+    "", "{", "[]", "null", '{"entries": 3}', '{"entries": [3]}',
+    '{"entries": [{"label": "1", "gamma": "1/2"}, {"label": "2", "gamma": "1/2"}]}',
+    '{"entries": [{"label": "1", "alpha": "1/2", "beta": "1/4", "gamma": "1"}]}',
+    '{"entries": [{"label": "a", "alpha": 5, "gamma": "1"}]}',
+    '{"entries": [{"label": ["a"], "gamma": "1"}]}',
+    '{"entries": [{"label": "a", "gamma": 1}]}',
+    '{"entries": [{"label": "a", "gamma": "1/3"}]}',
+    '{"entries": [{"label": "a", "gamma": "1"}, {"label": "a", "gamma": "0"}]}',
+    '{"entries": [{"label": "a", "gamma": "1"}], "family": [{"tag":"c","d":2,"lambda":"1"}]}',
+    '{"entries": [{"label": "a", "gamma": "1"}], "family": [{"tag":"c","d":1,"lambda":"1"}]}',
+    '{"entries": [{"label": "a", "gamma": "1"}], "family": {"c": 1}}',
+]
+_MEASURE_FLAGS = {
+    "--q": _RATIONALS,
+    "--measure": ["haar", "delta", "single-row", "custom", "nope"],
+    "--r": _RATIONAL_LISTS,
+    "--c": _RATIONAL_LISTS,
+}
+_FLAGS = {
+    "dim": {"--q": _RATIONALS, "--family": _FAMILIES},
+    "kostka": {"--shape": _PARTITIONS, "--content": _PARTITIONS},
+    "kostka-foulkes": {"--shape": _PARTITIONS, "--content": _PARTITIONS},
+    "hl-expand": {"--lam": _PARTITIONS, "--t": _RATIONALS, "--modified": None},
+    "trace": {
+        "--q": _RATIONALS, "--alpha": _RATIONAL_LISTS, "--beta": _RATIONAL_LISTS,
+        "--class": _FAMILIES,
+    },
+    "coeffs": {
+        "--n": _INTS, "--alpha": _RATIONAL_LISTS, "--beta": _RATIONAL_LISTS,
+        "--glu-params": _GLU,
+    },
+    "biregular": {"--q": _INTS, "--max-size": _INTS},
+    "cyl": {
+        **_MEASURE_FLAGS, "--lam": _PARTITIONS, "--from-trace": None,
+        "--alpha": _RATIONAL_LISTS, "--beta": _RATIONAL_LISTS,
+    },
+    "sample": {**_MEASURE_FLAGS, "--nmax": _INTS, "--seed": _INTS},
+    "lln": {**_MEASURE_FLAGS, "--nmax": _INTS, "--trials": _INTS, "--seed": _INTS, "--track": _INTS},
+    "verify": {"--list": None},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    if command == "verify":
+        argv += draw(st.lists(st.sampled_from(["--list", "nope", "all-suites", ""]), min_size=1))
+    for flag, pool in _FLAGS[command].items():
+        if draw(st.integers(0, 3)) == 0:
+            continue
+        argv += [flag] if pool is None else [flag, draw(st.sampled_from(pool))]
+    return ["--format", draw(st.sampled_from(["csv", "json"])), *argv]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    start = time.perf_counter()
+    code, out, err = run(argv)
+    assert time.perf_counter() - start < 5
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and out == ""
+    if code == 0 and argv[1] == "json":
+        json.loads(out)

@@ -163,6 +163,14 @@ def test_families_enumerate_small():
     assert len(families_enumerate(3, 2)) == 6
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_families_enumerate_counts_gl_classes(q):
+    # GL(n, q) has q - 1, q^2 - 1, q^3 - q, q^4 - q classes for n = 1..4;
+    # q = 8 and 9 have over a thousand polynomials of degree <= 4
+    classes = [q - 1, q**2 - 1, q**3 - q, q**4 - q]
+    assert [len(families_enumerate(n, q)) for n in range(1, 5)] == classes
+
+
 def test_conjugacy_family_of_representatives():
     m = jordan_block_matrix(F2, (1, 1, 1), (2, 1))
     fam = conjugacy_family_of(m)

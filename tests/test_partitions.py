@@ -121,7 +121,7 @@ def test_serialization_round_trip():
     assert parse_partition("") == ()
     assert format_partition((3, 1, 1)) == "3,1,1"
     assert format_partition(()) == ""
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"not a partition: \(1, 3\)$"):
         parse_partition("1,3")
 
 
