@@ -1,10 +1,13 @@
 """CLI stdout of the growth chain and the cylinders, byte for byte.
 
 The files in ``tests/golden/`` hold the stdout of ``sample``, ``lln`` and
-``cyl`` for the three named measure families at q = 2 and 3 (and a custom
-measure for ``cyl``), each invocation preceded by a ``$ fqtraces ...``
-line.  They change only with an intended change of output; rewrite them
-from the repository root with
+``cyl`` for the three named measure families at q = 2 and 3 and for a
+custom measure at q = 2 and 3, and of ``sample`` and ``lln`` for the Haar
+family at the rational q = 5/2.  The custom chains stop at level 12, since
+their weights come from the exact Hall-Littlewood expansion.  Each
+invocation is preceded by a ``$ fqtraces ...`` line.  The files change only
+with an intended change of output; rewrite them from the repository root
+with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -27,20 +30,23 @@ _NAMED = [
     for measure in ("haar", "delta", "single-row")
     for q in (2, 3)
 ]
+_RATIONAL_Q = [["--q", "5/2", "--measure", "haar"]]
 _CUSTOM = [["--q", str(q), "--r", "1/4", "--c", "1/4"] for q in (2, 3)]
+
+_CHAINS = [(m, "300") for m in _NAMED + _RATIONAL_Q] + [(m, "12") for m in _CUSTOM]
 
 
 def invocations(command: str) -> list[list[str]]:
     if command == "sample":
         return [
-            ["sample", *m, "--nmax", "300", "--seed", str(seed)]
-            for m in _NAMED
+            ["sample", *m, "--nmax", nmax, "--seed", str(seed)]
+            for m, nmax in _CHAINS
             for seed in (1, 2, 3)
         ]
     if command == "lln":
         return [
-            ["lln", *m, "--nmax", "300", "--trials", "4", "--seed", str(seed)]
-            for m in _NAMED
+            ["lln", *m, "--nmax", nmax, "--trials", "4", "--seed", str(seed)]
+            for m, nmax in _CHAINS
             for seed in (1, 2)
         ]
     return [
