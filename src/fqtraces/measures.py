@@ -14,21 +14,26 @@ families, at any level, and the exact Hall-Littlewood expansion up to
 its degree cap for every other parameter set.
 
 The growth of the Jordan type under adding one row and column is an
-explicit Markov chain on Young diagrams whose transition weights combine
-the parabolic extension counts with the family's one-box weight ratios.
-Everything except the Monte Carlo summary statistics is exact rational
-arithmetic; sampling compares exact cumulative probabilities against a
-uniform variate of fixed denominator 2**64.
+explicit Markov chain on Young diagrams.  Each family gives the chain's
+transition row out of a diagram as integer numerators over one common
+denominator: closed forms in q for the Haar, delta and single-row
+families, and the extension counts times the Q-weight ratios, put over
+their least common denominator, for every other parameter set.
+Everything except the Monte Carlo summary statistics is exact; sampling
+compares the integer cumulative numerators against a uniform variate of
+fixed denominator 2**64.
 """
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import sqrt
+from math import lcm, sqrt
 
 from fqtraces.partitions import (
     Partition,
+    add_box,
+    addable_corners,
     box_additions,
     check_partition,
     conj_prefix,
@@ -126,15 +131,11 @@ def extension_count(lam: Partition, mu: Partition, q) -> Fraction:
         raise ValueError("extension counts need |mu| = |lam| + 1")
     for nu, col in box_additions(lam):
         if nu == mu:
-            return q ** (size(lam) - conj_prefix(lam, col)) * _count_factor(lam, col, q)
+            count = q ** (size(lam) - conj_prefix(lam, col))
+            if col > 1:
+                count *= 1 - q ** (conj_prefix(lam, col) - conj_prefix(lam, col - 1))
+            return count
     return Fraction(0)
-
-
-def _count_factor(lam: Partition, col: int, q: Fraction) -> Fraction:
-    """1 - q**(lam'_col - lam'_{col-1}) for a new box in column ``col``; 1 at col = 1."""
-    if col == 1:
-        return Fraction(1)
-    return 1 - q ** (conj_prefix(lam, col) - conj_prefix(lam, col - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +188,32 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 # ---------------------------------------------------------------------------
 # Measure families
 #
-# Every family object answers three questions about the Q weight W:
-# ``weight(lam)`` is W(lam); ``ratio(lam, mu, row)`` is W(mu) / W(lam) for
-# mu = lam plus one box in ``row``, defined where ``supports(lam)``, that is
-# where W(lam) > 0.  The Haar, delta and single-row families answer in
-# closed form at any level; every other parameter set goes through
+# Every family object answers three questions: ``weight(lam)`` is the Q
+# weight W(lam), ``supports(lam)`` is W(lam) > 0, and ``row(lam)`` is the
+# chain's transition row out of lam as (den, nums): non-negative integers
+# over one positive den, in :func:`addable_corners` order, summing to den.
+# ``row`` raises ValueError where W(lam) = 0.
+#
+# The row is N_{lam,mu} * cyl(mu) / cyl(lam).  The q**(n(n-1)/2) prefactors
+# cancel: with the new box in column j the probability is
+#
+#     (1 - q**(lam'_j - lam'_{j-1})) * W(mu) / W(lam) / (1 - 1/q),
+#
+# without the bracket at j = 1.  A box lengthening the block of equal rows
+# whose top row is i (0-based) has lam'_j = i, and lam'_{j-1} is the top row
+# of the next block, or len(lam).  The Haar, delta and single-row families
+# answer in closed form at any level; every other parameter set goes through
 # :func:`hl_weight`, called by its module name so that wrappers installed
 # on it see every call.
+
+
+def _corner_rows(lam: Partition) -> list[int]:
+    """0-based rows of the addable corners; the last one, len(lam), opens a new row."""
+    return [row - 1 for row, _ in addable_corners(lam)]
+
+
+def _zero_source(lam: Partition) -> ValueError:
+    return ValueError(f"source class {lam} has zero probability")
 
 
 class _ClosedForm:
@@ -208,11 +228,18 @@ class _Haar(_ClosedForm):
     def weight(self, lam: Partition) -> Fraction:
         return self.keep ** size(lam) / self.q ** n_stat(lam)
 
-    def ratio(self, lam: Partition, mu: Partition, row: int) -> Fraction:
-        return self.keep * self.q ** (1 - row)
-
     def supports(self, lam: Partition) -> bool:
         return True
+
+    def row(self, lam: Partition) -> tuple[int, list[int]]:
+        # P = q**-lam'_j - q**-lam'_{j-1}, a telescoping sum; with q = a/b
+        # and l = len(lam), q**-i = b**i * a**(l - i) / a**l
+        a, b = self.q.numerator, self.q.denominator
+        ell = len(lam)
+        tails = [b**i * a ** (ell - i) for i in _corner_rows(lam)]
+        nums = [t - t_next for t, t_next in zip(tails, tails[1:])]
+        nums.append(tails[-1])
+        return a**ell, nums
 
 
 class _Delta(_ClosedForm):
@@ -221,11 +248,14 @@ class _Delta(_ClosedForm):
     def weight(self, lam: Partition) -> Fraction:
         return self.keep ** size(lam) if self.supports(lam) else Fraction(0)
 
-    def ratio(self, lam: Partition, mu: Partition, row: int) -> Fraction:
-        return self.keep if self.supports(mu) else Fraction(0)
-
     def supports(self, lam: Partition) -> bool:
-        return all(p == 1 for p in lam)
+        return not lam or lam[0] == 1
+
+    def row(self, lam: Partition) -> tuple[int, list[int]]:
+        # every box goes to the new row, the only successor with one column
+        if not self.supports(lam):
+            raise _zero_source(lam)
+        return 1, [0, 1] if lam else [1]
 
 
 class _Row(_ClosedForm):
@@ -236,13 +266,14 @@ class _Row(_ClosedForm):
             return Fraction(0)
         return self.keep if lam else Fraction(1)
 
-    def ratio(self, lam: Partition, mu: Partition, row: int) -> Fraction:
-        if not self.supports(mu):
-            return Fraction(0)
-        return Fraction(1) if lam else self.keep
-
     def supports(self, lam: Partition) -> bool:
         return len(lam) <= 1
+
+    def row(self, lam: Partition) -> tuple[int, list[int]]:
+        # every box goes to the first row, the only successor with one row
+        if not self.supports(lam):
+            raise _zero_source(lam)
+        return 1, [1, 0] if lam else [1]
 
 
 class _Generic:
@@ -254,11 +285,24 @@ class _Generic:
     def weight(self, lam: Partition) -> Fraction:
         return hl_weight(self.params, lam)
 
-    def ratio(self, lam: Partition, mu: Partition, row: int) -> Fraction:
-        return hl_weight(self.params, mu) / hl_weight(self.params, lam)
-
     def supports(self, lam: Partition) -> bool:
         return hl_weight(self.params, lam) > 0
+
+    def row(self, lam: Partition) -> tuple[int, list[int]]:
+        params, q = self.params, self.params.q
+        source = hl_weight(params, lam)
+        if source <= 0:
+            raise _zero_source(lam)
+        scale = 1 / (source * (1 - 1 / q))
+        rows = _corner_rows(lam)
+        probs = []
+        for k, i in enumerate(rows):
+            p = hl_weight(params, add_box(lam, i + 1)) * scale
+            if i < len(lam):
+                p *= 1 - q ** (i - rows[k + 1])
+            probs.append(p)
+        den = lcm(*(p.denominator for p in probs))
+        return den, [p.numerator * (den // p.denominator) for p in probs]
 
 
 def _resolve_family(params: MeasureParams):
@@ -276,15 +320,6 @@ def _resolve_family(params: MeasureParams):
 
 # ---------------------------------------------------------------------------
 # The growth chain
-#
-# The transition probability is N_{lam,mu} * cyl(mu) / cyl(lam).  The huge
-# q**(n(n-1)/2) prefactors cancel in the ratio: with the new box in row r
-# and column j (so lam'_j = r - 1), the probability simplifies to
-#
-#     _count_factor(lam, j) * family.ratio(lam, mu, r) / (1 - 1/q).
-#
-# The closed-form families have small closed-form ratios, which keeps long
-# trajectories exact and fast.
 
 
 def transition_distribution(
@@ -295,16 +330,8 @@ def transition_distribution(
     Successors come in :func:`box_additions` order, zero-probability ones
     included.
     """
-    family = params.family
-    if not family.supports(lam):
-        raise ValueError(f"source class {lam} has zero probability")
-    q = params.q
-    keep = 1 - 1 / q
-    out = []
-    for mu, col in box_additions(lam):
-        row = conj_prefix(lam, col) + 1
-        out.append((mu, _count_factor(lam, col, q) * family.ratio(lam, mu, row) / keep))
-    return out
+    den, nums = params.family.row(lam)
+    return [(mu, Fraction(num, den)) for (mu, _), num in zip(box_additions(lam), nums)]
 
 
 def transition_prob(params: MeasureParams, lam: Partition, mu: Partition) -> Fraction:
@@ -327,19 +354,21 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
 
 
 def _step(params: MeasureParams, lam: Partition, rng: random.Random) -> Partition:
-    # Exact rational thresholds against a uniform variate of denominator
-    # 2**64.  The only sampling error is the grid discretization: at most
-    # one grid point per successor can be misassigned, so the bias per
-    # step is below (corners + 1) * 2**-64 < 2**-60 at every level the
-    # experiments reach.
-    u = Fraction(rng.getrandbits(64), _U64)
-    acc = Fraction(0)
-    dist = transition_distribution(params, lam)
-    for mu, p in dist:
-        acc += p
-        if u < acc:
-            return mu
-    return dist[-1][0]
+    # Exact thresholds against a uniform variate u / 2**64: the first corner
+    # whose cumulative probability acc / den exceeds it, compared in
+    # integers as u * den < acc * 2**64.  The only sampling error is the
+    # grid discretization: at most one grid point per successor can be
+    # misassigned, so the bias per step is below (corners + 1) * 2**-64 <
+    # 2**-60 at every level the experiments reach.  The row sums to den and
+    # u < 2**64, so the loop always stops, at the last corner at the latest.
+    den, nums = params.family.row(lam)
+    target = rng.getrandbits(64) * den
+    acc = 0
+    for (row, _), num in zip(addable_corners(lam), nums):
+        acc += num
+        if target < acc << 64:
+            break
+    return add_box(lam, row)
 
 
 def sample_trajectory(params: MeasureParams, n_max: int, seed: int) -> list[Partition]:

@@ -76,10 +76,13 @@ def z_factor(rho: Partition) -> int:
 
 def addable_corners(lam: Partition) -> list[tuple[int, int]]:
     """1-indexed (row, column) positions where one box may be added."""
+    # one corner per block of equal parts, at its top row; the parts weakly
+    # decrease, so lam.count(part) is the length of the block
     corners = []
-    for i in range(len(lam)):
-        if i == 0 or lam[i - 1] > lam[i]:
-            corners.append((i + 1, lam[i] + 1))
+    i = 0
+    while i < len(lam):
+        corners.append((i + 1, lam[i] + 1))
+        i += lam.count(lam[i])
     corners.append((len(lam) + 1, 1))
     return corners
 

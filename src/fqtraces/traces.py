@@ -50,7 +50,7 @@ class DiagramFamily:
             lam = check_partition(lam)
             if not lam:
                 raise ValueError("family blocks must carry nonempty diagrams")
-            if not isinstance(d, int) or d < 1:
+            if isinstance(d, bool) or not isinstance(d, int) or d < 1:
                 raise ValueError(f"block degree must be a positive integer: {d!r}")
             if tag in seen:
                 raise ValueError(f"duplicate tag in family: {tag!r}")

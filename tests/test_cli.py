@@ -167,6 +167,9 @@ def test_validation_errors_exit_one():
     assert code == 1
     code, _, err = run([])
     assert code == 1
+    code, out, err = run(["dim", "--q", "2", "--family", '[{"tag":"a","d":true,"lambda":"1"}]'])
+    assert code == 1 and out == ""
+    assert "block degree must be a positive integer" in err
     haar = ["--q", "2", "--measure", "haar", "--seed", "1"]
     for argv in [
         ["lln", *haar, "--nmax", "0", "--trials", "2"],

@@ -3,7 +3,7 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fqtraces.measures import (
     EXACT_HL_DEGREE_CAP,
@@ -13,6 +13,8 @@ from fqtraces.measures import (
     _Generic,
     _Haar,
     _Row,
+    _step,
+    _trial_rng,
     cyl_prob,
     cyl_prob_from_trace,
     extension_count,
@@ -22,7 +24,7 @@ from fqtraces.measures import (
     transition_distribution,
     transition_prob,
 )
-from fqtraces.partitions import box_additions, conj_prefix, partitions_of
+from fqtraces.partitions import box_additions, partitions_of, size
 from fqtraces.specializations import GeometricSpread, Specialization
 
 HALF = Fraction(1, 2)
@@ -31,6 +33,8 @@ HAAR3 = MeasureParams.haar(3)
 DELTA2 = MeasureParams.delta_identity(2)
 ROW2 = MeasureParams.single_row(2)
 MIXED = MeasureParams((Fraction(1, 4),), (Fraction(1, 4),), 2)
+# two row variables of total mass 1: the weight vanishes beyond two rows
+TWO_ROWS = MeasureParams((HALF, HALF), (), 2)
 
 
 def test_extension_count_examples():
@@ -97,7 +101,7 @@ def test_haar_weight_identity_generic_path():
 )
 def test_closed_form_family_matches_generic_route(make, q):
     params = make(q)
-    family = params.family
+    family, generic = params.family, _Generic(params)
     for n in range(0, 8):
         for lam in partitions_of(n):
             w = hl_weight(params, lam)
@@ -105,9 +109,11 @@ def test_closed_form_family_matches_generic_route(make, q):
             assert family.supports(lam) == (w > 0), lam
             if not family.supports(lam):
                 continue
-            for mu, col in box_additions(lam):
-                row = conj_prefix(lam, col) + 1
-                assert family.ratio(lam, mu, row) == hl_weight(params, mu) / w, (lam, mu)
+            den, nums = family.row(lam)
+            generic_den, generic_nums = generic.row(lam)
+            assert [Fraction(num, den) for num in nums] == [
+                Fraction(num, generic_den) for num in generic_nums
+            ], lam
 
 
 def test_family_resolution():
@@ -243,6 +249,46 @@ def test_haar_normalization_on_random_partitions(lam):
     assert sum(p for _, p in transition_distribution(HAAR3, lam)) == 1
 
 
+def check_row(params: MeasureParams, lam):
+    """Integer row: non-negative, sums to its denominator, equals N * cyl(mu) / cyl(lam)."""
+    den, nums = params.family.row(lam)
+    assert den > 0 and all(num >= 0 for num in nums) and sum(nums) == den, (params, lam)
+    successors = [mu for mu, _ in box_additions(lam)]
+    assert len(nums) == len(successors)
+    source = cyl_prob(params, lam)
+    for mu, num in zip(successors, nums):
+        direct = extension_count(lam, mu, params.q) * cyl_prob(params, mu) / source
+        assert Fraction(num, den) == direct, (params, lam, mu)
+
+
+@settings(deadline=None)
+@given(partition_strategy(max_n=60), st.sampled_from([2, 3, Fraction(5, 2)]))
+def test_closed_form_rows_on_random_partitions(lam, q):
+    # delta and single-row stand only on one column and one row
+    n = size(lam)
+    check_row(MeasureParams.haar(q), lam)
+    check_row(MeasureParams.delta_identity(q), (1,) * n)
+    check_row(MeasureParams.single_row(q), (n,) if n else ())
+
+
+@settings(deadline=None)
+@given(partition_strategy(max_n=8))
+def test_generic_rows_on_random_partitions(lam):
+    check_row(MIXED, lam)
+
+
+@pytest.mark.parametrize(
+    "params, lam",
+    [(DELTA2, (2,)), (DELTA2, (2, 1)), (ROW2, (1, 1)), (ROW2, (3, 2)), (TWO_ROWS, (1, 1, 1))],
+)
+def test_zero_probability_source_raises(params, lam):
+    assert not params.family.supports(lam)
+    with pytest.raises(ValueError, match="zero probability"):
+        params.family.row(lam)
+    with pytest.raises(ValueError, match="zero probability"):
+        transition_distribution(params, lam)
+
+
 def test_degree_cap_raises_for_generic_params():
     lam = (1,) * (EXACT_HL_DEGREE_CAP + 1)
     with pytest.raises(ValueError):
@@ -261,6 +307,68 @@ def test_hl_weight_generic_at_degree_13():
         for mu, _ in box_additions(lam)
     )
     assert total == cyl_prob(MIXED, lam)
+
+
+def reference_step(params: MeasureParams, lam, rng):
+    """One growth step in Fraction arithmetic: u = getrandbits(64) / 2**64
+    against the cumulative sums of :func:`transition_distribution`."""
+    u = Fraction(rng.getrandbits(64), 2**64)
+    acc = Fraction(0)
+    dist = transition_distribution(params, lam)
+    for mu, p in dist:
+        acc += p
+        if u < acc:
+            return mu
+    return dist[-1][0]
+
+
+def reference_trajectory(params: MeasureParams, n_max: int, seed: int) -> list:
+    rng = _trial_rng(seed, 0)
+    lam = ()
+    out = [lam]
+    for _ in range(n_max):
+        lam = reference_step(params, lam, rng)
+        out.append(lam)
+    return out
+
+
+class FixedBits:
+    def __init__(self, u: int):
+        self.u = u
+
+    def getrandbits(self, k: int) -> int:
+        return self.u
+
+
+def test_step_at_threshold_grid_points():
+    # the row out of (2, 1) at q = 2 is 1/2, 1/4, 1/4: a variate exactly on
+    # a cumulative threshold belongs to the next successor
+    expected = {
+        0: (3, 1),
+        2**63 - 1: (3, 1),
+        2**63: (2, 2),
+        3 * 2**62 - 1: (2, 2),
+        3 * 2**62: (2, 1, 1),
+        2**64 - 1: (2, 1, 1),
+    }
+    for u, mu in expected.items():
+        assert _step(HAAR2, (2, 1), FixedBits(u)) == mu == reference_step(HAAR2, (2, 1), FixedBits(u))
+
+
+@pytest.mark.parametrize(
+    "params, n_max",
+    [
+        (HAAR2, 300),
+        (HAAR3, 300),
+        (MeasureParams.haar(Fraction(5, 2)), 300),
+        (DELTA2, 300),
+        (ROW2, 300),
+        (MIXED, 12),
+    ],
+)
+def test_trajectory_matches_fraction_reference(params, n_max):
+    for seed in (0, 1, 2, 424242):
+        assert sample_trajectory(params, n_max, seed) == reference_trajectory(params, n_max, seed)
 
 
 def test_deterministic_chains():

@@ -34,6 +34,8 @@ def test_family_canonicalization():
         family(("a", 1, ()))
     with pytest.raises(ValueError):
         family(("a", 1, (1,)), ("a", 1, (2,)))
+    with pytest.raises(ValueError, match="block degree must be a positive integer"):
+        DiagramFamily((("a", True, (1,)),))
 
 
 def test_family_json_round_trip():
