@@ -245,6 +245,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _verify_rows(results) -> list[dict]:
+    return [
+        {
+            "suite": r.suite,
+            "instance": r.instance,
+            "left": r.left,
+            "right": r.right,
+            "status": "pass" if r.ok else "fail",
+        }
+        for res in results
+        for r in res.rows
+    ]
+
+
 def _run(args) -> int:
     fmt = args.format
     header, code = None, 0
@@ -329,17 +343,7 @@ def _run(args) -> int:
         except KeyError as exc:
             raise CliError(str(exc))
         header = ["suite", "instance", "left", "right", "status"]
-        rows = [
-            {
-                "suite": r.suite,
-                "instance": r.instance,
-                "left": r.left,
-                "right": r.right,
-                "status": "pass" if r.ok else "fail",
-            }
-            for res in results
-            for r in res.rows
-        ]
+        rows = _verify_rows(results)
         if any(not res.passed for res in results):
             code = 2
     _emit(fmt, rows, header)

@@ -2,13 +2,15 @@
 
 Each test executes one named verification suite (all tolerances are
 exact equality except the Monte Carlo bands, which are fixed 3-sigma
-intervals) and prints one pass/fail line.  Run with ``pytest -s`` to see
+intervals), prints one pass/fail line and compares the suite's rows with
+``tests/golden/verify.txt``.  Run with ``pytest -s`` to see
 the lines as the criteria execute.
 """
 
 import time
 
 import pytest
+from test_golden import check_suite_golden
 
 from fqtraces import verify
 
@@ -45,3 +47,4 @@ def test_acceptance_criterion(number, suite, description):
     assert result.passed, [
         (r.instance, r.left, r.right) for r in result.failures()
     ]
+    check_suite_golden(result)

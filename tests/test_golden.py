@@ -1,13 +1,15 @@
-"""CLI stdout of the growth chain and the cylinders, byte for byte.
+"""CLI stdout of the growth chain, the cylinders and the verify suites, byte for byte.
 
 The files in ``tests/golden/`` hold the stdout of ``sample``, ``lln`` and
 ``cyl`` for the three named measure families at q = 2 and 3 and for a
 custom measure at q = 2 and 3, and of ``sample`` and ``lln`` for the Haar
 family at the rational q = 5/2.  The custom chains stop at level 12, since
 their weights come from the exact Hall-Littlewood expansion.  Each
-invocation is preceded by a ``$ fqtraces ...`` line.  The files change only
-with an intended change of output; rewrite them from the repository root
-with
+invocation is preceded by a ``$ fqtraces ...`` line.  ``verify.txt`` holds
+the stdout of ``fqtraces verify all``; the tests that run a suite compare
+its rows with that suite's lines there through :func:`check_suite_golden`,
+so no suite runs twice.  The files change only with an intended change of
+output; rewrite them from the repository root with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from fqtraces.cli import main
+from fqtraces.cli import _emit, _verify_rows, main
 from fqtraces.partitions import format_partition, partitions_of
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,6 +69,24 @@ def render(command: str) -> bytes:
     return out.getvalue().encode()
 
 
+def render_verify() -> bytes:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["verify", "all"])
+    assert code == 0
+    return out.getvalue().encode()
+
+
+def check_suite_golden(result):
+    """The suite's rows, printed as ``fqtraces verify`` prints them, equal its golden lines."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _emit("csv", _verify_rows([result]))
+    golden = (GOLDEN / "verify.txt").read_text().splitlines(keepends=True)
+    expected = "".join(line for line in golden if line.startswith(f"{result.name},"))
+    assert expected and out.getvalue() == expected, result.name
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_cli_output_matches_golden(command):
     assert render(command) == (GOLDEN / f"{command}.txt").read_bytes()
@@ -76,3 +96,4 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for command in COMMANDS:
         (GOLDEN / f"{command}.txt").write_bytes(render(command))
+    (GOLDEN / "verify.txt").write_bytes(render_verify())

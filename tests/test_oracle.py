@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from test_golden import check_suite_golden
 
 from fqtraces.oracle import (
     FqMatrix,
@@ -218,8 +219,10 @@ def test_class_representative_round_trip():
 def test_class_coverage_suite():
     result = verify.run_suite("class-coverage")
     assert result.passed, result.failures()
+    check_suite_golden(result)
 
 
 def test_companion_base_change_suite():
     result = verify.run_suite("companion-base-change")
     assert result.passed, result.failures()
+    check_suite_golden(result)

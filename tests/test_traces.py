@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from test_golden import check_suite_golden
 
 from fqtraces.partitions import hook_lengths, n_stat, partitions_of, size
 from fqtraces.specializations import Specialization
@@ -125,6 +126,7 @@ def test_multiplicativity_against_flag_oracle():
 
     result = verify.run_suite("trace-values-oracle")
     assert result.passed, result.failures()
+    check_suite_golden(result)
 
 
 def test_trivial_character_is_one_at_identity():
