@@ -299,15 +299,9 @@ def _run(args) -> int:
         rows = []
         for k in range(0, args.max_size + 1):
             for fam in families_enumerate(k, args.q):
-                if fam.has_unit() or (fam.linear_blocks() and args.q == 2):
-                    continue
-                try:
-                    weight = biregular_coefficient(fam, args.q)
-                except ValueError:
-                    continue
-                rows.append(
-                    {"family": json.dumps(fam.to_json_obj()).replace(",", ";"), "weight": weight}
-                )
+                if not fam.has_unit():
+                    cell = json.dumps(fam.to_json_obj()).replace(",", ";")
+                    rows.append({"family": cell, "weight": biregular_coefficient(fam, args.q)})
     elif args.command == "cyl":
         if args.from_trace:
             value = cyl_prob_from_trace(_specialization(args), args.lam, args.q)

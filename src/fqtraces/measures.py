@@ -189,10 +189,12 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 # Measure families
 #
 # Every family object answers three questions: ``weight(lam)`` is the Q
-# weight W(lam), ``supports(lam)`` is W(lam) > 0, and ``row(lam)`` is the
-# chain's transition row out of lam as (den, nums): non-negative integers
-# over one positive den, in :func:`addable_corners` order, summing to den.
-# ``row`` raises ValueError where W(lam) = 0.
+# weight W(lam), ``supports(lam)`` is W(lam) > 0, and ``row(lam, rows)`` is
+# the chain's transition row out of lam as (den, nums): non-negative
+# integers over one positive den, one per corner row of ``rows =
+# _corner_rows(lam)``, summing to den.  The caller computes ``rows`` once
+# and reads the chosen successor off it.  ``row`` raises ValueError where
+# W(lam) = 0.
 #
 # The row is N_{lam,mu} * cyl(mu) / cyl(lam).  The q**(n(n-1)/2) prefactors
 # cancel: with the new box in column j the probability is
@@ -231,12 +233,12 @@ class _Haar(_ClosedForm):
     def supports(self, lam: Partition) -> bool:
         return True
 
-    def row(self, lam: Partition) -> tuple[int, list[int]]:
+    def row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
         # P = q**-lam'_j - q**-lam'_{j-1}, a telescoping sum; with q = a/b
         # and l = len(lam), q**-i = b**i * a**(l - i) / a**l
         a, b = self.q.numerator, self.q.denominator
         ell = len(lam)
-        tails = [b**i * a ** (ell - i) for i in _corner_rows(lam)]
+        tails = [b**i * a ** (ell - i) for i in rows]
         nums = [t - t_next for t, t_next in zip(tails, tails[1:])]
         nums.append(tails[-1])
         return a**ell, nums
@@ -251,7 +253,7 @@ class _Delta(_ClosedForm):
     def supports(self, lam: Partition) -> bool:
         return not lam or lam[0] == 1
 
-    def row(self, lam: Partition) -> tuple[int, list[int]]:
+    def row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
         # every box goes to the new row, the only successor with one column
         if not self.supports(lam):
             raise _zero_source(lam)
@@ -269,7 +271,7 @@ class _Row(_ClosedForm):
     def supports(self, lam: Partition) -> bool:
         return len(lam) <= 1
 
-    def row(self, lam: Partition) -> tuple[int, list[int]]:
+    def row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
         # every box goes to the first row, the only successor with one row
         if not self.supports(lam):
             raise _zero_source(lam)
@@ -288,13 +290,12 @@ class _Generic:
     def supports(self, lam: Partition) -> bool:
         return hl_weight(self.params, lam) > 0
 
-    def row(self, lam: Partition) -> tuple[int, list[int]]:
+    def row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
         params, q = self.params, self.params.q
         source = hl_weight(params, lam)
         if source <= 0:
             raise _zero_source(lam)
         scale = 1 / (source * (1 - 1 / q))
-        rows = _corner_rows(lam)
         probs = []
         for k, i in enumerate(rows):
             p = hl_weight(params, add_box(lam, i + 1)) * scale
@@ -330,8 +331,9 @@ def transition_distribution(
     Successors come in :func:`box_additions` order, zero-probability ones
     included.
     """
-    den, nums = params.family.row(lam)
-    return [(mu, Fraction(num, den)) for (mu, _), num in zip(box_additions(lam), nums)]
+    rows = _corner_rows(lam)
+    den, nums = params.family.row(lam, rows)
+    return [(add_box(lam, i + 1), Fraction(num, den)) for i, num in zip(rows, nums)]
 
 
 def transition_prob(params: MeasureParams, lam: Partition, mu: Partition) -> Fraction:
@@ -361,14 +363,15 @@ def _step(params: MeasureParams, lam: Partition, rng: random.Random) -> Partitio
     # misassigned, so the bias per step is below (corners + 1) * 2**-64 <
     # 2**-60 at every level the experiments reach.  The row sums to den and
     # u < 2**64, so the loop always stops, at the last corner at the latest.
-    den, nums = params.family.row(lam)
+    rows = _corner_rows(lam)
+    den, nums = params.family.row(lam, rows)
     target = rng.getrandbits(64) * den
     acc = 0
-    for (row, _), num in zip(addable_corners(lam), nums):
+    for i, num in zip(rows, nums):
         acc += num
         if target < acc << 64:
             break
-    return add_box(lam, row)
+    return add_box(lam, i + 1)
 
 
 def sample_trajectory(params: MeasureParams, n_max: int, seed: int) -> list[Partition]:

@@ -5,7 +5,11 @@ matrices, exhaustive subspace and flag enumeration.  The point is to be
 obviously correct so the closed-form layers can be checked against it.
 Field elements are indices 0..q-1 (0 additive zero, 1 multiplicative
 unit); for prime powers the index encodes the coefficient vector of the
-residue polynomial in base p.
+residue polynomial in base p.  ``FqMatrix(field, rows)`` checks the rows a
+caller passes in; matrices computed here (products, shifts, quotients,
+extensions, enumerations) take their entries from the field tables and
+skip the check.  Jordan types and conjugacy classes are both read off
+kernel jumps by one routine.
 """
 
 from bisect import bisect_right
@@ -67,55 +71,28 @@ def field_make(q: int) -> FqField:
     """Field of order q for q in {2,3,4,5,7,8,9}."""
     if q not in SUPPORTED_ORDERS:
         raise ValueError(f"unsupported field order {q}")
-    if q in _MODULUS:
-        p, modulus = _MODULUS[q]
-        deg = len(modulus) - 1
+    if q not in _MODULUS:
+        add = tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
+        mul = tuple(tuple((a * b) % q for b in range(q)) for a in range(q))
+        return FqField(q, add, mul)
+    # residues modulo the modulus over F_p; an element's index is its
+    # coefficient vector read in base p
+    p, modulus = _MODULUS[q]
+    base = field_make(p)
+    deg = len(modulus) - 1
+    vec = [tuple(i // p**k % p for k in range(deg)) for i in range(q)]
 
-        def to_vec(i):
-            out = []
-            for _ in range(deg):
-                out.append(i % p)
-                i //= p
-            return out
+    def index(poly):
+        return sum(c * p**k for k, c in enumerate(poly))
 
-        def to_idx(vec):
-            i = 0
-            for c in reversed(vec):
-                i = i * p + c
-            return i
-
-        def poly_reduce(vec):
-            # vec may have length up to 2*deg-1
-            vec = list(vec)
-            for top in range(len(vec) - 1, deg - 1, -1):
-                c = vec[top]
-                if c:
-                    vec[top] = 0
-                    for k in range(len(modulus) - 1):
-                        vec[top - deg + k] = (vec[top - deg + k] - c * modulus[k]) % p
-            return vec[:deg]
-
-        add = tuple(
-            tuple(to_idx([(x + y) % p for x, y in zip(to_vec(a), to_vec(b))]) for b in range(q))
-            for a in range(q)
-        )
-        mul_rows = []
-        for a in range(q):
-            row = []
-            va = to_vec(a)
-            for b in range(q):
-                vb = to_vec(b)
-                prod_vec = [0] * (2 * deg - 1)
-                for i, x in enumerate(va):
-                    if not x:
-                        continue
-                    for j, y in enumerate(vb):
-                        prod_vec[i + j] = (prod_vec[i + j] + x * y) % p
-                row.append(to_idx(poly_reduce(prod_vec)))
-            mul_rows.append(tuple(row))
-        return FqField(q, add, tuple(mul_rows))
-    add = tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
-    mul = tuple(tuple((a * b) % q for b in range(q)) for a in range(q))
+    add = tuple(
+        tuple(index(base.add[x][y] for x, y in zip(vec[a], vec[b])) for b in range(q))
+        for a in range(q)
+    )
+    mul = tuple(
+        tuple(index(poly_divmod(base, poly_mul(base, vec[a], vec[b]), modulus)[1]) for b in range(q))
+        for a in range(q)
+    )
     return FqField(q, add, mul)
 
 
@@ -124,15 +101,25 @@ def field_make(q: int) -> FqField:
 
 
 class FqMatrix:
-    """Dense matrix with entries as field indices."""
+    """Dense matrix with entries as field indices.
+
+    The constructor takes rows from a caller and rejects anything but a
+    rectangle of ints in range(q).
+    """
 
     __slots__ = ("field", "rows")
 
     def __init__(self, field: FqField, rows):
+        rows = tuple(tuple(r) for r in rows)
+        width = len(rows[0]) if rows else 0
+        for r in rows:
+            if len(r) != width:
+                raise ValueError("matrix rows differ in length")
+            for e in r:
+                if type(e) is not int or not 0 <= e < field.q:
+                    raise ValueError(f"matrix entry {e!r} is not an element index of F_{field.q}")
         self.field = field
-        self.rows = tuple(tuple(r) for r in rows)
-        if any(e >= field.q for r in self.rows for e in r):
-            raise ValueError("entry out of field range")
+        self.rows = rows
 
     @property
     def nrows(self):
@@ -170,17 +157,7 @@ class FqMatrix:
                         acc = add[acc][mul[x][y]]
                 new.append(acc)
             out.append(tuple(new))
-        return FqMatrix(f, out)
-
-    def __sub__(self, other: "FqMatrix") -> "FqMatrix":
-        f = self.field
-        return FqMatrix(
-            f,
-            tuple(
-                tuple(f.sub(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        return _matrix(f, tuple(out))
 
     def vec(self, v):
         """Apply to a column vector (given and returned as a tuple)."""
@@ -196,7 +173,7 @@ class FqMatrix:
         return tuple(out)
 
     def rank(self) -> int:
-        return rank(self.field, [list(r) for r in self.rows])
+        return rank(self.field, self.rows)
 
     def kernel_dim(self) -> int:
         return self.ncols - self.rank()
@@ -208,8 +185,25 @@ class FqMatrix:
         return f"FqMatrix(q={self.field.q}, {list(map(list, self.rows))})"
 
 
+def _matrix(field: FqField, rows: tuple) -> FqMatrix:
+    """A matrix computed here: rows is a tuple of tuples of field indices, not checked."""
+    m = object.__new__(FqMatrix)
+    m.field = field
+    m.rows = rows
+    return m
+
+
+def _shift(m: FqMatrix, c: int) -> FqMatrix:
+    """m + c*I for a square m."""
+    add = m.field.add
+    return _matrix(
+        m.field,
+        tuple(row[:i] + (add[row[i]][c],) + row[i + 1 :] for i, row in enumerate(m.rows)),
+    )
+
+
 def rank(field: FqField, rows) -> int:
-    """Row rank by Gaussian elimination (rows is a mutable list of lists)."""
+    """Row rank by Gaussian elimination (rows are copied, not changed)."""
     mul, inv, sub = field.mul, field.inv, field.sub
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -232,21 +226,44 @@ def rank(field: FqField, rows) -> int:
     return r
 
 
+def _jordan_type(b: FqMatrix, d: int = 1) -> tuple[Partition, int]:
+    """Jordan type of m at p, read off b = p(m) for p irreducible of degree d,
+    and the dimension of the generalized kernel of b.
+
+    The kernel of b**k grows by d times the number of Jordan blocks of size
+    at least k until it is the generalized kernel; those counts are the
+    columns of the Jordan type.
+    """
+    n = b.nrows
+    cols = []
+    prev = 0
+    power = b
+    while True:
+        dim = power.kernel_dim()
+        if dim == prev:
+            break
+        step = dim - prev
+        if step % d:
+            raise AssertionError("kernel jump not divisible by factor degree")
+        cols.append(step // d)
+        prev = dim
+        if dim == n:
+            break
+        power = power @ b
+    return transpose(tuple(cols)), prev
+
+
 def all_matrices(field: FqField, n: int):
     """All n x n matrices (use only for tiny n)."""
     for entries in product(range(field.q), repeat=n * n):
-        yield FqMatrix(field, tuple(entries[i * n : (i + 1) * n] for i in range(n)))
+        yield _matrix(field, tuple(entries[i * n : (i + 1) * n] for i in range(n)))
 
 
 def unipotent_matrices(field: FqField, n: int):
     """All unipotent elements of the full matrix group (exhaustive scan)."""
-    ident = FqMatrix.identity(field, n)
+    minus_one = field.neg[1]
     for m in all_matrices(field, n):
-        a = m - ident
-        p = a
-        for _ in range(n - 1):
-            p = p @ a
-        if all(e == 0 for row in p.rows for e in row):
+        if _jordan_type(_shift(m, minus_one))[1] == n:
             yield m
 
 
@@ -257,28 +274,17 @@ def unipotent_upper_triangular(field: FqField, n: int):
         rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         for (i, j), v in zip(positions, values):
             rows[i][j] = v
-        yield FqMatrix(field, rows)
+        yield _matrix(field, tuple(map(tuple, rows)))
 
 
 def unipotent_class_of(m: FqMatrix) -> Partition:
     """Jordan type of a unipotent matrix, via kernel jumps of (m - I)**k."""
     n = m.nrows
-    ident = FqMatrix.identity(m.field, n)
-    a = m - ident
-    cols = []
-    power = a
-    prev = 0
-    for _ in range(n):
-        dim = power.kernel_dim()
-        cols.append(dim - prev)
-        prev = dim
+    if m.ncols == n:
+        lam, dim = _jordan_type(_shift(m, m.field.neg[1]))
         if dim == n:
-            break
-        power = power @ a
-    if prev != n or not m.is_invertible():
-        raise ValueError("matrix is not unipotent")
-    lam_conj = tuple(c for c in cols if c)
-    return transpose(lam_conj)
+            return lam
+    raise ValueError("matrix is not unipotent")
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +338,7 @@ def is_invariant(field: FqField, m: FqMatrix, basis_rows, pivots) -> bool:
 
 def count_fixed_subspaces(m: FqMatrix, d: int) -> int:
     """Number of d-dimensional subspaces mapped to themselves."""
-    f = m.field
-    return sum(
-        1 for rows, piv in subspaces(f, m.nrows, d) if is_invariant(f, m, rows, piv)
-    )
+    return _flag_count(m, (d, m.nrows - d))
 
 
 def quotient_action(field: FqField, m: FqMatrix, basis_rows, pivots) -> FqMatrix:
@@ -352,7 +355,7 @@ def quotient_action(field: FqField, m: FqMatrix, basis_rows, pivots) -> FqMatrix
         w = reduce_vector(field, basis_rows, pivots, m.vec(e))
         cols.append([w[k] for k in others])
     rows = tuple(tuple(cols[c][r] for c in range(len(others))) for r in range(len(others)))
-    return FqMatrix(field, rows)
+    return _matrix(field, rows)
 
 
 def count_fixed_flags(m: FqMatrix, mu: Partition) -> int:
@@ -368,9 +371,7 @@ def count_fixed_flags(m: FqMatrix, mu: Partition) -> int:
 
 
 def _flag_count(m: FqMatrix, mu: tuple) -> int:
-    if not mu:
-        return 1
-    if len(mu) == 1:
+    if len(mu) <= 1:
         return 1
     f = m.field
     total = 0
@@ -422,9 +423,8 @@ def ext_enumerate(g: FqMatrix, variant: str):
     out = []
     for col in product(range(f.q), repeat=n):
         for corner in corners:
-            rows = [g.rows[i] + (col[i],) for i in range(n)]
-            rows.append((0,) * n + (corner,))
-            out.append(FqMatrix(f, rows))
+            rows = tuple(g.rows[i] + (col[i],) for i in range(n))
+            out.append(_matrix(f, rows + ((0,) * n + (corner,),)))
     return out
 
 
@@ -465,24 +465,9 @@ def poly_divmod(field: FqField, a, b):
 
 def poly_matrix_eval(field: FqField, poly, m: FqMatrix) -> FqMatrix:
     """p(m) by Horner's rule with scalar coefficients."""
-    n = m.nrows
-    scalar = lambda c: FqMatrix(
-        field, tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n))
-    )
-    acc = scalar(poly[-1])
+    acc = _shift(_matrix(field, ((0,) * m.nrows,) * m.nrows), poly[-1])
     for c in reversed(poly[:-1]):
-        acc = acc @ m
-        if c:
-            acc = FqMatrix(
-                field,
-                tuple(
-                    tuple(
-                        field.add[acc.rows[i][j]][c if i == j else 0]
-                        for j in range(n)
-                    )
-                    for i in range(n)
-                ),
-            )
+        acc = _shift(acc @ m, c)
     return acc
 
 
@@ -598,25 +583,10 @@ def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:
         if covered == n:
             break
         for poly in irreducible_polys(field.q, d):
-            b = poly_matrix_eval(field, poly, m)
-            if b.kernel_dim() == 0:
-                continue
-            power = b
-            prev = 0
-            cols = []
-            while True:
-                dim = power.kernel_dim()
-                if dim == prev:
-                    break
-                step = dim - prev
-                if step % d:
-                    raise AssertionError("kernel jump not divisible by factor degree")
-                cols.append(step // d)
-                prev = dim
-                power = power @ b
-            lam = transpose(tuple(cols))
-            blocks.append((poly_name(field, poly), d, lam))
-            covered += d * sum(lam)
+            lam, dim = _jordan_type(poly_matrix_eval(field, poly, m), d)
+            if dim:
+                blocks.append((poly_name(field, poly), d, lam))
+                covered += dim
     if covered != n:
         raise AssertionError("factorization did not exhaust the space")
     return DiagramFamily(tuple(blocks))

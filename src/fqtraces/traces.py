@@ -123,13 +123,18 @@ def _check_q(q) -> Fraction:
     return q
 
 
-def _check_linear_capacity(f: DiagramFamily, q: Fraction):
+def _check_linear_capacity(f: DiagramFamily, q: Fraction, reserve_unit: bool = False):
     # families are formula-level objects and do not know q; once q is
-    # supplied, only q - 1 distinct linear factors exist
-    if q.denominator == 1 and len(f.linear_blocks()) > int(q) - 1:
+    # supplied, only q - 1 distinct linear factors exist, one fewer when
+    # the unit's factor is reserved
+    if q.denominator != 1:
+        return
+    capacity = int(q) - 1 - int(reserve_unit)
+    if len(f.linear_blocks()) > capacity:
         raise ValueError(
             f"family uses {len(f.linear_blocks())} degree-1 tags, "
-            f"but F_{q} has only {int(q) - 1} linear factors"
+            f"but F_{q} has only {capacity} linear factors"
+            + (" besides the unit" if reserve_unit else "")
         )
 
 
@@ -236,22 +241,12 @@ def sp_principal_schur(lam: Partition, q) -> Fraction:
     return principal_specialization(q).apply(schur_in_p(lam))
 
 
-def _linear_tag_capacity_ok(f: DiagramFamily, q: Fraction, reserve_unit: bool) -> bool:
-    if q.denominator != 1:
-        return True
-    capacity = int(q) - 1 - (1 if reserve_unit and not f.has_unit() else 0)
-    return len(f.linear_blocks()) <= capacity
-
-
 def biregular_coefficient(f: DiagramFamily, q) -> Fraction:
     """Weight of a unit-free family in the biregular decomposition."""
     q = _check_q(q)
     if f.has_unit():
         raise ValueError("biregular weights are indexed by unit-free families")
-    if not _linear_tag_capacity_ok(f, q, reserve_unit=True):
-        raise ValueError(
-            f"family uses more degree-1 tags than F_{q} admits besides the unit"
-        )
+    _check_linear_capacity(f, q, reserve_unit=True)
     value = (q - 1) ** f.degree
     for _, d, lam in f.blocks:
         value *= q_hook_weight(lam, d, q)

@@ -272,43 +272,33 @@ def _check_haar_flatness():
 
 @_suite("growth-normalization")
 def _check_growth_normalization():
+    # the closed forms to level 20, the generic Hall-Littlewood route to 8;
+    # each family checks only the diagrams it supports
+    cases = [
+        ("haar-q2", MeasureParams.haar(2), 20),
+        ("haar-q3", MeasureParams.haar(3), 20),
+        ("delta-q2", MeasureParams.delta_identity(2), 20),
+        ("single-row-q2", MeasureParams.single_row(2), 20),
+        ("grid-r=1/4,c=1/4,q=2", MeasureParams((Fraction(1, 4),), (Fraction(1, 4),), 2), 8),
+        ("grid-r=1/2+1/4,q=2", MeasureParams((Fraction(1, 2), Fraction(1, 4)), (), 2), 8),
+        ("grid-c=1/2+1/4,q=3", MeasureParams((), (Fraction(1, 2), Fraction(1, 4)), 3), 8),
+        (
+            "grid-r=1/3,c=1/3+1/6,q=2",
+            MeasureParams((Fraction(1, 3),), (Fraction(1, 3), Fraction(1, 6)), 2),
+            8,
+        ),
+    ]
     rows = []
-    closed = [
-        ("haar-q2", MeasureParams.haar(2), None),
-        ("haar-q3", MeasureParams.haar(3), None),
-        ("delta-q2", MeasureParams.delta_identity(2), "ones"),
-        ("single-row-q2", MeasureParams.single_row(2), "row"),
-    ]
-    for label, params, source in closed:
+    for label, params, top in cases:
         bad = checked = 0
-        for n in range(0, 21):
-            if source == "ones":
-                lams = [(1,) * n if n else ()]
-            elif source == "row":
-                lams = [(n,) if n else ()]
-            else:
-                lams = partitions_of(n)
-            for lam in lams:
-                checked += 1
-                if sum(p for _, p in transition_distribution(params, lam)) != 1:
-                    bad += 1
-        rows.append(_agg("growth-normalization", f"{label}-to-20", bad, checked))
-    grid = [
-        ("r=1/4,c=1/4,q=2", MeasureParams((Fraction(1, 4),), (Fraction(1, 4),), 2)),
-        ("r=1/2+1/4,q=2", MeasureParams((Fraction(1, 2), Fraction(1, 4)), (), 2)),
-        ("c=1/2+1/4,q=3", MeasureParams((), (Fraction(1, 2), Fraction(1, 4)), 3)),
-        ("r=1/3,c=1/3+1/6,q=2", MeasureParams((Fraction(1, 3),), (Fraction(1, 3), Fraction(1, 6)), 2)),
-    ]
-    for label, params in grid:
-        bad = checked = 0
-        for n in range(0, 9):
+        for n in range(0, top + 1):
             for lam in partitions_of(n):
                 if not params.family.supports(lam):
                     continue
                 checked += 1
                 if sum(p for _, p in transition_distribution(params, lam)) != 1:
                     bad += 1
-        rows.append(_agg("growth-normalization", f"grid-{label}-to-8", bad, checked))
+        rows.append(_agg("growth-normalization", f"{label}-to-{top}", bad, checked))
     return rows
 
 

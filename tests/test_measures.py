@@ -13,6 +13,7 @@ from fqtraces.measures import (
     _Generic,
     _Haar,
     _Row,
+    _corner_rows,
     _step,
     _trial_rng,
     cyl_prob,
@@ -109,8 +110,8 @@ def test_closed_form_family_matches_generic_route(make, q):
             assert family.supports(lam) == (w > 0), lam
             if not family.supports(lam):
                 continue
-            den, nums = family.row(lam)
-            generic_den, generic_nums = generic.row(lam)
+            den, nums = family.row(lam, _corner_rows(lam))
+            generic_den, generic_nums = generic.row(lam, _corner_rows(lam))
             assert [Fraction(num, den) for num in nums] == [
                 Fraction(num, generic_den) for num in generic_nums
             ], lam
@@ -251,7 +252,7 @@ def test_haar_normalization_on_random_partitions(lam):
 
 def check_row(params: MeasureParams, lam):
     """Integer row: non-negative, sums to its denominator, equals N * cyl(mu) / cyl(lam)."""
-    den, nums = params.family.row(lam)
+    den, nums = params.family.row(lam, _corner_rows(lam))
     assert den > 0 and all(num >= 0 for num in nums) and sum(nums) == den, (params, lam)
     successors = [mu for mu, _ in box_additions(lam)]
     assert len(nums) == len(successors)
@@ -284,7 +285,7 @@ def test_generic_rows_on_random_partitions(lam):
 def test_zero_probability_source_raises(params, lam):
     assert not params.family.supports(lam)
     with pytest.raises(ValueError, match="zero probability"):
-        params.family.row(lam)
+        params.family.row(lam, _corner_rows(lam))
     with pytest.raises(ValueError, match="zero probability"):
         transition_distribution(params, lam)
 

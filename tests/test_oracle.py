@@ -4,6 +4,7 @@ import pytest
 from test_golden import check_suite_golden
 
 from fqtraces.oracle import (
+    SUPPORTED_ORDERS,
     FqMatrix,
     companion_matrix,
     conjugacy_family_of,
@@ -22,6 +23,7 @@ from fqtraces.oracle import (
     unipotent_class_of,
     unipotent_matrices,
 )
+from fqtraces.partitions import partitions_of
 from fqtraces.traces import UNIT
 from fqtraces import verify
 
@@ -47,6 +49,38 @@ def test_field_f4_arithmetic():
     assert F4.mul[x][3] == 1  # x * (x + 1) = x^2 + x = 1
     for a in range(1, 4):
         assert F4.mul[a][F4.inv[a]] == 1
+
+
+@pytest.mark.parametrize(
+    "q, p, modulus", [(4, 2, (1, 1, 1)), (8, 2, (1, 1, 0, 1)), (9, 3, (1, 0, 1))]
+)
+def test_extension_field_tables(q, p, modulus):
+    # element i is the residue polynomial whose coefficients are the base-p
+    # digits of i, so p is the class of x; with the field axioms that
+    # field_make checks, digit-wise addition and modulus(x) = 0 fix the tables
+    field = field_make(q)
+    deg = len(modulus) - 1
+
+    def digits(i):
+        return [i // p**k % p for k in range(deg)]
+
+    for a in range(q):
+        for b in range(q):
+            assert digits(field.add[a][b]) == [(x + y) % p for x, y in zip(digits(a), digits(b))]
+    value = 0
+    for c in reversed(modulus):
+        value = field.add[field.mul[value][p]][c]
+    assert value == 0
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[-1]], [[True]], [[0.5]], [[2]], [[1, 0], [1]], [[1], [0, 1]]],
+    ids=["negative", "bool", "float", "out-of-range", "ragged-short", "ragged-long"],
+)
+def test_matrix_rejects_malformed_rows(rows):
+    with pytest.raises(ValueError):
+        FqMatrix(F2, rows)
 
 
 def test_gaussian_binomial_subspace_counts():
@@ -77,6 +111,15 @@ def test_unipotent_class_examples():
         unipotent_class_of(FqMatrix(F2, [[0, 1], [1, 1]]))
     with pytest.raises(ValueError):
         unipotent_class_of(FqMatrix(F3, [[0, 1], [1, 0]]))
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_unipotent_class_of_jordan_matrices(q):
+    field = field_make(q)
+    x_minus_one = (field.neg[1], 1)
+    for n in range(0, 5):
+        for lam in partitions_of(n):
+            assert unipotent_class_of(jordan_block_matrix(field, x_minus_one, lam)) == lam
 
 
 def test_unipotent_counts():
@@ -207,7 +250,7 @@ def test_class_representative_round_trip():
     # must be the identity map; exercises every Jordan shape per factor
     from fqtraces.oracle import class_representative, polys_by_tag
 
-    for q, field, max_n in ((2, F2, 4), (3, F3, 3)):
+    for q, field, max_n in ((2, F2, 4), (3, F3, 3), (4, F4, 3), (5, field_make(5), 3)):
         tags = polys_by_tag(q, max_n)
         for n in range(1, max_n + 1):
             for fam in families_enumerate(n, q):
