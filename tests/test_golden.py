@@ -1,11 +1,15 @@
-"""CLI stdout of the growth chain, the cylinders and the verify suites, byte for byte.
+"""CLI stdout of the growth chain, the cylinders, Kostka numbers and the verify suites, byte for byte.
 
 The files in ``tests/golden/`` hold the stdout of ``sample``, ``lln`` and
 ``cyl`` for the three named measure families at q = 2 and 3 and for a
 custom measure at q = 2 and 3, and of ``sample`` and ``lln`` for the Haar
 family at the rational q = 5/2.  The custom chains stop at level 12, since
-their weights come from the exact Hall-Littlewood expansion.  Each
-invocation is preceded by a ``$ fqtraces ...`` line.  ``verify.txt`` holds
+their weights come from the exact Hall-Littlewood expansion.
+``cyl-trace.txt`` holds ``cyl --from-trace`` at q = 2, 3 and 5/2 for alpha
+and beta drawn from (), (1), (1/2), (1/4) with total mass at most 1, and
+``kostka.txt`` holds ``kostka`` and ``kostka-foulkes``, in CSV and JSON,
+for every shape and content of degree at most 5.  Each invocation is
+preceded by a ``$ fqtraces ...`` line.  ``verify.txt`` holds
 the stdout of ``fqtraces verify all``; the tests that run a suite compare
 its rows with that suite's lines there through :func:`check_suite_golden`,
 so no suite runs twice.  The files change only with an intended change of
@@ -17,15 +21,16 @@ output; rewrite them from the repository root with
 import io
 import shlex
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from fqtraces.cli import _emit, _verify_rows, main
+from fqtraces.cli import _emit, _run, _verify_rows, build_parser, main
 from fqtraces.partitions import format_partition, partitions_of
 
 GOLDEN = Path(__file__).parent / "golden"
-COMMANDS = ("sample", "lln", "cyl")
+COMMANDS = ("sample", "lln", "cyl", "cyl-trace", "kostka")
 
 _NAMED = [
     ["--q", str(q), "--measure", measure]
@@ -36,6 +41,14 @@ _RATIONAL_Q = [["--q", "5/2", "--measure", "haar"]]
 _CUSTOM = [["--q", str(q), "--r", "1/4", "--c", "1/4"] for q in (2, 3)]
 
 _CHAINS = [(m, "300") for m in _NAMED + _RATIONAL_Q] + [(m, "12") for m in _CUSTOM]
+
+_SIDES = ((), ("1",), ("1/2",), ("1/4",))
+_TRACE_PARAMS = [
+    [*(["--alpha", *a] if a else []), *(["--beta", *b] if b else [])]
+    for a in _SIDES
+    for b in _SIDES
+    if sum(Fraction(v) for v in a + b) <= 1
+]
 
 
 def invocations(command: str) -> list[list[str]]:
@@ -51,6 +64,23 @@ def invocations(command: str) -> list[list[str]]:
             for m, nmax in _CHAINS
             for seed in (1, 2)
         ]
+    if command == "cyl-trace":
+        return [
+            ["cyl", "--from-trace", "--q", q, *sides, "--lam", format_partition(lam)]
+            for q in ("2", "3", "5/2")
+            for sides in _TRACE_PARAMS
+            for n in range(6)
+            for lam in partitions_of(n)
+        ]
+    if command == "kostka":
+        return [
+            [*fmt, name, "--shape", format_partition(shape), "--content", format_partition(content)]
+            for n in range(6)
+            for shape in partitions_of(n)
+            for content in partitions_of(n)
+            for name in ("kostka", "kostka-foulkes")
+            for fmt in ([], ["--format", "json"])
+        ]
     return [
         ["cyl", *m, "--lam", format_partition(lam)]
         for m in _NAMED + _CUSTOM
@@ -60,11 +90,14 @@ def invocations(command: str) -> list[list[str]]:
 
 
 def render(command: str) -> bytes:
+    # one parser for every invocation: building it costs more than most of
+    # the commands pinned here, and parsing leaves it unchanged
+    parser = build_parser()
     out = io.StringIO()
     for argv in invocations(command):
         out.write(f"$ fqtraces {shlex.join(argv)}\n")
         with redirect_stdout(out):
-            code = main(argv)
+            code = _run(parser.parse_args(argv))
         assert code == 0, argv
     return out.getvalue().encode()
 
