@@ -28,7 +28,7 @@ from fqtraces.partitions import (
     transpose,
     z_factor,
 )
-from fqtraces.specializations import GeometricSpread, Specialization, geometric_spread
+from fqtraces.specializations import GeometricSpread, Specialization
 from fqtraces.symfunc import (
     PowerSumElement,
     hl_q_in_p,
@@ -79,7 +79,6 @@ __all__ = [
     "cyl_prob_from_trace",
     "dominance_leq",
     "extension_count",
-    "geometric_spread",
     "glu_trace_coefficients",
     "green_dimension",
     "hl_q_in_p",

@@ -316,7 +316,7 @@ def _run(args) -> int:
             for i, lam in enumerate(traj)
         ]
     elif args.command == "lln":
-        report = lln_experiment(_measure(args), args.nmax, args.trials, args.seed, track=args.track)
+        stats = lln_experiment(_measure(args), args.nmax, args.trials, args.seed, track=args.track)
         header = ["statistic", "i", "empirical", "predicted", "stderr"]
         rows = [
             {
@@ -326,7 +326,7 @@ def _run(args) -> int:
                 "predicted": str(r.predicted),
                 "stderr": repr(r.stderr),
             }
-            for r in report.rows
+            for r in stats
         ]
     elif args.command == "verify" and args.list:
         rows = [{"suite": name} for name in verify.suite_names()]

@@ -11,7 +11,9 @@ times the Q weight W(lam), a specialized Hall-Littlewood Q function.
 Each :class:`MeasureParams` resolves, once, to the object of its family
 that computes W: closed forms for the Haar, delta and single-row
 families, at any level, and the exact Hall-Littlewood expansion up to
-its degree cap for every other parameter set.
+its degree cap for every other parameter set.  In trace coordinates the
+same probability is the trace's value on the unipotent class lam,
+:func:`fqtraces.traces.unipotent_block_value`, times q**(-n(n-1)/2).
 
 The growth of the Jordan type under adding one row and column is an
 explicit Markov chain on Young diagrams.  Each family gives the chain's
@@ -48,7 +50,8 @@ from fqtraces.specializations import (
     Specialization,
     _check_weakly_decreasing_nonneg,
 )
-from fqtraces.symfunc import EXACT_HL_DEGREE_CAP, hl_q_in_p, modified_hl_q
+from fqtraces.symfunc import EXACT_HL_DEGREE_CAP, hl_q_in_p
+from fqtraces.traces import unipotent_block_value
 
 
 @dataclass(frozen=True)
@@ -107,13 +110,6 @@ class MeasureParams:
         beta = GeometricSpread(self.c, self.q) if self.c else EMPTY
         return Specialization(self.r, beta, Fraction(1))
 
-    def row_frequencies(self, count: int) -> list[Fraction]:
-        return self.r.frequencies(count)
-
-    def col_frequencies(self, count: int) -> list[Fraction]:
-        out = list(self.c[:count])
-        return out + [Fraction(0)] * (count - len(out))
-
 
 def extension_count(lam: Partition, mu: Partition, q) -> Fraction:
     """Number of one-row parabolic extensions moving Jordan type lam to mu.
@@ -170,19 +166,16 @@ def cyl_prob(params: MeasureParams, lam: Partition) -> Fraction:
 def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
     """Cylinder probability computed from trace parameters directly.
 
-    Uses the modified Q function at parameter 1/q; agrees with
-    :func:`cyl_prob` under the parameter map r = spread(alpha), c = beta.
+    The trace's value on the unipotent class lam, times q**(-n(n-1)/2);
+    agrees with :func:`cyl_prob` under the parameter map r = spread(alpha),
+    c = beta.
     """
-    if sp.power_sum(1) != 1:
-        raise ValueError("cylinder probabilities need gamma = 1")
     lam = check_partition(lam)
-    q = Fraction(q)
-    if q <= 1:
-        raise ValueError("q must exceed 1")
+    # the value first: above the degree cap it raises before the prefactor,
+    # whose size grows with n**2, is built
+    value = unipotent_block_value(sp, 1, lam, q)
     n = size(lam)
-    weight = sp.apply(modified_hl_q(lam, 1 / q))
-    pref = q ** (-(n * (n - 1)) // 2)
-    return pref * q ** n_stat(lam) * weight
+    return Fraction(q) ** (-(n * (n - 1)) // 2) * value
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +391,6 @@ class LLNRow:
     stderr: float
 
 
-@dataclass(frozen=True)
-class LLNReport:
-    params_label: str
-    n_max: int
-    trials: int
-    seed: int
-    rows: tuple[LLNRow, ...]
-
-
 def _mean_stderr(samples: list[Fraction]) -> tuple[float, float]:
     t = len(samples)
     s1 = sum(samples, Fraction(0))
@@ -423,12 +407,13 @@ def lln_experiment(
     trials: int,
     seed: int,
     track: int = 4,
-) -> LLNReport:
+) -> tuple[LLNRow, ...]:
     """Empirical scaled row/column lengths at level n_max versus predictions.
 
+    One row per tracked row length, then one per tracked column length.
     Each trial uses its own stream derived from (seed, trial index), so the
-    report does not depend on scheduling; reports are byte-identical across
-    runs with equal inputs.  Only the summary columns are floating point.
+    rows do not depend on scheduling; they are byte-identical across runs
+    with equal inputs.  Only the summary columns are floating point.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -443,8 +428,8 @@ def lln_experiment(
         for i in range(track):
             rows[i].append(Fraction(lam[i] if i < len(lam) else 0, n_max))
             cols[i].append(Fraction(conj[i] if i < len(conj) else 0, n_max))
-    predicted_r = params.row_frequencies(track)
-    predicted_c = params.col_frequencies(track)
+    predicted_r = params.r.frequencies(track)
+    predicted_c = FinitePowerSums(params.c).frequencies(track)
     out = []
     for i in range(track):
         mean, err = _mean_stderr(rows[i])
@@ -452,4 +437,4 @@ def lln_experiment(
     for i in range(track):
         mean, err = _mean_stderr(cols[i])
         out.append(LLNRow("lambda_conj_i/n", i + 1, mean, predicted_c[i], err))
-    return LLNReport(repr(params), n_max, trials, seed, tuple(out))
+    return tuple(out)

@@ -6,10 +6,10 @@ obviously correct so the closed-form layers can be checked against it.
 Field elements are indices 0..q-1 (0 additive zero, 1 multiplicative
 unit); for prime powers the index encodes the coefficient vector of the
 residue polynomial in base p.  ``FqMatrix(field, rows)`` checks the rows a
-caller passes in; matrices computed here (products, shifts, quotients,
-extensions, enumerations) take their entries from the field tables and
-skip the check.  Jordan types and conjugacy classes are both read off
-kernel jumps by one routine.
+caller passes in, and the polynomial functions the coefficients; matrices
+computed here (products, shifts, quotients, extensions, enumerations) take
+their entries from the field tables and skip the check.  Jordan types and
+conjugacy classes are both read off kernel jumps by one routine.
 """
 
 from bisect import bisect_right
@@ -463,8 +463,23 @@ def poly_divmod(field: FqField, a, b):
     return tuple(quot), tuple(a)
 
 
+def _check_poly(field: FqField, poly, monic: bool = False) -> tuple:
+    """A caller's coefficients: ints in range(q), constant term first, leading one nonzero."""
+    poly = tuple(poly)
+    if (
+        not poly
+        or any(type(c) is not int or not 0 <= c < field.q for c in poly)
+        or poly[-1] == 0
+        or (monic and poly[-1] != 1)
+    ):
+        what = "a monic polynomial" if monic else "a polynomial"
+        raise ValueError(f"{poly!r} is not {what} over F_{field.q}")
+    return poly
+
+
 def poly_matrix_eval(field: FqField, poly, m: FqMatrix) -> FqMatrix:
     """p(m) by Horner's rule with scalar coefficients."""
+    poly = _check_poly(field, poly)
     acc = _shift(_matrix(field, ((0,) * m.nrows,) * m.nrows), poly[-1])
     for c in reversed(poly[:-1]):
         acc = _shift(acc @ m, c)
@@ -473,6 +488,7 @@ def poly_matrix_eval(field: FqField, poly, m: FqMatrix) -> FqMatrix:
 
 def poly_name(field: FqField, poly) -> str:
     """Canonical display tag; linear factors print as "x-a" with a the root."""
+    poly = _check_poly(field, poly)
     deg = len(poly) - 1
     if deg == 1:
         root = field.mul[field.neg[poly[0]]][field.inv[poly[1]]]
@@ -511,6 +527,7 @@ def irreducible_polys(q: int, d: int) -> tuple:
 
 def companion_matrix(field: FqField, poly) -> FqMatrix:
     """Companion matrix: subdiagonal ones, last column minus the coefficients."""
+    poly = _check_poly(field, poly, monic=True)
     d = len(poly) - 1
     rows = [
         [0] * d for _ in range(d)
@@ -528,8 +545,8 @@ def jordan_block_matrix(field: FqField, poly, lam: Partition) -> FqMatrix:
     For each part of ``lam`` a chain of that many companion blocks is laid
     on the diagonal with identity blocks directly above the diagonal.
     """
-    d = len(poly) - 1
     comp = companion_matrix(field, poly)
+    d = comp.nrows
     total = d * sum(lam)
     rows = [[0] * total for _ in range(total)]
     offset = 0

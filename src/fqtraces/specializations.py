@@ -124,13 +124,3 @@ class Specialization:
             total += value
         return total
 
-
-def geometric_spread(seq, q) -> Specialization:
-    """Specialization whose alpha side is the geometric spread of ``seq``.
-
-    The spread preserves total mass, so p_1 equals ``sum(seq)``.
-    """
-    spread = GeometricSpread(tuple(seq), q)
-    if spread.power(1) > 1:
-        raise ValueError("spread sequence must have total mass at most 1")
-    return Specialization(spread, EMPTY, sum(spread.seq, Fraction(0)))

@@ -5,12 +5,14 @@ combination of power-sum products ``p_rho`` with `Fraction` coefficients.
 Schur functions enter via the Murnaghan-Nakayama expansion, Hall-Littlewood
 Q functions via Jing's vertex operator (one Q_lam at a time, up to
 :data:`EXACT_HL_DEGREE_CAP`), and the modified Q functions by rescaling each
-``p_k`` by ``1/(1 - t**k)``.  Charge-weighted Kostka polynomials come from
-tableau enumeration; they are the independent check on the operator.
+``p_k`` by ``1/(1 - t**k)``.  Kostka numbers count tableaux by a recursion
+over horizontal strips; charge-weighted Kostka polynomials
+(:class:`TPolynomial`) come from tableau enumeration, up to the same degree
+cap, and are the independent check on the operator.
 
-Characters, Schur functions, charge polynomials and the series
-coefficients q_N of the operator are memoized, so repeated queries reuse
-them.
+Characters, Schur functions, Kostka numbers, charge polynomials and the
+series coefficients q_N of the operator are memoized, so repeated queries
+reuse them.
 """
 
 from collections import Counter
@@ -23,12 +25,10 @@ from fqtraces.partitions import (
     Partition,
     check_partition,
     format_partition,
-    parse_partition,
     partitions_of,
     size,
     z_factor,
 )
-from fqtraces.tpoly import TPolynomial
 
 
 class PowerSumElement:
@@ -52,15 +52,8 @@ class PowerSumElement:
     def one(cls) -> "PowerSumElement":
         return cls({(): 1})
 
-    @classmethod
-    def p(cls, k: int) -> "PowerSumElement":
-        return cls({(k,): 1})
-
     def __eq__(self, other):
         return isinstance(other, PowerSumElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
@@ -70,12 +63,6 @@ class PowerSumElement:
         for rho, c in other.terms.items():
             out[rho] = out.get(rho, Fraction(0)) + c
         return PowerSumElement(out)
-
-    def __neg__(self):
-        return PowerSumElement({rho: -c for rho, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -91,12 +78,9 @@ class PowerSumElement:
 
     __rmul__ = __mul__
 
-    def degrees(self) -> set[int]:
-        return {size(rho) for rho in self.terms}
-
     def degree(self) -> int:
         """Degree of a homogeneous element (raises if mixed)."""
-        degs = self.degrees()
+        degs = {size(rho) for rho in self.terms}
         if len(degs) > 1:
             raise ValueError(f"element is not homogeneous: degrees {sorted(degs)}")
         return degs.pop() if degs else 0
@@ -109,18 +93,6 @@ class PowerSumElement:
             for rho, c in sorted(self.terms.items(), reverse=True)
         ]
         return "PowerSumElement(" + " + ".join(bits) + ")"
-
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"rho": format_partition(rho), "coeff": str(c)}
-            for rho, c in sorted(self.terms.items(), reverse=True)
-        ]
-
-    @classmethod
-    def from_json_obj(cls, records) -> "PowerSumElement":
-        return cls(
-            {parse_partition(r["rho"]): Fraction(r["coeff"]) for r in records}
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -291,46 +263,62 @@ def kostka(shape: Partition, content: Partition) -> int:
     content = check_partition(content)
     if size(shape) != size(content):
         raise ValueError("kostka requires |shape| = |content|")
-    return _kostka_count(shape, content)
-
-
-@cache
-def _kostka_count(shape: Partition, content: Partition) -> int:
     if not content:
-        return 1 if not shape else 0
+        return 1
     return sum(
-        _kostka_count(smaller, content[:-1])
-        for smaller in _strip_removals(shape, content[-1])
+        kostka(smaller, content[:-1]) for smaller in _strip_removals(shape, content[-1])
     )
+
+
+# One Q_lam at degree 16 costs under half a second, and the cost about
+# triples every two degrees; hl_q_in_p refuses larger degrees up front.
+# Charge enumeration stops there too: at 16 it visits up to 1.2M tableaux.
+EXACT_HL_DEGREE_CAP = 16
+
+
+class TPolynomial(tuple):
+    """Integer coefficients of a polynomial in t, constant term first."""
+
+    __slots__ = ()
+
+    def __call__(self, t):
+        """Evaluate at an exact rational point by Horner's rule."""
+        value = Fraction(0)
+        for c in reversed(self):
+            value = value * t + c
+        return value
+
+    def to_list(self) -> list:
+        """Coefficient list, constant term first (the wire format)."""
+        return list(self)
 
 
 @cache
 def kostka_foulkes(shape: Partition, content: Partition) -> TPolynomial:
     """Charge generating polynomial over fillings of ``shape`` with ``content``.
 
-    Evaluating at t = 1 recovers :func:`kostka`.
+    Evaluating at t = 1 recovers :func:`kostka`.  The coefficients run up
+    to the largest charge, so the last one is nonzero; no filling gives
+    the empty polynomial.
     """
     shape = check_partition(shape)
     content = check_partition(content)
+    if size(shape) > EXACT_HL_DEGREE_CAP:
+        raise ValueError(
+            f"charge enumeration capped at degree {EXACT_HL_DEGREE_CAP}; "
+            f"got degree {size(shape)}"
+        )
     if size(shape) != size(content):
         raise ValueError("kostka_foulkes requires |shape| = |content|")
     coeffs: dict[int, int] = {}
     for chain in _ssyt_chains(shape, content):
         c = charge(_reading_word(chain))
         coeffs[c] = coeffs.get(c, 0) + 1
-    if not coeffs:
-        return TPolynomial()
-    top = max(coeffs)
-    return TPolynomial(coeffs.get(i, 0) for i in range(top + 1))
+    return TPolynomial(coeffs.get(i, 0) for i in range(max(coeffs, default=-1) + 1))
 
 
 # ---------------------------------------------------------------------------
 # Hall-Littlewood Q
-
-
-# One Q_lam at degree 16 costs under half a second, and the cost about
-# triples every two degrees; hl_q_in_p refuses larger degrees up front.
-EXACT_HL_DEGREE_CAP = 16
 
 
 @cache

@@ -226,19 +226,15 @@ def trace_coefficients(sp: Specialization, n: int) -> dict[Partition, Fraction]:
     return {lam: sp.apply(schur_in_p(lam)) for lam in partitions_of(n)}
 
 
-def principal_specialization(q) -> Specialization:
-    """All mass smeared geometrically with ratio 1/q, placed on the beta side."""
-    q = _check_q(q)
-    return Specialization(EMPTY, GeometricSpread((Fraction(1),), q), Fraction(1))
-
-
 def sp_principal_schur(lam: Partition, q) -> Fraction:
     """Schur value of the geometric beta specialization.
 
+    All mass is smeared geometrically with ratio 1/q on the beta side.
     Equals the closed form (q-1)**|lam| * q**n(lam) / prod (q**h - 1); the
     verification suite checks this identity exactly.
     """
-    return principal_specialization(q).apply(schur_in_p(lam))
+    beta = GeometricSpread((Fraction(1),), _check_q(q))
+    return Specialization(EMPTY, beta, Fraction(1)).apply(schur_in_p(lam))
 
 
 def biregular_coefficient(f: DiagramFamily, q) -> Fraction:

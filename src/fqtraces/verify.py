@@ -57,6 +57,7 @@ from fqtraces.traces import (
     family,
     green_dimension,
     sp_principal_schur,
+    trace_coefficients,
     unipotent_trace_value,
 )
 
@@ -308,10 +309,10 @@ def _check_growth_normalization():
 
 @_suite("lln")
 def _check_lln():
-    report = lln_experiment(MeasureParams.haar(2), n_max=1000, trials=200, seed=20240817)
+    stats = lln_experiment(MeasureParams.haar(2), n_max=1000, trials=200, seed=20240817)
     bands = {1: (0.49, 0.51), 2: (0.24, 0.26)}
     rows = []
-    for stat_row in report.rows:
+    for stat_row in stats:
         if stat_row.statistic != "lambda_i/n" or stat_row.index not in bands:
             continue
         lo, hi = bands[stat_row.index]
@@ -414,7 +415,7 @@ def _check_spherical():
         sp = Specialization.finite(tuple(sorted((t1, t2), reverse=True)), (), 1)
         for n in range(1, 4):
             bad = checked = 0
-            schur_values = {lam: sp.apply(schur_in_p(lam)) for lam in partitions_of(n)}
+            schur_values = trace_coefficients(sp, n)
             for g in all_matrices(field, n):
                 if not g.is_invertible():
                     continue
@@ -575,10 +576,7 @@ def _check_trace_values_oracle():
         field = field_make(q)
         tags = polys_by_tag(q, 3)
         for n in range(1, 4):
-            schur_specialized = {
-                label: {lam: sp.apply(schur_in_p(lam)) for lam in partitions_of(n)}
-                for label, sp in specs
-            }
+            schur_specialized = {label: trace_coefficients(sp, n) for label, sp in specs}
             bad = checked = 0
             for fam in families_enumerate(n, q):
                 rep = class_representative(field, fam, tags)

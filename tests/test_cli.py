@@ -209,6 +209,7 @@ def test_bad_glu_params_exit_one(params):
         ["cyl", "--q", "2", "--r", "1/2", "--lam", "17"],
         ["hl-expand", "--lam", "1000000", "--t", "1/2", "--modified"],
         ["cyl", "--from-trace", "--q", "2", "--lam", "1000000"],
+        ["kostka-foulkes", "--shape", "6,4,3,2,1,1", "--content", ",".join(["1"] * 17)],
     ],
 )
 def test_above_hl_degree_cap_exits_one_at_once(argv):

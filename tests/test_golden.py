@@ -1,4 +1,4 @@
-"""CLI stdout of the growth chain, the cylinders, Kostka numbers and the verify suites, byte for byte.
+"""CLI stdout of the chain, the cylinders, Kostka numbers and the verify suites, byte for byte.
 
 The files in ``tests/golden/`` hold the stdout of ``sample``, ``lln`` and
 ``cyl`` for the three named measure families at q = 2 and 3 and for a
@@ -74,10 +74,10 @@ def invocations(command: str) -> list[list[str]]:
         ]
     if command == "kostka":
         return [
-            [*fmt, name, "--shape", format_partition(shape), "--content", format_partition(content)]
+            [*fmt, name, "--shape", format_partition(s), "--content", format_partition(c)]
             for n in range(6)
-            for shape in partitions_of(n)
-            for content in partitions_of(n)
+            for s in partitions_of(n)
+            for c in partitions_of(n)
             for name in ("kostka", "kostka-foulkes")
             for fmt in ([], ["--format", "json"])
         ]

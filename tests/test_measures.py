@@ -3,7 +3,7 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fqtraces.measures import (
     EXACT_HL_DEGREE_CAP,
@@ -164,16 +164,38 @@ def test_cyl_prob_positivity_grid():
                 assert cyl_prob(params, lam) >= 0, (params, lam)
 
 
-def test_consistency_cyl_equals_extension_sum():
-    cases = [(HAAR2, 10), (HAAR3, 10), (DELTA2, 10), (ROW2, 10), (MIXED, 7)]
-    for params, cap in cases:
-        for n in range(0, cap + 1):
-            for lam in partitions_of(n):
-                total = sum(
-                    extension_count(lam, mu, params.q) * cyl_prob(params, mu)
-                    for mu in partitions_of(n + 1)
-                )
-                assert total == cyl_prob(params, lam), (params, lam)
+SIDE = st.lists(st.fractions(0, 1, max_denominator=6), max_size=2).map(
+    lambda values: tuple(sorted(values, reverse=True))
+)
+Q_VALUES = st.sampled_from([Fraction(2), Fraction(3), Fraction(4), Fraction(5, 2)])
+
+
+@st.composite
+def two_sides(draw):
+    """Two finite weakly decreasing frequency tuples of total mass at most 1."""
+    sides = draw(SIDE), draw(SIDE)
+    assume(sum(sides[0]) + sum(sides[1]) <= 1)
+    return sides
+
+
+MEASURES = st.builds(lambda sides, q: MeasureParams(*sides, q), two_sides(), Q_VALUES)
+
+
+@settings(deadline=None, max_examples=10)
+@given(MEASURES, st.integers(0, 6))
+@example(HAAR2, 10)
+@example(HAAR3, 10)
+@example(DELTA2, 10)
+@example(ROW2, 10)
+@example(MIXED, 7)
+def test_consistency_cyl_equals_extension_sum(params, top):
+    for n in range(0, top + 1):
+        for lam in partitions_of(n):
+            total = sum(
+                extension_count(lam, mu, params.q) * cyl_prob(params, mu)
+                for mu in partitions_of(n + 1)
+            )
+            assert total == cyl_prob(params, lam), (params, lam)
 
 
 def test_cyl_prob_from_trace_examples():
@@ -184,20 +206,24 @@ def test_cyl_prob_from_trace_examples():
         cyl_prob_from_trace(Specialization.finite((HALF,), (), HALF), (1,), 2)
 
 
-def test_trace_measure_parameter_map():
-    grids = [
-        ((Fraction(1),), ()),
-        ((), (Fraction(1),)),
-        ((HALF, HALF), ()),
-        ((Fraction(1, 4),), (Fraction(1, 4),)),
-    ]
-    for q in (2, 3):
-        for alphas, betas in grids:
-            sp = Specialization.finite(alphas, betas, 1)
-            params = MeasureParams(GeometricSpread(alphas, q), betas, q)
-            for n in range(0, 6):
-                for lam in partitions_of(n):
-                    assert cyl_prob_from_trace(sp, lam, q) == cyl_prob(params, lam)
+@settings(deadline=None, max_examples=25)
+@given(two_sides(), Q_VALUES, st.integers(0, 6))
+@example(((Fraction(1),), ()), 2, 5)
+@example(((), (Fraction(1),)), 2, 5)
+@example(((HALF, HALF), ()), 2, 5)
+@example(((Fraction(1, 4),), (Fraction(1, 4),)), 2, 5)
+@example(((Fraction(1),), ()), 3, 5)
+@example(((), (Fraction(1),)), 3, 5)
+@example(((HALF, HALF), ()), 3, 5)
+@example(((Fraction(1, 4),), (Fraction(1, 4),)), 3, 5)
+def test_trace_measure_parameter_map(sides, q, top):
+    # cyl_prob under r = spread(alpha), c = beta equals the normalized trace value
+    alphas, betas = sides
+    sp = Specialization.finite(alphas, betas, 1)
+    params = MeasureParams(GeometricSpread(alphas, q), betas, q)
+    for n in range(0, top + 1):
+        for lam in partitions_of(n):
+            assert cyl_prob_from_trace(sp, lam, q) == cyl_prob(params, lam)
 
 
 def test_transition_prob_examples():
@@ -406,19 +432,19 @@ def test_second_level_distribution_binomial():
 def test_lln_deterministic_and_csv_shape():
     rep1 = lln_experiment(HAAR2, 40, 12, 99)
     rep2 = lln_experiment(HAAR2, 40, 12, 99)
-    assert rep1.rows == rep2.rows
+    assert rep1 == rep2
     assert [f.name for f in fields(LLNRow)] == [
         "statistic", "index", "empirical", "predicted", "stderr"
     ]
-    assert len(rep1.rows) == 2 * 4
-    assert rep1.rows[0].predicted == Fraction(1, 2)
+    assert len(rep1) == 2 * 4
+    assert rep1[0].predicted == Fraction(1, 2)
 
 
 def test_lln_deterministic_families_are_exact():
     rep = lln_experiment(DELTA2, 30, 5, 7, track=2)
-    by_key = {(r.statistic, r.index): r for r in rep.rows}
+    by_key = {(r.statistic, r.index): r for r in rep}
     assert by_key[("lambda_conj_i/n", 1)].empirical == 1.0
     assert by_key[("lambda_i/n", 1)].empirical == pytest.approx(1 / 30)
     rep = lln_experiment(ROW2, 30, 5, 7, track=2)
-    by_key = {(r.statistic, r.index): r for r in rep.rows}
+    by_key = {(r.statistic, r.index): r for r in rep}
     assert by_key[("lambda_i/n", 1)].empirical == 1.0

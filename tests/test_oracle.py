@@ -16,6 +16,7 @@ from fqtraces.oracle import (
     irreducible_polys,
     jordan_block_matrix,
     poly_divmod,
+    poly_matrix_eval,
     poly_mul,
     poly_name,
     schubert_cell_count,
@@ -243,6 +244,28 @@ def test_companion_matrix_annihilated_by_its_polynomial():
                 from fqtraces.oracle import poly_matrix_eval
 
                 assert poly_matrix_eval(field, poly, m).rank() == 0
+
+
+@pytest.mark.parametrize(
+    "fn, poly, rest",
+    [
+        (companion_matrix, (-1, 1), ()),  # used to wrap round to [[1]]
+        (poly_name, (-1, 1), ()),  # used to print "x-1"
+        (companion_matrix, (5, 1), ()),
+        (poly_name, (5, 1), ()),
+        (companion_matrix, (0.5, 1), ()),
+        (companion_matrix, (1, 2), ()),  # not monic; used to give [[2]]
+        (jordan_block_matrix, (1, 2), ((1,),)),
+        (jordan_block_matrix, (-1, 1), ((2,),)),
+        (poly_matrix_eval, (True, 1), (FqMatrix(F3, [[1]]),)),
+        (poly_matrix_eval, (3, 1), (FqMatrix(F3, [[1]]),)),
+        (poly_name, (), ()),
+        (poly_name, (1, 0), ()),
+    ],
+)
+def test_polynomial_coefficients_are_checked(fn, poly, rest):
+    with pytest.raises(ValueError, match="polynomial over F_3"):
+        fn(F3, poly, *rest)
 
 
 def test_class_representative_round_trip():

@@ -4,12 +4,8 @@ from itertools import product
 import pytest
 
 from fqtraces.partitions import partitions_of, transpose
-from fqtraces.specializations import (
-    EMPTY,
-    GeometricSpread,
-    Specialization,
-    geometric_spread,
-)
+from fqtraces.measures import MeasureParams
+from fqtraces.specializations import EMPTY, GeometricSpread, Specialization
 from fqtraces.symfunc import PowerSumElement, plethysm_pl, schur_in_p
 
 HALF = Fraction(1, 2)
@@ -71,12 +67,12 @@ def test_specialization_is_ring_homomorphism():
 
 
 def test_geometric_spread_examples():
-    sp = geometric_spread((1,), 2)
-    assert sp.power_sum(1) == 1
-    assert sp.power_sum(2) == Fraction(1, 3)
-    assert geometric_spread((), 2).power_sum(3) == 0
+    spread = GeometricSpread((1,), 2)
+    assert spread.power(1) == 1
+    assert spread.power(2) == Fraction(1, 3)
+    assert GeometricSpread((), 2).power(3) == 0
     with pytest.raises(ValueError):
-        geometric_spread((1, 1), 2)  # mass 2 > 1
+        MeasureParams(GeometricSpread((1, 1), 2), (), 2)  # mass 2 > 1
 
 
 def test_geometric_spread_matches_truncated_sums():
