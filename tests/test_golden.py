@@ -8,7 +8,9 @@ their weights come from the exact Hall-Littlewood expansion.
 ``cyl-trace.txt`` holds ``cyl --from-trace`` at q = 2, 3 and 5/2 for alpha
 and beta drawn from (), (1), (1/2), (1/4) with total mass at most 1, and
 ``kostka.txt`` holds ``kostka`` and ``kostka-foulkes``, in CSV and JSON,
-for every shape and content of degree at most 5.  Each invocation is
+for every shape and content of degree at most 5, and ``hl-expand.txt``
+holds ``hl-expand`` for every lambda of degree at most 10, at t = 1/2 and
+with ``--modified`` at t = 2/9.  Each invocation is
 preceded by a ``$ fqtraces ...`` line.  ``verify.txt`` holds
 the stdout of ``fqtraces verify all``; the tests that run a suite compare
 its rows with that suite's lines there through :func:`check_suite_golden`,
@@ -30,7 +32,7 @@ from fqtraces.cli import _emit, _run, _verify_rows, build_parser, main
 from fqtraces.partitions import format_partition, partitions_of
 
 GOLDEN = Path(__file__).parent / "golden"
-COMMANDS = ("sample", "lln", "cyl", "cyl-trace", "kostka")
+COMMANDS = ("sample", "lln", "cyl", "cyl-trace", "kostka", "hl-expand")
 
 _NAMED = [
     ["--q", str(q), "--measure", measure]
@@ -80,6 +82,13 @@ def invocations(command: str) -> list[list[str]]:
             for c in partitions_of(n)
             for name in ("kostka", "kostka-foulkes")
             for fmt in ([], ["--format", "json"])
+        ]
+    if command == "hl-expand":
+        return [
+            ["hl-expand", *setting, "--lam", format_partition(lam)]
+            for setting in (["--t", "1/2"], ["--t", "2/9", "--modified"])
+            for n in range(11)
+            for lam in partitions_of(n)
         ]
     return [
         ["cyl", *m, "--lam", format_partition(lam)]
