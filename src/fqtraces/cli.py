@@ -344,10 +344,18 @@ def _run(args) -> int:
     return code
 
 
+# Built on the first call to main and kept: parsing leaves it unchanged, and
+# building it costs more than most requests.  It is fixed configuration, not
+# a memo of computed values, so it is not a functools.cache table.
+_parser: _Parser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return _run(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -2,24 +2,28 @@
 
 Everything is expressed through :class:`PowerSumElement`, a finite linear
 combination of power-sum products ``p_rho`` with `Fraction` coefficients.
-Schur functions enter via the Murnaghan-Nakayama expansion, Hall-Littlewood
-Q functions via Jing's vertex operator (one Q_lam at a time, up to
-:data:`EXACT_HL_DEGREE_CAP`), and the modified Q functions by rescaling each
-``p_k`` by ``1/(1 - t**k)``.  Kostka numbers count tableaux by a recursion
-over horizontal strips; charge-weighted Kostka polynomials
+Schur functions enter through one integer character table per degree, built
+by Murnaghan-Nakayama on beta-sets from the tables of lower degree; a Schur
+expansion is one integer dot product per row over a common denominator.
+Hall-Littlewood Q functions come from Jing's vertex operator (one Q_lam at a
+time, up to :data:`EXACT_HL_DEGREE_CAP`), computed in integers over one
+denominator, and the modified Q functions by rescaling each ``p_k`` by
+``1/(1 - t**k)``.  Kostka numbers count tableaux by a recursion over
+horizontal strips; charge-weighted Kostka polynomials
 (:class:`TPolynomial`) come from tableau enumeration, up to the same degree
 cap, and are the independent check on the operator.
 
-Characters, Schur functions, Kostka numbers, charge polynomials and the
-series coefficients q_N of the operator are memoized, so repeated queries
-reuse them.
+Character tables, Schur functions, Kostka numbers, charge polynomials and
+the series coefficients q_N of the operator are memoized in module-level
+``functools.cache`` tables, so repeated queries reuse them and
+``cache_clear`` drops them.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb
+from math import comb, factorial, gcd, lcm, prod
 
 from fqtraces.partitions import (
     Partition,
@@ -99,63 +103,107 @@ class PowerSumElement:
 # Symmetric group characters and Schur functions
 
 
+def _border_strips(lam: Partition) -> dict[int, list[tuple[int, Partition]]]:
+    """{k: [(sign, lam minus the strip), ...]} over the border strips of lam.
+
+    In the first-column hook encoding beta_i = lam_i + (l - 1 - i), a
+    k-strip moves one entry b to a free b - k; the strip starts in row i of
+    b and spans h + 1 rows, where h counts the entries it jumps over, and
+    its sign is (-1)**h.  There is one strip per box of lam.
+    """
+    ell = len(lam)
+    beta = [p + ell - 1 - i for i, p in enumerate(lam)]
+    lowered = tuple(p - 1 for p in lam)
+    out: dict[int, list[tuple[int, Partition]]] = {}
+    for i, b in enumerate(beta):
+        h = 0
+        for nb in range(b - 1, -1, -1):
+            if i + h + 1 < ell and beta[i + h + 1] == nb:
+                h += 1
+                continue
+            k = b - nb
+            # rows i+1..i+h move up a row, one box shorter; what the strip
+            # leaves of row i becomes row i+h
+            mu = lam[:i] + lowered[i + 1 : i + h + 1] + (lam[i] - k + h,) + lam[i + h + 1 :]
+            if 0 in mu:  # a partition padded with zeros: cut them off
+                mu = mu[: mu.index(0)]
+            out.setdefault(k, []).append((-1 if h % 2 else 1, mu))
+    return out
+
+
+@cache
+def _character_table(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[Partition, int]]:
+    """Every chi^lam(rho) of degree n, and the index of each partition.
+
+    Row lam, column rho, both in ``partitions_of(n)`` order.  By
+    Murnaghan-Nakayama, the columns whose rho starts with a k-cycle are,
+    for each border k-strip of lam, plus or minus a row of the degree n - k
+    table read at rho minus its first part.
+    """
+    order = partitions_of(n)
+    index = {lam: i for i, lam in enumerate(order)}
+    if n == 0:
+        return ((1,),), index
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for j, rho in enumerate(order):
+        k = rho[0]
+        columns.setdefault(k, []).append((j, _character_table(n - k)[1][rho[1:]]))
+    rows = []
+    for lam in order:
+        row = [0] * len(order)
+        for k, strips in _border_strips(lam).items():
+            table, sub_index = _character_table(n - k)
+            cols = columns[k]
+            for sign, mu in strips:
+                src = table[sub_index[mu]]
+                for j, i in cols:
+                    row[j] += sign * src[i]
+        rows.append(tuple(row))
+    return tuple(rows), index
+
+
 @cache
 def sym_character(lam: Partition, rho: Partition) -> int:
-    """Character value of the symmetric group, by border-strip recursion.
-
-    Strips are removed through the first-column hook encoding: removing a
-    strip of length k maps one shifted part ``b`` to ``b - k``, with sign
-    given by the number of shifted parts jumped over.
-    """
-    if not rho:
-        return 1 if not lam else 0
-    k, rest = rho[0], rho[1:]
-    ell = len(lam)
-    beta = [lam[i] + (ell - 1 - i) for i in range(ell)]
-    beta_set = set(beta)
-    total = 0
-    for i, b in enumerate(beta):
-        nb = b - k
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        new_beta = sorted([c for c in beta if c != b] + [nb], reverse=True)
-        parts = (new_beta[j] - (ell - 1 - j) for j in range(ell))
-        mu = tuple(p for p in parts if p > 0)
-        total += (-1) ** height * sym_character(mu, rest)
-    return total
+    """Character value chi^lam(rho) of the symmetric group, for |lam| = |rho|."""
+    table, index = _character_table(size(lam))
+    return table[index[lam]][index[rho]]
 
 
 @cache
 def schur_in_p(lam: Partition) -> PowerSumElement:
-    """Schur function expanded over power sums via character values."""
+    """Schur function expanded over power sums: s_lam = sum_rho chi^lam(rho) p_rho / z_rho."""
     lam = check_partition(lam)
     n = size(lam)
-    terms = {}
-    for rho in partitions_of(n):
-        chi = sym_character(lam, rho)
-        if chi:
-            terms[rho] = Fraction(chi, z_factor(rho))
-    return PowerSumElement(terms)
+    table, index = _character_table(n)
+    return PowerSumElement(
+        {
+            rho: Fraction(chi, z_factor(rho))
+            for rho, chi in zip(partitions_of(n), table[index[lam]])
+            if chi
+        }
+    )
 
 
 def schur_expand(f: PowerSumElement) -> dict[Partition, Fraction]:
     """Coefficients d_lam with f = sum d_lam s_lam, for homogeneous f.
 
-    Uses orthogonality <p_rho, p_sigma> = z_rho delta, under which the
-    Schur coefficient is the character-weighted sum of p-coefficients.
+    Since p_rho = sum_lam chi^lam(rho) s_lam, d_lam is the dot product of
+    f's p-coefficients with the row of lam in the character table.  The
+    coefficients are put over one common denominator D first, so each d_lam
+    is an integer dot product divided by D.
     """
     if not f:
         return {}
     n = f.degree()
+    table, index = _character_table(n)
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    cols = [index[rho] for rho in f.terms]
+    nums = [c.numerator * (den // c.denominator) for c in f.terms.values()]
     out = {}
-    for lam in partitions_of(n):
-        d = sum(
-            (c * sym_character(lam, rho) for rho, c in f.terms.items()),
-            Fraction(0),
-        )
+    for lam, row in zip(partitions_of(n), table):
+        d = sum(a * row[j] for a, j in zip(nums, cols))
         if d:
-            out[lam] = d
+            out[lam] = Fraction(d, den)
     return out
 
 
@@ -256,11 +304,22 @@ def charge(word) -> int:
     return total
 
 
+# kostka recurses once per part of the content, through every shape a
+# horizontal strip removal reaches.  With content 1^n, the rectangle 8^8
+# takes 0.6 s and the near-staircase (11,10,...,3,1) of degree 64 about 10 s;
+# the rectangle 10^10 takes 12 s, and a few hundred parts overflow the stack.
+KOSTKA_DEGREE_CAP = 64
+
+
 @cache
 def kostka(shape: Partition, content: Partition) -> int:
     """Number of column-strict fillings of ``shape`` with given content."""
     shape = check_partition(shape)
     content = check_partition(content)
+    if size(shape) > KOSTKA_DEGREE_CAP:
+        raise ValueError(
+            f"Kostka numbers capped at degree {KOSTKA_DEGREE_CAP}; got degree {size(shape)}"
+        )
     if size(shape) != size(content):
         raise ValueError("kostka requires |shape| = |content|")
     if not content:
@@ -270,8 +329,9 @@ def kostka(shape: Partition, content: Partition) -> int:
     )
 
 
-# One Q_lam at degree 16 costs under half a second, and the cost about
-# triples every two degrees; hl_q_in_p refuses larger degrees up front.
+# The slowest Q_lam at degree 16, lam = 1^16, takes 0.09 s and the degree-16
+# character table 0.06 s (2-vCPU Xeon, Python 3.11); both costs grow two to
+# four times every two degrees.  hl_q_in_p refuses larger degrees up front.
 # Charge enumeration stops there too: at 16 it visits up to 1.2M tableaux.
 EXACT_HL_DEGREE_CAP = 16
 
@@ -322,26 +382,32 @@ def kostka_foulkes(shape: Partition, content: Partition) -> TPolynomial:
 
 
 @cache
-def _q_series(n: int, t: Fraction) -> tuple[tuple[Partition, Fraction], ...]:
-    """Degree-n part of Q(z) = exp(sum_k (1 - t**k) p_k z**k / k), as (rho, coefficient) pairs."""
+def _q_series(n: int, t: Fraction) -> tuple[int, tuple[tuple[Partition, int], ...]]:
+    """Degree-n part of Q(z) = exp(sum_k (1 - t**k) p_k z**k / k) over one denominator.
+
+    For t = a/b this is (b**n * n!, ((rho, c), ...)): the coefficient of
+    p_rho is c / (b**n * n!) with the integer c = n!/z_rho * prod_i
+    (b**rho_i - a**rho_i).  Zero terms are left out.
+    """
+    a, b = t.numerator, t.denominator
     out = []
     for rho in partitions_of(n):
-        c = Fraction(1, z_factor(rho))
+        c = factorial(n) // z_factor(rho)
         for part in rho:
-            c *= 1 - t**part
+            c *= b**part - a**part
         if c:
             out.append((rho, c))
-    return tuple(out)
+    return b**n * factorial(n), tuple(out)
 
 
-def _translate(f: dict[Partition, Fraction]) -> dict[int, dict[Partition, Fraction]]:
+def _translate(f: dict[Partition, int]) -> dict[int, dict[Partition, int]]:
     """f[p_k -> p_k - z**-k] split by powers of z: {m: coefficient of z**-m}.
 
     Each p_rho expands binomially, one factor (p_k - z**-k)**m_k per
     distinct part k; dropping j copies of p_k contributes
-    (-1)**j * C(m_k, j) * z**(-k j).
+    (-1)**j * C(m_k, j) * z**(-k j).  Integer coefficients stay integers.
     """
-    out: dict[int, dict[Partition, Fraction]] = {}
+    out: dict[int, dict[Partition, int]] = {}
     for rho, c in f.items():
         mult = Counter(rho)
         for drops in product(*(range(m + 1) for m in mult.values())):
@@ -364,7 +430,11 @@ def hl_q_in_p(lam: Partition, t) -> PowerSumElement:
     Built by Jing's vertex operator (Adv. Math. 87, 1991; Macdonald III.5),
     Q_lam = H_{lam_1} ... H_{lam_l} . 1 with the last part applied first,
     where H_n f = sum_m q_{n+m} f_m with q_N from :func:`_q_series` and f_m
-    from :func:`_translate`.
+    from :func:`_translate`.  The function is carried as integer
+    coefficients over one denominator: the denominator b**N * N! of q_N
+    divides that of every q_N' with N' >= N, so each step lifts its terms
+    to the largest one and then divides out a common factor.  Fractions are
+    built only for the result.
     """
     lam = check_partition(lam)
     if size(lam) > EXACT_HL_DEGREE_CAP:
@@ -373,16 +443,26 @@ def hl_q_in_p(lam: Partition, t) -> PowerSumElement:
             f"got degree {size(lam)}"
         )
     t = Fraction(t)
-    f = {(): Fraction(1)}
+    den, f = 1, {(): 1}
     for n in reversed(lam):
-        out: dict[Partition, Fraction] = {}
-        for m, fm in _translate(f).items():
-            for rho, a in _q_series(n + m, t):
+        parts = _translate(f)
+        top = _q_series(n + max(parts), t)[0]
+        out: dict[Partition, int] = {}
+        for m, fm in parts.items():
+            q_den, series = _q_series(n + m, t)
+            scale = top // q_den
+            for rho, a in series:
+                a *= scale
                 for sigma, b in fm.items():
                     key = tuple(sorted(rho + sigma, reverse=True))
                     out[key] = out.get(key, 0) + a * b
         f = {rho: c for rho, c in out.items() if c}
-    return PowerSumElement(f)
+        if not f:  # Q_lam = 0, as at t = 1 for every lam but ()
+            return PowerSumElement()
+        g = gcd(den * top, *f.values())
+        den = den * top // g
+        f = {rho: c // g for rho, c in f.items()}
+    return PowerSumElement({rho: Fraction(c, den) for rho, c in f.items()})
 
 
 def modified_hl_q(lam: Partition, t) -> PowerSumElement:
@@ -392,12 +472,15 @@ def modified_hl_q(lam: Partition, t) -> PowerSumElement:
     for k in range(1, min(2, size(check_partition(lam))) + 1):
         if t**k == 1:
             raise ValueError(f"t = {t} has t**{k} = 1; modified Q is undefined")
-    out = {}
-    for rho, c in hl_q_in_p(lam, t).terms.items():
-        for part in rho:
-            c /= 1 - t**part
-        out[rho] = c
-    return PowerSumElement(out)
+    # 1/(1 - t**k) = b**k / (b**k - a**k) for t = a/b
+    a, b = t.numerator, t.denominator
+    scale = b ** size(lam)
+    return PowerSumElement(
+        {
+            rho: Fraction(c.numerator * scale, c.denominator * prod(b**k - a**k for k in rho))
+            for rho, c in hl_q_in_p(lam, t).terms.items()
+        }
+    )
 
 
 def plethysm_pl(f: PowerSumElement, n: int) -> PowerSumElement:

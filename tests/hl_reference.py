@@ -13,12 +13,44 @@ Two ways to get Hall-Littlewood data without the charge statistic:
 Both are deliberately different from the production paths: charge
 enumeration for the Kostka-Foulkes polynomials and Jing's vertex operator
 for Q.
+
+Symmetric-group characters also get a reference here: the border-strip
+recursion one (lam, rho) pair at a time, against which the per-degree
+character table is checked.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from fqtraces.partitions import partitions_of, z_factor
 from fqtraces.symfunc import PowerSumElement, _strip_removals, kostka, schur_in_p
+
+
+@cache
+def sym_character_reference(lam, rho) -> int:
+    """chi^lam(rho) by removing a border strip of length rho_1 and recursing.
+
+    Strips are removed through the first-column hook encoding: removing a
+    strip of length k maps one shifted part ``b`` to ``b - k``, with sign
+    given by the number of shifted parts jumped over.
+    """
+    if not rho:
+        return 1 if not lam else 0
+    k, rest = rho[0], rho[1:]
+    ell = len(lam)
+    beta = [lam[i] + (ell - 1 - i) for i in range(ell)]
+    beta_set = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in beta_set:
+            continue
+        height = sum(1 for c in beta if nb < c < b)
+        new_beta = sorted([c for c in beta if c != b] + [nb], reverse=True)
+        parts = (new_beta[j] - (ell - 1 - j) for j in range(ell))
+        mu = tuple(p for p in parts if p > 0)
+        total += (-1) ** height * sym_character_reference(mu, rest)
+    return total
 
 
 def t_inner(f: PowerSumElement, g: PowerSumElement, t: Fraction) -> Fraction:

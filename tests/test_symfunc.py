@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from fqtraces.partitions import dominance_leq, partitions_of, size, z_factor
 from fqtraces.specializations import Specialization
 from fqtraces.symfunc import (
     PowerSumElement,
+    _character_table,
     charge,
     hl_q_in_p,
     kostka,
@@ -20,7 +22,11 @@ from fqtraces.symfunc import (
 )
 from fqtraces.verify import hl_q_by_charge
 
-from hl_reference import kostka_foulkes_branching, kostka_foulkes_reference
+from hl_reference import (
+    kostka_foulkes_branching,
+    kostka_foulkes_reference,
+    sym_character_reference,
+)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -74,6 +80,27 @@ def test_schur_in_p_against_tableau_evaluation(lam):
         tuple(sorted(alphabet, reverse=True)), (), sum(alphabet)
     )
     assert sp.apply(schur_in_p(lam)) == tableau_value
+
+
+def test_character_table_matches_border_strip_recursion():
+    for n in range(11):
+        order = partitions_of(n)
+        table, index = _character_table(n)
+        assert index == {lam: i for i, lam in enumerate(order)}
+        assert table == tuple(
+            tuple(sym_character_reference(lam, rho) for rho in order) for lam in order
+        )
+
+
+def test_character_table_column_orthogonality():
+    # sum_lam chi^lam(rho) chi^lam(sigma) = z_rho if rho = sigma, else 0
+    for n in range(13):
+        order = partitions_of(n)
+        columns = list(zip(*_character_table(n)[0]))
+        for a, rho in enumerate(order):
+            for b in range(a, len(order)):
+                dot = sum(map(mul, columns[a], columns[b]))
+                assert dot == (z_factor(rho) if a == b else 0), (rho, order[b])
 
 
 def test_sym_character_values():
@@ -212,6 +239,24 @@ def partitions_up_to(max_n):
 @given(partitions_up_to(9))
 def test_hl_q_at_t_zero_is_schur(lam):
     assert hl_q_in_p(lam, 0) == schur_in_p(lam)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_hl_q_edge_parameters(n):
+    for lam in partitions_of(n):
+        # t = 0 gives Schur functions; at t = 1 every factor 1 - t**k of the
+        # series vanishes, so only Q_() = 1 survives
+        assert hl_q_in_p(lam, 0) == schur_in_p(lam)
+        assert hl_q_in_p(lam, 1) == (PowerSumElement() if lam else PowerSumElement.one())
+        t = Fraction(-1, 2)
+        assert hl_q_in_p(lam, t) == hl_q_by_charge(lam, t)
+
+
+def test_hl_q_of_empty_partition_is_one():
+    for t in (0, 1, Fraction(-1, 2), Fraction(2, 9), 3):
+        assert hl_q_in_p((), t) == PowerSumElement.one()
+        assert schur_expand(hl_q_in_p((), t)) == {(): 1}
+    assert modified_hl_q((), Fraction(2, 9)) == PowerSumElement.one()
 
 
 @settings(deadline=None)
