@@ -344,18 +344,10 @@ def _run(args) -> int:
     return code
 
 
-# Built on the first call to main and kept: parsing leaves it unchanged, and
-# building it costs more than most requests.  It is fixed configuration, not
-# a memo of computed values, so it is not a functools.cache table.
-_parser: _Parser | None = None
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
+    parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = parser.parse_args(argv)
         return _run(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -217,14 +217,14 @@ def _strip_removals(shape: Partition, m: int) -> list[Partition]:
     out: list[Partition] = []
 
     def rec(i: int, need: int, acc: list[int]):
-        if need < 0:
-            return
         if i == rows:
             if need == 0:
                 out.append(tuple(p for p in acc if p))
             return
         lo = shape[i + 1] if i + 1 < rows else 0
-        for t in range(lo, shape[i] + 1):
+        # row i keeps t boxes: it gives up at most need of them, and the rows
+        # below can give up at most lo, so every t tried completes a strip
+        for t in range(max(lo, shape[i] - need), min(shape[i], shape[i] - need + lo) + 1):
             acc.append(t)
             rec(i + 1, need - (shape[i] - t), acc)
             acc.pop()
@@ -304,11 +304,11 @@ def charge(word) -> int:
     return total
 
 
-# kostka recurses once per part of the content, through every shape a
-# horizontal strip removal reaches.  With content 1^n, the rectangle 8^8
-# takes 0.6 s and the near-staircase (11,10,...,3,1) of degree 64 about 10 s;
-# the rectangle 10^10 takes 12 s, and a few hundred parts overflow the stack.
-KOSTKA_DEGREE_CAP = 64
+# kostka recurses once per part of the content, so a few hundred parts
+# overflow the stack.  The time is set by the shapes the strip removals
+# reach: with content 1^64 the rectangle 8^8 takes 0.04 s and the
+# near-staircase (11,10,...,3,1) about 10 s.
+KOSTKA_CONTENT_CAP = 64
 
 
 @cache
@@ -316,12 +316,15 @@ def kostka(shape: Partition, content: Partition) -> int:
     """Number of column-strict fillings of ``shape`` with given content."""
     shape = check_partition(shape)
     content = check_partition(content)
-    if size(shape) > KOSTKA_DEGREE_CAP:
+    if len(content) > KOSTKA_CONTENT_CAP:
         raise ValueError(
-            f"Kostka numbers capped at degree {KOSTKA_DEGREE_CAP}; got degree {size(shape)}"
+            f"Kostka numbers capped at {KOSTKA_CONTENT_CAP} content parts; got {len(content)}"
         )
     if size(shape) != size(content):
         raise ValueError("kostka requires |shape| = |content|")
+    if len(shape) > len(content):
+        # a column of letters 1..len(content) is strictly increasing
+        return 0
     if not content:
         return 1
     return sum(

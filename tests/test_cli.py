@@ -6,8 +6,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqtraces import cli, verify
-from fqtraces.cli import _run, build_parser, main
+from fqtraces import verify
+from fqtraces.cli import main
 from fqtraces.verify import CheckRow
 
 
@@ -221,35 +221,30 @@ def test_above_hl_degree_cap_exits_one_at_once(argv):
 
 
 @pytest.mark.parametrize("shape", ["400", "65", "10,10,10,10,10,10,10,10,10,10"])
-def test_kostka_above_degree_cap_exits_one_at_once(shape):
+def test_kostka_above_content_cap_exits_one_at_once(shape):
     ones = ",".join(["1"] * sum(int(p) for p in shape.split(",")))
     start = time.perf_counter()
     code, out, err = run(["kostka", "--shape", shape, "--content", ones])
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
-    assert "capped at degree 64" in err and "Traceback" not in err
+    assert "capped at 64 content parts" in err and "Traceback" not in err
 
 
-def test_main_reuses_one_parser_without_leaking_flags():
-    # each pair sets a flag and then leaves it out; a flag that outlived its
-    # call would change the second output
-    sequence = [
-        ["hl-expand", "--lam", "2,1", "--t", "1/2", "--modified"],
-        ["hl-expand", "--lam", "2,1", "--t", "1/2"],
-        ["--format", "json", "hl-expand", "--lam", "3", "--t", "1/3"],
-        ["hl-expand", "--lam", "3", "--t", "1/3"],
-        ["cyl", "--from-trace", "--q", "2", "--alpha", "1/2", "--lam", "2,1"],
-        ["cyl", "--q", "2", "--r", "1/2", "--lam", "2,1"],
-    ]
-    run(["verify", "--list"])
-    parser = cli._parser
-    for argv in sequence:
-        code, out, err = run(argv)
-        fresh = io.StringIO()
-        with redirect_stdout(fresh):
-            assert _run(build_parser().parse_args(argv)) == code == 0, err
-        assert out == fresh.getvalue(), argv
-    assert cli._parser is parser
+@pytest.mark.parametrize(
+    "shape, content, value",
+    [
+        ("65", "65", "1"),
+        ("100", "50,50", "1"),
+        ("1000000000000", "1000000000000", "1"),
+        (",".join(["1"] * 400), "400", "0"),
+        ("200,200", ",".join(["100"] * 4), "101"),
+    ],
+)
+def test_kostka_short_content_of_large_degree_answers_at_once(shape, content, value):
+    start = time.perf_counter()
+    code, out, err = run(["kostka", "--shape", shape, "--content", content])
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, value + "\n", "")
 
 
 def test_verify_suite_pass_exit_zero():
