@@ -586,9 +586,10 @@ def class_representative(field: FqField, fam: DiagramFamily, polys_by_tag) -> Fq
 def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:
     """Conjugacy class of an invertible matrix as a family of diagrams.
 
-    Factors the action by probing every irreducible polynomial of degree
-    at most n: the generalized kernel filtration of p(m) gives the Jordan
-    data at p.
+    Factors the action by probing irreducible polynomials by degree: the
+    generalized kernel filtration of p(m) gives the Jordan data at p.  A
+    factor of degree d needs d dimensions not yet covered, so the probing
+    stops once d exceeds what is left.
     """
     if not m.is_invertible():
         raise ValueError("conjugacy families are defined for invertible matrices")
@@ -597,13 +598,15 @@ def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:
     blocks = []
     covered = 0
     for d in range(1, n + 1):
-        if covered == n:
+        if d > n - covered:
             break
         for poly in irreducible_polys(field.q, d):
             lam, dim = _jordan_type(poly_matrix_eval(field, poly, m), d)
             if dim:
                 blocks.append((poly_name(field, poly), d, lam))
                 covered += dim
+                if d > n - covered:
+                    break
     if covered != n:
         raise AssertionError("factorization did not exhaust the space")
     return DiagramFamily(tuple(blocks))
