@@ -1,15 +1,30 @@
 """Brute-force ground truth over explicit small finite fields.
 
-Everything here is deliberately naive: explicit field tables, dense
-matrices, exhaustive subspace and flag enumeration.  The point is to be
-obviously correct so the closed-form layers can be checked against it.
-Field elements are indices 0..q-1 (0 additive zero, 1 multiplicative
-unit); for prime powers the index encodes the coefficient vector of the
-residue polynomial in base p.  ``FqMatrix(field, rows)`` checks the rows a
-caller passes in, and the polynomial functions the coefficients; matrices
-computed here (products, shifts, quotients, extensions, enumerations) take
-their entries from the field tables and skip the check.  Jordan types and
-conjugacy classes are both read off kernel jumps by one routine.
+Everything here is exhaustive: explicit field tables, enumeration of
+matrices, subspaces and flags, classification by kernel jumps.  The point
+is to be obviously correct so the closed-form layers can be checked
+against it.  Field elements are indices 0..q-1 (0 additive zero, 1
+multiplicative unit); for prime powers the index encodes the coefficient
+vector of the residue polynomial in base p.
+
+Vectors are packed into ints.  A vector of n entries is cut into chunks of
+k entries, k the largest with q**k <= 256; a chunk holds its entries as
+base-q digits (entry i of the chunk is digit i), and chunk c fills bits
+8c..8c+7.  Each field keeps tables over chunk values (sums, scalar
+multiples, digits, leading entries), so adding or scaling a vector takes
+one lookup per chunk, and one in all for q <= 3 up to n = 5.  Chunks of at
+most 256 values keep those tables at 256 x 256 entries per field whatever
+n is; a table over whole vectors would need q**n x q**n entries, 43
+million for n = 4 over F_9.  The tables grow lazily, one digit at a time
+from the field tables, to the widest chunk in use.
+
+A matrix keeps its columns packed.  ``FqMatrix(field, rows)`` checks the
+rows a caller passes in, and the polynomial functions the coefficients;
+matrices computed here (products, shifts, quotients, extensions,
+enumerations) skip the check.  Ranks come from echelon bases keyed by
+leading entry.  Jordan types and conjugacy classes are both read off one
+image chain: the column space of b**k is b applied to that of b**(k-1),
+so no power of b is built.
 """
 
 from bisect import bisect_right
@@ -29,7 +44,14 @@ SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 
 
 class FqField:
-    """A finite field given by full addition/multiplication tables."""
+    """A finite field given by full addition/multiplication tables.
+
+    It also holds the chunk tables for packed vectors, indexed by chunk
+    value: ``cadd[x][y]``, ``cscale[c][x]``, ``cdigit[i][x]`` (digit i),
+    ``cdigits[x]`` ((i, digit) for the nonzero digits) and ``clead[x]``
+    (the first of those, None for 0); ``unit[j]`` is the packed j-th unit
+    vector.  :meth:`widen` grows them.
+    """
 
     def __init__(self, q: int, add, mul):
         self.q = q
@@ -40,9 +62,42 @@ class FqField:
             next(b for b in range(1, q) if mul[a][b] == 1) for a in range(1, q)
         )
         self._validate()
+        self.k = max(k for k in range(1, 9) if q**k <= 256)
+        self.width = 0  # the tables cover chunks of this many entries
+        self.cadd = [[0]]
+        self.cscale = [[0] for _ in range(q)]
+        self.cdigit = []
+        self.cdigits = [()]
+        self.clead = [None]
+        self.unit = []
 
     def sub(self, a: int, b: int) -> int:
         return self.add[a][self.neg[b]]
+
+    def widen(self, n: int):
+        """Make the chunk tables and unit vectors cover vectors of n entries.
+
+        Each step adds one top digit a: chunk value a*b + x, x below b.
+        """
+        q, add, mul = self.q, self.add, self.mul
+        while self.width < min(n, self.k):
+            w, b = self.width, q**self.width
+            self.cadd = [
+                [add[a][c] * b + s for c in range(q) for s in row]
+                for a in range(q)
+                for row in self.cadd
+            ]
+            self.cscale = [
+                [mul[c][a] * b + s for a in range(q) for s in row]
+                for c, row in enumerate(self.cscale)
+            ]
+            self.cdigit = [row * q for row in self.cdigit] + [[a for a in range(q) for _ in range(b)]]
+            self.cdigits = [ds + ((w, a),) if a else ds for a in range(q) for ds in self.cdigits]
+            self.clead = [ld or ((w, a) if a else None) for a in range(q) for ld in self.clead]
+            self.width = w + 1
+        while len(self.unit) < n:
+            j = len(self.unit)
+            self.unit.append(q ** (j % self.k) << 8 * (j // self.k))
 
     def _validate(self):
         q, add, mul = self.q, self.add, self.mul
@@ -97,17 +152,44 @@ def field_make(q: int) -> FqField:
 
 
 # ---------------------------------------------------------------------------
-# Matrices
+# Packed vectors and matrices
+
+
+def _pack(field: FqField, entries) -> int:
+    """Packed vector of field indices (the caller has widened the tables)."""
+    return sum(e * u for e, u in zip(entries, field.unit))
+
+
+def _unpack(field: FqField, v: int, n: int) -> tuple:
+    """The n field indices of a packed vector."""
+    out = [0] * n
+    digits, k = field.cdigits, field.k
+    base = 0
+    while v:
+        for i, d in digits[v & 255]:
+            out[base + i] = d
+        v >>= 8
+        base += k
+    return tuple(out)
+
+
+def _all_vectors(field: FqField, n: int) -> list:
+    """Every packed vector of n entries, the last entry varying fastest."""
+    field.widen(n)
+    vecs = [0]
+    for u in field.unit[:n]:
+        vecs = [v + c * u for v in vecs for c in range(field.q)]
+    return vecs
 
 
 class FqMatrix:
-    """Dense matrix with entries as field indices.
+    """Matrix over F_q, stored as its packed columns.
 
     The constructor takes rows from a caller and rejects anything but a
-    rectangle of ints in range(q).
+    rectangle of ints in range(q); ``rows`` unpacks them again.
     """
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "nrows", "cols", "_chunks")
 
     def __init__(self, field: FqField, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -118,65 +200,43 @@ class FqMatrix:
             for e in r:
                 if type(e) is not int or not 0 <= e < field.q:
                     raise ValueError(f"matrix entry {e!r} is not an element index of F_{field.q}")
+        field.widen(len(rows))
         self.field = field
-        self.rows = rows
-
-    @property
-    def nrows(self):
-        return len(self.rows)
+        self.nrows = len(rows)
+        self.cols = tuple(_pack(field, col) for col in zip(*rows))
+        self._chunks = None
 
     @property
     def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.cols)
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as a tuple of rows of field indices."""
+        cols = [_unpack(self.field, c, self.nrows) for c in self.cols]
+        return tuple(zip(*cols)) if cols else ((),) * self.nrows
 
     @classmethod
     def identity(cls, field: FqField, n: int) -> "FqMatrix":
-        return cls(field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        field.widen(n)
+        return _matrix(field, n, tuple(field.unit[:n]))
 
     def __eq__(self, other):
         return (
             isinstance(other, FqMatrix)
             and self.field is other.field
-            and self.rows == other.rows
+            and self.nrows == other.nrows
+            and self.cols == other.cols
         )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.nrows, self.cols))
 
     def __matmul__(self, other: "FqMatrix") -> "FqMatrix":
-        f = self.field
-        add, mul = f.add, f.mul
-        bt = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            new = []
-            for col in bt:
-                acc = 0
-                for x, y in zip(row, col):
-                    if x and y:
-                        acc = add[acc][mul[x][y]]
-                new.append(acc)
-            out.append(tuple(new))
-        return _matrix(f, tuple(out))
-
-    def vec(self, v):
-        """Apply to a column vector (given and returned as a tuple)."""
-        f = self.field
-        add, mul = f.add, f.mul
-        out = []
-        for row in self.rows:
-            acc = 0
-            for x, y in zip(row, v):
-                if x and y:
-                    acc = add[acc][mul[x][y]]
-            out.append(acc)
-        return tuple(out)
+        return _matrix(self.field, self.nrows, tuple(_apply(self, c) for c in other.cols))
 
     def rank(self) -> int:
-        return rank(self.field, self.rows)
-
-    def kernel_dim(self) -> int:
-        return self.ncols - self.rank()
+        return rank(self.field, self.cols)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -185,45 +245,88 @@ class FqMatrix:
         return f"FqMatrix(q={self.field.q}, {list(map(list, self.rows))})"
 
 
-def _matrix(field: FqField, rows: tuple) -> FqMatrix:
-    """A matrix computed here: rows is a tuple of tuples of field indices, not checked."""
+def _matrix(field: FqField, nrows: int, cols: tuple) -> FqMatrix:
+    """A matrix computed here from packed columns of nrows entries, not checked."""
     m = object.__new__(FqMatrix)
     m.field = field
-    m.rows = rows
+    m.nrows = nrows
+    m.cols = cols
+    m._chunks = None
     return m
+
+
+def _apply(m: FqMatrix, x: int) -> int:
+    """m x for a packed vector x: the columns at x's nonzero entries, scaled and summed.
+
+    The sum is taken one chunk of the result at a time, over the columns'
+    chunk values, which the matrix keeps after the first call.
+    """
+    f = m.field
+    add, scale, digits, k = f.cadd, f.cscale, f.cdigits, f.k
+    chunks = m._chunks
+    if chunks is None:
+        chunks = m._chunks = tuple(
+            (sh, tuple(c >> sh & 255 for c in m.cols)) for sh in range(0, -(-m.nrows // k) * 8, 8)
+        )
+    out = 0
+    for sh, chunk in chunks:
+        acc = 0
+        rest, base = x, 0
+        while rest:
+            for i, d in digits[rest & 255]:
+                acc = add[acc][scale[d][chunk[base + i]]]
+            rest >>= 8
+            base += k
+        out |= acc << sh
+    return out
 
 
 def _shift(m: FqMatrix, c: int) -> FqMatrix:
     """m + c*I for a square m."""
-    add = m.field.add
-    return _matrix(
-        m.field,
-        tuple(row[:i] + (add[row[i]][c],) + row[i + 1 :] for i, row in enumerate(m.rows)),
-    )
+    f = m.field
+    add, digit, unit, k = f.add, f.cdigit, f.unit, f.k
+    cols = []
+    for j, col in enumerate(m.cols):
+        e = digit[j % k][col >> 8 * (j // k) & 255]
+        cols.append(col + (add[e][c] - e) * unit[j])
+    return _matrix(f, m.nrows, tuple(cols))
+
+
+def _echelon(field: FqField, vecs) -> dict:
+    """Echelon basis of the span of packed vectors.
+
+    Maps a key of each leading entry (8 * chunk + position in the chunk) to
+    the basis vector with that leading entry, scaled to lead with 1.
+    """
+    add, scale, lead, neg, inv = field.cadd, field.cscale, field.clead, field.neg, field.inv
+    basis = {}
+    for v in vecs:
+        while v:
+            sh = (v & -v).bit_length() - 1 & -8
+            i, d = lead[v >> sh & 255]
+            b = basis.get(sh + i)
+            out = pos = 0
+            if b is None:
+                s = scale[inv[d]]
+                while v:
+                    out |= s[v & 255] << pos
+                    v >>= 8
+                    pos += 8
+                basis[sh + i] = out
+                break
+            s = scale[neg[d]]
+            while v or b:
+                out |= add[v & 255][s[b & 255]] << pos
+                v >>= 8
+                b >>= 8
+                pos += 8
+            v = out
+    return basis
 
 
 def rank(field: FqField, rows) -> int:
-    """Row rank by Gaussian elimination (rows are copied, not changed)."""
-    mul, inv, sub = field.mul, field.inv, field.sub
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        scale = inv[m[r][c]]
-        m[r] = [mul[scale][x] for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                coeff = m[i][c]
-                m[i] = [sub(x, mul[coeff][y]) for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank of packed vectors."""
+    return len(_echelon(field, rows))
 
 
 def _jordan_type(b: FqMatrix, d: int = 1) -> tuple[Partition, int]:
@@ -232,14 +335,16 @@ def _jordan_type(b: FqMatrix, d: int = 1) -> tuple[Partition, int]:
 
     The kernel of b**k grows by d times the number of Jordan blocks of size
     at least k until it is the generalized kernel; those counts are the
-    columns of the Jordan type.
+    columns of the Jordan type.  The column space of b**k is b applied to
+    an echelon basis of that of b**(k-1).
     """
     n = b.nrows
+    f = b.field
     cols = []
     prev = 0
-    power = b
+    image = _echelon(f, b.cols).values()
     while True:
-        dim = power.kernel_dim()
+        dim = n - len(image)
         if dim == prev:
             break
         step = dim - prev
@@ -249,14 +354,14 @@ def _jordan_type(b: FqMatrix, d: int = 1) -> tuple[Partition, int]:
         prev = dim
         if dim == n:
             break
-        power = power @ b
+        image = _echelon(f, [_apply(b, v) for v in image]).values()
     return transpose(tuple(cols)), prev
 
 
 def all_matrices(field: FqField, n: int):
     """All n x n matrices (use only for tiny n)."""
-    for entries in product(range(field.q), repeat=n * n):
-        yield _matrix(field, tuple(entries[i * n : (i + 1) * n] for i in range(n)))
+    for cols in product(_all_vectors(field, n), repeat=n):
+        yield _matrix(field, n, cols)
 
 
 def unipotent_matrices(field: FqField, n: int):
@@ -269,12 +374,10 @@ def unipotent_matrices(field: FqField, n: int):
 
 def unipotent_upper_triangular(field: FqField, n: int):
     """All upper-triangular matrices with unit diagonal."""
-    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for values in product(range(field.q), repeat=len(positions)):
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for (i, j), v in zip(positions, values):
-            rows[i][j] = v
-        yield _matrix(field, tuple(map(tuple, rows)))
+    field.widen(n)
+    choices = [[v + field.unit[j] for v in _all_vectors(field, j)] for j in range(n)]
+    for cols in product(*choices):
+        yield _matrix(field, n, cols)
 
 
 def unipotent_class_of(m: FqMatrix) -> Partition:
@@ -288,17 +391,23 @@ def unipotent_class_of(m: FqMatrix) -> Partition:
 
 
 # ---------------------------------------------------------------------------
-# Subspace and flag enumeration
+# Subspace and flag enumeration (bases are packed vectors)
 
 
-def reduce_vector(field: FqField, basis_rows, pivots, v):
+def reduce_vector(field: FqField, basis_rows, pivots, v: int) -> int:
     """Residual of v after elimination against echelon rows."""
-    mul, sub = field.mul, field.sub
-    v = list(v)
+    add, scale, digit, neg, k = field.cadd, field.cscale, field.cdigit, field.neg, field.k
     for row, p in zip(basis_rows, pivots):
-        c = v[p]
+        c = digit[p % k][v >> 8 * (p // k) & 255]
         if c:
-            v = [sub(x, mul[c][y]) for x, y in zip(v, row)]
+            s = scale[neg[c]]
+            out = pos = 0
+            while v or row:
+                out |= add[v & 255][s[row & 255]] << pos
+                v >>= 8
+                row >>= 8
+                pos += 8
+            v = out
     return v
 
 
@@ -311,29 +420,22 @@ def subspaces(field: FqField, n: int, d: int):
     if d == 0:
         yield ((), ())
         return
-    q = field.q
+    field.widen(n)
+    q, unit = field.q, field.unit
     for pivots in combinations(range(n), d):
-        free = [
-            (i, j)
-            for i in range(d)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivots
-        ]
-        for values in product(range(q), repeat=len(free)):
-            rows = [[0] * n for _ in range(d)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            yield (tuple(tuple(r) for r in rows), pivots)
+        choices = []
+        for p in pivots:
+            row = [unit[p]]
+            for j in range(p + 1, n):
+                if j not in pivots:
+                    row = [v + c * unit[j] for v in row for c in range(q)]
+            choices.append(row)
+        for rows in product(*choices):
+            yield (rows, pivots)
 
 
 def is_invariant(field: FqField, m: FqMatrix, basis_rows, pivots) -> bool:
-    for b in basis_rows:
-        residual = reduce_vector(field, basis_rows, pivots, m.vec(b))
-        if any(residual):
-            return False
-    return True
+    return not any(reduce_vector(field, basis_rows, pivots, _apply(m, b)) for b in basis_rows)
 
 
 def count_fixed_subspaces(m: FqMatrix, d: int) -> int:
@@ -351,11 +453,9 @@ def quotient_action(field: FqField, m: FqMatrix, basis_rows, pivots) -> FqMatrix
     others = [j for j in range(n) if j not in pivots]
     cols = []
     for j in others:
-        e = tuple(1 if k == j else 0 for k in range(n))
-        w = reduce_vector(field, basis_rows, pivots, m.vec(e))
-        cols.append([w[k] for k in others])
-    rows = tuple(tuple(cols[c][r] for c in range(len(others))) for r in range(len(others)))
-    return _matrix(field, rows)
+        w = _unpack(field, reduce_vector(field, basis_rows, pivots, m.cols[j]), n)
+        cols.append(_pack(field, [w[o] for o in others]))
+    return _matrix(field, len(others), tuple(cols))
 
 
 def count_fixed_flags(m: FqMatrix, mu: Partition) -> int:
@@ -384,10 +484,8 @@ def _flag_count(m: FqMatrix, mu: tuple) -> int:
 def subspace_symbol(field: FqField, basis_rows, n: int) -> tuple:
     """0/1 jump sequence of dim(X intersect span(e_1..e_i)) for i = 1..n."""
     d = len(basis_rows)
-    dims = []
-    for i in range(1, n + 1):
-        tail = [row[i:] for row in basis_rows]
-        dims.append(d - rank(field, tail) if tail else 0)
+    rows = [_unpack(field, r, n) for r in basis_rows]
+    dims = [d - rank(field, [_pack(field, (0,) * i + r[i:]) for r in rows]) for i in range(1, n + 1)]
     prev = 0
     out = []
     for v in dims:
@@ -419,13 +517,14 @@ def ext_enumerate(g: FqMatrix, variant: str):
         raise ValueError(f"unknown extension variant {variant!r}")
     f = g.field
     n = g.nrows
+    f.widen(n + 1)
     corners = range(1, f.q) if variant == "GLB" else (1,)
-    out = []
-    for col in product(range(f.q), repeat=n):
-        for corner in corners:
-            rows = tuple(g.rows[i] + (col[i],) for i in range(n))
-            out.append(_matrix(f, rows + ((0,) * n + (corner,),)))
-    return out
+    last = f.unit[n]
+    return [
+        _matrix(f, n + 1, g.cols + (col + corner * last,))
+        for col in _all_vectors(f, n)
+        for corner in corners
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +579,7 @@ def _check_poly(field: FqField, poly, monic: bool = False) -> tuple:
 def poly_matrix_eval(field: FqField, poly, m: FqMatrix) -> FqMatrix:
     """p(m) by Horner's rule with scalar coefficients."""
     poly = _check_poly(field, poly)
-    acc = _shift(_matrix(field, ((0,) * m.nrows,) * m.nrows), poly[-1])
+    acc = _shift(_matrix(field, m.nrows, (0,) * m.nrows), poly[-1])
     for c in reversed(poly[:-1]):
         acc = _shift(acc @ m, c)
     return acc
@@ -546,6 +645,7 @@ def jordan_block_matrix(field: FqField, poly, lam: Partition) -> FqMatrix:
     on the diagonal with identity blocks directly above the diagonal.
     """
     comp = companion_matrix(field, poly)
+    block = comp.rows
     d = comp.nrows
     total = d * sum(lam)
     rows = [[0] * total for _ in range(total)]
@@ -555,7 +655,7 @@ def jordan_block_matrix(field: FqField, poly, lam: Partition) -> FqMatrix:
             base = offset + b * d
             for i in range(d):
                 for j in range(d):
-                    rows[base + i][base + j] = comp.rows[i][j]
+                    rows[base + i][base + j] = block[i][j]
             if b + 1 < part:
                 for i in range(d):
                     rows[base + i][base + d + i] = 1
@@ -568,9 +668,8 @@ def block_diag(field: FqField, mats) -> FqMatrix:
     rows = [[0] * total for _ in range(total)]
     off = 0
     for m in mats:
-        for i in range(m.nrows):
-            for j in range(m.ncols):
-                rows[off + i][off + j] = m.rows[i][j]
+        for i, row in enumerate(m.rows):
+            rows[off + i][off : off + m.ncols] = row
         off += m.nrows
     return FqMatrix(field, rows)
 

@@ -1,11 +1,14 @@
 from itertools import product
 
+import oracle_reference as ref
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from test_golden import check_suite_golden
 
 from fqtraces.oracle import (
     SUPPORTED_ORDERS,
     FqMatrix,
+    _jordan_type,
     companion_matrix,
     conjugacy_family_of,
     count_fixed_flags,
@@ -41,6 +44,17 @@ def test_field_construction():
         field_make(6)
     with pytest.raises(ValueError):
         field_make(16)
+
+
+def test_chunk_tables_stay_within_256_values():
+    # a chunk is the widest run of entries with at most 256 values, so the
+    # sum table never passes 256 x 256 entries, however long the vectors
+    for q in SUPPORTED_ORDERS:
+        field = field_make(q)
+        field.widen(12)
+        assert q**field.k <= 256 < q ** (field.k + 1)
+        assert len(field.cadd) == q**field.k and all(len(row) == q**field.k for row in field.cadd)
+        assert len(field.unit) >= 12
 
 
 def test_field_f4_arithmetic():
@@ -121,6 +135,35 @@ def test_unipotent_class_of_jordan_matrices(q):
     for n in range(0, 5):
         for lam in partitions_of(n):
             assert unipotent_class_of(jordan_block_matrix(field, x_minus_one, lam)) == lam
+
+
+@st.composite
+def _square_matrices(draw):
+    q = draw(st.sampled_from(SUPPORTED_ORDERS))
+    n = draw(st.integers(0, 4))
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n))
+    return q, [entries[i * n : (i + 1) * n] for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_matrices())
+# vectors of four entries take two chunks over F_5 .. F_9
+@example((7, [[1, 2, 0, 0], [0, 1, 2, 0], [0, 0, 1, 2], [0, 0, 0, 1]]))
+@example((8, [[3, 1, 0, 5], [0, 3, 0, 0], [0, 0, 6, 1], [2, 0, 0, 6]]))
+@example((9, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [4, 0, 1, 0]]))
+@example((9, [[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]]))
+def test_packed_matches_dense_reference(case):
+    q, rows = case
+    field = field_make(q)
+    m, dense = FqMatrix(field, rows), ref.DenseMatrix(field, rows)
+    assert m.rows == dense.rows
+    assert (m @ m).rows == (dense @ dense).rows
+    assert m.rank() == ref.rank(field, dense.rows)
+    assert _jordan_type(m) == ref.jordan_type(dense)
+    if m.is_invertible():
+        assert conjugacy_family_of(m).blocks == ref.conjugacy_family_blocks(dense)
+    for mu in partitions_of(len(rows)):
+        assert count_fixed_flags(m, mu) == ref.flag_count(dense, mu)
 
 
 def test_unipotent_counts():
