@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqtraces import verify
-from fqtraces.cli import main
+from fqtraces.cli import BIREGULAR_MAX_SIZE, main
+from fqtraces.oracle import SUPPORTED_ORDERS
 from fqtraces.verify import CheckRow
 
 
@@ -228,6 +229,17 @@ def test_kostka_above_content_cap_exits_one_at_once(shape):
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert "capped at 64 content parts" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_biregular_above_size_cap_exits_one_at_once(q):
+    assert set(BIREGULAR_MAX_SIZE) == set(SUPPORTED_ORDERS)
+    for size in (BIREGULAR_MAX_SIZE[q] + 1, 10**9):
+        start = time.perf_counter()
+        code, out, err = run(["biregular", "--q", str(q), "--max-size", str(size)])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert f"capped at {BIREGULAR_MAX_SIZE[q]} for q = {q}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
