@@ -435,7 +435,10 @@ def subspaces(field: FqField, n: int, d: int):
 
 
 def is_invariant(field: FqField, m: FqMatrix, basis_rows, pivots) -> bool:
-    return not any(reduce_vector(field, basis_rows, pivots, _apply(m, b)) for b in basis_rows)
+    for b in basis_rows:
+        if reduce_vector(field, basis_rows, pivots, _apply(m, b)):
+            return False
+    return True
 
 
 def count_fixed_subspaces(m: FqMatrix, d: int) -> int:
