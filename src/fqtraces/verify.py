@@ -220,9 +220,9 @@ def _classify_extensions(g: FqMatrix) -> dict:
 @_suite("extension-counts")
 def _check_extension_counts():
     rows = []
-    for q in (2, 3):
+    for q, top in ((2, 5), (3, 4)):
         field = field_make(q)
-        for n in range(0, 5):
+        for n in range(0, top + 1):
             if n <= 3:
                 mats = list(unipotent_matrices(field, n)) if n else [FqMatrix(field, ())]
                 scope = "all-unipotent"
@@ -369,19 +369,21 @@ def _unipotent_character_value(lam, nu, q) -> Fraction:
 @_suite("flag-kostka")
 def _check_flag_kostka():
     rows = []
-    for q in (2, 3):
+    for q, top in ((2, 4), (3, 3)):
         field = field_make(q)
-        for n in range(1, 4):
+        for n in range(1, top + 1):
             bad = checked = 0
+            predicted = {}  # (class, flag shape) -> Kostka-combined value
             for g in unipotent_matrices(field, n):
                 nu = unipotent_class_of(g)
                 for mu in partitions_of(n):
                     checked += 1
-                    predicted = sum(
-                        kostka(lam, mu) * _unipotent_character_value(lam, nu, q)
-                        for lam in partitions_of(n)
-                    )
-                    if Fraction(count_fixed_flags(g, mu)) != predicted:
+                    if (nu, mu) not in predicted:
+                        predicted[nu, mu] = sum(
+                            kostka(lam, mu) * _unipotent_character_value(lam, nu, q)
+                            for lam in partitions_of(n)
+                        )
+                    if Fraction(count_fixed_flags(g, mu)) != predicted[nu, mu]:
                         bad += 1
             rows.append(_agg("flag-kostka", f"n={n}-q={q}", bad, checked))
     return rows
