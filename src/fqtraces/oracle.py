@@ -12,10 +12,10 @@ k entries, k the largest with q**k <= 256; a chunk holds its entries as
 base-q digits (entry i of the chunk is digit i), and chunk c fills bits
 8c..8c+7.  Each field keeps tables over chunk values (sums, scalar
 multiples, digits, leading entries), so adding or scaling a vector takes
-one lookup per chunk, and one in all for q <= 3 up to n = 5.  Chunks of at
-most 256 values keep those tables at 256 x 256 entries per field whatever
-n is; a table over whole vectors would need q**n x q**n entries, 43
-million for n = 4 over F_9.  The tables grow lazily, one digit at a time
+one lookup per chunk: one in all up to n = k (8, 5, 4, 3, 2, 2, 2 for
+q = 2, 3, 4, 5, 7, 8, 9).  Chunks of at most 256 values keep those tables
+at 256 x 256 entries per field whatever n is; a table over whole vectors
+would need q**n x q**n entries, 43 million for n = 4 over F_9.  The tables grow lazily, one digit at a time
 from the field tables, to the widest chunk in use.
 
 A matrix keeps its columns packed.  ``FqMatrix(field, rows)`` checks the
@@ -292,35 +292,35 @@ def _shift(m: FqMatrix, c: int) -> FqMatrix:
     return _matrix(f, m.nrows, tuple(cols))
 
 
+def _add_scaled(field: FqField, v: int, c: int, w: int) -> int:
+    """v + c*w for packed vectors, one chunk at a time."""
+    add, scale = field.cadd, field.cscale[c]
+    out = pos = 0
+    while v or w:
+        out |= add[v & 255][scale[w & 255]] << pos
+        v >>= 8
+        w >>= 8
+        pos += 8
+    return out
+
+
 def _echelon(field: FqField, vecs) -> dict:
     """Echelon basis of the span of packed vectors.
 
     Maps a key of each leading entry (8 * chunk + position in the chunk) to
     the basis vector with that leading entry, scaled to lead with 1.
     """
-    add, scale, lead, neg, inv = field.cadd, field.cscale, field.clead, field.neg, field.inv
+    lead, neg, inv = field.clead, field.neg, field.inv
     basis = {}
     for v in vecs:
         while v:
             sh = (v & -v).bit_length() - 1 & -8
             i, d = lead[v >> sh & 255]
             b = basis.get(sh + i)
-            out = pos = 0
             if b is None:
-                s = scale[inv[d]]
-                while v:
-                    out |= s[v & 255] << pos
-                    v >>= 8
-                    pos += 8
-                basis[sh + i] = out
+                basis[sh + i] = _add_scaled(field, 0, inv[d], v)
                 break
-            s = scale[neg[d]]
-            while v or b:
-                out |= add[v & 255][s[b & 255]] << pos
-                v >>= 8
-                b >>= 8
-                pos += 8
-            v = out
+            v = _add_scaled(field, v, neg[d], b)
     return basis
 
 
@@ -396,18 +396,11 @@ def unipotent_class_of(m: FqMatrix) -> Partition:
 
 def reduce_vector(field: FqField, basis_rows, pivots, v: int) -> int:
     """Residual of v after elimination against echelon rows."""
-    add, scale, digit, neg, k = field.cadd, field.cscale, field.cdigit, field.neg, field.k
+    digit, neg, k = field.cdigit, field.neg, field.k
     for row, p in zip(basis_rows, pivots):
         c = digit[p % k][v >> 8 * (p // k) & 255]
         if c:
-            s = scale[neg[c]]
-            out = pos = 0
-            while v or row:
-                out |= add[v & 255][s[row & 255]] << pos
-                v >>= 8
-                row >>= 8
-                pos += 8
-            v = out
+            v = _add_scaled(field, v, neg[c], row)
     return v
 
 
