@@ -12,6 +12,7 @@ from itertools import combinations, product
 
 from fqtraces.oracle import irreducible_polys, poly_name
 from fqtraces.partitions import transpose
+from fqtraces.traces import DiagramFamily
 
 
 class DenseMatrix:
@@ -128,8 +129,8 @@ def poly_matrix_eval(field, poly, m):
     return acc
 
 
-def conjugacy_family_blocks(m):
-    """(tag, degree, Jordan type) blocks of an invertible matrix."""
+def conjugacy_family_of(m):
+    """Conjugacy class of an invertible matrix as a family of diagrams."""
     field = m.field
     n = m.nrows
     blocks = []
@@ -144,7 +145,7 @@ def conjugacy_family_blocks(m):
                 covered += dim
                 if d > n - covered:
                     break
-    return tuple(blocks)
+    return DiagramFamily(tuple(blocks))
 
 
 def _reduce_vector(field, basis_rows, pivots, v):
