@@ -43,7 +43,7 @@ from fqtraces.oracle import families_enumerate
 
 # Largest biregular --max-size per field order.  The run time grows about
 # like q**size; at these caps it was at most 1.7 s in process (Python 3.11,
-# 2 vCPU), and one size more took 2.8 s at q = 3 and 4.8-24 s elsewhere.
+# 2 vCPU), and one size more took 2.8 s at q = 3 and 4.2-24 s elsewhere.
 BIREGULAR_MAX_SIZE = {2: 12, 3: 7, 4: 6, 5: 5, 7: 4, 8: 4, 9: 4}
 
 
@@ -303,7 +303,9 @@ def _run(args) -> int:
     elif args.command == "biregular":
         cap = BIREGULAR_MAX_SIZE.get(args.q)
         if cap is not None and args.max_size > cap:
-            raise CliError(f"biregular --max-size is capped at {cap} for q = {args.q}; got {args.max_size}")
+            raise CliError(
+                f"biregular --max-size is capped at {cap} for q = {args.q}; got {args.max_size}"
+            )
         header = ["family", "weight"]
         rows = []
         for k in range(0, args.max_size + 1):
