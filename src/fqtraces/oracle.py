@@ -20,11 +20,17 @@ from the field tables, to the widest chunk in use.
 
 A matrix keeps its columns packed.  ``FqMatrix(field, rows)`` checks the
 rows a caller passes in, and the polynomial functions the coefficients;
-matrices computed here (products, shifts, quotients, extensions,
-enumerations) skip the check.  Ranks come from echelon bases keyed by
-leading entry.  Jordan types and conjugacy classes are both read off one
+matrices computed here (products, shifts, extensions, enumerations) skip
+the check.  Jordan types and conjugacy classes are both read off one
 image chain: the column space of b**k is b applied to that of b**(k-1),
 so no power of b is built.
+
+A subspace has one format: an echelon basis, a dict from the key of each
+leading entry to the basis vector with that leading entry.  Ranks, image
+chains and invariance tests all use it.  Flags grow inside F_q**n: an
+invariant subspace V is extended by the subspaces U of the span of the
+coordinates that are not pivots of V, which is a complement of V.  No
+quotient matrix is built.
 """
 
 from bisect import bisect_right
@@ -391,96 +397,84 @@ def unipotent_class_of(m: FqMatrix) -> Partition:
 
 
 # ---------------------------------------------------------------------------
-# Subspace and flag enumeration (bases are packed vectors)
+# Subspace and flag enumeration (a subspace is an echelon basis as from _echelon)
 
 
-def reduce_vector(field: FqField, basis_rows, pivots, v: int) -> int:
-    """Residual of v after elimination against echelon rows."""
-    digit, neg, k = field.cdigit, field.neg, field.k
-    for row, p in zip(basis_rows, pivots):
-        c = digit[p % k][v >> 8 * (p // k) & 255]
-        if c:
-            v = _add_scaled(field, v, neg[c], row)
-    return v
+def subspaces(field: FqField, free, d: int):
+    """Each d-dimensional subspace of span(e_j : j in free) exactly once.
 
-
-def subspaces(field: FqField, n: int, d: int):
-    """All d-dimensional subspaces of F_q**n as (echelon rows, pivot columns).
-
-    Bases are generated in reduced row-echelon form directly from pivot
-    patterns, so each subspace appears exactly once.
+    ``free`` is an increasing sequence of coordinates.  Yields (basis,
+    pivots): the basis in reduced echelon form on ``free``, keyed by
+    leading entry as in :func:`_echelon`, and its pivot coordinates.  The
+    rows are built from pivot patterns, so no subspace comes twice.
     """
-    if d == 0:
-        yield ((), ())
-        return
-    field.widen(n)
-    q, unit = field.q, field.unit
-    for pivots in combinations(range(n), d):
+    field.widen(max(free, default=-1) + 1)
+    q, unit, k = field.q, field.unit, field.k
+    for pivots in combinations(free, d):
         choices = []
         for p in pivots:
             row = [unit[p]]
-            for j in range(p + 1, n):
-                if j not in pivots:
+            for j in free:
+                if j > p and j not in pivots:
                     row = [v + c * unit[j] for v in row for c in range(q)]
             choices.append(row)
+        keys = [8 * (p // k) + p % k for p in pivots]
         for rows in product(*choices):
-            yield (rows, pivots)
+            yield dict(zip(keys, rows)), pivots
 
 
-def is_invariant(field: FqField, m: FqMatrix, basis_rows, pivots) -> bool:
-    for b in basis_rows:
-        if reduce_vector(field, basis_rows, pivots, _apply(m, b)):
-            return False
-    return True
+def is_invariant(field: FqField, m: FqMatrix, basis: dict, sub: dict) -> bool:
+    """Whether m maps the rows of ``sub`` into the span of ``basis`` and ``sub``.
 
-
-def count_fixed_subspaces(m: FqMatrix, d: int) -> int:
-    """Number of d-dimensional subspaces mapped to themselves."""
-    return _flag_count(m, (d, m.nrows - d))
-
-
-def quotient_action(field: FqField, m: FqMatrix, basis_rows, pivots) -> FqMatrix:
-    """Induced action on the quotient by an invariant subspace.
-
-    Quotient coordinates are the non-pivot columns; images are reduced
-    against the echelon basis and read off at those columns.
+    Membership is tested by elimination on leading entries against both
+    echelon bases; the first row that falls outside decides.
     """
-    n = m.nrows
-    others = [j for j in range(n) if j not in pivots]
-    cols = []
-    for j in others:
-        w = _unpack(field, reduce_vector(field, basis_rows, pivots, m.cols[j]), n)
-        cols.append(_pack(field, [w[o] for o in others]))
-    return _matrix(field, len(others), tuple(cols))
+    lead, neg = field.clead, field.neg
+    for v in sub.values():
+        v = _apply(m, v)
+        while v:
+            sh = (v & -v).bit_length() - 1 & -8
+            i, d = lead[v >> sh & 255]
+            b = sub.get(sh + i) or basis.get(sh + i)
+            if b is None:
+                return False
+            v = _add_scaled(field, v, neg[d], b)
+    return True
 
 
 def count_fixed_flags(m: FqMatrix, mu: Partition) -> int:
     """Number of invariant flags with subspace dimensions mu_1, mu_1+mu_2, ...
 
-    Recurses through the quotient: pick an invariant subspace of the first
-    prescribed dimension, then count flags of the remaining shape in the
-    quotient action.
+    Grows the flag inside F_q**n: an invariant V extends to each invariant
+    V + U, U a subspace of the next prescribed dimension in the span of the
+    coordinates that are not pivots of V.
     """
     if sum(mu) != m.nrows:
         raise ValueError("flag shape must sum to the matrix size")
-    return _flag_count(m, tuple(mu))
+    return _flag_count(m, tuple(mu), {}, range(m.nrows))
 
 
-def _flag_count(m: FqMatrix, mu: tuple) -> int:
+def _flag_count(m: FqMatrix, mu: tuple, basis: dict, free) -> int:
+    """Invariant flags of shape mu above span(basis), ``free`` its non-pivot coordinates.
+
+    Those coordinates span a complement of V = span(basis), so each W
+    containing V is V + U for exactly one U inside that span.
+    """
     if len(mu) <= 1:
         return 1
     f = m.field
     total = 0
-    for rows, piv in subspaces(f, m.nrows, mu[0]):
-        if is_invariant(f, m, rows, piv):
-            total += _flag_count(quotient_action(f, m, rows, piv), mu[1:])
+    for sub, pivots in subspaces(f, free, mu[0]):
+        if is_invariant(f, m, basis, sub):
+            rest = [j for j in free if j not in pivots]
+            total += _flag_count(m, mu[1:], basis | sub, rest)
     return total
 
 
-def subspace_symbol(field: FqField, basis_rows, n: int) -> tuple:
+def subspace_symbol(field: FqField, basis: dict, n: int) -> tuple:
     """0/1 jump sequence of dim(X intersect span(e_1..e_i)) for i = 1..n."""
-    d = len(basis_rows)
-    rows = [_unpack(field, r, n) for r in basis_rows]
+    d = len(basis)
+    rows = [_unpack(field, r, n) for r in basis.values()]
     dims = [d - rank(field, [_pack(field, (0,) * i + r[i:]) for r in rows]) for i in range(1, n + 1)]
     prev = 0
     out = []
@@ -497,8 +491,8 @@ def schubert_cell_count(x, q: int) -> int:
     d = sum(x)
     field = field_make(q)
     count = 0
-    for rows, _piv in subspaces(field, n, d):
-        if subspace_symbol(field, rows, n) == x:
+    for basis, _piv in subspaces(field, range(n), d):
+        if subspace_symbol(field, basis, n) == x:
             count += 1
     return count
 

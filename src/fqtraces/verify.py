@@ -24,7 +24,6 @@ from fqtraces.oracle import (
     all_matrices,
     conjugacy_family_of,
     count_fixed_flags,
-    count_fixed_subspaces,
     ext_enumerate,
     families_enumerate,
     field_make,
@@ -423,7 +422,7 @@ def _check_spherical():
                     continue
                 checked += 1
                 lhs = sum(
-                    t1**d * t2 ** (n - d) * count_fixed_subspaces(g, d)
+                    t1**d * t2 ** (n - d) * count_fixed_flags(g, (d, n - d))
                     for d in range(n + 1)
                 )
                 chi = _unipotent_characters_from_flags(g)

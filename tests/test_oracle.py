@@ -12,7 +12,6 @@ from fqtraces.oracle import (
     companion_matrix,
     conjugacy_family_of,
     count_fixed_flags,
-    count_fixed_subspaces,
     ext_enumerate,
     families_enumerate,
     field_make,
@@ -111,7 +110,7 @@ def test_gaussian_binomial_subspace_counts():
     for q, field in ((2, F2), (3, F3)):
         for n in range(0, 5):
             for d in range(0, n + 1):
-                assert sum(1 for _ in subspaces(field, n, d)) == gauss(n, d, q)
+                assert sum(1 for _ in subspaces(field, range(n), d)) == gauss(n, d, q)
 
 
 def test_unipotent_class_examples():
@@ -165,11 +164,14 @@ def test_packed_matches_dense_reference(case):
     assert _jordan_type(m) == ref.jordan_type(dense)
     if m.is_invertible():
         assert conjugacy_family_of(m) == ref.conjugacy_family_of(dense)
-    for mu in partitions_of(len(rows)):
+    n = len(rows)
+    # the compositions count the fixed subspaces of one dimension
+    shapes = list(partitions_of(n)) + ([(0, n), (n, 0), (1, n - 1)] if n else [])
+    for mu in shapes:
         # a scalar matrix fixes every flag, and both sides walk them all:
         # 820 * 91 * 10 full flags in F_9^4; shapes of two parts over
-        # F_7..F_9 still cover two-chunk subspaces and quotients
-        flags, left = 1, len(rows)
+        # F_7..F_9 still cover two-chunk subspaces
+        flags, left = 1, n
         for part in mu:
             flags *= gauss(left, part, q)
             left -= part
@@ -190,16 +192,12 @@ def test_count_fixed_flags_examples():
     trans = FqMatrix(F2, [[1, 1], [0, 1]])
     assert count_fixed_flags(trans, (1, 1)) == 1
     assert count_fixed_flags(trans, (2,)) == 1
+    # shapes with a zero part count the invariant subspaces of one dimension
+    assert count_fixed_flags(trans, (0, 2)) == 1
+    assert count_fixed_flags(trans, (2, 0)) == 1
+    assert count_fixed_flags(FqMatrix.identity(F2, 3), (0, 1, 2)) == 7
     with pytest.raises(ValueError):
         count_fixed_flags(trans, (1, 1, 1))
-
-
-def test_count_fixed_subspaces_examples():
-    ident = FqMatrix.identity(F2, 2)
-    trans = FqMatrix(F2, [[1, 1], [0, 1]])
-    assert count_fixed_subspaces(ident, 1) == 3
-    assert count_fixed_subspaces(trans, 1) == 1
-    assert count_fixed_subspaces(trans, 0) == 1
 
 
 def test_schubert_cell_examples():
