@@ -597,21 +597,22 @@ def poly_name(field: FqField, poly) -> str:
 
 @cache
 def irreducible_polys(q: int, d: int) -> tuple:
-    """Monic irreducible degree-d polynomials; degree 1 excludes "x" itself."""
+    """Monic irreducible degree-d polynomials; degree 1 excludes "x" itself.
+
+    A sieve: the reducible ones are the products of monic polynomials of
+    degrees e and d - e for 1 <= e <= d/2.
+    """
     field = field_make(q)
     if d == 1:
         return tuple((field.neg[a], 1) for a in range(1, q))
-    lower = []
-    for e in range(1, d // 2 + 1):
-        lower.extend(irreducible_polys(q, e))
-        if e == 1:
-            lower.append((0, 1))  # the polynomial x divides reducibles too
-    out = []
-    for tail in product(range(q), repeat=d):
-        poly = tail + (1,)
-        if all(any(r) for r in [poly_divmod(field, poly, g)[1] for g in lower]):
-            out.append(poly)
-    return tuple(out)
+
+    def monic(e):
+        return [tail + (1,) for tail in product(range(q), repeat=e)]
+
+    reducible = {
+        poly_mul(field, a, b) for e in range(1, d // 2 + 1) for a in monic(e) for b in monic(d - e)
+    }
+    return tuple(poly for poly in monic(d) if poly not in reducible)
 
 
 def companion_matrix(field: FqField, poly) -> FqMatrix:

@@ -241,6 +241,19 @@ def test_irreducible_polys():
             assert value != 0
 
 
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_irreducible_poly_counts(q):
+    # Gauss: d * (number of monic irreducibles of degree d) is the sum of
+    # mobius(d / e) * q**e over the divisors e of d; degree 1 leaves out x
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0}
+    for d in range(1, 5):
+        count = sum(mobius[d // e] * q**e for e in range(1, d + 1) if d % e == 0) // d
+        polys = irreducible_polys(q, d)
+        assert len(polys) == count - (d == 1)
+        assert len(set(polys)) == len(polys)
+        assert all(len(poly) == d + 1 and poly[-1] == 1 for poly in polys)
+
+
 def test_poly_name_and_division():
     assert poly_name(F2, (1, 1)) == "x-1"
     assert poly_name(F3, (2, 1)) == "x-1"
