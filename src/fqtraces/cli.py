@@ -166,6 +166,8 @@ _NAMED_MEASURES = {
 
 def _measure(args) -> MeasureParams:
     if args.measure in _NAMED_MEASURES:
+        if args.r or args.c:
+            raise CliError(f"--measure {args.measure} takes no --r or --c")
         return _NAMED_MEASURES[args.measure](args.q)
     return MeasureParams(args.r, args.c, args.q)
 
@@ -175,7 +177,7 @@ def _add_measure_flags(p):
     p.add_argument(
         "--measure",
         choices=[*_NAMED_MEASURES, "custom"],
-        default="custom",
+        default=None,
         help="named parameter family, or custom with --r/--c",
     )
     p.add_argument("--r", type=_fractions, default=(), help="row frequencies a/b,c/d,...")
@@ -315,8 +317,12 @@ def _run(args) -> int:
                     rows.append({"family": cell, "weight": biregular_coefficient(fam, args.q)})
     elif args.command == "cyl":
         if args.from_trace:
+            if args.measure or args.r or args.c:
+                raise CliError("cyl --from-trace takes --alpha/--beta, not --measure, --r or --c")
             value = cyl_prob_from_trace(_specialization(args), args.lam, args.q)
         else:
+            if args.alpha or args.beta:
+                raise CliError("cyl takes --alpha/--beta only with --from-trace")
             value = cyl_prob(_measure(args), args.lam)
         rows = [{"value": str(value)}]
     elif args.command == "sample":
