@@ -27,7 +27,7 @@ from fqtraces.partitions import (
     size,
 )
 from fqtraces.specializations import EMPTY, GeometricSpread, Specialization
-from fqtraces.symfunc import modified_hl_q, plethysm_pl, schur_in_p
+from fqtraces.symfunc import EXACT_HL_DEGREE_CAP, modified_hl_q, plethysm_pl, schur_in_p
 
 UNIT = "x-1"
 
@@ -214,6 +214,13 @@ def unipotent_trace_value(sp: Specialization, cls: DiagramFamily, q) -> Fraction
     return value
 
 
+def _check_coefficient_degree(n: int):
+    # the Schur functions in power sums grow like the Hall-Littlewood Q
+    # functions, so the coefficients share their cap
+    if n > EXACT_HL_DEGREE_CAP:
+        raise ValueError(f"trace coefficients capped at degree {EXACT_HL_DEGREE_CAP}; got degree {n}")
+
+
 def trace_coefficients(sp: Specialization, n: int) -> dict[Partition, Fraction]:
     """Decomposition of a unipotent trace over the degree-n unipotent characters.
 
@@ -221,6 +228,7 @@ def trace_coefficients(sp: Specialization, n: int) -> dict[Partition, Fraction]:
     specialization of the Schur function; the same numbers give the
     restriction of the trace to the rank-n Hecke subalgebra.
     """
+    _check_coefficient_degree(n)
     if sp.power_sum(1) != 1:
         raise ValueError("trace coefficients need gamma = 1")
     return {lam: sp.apply(schur_in_p(lam)) for lam in partitions_of(n)}
@@ -300,6 +308,7 @@ def glu_trace_coefficients(
     m = n - params.background.degree
     if m < 0:
         return {}
+    _check_coefficient_degree(m)
     out = {}
     sps = [sp for _, sp in params.entries]
     for key in _partition_tuples(m, len(sps)):

@@ -187,6 +187,23 @@ def test_validation_errors_exit_one():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["cyl", "--q", "2", "--measure", "delta", "--r", "1/2", "--lam", "1"],
+        ["cyl", "--q", "2", "--r", "1/2", "--alpha", "1/3", "--lam", "1"],
+        ["cyl", "--from-trace", "--measure", "haar", "--r", "1/2", "--alpha", "1/3", "--q", "2", "--lam", "1"],
+        ["sample", "--q", "2", "--measure", "haar", "--c", "1/2", "--nmax", "2", "--seed", "1"],
+        ["lln", "--q", "2", "--measure", "single-row", "--r", "1/2", "--nmax", "2", "--trials", "2", "--seed", "1"],
+    ],
+)
+def test_conflicting_parameter_flags_exit_one(argv):
+    # each of these used to exit 0 and ignore some of the flags
+    code, out, err = run(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "params",
     [
         {"entries": [{"label": "a", "alpha": 5, "gamma": "1"}]},
@@ -211,6 +228,12 @@ def test_bad_glu_params_exit_one(params):
         ["hl-expand", "--lam", "1000000", "--t", "1/2", "--modified"],
         ["cyl", "--from-trace", "--q", "2", "--lam", "1000000"],
         ["kostka-foulkes", "--shape", "6,4,3,2,1,1", "--content", ",".join(["1"] * 17)],
+        ["coeffs", "--n", "17", "--alpha", "1/2,1/4"],
+        ["coeffs", "--n", "1000000"],
+        [
+            "coeffs", "--n", "19", "--glu-params",
+            '{"entries": [{"label": "a", "gamma": "1"}], "family": [{"tag":"c","d":2,"lambda":"1"}]}',
+        ],
     ],
 )
 def test_above_hl_degree_cap_exits_one_at_once(argv):
