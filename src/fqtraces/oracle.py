@@ -26,10 +26,9 @@ image chain: the column space of b**k is b applied to that of b**(k-1),
 so no power of b is built.
 
 A subspace has one format: an echelon basis, a dict from the key of each
-leading entry to the basis vector with that leading entry.  Ranks, image
-chains and invariance tests all use it.  Flags grow inside F_q**n: an
-invariant subspace V is extended by the subspaces U of the span of the
-coordinates that are not pivots of V, which is a complement of V.  No
+leading entry to the basis vector with that leading entry.  Flags grow
+inside F_q**n: an invariant V extends by the subspaces U of the span of
+the coordinates that are not pivots of V, a complement of V, so no
 quotient matrix is built.
 """
 
@@ -401,12 +400,10 @@ def unipotent_class_of(m: FqMatrix) -> Partition:
 
 
 def subspaces(field: FqField, free, d: int):
-    """Each d-dimensional subspace of span(e_j : j in free) exactly once.
+    """Each d-dimensional subspace of span(e_j : j in free) once, free increasing.
 
-    ``free`` is an increasing sequence of coordinates.  Yields (basis,
-    pivots): the basis in reduced echelon form on ``free``, keyed by
-    leading entry as in :func:`_echelon`, and its pivot coordinates.  The
-    rows are built from pivot patterns, so no subspace comes twice.
+    Yields (basis, pivots): the basis in reduced echelon form on ``free``,
+    keyed by leading entry as in :func:`_echelon`, and its pivot coordinates.
     """
     field.widen(max(free, default=-1) + 1)
     q, unit, k = field.q, field.unit, field.k
@@ -424,11 +421,7 @@ def subspaces(field: FqField, free, d: int):
 
 
 def is_invariant(field: FqField, m: FqMatrix, basis: dict, sub: dict) -> bool:
-    """Whether m maps the rows of ``sub`` into the span of ``basis`` and ``sub``.
-
-    Membership is tested by elimination on leading entries against both
-    echelon bases; the first row that falls outside decides.
-    """
+    """Whether m maps sub into span(basis, sub), by elimination on leading entries."""
     lead, neg = field.clead, field.neg
     for v in sub.values():
         v = _apply(m, v)
@@ -443,22 +436,17 @@ def is_invariant(field: FqField, m: FqMatrix, basis: dict, sub: dict) -> bool:
 
 
 def count_fixed_flags(m: FqMatrix, mu: Partition) -> int:
-    """Number of invariant flags with subspace dimensions mu_1, mu_1+mu_2, ...
-
-    Grows the flag inside F_q**n: an invariant V extends to each invariant
-    V + U, U a subspace of the next prescribed dimension in the span of the
-    coordinates that are not pivots of V.
-    """
+    """Number of invariant flags with subspace dimensions mu_1, mu_1+mu_2, ..."""
     if sum(mu) != m.nrows:
         raise ValueError("flag shape must sum to the matrix size")
     return _flag_count(m, tuple(mu), {}, range(m.nrows))
 
 
 def _flag_count(m: FqMatrix, mu: tuple, basis: dict, free) -> int:
-    """Invariant flags of shape mu above span(basis), ``free`` its non-pivot coordinates.
+    """Invariant flags of shape mu above V = span(basis).
 
-    Those coordinates span a complement of V = span(basis), so each W
-    containing V is V + U for exactly one U inside that span.
+    The coordinates ``free``, those that are not pivots of V, span a
+    complement of V, so each W containing V is V + U for one U there.
     """
     if len(mu) <= 1:
         return 1
@@ -606,13 +594,11 @@ def irreducible_polys(q: int, d: int) -> tuple:
     if d == 1:
         return tuple((field.neg[a], 1) for a in range(1, q))
 
-    def monic(e):
-        return [tail + (1,) for tail in product(range(q), repeat=e)]
-
+    monic = [[tail + (1,) for tail in product(range(q), repeat=e)] for e in range(d + 1)]
     reducible = {
-        poly_mul(field, a, b) for e in range(1, d // 2 + 1) for a in monic(e) for b in monic(d - e)
+        poly_mul(field, a, b) for e in range(1, d // 2 + 1) for a in monic[e] for b in monic[d - e]
     }
-    return tuple(poly for poly in monic(d) if poly not in reducible)
+    return tuple(poly for poly in monic[d] if poly not in reducible)
 
 
 def companion_matrix(field: FqField, poly) -> FqMatrix:

@@ -218,7 +218,9 @@ def _check_coefficient_degree(n: int):
     # the Schur functions in power sums grow like the Hall-Littlewood Q
     # functions, so the coefficients share their cap
     if n > EXACT_HL_DEGREE_CAP:
-        raise ValueError(f"trace coefficients capped at degree {EXACT_HL_DEGREE_CAP}; got degree {n}")
+        raise ValueError(
+            f"trace coefficients capped at degree {EXACT_HL_DEGREE_CAP}; got degree {n}"
+        )
 
 
 def trace_coefficients(sp: Specialization, n: int) -> dict[Partition, Fraction]:
