@@ -192,12 +192,19 @@ def test_count_fixed_flags_examples():
     trans = FqMatrix(F2, [[1, 1], [0, 1]])
     assert count_fixed_flags(trans, (1, 1)) == 1
     assert count_fixed_flags(trans, (2,)) == 1
-    # shapes with a zero part count the invariant subspaces of one dimension
-    assert count_fixed_flags(trans, (0, 2)) == 1
-    assert count_fixed_flags(trans, (2, 0)) == 1
-    assert count_fixed_flags(FqMatrix.identity(F2, 3), (0, 1, 2)) == 7
     with pytest.raises(ValueError):
         count_fixed_flags(trans, (1, 1, 1))
+
+
+def test_count_fixed_subspaces_examples():
+    # the invariant d-dimensional subspaces are the fixed flags of shape
+    # (d, n - d); shapes with a zero part count those of one dimension
+    trans = FqMatrix(F2, [[1, 1], [0, 1]])
+    assert count_fixed_flags(trans, (0, 2)) == 1
+    assert count_fixed_flags(trans, (2, 0)) == 1
+    ident3 = FqMatrix.identity(F2, 3)
+    assert count_fixed_flags(ident3, (1, 2)) == 7
+    assert count_fixed_flags(ident3, (0, 1, 2)) == 7
 
 
 def test_schubert_cell_examples():
