@@ -10,7 +10,12 @@ and beta drawn from (), (1), (1/2), (1/4) with total mass at most 1, and
 ``kostka.txt`` holds ``kostka`` and ``kostka-foulkes``, in CSV and JSON,
 for every shape and content of degree at most 5, and ``hl-expand.txt``
 holds ``hl-expand`` for every lambda of degree at most 10, at t = 1/2 and
-with ``--modified`` at t = 2/9.  Each invocation is
+with ``--modified`` at t = 2/9.  ``coeffs.txt`` holds ``coeffs``, in CSV
+and JSON, for every n <= 10 with alpha and beta drawn from (), (1),
+(1/2), (1/4), (1/2, 1/4) with total mass at most 1 (gamma = 1, so most
+cases keep a Plancherel part), and with ``--glu-params`` for two and
+three eigenvalue labels, with and without a background family, for
+n <= 8.  Each invocation is
 preceded by a ``$ fqtraces ...`` line.  ``verify.txt`` holds
 the stdout of ``fqtraces verify all``; the tests that run a suite compare
 its rows with that suite's lines there through :func:`check_suite_golden`,
@@ -21,6 +26,7 @@ output; rewrite them from the repository root with
 """
 
 import io
+import json
 import shlex
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -32,7 +38,7 @@ from fqtraces.cli import _emit, _run, _verify_rows, build_parser, main
 from fqtraces.partitions import format_partition, partitions_of
 
 GOLDEN = Path(__file__).parent / "golden"
-COMMANDS = ("sample", "lln", "cyl", "cyl-trace", "kostka", "hl-expand")
+COMMANDS = ("sample", "lln", "cyl", "cyl-trace", "kostka", "hl-expand", "coeffs")
 
 _NAMED = [
     ["--q", str(q), "--measure", measure]
@@ -50,6 +56,31 @@ _TRACE_PARAMS = [
     for a in _SIDES
     for b in _SIDES
     if sum(Fraction(v) for v in a + b) <= 1
+]
+
+_COEFF_SIDES = ("", "1", "1/2", "1/4", "1/2,1/4")
+_COEFF_PARAMS = [
+    [*(["--alpha", a] if a else []), *(["--beta", b] if b else [])]
+    for a in _COEFF_SIDES
+    for b in _COEFF_SIDES
+    if sum(Fraction(v) for v in f"{a},{b}".split(",") if v) <= 1
+]
+_GLU_ENTRIES = (
+    [
+        {"label": "a", "alpha": "1/2", "gamma": "1/2"},
+        {"label": "b", "beta": "1/4", "gamma": "1/2"},
+    ],
+    [
+        {"label": "a", "alpha": "1/4", "beta": "1/4", "gamma": "1/2"},
+        {"label": "b", "gamma": "1/4"},
+        {"label": "c", "alpha": "1/8", "beta": "1/8", "gamma": "1/4"},
+    ],
+)
+_GLU_FAMILIES = ([], [{"tag": "f", "d": 2, "lambda": "1"}, {"tag": "g", "d": 3, "lambda": "1"}])
+_GLU_PARAMS = [
+    json.dumps({"entries": entries, **({"family": fam} if fam else {})})
+    for entries in _GLU_ENTRIES
+    for fam in _GLU_FAMILIES
 ]
 
 
@@ -89,6 +120,18 @@ def invocations(command: str) -> list[list[str]]:
             for setting in (["--t", "1/2"], ["--t", "2/9", "--modified"])
             for n in range(11)
             for lam in partitions_of(n)
+        ]
+    if command == "coeffs":
+        return [
+            [*fmt, "coeffs", "--n", str(n), *sides]
+            for sides in _COEFF_PARAMS
+            for n in range(11)
+            for fmt in ([], ["--format", "json"])
+        ] + [
+            [*fmt, "coeffs", "--n", str(n), "--glu-params", params]
+            for params in _GLU_PARAMS
+            for n in range(9)
+            for fmt in ([], ["--format", "json"])
         ]
     return [
         ["cyl", *m, "--lam", format_partition(lam)]
