@@ -367,8 +367,19 @@ def _step(params: MeasureParams, lam: Partition, rng: random.Random) -> Partitio
     return add_box(lam, i + 1)
 
 
+def _check_chain_length(params: MeasureParams, n_max: int):
+    # a step out of level n needs weights of degree n + 1, so a generic chain
+    # ends at the weight's cap; say so before the first step
+    if isinstance(params.family, _Generic) and n_max > EXACT_HL_DEGREE_CAP:
+        raise ValueError(
+            f"growth chains of generic parameters are capped at degree {EXACT_HL_DEGREE_CAP} "
+            f"by the exact Hall-Littlewood expansion; got level {n_max}"
+        )
+
+
 def sample_trajectory(params: MeasureParams, n_max: int, seed: int) -> list[Partition]:
     """Growth trajectory of Jordan types, from the empty diagram to level n_max."""
+    _check_chain_length(params, n_max)
     rng = _trial_rng(seed, 0)
     lam: Partition = ()
     out = [lam]
@@ -417,6 +428,7 @@ def lln_experiment(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    _check_chain_length(params, n_max)
     rows: list[list[Fraction]] = [[] for _ in range(track)]
     cols: list[list[Fraction]] = [[] for _ in range(track)]
     for trial in range(trials):

@@ -8,11 +8,18 @@ the power sums: ``p_1`` goes to ``gamma`` and for k >= 2
 The two parameter sequences are represented by "power sum providers" so
 that infinite geometric-spread families can be evaluated in closed form
 alongside explicit finite sequences.
+
+Evaluation is integer arithmetic over one denominator.  A call reads each
+distinct p_k it needs once from the providers and puts those values over
+one common denominator B; :meth:`Specialization.apply` puts the
+coefficients of its argument over one denominator C, sums each term as a
+product of integers, and builds a single `Fraction` at the end.
 """
 
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from fqtraces.symfunc import PowerSumElement
 
@@ -115,12 +122,29 @@ class Specialization:
             return Fraction(self.gamma)
         return self.alpha.power(k) + (-1) ** (k - 1) * self.beta.power(k)
 
+    def power_sums(self, ks) -> tuple[int, dict[int, int]]:
+        """(B, {k: B * p_k}): each p_k for k in ``ks`` read once, over one denominator B."""
+        values = {k: Fraction(self.power_sum(k)) for k in ks}
+        den = lcm(*(v.denominator for v in values.values()))
+        return den, {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+
     def apply(self, f: PowerSumElement) -> Fraction:
-        total = Fraction(0)
-        for rho, c in f.terms.items():
-            value = c
-            for part in rho:
-                value *= self.power_sum(part)
-            total += value
-        return total
+        """The value of f: sum over rho of c_rho * p_rho1 * p_rho2 * ...
+
+        With p_k = P_k / B and c_rho = C_rho / C, the value is
+        sum C_rho * P_rho * B**(L - len(rho)) over C * B**L, where L is the
+        longest index partition of f.
+        """
+        terms = f.terms
+        b, p = self.power_sums({k for rho in terms for k in rho})
+        c = lcm(*(x.denominator for x in terms.values()))
+        length = max(map(len, terms), default=0)
+        b_pow = [b**j for j in range(length + 1)]
+        total = 0
+        for rho, x in terms.items():
+            term = x.numerator * (c // x.denominator) * b_pow[length - len(rho)]
+            for k in rho:
+                term *= p[k]
+            total += term
+        return Fraction(total, c * b_pow[length])
 

@@ -14,6 +14,8 @@ the coefficient expansions of traces over irreducible characters.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
+from operator import mul
 
 from fqtraces.partitions import (
     Partition,
@@ -25,9 +27,10 @@ from fqtraces.partitions import (
     parse_partition,
     partitions_of,
     size,
+    z_factor,
 )
 from fqtraces.specializations import EMPTY, GeometricSpread, Specialization
-from fqtraces.symfunc import EXACT_HL_DEGREE_CAP, modified_hl_q, plethysm_pl, schur_in_p
+from fqtraces.symfunc import _character_table, modified_hl_q, plethysm_pl
 
 UNIT = "x-1"
 
@@ -214,13 +217,50 @@ def unipotent_trace_value(sp: Specialization, cls: DiagramFamily, q) -> Fraction
     return value
 
 
+# A cold `coeffs --n N --alpha 1/2,1/4 --beta 1/8` in a fresh process
+# (character tables built from nothing, CSV to a pipe) takes 0.25 s at
+# N = 16, 0.6-0.7 s at 20, 0.9 s at 21 and 1.1-1.3 s at 22; with two
+# --glu-params labels it is 1.4-1.6 s at 20 (2-vCPU Xeon, Python 3.11).
+# The time grows 1.5 to 1.9 times every two degrees; building the
+# character table is about half of it at 22.  More labels mean many more
+# rows, and the row count, not the degree, bounds their time.
+COEFFICIENT_DEGREE_CAP = 20
+
+
 def _check_coefficient_degree(n: int):
-    # the Schur functions in power sums grow like the Hall-Littlewood Q
-    # functions, so the coefficients share their cap
-    if n > EXACT_HL_DEGREE_CAP:
+    if n > COEFFICIENT_DEGREE_CAP:
         raise ValueError(
-            f"trace coefficients capped at degree {EXACT_HL_DEGREE_CAP}; got degree {n}"
+            f"trace coefficients capped at degree {COEFFICIENT_DEGREE_CAP}; got degree {n}"
         )
+
+
+def _class_vector(sp: Specialization, n: int) -> tuple[int, list[int]]:
+    """(D, [D * p_rho(sp) / z_rho for rho in partitions_of(n)]).
+
+    With p_k = P_k / B, one common denominator is D = n! * B**n, and the
+    entry of rho is n!/z_rho * P_rho * B**(n - len(rho)).
+    """
+    b, p = sp.power_sums(range(1, n + 1))
+    b_pow = [b**j for j in range(n + 1)]
+    whole = factorial(n)
+    vector = [
+        whole // z_factor(rho) * prod(p[k] for k in rho) * b_pow[n - len(rho)]
+        for rho in partitions_of(n)
+    ]
+    return whole * b_pow[n], vector
+
+
+def _schur_values(sp: Specialization, n: int) -> dict[Partition, Fraction]:
+    """Every s_lam(sp) for lam of size n, in one pass over the character table.
+
+    s_lam = sum_rho chi^lam(rho) p_rho / z_rho, so s_lam(sp) is the row of
+    lam dotted with the class vector, over its denominator.
+    """
+    den, vector = _class_vector(sp, n)
+    return {
+        lam: Fraction(sum(map(mul, row, vector)), den)
+        for lam, row in zip(partitions_of(n), _character_table(n)[0])
+    }
 
 
 def trace_coefficients(sp: Specialization, n: int) -> dict[Partition, Fraction]:
@@ -228,12 +268,16 @@ def trace_coefficients(sp: Specialization, n: int) -> dict[Partition, Fraction]:
 
     The coefficient of the character labeled by ``lam`` is the
     specialization of the Schur function; the same numbers give the
-    restriction of the trace to the rank-n Hecke subalgebra.
+    restriction of the trace to the rank-n Hecke subalgebra.  All of them
+    come from one pass over the integer character table of degree n: the
+    class vector p_rho(sp) / z_rho is built once over one denominator, each
+    p_k read once, and each coefficient is one integer dot product with a
+    row of the table.
     """
     _check_coefficient_degree(n)
     if sp.power_sum(1) != 1:
         raise ValueError("trace coefficients need gamma = 1")
-    return {lam: sp.apply(schur_in_p(lam)) for lam in partitions_of(n)}
+    return _schur_values(sp, n)
 
 
 def sp_principal_schur(lam: Partition, q) -> Fraction:
@@ -244,7 +288,10 @@ def sp_principal_schur(lam: Partition, q) -> Fraction:
     verification suite checks this identity exactly.
     """
     beta = GeometricSpread((Fraction(1),), _check_q(q))
-    return Specialization(EMPTY, beta, Fraction(1)).apply(schur_in_p(lam))
+    lam = check_partition(lam)
+    table, index = _character_table(size(lam))
+    den, vector = _class_vector(Specialization(EMPTY, beta, Fraction(1)), size(lam))
+    return Fraction(sum(map(mul, table[index[lam]], vector)), den)
 
 
 def biregular_coefficient(f: DiagramFamily, q) -> Fraction:
@@ -311,11 +358,9 @@ def glu_trace_coefficients(
     if m < 0:
         return {}
     _check_coefficient_degree(m)
-    out = {}
-    sps = [sp for _, sp in params.entries]
-    for key in _partition_tuples(m, len(sps)):
-        value = Fraction(1)
-        for sp, lam in zip(sps, key):
-            value *= sp.apply(schur_in_p(lam))
-        out[key] = value
-    return out
+    # one table of Schur values per label and degree, then products of entries
+    tables = [[_schur_values(sp, k) for k in range(m + 1)] for _, sp in params.entries]
+    return {
+        key: prod((t[size(lam)][lam] for t, lam in zip(tables, key)), start=Fraction(1))
+        for key in _partition_tuples(m, len(tables))
+    }

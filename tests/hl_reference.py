@@ -17,6 +17,12 @@ for Q.
 Symmetric-group characters also get a reference here: the border-strip
 recursion one (lam, rho) pair at a time, against which the per-degree
 character table is checked.
+
+Specializations too: :func:`apply_reference` evaluates term by term in
+`Fraction`s, reading p_k again for every part, and
+:func:`schur_value_reference` is one Schur function at a time through it,
+the references for ``Specialization.apply`` and the character-table pass
+behind the trace coefficients.
 """
 
 from fractions import Fraction
@@ -24,6 +30,22 @@ from functools import cache
 
 from fqtraces.partitions import partitions_of, z_factor
 from fqtraces.symfunc import PowerSumElement, _strip_removals, kostka, schur_in_p
+
+
+def apply_reference(sp, f: PowerSumElement) -> Fraction:
+    """f at the specialization sp, one `Fraction` product per term."""
+    total = Fraction(0)
+    for rho, c in f.terms.items():
+        value = c
+        for part in rho:
+            value *= sp.power_sum(part)
+        total += value
+    return total
+
+
+def schur_value_reference(sp, lam) -> Fraction:
+    """s_lam(sp) through the Schur function's own power-sum expansion."""
+    return apply_reference(sp, schur_in_p(lam))
 
 
 @cache

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fqtraces import verify
 from fqtraces.cli import BIREGULAR_MAX_SIZE, main
 from fqtraces.oracle import SUPPORTED_ORDERS
+from fqtraces.traces import COEFFICIENT_DEGREE_CAP
 from fqtraces.verify import CheckRow
 
 
@@ -228,12 +229,11 @@ def test_bad_glu_params_exit_one(params):
         ["hl-expand", "--lam", "1000000", "--t", "1/2", "--modified"],
         ["cyl", "--from-trace", "--q", "2", "--lam", "1000000"],
         ["kostka-foulkes", "--shape", "6,4,3,2,1,1", "--content", ",".join(["1"] * 17)],
-        ["coeffs", "--n", "17", "--alpha", "1/2,1/4"],
-        ["coeffs", "--n", "1000000"],
-        [
-            "coeffs", "--n", "19", "--glu-params",
-            '{"entries": [{"label": "a", "gamma": "1"}], "family": [{"tag":"c","d":2,"lambda":"1"}]}',
-        ],
+        # a generic chain stops at the weight's cap, so the request is
+        # refused before the first step
+        ["sample", "--q", "2", "--r", "1/2", "--c", "1/4", "--nmax", "17", "--seed", "1"],
+        ["sample", "--q", "2", "--r", "1/2", "--c", "1/4", "--nmax", "40", "--seed", "1"],
+        ["lln", "--q", "3", "--r", "1/2", "--nmax", "17", "--trials", "2", "--seed", "1"],
     ],
 )
 def test_above_hl_degree_cap_exits_one_at_once(argv):
@@ -242,6 +242,25 @@ def test_above_hl_degree_cap_exits_one_at_once(argv):
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert "capped at degree 16" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--n", str(COEFFICIENT_DEGREE_CAP + 1), "--alpha", "1/2,1/4"],
+        ["coeffs", "--n", "1000000"],
+        [
+            "coeffs", "--n", str(COEFFICIENT_DEGREE_CAP + 3), "--glu-params",
+            '{"entries": [{"label": "a", "gamma": "1"}], "family": [{"tag":"c","d":2,"lambda":"1"}]}',
+        ],
+    ],
+)
+def test_coeffs_above_degree_cap_exits_one_at_once(argv):
+    start = time.perf_counter()
+    code, out, err = run(argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert f"capped at degree {COEFFICIENT_DEGREE_CAP}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("shape", ["400", "65", "10,10,10,10,10,10,10,10,10,10"])

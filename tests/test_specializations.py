@@ -2,11 +2,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hl_reference import apply_reference
+from hypothesis import given, settings, strategies as st
 
 from fqtraces.partitions import partitions_of, transpose
 from fqtraces.measures import MeasureParams
-from fqtraces.specializations import EMPTY, GeometricSpread, Specialization
-from fqtraces.symfunc import PowerSumElement, plethysm_pl, schur_in_p
+from fqtraces.specializations import EMPTY, FinitePowerSums, GeometricSpread, Specialization
+from fqtraces.symfunc import PowerSumElement, hl_q_in_p, plethysm_pl, schur_in_p
 
 HALF = Fraction(1, 2)
 
@@ -122,3 +124,38 @@ def test_plethysm_specialization_identity():
             for lam in partitions_of(deg):
                 f = schur_in_p(lam)
                 assert sp.apply(plethysm_pl(f, n)) == twisted.apply(f), (n, lam)
+
+
+_VALUES = st.lists(st.fractions(0, 1, max_denominator=12), max_size=3).map(
+    lambda v: tuple(sorted(v, reverse=True))
+)
+
+
+@st.composite
+def _providers(draw):
+    values = draw(_VALUES)
+    if draw(st.booleans()):
+        return FinitePowerSums(values)
+    return GeometricSpread(values, draw(st.fractions(Fraction(5, 4), 5, max_denominator=4)))
+
+
+# Any parameters: apply is a ring homomorphism for every gamma and both
+# providers, so the mass constraint of Specialization.finite is not needed.
+_SPECIALIZATIONS = st.builds(
+    Specialization, _providers(), _providers(), st.fractions(-2, 2, max_denominator=9)
+)
+_PARTITIONS = st.integers(0, 8).flatmap(lambda n: st.sampled_from(partitions_of(n)))
+_ELEMENTS = st.one_of(
+    _PARTITIONS.map(schur_in_p),
+    st.builds(hl_q_in_p, _PARTITIONS, st.fractions(-1, 1, max_denominator=5)),
+    # mixed degrees and lengths, zero and one included
+    st.dictionaries(_PARTITIONS, st.fractions(-5, 5, max_denominator=20), max_size=6).map(
+        PowerSumElement
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_SPECIALIZATIONS, _ELEMENTS)
+def test_apply_matches_fraction_reference(sp, f):
+    assert sp.apply(f) == apply_reference(sp, f)

@@ -1,11 +1,16 @@
 from fractions import Fraction
 
+from math import factorial, prod
+
 import pytest
+from hl_reference import schur_value_reference
+from hypothesis import given, settings, strategies as st
 from test_golden import check_suite_golden
 
 from fqtraces.partitions import hook_lengths, n_stat, partitions_of, size
 from fqtraces.specializations import Specialization
 from fqtraces.traces import (
+    COEFFICIENT_DEGREE_CAP,
     UNIT,
     DiagramFamily,
     GLUTraceParams,
@@ -209,3 +214,64 @@ def test_glu_trace_coefficients():
     assert glu_trace_coefficients(params, 1) == {}
     keys = glu_trace_coefficients(params, 3).keys()
     assert set(keys) == {((1,),)}
+
+
+@st.composite
+def _finite_specializations(draw, gamma=Fraction(1)):
+    """Finite alpha and beta of total mass at most gamma; often less (a Plancherel part)."""
+    sides = [
+        draw(st.lists(st.fractions(0, 1, max_denominator=12), max_size=3)) for _ in range(2)
+    ]
+    mass = sum(sides[0] + sides[1], Fraction(0))
+    if mass > gamma:
+        sides = [[v * gamma / mass for v in side] for side in sides]
+    return Specialization.finite(*(sorted(side, reverse=True) for side in sides), gamma)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_finite_specializations(), st.integers(0, 10))
+def test_trace_coefficients_match_per_schur_reference(sp, n):
+    assert trace_coefficients(sp, n) == {
+        lam: schur_value_reference(sp, lam) for lam in partitions_of(n)
+    }
+
+
+@st.composite
+def _glu_params(draw):
+    weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    gammas = [Fraction(w, sum(weights)) for w in weights]
+    entries = tuple((str(i), draw(_finite_specializations(g))) for i, g in enumerate(gammas))
+    background = draw(st.sampled_from([DiagramFamily(()), family(("c", 2, (1,)))]))
+    return GLUTraceParams(entries, background)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_glu_params(), st.integers(0, 10))
+def test_glu_trace_coefficients_match_per_schur_reference(params, n):
+    values = {}
+
+    def value(sp, lam):
+        if (sp, lam) not in values:
+            values[sp, lam] = schur_value_reference(sp, lam)
+        return values[sp, lam]
+
+    coeffs = glu_trace_coefficients(params, n)
+    m = n - params.background.degree
+    assert not coeffs if m < 0 else coeffs
+    for key, c in coeffs.items():
+        assert sum(map(size, key)) == m
+        assert c == prod(value(sp, lam) for (_, sp), lam in zip(params.entries, key))
+
+
+def test_hook_identity_up_to_the_coefficient_cap():
+    # p_1**n = sum_lam f^lam s_lam, and p_1 = gamma = 1
+    for alphas, betas in (
+        ((HALF, Fraction(1, 4)), (Fraction(1, 8),)),
+        ((Fraction(1, 3),), (Fraction(1, 3), Fraction(1, 3))),
+    ):
+        sp = Specialization.finite(alphas, betas, 1)
+        for n in range(COEFFICIENT_DEGREE_CAP + 1):
+            coeffs = trace_coefficients(sp, n)
+            assert sum(
+                factorial(n) // prod(hook_lengths(lam)) * c for lam, c in coeffs.items()
+            ) == 1, n
