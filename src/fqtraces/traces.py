@@ -289,9 +289,7 @@ def sp_principal_schur(lam: Partition, q) -> Fraction:
     """
     beta = GeometricSpread((Fraction(1),), _check_q(q))
     lam = check_partition(lam)
-    table, index = _character_table(size(lam))
-    den, vector = _class_vector(Specialization(EMPTY, beta, Fraction(1)), size(lam))
-    return Fraction(sum(map(mul, table[index[lam]], vector)), den)
+    return _schur_values(Specialization(EMPTY, beta, Fraction(1)), size(lam))[lam]
 
 
 def biregular_coefficient(f: DiagramFamily, q) -> Fraction:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from functools import cache
 from math import factorial, prod
 
 import pytest
@@ -248,13 +249,7 @@ def _glu_params(draw):
 @settings(max_examples=15, deadline=None)
 @given(_glu_params(), st.integers(0, 10))
 def test_glu_trace_coefficients_match_per_schur_reference(params, n):
-    values = {}
-
-    def value(sp, lam):
-        if (sp, lam) not in values:
-            values[sp, lam] = schur_value_reference(sp, lam)
-        return values[sp, lam]
-
+    value = cache(schur_value_reference)
     coeffs = glu_trace_coefficients(params, n)
     m = n - params.background.degree
     assert not coeffs if m < 0 else coeffs
