@@ -16,7 +16,10 @@ and JSON, for every n <= 10 with alpha and beta drawn from (), (1),
 cases keep a Plancherel part), and with ``--glu-params`` for two and
 three eigenvalue labels, with and without a background family, for
 n <= 8.  Each invocation is
-preceded by a ``$ fqtraces ...`` line.  ``verify.txt`` holds
+preceded by a ``$ fqtraces ...`` line.  ``demos.txt`` holds the stdout
+of the demo scripts 01-03, each run as a script after a ``$ python
+demos/...`` line; demo 04 runs the oracle suites and is left out for its
+time.  ``verify.txt`` holds
 the stdout of ``fqtraces verify all``; the tests that run a suite compare
 its rows with that suite's lines there through :func:`check_suite_golden`,
 so no suite runs twice.  The files change only with an intended change of
@@ -27,7 +30,10 @@ output; rewrite them from the repository root with
 
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -38,6 +44,8 @@ from fqtraces.cli import _emit, _run, _verify_rows, build_parser, main
 from fqtraces.partitions import format_partition, partitions_of
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
+DEMOS = ("01_dimensions_and_branching", "02_trace_values", "03_growth_chains")
 COMMANDS = ("sample", "lln", "cyl", "cyl-trace", "kostka", "hl-expand", "coeffs")
 
 _NAMED = [
@@ -162,6 +170,21 @@ def render_verify() -> bytes:
     return out.getvalue().encode()
 
 
+def render_demos() -> bytes:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = b""
+    for name in DEMOS:
+        script = ROOT / "demos" / f"{name}.py"
+        run = subprocess.run(
+            [sys.executable, str(script)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            check=True,
+        )
+        out += f"$ python demos/{name}.py\n".encode() + run.stdout
+    return out
+
+
 def check_suite_golden(result):
     """The suite's rows, printed as ``fqtraces verify`` prints them, equal its golden lines."""
     out = io.StringIO()
@@ -177,8 +200,13 @@ def test_cli_output_matches_golden(command):
     assert render(command) == (GOLDEN / f"{command}.txt").read_bytes()
 
 
+def test_demo_output_matches_golden():
+    assert render_demos() == (GOLDEN / "demos.txt").read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for command in COMMANDS:
         (GOLDEN / f"{command}.txt").write_bytes(render(command))
+    (GOLDEN / "demos.txt").write_bytes(render_demos())
     (GOLDEN / "verify.txt").write_bytes(render_verify())
