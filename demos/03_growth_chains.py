@@ -10,7 +10,7 @@ lengths converge to the measure's frequency parameters.
 
 from fractions import Fraction
 
-from fqtraces import MeasureParams, cyl_prob, sample_trajectory, transition_prob
+from fqtraces import MeasureParams, cyl_prob, sample_trajectory
 from fqtraces.cli import main
 from fqtraces.measures import transition_distribution
 from fqtraces.partitions import partitions_of
@@ -20,8 +20,8 @@ haar = MeasureParams.haar(2)
 print("== uniform measure: flat cylinders and the first growth step ==")
 for lam in partitions_of(3):
     print(f"  cylinder of {lam}: {cyl_prob(haar, lam)}")
-print(f"  (1) -> (2) with {transition_prob(haar, (1,), (2,))},"
-      f" (1) -> (1,1) with {transition_prob(haar, (1,), (1, 1))}")
+first = dict(transition_distribution(haar, (1,)))
+print(f"  (1) -> (2) with {first[(2,)]}, (1) -> (1,1) with {first[(1, 1)]}")
 
 print()
 print("== degenerate families are deterministic ==")

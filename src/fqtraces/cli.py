@@ -275,7 +275,7 @@ def _run(args) -> int:
     elif args.command == "kostka":
         rows = [{"value": str(kostka(args.shape, args.content))}]
     elif args.command == "kostka-foulkes":
-        coeffs = kostka_foulkes(args.shape, args.content).to_list()
+        coeffs = list(kostka_foulkes(args.shape, args.content))
         header = ["power", "coeff"]
         if fmt == "json":  # one row holding the whole list
             rows = [{"coefficients": coeffs}]

@@ -140,14 +140,11 @@ def extension_count(lam: Partition, mu: Partition, q) -> Fraction:
 
 @cache
 def hl_weight(params: MeasureParams, lam: Partition) -> Fraction:
-    """Specialized Hall-Littlewood Q weight, through the exact expansion."""
-    # the exact Q stops at the cap symfunc sets; the closed-form families
-    # below have none
-    if size(lam) > EXACT_HL_DEGREE_CAP:
-        raise ValueError(
-            f"exact Hall-Littlewood expansion capped at degree {EXACT_HL_DEGREE_CAP}; "
-            "use a closed-form parameter family for longer diagrams"
-        )
+    """Specialized Hall-Littlewood Q weight, through the exact expansion.
+
+    Above the degree cap of :func:`hl_q_in_p` it raises before any work; the
+    closed-form families below have no cap.
+    """
     return params.specialization().apply(hl_q_in_p(lam, 1 / params.q))
 
 
@@ -181,13 +178,12 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 # ---------------------------------------------------------------------------
 # Measure families
 #
-# Every family object answers three questions: ``weight(lam)`` is the Q
-# weight W(lam), ``supports(lam)`` is W(lam) > 0, and ``row(lam, rows)`` is
-# the chain's transition row out of lam as (den, nums): non-negative
-# integers over one positive den, one per corner row of ``rows =
-# _corner_rows(lam)``, summing to den.  The caller computes ``rows`` once
-# and reads the chosen successor off it.  ``row`` raises ValueError where
-# W(lam) = 0.
+# Every family object answers two questions: ``weight(lam)`` is the Q
+# weight W(lam), and ``row(lam, rows)`` is the chain's transition row out of
+# lam as (den, nums): non-negative integers over one positive den, one per
+# corner row of ``rows = _corner_rows(lam)``, summing to den.  The caller
+# computes ``rows`` once and reads the chosen successor off it.  ``row``
+# raises ValueError where W(lam) = 0.
 #
 # The row is N_{lam,mu} * cyl(mu) / cyl(lam).  The q**(n(n-1)/2) prefactors
 # cancel: with the new box in column j the probability is
@@ -223,9 +219,6 @@ class _Haar(_ClosedForm):
     def weight(self, lam: Partition) -> Fraction:
         return self.keep ** size(lam) / self.q ** n_stat(lam)
 
-    def supports(self, lam: Partition) -> bool:
-        return True
-
     def row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
         # P = q**-lam'_j - q**-lam'_{j-1}, a telescoping sum; with q = a/b
         # and l = len(lam), q**-i = b**i * a**(l - i) / a**l
@@ -241,14 +234,11 @@ class _Delta(_ClosedForm):
     """Column frequency 1: W(lam) = (1 - 1/q)**|lam| on one-column lam, else 0."""
 
     def weight(self, lam: Partition) -> Fraction:
-        return self.keep ** size(lam) if self.supports(lam) else Fraction(0)
-
-    def supports(self, lam: Partition) -> bool:
-        return not lam or lam[0] == 1
+        return self.keep ** size(lam) if not lam or lam[0] == 1 else Fraction(0)
 
     def row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
         # every box goes to the new row, the only successor with one column
-        if not self.supports(lam):
+        if lam and lam[0] > 1:
             raise _zero_source(lam)
         return 1, [0, 1] if lam else [1]
 
@@ -257,16 +247,13 @@ class _Row(_ClosedForm):
     """Row frequency 1: W = 1 on the empty diagram, 1 - 1/q on one row, else 0."""
 
     def weight(self, lam: Partition) -> Fraction:
-        if not self.supports(lam):
+        if len(lam) > 1:
             return Fraction(0)
         return self.keep if lam else Fraction(1)
 
-    def supports(self, lam: Partition) -> bool:
-        return len(lam) <= 1
-
     def row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
         # every box goes to the first row, the only successor with one row
-        if not self.supports(lam):
+        if len(lam) > 1:
             raise _zero_source(lam)
         return 1, [1, 0] if lam else [1]
 
@@ -279,9 +266,6 @@ class _Generic:
 
     def weight(self, lam: Partition) -> Fraction:
         return hl_weight(self.params, lam)
-
-    def supports(self, lam: Partition) -> bool:
-        return hl_weight(self.params, lam) > 0
 
     def row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
         params, q = self.params, self.params.q
@@ -329,17 +313,6 @@ def transition_distribution(
     return [(add_box(lam, i + 1), Fraction(num, den)) for i, num in zip(rows, nums)]
 
 
-def transition_prob(params: MeasureParams, lam: Partition, mu: Partition) -> Fraction:
-    """One-step growth probability from Jordan type lam to mu."""
-    mu = check_partition(mu)
-    if size(mu) != size(lam) + 1:
-        raise ValueError("growth steps add exactly one box")
-    for nu, p in transition_distribution(params, lam):
-        if nu == mu:
-            return p
-    return Fraction(0)
-
-
 _U64 = 2**64
 
 
@@ -367,6 +340,20 @@ def _step(params: MeasureParams, lam: Partition, rng: random.Random) -> Partitio
     return add_box(lam, i + 1)
 
 
+# A delta chain holds a k-tuple at level k, so its trajectory to level n
+# holds n**2 / 2 entries: `sample --measure delta --format json` takes 0.5 s
+# and 45 MiB peak at level 2000, 1.2 s and 79 MiB at 3000, 1.9 s and
+# 126 MiB at 4000.  An lln run costs 10-30 us a step and a few us a trial
+# at q = 2, 3 or 5/2: Haar 1000 x 200 trials takes 2.7 s, delta 2000 x 100
+# 2.9 s, Haar 2000 x 100 2.5 s and single-row 1 x 200000 3.6 s (2-vCPU
+# Xeon, Python 3.11).  Haar chains with q near 1 have more corners and
+# longer integers per step: at q = 5/4, 2000 x 100 takes 6.9 s.  A diagram
+# on a capped chain has at most CHAIN_LEVEL_CAP rows and columns, which
+# also bounds how many an lln run may track.
+CHAIN_LEVEL_CAP = 2000
+CHAIN_STEP_CAP = 200_000
+
+
 def _check_chain_length(params: MeasureParams, n_max: int):
     # a step out of level n needs weights of degree n + 1, so a generic chain
     # ends at the weight's cap; say so before the first step
@@ -375,6 +362,8 @@ def _check_chain_length(params: MeasureParams, n_max: int):
             f"growth chains of generic parameters are capped at degree {EXACT_HL_DEGREE_CAP} "
             f"by the exact Hall-Littlewood expansion; got level {n_max}"
         )
+    if n_max > CHAIN_LEVEL_CAP:
+        raise ValueError(f"growth chains capped at level {CHAIN_LEVEL_CAP}; got level {n_max}")
 
 
 def sample_trajectory(params: MeasureParams, n_max: int, seed: int) -> list[Partition]:
@@ -402,13 +391,13 @@ class LLNRow:
     stderr: float
 
 
-def _mean_stderr(samples: list[Fraction]) -> tuple[float, float]:
-    t = len(samples)
-    s1 = sum(samples, Fraction(0))
-    mean = s1 / t
+def _mean_stderr(s1: int, s2: int, t: int, n: int) -> tuple[float, float]:
+    """Mean and standard error of t samples a_j / n, from s1 = sum a_j and s2 = sum a_j**2."""
+    mean = Fraction(s1, t * n)
     if t < 2:
         return float(mean), 0.0
-    var = sum(((x - mean) ** 2 for x in samples), Fraction(0)) / (t - 1)
+    # the exact sample variance: sum (a_j / n - mean)**2 = (t s2 - s1**2) / (t n**2)
+    var = Fraction(t * s2 - s1 * s1, t * (t - 1) * n * n)
     return float(mean), sqrt(float(var) / t)
 
 
@@ -429,24 +418,32 @@ def lln_experiment(
     if trials < 1:
         raise ValueError("need at least one trial")
     _check_chain_length(params, n_max)
-    rows: list[list[Fraction]] = [[] for _ in range(track)]
-    cols: list[list[Fraction]] = [[] for _ in range(track)]
+    if n_max * trials > CHAIN_STEP_CAP:
+        raise ValueError(
+            f"lln runs capped at {CHAIN_STEP_CAP} chain steps; got {n_max} x {trials} trials"
+        )
+    if track > CHAIN_LEVEL_CAP:
+        raise ValueError(f"tracked rows and columns capped at {CHAIN_LEVEL_CAP}; got {track}")
+    # per tracked row and column, the sum of its lengths and of their squares;
+    # a row or column past the diagram has length 0 and adds nothing
+    rows = [[0, 0] for _ in range(track)]
+    cols = [[0, 0] for _ in range(track)]
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         lam: Partition = ()
         for _ in range(n_max):
             lam = _step(params, lam, rng)
-        conj = transpose(lam)
-        for i in range(track):
-            rows[i].append(Fraction(lam[i] if i < len(lam) else 0, n_max))
-            cols[i].append(Fraction(conj[i] if i < len(conj) else 0, n_max))
+        for sums, lengths in ((rows, lam), (cols, transpose(lam))):
+            for acc, length in zip(sums, lengths):
+                acc[0] += length
+                acc[1] += length * length
     predicted_r = params.r.frequencies(track)
     predicted_c = FinitePowerSums(params.c).frequencies(track)
     out = []
     for i in range(track):
-        mean, err = _mean_stderr(rows[i])
+        mean, err = _mean_stderr(*rows[i], trials, n_max)
         out.append(LLNRow("lambda_i/n", i + 1, mean, predicted_r[i], err))
     for i in range(track):
-        mean, err = _mean_stderr(cols[i])
+        mean, err = _mean_stderr(*cols[i], trials, n_max)
         out.append(LLNRow("lambda_conj_i/n", i + 1, mean, predicted_c[i], err))
     return tuple(out)

@@ -221,11 +221,6 @@ class FqMatrix:
         cols = [_unpack(self.field, c, self.nrows) for c in self.cols]
         return tuple(zip(*cols)) if cols else ((),) * self.nrows
 
-    @classmethod
-    def identity(cls, field: FqField, n: int) -> "FqMatrix":
-        field.widen(n)
-        return _matrix(field, n, tuple(field.unit[:n]))
-
     def __eq__(self, other):
         return (
             isinstance(other, FqMatrix)
@@ -457,32 +452,6 @@ def _flag_count(m: FqMatrix, mu: tuple, basis: dict, free) -> int:
             rest = [j for j in free if j not in pivots]
             total += _flag_count(m, mu[1:], basis | sub, rest)
     return total
-
-
-def subspace_symbol(field: FqField, basis: dict, n: int) -> tuple:
-    """0/1 jump sequence of dim(X intersect span(e_1..e_i)) for i = 1..n."""
-    d = len(basis)
-    rows = [_unpack(field, r, n) for r in basis.values()]
-    dims = [d - rank(field, [_pack(field, (0,) * i + r[i:]) for r in rows]) for i in range(1, n + 1)]
-    prev = 0
-    out = []
-    for v in dims:
-        out.append(v - prev)
-        prev = v
-    return tuple(out)
-
-
-def schubert_cell_count(x, q: int) -> int:
-    """Number of subspaces of F_q**n with the given 0/1 symbol, by enumeration."""
-    x = tuple(x)
-    n = len(x)
-    d = sum(x)
-    field = field_make(q)
-    count = 0
-    for basis, _piv in subspaces(field, range(n), d):
-        if subspace_symbol(field, basis, n) == x:
-            count += 1
-    return count
 
 
 def ext_enumerate(g: FqMatrix, variant: str):

@@ -111,19 +111,6 @@ def box_removals(lam: Partition) -> list[Partition]:
     return out
 
 
-def dominance_leq(lam: Partition, mu: Partition) -> bool:
-    """Dominance order: partial sums of ``lam`` never exceed those of ``mu``."""
-    if size(lam) != size(mu):
-        raise ValueError("dominance compares partitions of equal size")
-    total_l = total_m = 0
-    for k in range(max(len(lam), len(mu))):
-        total_l += lam[k] if k < len(lam) else 0
-        total_m += mu[k] if k < len(mu) else 0
-        if total_l > total_m:
-            return False
-    return True
-
-
 @cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n`` in decreasing lexicographic order."""

@@ -19,7 +19,7 @@ product of integers, and builds a single `Fraction` at the end.
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from fqtraces.symfunc import PowerSumElement
 
@@ -122,29 +122,29 @@ class Specialization:
             return Fraction(self.gamma)
         return self.alpha.power(k) + (-1) ** (k - 1) * self.beta.power(k)
 
-    def power_sums(self, ks) -> tuple[int, dict[int, int]]:
-        """(B, {k: B * p_k}): each p_k for k in ``ks`` read once, over one denominator B."""
-        values = {k: Fraction(self.power_sum(k)) for k in ks}
-        den = lcm(*(v.denominator for v in values.values()))
-        return den, {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+    def power_products(self, rhos) -> tuple[int, list[int]]:
+        """(E, [E * p_rho for rho in rhos]): products of power sums over one denominator.
+
+        Each distinct p_k is read once.  With p_k = P_k / B and L the length
+        of the longest rho, E = B**L and the entry of rho is
+        P_rho1 * P_rho2 * ... * B**(L - len(rho)).
+        """
+        values = {k: Fraction(self.power_sum(k)) for k in {k for rho in rhos for k in rho}}
+        b = lcm(*(v.denominator for v in values.values()))
+        p = {k: v.numerator * (b // v.denominator) for k, v in values.items()}
+        length = max(map(len, rhos), default=0)
+        b_pow = [b**j for j in range(length + 1)]
+        products = [prod(map(p.__getitem__, rho)) * b_pow[length - len(rho)] for rho in rhos]
+        return b_pow[length], products
 
     def apply(self, f: PowerSumElement) -> Fraction:
         """The value of f: sum over rho of c_rho * p_rho1 * p_rho2 * ...
 
-        With p_k = P_k / B and c_rho = C_rho / C, the value is
-        sum C_rho * P_rho * B**(L - len(rho)) over C * B**L, where L is the
-        longest index partition of f.
+        With c_rho = C_rho / C and p_rho = P_rho / E from
+        :meth:`power_products`, the value is sum C_rho * P_rho over C * E.
         """
         terms = f.terms
-        b, p = self.power_sums({k for rho in terms for k in rho})
+        den, values = self.power_products(terms)
         c = lcm(*(x.denominator for x in terms.values()))
-        length = max(map(len, terms), default=0)
-        b_pow = [b**j for j in range(length + 1)]
-        total = 0
-        for rho, x in terms.items():
-            term = x.numerator * (c // x.denominator) * b_pow[length - len(rho)]
-            for k in rho:
-                term *= p[k]
-            total += term
-        return Fraction(total, c * b_pow[length])
-
+        total = sum(x.numerator * (c // x.denominator) * v for x, v in zip(terms.values(), values))
+        return Fraction(total, c * den)

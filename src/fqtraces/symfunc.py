@@ -351,10 +351,6 @@ class TPolynomial(tuple):
             value = value * t + c
         return value
 
-    def to_list(self) -> list:
-        """Coefficient list, constant term first (the wire format)."""
-        return list(self)
-
 
 @cache
 def kostka_foulkes(shape: Partition, content: Partition) -> TPolynomial:

@@ -29,7 +29,7 @@ from fqtraces.partitions import (
     size,
     z_factor,
 )
-from fqtraces.specializations import EMPTY, GeometricSpread, Specialization
+from fqtraces.specializations import Specialization
 from fqtraces.symfunc import _character_table, modified_hl_q, plethysm_pl
 
 UNIT = "x-1"
@@ -223,8 +223,11 @@ def unipotent_trace_value(sp: Specialization, cls: DiagramFamily, q) -> Fraction
 # --glu-params labels it is 1.4-1.6 s at 20 (2-vCPU Xeon, Python 3.11).
 # The time grows 1.5 to 1.9 times every two degrees; building the
 # character table is about half of it at 22.  More labels mean many more
-# rows, and the row count, not the degree, bounds their time.
+# rows: three labels at degree 20 give 341649 of them, 20 MB of CSV in
+# 11.3 s.  So --glu-params is also capped at the row count of two labels at
+# the degree cap.
 COEFFICIENT_DEGREE_CAP = 20
+GLU_ROW_CAP = 24842
 
 
 def _check_coefficient_degree(n: int):
@@ -237,17 +240,14 @@ def _check_coefficient_degree(n: int):
 def _class_vector(sp: Specialization, n: int) -> tuple[int, list[int]]:
     """(D, [D * p_rho(sp) / z_rho for rho in partitions_of(n)]).
 
-    With p_k = P_k / B, one common denominator is D = n! * B**n, and the
-    entry of rho is n!/z_rho * P_rho * B**(n - len(rho)).
+    With p_rho = P_rho / E over the one denominator of
+    :meth:`Specialization.power_products`, D = n! * E and the entry of rho
+    is n!/z_rho * P_rho.
     """
-    b, p = sp.power_sums(range(1, n + 1))
-    b_pow = [b**j for j in range(n + 1)]
+    order = partitions_of(n)
+    den, values = sp.power_products(order)
     whole = factorial(n)
-    vector = [
-        whole // z_factor(rho) * prod(p[k] for k in rho) * b_pow[n - len(rho)]
-        for rho in partitions_of(n)
-    ]
-    return whole * b_pow[n], vector
+    return whole * den, [whole // z_factor(rho) * v for rho, v in zip(order, values)]
 
 
 def _schur_values(sp: Specialization, n: int) -> dict[Partition, Fraction]:
@@ -278,18 +278,6 @@ def trace_coefficients(sp: Specialization, n: int) -> dict[Partition, Fraction]:
     if sp.power_sum(1) != 1:
         raise ValueError("trace coefficients need gamma = 1")
     return _schur_values(sp, n)
-
-
-def sp_principal_schur(lam: Partition, q) -> Fraction:
-    """Schur value of the geometric beta specialization.
-
-    All mass is smeared geometrically with ratio 1/q on the beta side.
-    Equals the closed form (q-1)**|lam| * q**n(lam) / prod (q**h - 1); the
-    verification suite checks this identity exactly.
-    """
-    beta = GeometricSpread((Fraction(1),), _check_q(q))
-    lam = check_partition(lam)
-    return _schur_values(Specialization(EMPTY, beta, Fraction(1)), size(lam))[lam]
 
 
 def biregular_coefficient(f: DiagramFamily, q) -> Fraction:
@@ -342,6 +330,19 @@ def _partition_tuples(total: int, slots: int):
                 yield (head,) + tail
 
 
+def _row_count(m: int, labels: int) -> int:
+    """Number of ``labels``-tuples of partitions of total size m.
+
+    That is the x**m coefficient of P(x)**labels, with P the partition
+    generating function.
+    """
+    p = [len(partitions_of(k)) for k in range(m + 1)]
+    counts = [1] + [0] * m
+    for _ in range(labels):
+        counts = [sum(counts[j] * p[k - j] for j in range(k + 1)) for k in range(m + 1)]
+    return counts[m]
+
+
 def glu_trace_coefficients(
     params: GLUTraceParams, n: int
 ) -> dict[tuple[Partition, ...], Fraction]:
@@ -356,6 +357,12 @@ def glu_trace_coefficients(
     if m < 0:
         return {}
     _check_coefficient_degree(m)
+    rows = _row_count(m, len(params.entries))
+    if rows > GLU_ROW_CAP:
+        raise ValueError(
+            f"trace coefficients capped at {GLU_ROW_CAP} rows; "
+            f"{len(params.entries)} labels at degree {m} give {rows}"
+        )
     # one table of Schur values per label and degree, then products of entries
     tables = [[_schur_values(sp, k) for k in range(m + 1)] for _, sp in params.entries]
     return {

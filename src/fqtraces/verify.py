@@ -39,7 +39,7 @@ from fqtraces.partitions import (
     partitions_of,
     size,
 )
-from fqtraces.specializations import GeometricSpread, Specialization
+from fqtraces.specializations import EMPTY, GeometricSpread, Specialization
 from fqtraces.symfunc import (
     PowerSumElement,
     hl_q_in_p,
@@ -55,7 +55,6 @@ from fqtraces.traces import (
     branching_predecessors,
     family,
     green_dimension,
-    sp_principal_schur,
     trace_coefficients,
     unipotent_trace_value,
 )
@@ -273,7 +272,7 @@ def _check_haar_flatness():
 @_suite("growth-normalization")
 def _check_growth_normalization():
     # the closed forms to level 20, the generic Hall-Littlewood route to 8;
-    # each family checks only the diagrams it supports
+    # each family checks only the diagrams of positive weight
     cases = [
         ("haar-q2", MeasureParams.haar(2), 20),
         ("haar-q3", MeasureParams.haar(3), 20),
@@ -293,7 +292,7 @@ def _check_growth_normalization():
         bad = checked = 0
         for n in range(0, top + 1):
             for lam in partitions_of(n):
-                if not params.family.supports(lam):
+                if not params.family.weight(lam) > 0:
                     continue
                 checked += 1
                 if sum(p for _, p in transition_distribution(params, lam)) != 1:
@@ -437,18 +436,25 @@ def _check_spherical():
 # 11. Biregular decomposition identities
 
 
+def _principal_schur(q, n: int) -> dict:
+    """Every s_lam of size n at the principal specialization: beta = (1) spread with ratio 1/q."""
+    beta = GeometricSpread((Fraction(1),), q)
+    return trace_coefficients(Specialization(EMPTY, beta, Fraction(1)), n)
+
+
 @_suite("biregular")
 def _check_biregular():
     rows = []
     for q in (2, 3, 4):
         bad = checked = 0
         for n in range(1, 7):
+            schur = _principal_schur(q, n)
             for lam in partitions_of(n):
                 checked += 1
                 closed = Fraction(q - 1) ** n * Fraction(q) ** n_stat(lam)
                 for h in hook_lengths(lam):
                     closed /= q**h - 1
-                if sp_principal_schur(lam, q) != closed:
+                if schur[lam] != closed:
                     bad += 1
         rows.append(_agg("biregular", f"principal-schur-q={q}", bad, checked))
     # regular-character coefficients at q = 2: the weight of every
@@ -456,6 +462,9 @@ def _check_biregular():
     # representation normalization times its dimension.
     q = 2
     for n in (2, 3):
+        schur = {}
+        for k in range(n + 1):
+            schur.update(_principal_schur(q, k))
         norm = Fraction(1)
         for i in range(1, n + 1):
             norm *= Fraction(q - 1, q**i - 1)
@@ -463,9 +472,7 @@ def _check_biregular():
         for f in families_enumerate(n, q):
             unit_diagram = f.diagram(UNIT)
             background = f.without(UNIT)
-            coeff = biregular_coefficient(background, q) * sp_principal_schur(
-                unit_diagram, q
-            )
+            coeff = biregular_coefficient(background, q) * schur[unit_diagram]
             expected = norm * green_dimension(f, q)
             total += coeff
             if n == 2:

@@ -23,13 +23,29 @@ Specializations too: :func:`apply_reference` evaluates term by term in
 :func:`schur_value_reference` is one Schur function at a time through it,
 the references for ``Specialization.apply`` and the character-table pass
 behind the trace coefficients.
+
+The dominance order, which the charge polynomials are triangular in, is
+here as well.
 """
 
 from fractions import Fraction
 from functools import cache
 
-from fqtraces.partitions import partitions_of, z_factor
+from fqtraces.partitions import partitions_of, size, z_factor
 from fqtraces.symfunc import PowerSumElement, _strip_removals, kostka, schur_in_p
+
+
+def dominance_leq(lam, mu) -> bool:
+    """Dominance order: partial sums of ``lam`` never exceed those of ``mu``."""
+    if size(lam) != size(mu):
+        raise ValueError("dominance compares partitions of equal size")
+    total_l = total_m = 0
+    for k in range(max(len(lam), len(mu))):
+        total_l += lam[k] if k < len(lam) else 0
+        total_m += mu[k] if k < len(mu) else 0
+        if total_l > total_m:
+            return False
+    return True
 
 
 def apply_reference(sp, f: PowerSumElement) -> Fraction:

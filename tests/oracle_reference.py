@@ -5,12 +5,14 @@ rank and kernel dimension is computed entry by entry from the field
 tables.  Jordan types come from kernel dimensions of explicit powers, and
 fixed flags from invariant subspaces and quotient matrices built row by
 row.  Tests compare the packed oracle with these functions; nothing in
-``src`` imports this module.
+``src`` imports this module.  Schubert cells give a count check of the
+oracle's subspace enumeration.
 """
 
 from itertools import combinations, product
 
-from fqtraces.oracle import irreducible_polys, poly_name
+from fqtraces.oracle import _pack, _unpack, field_make, irreducible_polys, poly_name, subspaces
+from fqtraces.oracle import rank as packed_rank
 from fqtraces.partitions import transpose
 from fqtraces.traces import DiagramFamily
 
@@ -196,3 +198,24 @@ def flag_count(m, mu):
         ):
             total += flag_count(_quotient_action(f, m, rows, piv), mu[1:])
     return total
+
+
+def subspace_symbol(field, basis, n):
+    """0/1 jump sequence of dim(X intersect span(e_1..e_i)) for i = 1..n, X a packed basis."""
+    d = len(basis)
+    rows = [_unpack(field, r, n) for r in basis.values()]
+    dims = [0] + [
+        d - packed_rank(field, [_pack(field, (0,) * i + r[i:]) for r in rows])
+        for i in range(1, n + 1)
+    ]
+    return tuple(b - a for a, b in zip(dims, dims[1:]))
+
+
+def schubert_cell_count(x, q):
+    """Number of subspaces from :func:`fqtraces.oracle.subspaces` with the given 0/1 symbol."""
+    x = tuple(x)
+    n = len(x)
+    field = field_make(q)
+    return sum(
+        subspace_symbol(field, basis, n) == x for basis, _ in subspaces(field, range(n), sum(x))
+    )

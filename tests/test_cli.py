@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from fqtraces import verify
 from fqtraces.cli import BIREGULAR_MAX_SIZE, main
+from fqtraces.measures import CHAIN_LEVEL_CAP, CHAIN_STEP_CAP
 from fqtraces.oracle import SUPPORTED_ORDERS
-from fqtraces.traces import COEFFICIENT_DEGREE_CAP
+from fqtraces.traces import COEFFICIENT_DEGREE_CAP, GLU_ROW_CAP
 from fqtraces.verify import CheckRow
 
 
@@ -263,6 +264,39 @@ def test_coeffs_above_degree_cap_exits_one_at_once(argv):
     assert f"capped at degree {COEFFICIENT_DEGREE_CAP}" in err and "Traceback" not in err
 
 
+def test_coeffs_glu_above_row_cap_exits_one_at_once():
+    # three labels at the degree cap give 341649 rows
+    params = json.dumps({"entries": [{"label": label, "gamma": "1/3"} for label in "abc"]})
+    start = time.perf_counter()
+    code, out, err = run(["coeffs", "--n", str(COEFFICIENT_DEGREE_CAP), "--glu-params", params])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert f"capped at {GLU_ROW_CAP} rows" in err and "Traceback" not in err
+
+
+_HAAR = ["--q", "2", "--measure", "haar"]
+_DELTA = ["--q", "2", "--measure", "delta"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", *_DELTA, "--nmax", str(CHAIN_LEVEL_CAP + 1), "--seed", "1"],
+        ["sample", *_HAAR, "--nmax", "1000000000", "--seed", "1"],
+        ["lln", *_HAAR, "--nmax", str(CHAIN_LEVEL_CAP + 1), "--trials", "1", "--seed", "1"],
+        ["lln", *_HAAR, "--nmax", "1", "--trials", str(CHAIN_STEP_CAP + 1), "--seed", "1"],
+        ["lln", *_HAAR, "--nmax", "1000", "--trials", "1000000000", "--seed", "1"],
+        ["lln", *_HAAR, "--nmax", "3", "--trials", "2", "--seed", "1", "--track", "1000000000"],
+    ],
+)
+def test_chain_requests_above_caps_exit_one_at_once(argv):
+    start = time.perf_counter()
+    code, out, err = run(argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert "capped at" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("shape", ["400", "65", "10,10,10,10,10,10,10,10,10,10"])
 def test_kostka_above_content_cap_exits_one_at_once(shape):
     ones = ",".join(["1"] * sum(int(p) for p in shape.split(",")))
@@ -329,9 +363,10 @@ def test_verify_failure_exit_two(monkeypatch):
     assert "fail" in out
 
 
-# argv fuzzing: every size stays <= 4 so each input finishes quickly; verify
-# draws only --list and unknown suites, since the real suites take minutes
-_INTS = ["-3", "-1", "0", "1", "2", "3", "4", "x", ""]
+# argv fuzzing: every size stays <= 4 or far beyond a cap, so each input
+# finishes quickly; verify draws only --list and unknown suites, since the
+# real suites take minutes
+_INTS = ["-3", "-1", "0", "1", "2", "3", "4", "1000000000", "x", ""]
 _RATIONALS = ["-1", "0", "1", "2", "3", "1/2", "5/2", "1/0", "zebra", ""]
 _RATIONAL_LISTS = _RATIONALS + ["1/2,1/4", "1/4,1/2", "1,1", "1/2,,1"]
 _PARTITIONS = ["", "1", "2,1", "1,1,1", "4", "2,2", "1,2", "0", "-1", "a", "1,,1"]

@@ -1,11 +1,13 @@
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
+from math import sqrt
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fqtraces.measures import (
+    CHAIN_LEVEL_CAP,
     EXACT_HL_DEGREE_CAP,
     LLNRow,
     MeasureParams,
@@ -14,6 +16,7 @@ from fqtraces.measures import (
     _Haar,
     _Row,
     _corner_rows,
+    _mean_stderr,
     _step,
     _trial_rng,
     cyl_prob,
@@ -23,7 +26,6 @@ from fqtraces.measures import (
     lln_experiment,
     sample_trajectory,
     transition_distribution,
-    transition_prob,
 )
 from fqtraces.partitions import box_additions, partitions_of, size
 from fqtraces.specializations import GeometricSpread, Specialization
@@ -107,8 +109,7 @@ def test_closed_form_family_matches_generic_route(make, q):
         for lam in partitions_of(n):
             w = hl_weight(params, lam)
             assert family.weight(lam) == w, lam
-            assert family.supports(lam) == (w > 0), lam
-            if not family.supports(lam):
+            if not w > 0:
                 continue
             den, nums = family.row(lam, _corner_rows(lam))
             generic_den, generic_nums = generic.row(lam, _corner_rows(lam))
@@ -226,21 +227,20 @@ def test_trace_measure_parameter_map(sides, q, top):
             assert cyl_prob_from_trace(sp, lam, q) == cyl_prob(params, lam)
 
 
-def test_transition_prob_examples():
-    assert transition_prob(HAAR2, (1,), (2,)) == HALF
-    assert transition_prob(HAAR2, (1,), (1, 1)) == HALF
-    assert transition_prob(HAAR3, (1,), (2,)) == Fraction(2, 3)
-    assert transition_prob(DELTA2, (1, 1), (1, 1, 1)) == 1
-    assert transition_prob(MIXED, (), (1,)) == 1
+def test_transition_distribution_examples():
+    assert transition_distribution(HAAR2, (1,)) == [((2,), HALF), ((1, 1), HALF)]
+    assert dict(transition_distribution(HAAR3, (1,)))[(2,)] == Fraction(2, 3)
+    assert dict(transition_distribution(DELTA2, (1, 1)))[(1, 1, 1)] == 1
+    assert transition_distribution(MIXED, ()) == [((1,), 1)]
     with pytest.raises(ValueError):
-        transition_prob(DELTA2, (2,), (3,))
+        transition_distribution(DELTA2, (2,))
 
 
 def test_transition_matches_direct_cylinder_ratio():
     for params in (HAAR2, DELTA2, ROW2, MIXED):
         for n in range(0, 6):
             for lam in partitions_of(n):
-                if not params.family.supports(lam):
+                if not params.family.weight(lam) > 0:
                     continue
                 for mu, p in transition_distribution(params, lam):
                     direct = (
@@ -255,7 +255,7 @@ def test_transition_rows_sum_to_one():
     for params in (HAAR2, HAAR3, MIXED):
         for n in range(0, 8):
             for lam in partitions_of(n):
-                if not params.family.supports(lam):
+                if not params.family.weight(lam) > 0:
                     continue
                 assert sum(p for _, p in transition_distribution(params, lam)) == 1
 
@@ -309,7 +309,7 @@ def test_generic_rows_on_random_partitions(lam):
     [(DELTA2, (2,)), (DELTA2, (2, 1)), (ROW2, (1, 1)), (ROW2, (3, 2)), (TWO_ROWS, (1, 1, 1))],
 )
 def test_zero_probability_source_raises(params, lam):
-    assert not params.family.supports(lam)
+    assert params.family.weight(lam) == 0
     with pytest.raises(ValueError, match="zero probability"):
         params.family.row(lam, _corner_rows(lam))
     with pytest.raises(ValueError, match="zero probability"):
@@ -423,7 +423,7 @@ def test_second_level_distribution_binomial():
     # checked against the exact transition probabilities within 3 sigma
     trials = 100000
     counts = Counter(sample_trajectory(HAAR2, 2, seed)[-1] for seed in range(trials))
-    p = float(transition_prob(HAAR2, (1,), (2,)))
+    p = float(dict(transition_distribution(HAAR2, (1,)))[(2,)])
     sigma = (trials * p * (1 - p)) ** 0.5
     assert abs(counts[(2,)] - trials * p) <= 3 * sigma
     assert counts[(2,)] + counts[(1, 1)] == trials
@@ -438,6 +438,26 @@ def test_lln_deterministic_and_csv_shape():
     ]
     assert len(rep1) == 2 * 4
     assert rep1[0].predicted == Fraction(1, 2)
+
+
+@given(st.lists(st.integers(0, 50), min_size=1, max_size=30), st.integers(1, 60))
+def test_mean_stderr_matches_the_sample_formula(lengths, n):
+    # the summary columns from integer sums equal those from the samples
+    samples = [Fraction(a, n) for a in lengths]
+    t = len(samples)
+    mean = sum(samples, Fraction(0)) / t
+    err = 0.0
+    if t > 1:
+        var = sum(((x - mean) ** 2 for x in samples), Fraction(0)) / (t - 1)
+        err = sqrt(float(var) / t)
+    assert _mean_stderr(sum(lengths), sum(a * a for a in lengths), t, n) == (float(mean), err)
+
+
+def test_chains_run_at_the_level_cap():
+    assert len(sample_trajectory(HAAR2, CHAIN_LEVEL_CAP, 5)) == CHAIN_LEVEL_CAP + 1
+    rep = lln_experiment(ROW2, 3, 2, 5, track=CHAIN_LEVEL_CAP)
+    assert len(rep) == 2 * CHAIN_LEVEL_CAP
+    assert [r.empirical for r in rep[:2]] == [1.0, 0.0]
 
 
 def test_lln_deterministic_families_are_exact():

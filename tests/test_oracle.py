@@ -21,7 +21,6 @@ from fqtraces.oracle import (
     poly_matrix_eval,
     poly_mul,
     poly_name,
-    schubert_cell_count,
     subspaces,
     unipotent_class_of,
     unipotent_matrices,
@@ -114,7 +113,7 @@ def test_gaussian_binomial_subspace_counts():
 
 
 def test_unipotent_class_examples():
-    assert unipotent_class_of(FqMatrix.identity(F2, 3)) == (1, 1, 1)
+    assert unipotent_class_of(FqMatrix(F2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == (1, 1, 1)
     j3 = FqMatrix(F2, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     assert unipotent_class_of(j3) == (3,)
     e12 = FqMatrix(F2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
@@ -187,7 +186,7 @@ def test_unipotent_counts():
 
 
 def test_count_fixed_flags_examples():
-    ident = FqMatrix.identity(F2, 2)
+    ident = FqMatrix(F2, [[1, 0], [0, 1]])
     assert count_fixed_flags(ident, (1, 1)) == 3
     trans = FqMatrix(F2, [[1, 1], [0, 1]])
     assert count_fixed_flags(trans, (1, 1)) == 1
@@ -202,15 +201,15 @@ def test_count_fixed_subspaces_examples():
     trans = FqMatrix(F2, [[1, 1], [0, 1]])
     assert count_fixed_flags(trans, (0, 2)) == 1
     assert count_fixed_flags(trans, (2, 0)) == 1
-    ident3 = FqMatrix.identity(F2, 3)
+    ident3 = FqMatrix(F2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert count_fixed_flags(ident3, (1, 2)) == 7
     assert count_fixed_flags(ident3, (0, 1, 2)) == 7
 
 
 def test_schubert_cell_examples():
-    assert schubert_cell_count((1, 0), 2) == 1
-    assert schubert_cell_count((0, 1), 2) == 2
-    assert schubert_cell_count((1, 1, 1), 3) == 1
+    assert ref.schubert_cell_count((1, 0), 2) == 1
+    assert ref.schubert_cell_count((0, 1), 2) == 2
+    assert ref.schubert_cell_count((1, 1, 1), 3) == 1
 
 
 def test_schubert_cells_match_closed_form():
@@ -219,7 +218,7 @@ def test_schubert_cells_match_closed_form():
             for x in product((0, 1), repeat=n):
                 m = sum(x)
                 expected = q ** (sum((i + 1) * xi for i, xi in enumerate(x)) - m * (m + 1) // 2)
-                assert schubert_cell_count(x, q) == expected
+                assert ref.schubert_cell_count(x, q) == expected
 
 
 def test_ext_enumerate_counts_and_shapes():

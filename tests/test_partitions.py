@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hl_reference import dominance_leq
 from hypothesis import given, strategies as st
 
 from fqtraces.partitions import (
@@ -9,7 +10,6 @@ from fqtraces.partitions import (
     add_box,
     box_additions,
     box_removals,
-    dominance_leq,
     format_partition,
     hook_lengths,
     is_partition,

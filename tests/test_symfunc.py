@@ -5,7 +5,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqtraces.partitions import dominance_leq, partitions_of, size, z_factor
+from fqtraces.partitions import partitions_of, size, z_factor
 from fqtraces.specializations import Specialization
 from fqtraces.symfunc import (
     PowerSumElement,
@@ -23,6 +23,7 @@ from fqtraces.symfunc import (
 from fqtraces.verify import hl_q_by_charge
 
 from hl_reference import (
+    dominance_leq,
     kostka_foulkes_branching,
     kostka_foulkes_reference,
     sym_character_reference,
@@ -160,11 +161,11 @@ def test_charge_words():
 
 
 def test_kostka_foulkes_examples():
-    assert kostka_foulkes((2,), (1, 1)).to_list() == [0, 1]
-    assert kostka_foulkes((1, 1), (1, 1)).to_list() == [1]
-    assert kostka_foulkes((2, 1), (1, 1, 1)).to_list() == [0, 1, 1]
+    assert list(kostka_foulkes((2,), (1, 1))) == [0, 1]
+    assert list(kostka_foulkes((1, 1), (1, 1))) == [1]
+    assert list(kostka_foulkes((2, 1), (1, 1, 1))) == [0, 1, 1]
     for mu in partitions_of(6):
-        assert kostka_foulkes(mu, mu).to_list() == [1]
+        assert list(kostka_foulkes(mu, mu)) == [1]
 
 
 def test_kostka_foulkes_frozen_degree5_column():
@@ -179,14 +180,14 @@ def test_kostka_foulkes_frozen_degree5_column():
         (1, 1, 1, 1, 1): [],
     }
     for mu, coeffs in column.items():
-        assert kostka_foulkes(mu, (2, 2, 1)).to_list() == coeffs
+        assert list(kostka_foulkes(mu, (2, 2, 1))) == coeffs
 
 
 def test_kostka_foulkes_top_row_is_n_stat_power():
     for n in range(1, 7):
         for lam in partitions_of(n):
             poly = kostka_foulkes((n,), lam)
-            assert poly.to_list() == [0] * (sum((i) * p for i, p in enumerate(lam))) + [1]
+            assert list(poly) == [0] * (sum((i) * p for i, p in enumerate(lam))) + [1]
 
 
 def test_kostka_foulkes_t1_and_unitriangular():

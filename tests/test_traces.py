@@ -12,19 +12,22 @@ from fqtraces.partitions import hook_lengths, n_stat, partitions_of, size
 from fqtraces.specializations import Specialization
 from fqtraces.traces import (
     COEFFICIENT_DEGREE_CAP,
+    GLU_ROW_CAP,
     UNIT,
     DiagramFamily,
     GLUTraceParams,
+    _partition_tuples,
+    _row_count,
     biregular_coefficient,
     branching_predecessors,
     family,
     glu_trace_coefficients,
     green_dimension,
-    sp_principal_schur,
     trace_coefficients,
     unipotent_block_value,
     unipotent_trace_value,
 )
+from fqtraces.verify import _principal_schur
 
 HALF = Fraction(1, 2)
 TRIVIAL = Specialization.finite((1,), (), 1)
@@ -175,17 +178,26 @@ def test_biregular_examples():
     assert biregular_coefficient(family(("a", 1, (1,))), 3) == 1
 
 
-def test_sp_principal_schur_closed_form():
-    assert sp_principal_schur((1,), 2) == 1
-    assert sp_principal_schur((2,), 2) == Fraction(1, 3)
-    assert sp_principal_schur((1, 1), 2) == Fraction(2, 3)
+def test_principal_schur_closed_form():
+    assert _principal_schur(2, 1)[(1,)] == 1
+    assert _principal_schur(2, 2) == {(2,): Fraction(1, 3), (1, 1): Fraction(2, 3)}
     for q in (2, 3, 4):
         for n in range(1, 7):
+            schur = _principal_schur(q, n)
             for lam in partitions_of(n):
                 closed = Fraction(q - 1) ** size(lam) * Fraction(q) ** n_stat(lam)
                 for h in hook_lengths(lam):
                     closed /= q**h - 1
-                assert sp_principal_schur(lam, q) == closed
+                assert schur[lam] == closed
+
+
+def test_glu_row_count():
+    # the x**m coefficient of P(x)**labels counts the keys of the coefficients
+    for m in range(7):
+        for labels in range(4):
+            assert _row_count(m, labels) == sum(1 for _ in _partition_tuples(m, labels))
+    assert _row_count(COEFFICIENT_DEGREE_CAP, 2) == GLU_ROW_CAP
+    assert _row_count(COEFFICIENT_DEGREE_CAP, 3) == 341649
 
 
 def test_glu_params_validation():
