@@ -153,10 +153,6 @@ def _emit(fmt: str, rows: list[dict], header: list[str] | None = None):
         )
 
 
-def _specialization(args) -> Specialization:
-    return Specialization.finite(args.alpha, args.beta)
-
-
 _NAMED_MEASURES = {
     "haar": MeasureParams.haar,
     "delta": MeasureParams.delta_identity,
@@ -289,7 +285,8 @@ def _run(args) -> int:
             for mu, c in sorted(schur_expand(f).items(), reverse=True)
         ]
     elif args.command == "trace":
-        rows = [{"value": str(unipotent_trace_value(_specialization(args), args.cls, args.q))}]
+        sp = Specialization.finite(args.alpha, args.beta)
+        rows = [{"value": str(unipotent_trace_value(sp, args.cls, args.q))}]
     elif args.command == "coeffs" and args.glu_params is not None:
         header = ["labels", "coeff"]
         rows = [
@@ -298,9 +295,10 @@ def _run(args) -> int:
         ]
     elif args.command == "coeffs":
         header = ["lambda", "coeff"]
+        sp = Specialization.finite(args.alpha, args.beta)
         rows = [
             {"lambda": _PartitionCell(format_partition(lam)), "coeff": c}
-            for lam, c in trace_coefficients(_specialization(args), args.n).items()
+            for lam, c in trace_coefficients(sp, args.n).items()
         ]
     elif args.command == "biregular":
         cap = BIREGULAR_MAX_SIZE.get(args.q)
@@ -319,7 +317,8 @@ def _run(args) -> int:
         if args.from_trace:
             if args.measure or args.r or args.c:
                 raise CliError("cyl --from-trace takes --alpha/--beta, not --measure, --r or --c")
-            value = cyl_prob_from_trace(_specialization(args), args.lam, args.q)
+            sp = Specialization.finite(args.alpha, args.beta)
+            value = cyl_prob_from_trace(sp, args.lam, args.q)
         else:
             if args.alpha or args.beta:
                 raise CliError("cyl takes --alpha/--beta only with --from-trace")

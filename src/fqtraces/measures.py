@@ -38,7 +38,6 @@ from fqtraces.partitions import (
     addable_corners,
     box_additions,
     check_partition,
-    conj_prefix,
     n_stat,
     size,
     transpose,
@@ -49,6 +48,7 @@ from fqtraces.specializations import (
     GeometricSpread,
     Specialization,
     _check_weakly_decreasing_nonneg,
+    check_q,
 )
 from fqtraces.symfunc import EXACT_HL_DEGREE_CAP, hl_q_in_p
 from fqtraces.traces import unipotent_block_value
@@ -71,9 +71,7 @@ class MeasureParams:
     family: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q = Fraction(self.q)
-        if q <= 1:
-            raise ValueError("q must exceed 1")
+        q = check_q(self.q)
         r = self.r
         if isinstance(r, (tuple, list)):
             r = FinitePowerSums(tuple(Fraction(v) for v in r))
@@ -127,9 +125,11 @@ def extension_count(lam: Partition, mu: Partition, q) -> Fraction:
         raise ValueError("extension counts need |mu| = |lam| + 1")
     for nu, col in box_additions(lam):
         if nu == mu:
-            count = q ** (size(lam) - conj_prefix(lam, col))
+            # column lengths, with lam'_j = 0 for the column a new first-row box opens
+            conj = transpose(lam) + (0,)
+            count = q ** (size(lam) - conj[col - 1])
             if col > 1:
-                count *= 1 - q ** (conj_prefix(lam, col) - conj_prefix(lam, col - 1))
+                count *= 1 - q ** (conj[col - 1] - conj[col - 2])
             return count
     return Fraction(0)
 

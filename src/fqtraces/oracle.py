@@ -150,7 +150,7 @@ def field_make(q: int) -> FqField:
         for a in range(q)
     )
     mul = tuple(
-        tuple(index(poly_divmod(base, poly_mul(base, vec[a], vec[b]), modulus)[1]) for b in range(q))
+        tuple(index(poly_mod(base, poly_mul(base, vec[a], vec[b]), modulus)) for b in range(q))
         for a in range(q)
     )
     return FqField(q, add, mul)
@@ -220,17 +220,6 @@ class FqMatrix:
         """The entries as a tuple of rows of field indices."""
         cols = [_unpack(self.field, c, self.nrows) for c in self.cols]
         return tuple(zip(*cols)) if cols else ((),) * self.nrows
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FqMatrix)
-            and self.field is other.field
-            and self.nrows == other.nrows
-            and self.cols == other.cols
-        )
-
-    def __hash__(self):
-        return hash((self.nrows, self.cols))
 
     def __matmul__(self, other: "FqMatrix") -> "FqMatrix":
         return _matrix(self.field, self.nrows, tuple(_apply(self, c) for c in other.cols))
@@ -489,24 +478,22 @@ def poly_mul(field: FqField, a, b):
     return tuple(out)
 
 
-def poly_divmod(field: FqField, a, b):
+def poly_mod(field: FqField, a, b):
     a = list(a)
     db, dl = len(b) - 1, len(a) - 1
     inv_lead = field.inv[b[-1]]
-    quot = [0] * max(dl - db + 1, 0)
     while dl >= db and any(a):
         while dl >= 0 and a[dl] == 0:
             dl -= 1
         if dl < db:
             break
         c = field.mul[a[dl]][inv_lead]
-        quot[dl - db] = c
         for k in range(db + 1):
             a[dl - db + k] = field.sub(a[dl - db + k], field.mul[c][b[k]])
         dl -= 1
     while len(a) > 1 and a[-1] == 0:
         a.pop()
-    return tuple(quot), tuple(a)
+    return tuple(a)
 
 
 def _check_poly(field: FqField, poly, monic: bool = False) -> tuple:

@@ -132,7 +132,3 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     extend([], n, n)
     return tuple(out)
 
-
-def conj_prefix(lam: Partition, j: int) -> int:
-    """Column length lam'_j (number of parts >= j); j >= 1."""
-    return sum(1 for p in lam if p >= j)

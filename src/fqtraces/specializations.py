@@ -16,7 +16,6 @@ coefficients of its argument over one denominator C, sums each term as a
 product of integers, and builds a single `Fraction` at the end.
 """
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -26,6 +25,20 @@ from fqtraces.symfunc import PowerSumElement
 
 def _as_fractions(values) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
+
+
+def check_q(q) -> Fraction:
+    """The field size q as a `Fraction`; it must exceed 1."""
+    q = Fraction(q)
+    if q <= 1:
+        raise ValueError(f"q must exceed 1, got {q}")
+    return q
+
+
+def _largest(values, count: int) -> list[Fraction]:
+    """The ``count`` largest of ``values`` in decreasing order, padded with zeros."""
+    out = sorted(values, reverse=True)[:count]
+    return out + [Fraction(0)] * (count - len(out))
 
 
 def _check_weakly_decreasing_nonneg(values, what: str):
@@ -46,8 +59,7 @@ class FinitePowerSums:
         return sum((v**k for v in self.values), Fraction(0))
 
     def frequencies(self, count: int) -> list[Fraction]:
-        out = sorted(self.values, reverse=True)[:count]
-        return out + [Fraction(0)] * (count - len(out))
+        return _largest(self.values, count)
 
 
 @dataclass(frozen=True)
@@ -67,9 +79,7 @@ class GeometricSpread:
 
     def __post_init__(self):
         object.__setattr__(self, "seq", _as_fractions(self.seq))
-        object.__setattr__(self, "q", Fraction(self.q))
-        if self.q <= 1:
-            raise ValueError("spread ratio q must exceed 1")
+        object.__setattr__(self, "q", check_q(self.q))
         _check_weakly_decreasing_nonneg(self.seq, "spread sequence")
 
     def power(self, k: int) -> Fraction:
@@ -81,15 +91,9 @@ class GeometricSpread:
 
     def frequencies(self, count: int) -> list[Fraction]:
         """The ``count`` largest entries of the array, in decreasing order."""
+        # each row decreases, so they are among the first ``count`` of each row
         scale = 1 - 1 / self.q
-        heap = [(-scale * s, i, 1) for i, s in enumerate(self.seq) if s > 0]
-        heapq.heapify(heap)
-        out: list[Fraction] = []
-        while heap and len(out) < count:
-            neg, i, j = heapq.heappop(heap)
-            out.append(-neg)
-            heapq.heappush(heap, (neg / self.q, i, j + 1))
-        return out + [Fraction(0)] * (count - len(out))
+        return _largest((scale * s / self.q**j for s in self.seq for j in range(count)), count)
 
 
 EMPTY = FinitePowerSums(())

@@ -29,7 +29,7 @@ from fqtraces.partitions import (
     size,
     z_factor,
 )
-from fqtraces.specializations import Specialization
+from fqtraces.specializations import Specialization, check_q
 from fqtraces.symfunc import _character_table, modified_hl_q, plethysm_pl
 
 UNIT = "x-1"
@@ -74,9 +74,6 @@ class DiagramFamily:
                 return lam
         return ()
 
-    def without(self, tag: str) -> "DiagramFamily":
-        return DiagramFamily(tuple(b for b in self.blocks if b[0] != tag))
-
     def with_diagram(self, tag: str, d: int, lam: Partition) -> "DiagramFamily":
         rest = tuple(b for b in self.blocks if b[0] != tag)
         if lam:
@@ -119,13 +116,6 @@ def family(*blocks) -> DiagramFamily:
     return DiagramFamily(tuple(blocks))
 
 
-def _check_q(q) -> Fraction:
-    q = Fraction(q)
-    if q <= 1:
-        raise ValueError(f"q must exceed 1, got {q}")
-    return q
-
-
 def _check_linear_capacity(f: DiagramFamily, q: Fraction, reserve_unit: bool = False):
     # families are formula-level objects and do not know q; once q is
     # supplied, only q - 1 distinct linear factors exist, one fewer when
@@ -155,7 +145,7 @@ def green_dimension(f: DiagramFamily, q) -> Fraction:
     Computed by the q-hook formula; a positive integer whenever q is a
     prime power (not enforced here -- q is treated as a rational).
     """
-    q = _check_q(q)
+    q = check_q(q)
     _check_linear_capacity(f, q)
     k = f.degree
     value = Fraction(1)
@@ -196,7 +186,7 @@ def unipotent_block_value(sp: Specialization, d: int, lam: Partition, q) -> Frac
     specialization of the degree-stretched modified Q function at
     parameter q**(-d).
     """
-    q = _check_q(q)
+    q = check_q(q)
     if sp.power_sum(1) != 1:
         raise ValueError("unipotent trace values need gamma = 1")
     t = 1 / q**d
@@ -210,7 +200,7 @@ def unipotent_trace_value(sp: Specialization, cls: DiagramFamily, q) -> Fraction
     ``cls`` is a family of diagrams read as a conjugacy class (Jordan data
     per irreducible factor) rather than as a representation label.
     """
-    _check_linear_capacity(cls, _check_q(q))
+    _check_linear_capacity(cls, check_q(q))
     value = Fraction(1)
     for _, d, lam in cls.blocks:
         value *= unipotent_block_value(sp, d, lam, q)
@@ -282,7 +272,7 @@ def trace_coefficients(sp: Specialization, n: int) -> dict[Partition, Fraction]:
 
 def biregular_coefficient(f: DiagramFamily, q) -> Fraction:
     """Weight of a unit-free family in the biregular decomposition."""
-    q = _check_q(q)
+    q = check_q(q)
     if f.has_unit():
         raise ValueError("biregular weights are indexed by unit-free families")
     _check_linear_capacity(f, q, reserve_unit=True)

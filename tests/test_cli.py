@@ -297,6 +297,25 @@ def test_chain_requests_above_caps_exit_one_at_once(argv):
     assert "capped at" in err and "Traceback" not in err
 
 
+_FAMILY = ["--family", '[{"tag":"x-1","d":1,"lambda":"1"}]']
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cyl", "--q", "1", "--measure", "haar", "--lam", "1"],
+        ["cyl", "--q", "1", "--r", "1/2", "--lam", "1"],
+        ["sample", "--q", "1", "--measure", "delta", "--nmax", "1", "--seed", "1"],
+        ["dim", "--q", "1", *_FAMILY],
+        ["trace", "--q", "1", "--class", _FAMILY[1]],
+    ],
+)
+def test_q_at_most_one_gets_one_message(argv):
+    code, out, err = run(argv)
+    assert code == 1 and out == ""
+    assert err == "error: q must exceed 1, got 1\n"
+
+
 @pytest.mark.parametrize("shape", ["400", "65", "10,10,10,10,10,10,10,10,10,10"])
 def test_kostka_above_content_cap_exits_one_at_once(shape):
     ones = ",".join(["1"] * sum(int(p) for p in shape.split(",")))

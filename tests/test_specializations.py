@@ -90,6 +90,28 @@ def test_geometric_spread_matches_truncated_sums():
         assert abs(closed - direct) < Fraction(1, 10**20)
 
 
+@pytest.mark.parametrize(
+    "seq",
+    [
+        (),
+        (0,),
+        (1,),
+        (HALF, HALF),
+        (HALF, Fraction(1, 3), 0),
+        (Fraction(3, 4), Fraction(1, 8), Fraction(1, 9), 0, 0),
+    ],
+)
+@pytest.mark.parametrize("q", [Fraction(5, 4), Fraction(2), Fraction(5, 2), Fraction(7)])
+def test_spread_frequencies_match_a_sort_of_many_entries(seq, q):
+    spread = GeometricSpread(seq, q)
+    entries = sorted(
+        ((1 - 1 / q) * Fraction(s) * q ** (1 - j) for s in seq for j in range(1, 61)), reverse=True
+    )
+    for count in (0, 1, 2, 3, 7, 20, 50):
+        expected = entries[:count] + [Fraction(0)] * (count - len(entries[:count]))
+        assert spread.frequencies(count) == expected
+
+
 def test_spread_frequencies_sorted():
     spread = GeometricSpread((HALF, Fraction(1, 3)), Fraction(2))
     freqs = spread.frequencies(6)

@@ -134,7 +134,7 @@ def test_multiplicativity_against_flag_oracle():
     from fqtraces import verify
 
     result = verify.run_suite("trace-values-oracle")
-    assert result.passed, result.failures()
+    assert result.passed, [r for r in result.rows if not r.ok]
     check_suite_golden(result)
 
 
