@@ -133,24 +133,45 @@ class _PartitionCell(str):
     """Partitions in one cell, such as "2,1" or "2;1,1": CSV quotes them, JSON does not."""
 
 
+def _exact(value) -> str:
+    """An exact integer or fraction as text, refused past the int-to-str digit limit.
+
+    The conversion takes time quadratic in the digits, so CPython caps it at
+    sys.get_int_max_str_digits(); this is the one place exact values become
+    text, and it says so in its own words.
+    """
+    # Python 3.10 before 3.10.7 has no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    big = max(abs(value.numerator), value.denominator)
+    # below 2**(3 * limit) a value has fewer than limit digits
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise ValueError(f"exact value has more than {limit} digits, the most fqtraces prints")
+    return str(value)
+
+
+def _cell(c) -> str:
+    if isinstance(c, _PartitionCell):
+        return f'"{c}"'
+    return _exact(c) if isinstance(c, Fraction) else str(c)
+
+
 def _emit(fmt: str, rows: list[dict], header: list[str] | None = None):
     """Write rows as CSV or as one JSON object with a "results" array.
 
-    Without a header the rows are bare values, which CSV prints alone.
+    Without a header the rows are bare values, which CSV prints alone.  The
+    whole text is built first, so a value refused by :func:`_exact` leaves
+    stdout empty.
     """
-    out = sys.stdout
     if fmt == "json":
         # exact values print as reduced-fraction strings, as in CSV
-        out.write(json.dumps({"results": rows}, indent=2, default=str))
-        out.write("\n")
-        return
-    if header is not None:
-        out.write(",".join(header) + "\n")
-    for row in rows:
-        cells = row.values() if header is None else (row[h] for h in header)
-        out.write(
-            ",".join(f'"{c}"' if isinstance(c, _PartitionCell) else str(c) for c in cells) + "\n"
-        )
+        text = json.dumps({"results": rows}, indent=2, default=_exact) + "\n"
+    else:
+        lines = [] if header is None else [",".join(header)]
+        for row in rows:
+            cells = row.values() if header is None else (row[h] for h in header)
+            lines.append(",".join(_cell(c) for c in cells))
+        text = "".join(line + "\n" for line in lines)
+    sys.stdout.write(text)
 
 
 _NAMED_MEASURES = {
@@ -267,9 +288,9 @@ def _run(args) -> int:
     fmt = args.format
     header, code = None, 0
     if args.command == "dim":
-        rows = [{"value": str(green_dimension(args.family, args.q))}]
+        rows = [{"value": _exact(green_dimension(args.family, args.q))}]
     elif args.command == "kostka":
-        rows = [{"value": str(kostka(args.shape, args.content))}]
+        rows = [{"value": _exact(kostka(args.shape, args.content))}]
     elif args.command == "kostka-foulkes":
         coeffs = list(kostka_foulkes(args.shape, args.content))
         header = ["power", "coeff"]
@@ -286,7 +307,7 @@ def _run(args) -> int:
         ]
     elif args.command == "trace":
         sp = Specialization.finite(args.alpha, args.beta)
-        rows = [{"value": str(unipotent_trace_value(sp, args.cls, args.q))}]
+        rows = [{"value": _exact(unipotent_trace_value(sp, args.cls, args.q))}]
     elif args.command == "coeffs" and args.glu_params is not None:
         header = ["labels", "coeff"]
         rows = [
@@ -323,7 +344,7 @@ def _run(args) -> int:
             if args.alpha or args.beta:
                 raise CliError("cyl takes --alpha/--beta only with --from-trace")
             value = cyl_prob(_measure(args), args.lam)
-        rows = [{"value": str(value)}]
+        rows = [{"value": _exact(value)}]
     elif args.command == "sample":
         header = ["level", "lambda"]
         traj = sample_trajectory(_measure(args), args.nmax, args.seed)
@@ -339,7 +360,7 @@ def _run(args) -> int:
                 "statistic": r.statistic,
                 "i": r.index,
                 "empirical": repr(r.empirical),
-                "predicted": str(r.predicted),
+                "predicted": _exact(r.predicted),
                 "stderr": repr(r.stderr),
             }
             for r in stats

@@ -49,6 +49,7 @@ from fqtraces.specializations import (
     Specialization,
     _check_weakly_decreasing_nonneg,
     check_q,
+    check_q_power,
 )
 from fqtraces.symfunc import EXACT_HL_DEGREE_CAP, hl_q_in_p
 from fqtraces.traces import unipotent_block_value
@@ -148,13 +149,20 @@ def hl_weight(params: MeasureParams, lam: Partition) -> Fraction:
     return params.specialization().apply(hl_q_in_p(lam, 1 / params.q))
 
 
+# Bound on the largest power of q a cylinder probability builds,
+# q**(n(n-1)/2), in bits of numerator plus denominator; see check_q_power.
+# At the cap (level 1155 at q = 2 and 3, 378 at q = 10001/10000 and 246 at
+# q = 2**64 + 1) the Haar, delta and single-row forms take 0.16-1.13 s in a
+# fresh process (2-vCPU Xeon, Python 3.11); at twice the cap, up to 3.9 s.
+CYLINDER_Q_BITS_CAP = 2_000_000
+
+
 def cyl_prob(params: MeasureParams, lam: Partition) -> Fraction:
     """Probability of the cylinder over one unipotent corner of type lam."""
     lam = check_partition(lam)
     n = size(lam)
     q = params.q
-    # the weight first: above the degree cap it raises before the prefactor,
-    # whose size grows with n**2, is built
+    check_q_power(q, n * (n - 1) // 2, CYLINDER_Q_BITS_CAP, "cylinder probabilities")
     weight = params.family.weight(lam)
     pref = q ** (-(n * (n - 1)) // 2) / (1 - 1 / q) ** n
     return pref * q ** n_stat(lam) * weight
@@ -259,15 +267,25 @@ class _Row(_ClosedForm):
 
 
 class _Generic:
-    """Any other parameters: the exact Hall-Littlewood weight, up to its cap."""
+    """Any other parameters: the exact Hall-Littlewood weight, up to its cap.
+
+    Each diagram's transition row is built once and kept, since a chain
+    revisits the few diagrams below the cap at every trial.
+    """
 
     def __init__(self, params: MeasureParams):
         self.params = params
+        self.built_rows: dict[Partition, tuple[int, list[int]]] = {}
 
     def weight(self, lam: Partition) -> Fraction:
         return hl_weight(self.params, lam)
 
     def row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
+        if lam not in self.built_rows:
+            self.built_rows[lam] = self._build_row(lam, rows)
+        return self.built_rows[lam]
+
+    def _build_row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
         params, q = self.params, self.params.q
         source = hl_weight(params, lam)
         if source <= 0:

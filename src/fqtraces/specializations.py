@@ -35,6 +35,17 @@ def check_q(q) -> Fraction:
     return q
 
 
+def check_q_power(q: Fraction, exponent: int, cap: int, what: str):
+    """Refuse, before any work, a request that builds q**exponent above ``cap`` bits.
+
+    The bits of numerator and denominator both count: q = 10001/10000 makes
+    both large.
+    """
+    bits = exponent * (q.numerator.bit_length() + q.denominator.bit_length())
+    if bits > cap:
+        raise ValueError(f"{what} capped at {cap} bits in powers of q; got {bits}")
+
+
 def _largest(values, count: int) -> list[Fraction]:
     """The ``count`` largest of ``values`` in decreasing order, padded with zeros."""
     out = sorted(values, reverse=True)[:count]

@@ -423,6 +423,14 @@ def _translate(f: dict[Partition, int]) -> dict[int, dict[Partition, int]]:
     return out
 
 
+def check_hl_degree(n: int):
+    """Refuse, before any work, a Hall-Littlewood Q function above the degree cap."""
+    if n > EXACT_HL_DEGREE_CAP:
+        raise ValueError(
+            f"exact Hall-Littlewood Q capped at degree {EXACT_HL_DEGREE_CAP}; got degree {n}"
+        )
+
+
 def hl_q_in_p(lam: Partition, t) -> PowerSumElement:
     """Hall-Littlewood Q function at an exact rational parameter t.
 
@@ -436,11 +444,7 @@ def hl_q_in_p(lam: Partition, t) -> PowerSumElement:
     built only for the result.
     """
     lam = check_partition(lam)
-    if size(lam) > EXACT_HL_DEGREE_CAP:
-        raise ValueError(
-            f"exact Hall-Littlewood Q capped at degree {EXACT_HL_DEGREE_CAP}; "
-            f"got degree {size(lam)}"
-        )
+    check_hl_degree(size(lam))
     t = Fraction(t)
     den, f = 1, {(): 1}
     for n in reversed(lam):

@@ -29,8 +29,8 @@ from fqtraces.partitions import (
     size,
     z_factor,
 )
-from fqtraces.specializations import Specialization, check_q
-from fqtraces.symfunc import _character_table, modified_hl_q, plethysm_pl
+from fqtraces.specializations import Specialization, check_q, check_q_power
+from fqtraces.symfunc import _character_table, check_hl_degree, modified_hl_q, plethysm_pl
 
 UNIT = "x-1"
 
@@ -139,6 +139,20 @@ def q_hook_weight(lam: Partition, d: int, q: Fraction) -> Fraction:
     return value
 
 
+# Bounds on the powers of q that `dim` and `trace` build, in bits of
+# numerator plus denominator; see check_q_power.  A dimension of degree k
+# builds the product of q**i - 1 up to k.  A trace block of degree d builds
+# q**(d n(lam)) and the modified Q function at t = q**-d, whose factors
+# 1/(1 - t**k) reach k = |lam|: the exponent is d (|lam| + n(lam)).  At the
+# caps, for q = 2, 3, 10001/10000 and 2**64 + 1, one-row and one-column
+# dimensions take 0.23-1.13 s, and trace blocks with |lam| <= 16 at
+# alpha = (1/2, 1/4), beta = (1/8) take 0.10-0.72 s, each in a fresh
+# process (2-vCPU Xeon, Python 3.11).  Dimensions at 2-8 times the cap
+# took 0.6-20 s, and trace blocks up to 2.0 s at twice the cap.
+DIMENSION_Q_BITS_CAP = 500_000
+TRACE_Q_BITS_CAP = 10_000
+
+
 def green_dimension(f: DiagramFamily, q) -> Fraction:
     """Dimension of the irreducible representation labeled by ``f``.
 
@@ -148,6 +162,7 @@ def green_dimension(f: DiagramFamily, q) -> Fraction:
     q = check_q(q)
     _check_linear_capacity(f, q)
     k = f.degree
+    check_q_power(q, k * (k + 1) // 2, DIMENSION_Q_BITS_CAP, "dimensions")
     value = Fraction(1)
     for i in range(1, k + 1):
         value *= q**i - 1
@@ -178,6 +193,12 @@ def branching_predecessors(f: DiagramFamily, variant: str) -> list[DiagramFamily
     return out
 
 
+def _check_block_size(d: int, lam: Partition, q: Fraction):
+    # the degree first, so that a block above it is refused as such
+    check_hl_degree(size(lam))
+    check_q_power(q, d * (size(lam) + n_stat(lam)), TRACE_Q_BITS_CAP, "trace values")
+
+
 def unipotent_block_value(sp: Specialization, d: int, lam: Partition, q) -> Fraction:
     """Extreme unipotent trace value on a single primary block.
 
@@ -187,6 +208,7 @@ def unipotent_block_value(sp: Specialization, d: int, lam: Partition, q) -> Frac
     parameter q**(-d).
     """
     q = check_q(q)
+    _check_block_size(d, lam, q)
     if sp.power_sum(1) != 1:
         raise ValueError("unipotent trace values need gamma = 1")
     t = 1 / q**d
@@ -200,7 +222,10 @@ def unipotent_trace_value(sp: Specialization, cls: DiagramFamily, q) -> Fraction
     ``cls`` is a family of diagrams read as a conjugacy class (Jordan data
     per irreducible factor) rather than as a representation label.
     """
-    _check_linear_capacity(cls, check_q(q))
+    q = check_q(q)
+    _check_linear_capacity(cls, q)
+    for _, d, lam in cls.blocks:
+        _check_block_size(d, lam, q)
     value = Fraction(1)
     for _, d, lam in cls.blocks:
         value *= unipotent_block_value(sp, d, lam, q)

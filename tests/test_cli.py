@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -235,6 +236,7 @@ def test_bad_glu_params_exit_one(params):
         ["sample", "--q", "2", "--r", "1/2", "--c", "1/4", "--nmax", "17", "--seed", "1"],
         ["sample", "--q", "2", "--r", "1/2", "--c", "1/4", "--nmax", "40", "--seed", "1"],
         ["lln", "--q", "3", "--r", "1/2", "--nmax", "17", "--trials", "2", "--seed", "1"],
+        ["trace", "--q", "2", "--class", '[{"tag":"c","d":1000000000,"lambda":"17"}]'],
     ],
 )
 def test_above_hl_degree_cap_exits_one_at_once(argv):
@@ -297,6 +299,31 @@ def test_chain_requests_above_caps_exit_one_at_once(argv):
     assert "capped at" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cyl", "--q", "2", "--measure", "haar", "--lam", "30000"],
+        ["cyl", "--q", "3", "--measure", "single-row", "--lam", "30000"],
+        ["dim", "--q", "2", "--family", '[{"tag":"x-1","d":1,"lambda":"100000"}]'],
+        [
+            "trace", "--q", "2", "--alpha", "1",
+            "--class", '[{"tag":"c","d":1000000000,"lambda":"1"}]',
+        ],
+        # n(lam) = 0, but the modified Q function builds t**16 at t = 2**-3333
+        [
+            "trace", "--q", "2", "--alpha", "1/2,1/4", "--beta", "1/8",
+            "--class", '[{"tag":"c","d":3333,"lambda":"16"}]',
+        ],
+    ],
+)
+def test_oversized_powers_of_q_exit_one_at_once(argv):
+    start = time.perf_counter()
+    code, out, err = run(argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert "bits in powers of q" in err and "Traceback" not in err
+
+
 _FAMILY = ["--family", '[{"tag":"x-1","d":1,"lambda":"1"}]']
 
 
@@ -314,6 +341,15 @@ def test_q_at_most_one_gets_one_message(argv):
     code, out, err = run(argv)
     assert code == 1 and out == ""
     assert err == "error: q must exceed 1, got 1\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_value_past_the_digit_limit_exits_one(fmt):
+    # the Haar cylinder of one 170-box block is 2**-14365, 4325 digits
+    code, out, err = run(["--format", fmt, "cyl", "--q", "2", "--measure", "haar", "--lam", "170"])
+    assert code == 1 and out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: exact value has more than {limit} digits, the most fqtraces prints\n"
 
 
 @pytest.mark.parametrize("shape", ["400", "65", "10,10,10,10,10,10,10,10,10,10"])

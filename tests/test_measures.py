@@ -304,6 +304,17 @@ def test_generic_rows_on_random_partitions(lam):
     check_row(MIXED, lam)
 
 
+def test_generic_rows_are_built_once():
+    # a second request for the same row reads the kept one and asks
+    # hl_weight for nothing, neither a hit nor a miss
+    params = MeasureParams((Fraction(1, 3),), (Fraction(1, 5),), 3)
+    first = transition_distribution(params, (3, 1))
+    before = hl_weight.cache_info()
+    assert transition_distribution(params, (3, 1)) == first
+    after = hl_weight.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 @pytest.mark.parametrize(
     "params, lam",
     [(DELTA2, (2,)), (DELTA2, (2, 1)), (ROW2, (1, 1)), (ROW2, (3, 2)), (TWO_ROWS, (1, 1, 1))],
