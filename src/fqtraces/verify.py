@@ -2,8 +2,12 @@
 
 Each suite cross-checks one exact identity, either internally (two
 independent computation paths) or against the brute-force finite-field
-oracle.  Suites return structured rows so the command line can emit CSV
-and CI can shard them by name.
+oracle.  A suite is a generator registered under its name by ``@_suite``.
+It yields ``(instance, left, right, ok)`` rows, built by ``_row`` for one
+comparison, by ``_tally`` for a count of mismatching pairs, or written
+out as a bare 4-tuple (as ``lln`` does); ``run_suite`` adds the suite's
+name to each row, so the command line can emit CSV and CI can shard the
+suites by name.
 """
 
 from dataclasses import dataclass
@@ -22,12 +26,14 @@ from fqtraces.measures import (
 from fqtraces.oracle import (
     FqMatrix,
     all_matrices,
+    class_representative,
     conjugacy_family_of,
     count_fixed_flags,
     ext_enumerate,
     families_enumerate,
     field_make,
     jordan_block_matrix,
+    polys_by_tag,
     unipotent_class_of,
     unipotent_matrices,
     unipotent_upper_triangular,
@@ -97,17 +103,24 @@ def suite_names() -> list[str]:
 def run_suite(name: str) -> SuiteResult:
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(_SUITES)}")
-    return SuiteResult(name, tuple(_SUITES[name]()))
+    return SuiteResult(name, tuple(CheckRow(name, *row) for row in _SUITES[name]()))
 
 
-def _row(suite, instance, left, right) -> CheckRow:
-    return CheckRow(suite, instance, str(left), str(right), left == right)
+def _row(instance, left, right) -> tuple:
+    return instance, str(left), str(right), left == right
 
 
-def _agg(suite, instance, mismatches, checked) -> CheckRow:
-    return CheckRow(
-        suite, instance, f"{mismatches} mismatches", f"0 of {checked}", mismatches == 0
-    )
+def _tally(instance, pairs) -> tuple:
+    """One row counting the ``(left, right)`` pairs that differ."""
+    bad = checked = 0
+    for left, right in pairs:
+        checked += 1
+        bad += left != right
+    return instance, f"{bad} mismatches", f"0 of {checked}", bad == 0
+
+
+def _invertible(field, n: int):
+    return (m for m in all_matrices(field, n) if m.is_invertible())
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +143,6 @@ def hl_q_by_charge(lam, t) -> PowerSumElement:
 
 @_suite("hl-schur-identity")
 def _check_hl_schur_identity():
-    rows = []
     # symbolic identity in the polynomial ring.  On both sides every p
     # coefficient is a polynomial in t of degree at most n(n+1)/2.  Operator
     # side: q_N has degree N, so H_k raises the degree by at most k plus the
@@ -139,22 +151,22 @@ def _check_hl_schur_identity():
     for n in range(1, 6):
         top = n * (n + 1) // 2
         points = [Fraction(k, top + 1) for k in range(top + 1)]
-        bad = sum(
-            any(hl_q_in_p(lam, t) != hl_q_by_charge(lam, t) for t in points)
-            for lam in partitions_of(n)
+        yield _tally(
+            f"symbolic-degree-{n}",
+            (
+                ([hl_q_in_p(lam, t) for t in points], [hl_q_by_charge(lam, t) for t in points])
+                for lam in partitions_of(n)
+            ),
         )
-        rows.append(_agg("hl-schur-identity", f"symbolic-degree-{n}", bad, len(partitions_of(n))))
     for t in (Fraction(1, 2), Fraction(1, 3)):
         for n in range(1, 7):
-            bad = checked = 0
+            pairs = []
             for lam in partitions_of(n):
                 got = schur_expand(modified_hl_q(lam, t))
-                for mu in partitions_of(n):
-                    checked += 1
-                    if got.get(mu, Fraction(0)) != kostka_foulkes(mu, lam)(t):
-                        bad += 1
-            rows.append(_agg("hl-schur-identity", f"t={t}-degree-{n}", bad, checked))
-    return rows
+                pairs += [
+                    (got.get(mu, 0), kostka_foulkes(mu, lam)(t)) for mu in partitions_of(n)
+                ]
+            yield _tally(f"t={t}-degree-{n}", pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +175,12 @@ def _check_hl_schur_identity():
 
 @_suite("dimension-squares")
 def _check_dimension_squares():
-    rows = []
     for q in (2, 3):
         for n in range(1, 5):
             total = sum(
                 green_dimension(f, q) ** 2 for f in families_enumerate(n, q)
             )
-            order = 1
-            for i in range(n):
-                order *= q**n - q**i
-            rows.append(_row("dimension-squares", f"n={n}-q={q}", total, Fraction(order)))
-    return rows
+            yield _row(f"n={n}-q={q}", total, prod(q**n - q**i for i in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,22 +189,18 @@ def _check_dimension_squares():
 
 @_suite("branching")
 def _check_branching():
-    rows = []
     for q in (2, 3):
         for n in range(1, 5):
             fams = families_enumerate(n, q)
             for variant in ("GLB", "GLU"):
-                bad = 0
+                pairs = []
                 for f in fams:
-                    dim = green_dimension(f, q)
                     pred = sum(
                         (green_dimension(g, q) for g in branching_predecessors(f, variant)),
                         Fraction(0),
                     )
-                    if not dim >= pred:
-                        bad += 1
-                rows.append(_agg("branching", f"{variant}-n={n}-q={q}", bad, len(fams)))
-    return rows
+                    pairs.append((green_dimension(f, q) >= pred, True))
+                yield _tally(f"{variant}-n={n}-q={q}", pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -214,30 +217,25 @@ def _classify_extensions(g: FqMatrix) -> dict:
 
 @_suite("extension-counts")
 def _check_extension_counts():
-    rows = []
     for q, top in ((2, 5), (3, 4)):
         field = field_make(q)
         for n in range(0, top + 1):
             if n <= 3:
-                mats = list(unipotent_matrices(field, n)) if n else [FqMatrix(field, ())]
+                mats = unipotent_matrices(field, n)
                 scope = "all-unipotent"
             else:
                 # every Jordan class appears among unit upper-triangular
                 # matrices, and the classification is a class function
-                mats = list(unipotent_upper_triangular(field, n))
+                mats = unipotent_upper_triangular(field, n)
                 scope = "upper-triangular"
-            bad = checked = 0
+            pairs = []
             for g in mats:
-                lam = unipotent_class_of(g) if n else ()
+                lam = unipotent_class_of(g)
                 got = _classify_extensions(g)
-                for mu in partitions_of(n + 1):
-                    checked += 1
-                    if Fraction(got.get(mu, 0)) != extension_count(lam, mu, q):
-                        bad += 1
-            rows.append(
-                _agg("extension-counts", f"n={n}-q={q}-{scope}", bad, checked)
-            )
-    return rows
+                pairs += [
+                    (got.get(mu, 0), extension_count(lam, mu, q)) for mu in partitions_of(n + 1)
+                ]
+            yield _tally(f"n={n}-q={q}-{scope}", pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +244,15 @@ def _check_extension_counts():
 
 @_suite("haar-flatness")
 def _check_haar_flatness():
-    rows = []
     for q in (2, 3):
         params = MeasureParams.haar(q)
         for n in range(0, 9):
-            bad = 0
             flat = Fraction(q) ** (-(n * (n - 1)) // 2)
+            pairs = []
             for lam in partitions_of(n):
                 closed = (1 - Fraction(1, q)) ** n / Fraction(q) ** n_stat(lam)
-                if hl_weight(params, lam) != closed:
-                    bad += 1
-                if cyl_prob(params, lam) != flat:
-                    bad += 1
-            rows.append(_agg("haar-flatness", f"n={n}-q={q}", bad, 2 * len(partitions_of(n))))
-    return rows
+                pairs += [(hl_weight(params, lam), closed), (cyl_prob(params, lam), flat)]
+            yield _tally(f"n={n}-q={q}", pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +277,16 @@ def _check_growth_normalization():
             8,
         ),
     ]
-    rows = []
     for label, params, top in cases:
-        bad = checked = 0
-        for n in range(0, top + 1):
-            for lam in partitions_of(n):
-                if not params.family.weight(lam) > 0:
-                    continue
-                checked += 1
-                if sum(p for _, p in transition_distribution(params, lam)) != 1:
-                    bad += 1
-        rows.append(_agg("growth-normalization", f"{label}-to-{top}", bad, checked))
-    return rows
+        yield _tally(
+            f"{label}-to-{top}",
+            (
+                (sum(p for _, p in transition_distribution(params, lam)), 1)
+                for n in range(0, top + 1)
+                for lam in partitions_of(n)
+                if params.family.weight(lam) > 0
+            ),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +297,16 @@ def _check_growth_normalization():
 def _check_lln():
     stats = lln_experiment(MeasureParams.haar(2), n_max=1000, trials=200, seed=20240817)
     bands = {1: (0.49, 0.51), 2: (0.24, 0.26)}
-    rows = []
     for stat_row in stats:
         if stat_row.statistic != "lambda_i/n" or stat_row.index not in bands:
             continue
         lo, hi = bands[stat_row.index]
-        ok = lo <= stat_row.empirical <= hi
-        rows.append(
-            CheckRow(
-                "lln",
-                f"haar-q2-lambda_{stat_row.index}/n",
-                f"{stat_row.empirical!r}",
-                f"[{lo},{hi}]",
-                ok,
-            )
+        yield (
+            f"haar-q2-lambda_{stat_row.index}/n",
+            f"{stat_row.empirical!r}",
+            f"[{lo},{hi}]",
+            lo <= stat_row.empirical <= hi,
         )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +321,18 @@ def _check_trace_measure_map():
         ((Fraction(1, 2), Fraction(1, 2)), ()),
         ((Fraction(1, 4),), (Fraction(1, 4),)),
     ]
-    rows = []
     for q in (2, 3):
         for alphas, betas in grid:
             sp = Specialization.finite(alphas, betas, 1)
             params = MeasureParams(GeometricSpread(alphas, q), betas, q)
-            bad = checked = 0
-            for n in range(0, 6):
-                for lam in partitions_of(n):
-                    checked += 1
-                    if cyl_prob_from_trace(sp, lam, q) != cyl_prob(params, lam):
-                        bad += 1
-            label = f"alpha={list(map(str, alphas))}-beta={list(map(str, betas))}-q={q}"
-            rows.append(_agg("trace-measure-map", label, bad, checked))
-    return rows
+            yield _tally(
+                f"alpha={list(map(str, alphas))}-beta={list(map(str, betas))}-q={q}",
+                (
+                    (cyl_prob_from_trace(sp, lam, q), cyl_prob(params, lam))
+                    for n in range(0, 6)
+                    for lam in partitions_of(n)
+                ),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -363,25 +346,21 @@ def _unipotent_character_value(lam, nu, q) -> Fraction:
 
 @_suite("flag-kostka")
 def _check_flag_kostka():
-    rows = []
     for q, top in ((2, 4), (3, 3)):
         field = field_make(q)
         for n in range(1, top + 1):
-            bad = checked = 0
             predicted = {}  # (class, flag shape) -> Kostka-combined value
+            pairs = []
             for g in unipotent_matrices(field, n):
                 nu = unipotent_class_of(g)
                 for mu in partitions_of(n):
-                    checked += 1
                     if (nu, mu) not in predicted:
                         predicted[nu, mu] = sum(
                             kostka(lam, mu) * _unipotent_character_value(lam, nu, q)
                             for lam in partitions_of(n)
                         )
-                    if Fraction(count_fixed_flags(g, mu)) != predicted[nu, mu]:
-                        bad += 1
-            rows.append(_agg("flag-kostka", f"n={n}-q={q}", bad, checked))
-    return rows
+                    pairs.append((count_fixed_flags(g, mu), predicted[nu, mu]))
+            yield _tally(f"n={n}-q={q}", pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -404,29 +383,23 @@ def _unipotent_characters_from_flags(m: FqMatrix) -> dict:
 
 @_suite("spherical")
 def _check_spherical():
-    rows = []
     q = 2
     field = field_make(q)
     for t1 in (Fraction(1, 2), Fraction(1, 3)):
         t2 = 1 - t1
         sp = Specialization.finite(tuple(sorted((t1, t2), reverse=True)), (), 1)
         for n in range(1, 4):
-            bad = checked = 0
             schur_values = trace_coefficients(sp, n)
-            for g in all_matrices(field, n):
-                if not g.is_invertible():
-                    continue
-                checked += 1
+            pairs = []
+            for g in _invertible(field, n):
                 lhs = sum(
                     t1**d * t2 ** (n - d) * count_fixed_flags(g, (d, n - d))
                     for d in range(n + 1)
                 )
                 chi = _unipotent_characters_from_flags(g)
                 rhs = sum(schur_values[lam] * chi[lam] for lam in partitions_of(n))
-                if lhs != rhs:
-                    bad += 1
-            rows.append(_agg("spherical", f"n={n}-t1={t1}", bad, checked))
-    return rows
+                pairs.append((lhs, rhs))
+            yield _tally(f"n={n}-t1={t1}", pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +414,21 @@ def _principal_schur(q, n: int) -> dict:
 
 @_suite("biregular")
 def _check_biregular():
-    rows = []
     for q in (2, 3, 4):
-        bad = checked = 0
+        pairs = []
         for n in range(1, 7):
             schur = _principal_schur(q, n)
-            for lam in partitions_of(n):
-                checked += 1
-                closed = Fraction(q - 1) ** n * Fraction(q) ** n_stat(lam)
-                for h in hook_lengths(lam):
-                    closed /= q**h - 1
-                if schur[lam] != closed:
-                    bad += 1
-        rows.append(_agg("biregular", f"principal-schur-q={q}", bad, checked))
+            pairs += [
+                (
+                    schur[lam],
+                    Fraction(
+                        (q - 1) ** n * q ** n_stat(lam),
+                        prod(q**h - 1 for h in hook_lengths(lam)),
+                    ),
+                )
+                for lam in partitions_of(n)
+            ]
+        yield _tally(f"principal-schur-q={q}", pairs)
     # regular-character coefficients at q = 2: the weight of every
     # irreducible in the biregular decomposition must match the regular
     # representation normalization times its dimension.
@@ -462,9 +437,7 @@ def _check_biregular():
         schur = {}
         for k in range(n + 1):
             schur.update(_principal_schur(q, k))
-        norm = Fraction(1)
-        for i in range(1, n + 1):
-            norm *= Fraction(q - 1, q**i - 1)
+        norm = prod(Fraction(q - 1, q**i - 1) for i in range(1, n + 1))
         total = Fraction(0)
         for f in families_enumerate(n, q):
             unit_diagram = f.diagram(UNIT)
@@ -473,22 +446,16 @@ def _check_biregular():
             expected = norm * green_dimension(f, q)
             total += coeff
             if n == 2:
-                rows.append(
-                    _row(
-                        "biregular",
-                        f"coefficient-{'+'.join(t for t, _, _ in f.blocks) or 'empty'}"
-                        f"-{format_partition(unit_diagram) or '0'}",
-                        coeff,
-                        expected,
-                    )
+                yield _row(
+                    f"coefficient-{'+'.join(t for t, _, _ in f.blocks) or 'empty'}"
+                    f"-{format_partition(unit_diagram) or '0'}",
+                    coeff,
+                    expected,
                 )
             elif coeff != expected:
-                rows.append(_row("biregular", f"coefficient-n={n}-mismatch", coeff, expected))
+                yield _row(f"coefficient-n={n}-mismatch", coeff, expected)
         dim_sum = sum(green_dimension(f, q) for f in families_enumerate(n, q))
-        rows.append(
-            _row("biregular", f"coefficient-total-n={n}-q=2", total, norm * dim_sum)
-        )
-    return rows
+        yield _row(f"coefficient-total-n={n}-q=2", total, norm * dim_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -497,30 +464,14 @@ def _check_biregular():
 
 @_suite("steinberg")
 def _check_steinberg():
-    rows = []
     sp = Specialization.finite((), (Fraction(1),), 1)
     for q in (2, 3):
         for n in range(1, 5):
             cls = family((UNIT, 1, (1,) * n))
             value = unipotent_trace_value(sp, cls, q)
-            rows.append(
-                _row(
-                    "steinberg",
-                    f"identity-n={n}-q={q}",
-                    value,
-                    Fraction(q) ** (n * (n - 1) // 2),
-                )
-            )
+            yield _row(f"identity-n={n}-q={q}", value, Fraction(q) ** (n * (n - 1) // 2))
         elliptic = family(("irreducible-quadratic", 2, (1,)))
-        rows.append(
-            _row(
-                "steinberg",
-                f"elliptic-q={q}",
-                unipotent_trace_value(sp, elliptic, q),
-                Fraction(-1),
-            )
-        )
-    return rows
+        yield _row(f"elliptic-q={q}", unipotent_trace_value(sp, elliptic, q), Fraction(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +481,6 @@ def _check_steinberg():
 @_suite("companion-base-change")
 def _check_companion_base_change():
     """Flag counts of companion-block matrices match the extension field."""
-    rows = []
     q, k = 2, 2
     f2 = field_make(q)
     f4 = field_make(q**k)
@@ -547,15 +497,7 @@ def _check_companion_base_change():
                     rhs = count_fixed_flags(gy, halves)
                 else:
                     rhs = 0
-                rows.append(
-                    _row(
-                        "companion-base-change",
-                        f"nu={format_partition(nu)}-mu={format_partition(mu)}",
-                        lhs,
-                        rhs,
-                    )
-                )
-    return rows
+                yield _row(f"nu={format_partition(nu)}-mu={format_partition(mu)}", lhs, rhs)
 
 
 @_suite("trace-values-oracle")
@@ -569,54 +511,36 @@ def _check_trace_values_oracle():
     the multiplicative block-product formula checks the multiplicativity
     and the degree-stretching of the block values in one sweep.
     """
-    from fqtraces.oracle import class_representative, polys_by_tag
-
     specs = [
         ("alpha=1", Specialization.finite((Fraction(1),), (), 1)),
         ("beta=1", Specialization.finite((), (Fraction(1),), 1)),
         ("mixed", Specialization.finite((Fraction(1, 2),), (Fraction(1, 4),), 1)),
     ]
-    rows = []
     for q in (2, 3):
         field = field_make(q)
         tags = polys_by_tag(q, 3)
         for n in range(1, 4):
             schur_specialized = {label: trace_coefficients(sp, n) for label, sp in specs}
-            bad = checked = 0
+            pairs = []
             for fam in families_enumerate(n, q):
                 rep = class_representative(field, fam, tags)
                 chi = _unipotent_characters_from_flags(rep)
                 for label, sp in specs:
-                    checked += 1
                     from_flags = sum(
                         schur_specialized[label][lam] * chi[lam]
                         for lam in partitions_of(n)
                     )
-                    if unipotent_trace_value(sp, fam, q) != from_flags:
-                        bad += 1
-            rows.append(_agg("trace-values-oracle", f"n={n}-q={q}", bad, checked))
-    return rows
+                    pairs.append((unipotent_trace_value(sp, fam, q), from_flags))
+            yield _tally(f"n={n}-q={q}", pairs)
 
 
 @_suite("class-coverage")
 def _check_class_coverage():
     """Every invertible matrix lands on exactly one enumerated family."""
-    rows = []
     for q in (2, 3):
         field = field_make(q)
         for n in range(1, 4):
             fams = set(f.blocks for f in families_enumerate(n, q))
-            seen = set()
-            bad = 0
-            for m in all_matrices(field, n):
-                if not m.is_invertible():
-                    continue
-                fam = conjugacy_family_of(m)
-                if fam.blocks not in fams:
-                    bad += 1
-                seen.add(fam.blocks)
-            rows.append(_agg("class-coverage", f"membership-n={n}-q={q}", bad, len(seen)))
-            rows.append(
-                _row("class-coverage", f"count-n={n}-q={q}", len(seen), len(fams))
-            )
-    return rows
+            seen = {conjugacy_family_of(m).blocks for m in _invertible(field, n)}
+            yield _tally(f"membership-n={n}-q={q}", ((b in fams, True) for b in seen))
+            yield _row(f"count-n={n}-q={q}", len(seen), len(fams))

@@ -12,7 +12,6 @@ from fqtraces.cli import BIREGULAR_MAX_SIZE, main
 from fqtraces.measures import CHAIN_LEVEL_CAP, CHAIN_STEP_CAP
 from fqtraces.oracle import SUPPORTED_ORDERS
 from fqtraces.traces import COEFFICIENT_DEGREE_CAP, GLU_ROW_CAP
-from fqtraces.verify import CheckRow
 
 
 def run(argv):
@@ -410,12 +409,12 @@ def test_verify_list():
 
 def test_verify_failure_exit_two(monkeypatch):
     def failing():
-        return [CheckRow("always-fails", "demo", "0", "1", False)]
+        yield ("demo", "0", "1", False)
 
     monkeypatch.setitem(verify._SUITES, "always-fails", failing)
     code, out, _ = run(["verify", "always-fails"])
     assert code == 2
-    assert "fail" in out
+    assert "always-fails,demo,0,1,fail" in out.splitlines()
 
 
 # argv fuzzing: every size stays <= 4 or far beyond a cap, so each input

@@ -40,6 +40,7 @@ from pathlib import Path
 
 import pytest
 
+from fqtraces import verify
 from fqtraces.cli import _emit, _run, _verify_rows, build_parser, main
 from fqtraces.partitions import format_partition, partitions_of
 
@@ -202,6 +203,12 @@ def test_cli_output_matches_golden(command):
 
 def test_demo_output_matches_golden():
     assert render_demos() == (GOLDEN / "demos.txt").read_bytes()
+
+
+def test_every_suite_has_golden_rows():
+    # runs no suite: a suite added or renamed without its golden rows fails here
+    rows = (GOLDEN / "verify.txt").read_text().splitlines()[1:]
+    assert set(verify.suite_names()) == {row.split(",", 1)[0] for row in rows}
 
 
 if __name__ == "__main__":

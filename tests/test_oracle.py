@@ -181,8 +181,9 @@ def test_packed_matches_dense_reference(case):
 def test_unipotent_counts():
     # the number of unipotent elements of the full matrix group is q^(n(n-1))
     for q, field in ((2, F2), (3, F3)):
-        for n in (1, 2, 3):
+        for n in (0, 1, 2, 3):
             assert sum(1 for _ in unipotent_matrices(field, n)) == q ** (n * (n - 1))
+        assert [unipotent_class_of(m) for m in unipotent_matrices(field, 0)] == [()]
 
 
 def test_count_fixed_flags_examples():
