@@ -264,7 +264,14 @@ def build_parser() -> _Parser:
     p.add_argument("--track", type=_count(1), default=4)
 
     p = sub.add_parser("verify", help="run named verification suites")
-    p.add_argument("suite", nargs="?", default="all", help="suite name or 'all'")
+    p.add_argument(
+        "suite",
+        nargs="?",
+        default="all",
+        choices=[*verify.suite_names(), "all"],
+        metavar="SUITE",
+        help="suite name or 'all'",
+    )
     p.add_argument("--list", action="store_true", help="list suite names")
 
     return parser
@@ -369,10 +376,7 @@ def _run(args) -> int:
         rows = [{"suite": name} for name in verify.suite_names()]
     else:  # verify
         names = verify.suite_names() if args.suite == "all" else [args.suite]
-        try:
-            results = [verify.run_suite(name) for name in names]
-        except KeyError as exc:
-            raise CliError(str(exc))
+        results = [verify.run_suite(name) for name in names]
         header = ["suite", "instance", "left", "right", "status"]
         rows = _verify_rows(results)
         if any(not res.passed for res in results):

@@ -18,12 +18,14 @@ at 256 x 256 entries per field whatever n is; a table over whole vectors
 would need q**n x q**n entries, 43 million for n = 4 over F_9.  The tables grow lazily, one digit at a time
 from the field tables, to the widest chunk in use.
 
-A matrix keeps its columns packed.  ``FqMatrix(field, rows)`` checks the
-rows a caller passes in, and the polynomial functions the coefficients;
-matrices computed here (products, shifts, extensions, enumerations) skip
-the check.  Jordan types and conjugacy classes are both read off one
-image chain: the column space of b**k is b applied to that of b**(k-1),
-so no power of b is built.
+A matrix keeps its columns packed.  Dense rows only enter from callers,
+through the ``FqMatrix`` constructor, which checks them, and only leave
+through the ``rows`` property.  Every matrix computed here (products,
+shifts, extensions, enumerations, generalized Jordan matrices) is built on
+packed columns by ``_matrix``, unchecked; the polynomial functions check
+the coefficients they are given.  Jordan types and conjugacy classes are
+both read off one image chain: the column space of b**k is b applied to
+that of b**(k-1), so no power of b is built.
 
 A subspace has one format: an echelon basis, a dict from the key of each
 leading entry to the basis vector with that leading entry.  Flags grow
@@ -557,62 +559,36 @@ def irreducible_polys(q: int, d: int) -> tuple:
     return tuple(poly for poly in monic[d] if poly not in reducible)
 
 
-def companion_matrix(field: FqField, poly) -> FqMatrix:
-    """Companion matrix: subdiagonal ones, last column minus the coefficients."""
-    poly = _check_poly(field, poly, monic=True)
-    d = len(poly) - 1
-    rows = [
-        [0] * d for _ in range(d)
-    ]
-    for i in range(1, d):
-        rows[i][i - 1] = 1
-    for i in range(d):
-        rows[i][d - 1] = field.neg[poly[i]]
-    return FqMatrix(field, rows)
+def jordan_block_matrix(field: FqField, blocks) -> FqMatrix:
+    """Generalized Jordan matrix of ``(poly, lam)`` pairs, laid on the diagonal in order.
 
-
-def jordan_block_matrix(field: FqField, poly, lam: Partition) -> FqMatrix:
-    """Generalized Jordan matrix: companion blocks chained by identity blocks.
-
-    For each part of ``lam`` a chain of that many companion blocks is laid
-    on the diagonal with identity blocks directly above the diagonal.
+    Each part of ``lam`` is a chain of that many companion blocks of the
+    monic ``poly``, each linked to the one before by an identity block
+    above the diagonal.  In a companion block of degree d, column i < d - 1
+    is the unit vector one row down and the last column is minus the
+    coefficients.
     """
-    comp = companion_matrix(field, poly)
-    block = comp.rows
-    d = comp.nrows
-    total = d * sum(lam)
-    rows = [[0] * total for _ in range(total)]
-    offset = 0
-    for part in lam:
-        for b in range(part):
-            base = offset + b * d
-            for i in range(d):
-                for j in range(d):
-                    rows[base + i][base + j] = block[i][j]
-            if b + 1 < part:
-                for i in range(d):
-                    rows[base + i][base + d + i] = 1
-        offset += part * d
-    return FqMatrix(field, rows)
-
-
-def block_diag(field: FqField, mats) -> FqMatrix:
-    total = sum(m.nrows for m in mats)
-    rows = [[0] * total for _ in range(total)]
-    off = 0
-    for m in mats:
-        for i, row in enumerate(m.rows):
-            rows[off + i][off : off + m.ncols] = row
-        off += m.nrows
-    return FqMatrix(field, rows)
+    blocks = [(_check_poly(field, poly, monic=True), lam) for poly, lam in blocks]
+    n = sum((len(poly) - 1) * sum(lam) for poly, lam in blocks)
+    field.widen(n)
+    unit = field.unit
+    cols = []
+    for poly, lam in blocks:
+        d = len(poly) - 1
+        minus = tuple(field.neg[c] for c in poly[:-1])
+        for part in lam:
+            for b in range(part):
+                top = len(cols)
+                # after the first block of a chain, column j also holds
+                # the linking identity block's one, in row j - d
+                for j in range(top, top + d):
+                    col = unit[j + 1] if j < top + d - 1 else _pack(field, (0,) * top + minus)
+                    cols.append(col + unit[j - d] if b else col)
+    return _matrix(field, len(cols), tuple(cols))
 
 
 def class_representative(field: FqField, fam: DiagramFamily, polys_by_tag) -> FqMatrix:
-    mats = [
-        jordan_block_matrix(field, polys_by_tag[tag], lam)
-        for tag, _d, lam in fam.blocks
-    ]
-    return block_diag(field, mats)
+    return jordan_block_matrix(field, [(polys_by_tag[tag], lam) for tag, _d, lam in fam.blocks])
 
 
 def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:
@@ -656,12 +632,8 @@ def polys_by_tag(q: int, max_degree: int) -> dict:
 
 def families_enumerate(n: int, q: int) -> list[DiagramFamily]:
     """All families of total weighted size n over the actual irreducibles."""
-    field = field_make(q)
-    polys = sorted(
-        ((poly_name(field, poly), d) for d in range(1, n + 1) for poly in irreducible_polys(q, d)),
-        key=lambda t: (t[1], t[0]),
-    )
-    degrees = [d for _, d in polys]
+    polys = sorted((len(poly) - 1, tag) for tag, poly in polys_by_tag(q, n).items())
+    degrees = [d for d, _ in polys]
     out = []
 
     def rec(start: int, remaining: int, acc: list):
@@ -671,7 +643,7 @@ def families_enumerate(n: int, q: int) -> list[DiagramFamily]:
             out.append(DiagramFamily(tuple(acc)))
             return
         for j in range(bisect_right(degrees, remaining) - 1, start - 1, -1):
-            tag, d = polys[j]
+            d, tag = polys[j]
             for k in range(1, remaining // d + 1):
                 for lam in partitions_of(k):
                     acc.append((tag, d, lam))

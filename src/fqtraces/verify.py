@@ -488,8 +488,8 @@ def _check_companion_base_change():
     y = 2  # a root of it inside F_4
     for m in (1, 2):
         for nu in partitions_of(m):
-            g = jordan_block_matrix(f2, quad, nu)
-            gy = jordan_block_matrix(f4, (f4.neg[y], 1), nu)
+            g = jordan_block_matrix(f2, [(quad, nu)])
+            gy = jordan_block_matrix(f4, [((f4.neg[y], 1), nu)])
             for mu in partitions_of(2 * m):
                 lhs = count_fixed_flags(g, mu)
                 halves = tuple(p // 2 for p in mu)
@@ -516,10 +516,10 @@ def _check_trace_values_oracle():
         ("beta=1", Specialization.finite((), (Fraction(1),), 1)),
         ("mixed", Specialization.finite((Fraction(1, 2),), (Fraction(1, 4),), 1)),
     ]
-    for q in (2, 3):
+    for q, top in ((2, 5), (3, 4), (4, 3), (5, 3)):
         field = field_make(q)
-        tags = polys_by_tag(q, 3)
-        for n in range(1, 4):
+        tags = polys_by_tag(q, top)
+        for n in range(1, top + 1):
             schur_specialized = {label: trace_coefficients(sp, n) for label, sp in specs}
             pairs = []
             for fam in families_enumerate(n, q):

@@ -397,8 +397,19 @@ def test_verify_suite_pass_exit_zero():
 
 
 def test_verify_unknown_suite_exit_one():
-    code, _, err = run(["verify", "nope"])
+    code, out, err = run(["verify", "nope"])
     assert code == 1
+    assert out == "" and "invalid choice: 'nope'" in err
+
+
+def test_verify_fault_inside_a_suite_propagates(monkeypatch):
+    # a KeyError raised by a suite's own checks is a fault, not a usage error
+    def broken():
+        yield ("demo", "0", "0", {}["missing"])
+
+    monkeypatch.setitem(verify._SUITES, "broken", broken)
+    with pytest.raises(KeyError, match="missing"):
+        run(["verify", "broken"])
 
 
 def test_verify_list():

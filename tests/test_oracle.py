@@ -9,7 +9,7 @@ from fqtraces.oracle import (
     SUPPORTED_ORDERS,
     FqMatrix,
     _jordan_type,
-    companion_matrix,
+    class_representative,
     conjugacy_family_of,
     count_fixed_flags,
     ext_enumerate,
@@ -21,6 +21,7 @@ from fqtraces.oracle import (
     poly_mod,
     poly_mul,
     poly_name,
+    polys_by_tag,
     subspaces,
     unipotent_class_of,
     unipotent_matrices,
@@ -133,7 +134,7 @@ def test_unipotent_class_of_jordan_matrices(q):
     x_minus_one = (field.neg[1], 1)
     for n in range(0, 5):
         for lam in partitions_of(n):
-            assert unipotent_class_of(jordan_block_matrix(field, x_minus_one, lam)) == lam
+            assert unipotent_class_of(jordan_block_matrix(field, [(x_minus_one, lam)])) == lam
 
 
 @st.composite
@@ -288,7 +289,7 @@ def test_families_enumerate_counts_gl_classes(q):
 
 
 def test_conjugacy_family_of_representatives():
-    m = jordan_block_matrix(F2, (1, 1, 1), (2, 1))
+    m = jordan_block_matrix(F2, [((1, 1, 1), (2, 1))])
     fam = conjugacy_family_of(m)
     assert fam.blocks == (("x^2+x+1", 2, (2, 1)),)
     mixed = FqMatrix(
@@ -307,13 +308,27 @@ def test_conjugacy_family_of_representatives():
     }
 
 
+def companion_matrix(field, poly):
+    """The companion matrix of poly: one block of size one."""
+    return jordan_block_matrix(field, [(poly, (1,))])
+
+
+def test_jordan_block_matrix_entries():
+    # a chain of two companion blocks of x^2 + x + 1, then the block of x - 1
+    assert jordan_block_matrix(F2, [((1, 1, 1), (2,)), ((1, 1), (1,))]).rows == (
+        (0, 1, 1, 0, 0),
+        (1, 1, 0, 1, 0),
+        (0, 0, 0, 1, 0),
+        (0, 0, 1, 1, 0),
+        (0, 0, 0, 0, 1),
+    )
+
+
 def test_companion_matrix_annihilated_by_its_polynomial():
     for q, field in ((2, F2), (3, F3)):
         for d in (2, 3):
             for poly in irreducible_polys(q, d):
                 m = companion_matrix(field, poly)
-                from fqtraces.oracle import poly_matrix_eval
-
                 assert poly_matrix_eval(field, poly, m).rank() == 0
 
 
@@ -326,8 +341,9 @@ def test_companion_matrix_annihilated_by_its_polynomial():
         (poly_name, (5, 1), ()),
         (companion_matrix, (0.5, 1), ()),
         (companion_matrix, (1, 2), ()),  # not monic; used to give [[2]]
-        (jordan_block_matrix, (1, 2), ((1,),)),
-        (jordan_block_matrix, (-1, 1), ((2,),)),
+        # jordan_block_matrix takes (poly, lam) pairs, checked before any is built
+        (jordan_block_matrix, [((1, 2), (1,))], ()),
+        (jordan_block_matrix, [((2, 1), (1,)), ((-1, 1), (2,))], ()),
         (poly_matrix_eval, (True, 1), (FqMatrix(F3, [[1]]),)),
         (poly_matrix_eval, (3, 1), (FqMatrix(F3, [[1]]),)),
         (poly_name, (), ()),
@@ -341,10 +357,11 @@ def test_polynomial_coefficients_are_checked(fn, poly, rest):
 
 def test_class_representative_round_trip():
     # building the block matrix for a family and re-extracting its class
-    # must be the identity map; exercises every Jordan shape per factor
-    from fqtraces.oracle import class_representative, polys_by_tag
-
-    for q, field, max_n in ((2, F2, 4), (3, F3, 3), (4, F4, 3), (5, field_make(5), 3)):
+    # must be the identity map; exercises every Jordan shape per factor.
+    # A chunk holds 2 entries from q = 7 on, so from n = 3 the columns
+    # span two chunks.
+    for q, max_n in ((2, 4), (3, 3), (4, 3), (5, 3), (7, 3), (8, 2), (9, 2)):
+        field = field_make(q)
         tags = polys_by_tag(q, max_n)
         for n in range(1, max_n + 1):
             for fam in families_enumerate(n, q):
