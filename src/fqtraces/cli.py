@@ -277,20 +277,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _verify_rows(results) -> list[dict]:
-    return [
-        {
-            "suite": r.suite,
-            "instance": r.instance,
-            "left": r.left,
-            "right": r.right,
-            "status": "pass" if r.ok else "fail",
-        }
-        for res in results
-        for r in res.rows
-    ]
-
-
 def _run(args) -> int:
     fmt = args.format
     header, code = None, 0
@@ -376,10 +362,9 @@ def _run(args) -> int:
         rows = [{"suite": name} for name in verify.suite_names()]
     else:  # verify
         names = verify.suite_names() if args.suite == "all" else [args.suite]
-        results = [verify.run_suite(name) for name in names]
-        header = ["suite", "instance", "left", "right", "status"]
-        rows = _verify_rows(results)
-        if any(not res.passed for res in results):
+        rows = [row for name in names for row in verify.run_suite(name)]
+        header = verify.COLUMNS
+        if any(row["status"] == "fail" for row in rows):
             code = 2
     _emit(fmt, rows, header)
     return code

@@ -5,12 +5,12 @@ independent computation paths) or against the brute-force finite-field
 oracle.  A suite is a generator registered under its name by ``@_suite``.
 It yields ``(instance, left, right, ok)`` rows, built by ``_row`` for one
 comparison, by ``_tally`` for a count of mismatching pairs, or written
-out as a bare 4-tuple (as ``lln`` does); ``run_suite`` adds the suite's
-name to each row, so the command line can emit CSV and CI can shard the
-suites by name.
+out as a bare 4-tuple (as ``lln`` does).  ``run_suite`` turns them into
+the rows ``fqtraces verify`` prints: one dict per check, keyed by
+``COLUMNS``, with the status ``"pass"`` or ``"fail"``, so the command line
+can emit CSV and CI can shard the suites by name.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -66,24 +66,7 @@ from fqtraces.traces import (
 )
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    suite: str
-    instance: str
-    left: str
-    right: str
-    ok: bool
-
-
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    rows: tuple[CheckRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.ok for r in self.rows)
-
+COLUMNS = ["suite", "instance", "left", "right", "status"]
 
 _SUITES: dict[str, object] = {}
 
@@ -100,10 +83,14 @@ def suite_names() -> list[str]:
     return list(_SUITES)
 
 
-def run_suite(name: str) -> SuiteResult:
+def run_suite(name: str) -> list[dict]:
+    """The suite's checks as printed rows, keyed by ``COLUMNS``."""
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(_SUITES)}")
-    return SuiteResult(name, tuple(CheckRow(name, *row) for row in _SUITES[name]()))
+    return [
+        dict(zip(COLUMNS, (name, instance, left, right, "pass" if ok else "fail")))
+        for instance, left, right, ok in _SUITES[name]()
+    ]
 
 
 def _row(instance, left, right) -> tuple:

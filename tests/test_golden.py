@@ -41,7 +41,7 @@ from pathlib import Path
 import pytest
 
 from fqtraces import verify
-from fqtraces.cli import _emit, _run, _verify_rows, build_parser, main
+from fqtraces.cli import _emit, _run, build_parser, main
 from fqtraces.partitions import format_partition, partitions_of
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -186,14 +186,14 @@ def render_demos() -> bytes:
     return out
 
 
-def check_suite_golden(result):
-    """The suite's rows, printed as ``fqtraces verify`` prints them, equal its golden lines."""
+def check_suite_golden(name, rows):
+    """A suite's rows, printed as ``fqtraces verify`` prints them, equal its golden lines."""
     out = io.StringIO()
     with redirect_stdout(out):
-        _emit("csv", _verify_rows([result]))
+        _emit("csv", rows)
     golden = (GOLDEN / "verify.txt").read_text().splitlines(keepends=True)
-    expected = "".join(line for line in golden if line.startswith(f"{result.name},"))
-    assert expected and out.getvalue() == expected, result.name
+    expected = "".join(line for line in golden if line.startswith(f"{name},"))
+    assert expected and out.getvalue() == expected, name
 
 
 @pytest.mark.parametrize("command", COMMANDS)
