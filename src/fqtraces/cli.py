@@ -267,10 +267,10 @@ def build_parser() -> _Parser:
     p.add_argument(
         "suite",
         nargs="?",
-        default="all",
+        default=None,
         choices=[*verify.suite_names(), "all"],
         metavar="SUITE",
-        help="suite name or 'all'",
+        help="suite name or 'all' (the default)",
     )
     p.add_argument("--list", action="store_true", help="list suite names")
 
@@ -302,6 +302,10 @@ def _run(args) -> int:
         sp = Specialization.finite(args.alpha, args.beta)
         rows = [{"value": _exact(unipotent_trace_value(sp, args.cls, args.q))}]
     elif args.command == "coeffs" and args.glu_params is not None:
+        if args.alpha or args.beta:
+            raise CliError(
+                "coeffs --glu-params takes alpha and beta in its entries, not --alpha/--beta"
+            )
         header = ["labels", "coeff"]
         rows = [
             {"labels": _PartitionCell(";".join(map(format_partition, key))), "coeff": value}
@@ -359,9 +363,11 @@ def _run(args) -> int:
             for r in stats
         ]
     elif args.command == "verify" and args.list:
+        if args.suite is not None:
+            raise CliError("verify --list takes no suite name")
         rows = [{"suite": name} for name in verify.suite_names()]
     else:  # verify
-        names = verify.suite_names() if args.suite == "all" else [args.suite]
+        names = verify.suite_names() if args.suite in (None, "all") else [args.suite]
         rows = [row for name in names for row in verify.run_suite(name)]
         header = verify.COLUMNS
         if any(row["status"] == "fail" for row in rows):

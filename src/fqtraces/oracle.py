@@ -38,7 +38,7 @@ from bisect import bisect_right
 from functools import cache
 from itertools import combinations, product
 
-from fqtraces.partitions import Partition, partitions_of, transpose
+from fqtraces.partitions import Partition, check_partition, partitions_of, transpose
 from fqtraces.traces import DiagramFamily
 
 _MODULUS = {
@@ -562,13 +562,16 @@ def irreducible_polys(q: int, d: int) -> tuple:
 def jordan_block_matrix(field: FqField, blocks) -> FqMatrix:
     """Generalized Jordan matrix of ``(poly, lam)`` pairs, laid on the diagonal in order.
 
+    Every poly and every partition is checked before anything is built.
     Each part of ``lam`` is a chain of that many companion blocks of the
     monic ``poly``, each linked to the one before by an identity block
     above the diagonal.  In a companion block of degree d, column i < d - 1
     is the unit vector one row down and the last column is minus the
     coefficients.
     """
-    blocks = [(_check_poly(field, poly, monic=True), lam) for poly, lam in blocks]
+    blocks = [
+        (_check_poly(field, poly, monic=True), check_partition(lam)) for poly, lam in blocks
+    ]
     n = sum((len(poly) - 1) * sum(lam) for poly, lam in blocks)
     field.widen(n)
     unit = field.unit

@@ -58,6 +58,8 @@ def test_hl_expand():
     code, out, _ = run(["hl-expand", "--lam", "1,1", "--t", "1/2", "--modified"])
     assert code == 0
     assert out == 'mu,coeff\n"2",1/2\n"1,1",1\n'
+    # Q_(2) vanishes at t = 1, so only the header prints
+    assert run(["hl-expand", "--t", "1", "--lam", "2"]) == (0, "mu,coeff\n", "")
 
 
 def test_coeffs_table():
@@ -196,6 +198,7 @@ def test_validation_errors_exit_one():
         ["cyl", "--from-trace", "--measure", "haar", "--r", "1/2", "--alpha", "1/3", "--q", "2", "--lam", "1"],
         ["sample", "--q", "2", "--measure", "haar", "--c", "1/2", "--nmax", "2", "--seed", "1"],
         ["lln", "--q", "2", "--measure", "single-row", "--r", "1/2", "--nmax", "2", "--trials", "2", "--seed", "1"],
+        ["coeffs", "--n", "2", "--alpha", "1/2", "--glu-params", '{"entries":[{"label":"a","gamma":"1"}]}'],
     ],
 )
 def test_conflicting_parameter_flags_exit_one(argv):
@@ -416,6 +419,14 @@ def test_verify_list():
     code, out, _ = run(["verify", "--list"])
     assert code == 0
     assert "hl-schur-identity" in out.split()
+
+
+@pytest.mark.parametrize("suite", ["flag-kostka", "all"])
+def test_verify_list_with_a_suite_exits_one(suite):
+    # --list used to ignore the name and list every suite
+    code, out, err = run(["verify", "--list", suite])
+    assert code == 1 and out == ""
+    assert err.startswith("error: verify --list takes no suite name")
 
 
 def test_verify_failure_exit_two(monkeypatch):

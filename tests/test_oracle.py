@@ -324,6 +324,13 @@ def test_jordan_block_matrix_entries():
     )
 
 
+@pytest.mark.parametrize("lam", [(-1,), (1, 2), (2.0,)])
+def test_jordan_block_matrix_checks_partitions(lam):
+    # once built as a 0 x 0 matrix, as the type (2, 1), and a bare TypeError
+    with pytest.raises(ValueError, match="not a partition"):
+        jordan_block_matrix(F2, [((1, 1), (1,)), ((1, 1), lam)])
+
+
 def test_companion_matrix_annihilated_by_its_polynomial():
     for q, field in ((2, F2), (3, F3)):
         for d in (2, 3):

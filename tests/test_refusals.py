@@ -1,0 +1,75 @@
+"""Library refusals that no command-line path reaches.
+
+The command line checks these inputs itself, or never builds them, so
+each library check is called here directly: it must raise its own
+exception type with its own message.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from fqtraces.measures import MeasureParams, lln_experiment
+from fqtraces.oracle import FqMatrix, conjugacy_family_of, ext_enumerate, field_make
+from fqtraces.partitions import partitions_of
+from fqtraces.specializations import Specialization
+from fqtraces.symfunc import PowerSumElement, plethysm_pl
+from fqtraces.traces import GLUTraceParams, trace_coefficients
+
+F2 = field_make(2)
+HALF = Specialization.finite(gamma=Fraction(1, 2))
+
+REFUSALS = {
+    "lln-zero-trials": (
+        lambda: lln_experiment(MeasureParams.haar(2), 3, 0, 1),
+        ValueError,
+        "need at least one trial",
+    ),
+    "measure-rows-not-a-sequence": (
+        lambda: MeasureParams(3, (), 2),
+        TypeError,
+        "r must be a sequence or a GeometricSpread",
+    ),
+    "trace-coefficients-gamma-half": (
+        lambda: trace_coefficients(HALF, 2),
+        ValueError,
+        "trace coefficients need gamma = 1",
+    ),
+    "glu-duplicate-labels": (
+        lambda: GLUTraceParams((("a", HALF), ("a", HALF))),
+        ValueError,
+        "duplicate eigenvalue labels",
+    ),
+    "conjugacy-family-singular": (
+        lambda: conjugacy_family_of(FqMatrix(F2, [[1, 1], [1, 1]])),
+        ValueError,
+        "conjugacy families are defined for invertible matrices",
+    ),
+    "extension-variant-gl": (
+        lambda: ext_enumerate(FqMatrix(F2, [[1]]), "GL"),
+        ValueError,
+        "unknown extension variant 'GL'",
+    ),
+    "plethysm-degree-zero": (
+        lambda: plethysm_pl(PowerSumElement({(1,): 1}), 0),
+        ValueError,
+        "plethysm degree must be a positive integer",
+    ),
+    "partitions-of-minus-one": (
+        lambda: partitions_of(-1),
+        ValueError,
+        "n must be non-negative",
+    ),
+    "power-sum-index-zero": (
+        lambda: Specialization.finite().power_sum(0),
+        ValueError,
+        "power sum index must be >= 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, kind, message", REFUSALS.values(), ids=REFUSALS)
+def test_library_refuses(call, kind, message):
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind and str(info.value) == message
