@@ -13,14 +13,15 @@ import sys
 from fractions import Fraction
 
 from fqtraces.measures import (
+    CYLINDER_Q_BITS_CAP,
     MeasureParams,
     cyl_prob,
     cyl_prob_from_trace,
     lln_experiment,
     sample_trajectory,
 )
-from fqtraces.partitions import format_partition, parse_partition
-from fqtraces.specializations import Specialization
+from fqtraces.partitions import format_partition, parse_partition, size
+from fqtraces.specializations import Specialization, check_q_power
 from fqtraces.symfunc import (
     hl_q_in_p,
     kostka,
@@ -133,6 +134,15 @@ class _PartitionCell(str):
     """Partitions in one cell, such as "2,1" or "2;1,1": CSV quotes them, JSON does not."""
 
 
+def _digit_limit() -> int:
+    # Python 3.10 before 3.10.7 has no limit
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long(limit: int) -> ValueError:
+    return ValueError(f"exact value has more than {limit} digits, the most fqtraces prints")
+
+
 def _exact(value) -> str:
     """An exact integer or fraction as text, refused past the int-to-str digit limit.
 
@@ -140,13 +150,30 @@ def _exact(value) -> str:
     sys.get_int_max_str_digits(); this is the one place exact values become
     text, and it says so in its own words.
     """
-    # Python 3.10 before 3.10.7 has no limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     big = max(abs(value.numerator), value.denominator)
     # below 2**(3 * limit) a value has fewer than limit digits
     if limit and big.bit_length() > 3 * limit and big >= 10**limit:
-        raise ValueError(f"exact value has more than {limit} digits, the most fqtraces prints")
+        raise _too_long(limit)
     return str(value)
+
+
+def _check_haar_cylinder(q: Fraction, lam):
+    """Refuse, before any work, a Haar cylinder that :func:`_exact` would refuse.
+
+    Every Haar cylinder of size n is q**-e with e = n(n-1)/2, whose larger
+    side is a**e for q = a/b, at least 2**(e * (bits of a - 1)).  Past
+    10**limit by that bound it is refused here; closer sizes are left to
+    :func:`_exact`.  The cap on powers of q is checked first, as in
+    :func:`cyl_prob`.
+    """
+    n = size(lam)
+    e = n * (n - 1) // 2
+    check_q_power(q, e, CYLINDER_Q_BITS_CAP, "cylinder probabilities")
+    limit = _digit_limit()
+    # 10 / 3 > log2(10)
+    if limit and 3 * e * (q.numerator.bit_length() - 1) > 10 * limit:
+        raise _too_long(limit)
 
 
 def _cell(c) -> str:
@@ -340,7 +367,10 @@ def _run(args) -> int:
         else:
             if args.alpha or args.beta:
                 raise CliError("cyl takes --alpha/--beta only with --from-trace")
-            value = cyl_prob(_measure(args), args.lam)
+            params = _measure(args)
+            if args.measure == "haar":
+                _check_haar_cylinder(params.q, args.lam)
+            value = cyl_prob(params, args.lam)
         rows = [{"value": _exact(value)}]
     elif args.command == "sample":
         header = ["level", "lambda"]

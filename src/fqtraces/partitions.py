@@ -12,8 +12,12 @@ Partition = tuple[int, ...]
 
 
 def is_partition(parts) -> bool:
-    """True if ``parts`` is a weakly decreasing tuple of positive integers."""
-    return all(isinstance(p, int) and p >= 1 for p in parts) and all(
+    """True if ``parts`` is a weakly decreasing tuple of positive integers.
+
+    A bool is an `int` to Python but not a part: ``(True, True)`` would
+    equal ``(1, 1)`` as a memo key.
+    """
+    return all(isinstance(p, int) and not isinstance(p, bool) and p >= 1 for p in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     )
 

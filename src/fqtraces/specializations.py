@@ -9,7 +9,9 @@ The two parameter sequences are represented by "power sum providers" so
 that infinite geometric-spread families can be evaluated in closed form
 alongside explicit finite sequences.
 
-Evaluation is integer arithmetic over one denominator.  A call reads each
+Evaluation is integer arithmetic over one denominator.  A provider sums
+the k-th powers of its sequence as integers over the sequence's common
+denominator and builds one `Fraction` per p_k.  A call reads each
 distinct p_k it needs once from the providers and puts those values over
 one common denominator B; :meth:`Specialization.apply` puts the
 coefficients of its argument over one denominator C, sums each term as a
@@ -60,6 +62,12 @@ def _check_weakly_decreasing_nonneg(values, what: str):
             raise ValueError(f"{what} must be weakly decreasing")
 
 
+def _integer_power_sum(values: tuple[Fraction, ...], k: int) -> tuple[int, int]:
+    """(N, D**k) with sum(v**k for v in values) = N / D**k, D the values' common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return sum((v.numerator * (den // v.denominator)) ** k for v in values), den**k
+
+
 @dataclass(frozen=True)
 class FinitePowerSums:
     """Power sums of an explicit finite sequence."""
@@ -67,7 +75,7 @@ class FinitePowerSums:
     values: tuple[Fraction, ...]
 
     def power(self, k: int) -> Fraction:
-        return sum((v**k for v in self.values), Fraction(0))
+        return Fraction(*_integer_power_sum(self.values, k))
 
     def frequencies(self, count: int) -> list[Fraction]:
         return _largest(self.values, count)
@@ -94,11 +102,10 @@ class GeometricSpread:
         _check_weakly_decreasing_nonneg(self.seq, "spread sequence")
 
     def power(self, k: int) -> Fraction:
-        if not self.seq:
-            return Fraction(0)
-        qinv = 1 / self.q
-        head = sum((s**k for s in self.seq), Fraction(0))
-        return (1 - qinv) ** k * head / (1 - qinv**k)
+        # for q = a/b, (1 - 1/q)**k / (1 - q**-k) = (a - b)**k / (a**k - b**k)
+        a, b = self.q.numerator, self.q.denominator
+        head, den = _integer_power_sum(self.seq, k)
+        return Fraction((a - b) ** k * head, (a**k - b**k) * den)
 
     def frequencies(self, count: int) -> list[Fraction]:
         """The ``count`` largest entries of the array, in decreasing order."""

@@ -5,25 +5,26 @@ combination of power-sum products ``p_rho`` with `Fraction` coefficients.
 Schur functions enter through one integer character table per degree, built
 by Murnaghan-Nakayama on beta-sets from the tables of lower degree; a Schur
 expansion is one integer dot product per row over a common denominator.
-Hall-Littlewood Q functions come from Jing's vertex operator (one Q_lam at a
-time, up to :data:`EXACT_HL_DEGREE_CAP`), computed in integers over one
-denominator, and the modified Q functions by rescaling each ``p_k`` by
+Hall-Littlewood Q functions come from Jing's vertex operator, Q_lam =
+H_{lam_1} Q_{lam[1:]} on the kept Q of the tail, up to
+:data:`EXACT_HL_DEGREE_CAP`; each step is computed in integers over one
+denominator.  The modified Q functions rescale each ``p_k`` by
 ``1/(1 - t**k)``.  Kostka numbers count tableaux by a recursion over
 horizontal strips; charge-weighted Kostka polynomials
 (:class:`TPolynomial`) come from tableau enumeration, up to the same degree
 cap, and are the independent check on the operator.
 
-Character tables, Schur functions, Kostka numbers, charge polynomials and
-the series coefficients q_N of the operator are memoized in module-level
-``functools.cache`` tables, so repeated queries reuse them and
-``cache_clear`` drops them.
+Character tables, Schur functions, Kostka numbers, charge polynomials,
+Hall-Littlewood Q functions (per lam and t) and the series coefficients q_N
+of the operator are memoized in module-level ``functools.cache`` tables,
+so repeated queries reuse them and ``cache_clear`` drops them.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, lcm, prod
 
 from fqtraces.partitions import (
     Partition,
@@ -431,41 +432,56 @@ def check_hl_degree(n: int):
         )
 
 
+@cache
+def _hl_q(lam: Partition, t: Fraction) -> PowerSumElement:
+    """Q_lam(t) = H_{lam_1} Q_{lam[1:]}, for a checked lam and a `Fraction` t.
+
+    The tail comes from this memo and is put over the least common
+    denominator D of its coefficients, so it is carried as integers over
+    D.  The step stays in integers: the denominator b**N * N! of q_N
+    divides that of every q_N' with N' >= N, so every term is lifted to
+    the largest one.  Fractions are built only for the result.
+    """
+    if not lam:
+        return PowerSumElement.one()
+    tail = _hl_q(lam[1:], t)
+    if not tail:  # Q_lam = 0, as at t = 1 for every lam but ()
+        return tail
+    den = lcm(*(c.denominator for c in tail.terms.values()))
+    f = {rho: c.numerator * (den // c.denominator) for rho, c in tail.terms.items()}
+    n = lam[0]
+    parts = _translate(f)
+    top = _q_series(n + max(parts), t)[0]
+    out: dict[Partition, int] = {}
+    for m, fm in parts.items():
+        q_den, series = _q_series(n + m, t)
+        scale = top // q_den
+        for rho, a in series:
+            a *= scale
+            for sigma, b in fm.items():
+                key = tuple(sorted(rho + sigma, reverse=True))
+                out[key] = out.get(key, 0) + a * b
+    den *= top
+    # keyed by the tuples of partitions_of, which every Q of the degree shares
+    return PowerSumElement(
+        {rho: Fraction(out[rho], den) for rho in partitions_of(size(lam)) if out.get(rho)}
+    )
+
+
 def hl_q_in_p(lam: Partition, t) -> PowerSumElement:
     """Hall-Littlewood Q function at an exact rational parameter t.
 
     Built by Jing's vertex operator (Adv. Math. 87, 1991; Macdonald III.5),
-    Q_lam = H_{lam_1} ... H_{lam_l} . 1 with the last part applied first,
-    where H_n f = sum_m q_{n+m} f_m with q_N from :func:`_q_series` and f_m
-    from :func:`_translate`.  The function is carried as integer
-    coefficients over one denominator: the denominator b**N * N! of q_N
-    divides that of every q_N' with N' >= N, so each step lifts its terms
-    to the largest one and then divides out a common factor.  Fractions are
-    built only for the result.
+    Q_lam = H_{lam_1} Q_{lam[1:]} down to Q_() = 1, where
+    H_n f = sum_m q_{n+m} f_m with q_N from :func:`_q_series` and f_m from
+    :func:`_translate`.  Every Q_lam(t) is kept in one memo, keyed on
+    (lam, Fraction(t)), so each lam builds on the kept Q of its tail and a
+    repeated query costs a lookup.  The memo returns the same object to
+    every caller, which must not change it.
     """
     lam = check_partition(lam)
     check_hl_degree(size(lam))
-    t = Fraction(t)
-    den, f = 1, {(): 1}
-    for n in reversed(lam):
-        parts = _translate(f)
-        top = _q_series(n + max(parts), t)[0]
-        out: dict[Partition, int] = {}
-        for m, fm in parts.items():
-            q_den, series = _q_series(n + m, t)
-            scale = top // q_den
-            for rho, a in series:
-                a *= scale
-                for sigma, b in fm.items():
-                    key = tuple(sorted(rho + sigma, reverse=True))
-                    out[key] = out.get(key, 0) + a * b
-        f = {rho: c for rho, c in out.items() if c}
-        if not f:  # Q_lam = 0, as at t = 1 for every lam but ()
-            return PowerSumElement()
-        g = gcd(den * top, *f.values())
-        den = den * top // g
-        f = {rho: c // g for rho, c in f.items()}
-    return PowerSumElement({rho: Fraction(c, den) for rho, c in f.items()})
+    return _hl_q(lam, Fraction(t))
 
 
 def modified_hl_q(lam: Partition, t) -> PowerSumElement:

@@ -3,11 +3,12 @@ import json
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqtraces import verify
+from fqtraces import cli, verify
 from fqtraces.cli import BIREGULAR_MAX_SIZE, main
 from fqtraces.measures import CHAIN_LEVEL_CAP, CHAIN_STEP_CAP
 from fqtraces.oracle import SUPPORTED_ORDERS
@@ -352,6 +353,27 @@ def test_value_past_the_digit_limit_exits_one(fmt):
     assert code == 1 and out == ""
     limit = sys.get_int_max_str_digits()
     assert err == f"error: exact value has more than {limit} digits, the most fqtraces prints\n"
+
+
+@pytest.mark.parametrize("q", ["2", "3"])
+@pytest.mark.parametrize("lam", ["1155", ",".join(["35"] * 33)], ids=["1155", "35^33"])
+def test_haar_cylinder_past_the_digit_limit_exits_one_before_any_work(monkeypatch, q, lam):
+    # the Haar cylinder of size n is q**(-n(n-1)/2) whatever the shape
+    def cyl_prob(params, lam):
+        raise AssertionError("cyl_prob was called")
+
+    monkeypatch.setattr(cli, "cyl_prob", cyl_prob)
+    code, out, err = run(["cyl", "--q", q, "--measure", "haar", "--lam", lam])
+    assert code == 1 and out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: exact value has more than {limit} digits, the most fqtraces prints\n"
+
+
+def test_haar_cylinder_below_the_digit_limit_prints():
+    # 2**-14196 has 4274 digits, a size the up-front refusal leaves alone
+    code, out, err = run(["cyl", "--q", "2", "--measure", "haar", "--lam", "169"])
+    assert code == 0 and err == ""
+    assert out == f"{Fraction(1, 2**14196)}\n"
 
 
 @pytest.mark.parametrize("shape", ["400", "65", "10,10,10,10,10,10,10,10,10,10"])

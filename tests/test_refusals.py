@@ -10,10 +10,16 @@ from fractions import Fraction
 import pytest
 
 from fqtraces.measures import MeasureParams, lln_experiment
-from fqtraces.oracle import FqMatrix, conjugacy_family_of, ext_enumerate, field_make
-from fqtraces.partitions import partitions_of
+from fqtraces.oracle import (
+    FqMatrix,
+    conjugacy_family_of,
+    ext_enumerate,
+    field_make,
+    jordan_block_matrix,
+)
+from fqtraces.partitions import check_partition, partitions_of
 from fqtraces.specializations import Specialization
-from fqtraces.symfunc import PowerSumElement, plethysm_pl
+from fqtraces.symfunc import PowerSumElement, hl_q_in_p, plethysm_pl
 from fqtraces.traces import GLUTraceParams, trace_coefficients
 
 F2 = field_make(2)
@@ -64,6 +70,22 @@ REFUSALS = {
         lambda: Specialization.finite().power_sum(0),
         ValueError,
         "power sum index must be >= 1",
+    ),
+    # a bool is an int to Python; as a part it would key Q_(1,1) as (True, True)
+    "partition-of-bools": (
+        lambda: check_partition((True,)),
+        ValueError,
+        "not a partition: (True,)",
+    ),
+    "hl-q-of-bools": (
+        lambda: hl_q_in_p((True,), Fraction(1, 2)),
+        ValueError,
+        "not a partition: (True,)",
+    ),
+    "jordan-blocks-of-bools": (
+        lambda: jordan_block_matrix(field_make(2), [((1, 1), (True, True))]),
+        ValueError,
+        "not a partition: (True, True)",
     ),
 }
 

@@ -120,6 +120,37 @@ def test_spread_frequencies_sorted():
     assert GeometricSpread((1,), 2).frequencies(3) == [HALF, Fraction(1, 4), Fraction(1, 8)]
 
 
+def _finite_power_reference(values, k):
+    return sum((v**k for v in values), Fraction(0))
+
+
+def _spread_power_reference(seq, q, k):
+    if not seq:
+        return Fraction(0)
+    qinv = 1 / q
+    return (1 - qinv) ** k * _finite_power_reference(seq, k) / (1 - qinv**k)
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        (),
+        (Fraction(0),),
+        (Fraction(1),),
+        (HALF, HALF),
+        (Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(0)),
+        (Fraction(3, 4), Fraction(1, 8), Fraction(1, 9), Fraction(1, 9), Fraction(0), Fraction(0)),
+    ],
+)
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(5, 2), Fraction(10001, 10000)])
+def test_integer_power_sums_match_fraction_definition(seq, q):
+    # the formulas the providers used before they read power sums in integers
+    finite, spread = FinitePowerSums(seq), GeometricSpread(seq, q)
+    for k in range(1, 17):
+        assert finite.power(k) == _finite_power_reference(seq, k)
+        assert spread.power(k) == _spread_power_reference(seq, q, k)
+
+
 class _PowerSums:
     """Power sums given by a callable: the full value of p_k for k >= 2."""
 

@@ -10,6 +10,7 @@ from fqtraces.specializations import Specialization
 from fqtraces.symfunc import (
     PowerSumElement,
     _character_table,
+    _hl_q,
     charge,
     hl_q_in_p,
     kostka,
@@ -263,6 +264,25 @@ def test_hl_q_of_empty_partition_is_one():
 @given(partitions_up_to(7), st.fractions(-3, 3, max_denominator=12))
 def test_hl_q_equals_rescaled_charge_column(lam, t):
     assert hl_q_in_p(lam, t) == hl_q_by_charge(lam, t)
+
+
+@pytest.mark.parametrize("t", [HALF, Fraction(2, 9), Fraction(-3, 7), Fraction(1)])
+def test_hl_q_memo_in_either_order(t):
+    # a Q built on a memoized tail equals the charge-built Q, whether the
+    # long lam or its shortest tail is asked for first
+    expected = {}
+    for n in range(8):
+        for lam in partitions_of(n):
+            if t == 1:  # every factor 1 - t**k vanishes: Q_lam = 0 but for lam = ()
+                expected[lam] = PowerSumElement() if lam else PowerSumElement.one()
+            else:
+                expected[lam] = hl_q_by_charge(lam, t)
+    for lam in expected:
+        tails = [lam[i:] for i in range(len(lam) + 1)]
+        for order in (tails, tails[::-1]):
+            _hl_q.cache_clear()
+            for mu in order:
+                assert hl_q_in_p(mu, t) == expected[mu], (lam, mu)
 
 
 def test_hl_q_closed_forms_above_old_cap():
