@@ -15,8 +15,9 @@ multiples, digits, leading entries), so adding or scaling a vector takes
 one lookup per chunk: one in all up to n = k (8, 5, 4, 3, 2, 2, 2 for
 q = 2, 3, 4, 5, 7, 8, 9).  Chunks of at most 256 values keep those tables
 at 256 x 256 entries per field whatever n is; a table over whole vectors
-would need q**n x q**n entries, 43 million for n = 4 over F_9.  The tables grow lazily, one digit at a time
-from the field tables, to the widest chunk in use.
+would need q**n x q**n entries, 43 million for n = 4 over F_9.  Each
+field builds its tables whole when it is made, one digit at a time from
+the field tables, so packing never depends on what was packed before.
 
 A matrix keeps its columns packed.  Dense rows only enter from callers,
 through the ``FqMatrix`` constructor, which checks them, and only leave
@@ -56,8 +57,8 @@ class FqField:
     It also holds the chunk tables for packed vectors, indexed by chunk
     value: ``cadd[x][y]``, ``cscale[c][x]``, ``cdigit[i][x]`` (digit i),
     ``cdigits[x]`` ((i, digit) for the nonzero digits) and ``clead[x]``
-    (the first of those, None for 0); ``unit[j]`` is the packed j-th unit
-    vector.  :meth:`widen` grows them.
+    (the first of those, None for 0).  They cover every chunk of k
+    entries and are built once, in the constructor.
     """
 
     def __init__(self, q: int, add, mul):
@@ -70,41 +71,28 @@ class FqField:
         )
         self._validate()
         self.k = max(k for k in range(1, 9) if q**k <= 256)
-        self.width = 0  # the tables cover chunks of this many entries
-        self.cadd = [[0]]
-        self.cscale = [[0] for _ in range(q)]
-        self.cdigit = []
-        self.cdigits = [()]
-        self.clead = [None]
-        self.unit = []
+        # one top digit a at a time, k times: chunk value a*b + x, x below b
+        cadd, cscale, cdigit, cdigits, clead = [[0]], [[0] for _ in range(q)], [], [()], [None]
+        for w in range(self.k):
+            b = q**w
+            cadd = [
+                [add[a][c] * b + s for c in range(q) for s in row]
+                for a in range(q)
+                for row in cadd
+            ]
+            cscale = [
+                [mul[c][a] * b + s for a in range(q) for s in row]
+                for c, row in enumerate(cscale)
+            ]
+            cdigit = [row * q for row in cdigit] + [[a for a in range(q) for _ in range(b)]]
+            cdigits = [ds + ((w, a),) if a else ds for a in range(q) for ds in cdigits]
+            clead = [ld or ((w, a) if a else None) for a in range(q) for ld in clead]
+        self.cadd, self.cscale, self.cdigit, self.cdigits, self.clead = (
+            cadd, cscale, cdigit, cdigits, clead
+        )
 
     def sub(self, a: int, b: int) -> int:
         return self.add[a][self.neg[b]]
-
-    def widen(self, n: int):
-        """Make the chunk tables and unit vectors cover vectors of n entries.
-
-        Each step adds one top digit a: chunk value a*b + x, x below b.
-        """
-        q, add, mul = self.q, self.add, self.mul
-        while self.width < min(n, self.k):
-            w, b = self.width, q**self.width
-            self.cadd = [
-                [add[a][c] * b + s for c in range(q) for s in row]
-                for a in range(q)
-                for row in self.cadd
-            ]
-            self.cscale = [
-                [mul[c][a] * b + s for a in range(q) for s in row]
-                for c, row in enumerate(self.cscale)
-            ]
-            self.cdigit = [row * q for row in self.cdigit] + [[a for a in range(q) for _ in range(b)]]
-            self.cdigits = [ds + ((w, a),) if a else ds for a in range(q) for ds in self.cdigits]
-            self.clead = [ld or ((w, a) if a else None) for a in range(q) for ld in self.clead]
-            self.width = w + 1
-        while len(self.unit) < n:
-            j = len(self.unit)
-            self.unit.append(q ** (j % self.k) << 8 * (j // self.k))
 
     def _validate(self):
         q, add, mul = self.q, self.add, self.mul
@@ -162,9 +150,15 @@ def field_make(q: int) -> FqField:
 # Packed vectors and matrices
 
 
+@cache
+def _units(field: FqField, n: int) -> tuple:
+    """The packed unit vectors e_0, ..., e_(n-1)."""
+    return tuple(field.q ** (j % field.k) << 8 * (j // field.k) for j in range(n))
+
+
 def _pack(field: FqField, entries) -> int:
-    """Packed vector of field indices (the caller has widened the tables)."""
-    return sum(e * u for e, u in zip(entries, field.unit))
+    """Packed vector of a sequence of field indices, every entry kept."""
+    return sum(e * u for e, u in zip(entries, _units(field, len(entries))))
 
 
 def _unpack(field: FqField, v: int, n: int) -> tuple:
@@ -182,9 +176,8 @@ def _unpack(field: FqField, v: int, n: int) -> tuple:
 
 def _all_vectors(field: FqField, n: int) -> list:
     """Every packed vector of n entries, the last entry varying fastest."""
-    field.widen(n)
     vecs = [0]
-    for u in field.unit[:n]:
+    for u in _units(field, n):
         vecs = [v + c * u for v in vecs for c in range(field.q)]
     return vecs
 
@@ -207,7 +200,6 @@ class FqMatrix:
             for e in r:
                 if type(e) is not int or not 0 <= e < field.q:
                     raise ValueError(f"matrix entry {e!r} is not an element index of F_{field.q}")
-        field.widen(len(rows))
         self.field = field
         self.nrows = len(rows)
         self.cols = tuple(_pack(field, col) for col in zip(*rows))
@@ -275,7 +267,7 @@ def _apply(m: FqMatrix, x: int) -> int:
 def _shift(m: FqMatrix, c: int) -> FqMatrix:
     """m + c*I for a square m."""
     f = m.field
-    add, digit, unit, k = f.add, f.cdigit, f.unit, f.k
+    add, digit, unit, k = f.add, f.cdigit, _units(f, m.nrows), f.k
     cols = []
     for j, col in enumerate(m.cols):
         e = digit[j % k][col >> 8 * (j // k) & 255]
@@ -365,8 +357,8 @@ def unipotent_matrices(field: FqField, n: int):
 
 def unipotent_upper_triangular(field: FqField, n: int):
     """All upper-triangular matrices with unit diagonal."""
-    field.widen(n)
-    choices = [[v + field.unit[j] for v in _all_vectors(field, j)] for j in range(n)]
+    unit = _units(field, n)
+    choices = [[v + unit[j] for v in _all_vectors(field, j)] for j in range(n)]
     for cols in product(*choices):
         yield _matrix(field, n, cols)
 
@@ -391,8 +383,7 @@ def subspaces(field: FqField, free, d: int):
     Yields (basis, pivots): the basis in reduced echelon form on ``free``,
     keyed by leading entry as in :func:`_echelon`, and its pivot coordinates.
     """
-    field.widen(max(free, default=-1) + 1)
-    q, unit, k = field.q, field.unit, field.k
+    q, unit, k = field.q, _units(field, max(free, default=-1) + 1), field.k
     for pivots in combinations(free, d):
         choices = []
         for p in pivots:
@@ -455,9 +446,8 @@ def ext_enumerate(g: FqMatrix, variant: str):
         raise ValueError(f"unknown extension variant {variant!r}")
     f = g.field
     n = g.nrows
-    f.widen(n + 1)
     corners = range(1, f.q) if variant == "GLB" else (1,)
-    last = f.unit[n]
+    last = _units(f, n + 1)[n]
     return [
         _matrix(f, n + 1, g.cols + (col + corner * last,))
         for col in _all_vectors(f, n)
@@ -573,8 +563,7 @@ def jordan_block_matrix(field: FqField, blocks) -> FqMatrix:
         (_check_poly(field, poly, monic=True), check_partition(lam)) for poly, lam in blocks
     ]
     n = sum((len(poly) - 1) * sum(lam) for poly, lam in blocks)
-    field.widen(n)
-    unit = field.unit
+    unit = _units(field, n)
     cols = []
     for poly, lam in blocks:
         d = len(poly) - 1

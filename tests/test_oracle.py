@@ -47,13 +47,31 @@ def test_field_construction():
 
 def test_chunk_tables_stay_within_256_values():
     # a chunk is the widest run of entries with at most 256 values, so the
-    # sum table never passes 256 x 256 entries, however long the vectors
+    # sum table never passes 256 x 256 entries, however long the vectors;
+    # the tables cover every chunk value once the field is made, and
+    # packing longer vectors neither grows nor replaces them
     for q in SUPPORTED_ORDERS:
         field = field_make(q)
-        field.widen(12)
-        assert q**field.k <= 256 < q ** (field.k + 1)
-        assert len(field.cadd) == q**field.k and all(len(row) == q**field.k for row in field.cadd)
-        assert len(field.unit) >= 12
+        k, size = field.k, q**field.k
+        assert size <= 256 < q ** (k + 1)
+        tables = (field.cadd, field.cscale, field.cdigit, field.cdigits, field.clead)
+        assert len(field.cadd) == size and all(len(row) == size for row in field.cadd)
+        assert len(field.cscale) == q and all(len(row) == size for row in field.cscale)
+        assert len(field.cdigit) == k and all(len(row) == size for row in field.cdigit)
+        for x in range(size):
+            digits = [x // q**i % q for i in range(k)]
+            assert [row[x] for row in field.cdigit] == digits
+            assert field.cdigits[x] == tuple((i, d) for i, d in enumerate(digits) if d)
+            assert field.clead[x] == (field.cdigits[x][0] if x else None)
+        # one Jordan block of 17 spans three chunks even over F_2
+        m = jordan_block_matrix(field, [((field.neg[1], 1), (17,))])
+        assert unipotent_class_of(FqMatrix(field, m.rows)) == (17,)
+        assert all(
+            now is before
+            for now, before in zip(
+                (field.cadd, field.cscale, field.cdigit, field.cdigits, field.clead), tables
+            )
+        )
 
 
 def test_field_f4_arithmetic():
