@@ -55,12 +55,14 @@ class DiagramFamily:
                 raise ValueError("family blocks must carry nonempty diagrams")
             if isinstance(d, bool) or not isinstance(d, int) or d < 1:
                 raise ValueError(f"block degree must be a positive integer: {d!r}")
+            if not isinstance(tag, str):
+                raise ValueError(f"family tag must be a string: {tag!r}")
             if tag in seen:
                 raise ValueError(f"duplicate tag in family: {tag!r}")
             if tag == UNIT and d != 1:
                 raise ValueError("the unit tag always has degree 1")
             seen.add(tag)
-            canon.append((str(tag), d, lam))
+            canon.append((tag, d, lam))
         canon.sort(key=lambda b: (b[1], b[0]))
         object.__setattr__(self, "blocks", tuple(canon))
 

@@ -452,7 +452,7 @@ def _check_biregular():
 @_suite("steinberg")
 def _check_steinberg():
     sp = Specialization.finite((), (Fraction(1),), 1)
-    for q in (2, 3):
+    for q in (2, 3, 4, 5):
         for n in range(1, 5):
             cls = family((UNIT, 1, (1,) * n))
             value = unipotent_trace_value(sp, cls, q)
@@ -467,24 +467,35 @@ def _check_steinberg():
 
 @_suite("companion-base-change")
 def _check_companion_base_change():
-    """Flag counts of companion-block matrices match the extension field."""
-    q, k = 2, 2
-    f2 = field_make(q)
-    f4 = field_make(q**k)
-    quad = (1, 1, 1)  # the irreducible quadratic over F_2
-    y = 2  # a root of it inside F_4
-    for m in (1, 2):
-        for nu in partitions_of(m):
-            g = jordan_block_matrix(f2, [(quad, nu)])
-            gy = jordan_block_matrix(f4, [((f4.neg[y], 1), nu)])
-            for mu in partitions_of(2 * m):
-                lhs = count_fixed_flags(g, mu)
-                halves = tuple(p // 2 for p in mu)
-                if all(p % 2 == 0 for p in mu):
-                    rhs = count_fixed_flags(gy, halves)
-                else:
-                    rhs = 0
-                yield _row(f"nu={format_partition(nu)}-mu={format_partition(mu)}", lhs, rhs)
+    """Flag counts of companion-block matrices match the extension field.
+
+    Take g of type nu at an irreducible poly of degree k over F_q.  Its
+    invariant subspaces are modules over F_q[x]/(poly**j), a ring isomorphic
+    to F_(q^k)[x]/((x - y)**j) for a root y of poly.  So they are those of
+    gy, of type nu at y over F_(q^k), with k times the dimension: g has as
+    many invariant flags of shape mu as gy has of shape mu / k, and none
+    unless k divides every part.
+    """
+    cases = (
+        # q, k, poly, index of y in F_(q^k), largest |nu|, instance prefix
+        (2, 2, (1, 1, 1), 2, 2, ""),
+        (3, 2, (1, 0, 1), 3, 2, "q=3-k=2-"),
+        (2, 3, (1, 1, 0, 1), 2, 1, "q=2-k=3-"),
+    )
+    for q, k, poly, y, top, prefix in cases:
+        small, big = field_make(q), field_make(q**k)
+        for m in range(1, top + 1):
+            for nu in partitions_of(m):
+                g = jordan_block_matrix(small, [(poly, nu)])
+                gy = jordan_block_matrix(big, [((big.neg[y], 1), nu)])
+                for mu in partitions_of(k * m):
+                    lhs = count_fixed_flags(g, mu)
+                    if all(p % k == 0 for p in mu):
+                        rhs = count_fixed_flags(gy, tuple(p // k for p in mu))
+                    else:
+                        rhs = 0
+                    instance = f"{prefix}nu={format_partition(nu)}-mu={format_partition(mu)}"
+                    yield _row(instance, lhs, rhs)
 
 
 @_suite("trace-values-oracle")

@@ -226,6 +226,22 @@ def test_bad_glu_params_exit_one(params):
 
 
 @pytest.mark.parametrize(
+    "flag, command, family",
+    [
+        # the int 1 and the string "1" used to make two blocks tagged "1"
+        ("--family", "dim", '[{"tag":1,"d":1,"lambda":"1"},{"tag":"1","d":1,"lambda":"2"}]'),
+        # and a null tag used to become the tag "None"
+        ("--class", "trace", '[{"tag":null,"d":1,"lambda":"1"}]'),
+    ],
+    ids=["dim-int-tag", "trace-null-tag"],
+)
+def test_family_tag_not_a_string_exits_one(flag, command, family):
+    code, out, err = run([command, "--q", "3", flag, family])
+    assert code == 1 and out == ""
+    assert f"error: argument {flag}: invalid family JSON: family tag must be a string: " in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["hl-expand", "--lam", "17", "--t", "1/2"],

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import oracle_reference as ref
@@ -54,7 +55,8 @@ def test_chunk_tables_stay_within_256_values():
         field = field_make(q)
         k, size = field.k, q**field.k
         assert size <= 256 < q ** (k + 1)
-        tables = (field.cadd, field.cscale, field.cdigit, field.cdigits, field.clead)
+        names = ("cadd", "cscale", "cdigit", "cdigits", "clead")
+        before = [getattr(field, name) for name in names]
         assert len(field.cadd) == size and all(len(row) == size for row in field.cadd)
         assert len(field.cscale) == q and all(len(row) == size for row in field.cscale)
         assert len(field.cdigit) == k and all(len(row) == size for row in field.cdigit)
@@ -66,12 +68,7 @@ def test_chunk_tables_stay_within_256_values():
         # one Jordan block of 17 spans three chunks even over F_2
         m = jordan_block_matrix(field, [((field.neg[1], 1), (17,))])
         assert unipotent_class_of(FqMatrix(field, m.rows)) == (17,)
-        assert all(
-            now is before
-            for now, before in zip(
-                (field.cadd, field.cscale, field.cdigit, field.cdigits, field.clead), tables
-            )
-        )
+        assert all(getattr(field, name) is table for name, table in zip(names, before))
 
 
 def test_field_f4_arithmetic():
@@ -195,6 +192,27 @@ def test_packed_matches_dense_reference(case):
             left -= part
         if flags <= 10_000:
             assert count_fixed_flags(m, mu) == ref.flag_count(dense, mu)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_packing_across_chunk_boundaries(q):
+    # the test above stops at n = 4, inside one chunk over F_2, F_3 and
+    # F_4; these vectors end one entry into a second and a third chunk
+    field = field_make(q)
+    rng = random.Random(q)
+    for n in (field.k + 1, 2 * field.k + 1):
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+        # the strictly upper part is nilpotent: its kernel chain runs up to n
+        upper = [[e if j > i else 0 for j, e in enumerate(row)] for i, row in enumerate(rows)]
+        for r in (rows, upper):
+            m, dense = FqMatrix(field, r), ref.DenseMatrix(field, r)
+            assert m.rows == dense.rows
+            assert (m @ m).rows == (dense @ dense).rows
+            assert m.rank() == ref.rank(field, dense.rows)
+            assert _jordan_type(m) == ref.jordan_type(dense)
+    # one Jordan block with its first k entries in one chunk, its last in the next
+    block = jordan_block_matrix(field, [((field.neg[1], 1), (field.k + 1,))])
+    assert unipotent_class_of(block) == (field.k + 1,)
 
 
 def test_unipotent_counts():

@@ -20,7 +20,7 @@ from fqtraces.oracle import (
 from fqtraces.partitions import check_partition, partitions_of
 from fqtraces.specializations import Specialization
 from fqtraces.symfunc import PowerSumElement, hl_q_in_p, plethysm_pl
-from fqtraces.traces import GLUTraceParams, trace_coefficients
+from fqtraces.traces import GLUTraceParams, family, trace_coefficients
 
 F2 = field_make(2)
 HALF = Specialization.finite(gamma=Fraction(1, 2))
@@ -81,6 +81,12 @@ REFUSALS = {
         lambda: hl_q_in_p((True,), Fraction(1, 2)),
         ValueError,
         "not a partition: (True,)",
+    ),
+    # the int 1 used to be turned into the tag "1" after the duplicate check
+    "family-tag-not-a-string": (
+        lambda: family((1, 1, (1,)), ("1", 1, (2,))),
+        ValueError,
+        "family tag must be a string: 1",
     ),
     "jordan-blocks-of-bools": (
         lambda: jordan_block_matrix(field_make(2), [((1, 1), (True, True))]),
