@@ -228,9 +228,9 @@ def test_bad_glu_params_exit_one(params):
 @pytest.mark.parametrize(
     "flag, command, family",
     [
-        # the int 1 and the string "1" used to make two blocks tagged "1"
+        # as tags, the int 1 and the string "1" would make two blocks tagged "1"
         ("--family", "dim", '[{"tag":1,"d":1,"lambda":"1"},{"tag":"1","d":1,"lambda":"2"}]'),
-        # and a null tag used to become the tag "None"
+        # and null the tag "None"
         ("--class", "trace", '[{"tag":null,"d":1,"lambda":"1"}]'),
     ],
     ids=["dim-int-tag", "trace-null-tag"],

@@ -82,7 +82,7 @@ REFUSALS = {
         ValueError,
         "not a partition: (True,)",
     ),
-    # the int 1 used to be turned into the tag "1" after the duplicate check
+    # as the tag "1", the int 1 would pass the duplicate check next to "1"
     "family-tag-not-a-string": (
         lambda: family((1, 1, (1,)), ("1", 1, (2,))),
         ValueError,
