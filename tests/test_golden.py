@@ -3,7 +3,8 @@
 The files in ``tests/golden/`` hold the stdout of ``sample``, ``lln`` and
 ``cyl`` for the three named measure families at q = 2 and 3 and for a
 custom measure at q = 2 and 3, and of ``sample`` and ``lln`` for the Haar
-family at the rational q = 5/2.  The custom chains stop at level 12, since
+family at the rational q = 5/2, 5/4 and 101/100 (the last two grow many
+rows).  The custom chains stop at level 12, since
 their weights come from the exact Hall-Littlewood expansion.
 ``cyl-trace.txt`` holds ``cyl --from-trace`` at q = 2, 3 and 5/2 for alpha
 and beta drawn from (), (1), (1/2), (1/4) with total mass at most 1, and
@@ -54,7 +55,7 @@ _NAMED = [
     for measure in ("haar", "delta", "single-row")
     for q in (2, 3)
 ]
-_RATIONAL_Q = [["--q", "5/2", "--measure", "haar"]]
+_RATIONAL_Q = [["--q", q, "--measure", "haar"] for q in ("5/2", "5/4", "101/100")]
 _CUSTOM = [["--q", str(q), "--r", "1/4", "--c", "1/4"] for q in (2, 3)]
 
 _CHAINS = [(m, "300") for m in _NAMED + _RATIONAL_Q] + [(m, "12") for m in _CUSTOM]
