@@ -21,9 +21,13 @@ transition row out of a diagram as integer numerators over one common
 denominator: closed forms in q for the Haar, delta and single-row
 families, and the extension counts times the Q-weight ratios, put over
 their least common denominator, for every other parameter set.
-Everything except the Monte Carlo summary statistics is exact; sampling
-compares the integer cumulative numerators against a uniform variate of
-fixed denominator 2**64.
+Everything except the Monte Carlo summary statistics is exact.  A step
+of the chain draws a uniform variate u / 2**64 and moves to the first
+successor whose cumulative probability exceeds it, decided in integers.
+Each family takes that step its own way to the same successor: the
+generic family searches its kept row, the delta and single-row chains
+have one successor, and the Haar row telescopes, so its step finds the
+threshold by a search over powers of q without building the row.
 """
 
 import random
@@ -186,12 +190,18 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 # ---------------------------------------------------------------------------
 # Measure families
 #
-# Every family object answers two questions: ``weight(lam)`` is the Q
-# weight W(lam), and ``row(lam, rows)`` is the chain's transition row out of
+# Every family object answers three questions: ``weight(lam)`` is the Q
+# weight W(lam); ``row(lam, rows)`` is the chain's transition row out of
 # lam as (den, nums): non-negative integers over one positive den, one per
-# corner row of ``rows = _corner_rows(lam)``, summing to den.  The caller
-# computes ``rows`` once and reads the chosen successor off it.  ``row``
-# raises ValueError where W(lam) = 0.
+# corner row of ``rows = _corner_rows(lam)``, summing to den; and
+# ``step(lam, u)`` is the successor the chain moves to for the uniform
+# variate u / 2**64, 0 <= u < 2**64.  The successor is the first corner
+# whose cumulative probability acc / den exceeds u / 2**64, compared in
+# integers as u * den < acc * 2**64, so it comes out the same whether a
+# family builds its row or not.  The only sampling error is the grid: at
+# most one grid point per successor can be misassigned, so the bias per
+# step is below (corners + 1) * 2**-64 < 2**-60 at every level the chains
+# reach.  ``row`` and ``step`` raise ValueError where W(lam) = 0.
 #
 # The row is N_{lam,mu} * cyl(mu) / cyl(lam).  The q**(n(n-1)/2) prefactors
 # cancel: with the new box in column j the probability is
@@ -201,9 +211,14 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 # without the bracket at j = 1.  A box lengthening the block of equal rows
 # whose top row is i (0-based) has lam'_j = i, and lam'_{j-1} is the top row
 # of the next block, or len(lam).  The Haar, delta and single-row families
-# answer in closed form at any level; every other parameter set goes through
+# answer in closed form at any level, and step without building the row:
+# the delta and single-row chains have one successor, and the Haar row
+# telescopes (see ``_Haar.step``).  Every other parameter set goes through
 # :func:`hl_weight`, called by its module name so that wrappers installed
-# on it see every call.
+# on it see every call, and steps through its kept row.
+
+
+_U64 = 2**64
 
 
 def _corner_rows(lam: Partition) -> list[int]:
@@ -237,6 +252,38 @@ class _Haar(_ClosedForm):
         nums.append(tails[-1])
         return a**ell, nums
 
+    def step(self, lam: Partition, u: int) -> Partition:
+        # The row telescopes: through the block whose successor block starts
+        # at row r (r = l for the last block) the cumulative numerator is
+        # a**l - b**r * a**(l - r), so u * a**l < acc * 2**64 reads
+        # b**r * 2**64 < v * a**r with v = 2**64 - u.  That test does not
+        # depend on lam and, as q > 1, holds for every r from some least
+        # i >= 1 on.  The first block it accepts is the one holding row i - 1,
+        # and the box goes to that block's top row; if i > l, to a new row.
+        # i is found in exact integers by doubling from 1, capped at l, then
+        # bisecting: O(log l) powers of a and b, never all l of them.
+        a, b = self.q.numerator, self.q.denominator
+        v = _U64 - u
+        ell = len(lam)
+
+        def beyond(r: int) -> bool:
+            return b**r << 64 < v * a**r
+
+        low, high = 0, 1
+        while high < ell and not beyond(high):
+            low, high = high, min(2 * high, ell)
+        if high >= ell and not beyond(ell):
+            return lam + (1,)
+        # beyond(low) fails (as beyond(0) always does) and beyond(high) holds
+        while high - low > 1:
+            mid = (low + high) // 2
+            if beyond(mid):
+                high = mid
+            else:
+                low = mid
+        top = lam.index(lam[high - 1])
+        return lam[:top] + (lam[top] + 1,) + lam[top + 1 :]
+
 
 class _Delta(_ClosedForm):
     """Column frequency 1: W(lam) = (1 - 1/q)**|lam| on one-column lam, else 0."""
@@ -249,6 +296,11 @@ class _Delta(_ClosedForm):
         if lam and lam[0] > 1:
             raise _zero_source(lam)
         return 1, [0, 1] if lam else [1]
+
+    def step(self, lam: Partition, u: int) -> Partition:
+        if lam and lam[0] > 1:
+            raise _zero_source(lam)
+        return lam + (1,)
 
 
 class _Row(_ClosedForm):
@@ -264,6 +316,11 @@ class _Row(_ClosedForm):
         if len(lam) > 1:
             raise _zero_source(lam)
         return 1, [1, 0] if lam else [1]
+
+    def step(self, lam: Partition, u: int) -> Partition:
+        if len(lam) > 1:
+            raise _zero_source(lam)
+        return (lam[0] + 1,) if lam else (1,)
 
 
 class _Generic:
@@ -284,6 +341,19 @@ class _Generic:
         if lam not in self.built_rows:
             self.built_rows[lam] = self._build_row(lam, rows)
         return self.built_rows[lam]
+
+    def step(self, lam: Partition, u: int) -> Partition:
+        # the row sums to den and u < 2**64, so the search stops at the last
+        # corner at the latest
+        rows = _corner_rows(lam)
+        den, nums = self.row(lam, rows)
+        target = u * den
+        acc = 0
+        for i, num in zip(rows, nums):
+            acc += num
+            if target < acc << 64:
+                break
+        return add_box(lam, i + 1)
 
     def _build_row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
         params, q = self.params, self.params.q
@@ -331,31 +401,13 @@ def transition_distribution(
     return [(add_box(lam, i + 1), Fraction(num, den)) for i, num in zip(rows, nums)]
 
 
-_U64 = 2**64
-
-
 def _trial_rng(seed: int, trial: int) -> random.Random:
     """Deterministic per-trial stream, independent of evaluation order."""
     return random.Random(((seed % _U64) << 64) | (trial % _U64))
 
 
 def _step(params: MeasureParams, lam: Partition, rng: random.Random) -> Partition:
-    # Exact thresholds against a uniform variate u / 2**64: the first corner
-    # whose cumulative probability acc / den exceeds it, compared in
-    # integers as u * den < acc * 2**64.  The only sampling error is the
-    # grid discretization: at most one grid point per successor can be
-    # misassigned, so the bias per step is below (corners + 1) * 2**-64 <
-    # 2**-60 at every level the experiments reach.  The row sums to den and
-    # u < 2**64, so the loop always stops, at the last corner at the latest.
-    rows = _corner_rows(lam)
-    den, nums = params.family.row(lam, rows)
-    target = rng.getrandbits(64) * den
-    acc = 0
-    for i, num in zip(rows, nums):
-        acc += num
-        if target < acc << 64:
-            break
-    return add_box(lam, i + 1)
+    return params.family.step(lam, rng.getrandbits(64))
 
 
 # A delta chain holds a k-tuple at level k, so its trajectory to level n

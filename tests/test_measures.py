@@ -325,6 +325,8 @@ def test_zero_probability_source_raises(params, lam):
         params.family.row(lam, _corner_rows(lam))
     with pytest.raises(ValueError, match="zero probability"):
         transition_distribution(params, lam)
+    with pytest.raises(ValueError, match="zero probability"):
+        _step(params, lam, FixedBits(0))
 
 
 def test_degree_cap_raises_for_generic_params():
@@ -378,6 +380,17 @@ class FixedBits:
         return self.u
 
 
+def threshold_variates(den: int, nums: list[int]) -> set[int]:
+    """0, 2**64 - 1, and the grid points on either side of every cumulative threshold."""
+    us = {0, 2**64 - 1}
+    acc = 0
+    for num in nums:
+        acc += num
+        u0 = -(-(acc << 64) // den)  # the least u with u / 2**64 >= acc / den
+        us.update(u for u in (u0 - 1, u0) if 0 <= u < 2**64)
+    return us
+
+
 def test_step_at_threshold_grid_points():
     # the row out of (2, 1) at q = 2 is 1/2, 1/4, 1/4: a variate exactly on
     # a cumulative threshold belongs to the next successor
@@ -391,6 +404,21 @@ def test_step_at_threshold_grid_points():
     }
     for u, mu in expected.items():
         assert _step(HAAR2, (2, 1), FixedBits(u)) == mu == reference_step(HAAR2, (2, 1), FixedBits(u))
+    # on both sides of every threshold of every row up to degree 7, each
+    # family's own step, the Fraction reference and the generic route's
+    # search over its kept row pick the same successor
+    for q in (2, 3, Fraction(5, 2), Fraction(5, 4), Fraction(10001, 10000), 2**64 + 1):
+        for make in (MeasureParams.haar, MeasureParams.delta_identity, MeasureParams.single_row):
+            params = make(q)
+            generic = _Generic(params)
+            for n in range(8):
+                for lam in partitions_of(n):
+                    if not params.family.weight(lam) > 0:
+                        continue
+                    for u in threshold_variates(*params.family.row(lam, _corner_rows(lam))):
+                        mu = _step(params, lam, FixedBits(u))
+                        assert mu == reference_step(params, lam, FixedBits(u)), (params, lam, u)
+                        assert mu == generic.step(lam, u), (params, lam, u)
 
 
 @pytest.mark.parametrize(
@@ -402,6 +430,9 @@ def test_step_at_threshold_grid_points():
         (DELTA2, 300),
         (ROW2, 300),
         (MIXED, 12),
+        (MeasureParams.haar(Fraction(5, 4)), 300),
+        (MeasureParams.haar(Fraction(10001, 10000)), 300),
+        (MeasureParams.haar(2**64 + 1), 300),
     ],
 )
 def test_trajectory_matches_fraction_reference(params, n_max):
