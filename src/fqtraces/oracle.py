@@ -75,11 +75,8 @@ class FqField:
         cadd, cscale, cdigit, cdigits, clead = [[0]], [[0] for _ in range(q)], [], [()], [None]
         for w in range(self.k):
             b = q**w
-            cadd = [
-                [add[a][c] * b + s for c in range(q) for s in row]
-                for a in range(q)
-                for row in cadd
-            ]
+            high = [[add[a][c] * b for c in range(q)] for a in range(q)]
+            cadd = [[h + s for h in high[a] for s in row] for a in range(q) for row in cadd]
             cscale = [
                 [mul[c][a] * b + s for a in range(q) for s in row]
                 for c, row in enumerate(cscale)
