@@ -413,13 +413,15 @@ def _step(params: MeasureParams, lam: Partition, rng: random.Random) -> Partitio
 # A delta chain holds a k-tuple at level k, so its trajectory to level n
 # holds n**2 / 2 entries: `sample --measure delta --format json` takes 0.5 s
 # and 45 MiB peak at level 2000, 1.2 s and 79 MiB at 3000, 1.9 s and
-# 126 MiB at 4000.  An lln run costs 10-30 us a step and a few us a trial
-# at q = 2, 3 or 5/2: Haar 1000 x 200 trials takes 2.7 s, delta 2000 x 100
-# 2.9 s, Haar 2000 x 100 2.5 s and single-row 1 x 200000 3.6 s (2-vCPU
-# Xeon, Python 3.11).  Haar chains with q near 1 have more corners and
-# longer integers per step: at q = 5/4, 2000 x 100 takes 6.9 s.  A diagram
-# on a capped chain has at most CHAIN_LEVEL_CAP rows and columns, which
-# also bounds how many an lln run may track.
+# 126 MiB at 4000.  An lln run at q = 2 costs about 4 us a step and 15 us
+# a trial: Haar 1000 x 200 trials takes 0.7 s, Haar 2000 x 100 0.9 s,
+# delta 2000 x 100 1.0 s and single-row 1 x 200000 2.9 s (fresh process,
+# 2-vCPU Xeon, Python 3.11).  A Haar step compares O(log len(lam)) powers
+# of q's numerator and denominator, and chains with q near 1 grow many
+# rows, so they cost more: 2000 x 100 takes about 1 s at q = 5/4 and 44 s at
+# q = 10001/10000.  A diagram on a capped chain has at most
+# CHAIN_LEVEL_CAP rows and columns, which also bounds how many an lln run
+# may track.
 CHAIN_LEVEL_CAP = 2000
 CHAIN_STEP_CAP = 200_000
 
