@@ -281,6 +281,8 @@ class _Haar(_ClosedForm):
                 high = mid
             else:
                 low = mid
+        # a block's top row is always an addable corner, so add_box's check,
+        # about a tenth of a q = 2 step, is left out
         top = lam.index(lam[high - 1])
         return lam[:top] + (lam[top] + 1,) + lam[top + 1 :]
 
