@@ -26,17 +26,25 @@ shifts, extensions, enumerations, generalized Jordan matrices) is built on
 packed columns by ``_matrix``, unchecked; the polynomial functions check
 the coefficients they are given.  Jordan types and conjugacy classes are
 both read off one image chain: the column space of b**k is b applied to
-that of b**(k-1), so no power of b is built.
+that of b**(k-1), so no power of b is built.  The probes b = p(m) of a
+conjugacy class are combinations of the columns of m**0, m**1, ..., which
+are kept for the call, so each p(m) costs no matrix product.
 
 A subspace has one format: an echelon basis, a dict from the key of each
 leading entry to the basis vector with that leading entry.  Flags grow
 inside F_q**n: an invariant V extends by the subspaces U of the span of
 the coordinates that are not pivots of V, a complement of V, so no
-quotient matrix is built.
+quotient matrix is built.  Every flag shape of a matrix reads one memo:
+per subspace V, keyed by its reduced echelon basis, the invariant
+extensions of V by each dimension and the flag count for each remaining
+shape, and m v for each vector applied.  So the shapes (2, 2) and
+(2, 1, 1) test the planes once.  The memo lives for one matrix, the one
+asked about last; asking about another drops it, so callers that keep
+many matrices do not keep their walks.
 """
 
 from bisect import bisect_right
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, product
 
 from fqtraces.partitions import Partition, check_partition, partitions_of, transpose
@@ -377,8 +385,8 @@ def unipotent_class_of(m: FqMatrix) -> Partition:
 def subspaces(field: FqField, free, d: int):
     """Each d-dimensional subspace of span(e_j : j in free) once, free increasing.
 
-    Yields (basis, pivots): the basis in reduced echelon form on ``free``,
-    keyed by leading entry as in :func:`_echelon`, and its pivot coordinates.
+    Yields its basis in reduced echelon form on ``free``, keyed by leading
+    entry as in :func:`_echelon`.
     """
     q, unit, k = field.q, _units(field, max(free, default=-1) + 1), field.k
     for pivots in combinations(free, d):
@@ -391,14 +399,17 @@ def subspaces(field: FqField, free, d: int):
             choices.append(row)
         keys = [8 * (p // k) + p % k for p in pivots]
         for rows in product(*choices):
-            yield dict(zip(keys, rows)), pivots
+            yield dict(zip(keys, rows))
 
 
-def is_invariant(field: FqField, m: FqMatrix, basis: dict, sub: dict) -> bool:
-    """Whether m maps sub into span(basis, sub), by elimination on leading entries."""
+def is_invariant(field: FqField, images, basis: dict, sub: dict) -> bool:
+    """Whether m maps sub into span(basis, sub), by elimination on leading entries.
+
+    ``images[v]`` is m v, for every vector of sub.
+    """
     lead, neg = field.clead, field.neg
     for v in sub.values():
-        v = _apply(m, v)
+        v = images[v]
         while v:
             sh = (v & -v).bit_length() - 1 & -8
             i, d = lead[v >> sh & 255]
@@ -409,28 +420,89 @@ def is_invariant(field: FqField, m: FqMatrix, basis: dict, sub: dict) -> bool:
     return True
 
 
-def count_fixed_flags(m: FqMatrix, mu: Partition) -> int:
+def count_fixed_flags(m: FqMatrix, mu: tuple) -> int:
     """Number of invariant flags with subspace dimensions mu_1, mu_1+mu_2, ..."""
-    if sum(mu) != m.nrows:
+    n = m.nrows
+    if m.ncols != n:
+        raise ValueError(f"fixed flags need a square matrix, not {n} x {m.ncols}")
+    mu = tuple(mu)
+    if any(type(p) is not int or p < 0 for p in mu):
+        raise ValueError(f"flag shape must have non-negative int parts: {mu!r}")
+    if sum(mu) != n:
         raise ValueError("flag shape must sum to the matrix size")
-    return _flag_count(m, tuple(mu), {}, range(m.nrows))
+    return _flag_walk(m).count({}, mu)
 
 
-def _flag_count(m: FqMatrix, mu: tuple, basis: dict, free) -> int:
-    """Invariant flags of shape mu above V = span(basis).
+@lru_cache(maxsize=1)
+def _flag_walk(m: FqMatrix) -> "_FlagWalk":
+    """The flag memo of the matrix asked about last; asking about another drops it."""
+    return _FlagWalk(m)
 
-    The coordinates ``free``, those that are not pivots of V, span a
-    complement of V, so each W containing V is V + U for one U there.
+
+class _Images(dict):
+    """v -> m v for the packed vectors looked up so far."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m: FqMatrix):
+        self.m = m
+
+    def __missing__(self, v: int) -> int:
+        w = self[v] = _apply(self.m, v)
+        return w
+
+
+class _FlagWalk:
+    """The invariant-flag walk of one matrix, memoized.
+
+    A subspace V is keyed by the frozenset of its reduced echelon basis, so
+    every route to V finds the same entries: ``exts[V, d]`` holds the
+    invariant W containing V with dim W - dim V = d, ``counts[V, mu]`` the
+    number of invariant flags of shape mu above V, and ``images`` m v for
+    each vector v applied so far.
     """
-    if len(mu) <= 1:
-        return 1
-    f = m.field
-    total = 0
-    for sub, pivots in subspaces(f, free, mu[0]):
-        if is_invariant(f, m, basis, sub):
-            rest = [j for j in free if j not in pivots]
-            total += _flag_count(m, mu[1:], basis | sub, rest)
-    return total
+
+    __slots__ = ("m", "images", "exts", "counts")
+
+    def __init__(self, m: FqMatrix):
+        self.m = m
+        self.images, self.exts, self.counts = _Images(m), {}, {}
+
+    def count(self, basis: dict, mu: tuple) -> int:
+        """Invariant flags of shape mu above V = span(basis)."""
+        if len(mu) <= 1:
+            return 1
+        key = frozenset(basis.values())
+        total = self.counts.get((key, mu))
+        if total is None:
+            exts = self.exts.get((key, mu[0]))
+            if exts is None:
+                exts = self.exts[key, mu[0]] = self._extensions(basis, mu[0])
+            total = self.counts[key, mu] = sum(self.count(w, mu[1:]) for w in exts)
+        return total
+
+    def _extensions(self, basis: dict, d: int) -> list:
+        """Reduced echelon bases of the invariant W = V + U, U of dimension d.
+
+        The coordinates that are not pivots of V span a complement of V,
+        so each W containing V is V + U for one U there.  Clearing V's rows
+        at U's pivots, with U's rows, reduces W's basis.
+        """
+        f = self.m.field
+        digit, neg, k = f.cdigit, f.neg, f.k
+        free = [j for j in range(self.m.nrows) if 8 * (j // k) + j % k not in basis]
+        exts = []
+        for sub in subspaces(f, free, d):
+            if is_invariant(f, self.images, basis, sub):
+                w = dict(sub)
+                for lead, b in basis.items():
+                    for s, u in sub.items():
+                        c = digit[s & 7][b >> (s & -8) & 255]
+                        if c:
+                            b = _add_scaled(f, b, neg[c], u)
+                    w[lead] = b
+                exts.append(w)
+        return exts
 
 
 def ext_enumerate(g: FqMatrix, variant: str):
@@ -443,6 +515,8 @@ def ext_enumerate(g: FqMatrix, variant: str):
         raise ValueError(f"unknown extension variant {variant!r}")
     f = g.field
     n = g.nrows
+    if g.ncols != n:
+        raise ValueError(f"extensions need a square matrix, not {n} x {g.ncols}")
     corners = range(1, f.q) if variant == "GLB" else (1,)
     last = _units(f, n + 1)[n]
     return [
@@ -497,15 +571,6 @@ def _check_poly(field: FqField, poly, monic: bool = False) -> tuple:
         what = "a monic polynomial" if monic else "a polynomial"
         raise ValueError(f"{poly!r} is not {what} over F_{field.q}")
     return poly
-
-
-def poly_matrix_eval(field: FqField, poly, m: FqMatrix) -> FqMatrix:
-    """p(m) by Horner's rule with scalar coefficients."""
-    poly = _check_poly(field, poly)
-    acc = _shift(_matrix(field, m.nrows, (0,) * m.nrows), poly[-1])
-    for c in reversed(poly[:-1]):
-        acc = _shift(acc @ m, c)
-    return acc
 
 
 def poly_name(field: FqField, poly) -> str:
@@ -584,7 +649,8 @@ def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:
     """Conjugacy class of an invertible matrix as a family of diagrams.
 
     Factors the action by probing irreducible polynomials by degree: the
-    generalized kernel filtration of p(m) gives the Jordan data at p.  A
+    generalized kernel filtration of p(m) gives the Jordan data at p, and
+    p(m) is a combination of the kept powers of m.  A
     factor of degree d needs d dimensions not yet covered, so the probing
     stops once d exceeds what is left.
     """
@@ -592,13 +658,21 @@ def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:
         raise ValueError("conjugacy families are defined for invertible matrices")
     field = m.field
     n = m.nrows
+    power = _matrix(field, n, _units(field, n))
+    powers = [power.cols]  # the columns of m**0, m**1, ..., up to the degree probed
     blocks = []
     covered = 0
     for d in range(1, n + 1):
         if d > n - covered:
             break
+        power = m @ power
+        powers.append(power.cols)
         for poly in irreducible_polys(field.q, d):
-            lam, dim = _jordan_type(poly_matrix_eval(field, poly, m), d)
+            cols = (0,) * n
+            for c, pcols in zip(poly, powers):
+                if c:
+                    cols = tuple(_add_scaled(field, v, c, w) for v, w in zip(cols, pcols))
+            lam, dim = _jordan_type(_matrix(field, n, cols), d)
             if dim:
                 blocks.append((poly_name(field, poly), d, lam))
                 covered += dim

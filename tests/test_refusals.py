@@ -13,6 +13,7 @@ from fqtraces.measures import MeasureParams, lln_experiment
 from fqtraces.oracle import (
     FqMatrix,
     conjugacy_family_of,
+    count_fixed_flags,
     ext_enumerate,
     field_make,
     jordan_block_matrix,
@@ -55,6 +56,39 @@ REFUSALS = {
         lambda: ext_enumerate(FqMatrix(F2, [[1]]), "GL"),
         ValueError,
         "unknown extension variant 'GL'",
+    ),
+    # a 2 x 3 matrix used to have 1 fixed flag, a 3 x 2 one an IndexError
+    "flags-of-a-wide-matrix": (
+        lambda: count_fixed_flags(FqMatrix(F2, [[1, 0, 0], [0, 1, 0]]), (1, 1)),
+        ValueError,
+        "fixed flags need a square matrix, not 2 x 3",
+    ),
+    "flags-of-a-tall-matrix": (
+        lambda: count_fixed_flags(FqMatrix(F2, [[1, 0], [0, 1], [0, 0]]), (1, 1, 1)),
+        ValueError,
+        "fixed flags need a square matrix, not 3 x 2",
+    ),
+    # used to count 0 flags
+    "flag-shape-negative-part": (
+        lambda: count_fixed_flags(FqMatrix(F2, [[1, 0], [0, 1]]), (3, -1)),
+        ValueError,
+        "flag shape must have non-negative int parts: (3, -1)",
+    ),
+    "flag-shape-float-part": (
+        lambda: count_fixed_flags(FqMatrix(F2, [[1, 0], [0, 1]]), (1.0, 1)),
+        ValueError,
+        "flag shape must have non-negative int parts: (1.0, 1)",
+    ),
+    "flag-shape-bool-part": (
+        lambda: count_fixed_flags(FqMatrix(F2, [[1, 0], [0, 1]]), (True, 1)),
+        ValueError,
+        "flag shape must have non-negative int parts: (True, 1)",
+    ),
+    # used to yield 3 x 4 matrices
+    "extensions-of-a-wide-matrix": (
+        lambda: ext_enumerate(FqMatrix(F2, [[1, 0, 0], [0, 1, 0]]), "GLU"),
+        ValueError,
+        "extensions need a square matrix, not 2 x 3",
     ),
     "plethysm-degree-zero": (
         lambda: plethysm_pl(PowerSumElement({(1,): 1}), 0),
