@@ -478,7 +478,10 @@ class _FlagWalk:
             exts = self.exts.get((key, mu[0]))
             if exts is None:
                 exts = self.exts[key, mu[0]] = self._extensions(basis, mu[0])
-            total = self.counts[key, mu] = sum(self.count(w, mu[1:]) for w in exts)
+            rest = mu[1:]
+            # with one part left, each W ends exactly one flag
+            total = len(exts) if len(rest) == 1 else sum(self.count(w, rest) for w in exts)
+            self.counts[key, mu] = total
         return total
 
     def _extensions(self, basis: dict, d: int) -> list:
