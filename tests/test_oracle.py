@@ -257,6 +257,15 @@ def test_flag_memo_across_matrices_and_shapes(q):
     assert _flag_walk.cache_info().currsize <= 1
 
 
+def test_flag_memo_keys_each_subspace_once():
+    # every route to a subspace finds its one entry: the identity fixes
+    # every subspace, and the full flags of F_2^4 keep one count for each
+    # subspace of dimension 0, 1 or 2 (the last part needs none)
+    ident = FqMatrix(F2, [[int(i == j) for j in range(4)] for i in range(4)])
+    assert count_fixed_flags(ident, (1, 1, 1, 1)) == 1 * 3 * 7 * 15
+    assert len(_flag_walk(ident).counts) == 1 + gauss(4, 1, 2) + gauss(4, 2, 2)
+
+
 def test_count_fixed_subspaces_examples():
     # the invariant d-dimensional subspaces are the fixed flags of shape
     # (d, n - d); shapes with a zero part count those of one dimension
