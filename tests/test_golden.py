@@ -4,8 +4,10 @@ The files in ``tests/golden/`` hold the stdout of ``sample``, ``lln`` and
 ``cyl`` for the three named measure families at q = 2 and 3 and for a
 custom measure at q = 2 and 3, and of ``sample`` and ``lln`` for the Haar
 family at the rational q = 5/2, 5/4 and 101/100 (the last two grow many
-rows).  The custom chains stop at level 12, since
-their weights come from the exact Hall-Littlewood expansion.
+rows).  ``lln.txt`` also holds one Haar run at q = 10001/10000 to level
+2000, whose diagrams reach about 1800 rows; it has no ``sample`` twin,
+whose output would run to megabytes.  The custom chains stop at level
+12, since their weights come from the exact Hall-Littlewood expansion.
 ``cyl-trace.txt`` holds ``cyl --from-trace`` at q = 2, 3 and 5/2 for alpha
 and beta drawn from (), (1), (1/2), (1/4) with total mass at most 1, and
 ``kostka.txt`` holds ``kostka`` and ``kostka-foulkes``, in CSV and JSON,
@@ -56,6 +58,8 @@ _NAMED = [
     for q in (2, 3)
 ]
 _RATIONAL_Q = [["--q", q, "--measure", "haar"] for q in ("5/2", "5/4", "101/100")]
+# a Haar chain whose diagrams reach about 1800 rows at level 2000
+_NEAR_ONE = ["--q", "10001/10000", "--measure", "haar"]
 _CUSTOM = [["--q", str(q), "--r", "1/4", "--c", "1/4"] for q in (2, 3)]
 
 _CHAINS = [(m, "300") for m in _NAMED + _RATIONAL_Q] + [(m, "12") for m in _CUSTOM]
@@ -106,7 +110,7 @@ def invocations(command: str) -> list[list[str]]:
             ["lln", *m, "--nmax", nmax, "--trials", "4", "--seed", str(seed)]
             for m, nmax in _CHAINS
             for seed in (1, 2)
-        ]
+        ] + [["lln", *_NEAR_ONE, "--nmax", "2000", "--trials", "4", "--seed", "1"]]
     if command == "cyl-trace":
         return [
             ["cyl", "--from-trace", "--q", q, *sides, "--lam", format_partition(lam)]
