@@ -26,11 +26,16 @@ of the chain draws a uniform variate u / 2**64 and moves to the first
 successor whose cumulative probability exceeds it, decided in integers.
 Each family takes that step its own way to the same successor: the
 generic family searches its kept row, the delta and single-row chains
-have one successor, and the Haar row telescopes, so its step finds the
-threshold by a search over powers of q without building the row.
+have one successor, and the Haar row telescopes, so its step bisects
+one table of exact 64-bit thresholds, kept per parameter set, without
+building the row.  The table holds one entry per row of the longest
+diagram stepped so far and stops at its first zero: 66 entries at most
+for q >= 2, and CHAIN_LEVEL_CAP + 1 (about 88 KB) at most on a capped
+chain with q near 1.
 """
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -60,6 +65,22 @@ from fqtraces.traces import unipotent_block_value
 
 
 @dataclass(frozen=True)
+class _KeptSpecialization(Specialization):
+    """A specialization that reads each p_k from its providers once and keeps it.
+
+    A parameter set's weights read the same p_k for every diagram; the
+    specializations made per request elsewhere read each once per call.
+    """
+
+    known: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def power_sum(self, k: int) -> Fraction:
+        if k not in self.known:
+            self.known[k] = super().power_sum(k)
+        return self.known[k]
+
+
+@dataclass(frozen=True)
 class MeasureParams:
     """Row frequencies, column frequencies, and the field size q.
 
@@ -71,9 +92,11 @@ class MeasureParams:
     r: object
     c: tuple[Fraction, ...]
     q: Fraction
-    # the weight object of the parameter family, picked once from r, c, q;
-    # kept out of eq, hash and repr, which stay those of (r, c, q)
+    # the weight object of the parameter family, picked once from r, c, q,
+    # and the specialization behind the weights, built once; both kept out
+    # of eq, hash and repr, which stay those of (r, c, q)
     family: object = field(init=False, repr=False, compare=False)
+    _spec: Specialization = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = check_q(self.q)
@@ -92,6 +115,8 @@ class MeasureParams:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "family", _resolve_family(self))
+        beta = GeometricSpread(c, q) if c else EMPTY
+        object.__setattr__(self, "_spec", _KeptSpecialization(r, beta, Fraction(1)))
 
     @classmethod
     def haar(cls, q) -> "MeasureParams":
@@ -109,9 +134,11 @@ class MeasureParams:
         return cls((Fraction(1),), (), Fraction(q))
 
     def specialization(self) -> Specialization:
-        """The multiplicative functional behind the cylinder probabilities."""
-        beta = GeometricSpread(self.c, self.q) if self.c else EMPTY
-        return Specialization(self.r, beta, Fraction(1))
+        """The multiplicative functional behind the cylinder probabilities.
+
+        One object per parameter set, which reads each p_k once.
+        """
+        return self._spec
 
 
 def extension_count(lam: Partition, mu: Partition, q) -> Fraction:
@@ -237,7 +264,19 @@ class _ClosedForm:
 
 
 class _Haar(_ClosedForm):
-    """Geometric row frequencies: W(lam) = (1 - 1/q)**|lam| / q**n(lam)."""
+    """Geometric row frequencies: W(lam) = (1 - 1/q)**|lam| / q**n(lam).
+
+    The chain's thresholds -T_r (see ``step``) are kept for r = 0, 1, ...
+    up to the most rows a diagram stepped so far had, and stop at the
+    first T_r = 0: 66 entries at most for q >= 2, and at most
+    CHAIN_LEVEL_CAP + 1, each below 2**65, on a capped chain.
+    """
+
+    def __init__(self, q: Fraction):
+        super().__init__(q)
+        self.neg_thresholds = [-_U64]
+        # (b**r, a**r) for the last r in the table
+        self.powers = (1, 1)
 
     def weight(self, lam: Partition) -> Fraction:
         return self.keep ** size(lam) / self.q ** n_stat(lam)
@@ -256,35 +295,35 @@ class _Haar(_ClosedForm):
         # The row telescopes: through the block whose successor block starts
         # at row r (r = l for the last block) the cumulative numerator is
         # a**l - b**r * a**(l - r), so u * a**l < acc * 2**64 reads
-        # b**r * 2**64 < v * a**r with v = 2**64 - u.  That test does not
-        # depend on lam and, as q > 1, holds for every r from some least
-        # i >= 1 on.  The first block it accepts is the one holding row i - 1,
-        # and the box goes to that block's top row; if i > l, to a new row.
-        # i is found in exact integers by doubling from 1, capped at l, then
-        # bisecting: O(log l) powers of a and b, never all l of them.
-        a, b = self.q.numerator, self.q.denominator
-        v = _U64 - u
+        # b**r * 2**64 < v * a**r with v = 2**64 - u.  As v is an integer,
+        # that holds exactly when v > T_r = floor(2**64 * b**r / a**r).  T
+        # does not depend on lam and, as q > 1, falls from T_0 = 2**64 to 0,
+        # so the test holds for every r from some least i >= 1 on.  The first
+        # block it accepts is the one holding row i - 1, and the box goes to
+        # that block's top row; if i > l, to a new row.  i is one bisection
+        # of the kept table of -T_r.
         ell = len(lam)
-
-        def beyond(r: int) -> bool:
-            return b**r << 64 < v * a**r
-
-        low, high = 0, 1
-        while high < ell and not beyond(high):
-            low, high = high, min(2 * high, ell)
-        if high >= ell and not beyond(ell):
+        table = self.neg_thresholds
+        if len(table) <= ell and table[-1]:
+            self._extend(ell)
+        i = bisect_right(table, u - _U64)
+        if i > ell:
             return lam + (1,)
-        # beyond(low) fails (as beyond(0) always does) and beyond(high) holds
-        while high - low > 1:
-            mid = (low + high) // 2
-            if beyond(mid):
-                high = mid
-            else:
-                low = mid
         # a block's top row is always an addable corner, so add_box's check,
         # about a tenth of a q = 2 step, is left out
-        top = lam.index(lam[high - 1])
+        top = lam.index(lam[i - 1])
         return lam[:top] + (lam[top] + 1,) + lam[top + 1 :]
+
+    def _extend(self, ell: int):
+        """Append -T_r up to r = ell, or to the first T_r = 0, from the kept powers."""
+        a, b = self.q.numerator, self.q.denominator
+        table = self.neg_thresholds
+        b_pow, a_pow = self.powers
+        while len(table) <= ell and table[-1]:
+            b_pow *= b
+            a_pow *= a
+            table.append(-((b_pow << 64) // a_pow))
+        self.powers = b_pow, a_pow
 
 
 class _Delta(_ClosedForm):
@@ -415,15 +454,16 @@ def _step(params: MeasureParams, lam: Partition, rng: random.Random) -> Partitio
 # A delta chain holds a k-tuple at level k, so its trajectory to level n
 # holds n**2 / 2 entries: `sample --measure delta --format json` takes 0.5 s
 # and 45 MiB peak at level 2000, 1.2 s and 79 MiB at 3000, 1.9 s and
-# 126 MiB at 4000.  An lln run at q = 2 costs about 4 us a step and 15 us
-# a trial: Haar 1000 x 200 trials takes 0.7 s, Haar 2000 x 100 0.9 s,
-# delta 2000 x 100 1.0 s and single-row 1 x 200000 2.9 s (fresh process,
-# 2-vCPU Xeon, Python 3.11).  A Haar step compares O(log len(lam)) powers
-# of q's numerator and denominator, and chains with q near 1 grow many
-# rows, so they cost more: 2000 x 100 takes about 1 s at q = 5/4 and 44 s at
-# q = 10001/10000.  A diagram on a capped chain has at most
-# CHAIN_LEVEL_CAP rows and columns, which also bounds how many an lln run
-# may track.
+# 126 MiB at 4000.  An lln run at q = 2 costs about 2 us a Haar step and
+# 13 us a trial: Haar 1000 x 200 trials takes 0.4 s, Haar 2000 x 100
+# 0.5 s, delta 2000 x 100 0.7-1.2 s and single-row 1 x 200000 2.6 s (fresh
+# process, 2-vCPU Xeon, Python 3.11).  A Haar step bisects its table of
+# thresholds, one per row, so chains with q near 1, which grow many rows,
+# cost little more: 2000 x 100 takes 0.4 s at q = 5/4 and 1.5 s at
+# q = 10001/10000, whose diagrams reach about 1800 rows.  A diagram on a
+# capped chain has at most CHAIN_LEVEL_CAP rows and columns, which bounds
+# the Haar table at CHAIN_LEVEL_CAP + 1 entries and how many rows and
+# columns an lln run may track.
 CHAIN_LEVEL_CAP = 2000
 CHAIN_STEP_CAP = 200_000
 

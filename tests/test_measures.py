@@ -1,3 +1,5 @@
+import random
+import sys
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
@@ -27,8 +29,9 @@ from fqtraces.measures import (
     sample_trajectory,
     transition_distribution,
 )
-from fqtraces.partitions import box_additions, partitions_of, size
-from fqtraces.specializations import GeometricSpread, Specialization
+from fqtraces.partitions import add_box, box_additions, partitions_of, size
+from fqtraces.specializations import FinitePowerSums, GeometricSpread, Specialization
+from fqtraces.symfunc import hl_q_in_p
 
 HALF = Fraction(1, 2)
 HAAR2 = MeasureParams.haar(2)
@@ -149,6 +152,26 @@ def test_family_stays_out_of_eq_hash_repr():
         "MeasureParams(r=FinitePowerSums(values=(Fraction(1, 4),)), "
         "c=(Fraction(1, 4),), q=Fraction(2, 1))"
     )
+
+
+def test_one_specialization_per_params_reads_each_power_sum_once(monkeypatch):
+    # the providers' power is counted per (provider kind, k); a second pass
+    # over the same weights reads none of them again
+    params = MeasureParams((Fraction(1, 4),), (Fraction(1, 4),), Fraction(7, 3))
+    reads = Counter()
+    for kind in (FinitePowerSums, GeometricSpread):
+        def counted(self, k, power=kind.power, kind=kind):
+            reads[kind.__name__, k] += 1
+            return power(self, k)
+
+        monkeypatch.setattr(kind, "power", counted)
+    sp = params.specialization()
+    assert sp is params.specialization()
+    assert (sp.alpha, sp.beta, sp.gamma) == (params.r, GeometricSpread(params.c, params.q), 1)
+    for _ in range(2):
+        for lam in partitions_of(6):
+            sp.apply(hl_q_in_p(lam, 1 / params.q))
+    assert reads == {(kind, k): 1 for kind in ("FinitePowerSums", "GeometricSpread") for k in range(2, 7)}
 
 
 def test_cyl_prob_positivity_grid():
@@ -419,6 +442,91 @@ def test_step_at_threshold_grid_points():
                         mu = _step(params, lam, FixedBits(u))
                         assert mu == reference_step(params, lam, FixedBits(u)), (params, lam, u)
                         assert mu == generic.step(lam, u), (params, lam, u)
+
+
+# Haar q values whose threshold tables stop at T_r = 0 early (q >= 2, and
+# 5/4 at r = 199) and one that runs to the level cap (10001/10000)
+HAAR_QS = (2, 3, Fraction(5, 4), Fraction(10001, 10000), 2**64 + 1)
+
+
+def haar_diagrams() -> list:
+    """Diagrams of 1 to 2000 rows in blocks of equal rows, shortest first."""
+    rng = random.Random(21)
+    out = [tuple(sorted((rng.randint(1, 6) for _ in range(rows)), reverse=True))
+           for rows in (1, 2, 3, 41, 42, 64, 65, 66, 199, 200, 2000)]
+    return out + [(1,) * 2000, (5,) * 2000]
+
+
+def haar_threshold_variates(q: Fraction, ell: int) -> set[int]:
+    """0, 2**64 - 1, and u on both sides of the Haar thresholds of some rows r <= ell.
+
+    With v = 2**64 - u the test at r flips between v = T_r and v = T_r + 1,
+    T_r = floor(2**64 * b**r / a**r); every r up to 200 is taken, then
+    every 101st and the last two.
+    """
+    a, b = q.numerator, q.denominator
+    us = {0, 2**64 - 1}
+    for r in {*range(1, min(ell, 200) + 1), *range(1, ell + 1, 101), ell - 1, ell}:
+        if r >= 1:
+            t = (b**r << 64) // a**r
+            us.update(2**64 - v for v in (t, t + 1) if 1 <= v <= 2**64)
+    return us
+
+
+def linear_scan_step(q: Fraction, lam, u: int):
+    """The Haar step from the first r = 1, 2, ... with b**r << 64 < v * a**r."""
+    a, b = q.numerator, q.denominator
+    v = 2**64 - u
+    b_pow = a_pow = 1
+    for r in range(1, len(lam) + 1):
+        b_pow *= b
+        a_pow *= a
+        if b_pow << 64 < v * a_pow:
+            # the box goes to the top row of the block holding row r - 1
+            top = r - 1
+            while top and lam[top - 1] == lam[r - 1]:
+                top -= 1
+            return add_box(lam, top + 1)
+    return lam + (1,)
+
+
+@pytest.mark.parametrize("q", HAAR_QS)
+def test_haar_step_matches_a_linear_scan(q):
+    q = Fraction(q)
+    family = MeasureParams.haar(q).family
+    for lam in haar_diagrams():
+        for u in haar_threshold_variates(q, len(lam)):
+            assert family.step(lam, u) == linear_scan_step(q, lam, u), (q, len(lam), u)
+
+
+@pytest.mark.parametrize("q", HAAR_QS)
+def test_haar_step_at_a_long_diagram_then_short_ones(q):
+    # the table built for 2000 rows also answers diagrams of fewer rows
+    q = Fraction(q)
+    family = MeasureParams.haar(q).family
+    assert family.step((1,) * 2000, 2**63) == linear_scan_step(q, (1,) * 2000, 2**63)
+    for lam in haar_diagrams():
+        if len(lam) == 2000:
+            continue
+        for u in haar_threshold_variates(q, len(lam)):
+            assert family.step(lam, u) == linear_scan_step(q, lam, u), (q, len(lam), u)
+
+
+@pytest.mark.parametrize(
+    "q, entries", [(2, 66), (3, 42), (Fraction(5, 4), 200), (Fraction(10001, 10000), 2001), (2**64 + 1, 2)]
+)
+def test_haar_threshold_table_bounds(q, entries):
+    # entries for r = 0 .. rows stepped, stopped at the first T_r = 0
+    params = MeasureParams.haar(q)
+    trajectory = sample_trajectory(params, CHAIN_LEVEL_CAP, 1)
+    table = params.family.neg_thresholds
+    assert len(table) == min(max(map(len, trajectory[:-1])) + 1, entries)
+    # a diagram of CHAIN_LEVEL_CAP rows, the most a capped chain reaches
+    params.family.step((1,) * CHAIN_LEVEL_CAP, 0)
+    assert len(table) == entries <= CHAIN_LEVEL_CAP + 1
+    assert table[0] == -(2**64) and all(x <= y <= 0 for x, y in zip(table, table[1:]))
+    assert (table[-1] == 0) == (entries < CHAIN_LEVEL_CAP + 1)
+    assert sys.getsizeof(table) + sum(map(sys.getsizeof, table)) < 90_000
 
 
 @pytest.mark.parametrize(
