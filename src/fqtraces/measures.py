@@ -26,9 +26,10 @@ of the chain draws a uniform variate u / 2**64 and moves to the first
 successor whose cumulative probability exceeds it, decided in integers.
 Each family takes that step its own way to the same successor: the
 generic family searches its kept row, the delta and single-row chains
-have one successor, and the Haar row telescopes, so its step bisects
-one table of exact 64-bit thresholds, kept per parameter set, without
-building the row.  The table holds one entry per row of the longest
+have one successor (the delta chain's comes from one table of columns
+shared by every delta chain), and the Haar row telescopes, so its step
+bisects one table of exact 64-bit thresholds, kept per parameter set,
+without building the row.  The table holds one entry per row of the longest
 diagram stepped so far and stops at its first zero: 66 entries at most
 for q >= 2, and CHAIN_LEVEL_CAP + 1 (about 88 KB) at most on a capped
 chain with q near 1.
@@ -327,7 +328,17 @@ class _Haar(_ClosedForm):
 
 
 class _Delta(_ClosedForm):
-    """Column frequency 1: W(lam) = (1 - 1/q)**|lam| on one-column lam, else 0."""
+    """Column frequency 1: W(lam) = (1 - 1/q)**|lam| on one-column lam, else 0.
+
+    The chain's diagrams (), (1,), (1, 1), ... do not depend on q, so every
+    delta chain steps through one shared table of them, kept up to the
+    longest column stepped so far: CHAIN_LEVEL_CAP + 1 tuples at most, 15
+    MiB.  A trajectory then holds references into the table instead of
+    n**2 / 2 entries of its own, and building or freeing it costs O(n),
+    not O(n**2), once the table is built.
+    """
+
+    columns: list = [()]
 
     def weight(self, lam: Partition) -> Fraction:
         return self.keep ** size(lam) if not lam or lam[0] == 1 else Fraction(0)
@@ -341,7 +352,11 @@ class _Delta(_ClosedForm):
     def step(self, lam: Partition, u: int) -> Partition:
         if lam and lam[0] > 1:
             raise _zero_source(lam)
-        return lam + (1,)
+        ell = len(lam) + 1
+        columns = self.columns
+        while len(columns) <= ell:
+            columns.append(columns[-1] + (1,))
+        return columns[ell]
 
 
 class _Row(_ClosedForm):
@@ -451,19 +466,21 @@ def _step(params: MeasureParams, lam: Partition, rng: random.Random) -> Partitio
     return params.family.step(lam, rng.getrandbits(64))
 
 
-# A delta chain holds a k-tuple at level k, so its trajectory to level n
-# holds n**2 / 2 entries: `sample --measure delta --format json` takes 0.5 s
-# and 45 MiB peak at level 2000, 1.2 s and 79 MiB at 3000, 1.9 s and
-# 126 MiB at 4000.  An lln run at q = 2 costs about 2 us a Haar step and
-# 13 us a trial: Haar 1000 x 200 trials takes 0.4 s, Haar 2000 x 100
-# 0.5 s, delta 2000 x 100 0.7-1.2 s and single-row 1 x 200000 2.6 s (fresh
-# process, 2-vCPU Xeon, Python 3.11).  A Haar step bisects its table of
-# thresholds, one per row, so chains with q near 1, which grow many rows,
-# cost little more: 2000 x 100 takes 0.4 s at q = 5/4 and 1.5 s at
-# q = 10001/10000, whose diagrams reach about 1800 rows.  A diagram on a
-# capped chain has at most CHAIN_LEVEL_CAP rows and columns, which bounds
-# the Haar table at CHAIN_LEVEL_CAP + 1 entries and how many rows and
-# columns an lln run may track.
+# A delta chain is at a k-tuple at level k, so the shared table of columns
+# holds n**2 / 2 entries at level n, 15 MiB at level 2000; `sample --measure
+# delta --format json` takes 0.4 s and 45 MiB peak at level 2000, most of it
+# the JSON (before this cap, 1.2 s and 79 MiB at 3000, 1.9 s and 126 MiB at
+# 4000).  An lln run at q = 2 costs about 2 us a Haar step and 13 us a
+# trial: Haar 1000 x 200 trials takes 0.3-0.4 s, Haar 2000 x 100 0.5 s,
+# delta 2000 x 100 0.3 s (31 MiB peak, the table included) and single-row
+# 1 x 200000 2.6 s (fresh process, 2-vCPU Xeon, Python 3.11).  A Haar step
+# bisects its table of thresholds, one per row, so chains with q near 1,
+# which grow many rows, cost little more: 2000 x 100 takes 0.4 s at
+# q = 5/4 and 1.5 s at q = 10001/10000, whose diagrams reach about 1800
+# rows.  A diagram on a capped chain has at most CHAIN_LEVEL_CAP rows and
+# columns, which bounds the Haar table and the delta columns at
+# CHAIN_LEVEL_CAP + 1 entries and how many rows and columns an lln run may
+# track.
 CHAIN_LEVEL_CAP = 2000
 CHAIN_STEP_CAP = 200_000
 

@@ -560,6 +560,20 @@ def test_deterministic_chains():
     assert sample_trajectory(ROW2, 4, 11) == [(), (1,), (2,), (3,), (4,)]
 
 
+def test_delta_chains_share_one_bounded_table_of_columns():
+    long = sample_trajectory(MeasureParams.delta_identity(3), CHAIN_LEVEL_CAP, 5)
+    assert long == [(1,) * k for k in range(CHAIN_LEVEL_CAP + 1)]
+    # another q and seed step through the very same tuples
+    short = sample_trajectory(MeasureParams.delta_identity(Fraction(5, 4)), 40, 9)
+    assert all(a is b for a, b in zip(short, long))
+    assert len(_Delta.columns) == CHAIN_LEVEL_CAP + 1
+    # a column built elsewhere, long or short, steps to the table's next one
+    for k in (CHAIN_LEVEL_CAP - 1, 3, 0):
+        assert DELTA2.family.step(tuple([1] * k), 0) is long[k + 1]
+    with pytest.raises(ValueError):
+        DELTA2.family.step((2, 1), 0)
+
+
 def test_trajectory_reproducibility():
     a = sample_trajectory(HAAR2, 60, 424242)
     b = sample_trajectory(HAAR2, 60, 424242)
