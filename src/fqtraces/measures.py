@@ -16,23 +16,23 @@ same probability is the trace's value on the unipotent class lam,
 :func:`fqtraces.traces.unipotent_block_value`, times q**(-n(n-1)/2).
 
 The growth of the Jordan type under adding one row and column is an
-explicit Markov chain on Young diagrams.  Each family gives the chain's
-transition row out of a diagram as integer numerators over one common
-denominator: closed forms in q for the Haar, delta and single-row
-families, and the extension counts times the Q-weight ratios, put over
-their least common denominator, for every other parameter set.
-Everything except the Monte Carlo summary statistics is exact.  A step
-of the chain draws a uniform variate u / 2**64 and moves to the first
-successor whose cumulative probability exceeds it, decided in integers.
-Each family takes that step its own way to the same successor: the
-generic family searches its kept row, the delta and single-row chains
-have one successor (the delta chain's comes from one table of columns
-shared by every delta chain), and the Haar row telescopes, so its step
-bisects one table of exact 64-bit thresholds, kept per parameter set,
-without building the row.  The table holds one entry per row of the longest
-diagram stepped so far and stops at its first zero: 66 entries at most
-for q >= 2, and CHAIN_LEVEL_CAP + 1 (about 88 KB) at most on a capped
-chain with q near 1.
+explicit Markov chain on Young diagrams.  A family is a weight W plus a
+step: one builder turns any family's weights into the chain's transition
+row out of a diagram, the extension counts times the Q-weight ratios as
+integer numerators over their least common denominator, and keeps it.
+The Haar family alone overrides that row with its closed form in q,
+which is about 15 times faster.  Everything except the Monte Carlo
+summary statistics is exact.  A step of the chain draws a uniform variate
+u / 2**64 and moves to the first successor whose cumulative probability
+exceeds it, decided in integers.  Searching the kept row is the default
+step; the closed-form families take it their own way to the same
+successor: the delta and single-row chains have one successor (the delta
+chain's comes from one table of columns shared by every delta chain),
+and the Haar row telescopes, so its step bisects one table of exact
+64-bit thresholds, kept per parameter set, without building the row.
+The table holds one entry per row of the longest diagram stepped so far
+and stops at its first zero: 66 entries at most for q >= 2, and
+CHAIN_LEVEL_CAP + 1 (about 88 KB) at most on a capped chain with q near 1.
 """
 
 import random
@@ -218,10 +218,11 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 # ---------------------------------------------------------------------------
 # Measure families
 #
-# Every family object answers three questions: ``weight(lam)`` is the Q
-# weight W(lam); ``row(lam, rows)`` is the chain's transition row out of
-# lam as (den, nums): non-negative integers over one positive den, one per
-# corner row of ``rows = _corner_rows(lam)``, summing to den; and
+# A family is a ``weight`` and a ``step``, and every family object answers
+# three questions: ``weight(lam)`` is the Q weight W(lam); ``row(lam,
+# rows)`` is the chain's transition row out of lam as (den, nums):
+# non-negative integers over one positive den, one per corner row of
+# ``rows = _corner_rows(lam)``, summing to den; and
 # ``step(lam, u)`` is the successor the chain moves to for the uniform
 # variate u / 2**64, 0 <= u < 2**64.  The successor is the first corner
 # whose cumulative probability acc / den exceeds u / 2**64, compared in
@@ -238,12 +239,14 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 #
 # without the bracket at j = 1.  A box lengthening the block of equal rows
 # whose top row is i (0-based) has lam'_j = i, and lam'_{j-1} is the top row
-# of the next block, or len(lam).  The Haar, delta and single-row families
-# answer in closed form at any level, and step without building the row:
-# the delta and single-row chains have one successor, and the Haar row
-# telescopes (see ``_Haar.step``).  Every other parameter set goes through
-# :func:`hl_weight`, called by its module name so that wrappers installed
-# on it see every call, and steps through its kept row.
+# of the next block, or len(lam).  ``_Generic`` builds that row from
+# ``weight`` for every family, keeps it, and by default steps by searching
+# it; its own weight is :func:`hl_weight`, called by its module name so that
+# wrappers installed on it see every call.  The Haar, delta and single-row
+# families subclass it with closed-form weights, valid at any level, and
+# step without building the row: the delta and single-row chains have one
+# successor, and the Haar row telescopes (see ``_Haar.step``).  ``_Haar.row``
+# is the one closed-form row, for speed (see there).
 
 
 _U64 = 2**64
@@ -258,13 +261,58 @@ def _zero_source(lam: Partition) -> ValueError:
     return ValueError(f"source class {lam} has zero probability")
 
 
-class _ClosedForm:
-    def __init__(self, q: Fraction):
-        self.q = q
-        self.keep = 1 - 1 / q
+class _Generic:
+    """Any parameter set: the exact Hall-Littlewood weight, up to its cap.
+
+    Each diagram's transition row is built from ``weight`` once and kept,
+    since a chain revisits the few diagrams below the cap at every trial;
+    searching it is the default ``step``.  The closed-form families
+    subclass this one with their own ``weight`` and ``step``.
+    """
+
+    def __init__(self, params: MeasureParams):
+        self.params = params
+        self.q = params.q
+        self.keep = 1 - 1 / params.q
+        self.built_rows: dict[Partition, tuple[int, list[int]]] = {}
+
+    def weight(self, lam: Partition) -> Fraction:
+        return hl_weight(self.params, lam)
+
+    def row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
+        if lam not in self.built_rows:
+            self.built_rows[lam] = self._build_row(lam, rows)
+        return self.built_rows[lam]
+
+    def step(self, lam: Partition, u: int) -> Partition:
+        # the row sums to den and u < 2**64, so the search stops at the last
+        # corner at the latest
+        rows = _corner_rows(lam)
+        den, nums = self.row(lam, rows)
+        target = u * den
+        acc = 0
+        for i, num in zip(rows, nums):
+            acc += num
+            if target < acc << 64:
+                break
+        return add_box(lam, i + 1)
+
+    def _build_row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
+        source = self.weight(lam)
+        if source <= 0:
+            raise _zero_source(lam)
+        scale = 1 / (source * self.keep)
+        probs = []
+        for k, i in enumerate(rows):
+            p = self.weight(add_box(lam, i + 1)) * scale
+            if i < len(lam):
+                p *= 1 - self.q ** (i - rows[k + 1])
+            probs.append(p)
+        den = lcm(*(p.denominator for p in probs))
+        return den, [p.numerator * (den // p.denominator) for p in probs]
 
 
-class _Haar(_ClosedForm):
+class _Haar(_Generic):
     """Geometric row frequencies: W(lam) = (1 - 1/q)**|lam| / q**n(lam).
 
     The chain's thresholds -T_r (see ``step``) are kept for r = 0, 1, ...
@@ -273,8 +321,8 @@ class _Haar(_ClosedForm):
     CHAIN_LEVEL_CAP + 1, each below 2**65, on a capped chain.
     """
 
-    def __init__(self, q: Fraction):
-        super().__init__(q)
+    def __init__(self, params: MeasureParams):
+        super().__init__(params)
         self.neg_thresholds = [-_U64]
         # (b**r, a**r) for the last r in the table
         self.powers = (1, 1)
@@ -283,6 +331,11 @@ class _Haar(_ClosedForm):
         return self.keep ** size(lam) / self.q ** n_stat(lam)
 
     def row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
+        # The one family whose row is not built from its weights, for speed:
+        # built from W, whose powers of q grow with n(lam), the rows of every
+        # diagram up to level 20 took 263 ms at q = 2 against 17 ms for this
+        # closed form (301 against 16 ms at q = 3), and a 300-level trajectory
+        # test at q = 10001/10000 took 76 s against 0.17 s (Python 3.11).
         # P = q**-lam'_j - q**-lam'_{j-1}, a telescoping sum; with q = a/b
         # and l = len(lam), q**-i = b**i * a**(l - i) / a**l
         a, b = self.q.numerator, self.q.denominator
@@ -327,7 +380,7 @@ class _Haar(_ClosedForm):
         self.powers = b_pow, a_pow
 
 
-class _Delta(_ClosedForm):
+class _Delta(_Generic):
     """Column frequency 1: W(lam) = (1 - 1/q)**|lam| on one-column lam, else 0.
 
     The chain's diagrams (), (1,), (1, 1), ... do not depend on q, so every
@@ -343,12 +396,6 @@ class _Delta(_ClosedForm):
     def weight(self, lam: Partition) -> Fraction:
         return self.keep ** size(lam) if not lam or lam[0] == 1 else Fraction(0)
 
-    def row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
-        # every box goes to the new row, the only successor with one column
-        if lam and lam[0] > 1:
-            raise _zero_source(lam)
-        return 1, [0, 1] if lam else [1]
-
     def step(self, lam: Partition, u: int) -> Partition:
         if lam and lam[0] > 1:
             raise _zero_source(lam)
@@ -359,7 +406,7 @@ class _Delta(_ClosedForm):
         return columns[ell]
 
 
-class _Row(_ClosedForm):
+class _Row(_Generic):
     """Row frequency 1: W = 1 on the empty diagram, 1 - 1/q on one row, else 0."""
 
     def weight(self, lam: Partition) -> Fraction:
@@ -367,64 +414,10 @@ class _Row(_ClosedForm):
             return Fraction(0)
         return self.keep if lam else Fraction(1)
 
-    def row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
-        # every box goes to the first row, the only successor with one row
-        if len(lam) > 1:
-            raise _zero_source(lam)
-        return 1, [1, 0] if lam else [1]
-
     def step(self, lam: Partition, u: int) -> Partition:
         if len(lam) > 1:
             raise _zero_source(lam)
         return (lam[0] + 1,) if lam else (1,)
-
-
-class _Generic:
-    """Any other parameters: the exact Hall-Littlewood weight, up to its cap.
-
-    Each diagram's transition row is built once and kept, since a chain
-    revisits the few diagrams below the cap at every trial.
-    """
-
-    def __init__(self, params: MeasureParams):
-        self.params = params
-        self.built_rows: dict[Partition, tuple[int, list[int]]] = {}
-
-    def weight(self, lam: Partition) -> Fraction:
-        return hl_weight(self.params, lam)
-
-    def row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
-        if lam not in self.built_rows:
-            self.built_rows[lam] = self._build_row(lam, rows)
-        return self.built_rows[lam]
-
-    def step(self, lam: Partition, u: int) -> Partition:
-        # the row sums to den and u < 2**64, so the search stops at the last
-        # corner at the latest
-        rows = _corner_rows(lam)
-        den, nums = self.row(lam, rows)
-        target = u * den
-        acc = 0
-        for i, num in zip(rows, nums):
-            acc += num
-            if target < acc << 64:
-                break
-        return add_box(lam, i + 1)
-
-    def _build_row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
-        params, q = self.params, self.params.q
-        source = hl_weight(params, lam)
-        if source <= 0:
-            raise _zero_source(lam)
-        scale = 1 / (source * (1 - 1 / q))
-        probs = []
-        for k, i in enumerate(rows):
-            p = hl_weight(params, add_box(lam, i + 1)) * scale
-            if i < len(lam):
-                p *= 1 - q ** (i - rows[k + 1])
-            probs.append(p)
-        den = lcm(*(p.denominator for p in probs))
-        return den, [p.numerator * (den // p.denominator) for p in probs]
 
 
 def _resolve_family(params: MeasureParams):
@@ -432,11 +425,11 @@ def _resolve_family(params: MeasureParams):
     q, r, c = params.q, params.r, params.c
     if isinstance(r, GeometricSpread):
         if r.seq == (Fraction(1),) and r.q == q and not c:
-            return _Haar(q)
+            return _Haar(params)
     elif r.values == () and c == (Fraction(1),):
-        return _Delta(q)
+        return _Delta(params)
     elif r.values == (Fraction(1),) and not c:
-        return _Row(q)
+        return _Row(params)
     return _Generic(params)
 
 
@@ -487,8 +480,9 @@ CHAIN_STEP_CAP = 200_000
 
 def _check_chain_length(params: MeasureParams, n_max: int):
     # a step out of level n needs weights of degree n + 1, so a generic chain
-    # ends at the weight's cap; say so before the first step
-    if isinstance(params.family, _Generic) and n_max > EXACT_HL_DEGREE_CAP:
+    # ends at the weight's cap; say so before the first step.  The closed-form
+    # subclasses of _Generic have no cap, hence the exact type.
+    if type(params.family) is _Generic and n_max > EXACT_HL_DEGREE_CAP:
         raise ValueError(
             f"growth chains of generic parameters are capped at degree {EXACT_HL_DEGREE_CAP} "
             f"by the exact Hall-Littlewood expansion; got level {n_max}"
