@@ -153,7 +153,7 @@ def extension_count(lam: Partition, mu: Partition, q) -> Fraction:
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
-    q = Fraction(q)
+    q = check_q(q)
     if size(mu) != size(lam) + 1:
         raise ValueError("extension counts need |mu| = |lam| + 1")
     for nu, col in box_additions(lam):
@@ -445,6 +445,7 @@ def transition_distribution(
     Successors come in :func:`box_additions` order, zero-probability ones
     included.
     """
+    lam = check_partition(lam)
     rows = _corner_rows(lam)
     den, nums = params.family.row(lam, rows)
     return [(add_box(lam, i + 1), Fraction(num, den)) for i, num in zip(rows, nums)]
@@ -478,7 +479,9 @@ CHAIN_LEVEL_CAP = 2000
 CHAIN_STEP_CAP = 200_000
 
 
-def _check_chain_length(params: MeasureParams, n_max: int):
+def _check_chain_length(params: MeasureParams, n_max: int, least: int):
+    if n_max < least:
+        raise ValueError(f"growth chains need a level of at least {least}; got level {n_max}")
     # a step out of level n needs weights of degree n + 1, so a generic chain
     # ends at the weight's cap; say so before the first step.  The closed-form
     # subclasses of _Generic have no cap, hence the exact type.
@@ -493,7 +496,7 @@ def _check_chain_length(params: MeasureParams, n_max: int):
 
 def sample_trajectory(params: MeasureParams, n_max: int, seed: int) -> list[Partition]:
     """Growth trajectory of Jordan types, from the empty diagram to level n_max."""
-    _check_chain_length(params, n_max)
+    _check_chain_length(params, n_max, 0)
     rng = _trial_rng(seed, 0)
     lam: Partition = ()
     out = [lam]
@@ -542,11 +545,13 @@ def lln_experiment(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    _check_chain_length(params, n_max)
+    _check_chain_length(params, n_max, 1)
     if n_max * trials > CHAIN_STEP_CAP:
         raise ValueError(
             f"lln runs capped at {CHAIN_STEP_CAP} chain steps; got {n_max} x {trials} trials"
         )
+    if track < 1:
+        raise ValueError(f"lln runs track at least one row and column; got {track}")
     if track > CHAIN_LEVEL_CAP:
         raise ValueError(f"tracked rows and columns capped at {CHAIN_LEVEL_CAP}; got {track}")
     # per tracked row and column, the sum of its lengths and of their squares;

@@ -259,6 +259,13 @@ def test_transition_distribution_examples():
         transition_distribution(DELTA2, (2,))
 
 
+def test_transition_distribution_takes_a_list():
+    # the diagram is checked and made a tuple first, as in cyl_prob; a list
+    # used to raise TypeError under Haar
+    for params, lam in ((HAAR2, (2, 1)), (DELTA2, (1, 1)), (ROW2, (2,)), (MIXED, (2, 1))):
+        assert transition_distribution(params, list(lam)) == transition_distribution(params, lam)
+
+
 def test_transition_matches_direct_cylinder_ratio():
     for params in (HAAR2, DELTA2, ROW2, MIXED):
         for n in range(0, 6):

@@ -9,7 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from fqtraces.measures import MeasureParams, lln_experiment
+from fqtraces.measures import (
+    MeasureParams,
+    extension_count,
+    lln_experiment,
+    sample_trajectory,
+    transition_distribution,
+)
 from fqtraces.oracle import (
     FqMatrix,
     conjugacy_family_of,
@@ -26,11 +32,83 @@ from fqtraces.traces import GLUTraceParams, family, trace_coefficients
 F2 = field_make(2)
 HALF = Specialization.finite(gamma=Fraction(1, 2))
 
+HAAR2 = MeasureParams.haar(2)
+DELTA2 = MeasureParams.delta_identity(2)
+ROW2 = MeasureParams.single_row(2)
+
 REFUSALS = {
     "lln-zero-trials": (
         lambda: lln_experiment(MeasureParams.haar(2), 3, 0, 1),
         ValueError,
         "need at least one trial",
+    ),
+    # used to return [()]
+    "trajectory-level-minus-one": (
+        lambda: sample_trajectory(HAAR2, -1, 1),
+        ValueError,
+        "growth chains need a level of at least 0; got level -1",
+    ),
+    # used to raise ZeroDivisionError
+    "lln-level-zero": (
+        lambda: lln_experiment(HAAR2, 0, 3, 1),
+        ValueError,
+        "growth chains need a level of at least 1; got level 0",
+    ),
+    # used to return rows of 0.0
+    "lln-level-minus-five": (
+        lambda: lln_experiment(DELTA2, -5, 3, 1),
+        ValueError,
+        "growth chains need a level of at least 1; got level -5",
+    ),
+    # used to return ()
+    "lln-track-zero": (
+        lambda: lln_experiment(HAAR2, 3, 3, 1, track=0),
+        ValueError,
+        "lln runs track at least one row and column; got 0",
+    ),
+    # used to count -1/4
+    "extension-count-q-half": (
+        lambda: extension_count((2, 1), (2, 2), Fraction(1, 2)),
+        ValueError,
+        "q must exceed 1, got 1/2",
+    ),
+    # used to raise ZeroDivisionError
+    "extension-count-q-zero": (
+        lambda: extension_count((2, 1), (2, 2), 0),
+        ValueError,
+        "q must exceed 1, got 0",
+    ),
+    # the closed-form families used to return rows for each of these; the
+    # delta weight of (1, 2) is not zero, so nothing else would stop it
+    "haar-row-out-of-increasing-parts": (
+        lambda: transition_distribution(HAAR2, (1, 2)),
+        ValueError,
+        "not a partition: (1, 2)",
+    ),
+    "haar-row-out-of-a-float-part": (
+        lambda: transition_distribution(HAAR2, (2.0,)),
+        ValueError,
+        "not a partition: (2.0,)",
+    ),
+    "delta-row-out-of-increasing-parts": (
+        lambda: transition_distribution(DELTA2, (1, 2)),
+        ValueError,
+        "not a partition: (1, 2)",
+    ),
+    "delta-row-out-of-a-zero-part": (
+        lambda: transition_distribution(DELTA2, (0,)),
+        ValueError,
+        "not a partition: (0,)",
+    ),
+    "single-row-row-out-of-a-negative-part": (
+        lambda: transition_distribution(ROW2, (-1,)),
+        ValueError,
+        "not a partition: (-1,)",
+    ),
+    "single-row-row-out-of-a-bool": (
+        lambda: transition_distribution(ROW2, (True,)),
+        ValueError,
+        "not a partition: (True,)",
     ),
     "measure-rows-not-a-sequence": (
         lambda: MeasureParams(3, (), 2),
