@@ -7,6 +7,7 @@ function of that tuple, so results can be cached and shared freely.
 
 from functools import cache
 from math import factorial
+from operator import ge
 
 Partition = tuple[int, ...]
 
@@ -14,11 +15,16 @@ Partition = tuple[int, ...]
 def is_partition(parts) -> bool:
     """True if ``parts`` is a weakly decreasing tuple of positive integers.
 
-    A bool is an `int` to Python but not a part: ``(True, True)`` would
-    equal ``(1, 1)`` as a memo key.
+    Each part must be exactly an `int`: a bool is an `int` to Python but
+    not a part, and ``(True, True)`` would equal ``(1, 1)`` as a memo key.
     """
-    return all(isinstance(p, int) and not isinstance(p, bool) and p >= 1 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
+    # every transition row pays this check, so it loops in C, not in a
+    # generator: the parts' types, then each adjacent pair, and the last
+    # part, the least when the parts decrease
+    return (
+        {*map(type, parts)} <= {int}
+        and all(map(ge, parts, parts[1:]))
+        and (not parts or parts[-1] >= 1)
     )
 
 
