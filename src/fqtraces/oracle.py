@@ -18,6 +18,11 @@ at 256 x 256 entries per field whatever n is; a table over whole vectors
 would need q**n x q**n entries, 43 million for n = 4 over F_9.  Each
 field builds its tables whole when it is made, one digit at a time from
 the field tables, so packing never depends on what was packed before.
+A vector of at most k entries is a single chunk, an int below 256, so the
+chunk tables act on it whole: where the operands are below 256,
+elimination reduces by one lookup in line, ``_add_scaled`` is one lookup
+and ``_apply`` sums over the columns directly.  The loop over chunks runs
+only for longer vectors.
 
 A matrix keeps its columns packed.  Dense rows only enter from callers,
 through the ``FqMatrix`` constructor, which checks them, and only leave
@@ -247,10 +252,16 @@ def _apply(m: FqMatrix, x: int) -> int:
     """m x for a packed vector x: the columns at x's nonzero entries, scaled and summed.
 
     The sum is taken one chunk of the result at a time, over the columns'
-    chunk values, which the matrix keeps after the first call.
+    chunk values, which the matrix keeps after the first call.  When the
+    columns and x each fit one chunk, it is taken over the columns directly.
     """
     f = m.field
     add, scale, digits, k = f.cadd, f.cscale, f.cdigits, f.k
+    if m.nrows <= k and x < 256:
+        acc, cols = 0, m.cols
+        for i, d in digits[x]:
+            acc = add[acc][scale[d][cols[i]]]
+        return acc
     chunks = m._chunks
     if chunks is None:
         chunks = m._chunks = tuple(
@@ -281,8 +292,13 @@ def _shift(m: FqMatrix, c: int) -> FqMatrix:
 
 
 def _add_scaled(field: FqField, v: int, c: int, w: int) -> int:
-    """v + c*w for packed vectors, one chunk at a time."""
+    """v + c*w for packed vectors, one chunk at a time.
+
+    When both fit one chunk (below 256) that is a single lookup.
+    """
     add, scale = field.cadd, field.cscale[c]
+    if v | w < 256:
+        return add[v][scale[w]]
     out = pos = 0
     while v or w:
         out |= add[v & 255][scale[w & 255]] << pos
@@ -298,7 +314,7 @@ def _echelon(field: FqField, vecs) -> dict:
     Maps a key of each leading entry (8 * chunk + position in the chunk) to
     the basis vector with that leading entry, scaled to lead with 1.
     """
-    lead, neg, inv = field.clead, field.neg, field.inv
+    lead, neg, inv, add, scale = field.clead, field.neg, field.inv, field.cadd, field.cscale
     basis = {}
     for v in vecs:
         while v:
@@ -306,9 +322,9 @@ def _echelon(field: FqField, vecs) -> dict:
             i, d = lead[v >> sh & 255]
             b = basis.get(sh + i)
             if b is None:
-                basis[sh + i] = _add_scaled(field, 0, inv[d], v)
+                basis[sh + i] = scale[inv[d]][v] if v < 256 else _add_scaled(field, 0, inv[d], v)
                 break
-            v = _add_scaled(field, v, neg[d], b)
+            v = add[v][scale[neg[d]][b]] if v | b < 256 else _add_scaled(field, v, neg[d], b)
     return basis
 
 
@@ -407,7 +423,7 @@ def is_invariant(field: FqField, images, basis: dict, sub: dict) -> bool:
 
     ``images[v]`` is m v, for every vector of sub.
     """
-    lead, neg = field.clead, field.neg
+    lead, neg, add, scale = field.clead, field.neg, field.cadd, field.cscale
     for v in sub.values():
         v = images[v]
         while v:
@@ -416,7 +432,7 @@ def is_invariant(field: FqField, images, basis: dict, sub: dict) -> bool:
             b = sub.get(sh + i) or basis.get(sh + i)
             if b is None:
                 return False
-            v = _add_scaled(field, v, neg[d], b)
+            v = add[v][scale[neg[d]][b]] if v | b < 256 else _add_scaled(field, v, neg[d], b)
     return True
 
 
@@ -653,9 +669,10 @@ def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:
 
     Factors the action by probing irreducible polynomials by degree: the
     generalized kernel filtration of p(m) gives the Jordan data at p, and
-    p(m) is a combination of the kept powers of m.  A
-    factor of degree d needs d dimensions not yet covered, so the probing
-    stops once d exceeds what is left.
+    p(m) is a combination of the kept powers of m.  When degree d is
+    probed, every factor of lower degree is found, so the r dimensions left
+    are d j for the factors of degree d, j >= 1, plus 0 or more than d for
+    those above: a degree-d factor can occur only if r = d or r >= 2 d.
     """
     if not m.is_invertible():
         raise ValueError("conjugacy families are defined for invertible matrices")
@@ -671,6 +688,9 @@ def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:
         power = m @ power
         powers.append(power.cols)
         for poly in irreducible_polys(field.q, d):
+            left = n - covered
+            if left != d and left < 2 * d:
+                break
             cols = (0,) * n
             for c, pcols in zip(poly, powers):
                 if c:
@@ -679,8 +699,6 @@ def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:
             if dim:
                 blocks.append((poly_name(field, poly), d, lam))
                 covered += dim
-                if d > n - covered:
-                    break
     if covered != n:
         raise AssertionError("factorization did not exhaust the space")
     return DiagramFamily(tuple(blocks))

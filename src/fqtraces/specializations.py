@@ -12,8 +12,9 @@ alongside explicit finite sequences.
 Evaluation is integer arithmetic over one denominator.  A provider sums
 the k-th powers of its sequence as integers over the sequence's common
 denominator and builds one `Fraction` per p_k.  A call reads each
-distinct p_k it needs once from the providers and puts those values over
-one common denominator B; :meth:`Specialization.apply` puts the
+distinct p_k it needs once from the providers and puts the products p_rho
+over one common denominator E, the lcm of their denominators;
+:meth:`Specialization.apply` puts the
 coefficients of its argument over one denominator C, sums each term as a
 product of integers, and builds a single `Fraction` at the end.
 """
@@ -147,17 +148,17 @@ class Specialization:
     def power_products(self, rhos) -> tuple[int, list[int]]:
         """(E, [E * p_rho for rho in rhos]): products of power sums over one denominator.
 
-        Each distinct p_k is read once.  With p_k = P_k / B and L the length
-        of the longest rho, E = B**L and the entry of rho is
-        P_rho1 * P_rho2 * ... * B**(L - len(rho)).
+        Each distinct p_k = N_k / D_k is read once.  With D_rho = D_rho1 *
+        D_rho2 * ..., E is the lcm of the D_rho and the entry of rho is
+        N_rho1 * N_rho2 * ... * (E / D_rho).  E divides B**L, B the lcm of
+        the D_k and L the length of the longest rho, and can be far smaller:
+        when each D_k divides 8**k, E divides 8**n for rhos of size n.
         """
-        values = {k: Fraction(self.power_sum(k)) for k in {k for rho in rhos for k in rho}}
-        b = lcm(*(v.denominator for v in values.values()))
-        p = {k: v.numerator * (b // v.denominator) for k, v in values.items()}
-        length = max(map(len, rhos), default=0)
-        b_pow = [b**j for j in range(length + 1)]
-        products = [prod(map(p.__getitem__, rho)) * b_pow[length - len(rho)] for rho in rhos]
-        return b_pow[length], products
+        values = {k: self.power_sum(k) for k in {k for rho in rhos for k in rho}}
+        nums = [prod(values[k].numerator for k in rho) for rho in rhos]
+        dens = [prod(values[k].denominator for k in rho) for rho in rhos]
+        e = lcm(*dens)
+        return e, [num * (e // den) for num, den in zip(nums, dens)]
 
     def apply(self, f: PowerSumElement) -> Fraction:
         """The value of f: sum over rho of c_rho * p_rho1 * p_rho2 * ...

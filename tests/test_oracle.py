@@ -169,6 +169,10 @@ def _square_matrices(draw):
 @example((9, [[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]]))
 # two irreducible quadratic factors over F_3
 @example((3, [[2, 0, 1, 0], [0, 1, 0, 1], [2, 0, 2, 0], [0, 2, 0, 1]]))
+# over F_3, x - 1 times the cubic x^3 + 2x + 1: with 3 dimensions left no
+# quadratic factor fits, and two blocks of the quadratic x^2 + 1
+@example((3, [[1, 0, 0, 0], [0, 0, 0, 2], [0, 1, 0, 1], [0, 0, 1, 0]]))
+@example((3, [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]))
 def test_packed_matches_dense_reference(case):
     q, rows = case
     field = field_make(q)
@@ -197,10 +201,11 @@ def test_packed_matches_dense_reference(case):
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_packing_across_chunk_boundaries(q):
     # the test above stops at n = 4, inside one chunk over F_2, F_3 and
-    # F_4; these vectors end one entry into a second and a third chunk
+    # F_4; these vectors fill the one chunk that is reduced by single
+    # lookups, then end one entry into a second and a third chunk
     field = field_make(q)
     rng = random.Random(q)
-    for n in (field.k + 1, 2 * field.k + 1):
+    for n in (field.k, field.k + 1, 2 * field.k + 1):
         rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
         # the strictly upper part is nilpotent: its kernel chain runs up to n
         upper = [[e if j > i else 0 for j, e in enumerate(row)] for i, row in enumerate(rows)]
@@ -213,6 +218,24 @@ def test_packing_across_chunk_boundaries(q):
     # one Jordan block with its first k entries in one chunk, its last in the next
     block = jordan_block_matrix(field, [((field.neg[1], 1), (field.k + 1,))])
     assert unipotent_class_of(block) == (field.k + 1,)
+    # an echelon over vectors of which some end in chunk 0 and some reach
+    # chunk 1, each kind reduced against the other: e_0 + e_k, then e_0
+    n = field.k + 1
+    short = [[rng.randrange(q) for _ in range(n - 1)] + [0] for _ in range(3)]
+    long = [[rng.randrange(q) for _ in range(n - 1)] + [rng.randrange(1, q)] for _ in range(3)]
+    pair = [[1] + [0] * (n - 2) + [1], [1] + [0] * (n - 1)]
+    for vecs in (long + short, short + long, pair):
+        assert FqMatrix(field, list(zip(*vecs))).rank() == ref.rank(field, vecs)
+    # fixed lines and hyperplanes of F_q**(k+1), at most 511 of each, where
+    # the tested subspaces and their images straddle the two chunks
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    unitri = [
+        [1 if i == j else rng.randrange(q) if j > i else 0 for j in range(n)] for i in range(n)
+    ]
+    for rows in (ident, unitri):
+        m, dense = FqMatrix(field, rows), ref.DenseMatrix(field, rows)
+        for mu in ((1, n - 1), (n - 1, 1)):
+            assert count_fixed_flags(m, mu) == ref.flag_count(dense, mu), (rows, mu)
 
 
 def test_unipotent_counts():

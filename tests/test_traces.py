@@ -16,6 +16,7 @@ from fqtraces.traces import (
     UNIT,
     DiagramFamily,
     GLUTraceParams,
+    _class_vector,
     _partition_tuples,
     _row_count,
     biregular_coefficient,
@@ -282,3 +283,12 @@ def test_hook_identity_up_to_the_coefficient_cap():
             assert sum(
                 factorial(n) // prod(hook_lengths(lam)) * c for lam, c in coeffs.items()
             ) == 1, n
+
+
+def test_class_vector_denominator_divides_the_power_sums():
+    # each p_k here has a denominator dividing 8**k, so each p_rho / z_rho
+    # with |rho| = n has one dividing n! * 8**n; one denominator taken as a
+    # power of all the p_k's together would grow with n**2 instead
+    sp = Specialization.finite((HALF, Fraction(1, 4)), (Fraction(1, 8),), 1)
+    for n in range(COEFFICIENT_DEGREE_CAP + 1):
+        assert factorial(n) * 8**n % _class_vector(sp, n)[0] == 0, n
