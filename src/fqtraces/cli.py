@@ -20,7 +20,7 @@ from fqtraces.measures import (
     lln_experiment,
     sample_trajectory,
 )
-from fqtraces.partitions import format_partition, parse_partition, size
+from fqtraces.partitions import format_partition, n_stat, parse_partition, size, transpose
 from fqtraces.specializations import Specialization, check_q_power
 from fqtraces.symfunc import (
     hl_q_in_p,
@@ -33,6 +33,7 @@ from fqtraces.traces import (
     DiagramFamily,
     GLUTraceParams,
     biregular_coefficient,
+    check_dimension,
     glu_trace_coefficients,
     green_dimension,
     trace_coefficients,
@@ -158,22 +159,46 @@ def _exact(value) -> str:
     return str(value)
 
 
+def _check_power_digits(a: int, e: int):
+    """Refuse, before any work, a value at least a**e that :func:`_exact` would refuse.
+
+    a**e is at least 2**(e * (bits of a - 1)); past 10**limit by that
+    bound the value is refused here, and closer ones are left to
+    :func:`_exact`.
+    """
+    limit = _digit_limit()
+    # 10 / 3 > log2(10)
+    if limit and 3 * e * (a.bit_length() - 1) > 10 * limit:
+        raise _too_long(limit)
+
+
 def _check_haar_cylinder(q: Fraction, lam):
     """Refuse, before any work, a Haar cylinder that :func:`_exact` would refuse.
 
     Every Haar cylinder of size n is q**-e with e = n(n-1)/2, whose larger
-    side is a**e for q = a/b, at least 2**(e * (bits of a - 1)).  Past
-    10**limit by that bound it is refused here; closer sizes are left to
-    :func:`_exact`.  The cap on powers of q is checked first, as in
-    :func:`cyl_prob`.
+    side is a**e for q = a/b.  The cap on powers of q is checked first, as
+    in :func:`cyl_prob`.
     """
     n = size(lam)
     e = n * (n - 1) // 2
     check_q_power(q, e, CYLINDER_Q_BITS_CAP, "cylinder probabilities")
-    limit = _digit_limit()
-    # 10 / 3 > log2(10)
-    if limit and 3 * e * (q.numerator.bit_length() - 1) > 10 * limit:
-        raise _too_long(limit)
+    _check_power_digits(q.numerator, e)
+
+
+def _check_dimension(family: DiagramFamily, q: Fraction):
+    """Refuse, before any work, a dimension that :func:`_exact` would refuse.
+
+    The checks of :func:`green_dimension` come first.  For integer q >= 2
+    a family of degree k has dimension at least q**E, E = k(k-1)/2 - k - S
+    with S the sum of d n(lam') over its blocks, since q**i - 1 >= q**(i-1),
+    q**(dh) - 1 < q**(dh) and the hooks of lam sum to |lam| + n(lam) +
+    n(lam').
+    """
+    q = check_dimension(family, q)
+    if q.denominator == 1:
+        k = family.degree
+        e = k * (k - 1) // 2 - k - sum(d * n_stat(transpose(lam)) for _, d, lam in family.blocks)
+        _check_power_digits(q.numerator, e)
 
 
 def _cell(c) -> str:
@@ -308,6 +333,7 @@ def _run(args) -> int:
     fmt = args.format
     header, code = None, 0
     if args.command == "dim":
+        _check_dimension(args.family, args.q)
         rows = [{"value": _exact(green_dimension(args.family, args.q))}]
     elif args.command == "kostka":
         rows = [{"value": _exact(kostka(args.shape, args.content))}]

@@ -3,9 +3,11 @@
 Everything here is exhaustive: explicit field tables, enumeration of
 matrices, subspaces and flags, classification by kernel jumps.  The point
 is to be obviously correct so the closed-form layers can be checked
-against it.  Field elements are indices 0..q-1 (0 additive zero, 1
-multiplicative unit); for prime powers the index encodes the coefficient
-vector of the residue polynomial in base p.
+against it.  Every field is F_p[x]/(f) for one monic irreducible f, a
+prime field with f = x, and its tables come from one construction in
+integer arithmetic.  Field elements are indices 0..q-1 (0 additive zero,
+1 multiplicative unit); an index encodes the coefficient vector of its
+residue polynomial in base p.
 
 Vectors are packed into ints.  A vector of n entries is cut into chunks of
 k entries, k the largest with q**k <= 256; a chunk holds its entries as
@@ -16,8 +18,10 @@ one lookup per chunk: one in all up to n = k (8, 5, 4, 3, 2, 2, 2 for
 q = 2, 3, 4, 5, 7, 8, 9).  Chunks of at most 256 values keep those tables
 at 256 x 256 entries per field whatever n is; a table over whole vectors
 would need q**n x q**n entries, 43 million for n = 4 over F_9.  Each
-field builds its tables whole when it is made, one digit at a time from
-the field tables, so packing never depends on what was packed before.
+field builds its chunk tables whole, one digit at a time from the field
+tables, the first time any of them is read, so packing never depends on
+what was packed before, and a field whose vectors are never packed (as
+in the irreducible sieve and the family enumeration) builds none.
 A vector of at most k entries is a single chunk, an int below 256, so the
 chunk tables act on it whole: where the operands are below 256,
 elimination reduces by one lookup in line, ``_add_scaled`` is one lookup
@@ -55,13 +59,21 @@ from itertools import combinations, product
 from fqtraces.partitions import Partition, check_partition, partitions_of, transpose
 from fqtraces.traces import DiagramFamily
 
+# Every supported field as (p, f): F_p[x]/(f) for f monic and irreducible
+# over F_p, f = x for a prime field
 _MODULUS = {
+    2: (2, (0, 1)),
+    3: (3, (0, 1)),
     4: (2, (1, 1, 1)),    # x^2 + x + 1 over F_2
+    5: (5, (0, 1)),
+    7: (7, (0, 1)),
     8: (2, (1, 1, 0, 1)),  # x^3 + x + 1 over F_2
     9: (3, (1, 0, 1)),    # x^2 + 1 over F_3
 }
 
-SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9)
+SUPPORTED_ORDERS = tuple(_MODULUS)
+
+_CHUNK_TABLES = ("cadd", "cscale", "cdigit", "cdigits", "clead")
 
 
 class FqField:
@@ -71,8 +83,12 @@ class FqField:
     value: ``cadd[x][y]``, ``cscale[c][x]``, ``cdigit[i][x]`` (digit i),
     ``cdigits[x]`` ((i, digit) for the nonzero digits) and ``clead[x]``
     (the first of those, None for 0).  They cover every chunk of k
-    entries and are built once, in the constructor.
+    entries and are built together, whole, the first time any of them is
+    read (see ``_Unbuilt``), so a field whose vectors are never packed
+    never builds them.
     """
+
+    __slots__ = ("q", "add", "mul", "neg", "inv", "k") + _CHUNK_TABLES
 
     def __init__(self, q: int, add, mul):
         self.q = q
@@ -84,25 +100,7 @@ class FqField:
         )
         self._validate()
         self.k = max(k for k in range(1, 9) if q**k <= 256)
-        # one top digit a at a time, k times: chunk value a*b + x, x below b
-        cadd, cscale, cdigit, cdigits, clead = [[0]], [[0] for _ in range(q)], [], [()], [None]
-        for w in range(self.k):
-            b = q**w
-            high = [[add[a][c] * b for c in range(q)] for a in range(q)]
-            cadd = [[h + s for h in high[a] for s in row] for a in range(q) for row in cadd]
-            cscale = [
-                [mul[c][a] * b + s for a in range(q) for s in row]
-                for c, row in enumerate(cscale)
-            ]
-            cdigit = [row * q for row in cdigit] + [[a for a in range(q) for _ in range(b)]]
-            cdigits = [ds + ((w, a),) if a else ds for a in range(q) for ds in cdigits]
-            clead = [ld or ((w, a) if a else None) for a in range(q) for ld in clead]
-        self.cadd, self.cscale, self.cdigit, self.cdigits, self.clead = (
-            cadd, cscale, cdigit, cdigits, clead
-        )
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add[a][self.neg[b]]
+        self.__class__ = _Unbuilt
 
     def _validate(self):
         q, add, mul = self.q, self.add, self.mul
@@ -126,33 +124,73 @@ class FqField:
         return f"FqField({self.q})"
 
 
+class _Unbuilt(FqField):
+    """A field before any of its chunk tables is read; reading one builds all five.
+
+    The field then becomes a plain ``FqField``: CPython 3.11 skips its fast
+    attribute reads on every instance of a class with ``__getattr__``, which
+    cost oracle-crosscheck about 10% of its op time in process.  The two
+    classes share one slot layout, so the class can be swapped.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # reached only for slots not set: a chunk table is first read
+        if name not in _CHUNK_TABLES:
+            raise AttributeError(name)
+        q, add, mul = self.q, self.add, self.mul
+        # one top digit a at a time, k times: chunk value a*b + x, x below b
+        cadd, cscale, cdigit, cdigits, clead = [[0]], [[0] for _ in range(q)], [], [()], [None]
+        for w in range(self.k):
+            b = q**w
+            high = [[add[a][c] * b for c in range(q)] for a in range(q)]
+            cadd = [[h + s for h in high[a] for s in row] for a in range(q) for row in cadd]
+            cscale = [
+                [mul[c][a] * b + s for a in range(q) for s in row]
+                for c, row in enumerate(cscale)
+            ]
+            cdigit = [row * q for row in cdigit] + [[a for a in range(q) for _ in range(b)]]
+            cdigits = [ds + ((w, a),) if a else ds for a in range(q) for ds in cdigits]
+            clead = [ld or ((w, a) if a else None) for a in range(q) for ld in clead]
+        self.cadd, self.cscale, self.cdigit, self.cdigits, self.clead = (
+            cadd, cscale, cdigit, cdigits, clead
+        )
+        self.__class__ = FqField
+        return getattr(self, name)
+
+
 @cache
 def field_make(q: int) -> FqField:
-    """Field of order q for q in {2,3,4,5,7,8,9}."""
-    if q not in SUPPORTED_ORDERS:
-        raise ValueError(f"unsupported field order {q}")
+    """Field of order q for q in {2,3,4,5,7,8,9}: F_p[x]/(f) with (p, f) from ``_MODULUS``.
+
+    An element's index is its residue's coefficient vector read in base p.
+    Residues are added and multiplied as integer polynomials, reduced from
+    the top by the monic f, and each digit is then taken mod p; reducing in
+    the integers first gives the same residue, as f is monic.
+    """
     if q not in _MODULUS:
-        add = tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
-        mul = tuple(tuple((a * b) % q for b in range(q)) for a in range(q))
-        return FqField(q, add, mul)
-    # residues modulo the modulus over F_p; an element's index is its
-    # coefficient vector read in base p
-    p, modulus = _MODULUS[q]
-    base = field_make(p)
-    deg = len(modulus) - 1
-    vec = [tuple(i // p**k % p for k in range(deg)) for i in range(q)]
+        raise ValueError(f"unsupported field order {q}")
+    p, f = _MODULUS[q]
+    deg = len(f) - 1
 
-    def index(poly):
-        return sum(c * p**k for k, c in enumerate(poly))
+    def times(a: list, b: list) -> list:
+        out = [0] * (2 * deg - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
 
-    add = tuple(
-        tuple(index(base.add[x][y] for x, y in zip(vec[a], vec[b])) for b in range(q))
-        for a in range(q)
-    )
-    mul = tuple(
-        tuple(index(poly_mod(base, poly_mul(base, vec[a], vec[b]), modulus)) for b in range(q))
-        for a in range(q)
-    )
+    def index(poly: list) -> int:
+        for top in range(len(poly) - 1, deg - 1, -1):
+            c = poly[top]
+            for j, fj in enumerate(f):
+                poly[top - deg + j] -= c * fj
+        return sum(c % p * p**j for j, c in enumerate(poly[:deg]))
+
+    vec = [[i // p**j % p for j in range(deg)] for i in range(q)]
+    add = tuple(tuple(index([x + y for x, y in zip(a, b)]) for b in vec) for a in vec)
+    mul = tuple(tuple(index(times(a, b)) for b in vec) for a in vec)
     return FqField(q, add, mul)
 
 
@@ -560,35 +598,21 @@ def poly_mul(field: FqField, a, b):
     return tuple(out)
 
 
-def poly_mod(field: FqField, a, b):
-    a = list(a)
-    db, dl = len(b) - 1, len(a) - 1
-    inv_lead = field.inv[b[-1]]
-    while dl >= db and any(a):
-        while dl >= 0 and a[dl] == 0:
-            dl -= 1
-        if dl < db:
-            break
-        c = field.mul[a[dl]][inv_lead]
-        for k in range(db + 1):
-            a[dl - db + k] = field.sub(a[dl - db + k], field.mul[c][b[k]])
-        dl -= 1
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
 def _check_poly(field: FqField, poly, monic: bool = False) -> tuple:
-    """A caller's coefficients: ints in range(q), constant term first, leading one nonzero."""
+    """A caller's coefficients: ints in range(q), constant term first, leading one nonzero.
+
+    ``monic`` also asks for a leading 1 and a positive degree.
+    """
     poly = tuple(poly)
     if (
         not poly
         or any(type(c) is not int or not 0 <= c < field.q for c in poly)
         or poly[-1] == 0
-        or (monic and poly[-1] != 1)
+        or (monic and (poly[-1] != 1 or len(poly) == 1))
     ):
         what = "a monic polynomial" if monic else "a polynomial"
-        raise ValueError(f"{poly!r} is not {what} over F_{field.q}")
+        degree = " of positive degree" if monic else ""
+        raise ValueError(f"{poly!r} is not {what} over F_{field.q}{degree}")
     return poly
 
 
@@ -633,12 +657,12 @@ def irreducible_polys(q: int, d: int) -> tuple:
 def jordan_block_matrix(field: FqField, blocks) -> FqMatrix:
     """Generalized Jordan matrix of ``(poly, lam)`` pairs, laid on the diagonal in order.
 
-    Every poly and every partition is checked before anything is built.
-    Each part of ``lam`` is a chain of that many companion blocks of the
-    monic ``poly``, each linked to the one before by an identity block
-    above the diagonal.  In a companion block of degree d, column i < d - 1
-    is the unit vector one row down and the last column is minus the
-    coefficients.
+    Every poly (monic, of positive degree) and every partition is checked
+    before anything is built.  Each part of ``lam`` is a chain of that
+    many companion blocks of ``poly``, each linked to the one before by an
+    identity block above the diagonal.  In a companion block of degree d,
+    column i < d - 1 is the unit vector one row down and the last column
+    is minus the coefficients.
     """
     blocks = [
         (_check_poly(field, poly, monic=True), check_partition(lam)) for poly, lam in blocks

@@ -155,16 +155,23 @@ DIMENSION_Q_BITS_CAP = 500_000
 TRACE_Q_BITS_CAP = 10_000
 
 
+def check_dimension(f: DiagramFamily, q) -> Fraction:
+    """Refuse, before any work, what :func:`green_dimension` refuses; q as a `Fraction`."""
+    q = check_q(q)
+    _check_linear_capacity(f, q)
+    k = f.degree
+    check_q_power(q, k * (k + 1) // 2, DIMENSION_Q_BITS_CAP, "dimensions")
+    return q
+
+
 def green_dimension(f: DiagramFamily, q) -> Fraction:
     """Dimension of the irreducible representation labeled by ``f``.
 
     Computed by the q-hook formula; a positive integer whenever q is a
     prime power (not enforced here -- q is treated as a rational).
     """
-    q = check_q(q)
-    _check_linear_capacity(f, q)
+    q = check_dimension(f, q)
     k = f.degree
-    check_q_power(q, k * (k + 1) // 2, DIMENSION_Q_BITS_CAP, "dimensions")
     value = Fraction(1)
     for i in range(1, k + 1):
         value *= q**i - 1

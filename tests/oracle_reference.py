@@ -75,7 +75,7 @@ def shift(m, c):
 
 def rank(field, rows):
     """Row rank by Gaussian elimination on a copy of the rows."""
-    mul, inv, sub = field.mul, field.inv, field.sub
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -90,7 +90,7 @@ def rank(field, rows):
         for i in range(nrows):
             if i != r and m[i][c]:
                 coeff = m[i][c]
-                m[i] = [sub(x, mul[coeff][y]) for x, y in zip(m[i], m[r])]
+                m[i] = [add[x][neg[mul[coeff][y]]] for x, y in zip(m[i], m[r])]
         r += 1
         if r == nrows:
             break
@@ -151,12 +151,12 @@ def conjugacy_family_of(m):
 
 
 def _reduce_vector(field, basis_rows, pivots, v):
-    mul, sub = field.mul, field.sub
+    add, mul, neg = field.add, field.mul, field.neg
     v = list(v)
     for row, p in zip(basis_rows, pivots):
         c = v[p]
         if c:
-            v = [sub(x, mul[c][y]) for x, y in zip(v, row)]
+            v = [add[x][neg[mul[c][y]]] for x, y in zip(v, row)]
     return v
 
 

@@ -392,6 +392,51 @@ def test_haar_cylinder_below_the_digit_limit_prints():
     assert out == f"{Fraction(1, 2**14196)}\n"
 
 
+def _column(tag: str, d: int, rows: int) -> dict:
+    return {"tag": tag, "d": d, "lambda": ",".join(["1"] * rows)}
+
+
+_TOO_LONG = "error: exact value has more than {} digits, the most fqtraces prints\n"
+
+
+@pytest.mark.parametrize(
+    "q, family, message",
+    [
+        # the one-column dimension of degree 576 at q = 3 passes the q-power cap
+        ("3", [_column("x-1", 1, 576)], _TOO_LONG),
+        ("2", [_column("x-1", 1, 200)], _TOO_LONG),
+        ("2", [_column("x-1", 1, 100), _column("c", 2, 100)], _TOO_LONG),
+        # the messages a request got before come first
+        ("1", [_column("x-1", 1, 576)], "error: q must exceed 1, got 1\n"),
+        (
+            "3",
+            [_column("x-1", 1, 400), _column("a", 1, 1), _column("b", 1, 1)],
+            "error: family uses 3 degree-1 tags, but F_3 has only 2 linear factors\n",
+        ),
+        (
+            "3",
+            [_column("x-1", 1, 600)],
+            "error: dimensions capped at 500000 bits in powers of q; got 540900\n",
+        ),
+    ],
+)
+def test_dimension_past_the_digit_limit_exits_one_before_any_work(monkeypatch, q, family, message):
+    def green_dimension(f, q):
+        raise AssertionError("green_dimension was called")
+
+    monkeypatch.setattr(cli, "green_dimension", green_dimension)
+    code, out, err = run(["dim", "--q", q, "--family", json.dumps(family)])
+    assert code == 1 and out == ""
+    assert err == message.format(sys.get_int_max_str_digits())
+
+
+def test_dimension_below_the_digit_limit_prints():
+    # the Steinberg dimension of GL(100, 2) is 2**4950, 1491 digits
+    code, out, err = run(["dim", "--q", "2", "--family", json.dumps([_column("x-1", 1, 100)])])
+    assert code == 0 and err == ""
+    assert out == f"{2**4950}\n"
+
+
 @pytest.mark.parametrize("shape", ["400", "65", "10,10,10,10,10,10,10,10,10,10"])
 def test_kostka_above_content_cap_exits_one_at_once(shape):
     ones = ",".join(["1"] * sum(int(p) for p in shape.split(",")))

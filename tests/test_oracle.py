@@ -8,6 +8,7 @@ from test_golden import check_suite_golden
 
 from fqtraces.oracle import (
     SUPPORTED_ORDERS,
+    FqField,
     FqMatrix,
     _flag_walk,
     _jordan_type,
@@ -19,7 +20,6 @@ from fqtraces.oracle import (
     field_make,
     irreducible_polys,
     jordan_block_matrix,
-    poly_mod,
     poly_mul,
     poly_name,
     polys_by_tag,
@@ -33,7 +33,8 @@ from fqtraces import verify
 
 F2 = field_make(2)
 F3 = field_make(3)
-F4 = field_make(4)
+
+_CHUNK_TABLES = ("cadd", "cscale", "cdigit", "cdigits", "clead")
 
 
 def test_field_construction():
@@ -49,14 +50,13 @@ def test_field_construction():
 def test_chunk_tables_stay_within_256_values():
     # a chunk is the widest run of entries with at most 256 values, so the
     # sum table never passes 256 x 256 entries, however long the vectors;
-    # the tables cover every chunk value once the field is made, and
+    # the tables cover every chunk value once any of them is read, and
     # packing longer vectors neither grows nor replaces them
     for q in SUPPORTED_ORDERS:
         field = field_make(q)
         k, size = field.k, q**field.k
         assert size <= 256 < q ** (k + 1)
-        names = ("cadd", "cscale", "cdigit", "cdigits", "clead")
-        before = [getattr(field, name) for name in names]
+        before = [getattr(field, name) for name in _CHUNK_TABLES]
         assert len(field.cadd) == size and all(len(row) == size for row in field.cadd)
         assert len(field.cscale) == q and all(len(row) == size for row in field.cscale)
         assert len(field.cdigit) == k and all(len(row) == size for row in field.cdigit)
@@ -68,16 +68,41 @@ def test_chunk_tables_stay_within_256_values():
         # one Jordan block of 17 spans three chunks even over F_2
         m = jordan_block_matrix(field, [((field.neg[1], 1), (17,))])
         assert unipotent_class_of(FqMatrix(field, m.rows)) == (17,)
-        assert all(getattr(field, name) is table for name, table in zip(names, before))
+        assert all(getattr(field, name) is table for name, table in zip(_CHUNK_TABLES, before))
 
 
-def test_field_f4_arithmetic():
-    # with modulus x^2 + x + 1, the generator squares to itself plus one
-    x = 2
-    assert F4.mul[x][x] == 3
-    assert F4.mul[x][3] == 1  # x * (x + 1) = x^2 + x = 1
-    for a in range(1, 4):
-        assert F4.mul[a][F4.inv[a]] == 1
+def _tables_set(field) -> dict:
+    """The chunk tables a field holds, read past the ``__getattr__`` that builds them."""
+    held = {}
+    for name in _CHUNK_TABLES:
+        try:
+            held[name] = object.__getattribute__(field, name)
+        except AttributeError:
+            pass
+    return held
+
+
+def test_chunk_tables_built_on_first_read():
+    # a field builds no chunk table until one is read (packing reads none;
+    # unpacking does), then all five, equal to those of field_make(q), and
+    # it is a plain FqField again, whose class has no __getattr__
+    for q in SUPPORTED_ORDERS:
+        made = field_make(q)
+        field = FqField(q, made.add, made.mul)
+        assert _tables_set(field) == {}
+        m = FqMatrix(field, [[1, 0], [0, 1]])
+        assert _tables_set(field) == {}
+        assert m.rows == ((1, 0), (0, 1))
+        assert _tables_set(field) == {name: getattr(made, name) for name in _CHUNK_TABLES}
+        assert type(field) is FqField
+
+
+def test_prime_field_tables():
+    # a prime field is the integers mod q, whatever construction made it
+    for q in (2, 3, 5, 7):
+        field = field_make(q)
+        assert field.add == tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
+        assert field.mul == tuple(tuple(a * b % q for b in range(q)) for a in range(q))
 
 
 @pytest.mark.parametrize(
@@ -86,7 +111,9 @@ def test_field_f4_arithmetic():
 def test_extension_field_tables(q, p, modulus):
     # element i is the residue polynomial whose coefficients are the base-p
     # digits of i, so p is the class of x; with the field axioms that
-    # field_make checks, digit-wise addition and modulus(x) = 0 fix the tables
+    # field_make checks, digit-wise addition and modulus(x) = 0 fix the
+    # tables.  The moduli are written here, not read from the oracle, and
+    # modulus(x) is evaluated with the field's own tables
     field = field_make(q)
     deg = len(modulus) - 1
 
@@ -359,7 +386,7 @@ def test_poly_name_and_division():
     assert poly_name(F3, (2, 1)) == "x-1"
     assert poly_name(F3, (1, 1)) == "x-2"
     assert poly_name(F2, (1, 1, 1)) == "x^2+x+1"
-    assert poly_mod(F2, poly_mul(F2, (1, 1), (1, 1, 1)), (1, 1)) == (0,)
+    assert poly_mul(F2, (1, 1), (1, 1, 1)) == (1, 0, 0, 1)  # x^3 + 1 over F_2
 
 
 def test_families_enumerate_small():

@@ -205,6 +205,12 @@ REFUSALS = {
         ValueError,
         "not a partition: (True, True)",
     ),
+    # a constant has no companion block: its block would be 0 x 0
+    "jordan-block-of-a-constant": (
+        lambda: jordan_block_matrix(field_make(2), [((1,), (3,))]),
+        ValueError,
+        "(1,) is not a monic polynomial over F_2 of positive degree",
+    ),
 }
 
 
