@@ -33,6 +33,7 @@ from fqtraces import verify
 
 F2 = field_make(2)
 F3 = field_make(3)
+F4 = field_make(4)
 
 _CHUNK_TABLES = ("cadd", "cscale", "cdigit", "cdigits", "clead")
 
@@ -103,6 +104,15 @@ def test_prime_field_tables():
         field = field_make(q)
         assert field.add == tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
         assert field.mul == tuple(tuple(a * b % q for b in range(q)) for a in range(q))
+
+
+def test_field_f4_arithmetic():
+    # with modulus x^2 + x + 1, the generator squares to itself plus one
+    x = 2
+    assert F4.mul[x][x] == 3
+    assert F4.mul[x][3] == 1  # x * (x + 1) = x^2 + x = 1
+    for a in range(1, 4):
+        assert F4.mul[a][F4.inv[a]] == 1
 
 
 @pytest.mark.parametrize(
