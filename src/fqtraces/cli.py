@@ -159,16 +159,21 @@ def _exact(value) -> str:
     return str(value)
 
 
-def _check_power_digits(a: int, e: int):
-    """Refuse, before any work, a value at least a**e that :func:`_exact` would refuse.
+def _check_power_digits(q: Fraction, e: int):
+    """Refuse, before any work, a value at least q**e that :func:`_exact` would refuse.
 
-    a**e is at least 2**(e * (bits of a - 1)); past 10**limit by that
-    bound the value is refused here, and closer ones are left to
-    :func:`_exact`.
+    For q = a/b, q**m is at least 2**g with g = (bits of a**m) - 1 - (bits
+    of b**m - 1), so q**e is at least 2**(g * (e // m)); past 10**limit by
+    that bound the value is refused here, and closer ones are left to
+    :func:`_exact`.  m = 1 for integer q, where g is bits of q - 1, and 64
+    otherwise, where g / m is within 1/32 of log2(q).
     """
     limit = _digit_limit()
+    a, b = q.numerator, q.denominator
+    m = 1 if b == 1 else 64
+    g = (a**m).bit_length() - 1 - (b**m - 1).bit_length()
     # 10 / 3 > log2(10)
-    if limit and 3 * e * (a.bit_length() - 1) > 10 * limit:
+    if limit and e > 0 and 3 * (e // m) * g > 10 * limit:
         raise _too_long(limit)
 
 
@@ -182,23 +187,28 @@ def _check_haar_cylinder(q: Fraction, lam):
     n = size(lam)
     e = n * (n - 1) // 2
     check_q_power(q, e, CYLINDER_Q_BITS_CAP, "cylinder probabilities")
-    _check_power_digits(q.numerator, e)
+    _check_power_digits(Fraction(q.numerator), e)
 
 
 def _check_dimension(family: DiagramFamily, q: Fraction):
     """Refuse, before any work, a dimension that :func:`_exact` would refuse.
 
-    The checks of :func:`green_dimension` come first.  For integer q >= 2
-    a family of degree k has dimension at least q**E, E = k(k-1)/2 - k - S
-    with S the sum of d n(lam') over its blocks, since q**i - 1 >= q**(i-1),
-    q**(dh) - 1 < q**(dh) and the hooks of lam sum to |lam| + n(lam) +
-    n(lam').
+    The checks of :func:`green_dimension` come first.  A family of degree
+    k has dimension at least q**E, the larger side of the answer too, with
+    E = k(k+1)/2 - (j + 1) k - S and S the sum of d n(lam') over its
+    blocks: q**i - 1 = q**i (1 - q**-i) with 1 - q**-i >= 1 - 1/q >= q**-j,
+    q**(dh) - 1 < q**(dh), and the hooks of lam sum to |lam| + n(lam) +
+    n(lam').  For q = a/b, j is the least with q**j >= a / (a - b): 1 for
+    integer q.  A j past k leaves E negative, so the search stops there.
     """
     q = check_dimension(family, q)
-    if q.denominator == 1:
-        k = family.degree
-        e = k * (k - 1) // 2 - k - sum(d * n_stat(transpose(lam)) for _, d, lam in family.blocks)
-        _check_power_digits(q.numerator, e)
+    a, b = q.numerator, q.denominator
+    k = family.degree
+    j = 1
+    while j <= k and a**j * (a - b) < a * b**j:
+        j += 1
+    s = sum(d * n_stat(transpose(lam)) for _, d, lam in family.blocks)
+    _check_power_digits(q, k * (k + 1) // 2 - (j + 1) * k - s)
 
 
 def _cell(c) -> str:

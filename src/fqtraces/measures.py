@@ -12,8 +12,10 @@ Each :class:`MeasureParams` resolves, once, to the object of its family
 that computes W: closed forms for the Haar, delta and single-row
 families, at any level, and the exact Hall-Littlewood expansion up to
 its degree cap for every other parameter set.  In trace coordinates the
-same probability is the trace's value on the unipotent class lam,
-:func:`fqtraces.traces.unipotent_block_value`, times q**(-n(n-1)/2).
+same probability is the trace's value on the unipotent class lam times
+q**(-n(n-1)/2); :func:`fqtraces.traces.unipotent_block_value` reads that
+value off the same kept Q_lam(1/q) as the weight, with each p_k(sp)
+divided by 1 - q**-k, in integers.
 
 The growth of the Jordan type under adding one row and column is an
 explicit Markov chain on Young diagrams.  A family is a weight W plus a
@@ -67,7 +69,7 @@ from fqtraces.traces import unipotent_block_value
 
 @dataclass(frozen=True)
 class _KeptSpecialization(Specialization):
-    """A specialization that reads each p_k from its providers once and keeps it.
+    """A specialization that reads each p_k from its providers once and keeps its pair.
 
     A parameter set's weights read the same p_k for every diagram; the
     specializations made per request elsewhere read each once per call.
@@ -75,9 +77,9 @@ class _KeptSpecialization(Specialization):
 
     known: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def power_sum(self, k: int) -> Fraction:
+    def power_pair(self, k: int) -> tuple[int, int]:
         if k not in self.known:
-            self.known[k] = super().power_sum(k)
+            self.known[k] = super().power_pair(k)
         return self.known[k]
 
 
@@ -110,7 +112,7 @@ class MeasureParams:
             raise TypeError("r must be a sequence or a GeometricSpread")
         c = tuple(Fraction(v) for v in self.c)
         _check_weakly_decreasing_nonneg(c, "column frequencies")
-        if r.power(1) + sum(c) > 1:
+        if Fraction(*r.power_pair(1)) + sum(c) > 1:
             raise ValueError("total frequency mass must not exceed 1")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "c", c)

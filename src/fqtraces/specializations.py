@@ -11,17 +11,19 @@ alongside explicit finite sequences.
 
 Evaluation is integer arithmetic over one denominator.  A provider sums
 the k-th powers of its sequence as integers over the sequence's common
-denominator and builds one `Fraction` per p_k.  A call reads each
-distinct p_k it needs once from the providers and puts the products p_rho
-over one common denominator E, the lcm of their denominators;
-:meth:`Specialization.apply` puts the
-coefficients of its argument over one denominator C, sums each term as a
-product of integers, and builds a single `Fraction` at the end.
+denominator and returns p_k as an integer pair (N, D), not reduced; the
+specialization joins its two sides over the lcm of their D.  A call reads
+each distinct p_k it needs once as such a pair and puts the products
+p_rho over one common denominator E, the lcm of their denominators;
+:meth:`Specialization.apply` puts the coefficients of its argument over
+one denominator C, sums each term as a product of integers, and builds a
+single `Fraction` at the end.  :meth:`Specialization.power_sum` is the
+one `Fraction` view of a p_k.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 from fqtraces.symfunc import PowerSumElement
 
@@ -75,8 +77,8 @@ class FinitePowerSums:
 
     values: tuple[Fraction, ...]
 
-    def power(self, k: int) -> Fraction:
-        return Fraction(*_integer_power_sum(self.values, k))
+    def power_pair(self, k: int) -> tuple[int, int]:
+        return _integer_power_sum(self.values, k)
 
     def frequencies(self, count: int) -> list[Fraction]:
         return _largest(self.values, count)
@@ -102,11 +104,11 @@ class GeometricSpread:
         object.__setattr__(self, "q", check_q(self.q))
         _check_weakly_decreasing_nonneg(self.seq, "spread sequence")
 
-    def power(self, k: int) -> Fraction:
+    def power_pair(self, k: int) -> tuple[int, int]:
         # for q = a/b, (1 - 1/q)**k / (1 - q**-k) = (a - b)**k / (a**k - b**k)
         a, b = self.q.numerator, self.q.denominator
         head, den = _integer_power_sum(self.seq, k)
-        return Fraction((a - b) ** k * head, (a**k - b**k) * den)
+        return (a - b) ** k * head, (a**k - b**k) * den
 
     def frequencies(self, count: int) -> list[Fraction]:
         """The ``count`` largest entries of the array, in decreasing order."""
@@ -138,25 +140,46 @@ class Specialization:
             raise ValueError("sum(alpha) + sum(beta) must not exceed gamma")
         return cls(FinitePowerSums(alphas), FinitePowerSums(betas), gamma)
 
-    def power_sum(self, k: int) -> Fraction:
+    def power_pair(self, k: int) -> tuple[int, int]:
+        """p_k as integers (N, D), p_k = N / D, not reduced.
+
+        The two sides are joined over the lcm of their denominators, not
+        their product, which would grow E in :meth:`power_products`.
+        """
         if k < 1:
             raise ValueError("power sum index must be >= 1")
         if k == 1:
-            return Fraction(self.gamma)
-        return self.alpha.power(k) + (-1) ** (k - 1) * self.beta.power(k)
+            return self.gamma.numerator, self.gamma.denominator
+        na, da = self.alpha.power_pair(k)
+        nb, db = self.beta.power_pair(k)
+        den = lcm(da, db)
+        if k % 2 == 0:
+            nb = -nb
+        return na * (den // da) + nb * (den // db), den
+
+    def power_sum(self, k: int) -> Fraction:
+        return Fraction(*self.power_pair(k))
 
     def power_products(self, rhos) -> tuple[int, list[int]]:
         """(E, [E * p_rho for rho in rhos]): products of power sums over one denominator.
 
-        Each distinct p_k = N_k / D_k is read once.  With D_rho = D_rho1 *
-        D_rho2 * ..., E is the lcm of the D_rho and the entry of rho is
-        N_rho1 * N_rho2 * ... * (E / D_rho).  E divides B**L, B the lcm of
-        the D_k and L the length of the longest rho, and can be far smaller:
-        when each D_k divides 8**k, E divides 8**n for rhos of size n.
+        Each distinct p_k = N_k / D_k is read once, as a pair from
+        ``power_pair``.  With D_rho = D_rho1 * D_rho2 * ..., E is the lcm of
+        the D_rho and the entry of rho is N_rho1 * N_rho2 * ... * (E /
+        D_rho).  E divides B**L, B the lcm of the D_k and L the length of
+        the longest rho, and can be far smaller: when each D_k divides 8**k,
+        E divides 8**n for rhos of size n.
         """
-        values = {k: self.power_sum(k) for k in {k for rho in rhos for k in rho}}
-        nums = [prod(values[k].numerator for k in rho) for rho in rhos]
-        dens = [prod(values[k].denominator for k in rho) for rho in rhos]
+        pairs = {k: self.power_pair(k) for k in {k for rho in rhos for k in rho}}
+        nums, dens = [], []
+        for rho in rhos:
+            num = den = 1
+            for k in rho:
+                n, d = pairs[k]
+                num *= n
+                den *= d
+            nums.append(num)
+            dens.append(den)
         e = lcm(*dens)
         return e, [num * (e // den) for num, den in zip(nums, dens)]
 

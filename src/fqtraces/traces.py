@@ -30,7 +30,7 @@ from fqtraces.partitions import (
     z_factor,
 )
 from fqtraces.specializations import Specialization, check_q, check_q_power
-from fqtraces.symfunc import _character_table, check_hl_degree, modified_hl_q, plethysm_pl
+from fqtraces.symfunc import _character_table, check_hl_degree, hl_q_in_p
 
 UNIT = "x-1"
 
@@ -144,8 +144,8 @@ def q_hook_weight(lam: Partition, d: int, q: Fraction) -> Fraction:
 # Bounds on the powers of q that `dim` and `trace` build, in bits of
 # numerator plus denominator; see check_q_power.  A dimension of degree k
 # builds the product of q**i - 1 up to k.  A trace block of degree d builds
-# q**(d n(lam)) and the modified Q function at t = q**-d, whose factors
-# 1/(1 - t**k) reach k = |lam|: the exponent is d (|lam| + n(lam)).  At the
+# q**(d n(lam)) and evaluates Q at t = q**-d with factors 1/(1 - t**k) up to
+# k = |lam|: the exponent is d (|lam| + n(lam)).  At the
 # caps, for q = 2, 3, 10001/10000 and 2**64 + 1, one-row and one-column
 # dimensions take 0.23-1.13 s, and trace blocks with |lam| <= 16 at
 # alpha = (1/2, 1/4), beta = (1/8) take 0.10-0.72 s, each in a fresh
@@ -208,21 +208,48 @@ def _check_block_size(d: int, lam: Partition, q: Fraction):
     check_q_power(q, d * (size(lam) + n_stat(lam)), TRACE_Q_BITS_CAP, "trace values")
 
 
+class _StretchedModified:
+    """sp seen through p_k -> p_{dk}(sp) * b**k / (b**k - a**k), for t = a/b.
+
+    Made per call of :func:`unipotent_block_value` and kept nowhere; its
+    pairs come from sp's own ``power_pair``, so a kept specialization's
+    memo serves them.
+    """
+
+    __slots__ = ("sp", "d", "a", "b")
+
+    def __init__(self, sp: Specialization, d: int, t: Fraction):
+        self.sp, self.d, self.a, self.b = sp, d, t.numerator, t.denominator
+
+    def power_pair(self, k: int) -> tuple[int, int]:
+        num, den = self.sp.power_pair(self.d * k)
+        b_k = self.b**k
+        return num * b_k, den * (b_k - self.a**k)
+
+    power_products = Specialization.power_products
+
+
 def unipotent_block_value(sp: Specialization, d: int, lam: Partition, q) -> Fraction:
     """Extreme unipotent trace value on a single primary block.
 
     The block is a Jordan structure ``lam`` attached to an irreducible
     factor of degree ``d``; the value is q**(d n(lam)) times the
     specialization of the degree-stretched modified Q function at
-    parameter q**(-d).
+    parameter t = q**(-d).  The modified Q'_lam is Q_lam with each p_k
+    divided by 1 - t**k, and the stretch sends p_k to p_{dk}, so with
+    t = a/b the value is the kept Q_lam(t) of :func:`hl_q_in_p` evaluated
+    under p_k -> p_{dk}(sp) * b**k / (b**k - a**k), with no modified or
+    stretched copy of it built.
     """
     q = check_q(q)
     _check_block_size(d, lam, q)
     if sp.power_sum(1) != 1:
         raise ValueError("unipotent trace values need gamma = 1")
     t = 1 / q**d
-    f = plethysm_pl(modified_hl_q(lam, t), d)
-    return q ** (d * n_stat(lam)) * sp.apply(f)
+    # through the class, so that wrappers installed on Specialization.apply
+    # see this call too
+    value = Specialization.apply(_StretchedModified(sp, d, t), hl_q_in_p(lam, t))
+    return q ** (d * n_stat(lam)) * value
 
 
 def unipotent_trace_value(sp: Specialization, cls: DiagramFamily, q) -> Fraction:

@@ -418,6 +418,14 @@ _TOO_LONG = "error: exact value has more than {} digits, the most fqtraces print
             [_column("x-1", 1, 600)],
             "error: dimensions capped at 500000 bits in powers of q; got 540900\n",
         ),
+        # non-integer q: the one-column dimension of degree 400 at q = 3/2
+        ("3/2", [_column("x-1", 1, 400)], _TOO_LONG),
+        ("3/2", [_column("x-1", 1, 200), _column("c", 2, 50)], _TOO_LONG),
+        (
+            "3/2",
+            [_column("x-1", 1, 600)],
+            "error: dimensions capped at 500000 bits in powers of q; got 721200\n",
+        ),
     ],
 )
 def test_dimension_past_the_digit_limit_exits_one_before_any_work(monkeypatch, q, family, message):
@@ -435,6 +443,13 @@ def test_dimension_below_the_digit_limit_prints():
     code, out, err = run(["dim", "--q", "2", "--family", json.dumps([_column("x-1", 1, 100)])])
     assert code == 0 and err == ""
     assert out == f"{2**4950}\n"
+
+
+def test_dimension_at_a_non_integer_q_below_the_digit_limit_prints():
+    # the Steinberg dimension of GL(134, 3/2) is (3/2)**8911: 3**8911 has 4252 digits
+    code, out, err = run(["dim", "--q", "3/2", "--family", json.dumps([_column("x-1", 1, 134)])])
+    assert code == 0 and err == ""
+    assert out == f"{3**8911}/{2**8911}\n"
 
 
 @pytest.mark.parametrize("shape", ["400", "65", "10,10,10,10,10,10,10,10,10,10"])

@@ -155,16 +155,16 @@ def test_family_stays_out_of_eq_hash_repr():
 
 
 def test_one_specialization_per_params_reads_each_power_sum_once(monkeypatch):
-    # the providers' power is counted per (provider kind, k); a second pass
-    # over the same weights reads none of them again
+    # the providers' power_pair is counted per (provider kind, k); a second
+    # pass over the same weights reads none of them again
     params = MeasureParams((Fraction(1, 4),), (Fraction(1, 4),), Fraction(7, 3))
     reads = Counter()
     for kind in (FinitePowerSums, GeometricSpread):
-        def counted(self, k, power=kind.power, kind=kind):
+        def counted(self, k, power_pair=kind.power_pair, kind=kind):
             reads[kind.__name__, k] += 1
-            return power(self, k)
+            return power_pair(self, k)
 
-        monkeypatch.setattr(kind, "power", counted)
+        monkeypatch.setattr(kind, "power_pair", counted)
     sp = params.specialization()
     assert sp is params.specialization()
     assert (sp.alpha, sp.beta, sp.gamma) == (params.r, GeometricSpread(params.c, params.q), 1)

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 from hl_reference import apply_reference
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fqtraces.partitions import partitions_of, transpose
 from fqtraces.measures import MeasureParams
@@ -70,9 +70,9 @@ def test_specialization_is_ring_homomorphism():
 
 def test_geometric_spread_examples():
     spread = GeometricSpread((1,), 2)
-    assert spread.power(1) == 1
-    assert spread.power(2) == Fraction(1, 3)
-    assert GeometricSpread((), 2).power(3) == 0
+    assert Fraction(*spread.power_pair(1)) == 1
+    assert Fraction(*spread.power_pair(2)) == Fraction(1, 3)
+    assert Fraction(*GeometricSpread((), 2).power_pair(3)) == 0
     with pytest.raises(ValueError):
         MeasureParams(GeometricSpread((1, 1), 2), (), 2)  # mass 2 > 1
 
@@ -86,7 +86,7 @@ def test_geometric_spread_matches_truncated_sums():
         direct = sum(
             ((1 - 1 / q) * s * q ** (1 - j)) ** k for s in seq for j in range(1, 60)
         )
-        closed = spread.power(k)
+        closed = Fraction(*spread.power_pair(k))
         assert abs(closed - direct) < Fraction(1, 10**20)
 
 
@@ -147,15 +147,19 @@ def test_integer_power_sums_match_fraction_definition(seq, q):
     # the formulas the providers used before they read power sums in integers
     finite, spread = FinitePowerSums(seq), GeometricSpread(seq, q)
     for k in range(1, 17):
-        assert finite.power(k) == _finite_power_reference(seq, k)
-        assert spread.power(k) == _spread_power_reference(seq, q, k)
+        assert Fraction(*finite.power_pair(k)) == _finite_power_reference(seq, k)
+        assert Fraction(*spread.power_pair(k)) == _spread_power_reference(seq, q, k)
 
 
 class _PowerSums:
-    """Power sums given by a callable: the full value of p_k for k >= 2."""
+    """Power sums given by a callable: the full value of p_k for k >= 2, as a pair."""
 
     def __init__(self, fn):
-        self.power = fn
+        self.fn = fn
+
+    def power_pair(self, k):
+        value = self.fn(k)
+        return value.numerator, value.denominator
 
 
 def test_plethysm_specialization_identity():
@@ -184,12 +188,28 @@ _VALUES = st.lists(st.fractions(0, 1, max_denominator=12), max_size=3).map(
 )
 
 
+class _Unreduced:
+    """A provider's pairs with numerator and denominator both times ``factor``."""
+
+    def __init__(self, provider, factor):
+        self.provider, self.factor = provider, factor
+
+    def power_pair(self, k):
+        num, den = self.provider.power_pair(k)
+        return num * self.factor, den * self.factor
+
+
 @st.composite
 def _providers(draw):
     values = draw(_VALUES)
     if draw(st.booleans()):
-        return FinitePowerSums(values)
-    return GeometricSpread(values, draw(st.fractions(Fraction(5, 4), 5, max_denominator=4)))
+        provider = FinitePowerSums(values)
+    else:
+        provider = GeometricSpread(values, draw(st.fractions(Fraction(5, 4), 5, max_denominator=4)))
+    # the same p_k as a pair not in lowest terms
+    if draw(st.booleans()):
+        return _Unreduced(provider, draw(st.integers(2, 36)))
+    return provider
 
 
 # Any parameters: apply is a ring homomorphism for every gamma and both
@@ -208,7 +228,30 @@ _ELEMENTS = st.one_of(
 )
 
 
+_QUARTERS = FinitePowerSums((Fraction(3, 4), Fraction(1, 4)))
+_EIGHTHS = FinitePowerSums((Fraction(3, 8), Fraction(1, 8)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(_SPECIALIZATIONS, _ELEMENTS)
+# sides over 4 and over 8, with either side unreduced
+@example(Specialization(_QUARTERS, _EIGHTHS, Fraction(1)), hl_q_in_p((3, 2, 1), Fraction(1, 3)))
+@example(Specialization(_EIGHTHS, _QUARTERS, HALF), schur_in_p((2, 2, 1)))
+@example(
+    Specialization(_Unreduced(_QUARTERS, 6), GeometricSpread((Fraction(1, 8),), 3), Fraction(1)),
+    hl_q_in_p((4, 1), Fraction(-2, 5)),
+)
+@example(
+    Specialization(GeometricSpread((HALF,), Fraction(5, 2)), _Unreduced(_EIGHTHS, 10), Fraction(1)),
+    hl_q_in_p((2, 2, 1, 1), Fraction(1, 4)),
+)
 def test_apply_matches_fraction_reference(sp, f):
     assert sp.apply(f) == apply_reference(sp, f)
+
+
+def test_power_pair_joins_the_sides_over_the_lcm():
+    # p_2 = 1/16 - 1/64 = 3/64: over lcm(16, 64), not over their product
+    sp = Specialization.finite((Fraction(1, 4),), (Fraction(1, 8),), 1)
+    assert sp.power_pair(2) == (3, 64)
+    assert sp.power_pair(3) == (9, 512)
+    assert sp.power_pair(1) == (1, 1)

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from test_golden import check_suite_golden
 
 from fqtraces.partitions import hook_lengths, n_stat, partitions_of, size
-from fqtraces.specializations import Specialization
+from fqtraces.specializations import GeometricSpread, Specialization
+from fqtraces.symfunc import PowerSumElement, modified_hl_q, plethysm_pl
 from fqtraces.traces import (
     COEFFICIENT_DEGREE_CAP,
     GLU_ROW_CAP,
@@ -112,6 +113,45 @@ def test_unipotent_block_values():
     assert unipotent_block_value(STEINBERG, 2, (1,), 2) == -1
     with pytest.raises(ValueError):
         unipotent_block_value(Specialization.finite((HALF,), (), HALF), 1, (1,), 2)
+
+
+_BLOCK_SPECIALIZATIONS = [
+    Specialization.finite((HALF, Fraction(1, 4)), (Fraction(1, 8),), 1),
+    Specialization.finite((), (Fraction(2, 3), Fraction(1, 5)), 1),
+    Specialization(
+        GeometricSpread((Fraction(1, 3),), Fraction(5, 2)),
+        GeometricSpread((Fraction(1, 4), Fraction(1, 6)), 3),
+        Fraction(1),
+    ),
+]
+
+
+@pytest.mark.parametrize("sp", _BLOCK_SPECIALIZATIONS)
+def test_block_value_matches_the_stretched_modified_q(sp):
+    # the composition the block value was defined by: Q' at t = q**-d, its
+    # indices stretched by d, then specialized
+    for q in (Fraction(2), Fraction(3), Fraction(4), Fraction(5, 2)):
+        for d in (1, 2, 3):
+            for n in range(9):
+                for lam in partitions_of(n):
+                    f = plethysm_pl(modified_hl_q(lam, q**-d), d)
+                    expected = q ** (d * n_stat(lam)) * sp.apply(f)
+                    assert unipotent_block_value(sp, d, lam, q) == expected, (q, d, lam)
+
+
+def test_warm_block_value_builds_no_power_sum_element(monkeypatch):
+    sp = _BLOCK_SPECIALIZATIONS[0]
+    unipotent_block_value(sp, 2, (3, 2, 1), 3)
+    built = []
+    init = PowerSumElement.__init__
+
+    def counted(self, terms=None):
+        built.append(terms)
+        init(self, terms)
+
+    monkeypatch.setattr(PowerSumElement, "__init__", counted)
+    unipotent_block_value(sp, 2, (3, 2, 1), 3)
+    assert built == []
 
 
 def test_unipotent_trace_values():
@@ -292,3 +332,5 @@ def test_class_vector_denominator_divides_the_power_sums():
     sp = Specialization.finite((HALF, Fraction(1, 4)), (Fraction(1, 8),), 1)
     for n in range(COEFFICIENT_DEGREE_CAP + 1):
         assert factorial(n) * 8**n % _class_vector(sp, n)[0] == 0, n
+    # 20! * 8**20, the figure at the degree cap
+    assert _class_vector(sp, COEFFICIENT_DEGREE_CAP)[0].bit_length() == 122
