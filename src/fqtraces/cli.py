@@ -23,6 +23,7 @@ from fqtraces.measures import (
 from fqtraces.partitions import format_partition, n_stat, parse_partition, size, transpose
 from fqtraces.specializations import Specialization, check_q_power
 from fqtraces.symfunc import (
+    EXACT_HL_DEGREE_CAP,
     hl_q_in_p,
     kostka,
     kostka_foulkes,
@@ -47,6 +48,11 @@ from fqtraces.oracle import families_enumerate
 # like q**size; at these caps it was at most 1.7 s in process (Python 3.11,
 # 2 vCPU), and one size more took 2.8 s at q = 3 and 4.2-24 s elsewhere.
 BIREGULAR_MAX_SIZE = {2: 12, 3: 7, 4: 6, 5: 5, 7: 4, 8: 4, 9: 4}
+
+# kostka-foulkes enumerates every tableau, at 33-58 us each for shapes of
+# degree 10-13 (in process, Python 3.11, 2 vCPU): 20000 of them take about
+# 1 s.  Their number, a Kostka number, takes at most a few ms to count.
+KOSTKA_FOULKES_TABLEAU_CAP = 20_000
 
 
 class CliError(Exception):
@@ -200,6 +206,11 @@ def _check_dimension(family: DiagramFamily, q: Fraction):
     q**(dh) - 1 < q**(dh), and the hooks of lam sum to |lam| + n(lam) +
     n(lam').  For q = a/b, j is the least with q**j >= a / (a - b): 1 for
     integer q.  A j past k leaves E negative, so the search stops there.
+
+    Near q = 1 that bound says little, but the denominator is exact: the
+    dimension is a monic integer polynomial in q of degree
+    D = k(k-1)/2 - S, so at q = a/b with b > 1 its reduced denominator is
+    b**D, and b**D >= 10**limit is refused.
     """
     q = check_dimension(family, q)
     a, b = q.numerator, q.denominator
@@ -209,6 +220,28 @@ def _check_dimension(family: DiagramFamily, q: Fraction):
         j += 1
     s = sum(d * n_stat(transpose(lam)) for _, d, lam in family.blocks)
     _check_power_digits(q, k * (k + 1) // 2 - (j + 1) * k - s)
+    limit = _digit_limit()
+    e = k * (k - 1) // 2 - s
+    # b**e >= 2**((bits of b - 1) * e), and 2**(4 limit) > 10**limit; below
+    # that bound b**e has at most 8 limit bits, and is compared exactly
+    if limit and b > 1 and ((b.bit_length() - 1) * e >= 4 * limit or b**e >= 10**limit):
+        raise _too_long(limit)
+
+
+def _check_tableau_count(shape, content):
+    """Refuse, before enumeration, a charge polynomial over too many tableaux.
+
+    What :func:`kostka_foulkes` refuses itself, a degree above its cap or
+    sizes that differ, is left to it, so its messages come first.
+    """
+    n = size(shape)
+    if n > EXACT_HL_DEGREE_CAP or n != size(content):
+        return
+    count = kostka(shape, content)
+    if count > KOSTKA_FOULKES_TABLEAU_CAP:
+        raise ValueError(
+            f"kostka-foulkes capped at {KOSTKA_FOULKES_TABLEAU_CAP} tableaux; got {count}"
+        )
 
 
 def _cell(c) -> str:
@@ -348,6 +381,7 @@ def _run(args) -> int:
     elif args.command == "kostka":
         rows = [{"value": _exact(kostka(args.shape, args.content))}]
     elif args.command == "kostka-foulkes":
+        _check_tableau_count(args.shape, args.content)
         coeffs = list(kostka_foulkes(args.shape, args.content))
         header = ["power", "coeff"]
         if fmt == "json":  # one row holding the whole list

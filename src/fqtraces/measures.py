@@ -11,11 +11,13 @@ times the Q weight W(lam), a specialized Hall-Littlewood Q function.
 Each :class:`MeasureParams` resolves, once, to the object of its family
 that computes W: closed forms for the Haar, delta and single-row
 families, at any level, and the exact Hall-Littlewood expansion up to
-its degree cap for every other parameter set.  In trace coordinates the
-same probability is the trace's value on the unipotent class lam times
-q**(-n(n-1)/2); :func:`fqtraces.traces.unipotent_block_value` reads that
-value off the same kept Q_lam(1/q) as the weight, with each p_k(sp)
-divided by 1 - q**-k, in integers.
+its degree cap for every other parameter set: one integer dot product
+of the kept row of Q_lam(1/q) with the vector of the level's p_rho.  In
+trace coordinates the same probability is the trace's value on the
+unipotent class lam times q**(-n(n-1)/2);
+:func:`fqtraces.traces.unipotent_block_value` reads that value off the
+same kept row as the weight, dotted with the p_rho of a view that divides
+each p_k(sp) by 1 - q**-k.
 
 The growth of the Jordan type under adding one row and column is an
 explicit Markov chain on Young diagrams.  A family is a weight W plus a
@@ -51,6 +53,7 @@ from fqtraces.partitions import (
     box_additions,
     check_partition,
     n_stat,
+    partitions_of,
     size,
     transpose,
 )
@@ -62,25 +65,41 @@ from fqtraces.specializations import (
     _check_weakly_decreasing_nonneg,
     check_q,
     check_q_power,
+    row_value,
 )
-from fqtraces.symfunc import EXACT_HL_DEGREE_CAP, hl_q_in_p
+from fqtraces.symfunc import EXACT_HL_DEGREE_CAP, hl_q_row
 from fqtraces.traces import unipotent_block_value
 
 
 @dataclass(frozen=True)
 class _KeptSpecialization(Specialization):
-    """A specialization that reads each p_k from its providers once and keeps its pair.
+    """A specialization that keeps each p_k pair, and the level vectors of a row build.
 
-    A parameter set's weights read the same p_k for every diagram; the
-    specializations made per request elsewhere read each once per call.
+    A parameter set's weights read the same p_k for every diagram, and
+    every diagram of one level the same products p_rho: the vector of
+    level n is (E, [E * p_rho for rho in partitions_of(n)]), built from
+    the kept pairs, and a weight is one integer dot product of it with the
+    kept row of Q.  A transition row's weights share the vectors of its
+    two levels, and ``_Generic`` drops them once the row is built; a
+    weight asked for outside a row build leaves its level's vector until
+    the next one.  Kept for good on every parameter set a traces-warm run
+    holds, they raised its peak RSS by 3.4 MiB, about 10 %.  The
+    specializations made per request elsewhere read each p_k once per
+    call.
     """
 
     known: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def power_pair(self, k: int) -> tuple[int, int]:
         if k not in self.known:
             self.known[k] = super().power_pair(k)
         return self.known[k]
+
+    def level_vector(self, n: int) -> tuple[int, list[int]]:
+        if n not in self.levels:
+            self.levels[n] = self.power_products(partitions_of(n))
+        return self.levels[n]
 
 
 @dataclass(frozen=True)
@@ -100,6 +119,8 @@ class MeasureParams:
     # of eq, hash and repr, which stay those of (r, c, q)
     family: object = field(init=False, repr=False, compare=False)
     _spec: Specialization = field(init=False, repr=False, compare=False)
+    # hash((r, c, q)), taken once: every hl_weight lookup hashes its key
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = check_q(self.q)
@@ -120,6 +141,10 @@ class MeasureParams:
         object.__setattr__(self, "family", _resolve_family(self))
         beta = GeometricSpread(c, q) if c else EMPTY
         object.__setattr__(self, "_spec", _KeptSpecialization(r, beta, Fraction(1)))
+        object.__setattr__(self, "_hash", hash((r, c, q)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def haar(cls, q) -> "MeasureParams":
@@ -177,10 +202,12 @@ def extension_count(lam: Partition, mu: Partition, q) -> Fraction:
 def hl_weight(params: MeasureParams, lam: Partition) -> Fraction:
     """Specialized Hall-Littlewood Q weight, through the exact expansion.
 
-    Above the degree cap of :func:`hl_q_in_p` it raises before any work; the
-    closed-form families below have no cap.
+    One integer dot product of the kept row of Q_lam(1/q) with the vector
+    of the level's p_rho from the kept specialization.  Above the degree cap of :func:`hl_q_row`
+    it raises before any work; the closed-form families below have no cap.
     """
-    return params.specialization().apply(hl_q_in_p(lam, 1 / params.q))
+    row = hl_q_row(lam, 1 / params.q)
+    return row_value(row, params.specialization().level_vector(size(lam)))
 
 
 # Bound on the largest power of q a cylinder probability builds,
@@ -244,11 +271,14 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 # of the next block, or len(lam).  ``_Generic`` builds that row from
 # ``weight`` for every family, keeps it, and by default steps by searching
 # it; its own weight is :func:`hl_weight`, called by its module name so that
-# wrappers installed on it see every call.  The Haar, delta and single-row
-# families subclass it with closed-form weights, valid at any level, and
-# step without building the row: the delta and single-row chains have one
-# successor, and the Haar row telescopes (see ``_Haar.step``).  ``_Haar.row``
-# is the one closed-form row, for speed (see there).
+# wrappers installed on it see every call.  A row's weights come from the
+# vectors of two levels, the source's and the successors', which the kept
+# specialization shares among them and drops once the row is built.  The
+# Haar, delta and single-row families subclass it with closed-form weights,
+# valid at any level, and step without building the row: the delta and
+# single-row chains have one successor, and the Haar row telescopes (see
+# ``_Haar.step``).  ``_Haar.row`` is the one closed-form row, for speed (see
+# there).
 
 
 _U64 = 2**64
@@ -300,16 +330,20 @@ class _Generic:
         return add_box(lam, i + 1)
 
     def _build_row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
-        source = self.weight(lam)
-        if source <= 0:
-            raise _zero_source(lam)
-        scale = 1 / (source * self.keep)
-        probs = []
-        for k, i in enumerate(rows):
-            p = self.weight(add_box(lam, i + 1)) * scale
-            if i < len(lam):
-                p *= 1 - self.q ** (i - rows[k + 1])
-            probs.append(p)
+        try:
+            source = self.weight(lam)
+            if source <= 0:
+                raise _zero_source(lam)
+            scale = 1 / (source * self.keep)
+            probs = []
+            for k, i in enumerate(rows):
+                p = self.weight(add_box(lam, i + 1)) * scale
+                if i < len(lam):
+                    p *= 1 - self.q ** (i - rows[k + 1])
+                probs.append(p)
+        finally:
+            # the level vectors the weights shared (see _KeptSpecialization)
+            self.params.specialization().levels.clear()
         den = lcm(*(p.denominator for p in probs))
         return den, [p.numerator * (den // p.denominator) for p in probs]
 

@@ -9,21 +9,25 @@ The two parameter sequences are represented by "power sum providers" so
 that infinite geometric-spread families can be evaluated in closed form
 alongside explicit finite sequences.
 
-Evaluation is integer arithmetic over one denominator.  A provider sums
-the k-th powers of its sequence as integers over the sequence's common
-denominator and returns p_k as an integer pair (N, D), not reduced; the
-specialization joins its two sides over the lcm of their D.  A call reads
-each distinct p_k it needs once as such a pair and puts the products
-p_rho over one common denominator E, the lcm of their denominators;
-:meth:`Specialization.apply` puts the coefficients of its argument over
-one denominator C, sums each term as a product of integers, and builds a
-single `Fraction` at the end.  :meth:`Specialization.power_sum` is the
-one `Fraction` view of a p_k.
+Evaluation is integer arithmetic over one denominator.  A provider puts
+its sequence over the common denominator once, when it is made, sums
+the k-th powers of those integers and returns p_k as an integer pair
+(N, D), not reduced; the specialization joins its two sides over the lcm
+of their D.  :meth:`Specialization.power_products` reads each distinct
+p_k it needs once as such a pair and puts the products p_rho over one
+common denominator E, the lcm of their denominators.  An integer
+coefficient row over the same p_rho, such as a kept Hall-Littlewood Q,
+is evaluated by :func:`row_value` as one integer dot product and a
+single `Fraction` at the end.  :meth:`Specialization.apply` does the same
+for a :class:`PowerSumElement`, whose coefficients it first puts over
+one denominator C.  :meth:`Specialization.power_sum` is the one
+`Fraction` view of a p_k.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from fqtraces.symfunc import PowerSumElement
 
@@ -65,10 +69,10 @@ def _check_weakly_decreasing_nonneg(values, what: str):
             raise ValueError(f"{what} must be weakly decreasing")
 
 
-def _integer_power_sum(values: tuple[Fraction, ...], k: int) -> tuple[int, int]:
-    """(N, D**k) with sum(v**k for v in values) = N / D**k, D the values' common denominator."""
+def _over_common_denominator(values: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
+    """(D, (D * v for v in values)), D the values' common denominator."""
     den = lcm(*(v.denominator for v in values))
-    return sum((v.numerator * (den // v.denominator)) ** k for v in values), den**k
+    return den, tuple(v.numerator * (den // v.denominator) for v in values)
 
 
 @dataclass(frozen=True)
@@ -76,9 +80,15 @@ class FinitePowerSums:
     """Power sums of an explicit finite sequence."""
 
     values: tuple[Fraction, ...]
+    # the values over their common denominator, built once
+    _scaled: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_scaled", _over_common_denominator(self.values))
 
     def power_pair(self, k: int) -> tuple[int, int]:
-        return _integer_power_sum(self.values, k)
+        den, nums = self._scaled
+        return sum(v**k for v in nums), den**k
 
     def frequencies(self, count: int) -> list[Fraction]:
         return _largest(self.values, count)
@@ -98,17 +108,20 @@ class GeometricSpread:
 
     seq: tuple[Fraction, ...]
     q: Fraction
+    # the sequence over its common denominator, built once
+    _scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "seq", _as_fractions(self.seq))
         object.__setattr__(self, "q", check_q(self.q))
         _check_weakly_decreasing_nonneg(self.seq, "spread sequence")
+        object.__setattr__(self, "_scaled", _over_common_denominator(self.seq))
 
     def power_pair(self, k: int) -> tuple[int, int]:
         # for q = a/b, (1 - 1/q)**k / (1 - q**-k) = (a - b)**k / (a**k - b**k)
         a, b = self.q.numerator, self.q.denominator
-        head, den = _integer_power_sum(self.seq, k)
-        return (a - b) ** k * head, (a**k - b**k) * den
+        den, nums = self._scaled
+        return (a - b) ** k * sum(v**k for v in nums), (a**k - b**k) * den**k
 
     def frequencies(self, count: int) -> list[Fraction]:
         """The ``count`` largest entries of the array, in decreasing order."""
@@ -118,6 +131,19 @@ class GeometricSpread:
 
 
 EMPTY = FinitePowerSums(())
+
+
+def row_value(row: tuple[int, tuple[int, ...]], vector: tuple[int, list[int]]) -> Fraction:
+    """sum_i c_i p_i for c_i = row[1][i] / row[0] and p_i = vector[1][i] / vector[0].
+
+    One integer dot product over the product of the two denominators, and
+    one `Fraction` at the end.  The row is an integer coefficient row such
+    as :func:`fqtraces.symfunc.hl_q_row` gives, and the vector the values of
+    the p_rho in the same order, such as :meth:`Specialization.power_products`
+    gives.
+    """
+    (den, coeffs), (e, values) = row, vector
+    return Fraction(sum(map(mul, coeffs, values)), den * e)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,11 @@ expansion is one integer dot product per row over a common denominator.
 Hall-Littlewood Q functions come from Jing's vertex operator, Q_lam =
 H_{lam_1} Q_{lam[1:]} on the kept Q of the tail, up to
 :data:`EXACT_HL_DEGREE_CAP`; each step is computed in integers over one
-denominator.  The modified Q functions rescale each ``p_k`` by
-``1/(1 - t**k)``.  Kostka numbers count tableaux by a recursion over
+denominator, and each Q_lam(t) is kept as an integer row (D, c_rho) in
+``partitions_of(|lam|)`` order.  Specializations evaluate that row as one
+integer dot product; :func:`hl_q_in_p` and the modified Q functions,
+which rescale each ``p_k`` by ``1/(1 - t**k)``, are `Fraction` views of
+it.  Kostka numbers count tableaux by a recursion over
 horizontal strips; charge-weighted Kostka polynomials
 (:class:`TPolynomial`) come from tableau enumeration, up to the same degree
 cap, and are the independent check on the operator.
@@ -24,7 +27,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from fqtraces.partitions import (
     Partition,
@@ -433,71 +436,85 @@ def check_hl_degree(n: int):
 
 
 @cache
-def _hl_q(lam: Partition, t: Fraction) -> PowerSumElement:
-    """Q_lam(t) = H_{lam_1} Q_{lam[1:]}, for a checked lam and a `Fraction` t.
+def _hl_q(lam: Partition, t: Fraction) -> tuple[int, tuple[int, ...]]:
+    """Q_lam(t) = H_{lam_1} Q_{lam[1:]} as (D, row), for a checked lam and a `Fraction` t.
 
-    The tail comes from this memo and is put over the least common
-    denominator D of its coefficients, so it is carried as integers over
-    D.  The step stays in integers: the denominator b**N * N! of q_N
-    divides that of every q_N' with N' >= N, so every term is lifted to
-    the largest one.  Fractions are built only for the result.
+    The coefficient of p_rho is row[i] / D, with rho the i-th partition of
+    ``partitions_of(|lam|)``; D and the row are divided by their gcd, so D
+    is the least common denominator of the coefficients.  The tail comes
+    from this memo as such a row.  The step stays in integers: the
+    denominator b**N * N! of q_N divides that of every q_N' with N' >= N,
+    so every term is lifted to the largest one.
     """
     if not lam:
-        return PowerSumElement.one()
-    tail = _hl_q(lam[1:], t)
-    if not tail:  # Q_lam = 0, as at t = 1 for every lam but ()
-        return tail
-    den = lcm(*(c.denominator for c in tail.terms.values()))
-    f = {rho: c.numerator * (den // c.denominator) for rho, c in tail.terms.items()}
-    n = lam[0]
+        return 1, (1,)
+    n = size(lam)
+    tail_den, tail = _hl_q(lam[1:], t)
+    if not any(tail):  # Q_lam = 0, as at t = 1 for every lam but ()
+        return 1, (0,) * len(partitions_of(n))
+    f = {rho: c for rho, c in zip(partitions_of(n - lam[0]), tail) if c}
     parts = _translate(f)
-    top = _q_series(n + max(parts), t)[0]
+    top = _q_series(lam[0] + max(parts), t)[0]
     out: dict[Partition, int] = {}
     for m, fm in parts.items():
-        q_den, series = _q_series(n + m, t)
+        q_den, series = _q_series(lam[0] + m, t)
         scale = top // q_den
         for rho, a in series:
             a *= scale
             for sigma, b in fm.items():
                 key = tuple(sorted(rho + sigma, reverse=True))
                 out[key] = out.get(key, 0) + a * b
-    den *= top
-    # keyed by the tuples of partitions_of, which every Q of the degree shares
-    return PowerSumElement(
-        {rho: Fraction(out[rho], den) for rho in partitions_of(size(lam)) if out.get(rho)}
-    )
+    row = [out.get(rho, 0) for rho in partitions_of(n)]
+    den = tail_den * top
+    g = gcd(den, *row)
+    return den // g, tuple(c // g for c in row)
 
 
-def hl_q_in_p(lam: Partition, t) -> PowerSumElement:
-    """Hall-Littlewood Q function at an exact rational parameter t.
+def hl_q_row(lam: Partition, t) -> tuple[int, tuple[int, ...]]:
+    """Hall-Littlewood Q_lam(t) at an exact rational t, as integers (D, row).
 
     Built by Jing's vertex operator (Adv. Math. 87, 1991; Macdonald III.5),
     Q_lam = H_{lam_1} Q_{lam[1:]} down to Q_() = 1, where
     H_n f = sum_m q_{n+m} f_m with q_N from :func:`_q_series` and f_m from
-    :func:`_translate`.  Every Q_lam(t) is kept in one memo, keyed on
+    :func:`_translate`.  The coefficient of p_rho is row[i] / D, rho the
+    i-th partition of ``partitions_of(|lam|)`` and D the least common
+    denominator.  Every Q_lam(t) is kept in one memo, keyed on
     (lam, Fraction(t)), so each lam builds on the kept Q of its tail and a
-    repeated query costs a lookup.  The memo returns the same object to
-    every caller, which must not change it.
+    repeated query costs a lookup.  Specialized, Q_lam is one integer dot
+    product of the row with the level's p_rho over one denominator.
     """
     lam = check_partition(lam)
     check_hl_degree(size(lam))
     return _hl_q(lam, Fraction(t))
 
 
+def hl_q_in_p(lam: Partition, t) -> PowerSumElement:
+    """Hall-Littlewood Q function at an exact rational t: a view of :func:`hl_q_row`."""
+    lam = check_partition(lam)
+    den, row = hl_q_row(lam, t)
+    return PowerSumElement(
+        {rho: Fraction(c, den) for rho, c in zip(partitions_of(size(lam)), row) if c}
+    )
+
+
 def modified_hl_q(lam: Partition, t) -> PowerSumElement:
     """Modified Q function: rescale the p_rho coefficient by prod 1/(1 - t**rho_i)."""
     t = Fraction(t)
+    lam = check_partition(lam)
+    n = size(lam)
     # the only rational roots of unity are 1 and -1, so k <= 2 suffices
-    for k in range(1, min(2, size(check_partition(lam))) + 1):
+    for k in range(1, min(2, n) + 1):
         if t**k == 1:
             raise ValueError(f"t = {t} has t**{k} = 1; modified Q is undefined")
     # 1/(1 - t**k) = b**k / (b**k - a**k) for t = a/b
     a, b = t.numerator, t.denominator
-    scale = b ** size(lam)
+    den, row = hl_q_row(lam, t)
+    scale = b**n
     return PowerSumElement(
         {
-            rho: Fraction(c.numerator * scale, c.denominator * prod(b**k - a**k for k in rho))
-            for rho, c in hl_q_in_p(lam, t).terms.items()
+            rho: Fraction(c * scale, den * prod(b**k - a**k for k in rho))
+            for rho, c in zip(partitions_of(n), row)
+            if c
         }
     )
 

@@ -9,13 +9,18 @@ denotes the eigenvalue-one (unipotent) block.
 The quantities computed here are rational functions of q evaluated
 exactly: dimensions by the q-hook formula, values of the extreme
 unipotent traces through modified Hall-Littlewood specializations, and
-the coefficient expansions of traces over irreducible characters.
+the coefficient expansions of traces over irreducible characters.  Each
+is built in integers and becomes one `Fraction` at the end: for q = a/b
+the q-hook products are an integer numerator and denominator, a block
+value is the kept integer row of Q dotted with the p_rho of a stretched,
+modified view of the specialization, and each trace coefficient is a
+row of the integer character table dotted with one class vector.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from operator import mul
 
 from fqtraces.partitions import (
     Partition,
@@ -29,8 +34,8 @@ from fqtraces.partitions import (
     size,
     z_factor,
 )
-from fqtraces.specializations import Specialization, check_q, check_q_power
-from fqtraces.symfunc import _character_table, check_hl_degree, hl_q_in_p
+from fqtraces.specializations import Specialization, check_q, check_q_power, row_value
+from fqtraces.symfunc import _character_table, check_hl_degree, hl_q_row
 
 UNIT = "x-1"
 
@@ -133,12 +138,20 @@ def _check_linear_capacity(f: DiagramFamily, q: Fraction, reserve_unit: bool = F
         )
 
 
-def q_hook_weight(lam: Partition, d: int, q: Fraction) -> Fraction:
-    """The per-block factor q**(d n(lam)) / prod (q**(d h) - 1)."""
-    value = q ** (d * n_stat(lam))
-    for h in hook_lengths(lam):
-        value /= q ** (d * h) - 1
-    return value
+def q_hook_weight(lam: Partition, d: int, q: Fraction) -> tuple[int, int]:
+    """The per-block factor q**(d n(lam)) / prod (q**(d h) - 1) as integers (N, D).
+
+    For q = a/b, q**(d h) - 1 = (a**(d h) - b**(d h)) / b**(d h), so
+    N = a**(d n(lam)) * b**(d (sum h - n(lam))) and D = prod (a**(d h) - b**(d h)),
+    not reduced.
+    """
+    a, b = q.numerator, q.denominator
+    hooks = hook_lengths(lam)
+    n = n_stat(lam)
+    den = 1
+    for h, m in Counter(hooks).items():
+        den *= (a ** (d * h) - b ** (d * h)) ** m
+    return a ** (d * n) * b ** (d * (sum(hooks) - n)), den
 
 
 # Bounds on the powers of q that `dim` and `trace` build, in bits of
@@ -171,13 +184,20 @@ def green_dimension(f: DiagramFamily, q) -> Fraction:
     prime power (not enforced here -- q is treated as a rational).
     """
     q = check_dimension(f, q)
+    a, b = q.numerator, q.denominator
     k = f.degree
-    value = Fraction(1)
-    for i in range(1, k + 1):
-        value *= q**i - 1
+    # prod (q**i - 1) for i <= k, over b**(k (k + 1) / 2)
+    num = prod(a**i - b**i for i in range(1, k + 1))
+    return _with_hook_weights(f, q, num, b ** (k * (k + 1) // 2))
+
+
+def _with_hook_weights(f: DiagramFamily, q: Fraction, num: int, den: int) -> Fraction:
+    """num / den times every block's :func:`q_hook_weight`, as one `Fraction`."""
     for _, d, lam in f.blocks:
-        value *= q_hook_weight(lam, d, q)
-    return value
+        n, m = q_hook_weight(lam, d, q)
+        num *= n
+        den *= m
+    return Fraction(num, den)
 
 
 def branching_predecessors(f: DiagramFamily, variant: str) -> list[DiagramFamily]:
@@ -237,18 +257,19 @@ def unipotent_block_value(sp: Specialization, d: int, lam: Partition, q) -> Frac
     specialization of the degree-stretched modified Q function at
     parameter t = q**(-d).  The modified Q'_lam is Q_lam with each p_k
     divided by 1 - t**k, and the stretch sends p_k to p_{dk}, so with
-    t = a/b the value is the kept Q_lam(t) of :func:`hl_q_in_p` evaluated
-    under p_k -> p_{dk}(sp) * b**k / (b**k - a**k), with no modified or
-    stretched copy of it built.
+    t = a/b the value is the kept integer row of Q_lam(t) from
+    :func:`hl_q_row` dotted with the p_rho of the view
+    p_k -> p_{dk}(sp) * b**k / (b**k - a**k), with no modified or
+    stretched copy of Q_lam built.
     """
     q = check_q(q)
     _check_block_size(d, lam, q)
-    if sp.power_sum(1) != 1:
+    if sp.gamma != 1:
         raise ValueError("unipotent trace values need gamma = 1")
     t = 1 / q**d
-    # through the class, so that wrappers installed on Specialization.apply
-    # see this call too
-    value = Specialization.apply(_StretchedModified(sp, d, t), hl_q_in_p(lam, t))
+    row = hl_q_row(lam, t)
+    view = _StretchedModified(sp, d, t)
+    value = row_value(row, view.power_products(partitions_of(size(lam))))
     return q ** (d * n_stat(lam)) * value
 
 
@@ -307,9 +328,9 @@ def _schur_values(sp: Specialization, n: int) -> dict[Partition, Fraction]:
     s_lam = sum_rho chi^lam(rho) p_rho / z_rho, so s_lam(sp) is the row of
     lam dotted with the class vector, over its denominator.
     """
-    den, vector = _class_vector(sp, n)
+    vector = _class_vector(sp, n)
     return {
-        lam: Fraction(sum(map(mul, row, vector)), den)
+        lam: row_value((1, row), vector)
         for lam, row in zip(partitions_of(n), _character_table(n)[0])
     }
 
@@ -326,7 +347,7 @@ def trace_coefficients(sp: Specialization, n: int) -> dict[Partition, Fraction]:
     row of the table.
     """
     _check_coefficient_degree(n)
-    if sp.power_sum(1) != 1:
+    if sp.gamma != 1:
         raise ValueError("trace coefficients need gamma = 1")
     return _schur_values(sp, n)
 
@@ -337,10 +358,9 @@ def biregular_coefficient(f: DiagramFamily, q) -> Fraction:
     if f.has_unit():
         raise ValueError("biregular weights are indexed by unit-free families")
     _check_linear_capacity(f, q, reserve_unit=True)
-    value = (q - 1) ** f.degree
-    for _, d, lam in f.blocks:
-        value *= q_hook_weight(lam, d, q)
-    return value
+    # (q - 1)**k = (a - b)**k / b**k
+    a, b = q.numerator, q.denominator
+    return _with_hook_weights(f, q, (a - b) ** f.degree, b**f.degree)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqtraces import cli, verify
-from fqtraces.cli import BIREGULAR_MAX_SIZE, main
+from fqtraces.cli import BIREGULAR_MAX_SIZE, KOSTKA_FOULKES_TABLEAU_CAP, main
 from fqtraces.measures import CHAIN_LEVEL_CAP, CHAIN_STEP_CAP
 from fqtraces.oracle import SUPPORTED_ORDERS
 from fqtraces.traces import COEFFICIENT_DEGREE_CAP, GLU_ROW_CAP
@@ -426,6 +426,9 @@ _TOO_LONG = "error: exact value has more than {} digits, the most fqtraces print
             [_column("x-1", 1, 600)],
             "error: dimensions capped at 500000 bits in powers of q; got 721200\n",
         ),
+        # q near 1: the denominators 10000**11175 and 4**44850 alone pass the limit
+        ("10001/10000", [_column("x-1", 1, 150)], _TOO_LONG),
+        ("5/4", [_column("x-1", 1, 300)], _TOO_LONG),
     ],
 )
 def test_dimension_past_the_digit_limit_exits_one_before_any_work(monkeypatch, q, family, message):
@@ -460,6 +463,16 @@ def test_kostka_above_content_cap_exits_one_at_once(shape):
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert "capped at 64 content parts" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("shape, count", [("5,4,3,2,1", 292864), ("5,4,3,2,1,1", 1153152)])
+def test_kostka_foulkes_above_tableau_cap_exits_one_at_once(shape, count):
+    ones = ",".join(["1"] * sum(int(p) for p in shape.split(",")))
+    start = time.perf_counter()
+    code, out, err = run(["kostka-foulkes", "--shape", shape, "--content", ones])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == f"error: kostka-foulkes capped at {KOSTKA_FOULKES_TABLEAU_CAP} tableaux; got {count}\n"
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)

@@ -174,6 +174,36 @@ def test_one_specialization_per_params_reads_each_power_sum_once(monkeypatch):
     assert reads == {(kind, k): 1 for kind in ("FinitePowerSums", "GeometricSpread") for k in range(2, 7)}
 
 
+def test_equal_params_share_one_hash_and_one_hl_weight_entry():
+    hl_weight.cache_clear()
+    first = MeasureParams((Fraction(1, 4),), (Fraction(1, 4),), 2)
+    second = MeasureParams([Fraction(1, 4)], [Fraction(2, 8)], Fraction(2))
+    assert first == second and first is not second and hash(first) == hash(second)
+    weight = hl_weight(first, (2, 1))
+    assert hl_weight(second, (2, 1)) is weight
+    info = hl_weight.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert weight == first.specialization().apply(hl_q_in_p((2, 1), HALF))
+
+
+def test_a_generic_row_builds_one_vector_per_level_and_keeps_none(monkeypatch):
+    hl_weight.cache_clear()
+    params = MeasureParams((Fraction(1, 4),), (Fraction(1, 8),), Fraction(5, 2))
+    sp = params.specialization()
+    levels = []
+
+    def counted(self, rhos, power_products=Specialization.power_products):
+        levels.append(size(rhos[0]))
+        return power_products(self, rhos)
+
+    monkeypatch.setattr(type(sp), "power_products", counted)
+    lam = (3, 1)
+    row = transition_distribution(params, lam)
+    # the source and three successors: one vector of each level
+    assert len(row) == 3 and sorted(levels) == [4, 5]
+    assert sp.levels == {}
+
+
 def test_cyl_prob_positivity_grid():
     grid = [
         MeasureParams((Fraction(1, 4),), (Fraction(1, 4),), 2),

@@ -1,14 +1,22 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hl_reference import apply_reference
 from hypothesis import example, given, settings, strategies as st
 
-from fqtraces.partitions import partitions_of, transpose
+from fqtraces.partitions import partitions_of, size, transpose
 from fqtraces.measures import MeasureParams
-from fqtraces.specializations import EMPTY, FinitePowerSums, GeometricSpread, Specialization
-from fqtraces.symfunc import PowerSumElement, hl_q_in_p, plethysm_pl, schur_in_p
+from fqtraces.specializations import (
+    EMPTY,
+    FinitePowerSums,
+    GeometricSpread,
+    Specialization,
+    row_value,
+)
+from fqtraces.symfunc import PowerSumElement, hl_q_in_p, hl_q_row, plethysm_pl, schur_in_p
+from fqtraces.verify import hl_q_by_charge
 
 HALF = Fraction(1, 2)
 
@@ -247,6 +255,28 @@ _EIGHTHS = FinitePowerSums((Fraction(3, 8), Fraction(1, 8)))
 )
 def test_apply_matches_fraction_reference(sp, f):
     assert sp.apply(f) == apply_reference(sp, f)
+
+
+# t = 0 (Schur), t = 1 (Q = 0 but for lam = ()), negative t, and t = 1/q as
+# the weights and trace values read it
+_T_POINTS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 5), Fraction(1, 3)]),
+    st.sampled_from([Fraction(2), Fraction(3), Fraction(5, 2), Fraction(10001, 10000)]).map(
+        lambda q: 1 / q
+    ),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_SPECIALIZATIONS, _PARTITIONS, _T_POINTS)
+def test_q_row_dot_product_equals_apply_of_the_q_view(sp, lam, t):
+    n = size(lam)
+    row = hl_q_row(lam, t)
+    assert row_value(row, sp.power_products(partitions_of(n))) == sp.apply(hl_q_in_p(lam, t))
+    assert hl_q_in_p(lam, t) == hl_q_by_charge(lam, t)
+    # D is the least common denominator of the coefficients
+    den, coeffs = row
+    assert den > 0 and gcd(den, *coeffs) == 1
 
 
 def test_power_pair_joins_the_sides_over_the_lcm():

@@ -8,7 +8,7 @@ from hl_reference import schur_value_reference
 from hypothesis import given, settings, strategies as st
 from test_golden import check_suite_golden
 
-from fqtraces.partitions import hook_lengths, n_stat, partitions_of, size
+from fqtraces.partitions import hook_lengths, n_stat, partitions_of, size, transpose
 from fqtraces.specializations import GeometricSpread, Specialization
 from fqtraces.symfunc import PowerSumElement, modified_hl_q, plethysm_pl
 from fqtraces.traces import (
@@ -87,6 +87,48 @@ def test_green_dimension_gl32_table():
 
     dims = sorted(green_dimension(f, 2) for f in families_enumerate(3, 2))
     assert dims == [1, 3, 3, 6, 7, 8]
+
+
+def _hook_weight_by_fractions(lam, d, q):
+    """q**(d n(lam)) / prod (q**(d h) - 1), one Fraction at a time."""
+    value = q ** (d * n_stat(lam))
+    for h in hook_lengths(lam):
+        value /= q ** (d * h) - 1
+    return value
+
+
+def _families_up_to(n, field=3):
+    """Every family of degree at most n over the irreducibles of F_field."""
+    from fqtraces.oracle import families_enumerate
+
+    return [f for k in range(n + 1) for f in families_enumerate(k, field)]
+
+
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(3), Fraction(5, 2), Fraction(10001, 10000)])
+def test_dimension_and_biregular_weight_equal_the_fraction_products(q):
+    # the product formulas in Fractions, factor by factor, are the oracle for
+    # the integer numerator and denominator; at integer q the families are
+    # those of F_q, so every unit-free one has room for its linear tags
+    field = q.numerator if q.denominator == 1 else 3
+    grid = _families_up_to(5, field) + [
+        family((UNIT, 1, (3, 2, 2, 1)), ("c", 2, (2, 1)), ("e", 3, (1, 1))),
+        family(("c", 2, (4, 1)), ("e", 4, (2,))),
+    ]
+    for f in grid:
+        k = f.degree
+        hooks = prod((_hook_weight_by_fractions(lam, d, q) for _, d, lam in f.blocks), start=Fraction(1))
+        assert green_dimension(f, q) == prod((q**i - 1 for i in range(1, k + 1)), start=hooks), f
+        if not f.has_unit():
+            assert biregular_coefficient(f, q) == (q - 1) ** k * hooks, f
+
+
+@pytest.mark.parametrize("q", [Fraction(3, 2), Fraction(5, 4), Fraction(10001, 10000)])
+def test_dimension_denominator_is_b_to_the_degree_in_q(q):
+    # a monic integer polynomial in q of degree k(k-1)/2 - sum d n(lam')
+    for f in _families_up_to(6):
+        k = f.degree
+        degree = k * (k - 1) // 2 - sum(d * n_stat(transpose(lam)) for _, d, lam in f.blocks)
+        assert green_dimension(f, q).denominator == q.denominator**degree, f
 
 
 def test_branching_examples():
