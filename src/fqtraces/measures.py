@@ -75,17 +75,13 @@ from fqtraces.traces import unipotent_block_value
 class _KeptSpecialization(Specialization):
     """A specialization that keeps each p_k pair, and the level vectors of a row build.
 
-    A parameter set's weights read the same p_k for every diagram, and
-    every diagram of one level the same products p_rho: the vector of
-    level n is (E, [E * p_rho for rho in partitions_of(n)]), built from
-    the kept pairs, and a weight is one integer dot product of it with the
-    kept row of Q.  A transition row's weights share the vectors of its
-    two levels, and ``_Generic`` drops them once the row is built; a
-    weight asked for outside a row build leaves its level's vector until
-    the next one.  Kept for good on every parameter set a traces-warm run
-    holds, they raised its peak RSS by 3.4 MiB, about 10 %.  The
-    specializations made per request elsewhere read each p_k once per
-    call.
+    The vector of level n is (E, [E * p_rho for rho in partitions_of(n)]),
+    built from the kept pairs; a weight is its dot product with the kept
+    row of Q.  A transition row's weights share the vectors of its two
+    levels, and ``_Generic`` drops them once the row is built; a weight
+    asked for alone leaves its vector until the next row build.  Kept for
+    good on every parameter set a traces-warm run holds, they raised its
+    peak RSS by 3.4 MiB, about 10 %.
     """
 
     known: dict = field(default_factory=dict, init=False, repr=False, compare=False)

@@ -136,11 +136,9 @@ EMPTY = FinitePowerSums(())
 def row_value(row: tuple[int, tuple[int, ...]], vector: tuple[int, list[int]]) -> Fraction:
     """sum_i c_i p_i for c_i = row[1][i] / row[0] and p_i = vector[1][i] / vector[0].
 
-    One integer dot product over the product of the two denominators, and
-    one `Fraction` at the end.  The row is an integer coefficient row such
-    as :func:`fqtraces.symfunc.hl_q_row` gives, and the vector the values of
-    the p_rho in the same order, such as :meth:`Specialization.power_products`
-    gives.
+    One integer dot product and one `Fraction`: a coefficient row such as
+    :func:`fqtraces.symfunc.hl_q_row` gives against p_rho values in the same
+    order, such as :meth:`Specialization.power_products` gives.
     """
     (den, coeffs), (e, values) = row, vector
     return Fraction(sum(map(mul, coeffs, values)), den * e)
