@@ -22,7 +22,10 @@ n <= 8.  Each invocation is
 preceded by a ``$ fqtraces ...`` line.  ``demos.txt`` holds the stdout
 of the demo scripts 01-03, each run as a script after a ``$ python
 demos/...`` line; demo 04 runs the oracle suites and is left out for its
-time.  ``verify.txt`` holds
+time.  ``cli-usage.txt`` holds the help texts and usage errors: stdout,
+stderr and exit code of the top-level ``--help``, of each command's
+``--help`` and of malformed requests, rendered with ``COLUMNS=80`` (a
+``--help`` exits through ``SystemExit``, recorded as exit 0).  ``verify.txt`` holds
 the stdout of ``fqtraces verify all``; the tests that run a suite compare
 its rows with that suite's lines there through :func:`check_suite_golden`,
 so no suite runs twice.  The files change only with an intended change of
@@ -37,7 +40,7 @@ import os
 import shlex
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,6 +98,36 @@ _GLU_PARAMS = [
     json.dumps({"entries": entries, **({"family": fam} if fam else {})})
     for entries in _GLU_ENTRIES
     for fam in _GLU_FAMILIES
+]
+
+
+# every command, each asked for its --help in the usage golden file
+COMMAND_NAMES = (
+    "dim",
+    "kostka",
+    "kostka-foulkes",
+    "hl-expand",
+    "trace",
+    "coeffs",
+    "biregular",
+    "cyl",
+    "sample",
+    "lln",
+    "verify",
+)
+_KOSTKA = ["kostka", "--shape", "2,1", "--content", "1,1,1"]
+USAGE_CASES = [
+    ["--help"],
+    ["-h", "cyl"],
+    *([name, "--help"] for name in COMMAND_NAMES),
+    [],
+    ["nope"],
+    ["--format", "xml", "cyl"],
+    ["--form", "json", *_KOSTKA],
+    ["verify", "nope"],
+    [*_KOSTKA, "--bogus"],
+    ["kostka", "--shape"],
+    ["cyl", "--q", "2"],
 ]
 
 
@@ -176,6 +209,21 @@ def render_verify() -> bytes:
     return out.getvalue().encode()
 
 
+def render_usage() -> bytes:
+    """Exit code, stdout and stderr of each usage case; help texts follow COLUMNS."""
+    out = io.StringIO()
+    for argv in USAGE_CASES:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help
+                code = exc.code
+        out.write(f"$ fqtraces {shlex.join(argv)}\n[exit {code}]\n")
+        out.write(f"[stdout]\n{stdout.getvalue()}[stderr]\n{stderr.getvalue()}")
+    return out.getvalue().encode()
+
+
 def render_demos() -> bytes:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     out = b""
@@ -206,6 +254,11 @@ def test_cli_output_matches_golden(command):
     assert render(command) == (GOLDEN / f"{command}.txt").read_bytes()
 
 
+def test_cli_usage_matches_golden(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert render_usage() == (GOLDEN / "cli-usage.txt").read_bytes()
+
+
 def test_demo_output_matches_golden():
     assert render_demos() == (GOLDEN / "demos.txt").read_bytes()
 
@@ -222,3 +275,5 @@ if __name__ == "__main__":
         (GOLDEN / f"{command}.txt").write_bytes(render(command))
     (GOLDEN / "demos.txt").write_bytes(render_demos())
     (GOLDEN / "verify.txt").write_bytes(render_verify())
+    os.environ["COLUMNS"] = "80"
+    (GOLDEN / "cli-usage.txt").write_bytes(render_usage())
