@@ -296,35 +296,30 @@ def _add_measure_flags(p):
     p.add_argument("--c", type=_fractions, default=(), help="column frequencies")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="fqtraces", description=__doc__)
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dim", help="irreducible dimension of a family")
+def _dim_flags(p):
     p.add_argument("--q", type=_fraction, required=True)
     p.add_argument("--family", type=_family, required=True)
 
-    p = sub.add_parser("kostka", help="Kostka number")
+
+def _kostka_flags(p):
     p.add_argument("--shape", type=_partition, required=True)
     p.add_argument("--content", type=_partition, required=True)
 
-    p = sub.add_parser("kostka-foulkes", help="charge polynomial, constant term first")
-    p.add_argument("--shape", type=_partition, required=True)
-    p.add_argument("--content", type=_partition, required=True)
 
-    p = sub.add_parser("hl-expand", help="Schur expansion of a Hall-Littlewood Q function")
+def _hl_expand_flags(p):
     p.add_argument("--lam", type=_partition, required=True, metavar="PARTITION")
     p.add_argument("--t", type=_fraction, required=True)
     p.add_argument("--modified", action="store_true", help="expand the modified Q function")
 
-    p = sub.add_parser("trace", help="unipotent trace value on a conjugacy class")
+
+def _trace_flags(p):
     p.add_argument("--q", type=_fraction, required=True)
     p.add_argument("--alpha", type=_fractions, default=())
     p.add_argument("--beta", type=_fractions, default=())
     p.add_argument("--class", dest="cls", type=_family, required=True)
 
-    p = sub.add_parser("coeffs", help="trace coefficients over irreducible characters")
+
+def _coeffs_flags(p):
     p.add_argument("--n", type=_count(0), required=True)
     p.add_argument("--alpha", type=_fractions, default=())
     p.add_argument("--beta", type=_fractions, default=())
@@ -335,30 +330,35 @@ def build_parser() -> _Parser:
         help='JSON {"entries": [{"label", "alpha", "beta", "gamma"}], "family": [...]}',
     )
 
-    p = sub.add_parser("biregular", help="biregular weights C(f) for unit-free families")
+
+def _biregular_flags(p):
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--max-size", type=_count(0), required=True)
 
-    p = sub.add_parser("cyl", help="cylinder probability of a Jordan type")
+
+def _cyl_flags(p):
     _add_measure_flags(p)
     p.add_argument("--lam", type=_partition, required=True, metavar="PARTITION")
     p.add_argument("--from-trace", action="store_true", help="use trace parameters instead")
     p.add_argument("--alpha", type=_fractions, default=())
     p.add_argument("--beta", type=_fractions, default=())
 
-    p = sub.add_parser("sample", help="sample one growth trajectory of Jordan types")
+
+def _sample_flags(p):
     _add_measure_flags(p)
     p.add_argument("--nmax", type=_count(0), required=True)
     p.add_argument("--seed", type=int, required=True)
 
-    p = sub.add_parser("lln", help="law-of-large-numbers experiment")
+
+def _lln_flags(p):
     _add_measure_flags(p)
     p.add_argument("--nmax", type=_count(1), required=True)
     p.add_argument("--trials", type=_count(1), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--track", type=_count(1), default=4)
 
-    p = sub.add_parser("verify", help="run named verification suites")
+
+def _verify_flags(p):
     p.add_argument(
         "suite",
         nargs="?",
@@ -369,6 +369,47 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--list", action="store_true", help="list suite names")
 
+
+# name -> (help line, function adding the command's flags to its parser)
+_COMMANDS = {
+    "dim": ("irreducible dimension of a family", _dim_flags),
+    "kostka": ("Kostka number", _kostka_flags),
+    "kostka-foulkes": ("charge polynomial, constant term first", _kostka_flags),
+    "hl-expand": ("Schur expansion of a Hall-Littlewood Q function", _hl_expand_flags),
+    "trace": ("unipotent trace value on a conjugacy class", _trace_flags),
+    "coeffs": ("trace coefficients over irreducible characters", _coeffs_flags),
+    "biregular": ("biregular weights C(f) for unit-free families", _biregular_flags),
+    "cyl": ("cylinder probability of a Jordan type", _cyl_flags),
+    "sample": ("sample one growth trajectory of Jordan types", _sample_flags),
+    "lln": ("law-of-large-numbers experiment", _lln_flags),
+    "verify": ("run named verification suites", _verify_flags),
+}
+
+
+class _Command:
+    """A command's parser, built afresh by each parse that reaches its name.
+
+    The top-level parser lists every command's name and help line, but a
+    request builds the flags of its own command only.  Nothing is kept
+    between parses.
+    """
+
+    def __init__(self, add_flags, **kwargs):
+        self.add_flags = add_flags
+        self.kwargs = kwargs  # prog, and whatever else argparse passes a parser
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = _Parser(**self.kwargs)
+        self.add_flags(parser)
+        return parser.parse_known_args(args, namespace)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="fqtraces", description=__doc__)
+    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    for name, (line, add_flags) in _COMMANDS.items():
+        sub.add_parser(name, help=line, add_flags=add_flags)
     return parser
 
 

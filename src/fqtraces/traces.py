@@ -186,18 +186,22 @@ def green_dimension(f: DiagramFamily, q) -> Fraction:
     q = check_dimension(f, q)
     a, b = q.numerator, q.denominator
     k = f.degree
-    # prod (q**i - 1) for i <= k, over b**(k (k + 1) / 2)
-    num = prod(a**i - b**i for i in range(1, k + 1))
-    return _with_hook_weights(f, q, num, b ** (k * (k + 1) // 2))
+    weight, hooks = _hook_weights(f, q)
+    # prod (q**i - 1) for i <= k, over b**(k (k + 1) / 2); the hook factors
+    # divide it as polynomials in q, so their homogeneous forms in a and b
+    # divide exactly too, and the Fraction's gcd sees no hook product
+    num = prod(a**i - b**i for i in range(1, k + 1)) // hooks
+    return Fraction(num * weight, b ** (k * (k + 1) // 2))
 
 
-def _with_hook_weights(f: DiagramFamily, q: Fraction, num: int, den: int) -> Fraction:
-    """num / den times every block's :func:`q_hook_weight`, as one `Fraction`."""
+def _hook_weights(f: DiagramFamily, q: Fraction) -> tuple[int, int]:
+    """The product of every block's :func:`q_hook_weight`, as integers (N, D)."""
+    weight = hooks = 1
     for _, d, lam in f.blocks:
         n, m = q_hook_weight(lam, d, q)
-        num *= n
-        den *= m
-    return Fraction(num, den)
+        weight *= n
+        hooks *= m
+    return weight, hooks
 
 
 def branching_predecessors(f: DiagramFamily, variant: str) -> list[DiagramFamily]:
@@ -358,9 +362,10 @@ def biregular_coefficient(f: DiagramFamily, q) -> Fraction:
     if f.has_unit():
         raise ValueError("biregular weights are indexed by unit-free families")
     _check_linear_capacity(f, q, reserve_unit=True)
-    # (q - 1)**k = (a - b)**k / b**k
+    # (q - 1)**k = (a - b)**k / b**k; not a polynomial in q, so reduced by gcd
     a, b = q.numerator, q.denominator
-    return _with_hook_weights(f, q, (a - b) ** f.degree, b**f.degree)
+    weight, hooks = _hook_weights(f, q)
+    return Fraction((a - b) ** f.degree * weight, b**f.degree * hooks)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,19 @@ def test_kostka_commands():
     assert out == "power,coeff\n0,0\n1,1\n2,1\n"
 
 
+def test_a_request_builds_the_top_level_parser_and_its_own_command_only(monkeypatch):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, **kwargs):
+            built.append(kwargs["prog"])
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    assert run(["kostka", "--shape", "2,1", "--content", "1,1,1"]) == (0, "2\n", "")
+    assert built == ["fqtraces", "fqtraces kostka"]
+
+
 def test_hl_expand():
     code, out, _ = run(["hl-expand", "--lam", "1,1", "--t", "1/2", "--modified"])
     assert code == 0

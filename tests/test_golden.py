@@ -189,8 +189,8 @@ def invocations(command: str) -> list[list[str]]:
 
 
 def render(command: str) -> bytes:
-    # one parser for every invocation: building it costs more than most of
-    # the commands pinned here, and parsing leaves it unchanged
+    # one parser for every invocation: parsing leaves it unchanged, and each
+    # parse builds the flags of its own command afresh
     parser = build_parser()
     out = io.StringIO()
     for argv in invocations(command):
