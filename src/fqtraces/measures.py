@@ -21,9 +21,10 @@ each p_k(sp) by 1 - q**-k.
 
 The growth of the Jordan type under adding one row and column is an
 explicit Markov chain on Young diagrams.  A family is a weight W plus a
-step: one builder turns any family's weights into the chain's transition
-row out of a diagram, the extension counts times the Q-weight ratios as
-integer numerators over their least common denominator, and keeps it.
+step: one builder, shared by every family, turns the weights of a
+diagram's level and of its successors' level into the chain's transition
+row out of it, the extension counts times the Q-weight ratios as integer
+numerators over their least common denominator, and keeps it.
 The Haar family alone overrides that row with its closed form in q,
 which is about 15 times faster.  Everything except the Monte Carlo
 summary statistics is exact.  A step of the chain draws a uniform variate
@@ -73,29 +74,14 @@ from fqtraces.traces import unipotent_block_value
 
 @dataclass(frozen=True)
 class _KeptSpecialization(Specialization):
-    """A specialization that keeps each p_k pair, and the level vectors of a row build.
-
-    The vector of level n is (E, [E * p_rho for rho in partitions_of(n)]),
-    built from the kept pairs; a weight is its dot product with the kept
-    row of Q.  A transition row's weights share the vectors of its two
-    levels, and ``_Generic`` drops them once the row is built; a weight
-    asked for alone leaves its vector until the next row build.  Kept for
-    good on every parameter set a traces-warm run holds, they raised its
-    peak RSS by 3.4 MiB, about 10 %.
-    """
+    """A specialization that reads each p_k once and keeps it as an integer pair."""
 
     known: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def power_pair(self, k: int) -> tuple[int, int]:
         if k not in self.known:
             self.known[k] = super().power_pair(k)
         return self.known[k]
-
-    def level_vector(self, n: int) -> tuple[int, list[int]]:
-        if n not in self.levels:
-            self.levels[n] = self.power_products(partitions_of(n))
-        return self.levels[n]
 
 
 @dataclass(frozen=True)
@@ -194,16 +180,25 @@ def extension_count(lam: Partition, mu: Partition, q) -> Fraction:
 # Cylinder probabilities
 
 
+def _hl_weights(params: MeasureParams, n: int, lams) -> list[Fraction]:
+    # the rows first: above the degree cap of hl_q_row it raises before any work
+    t = 1 / params.q
+    rows = [hl_q_row(lam, t) for lam in lams]
+    vector = params.specialization().power_products(partitions_of(n))
+    return [row_value(row, vector) for row in rows]
+
+
 @cache
 def hl_weight(params: MeasureParams, lam: Partition) -> Fraction:
     """Specialized Hall-Littlewood Q weight, through the exact expansion.
 
-    One integer dot product of the kept row of Q_lam(1/q) with the vector
-    of the level's p_rho from the kept specialization.  Above the degree cap of :func:`hl_q_row`
-    it raises before any work; the closed-form families below have no cap.
+    One integer dot product of the kept row of Q_lam(1/q) with the level's
+    vector (E, [E * p_rho for rho in partitions_of(n)]), built from the kept
+    specialization for the call and not kept.  The one-diagram case of the
+    generic family's weights, memoized for :func:`cyl_prob` and ``verify``;
+    above the degree cap of :func:`hl_q_row` it raises before any work.
     """
-    row = hl_q_row(lam, 1 / params.q)
-    return row_value(row, params.specialization().level_vector(size(lam)))
+    return _hl_weights(params, size(lam), [lam])[0]
 
 
 # Bound on the largest power of q a cylinder probability builds,
@@ -264,17 +259,16 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 #
 # without the bracket at j = 1.  A box lengthening the block of equal rows
 # whose top row is i (0-based) has lam'_j = i, and lam'_{j-1} is the top row
-# of the next block, or len(lam).  ``_Generic`` builds that row from
-# ``weight`` for every family, keeps it, and by default steps by searching
-# it; its own weight is :func:`hl_weight`, called by its module name so that
-# wrappers installed on it see every call.  A row's weights come from the
-# vectors of two levels, the source's and the successors', which the kept
-# specialization shares among them and drops once the row is built.  The
-# Haar, delta and single-row families subclass it with closed-form weights,
-# valid at any level, and step without building the row: the delta and
-# single-row chains have one successor, and the Haar row telescopes (see
-# ``_Haar.step``).  ``_Haar.row`` is the one closed-form row, for speed (see
-# there).
+# of the next block, or len(lam).  ``_Family`` builds that row from the
+# weights of two levels, ``weights(n, lams)`` once for the source and once
+# for its successors, keeps it, and by default steps by searching it.
+# ``_Generic``'s weights share one vector of p_rho per level (see
+# :func:`hl_weight`), and its ``weight`` is :func:`hl_weight`, called by its
+# module name so that wrappers installed on it see every call.  The Haar,
+# delta and single-row families have closed-form weights, valid at any
+# level, and step without building the row: the delta and single-row chains
+# have one successor, and the Haar row telescopes (see ``_Haar.step``).
+# ``_Haar.row`` is the one closed-form row, for speed (see there).
 
 
 _U64 = 2**64
@@ -289,13 +283,12 @@ def _zero_source(lam: Partition) -> ValueError:
     return ValueError(f"source class {lam} has zero probability")
 
 
-class _Generic:
-    """Any parameter set: the exact Hall-Littlewood weight, up to its cap.
+class _Family:
+    """The base of every family: its transition rows, built from ``weights``.
 
-    Each diagram's transition row is built from ``weight`` once and kept,
-    since a chain revisits the few diagrams below the cap at every trial;
-    searching it is the default ``step``.  The closed-form families
-    subclass this one with their own ``weight`` and ``step``.
+    Each diagram's row is built once and kept, since a chain revisits the
+    few diagrams below the cap at every trial; searching it is the default
+    ``step``.  A subclass defines ``weight``.
     """
 
     def __init__(self, params: MeasureParams):
@@ -304,8 +297,8 @@ class _Generic:
         self.keep = 1 - 1 / params.q
         self.built_rows: dict[Partition, tuple[int, list[int]]] = {}
 
-    def weight(self, lam: Partition) -> Fraction:
-        return hl_weight(self.params, lam)
+    def weights(self, n: int, lams) -> list[Fraction]:
+        return [self.weight(lam) for lam in lams]
 
     def row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
         if lam not in self.built_rows:
@@ -326,25 +319,32 @@ class _Generic:
         return add_box(lam, i + 1)
 
     def _build_row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
-        try:
-            source = self.weight(lam)
-            if source <= 0:
-                raise _zero_source(lam)
-            scale = 1 / (source * self.keep)
-            probs = []
-            for k, i in enumerate(rows):
-                p = self.weight(add_box(lam, i + 1)) * scale
-                if i < len(lam):
-                    p *= 1 - self.q ** (i - rows[k + 1])
-                probs.append(p)
-        finally:
-            # the level vectors the weights shared (see _KeptSpecialization)
-            self.params.specialization().levels.clear()
+        (source,) = self.weights(size(lam), [lam])
+        if source <= 0:
+            raise _zero_source(lam)
+        scale = 1 / (source * self.keep)
+        successors = self.weights(size(lam) + 1, [add_box(lam, i + 1) for i in rows])
+        probs = []
+        for k, (i, weight) in enumerate(zip(rows, successors)):
+            p = weight * scale
+            if i < len(lam):
+                p *= 1 - self.q ** (i - rows[k + 1])
+            probs.append(p)
         den = lcm(*(p.denominator for p in probs))
         return den, [p.numerator * (den // p.denominator) for p in probs]
 
 
-class _Haar(_Generic):
+class _Generic(_Family):
+    """Any parameter set: the exact Hall-Littlewood weights, up to their cap."""
+
+    def weight(self, lam: Partition) -> Fraction:
+        return hl_weight(self.params, lam)
+
+    def weights(self, n: int, lams) -> list[Fraction]:
+        return _hl_weights(self.params, n, lams)
+
+
+class _Haar(_Family):
     """Geometric row frequencies: W(lam) = (1 - 1/q)**|lam| / q**n(lam).
 
     The chain's thresholds -T_r (see ``step``) are kept for r = 0, 1, ...
@@ -412,7 +412,7 @@ class _Haar(_Generic):
         self.powers = b_pow, a_pow
 
 
-class _Delta(_Generic):
+class _Delta(_Family):
     """Column frequency 1: W(lam) = (1 - 1/q)**|lam| on one-column lam, else 0.
 
     The chain's diagrams (), (1,), (1, 1), ... do not depend on q, so every
@@ -438,7 +438,7 @@ class _Delta(_Generic):
         return columns[ell]
 
 
-class _Row(_Generic):
+class _Row(_Family):
     """Row frequency 1: W = 1 on the empty diagram, 1 - 1/q on one row, else 0."""
 
     def weight(self, lam: Partition) -> Fraction:
@@ -515,9 +515,8 @@ def _check_chain_length(params: MeasureParams, n_max: int, least: int):
     if n_max < least:
         raise ValueError(f"growth chains need a level of at least {least}; got level {n_max}")
     # a step out of level n needs weights of degree n + 1, so a generic chain
-    # ends at the weight's cap; say so before the first step.  The closed-form
-    # subclasses of _Generic have no cap, hence the exact type.
-    if type(params.family) is _Generic and n_max > EXACT_HL_DEGREE_CAP:
+    # ends at the weight's cap; say so before the first step
+    if isinstance(params.family, _Generic) and n_max > EXACT_HL_DEGREE_CAP:
         raise ValueError(
             f"growth chains of generic parameters are capped at degree {EXACT_HL_DEGREE_CAP} "
             f"by the exact Hall-Littlewood expansion; got level {n_max}"

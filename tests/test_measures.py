@@ -130,6 +130,7 @@ def test_family_resolution():
     for named, custom, kind in cases:
         assert named == custom
         assert type(named.family) is kind and type(custom.family) is kind
+        assert not isinstance(named.family, _Generic)
     near_misses = [
         MIXED,
         MeasureParams(GeometricSpread((1,), 3), (), 2),
@@ -201,7 +202,11 @@ def test_a_generic_row_builds_one_vector_per_level_and_keeps_none(monkeypatch):
     row = transition_distribution(params, lam)
     # the source and three successors: one vector of each level
     assert len(row) == 3 and sorted(levels) == [4, 5]
-    assert sp.levels == {}
+    # the row's weights fill no memo, and a single weight keeps only itself
+    assert hl_weight.cache_info().currsize == 0
+    cyl_prob(params, (2, 2))
+    assert hl_weight.cache_info().currsize == 1
+    assert set(vars(sp)) == {"alpha", "beta", "gamma", "known"}
 
 
 def test_cyl_prob_positivity_grid():
