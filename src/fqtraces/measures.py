@@ -22,9 +22,9 @@ each p_k(sp) by 1 - q**-k.
 The growth of the Jordan type under adding one row and column is an
 explicit Markov chain on Young diagrams.  A family is a weight W plus a
 step: one builder, shared by every family, turns the weights of a
-diagram's level and of its successors' level into the chain's transition
-row out of it, the extension counts times the Q-weight ratios as integer
-numerators over their least common denominator, and keeps it.
+diagram's successors into the chain's transition row out of it, the
+extension counts times the Q-weight ratios as integer numerators over
+their least common denominator, and keeps it.
 The Haar family alone overrides that row with its closed form in q,
 which is about 15 times faster.  Everything except the Monte Carlo
 summary statistics is exact.  A step of the chain draws a uniform variate
@@ -259,16 +259,17 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 #
 # without the bracket at j = 1.  A box lengthening the block of equal rows
 # whose top row is i (0-based) has lam'_j = i, and lam'_{j-1} is the top row
-# of the next block, or len(lam).  ``_Family`` builds that row from the
-# weights of two levels, ``weights(n, lams)`` once for the source and once
-# for its successors, keeps it, and by default steps by searching it.
-# ``_Generic``'s weights share one vector of p_rho per level (see
-# :func:`hl_weight`), and its ``weight`` is :func:`hl_weight`, called by its
-# module name so that wrappers installed on it see every call.  The Haar,
-# delta and single-row families have closed-form weights, valid at any
-# level, and step without building the row: the delta and single-row chains
-# have one successor, and the Haar row telescopes (see ``_Haar.step``).
-# ``_Haar.row`` is the one closed-form row, for speed (see there).
+# of the next block, or len(lam).  As the row sums to 1, the bracketed W(mu)
+# add up to W(lam) * (1 - 1/q), so ``_Family`` builds it from one call of
+# ``weights(n, lams)`` on the successors, keeps it, and by default steps by
+# searching it.  ``_Generic``'s weights share one vector of p_rho for the
+# call and fill no memo; its ``weight``, for ``cyl_prob`` and ``verify``,
+# is :func:`hl_weight`, called by its module name so that wrappers
+# installed on it see every single weight.  The Haar, delta and single-row
+# families have closed-form weights, valid at any level, and step without
+# building the row: the delta and single-row chains have one successor, and
+# the Haar row telescopes (see ``_Haar.step``).  ``_Haar.row`` is the one
+# closed-form row, for speed (see there).
 
 
 _U64 = 2**64
@@ -319,17 +320,16 @@ class _Family:
         return add_box(lam, i + 1)
 
     def _build_row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
-        (source,) = self.weights(size(lam), [lam])
-        if source <= 0:
-            raise _zero_source(lam)
-        scale = 1 / (source * self.keep)
         successors = self.weights(size(lam) + 1, [add_box(lam, i + 1) for i in rows])
-        probs = []
+        terms = []
         for k, (i, weight) in enumerate(zip(rows, successors)):
-            p = weight * scale
             if i < len(lam):
-                p *= 1 - self.q ** (i - rows[k + 1])
-            probs.append(p)
+                weight *= 1 - self.q ** (i - rows[k + 1])
+            terms.append(weight)
+        total = sum(terms)  # W(lam) * (1 - 1/q), the extension sum
+        if total <= 0:
+            raise _zero_source(lam)
+        probs = [term / total for term in terms]
         den = lcm(*(p.denominator for p in probs))
         return den, [p.numerator * (den // p.denominator) for p in probs]
 
