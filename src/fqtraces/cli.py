@@ -15,6 +15,8 @@ from fractions import Fraction
 from fqtraces.measures import (
     CYLINDER_Q_BITS_CAP,
     MeasureParams,
+    _Haar,
+    _Row,
     cyl_prob,
     cyl_prob_from_trace,
     lln_experiment,
@@ -183,17 +185,24 @@ def _check_power_digits(q: Fraction, e: int):
         raise _too_long(limit)
 
 
-def _check_haar_cylinder(q: Fraction, lam):
-    """Refuse, before any work, a Haar cylinder that :func:`_exact` would refuse.
+def _check_cylinder(params: MeasureParams, lam):
+    """Refuse, before any work, a closed-form cylinder that :func:`_exact` would refuse.
 
-    Every Haar cylinder of size n is q**-e with e = n(n-1)/2, whose larger
-    side is a**e for q = a/b.  The cap on powers of q is checked first, as
-    in :func:`cyl_prob`.
+    The cap on powers of q is checked first, as in :func:`cyl_prob`.  With
+    q = a/b, lam of size n and e = n(n-1)/2, every Haar cylinder is q**-e,
+    whose larger side is a**e.  The single-row cylinder of lam = (n) is
+    b**e / (a**(e-n+1) (a-b)**(n-1)), whose reduced denominator keeps
+    a**(e-n+1) whole, as a is prime to b and to a - b; it is 0 on any other
+    lam.  The family is the resolved one, whatever flags named it.
     """
     n = size(lam)
     e = n * (n - 1) // 2
-    check_q_power(q, e, CYLINDER_Q_BITS_CAP, "cylinder probabilities")
-    _check_power_digits(Fraction(q.numerator), e)
+    check_q_power(params.q, e, CYLINDER_Q_BITS_CAP, "cylinder probabilities")
+    a = Fraction(params.q.numerator)
+    if isinstance(params.family, _Haar):
+        _check_power_digits(a, e)
+    elif isinstance(params.family, _Row) and len(lam) <= 1:
+        _check_power_digits(a, e - n + 1)
 
 
 def _check_dimension(family: DiagramFamily, q: Fraction):
@@ -479,8 +488,7 @@ def _run(args) -> int:
             if args.alpha or args.beta:
                 raise CliError("cyl takes --alpha/--beta only with --from-trace")
             params = _measure(args)
-            if args.measure == "haar":
-                _check_haar_cylinder(params.q, args.lam)
+            _check_cylinder(params, args.lam)
             value = cyl_prob(params, args.lam)
         rows = [{"value": _exact(value)}]
     elif args.command == "sample":

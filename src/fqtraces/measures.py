@@ -16,8 +16,9 @@ of the kept row of Q_lam(1/q) with the vector of the level's p_rho.  In
 trace coordinates the same probability is the trace's value on the
 unipotent class lam times q**(-n(n-1)/2);
 :func:`fqtraces.traces.unipotent_block_value` reads that value off the
-same kept row as the weight, dotted with the p_rho of a view that divides
-each p_k(sp) by 1 - q**-k.
+same kept row as the weight, dotted with the p_rho of p_k(sp) / (1 - q**-k).
+Both vectors come from :func:`fqtraces.specializations.power_products`
+for the call; a parameter set keeps its specialization, but no p_k.
 
 The growth of the Jordan type under adding one row and column is an
 explicit Markov chain on Young diagrams.  A family is a weight W plus a
@@ -66,22 +67,11 @@ from fqtraces.specializations import (
     _check_weakly_decreasing_nonneg,
     check_q,
     check_q_power,
+    power_products,
     row_value,
 )
 from fqtraces.symfunc import EXACT_HL_DEGREE_CAP, hl_q_row
 from fqtraces.traces import unipotent_block_value
-
-
-@dataclass(frozen=True)
-class _KeptSpecialization(Specialization):
-    """A specialization that reads each p_k once and keeps it as an integer pair."""
-
-    known: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def power_pair(self, k: int) -> tuple[int, int]:
-        if k not in self.known:
-            self.known[k] = super().power_pair(k)
-        return self.known[k]
 
 
 @dataclass(frozen=True)
@@ -101,8 +91,6 @@ class MeasureParams:
     # of eq, hash and repr, which stay those of (r, c, q)
     family: object = field(init=False, repr=False, compare=False)
     _spec: Specialization = field(init=False, repr=False, compare=False)
-    # hash((r, c, q)), taken once: every hl_weight lookup hashes its key
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = check_q(self.q)
@@ -122,11 +110,7 @@ class MeasureParams:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "family", _resolve_family(self))
         beta = GeometricSpread(c, q) if c else EMPTY
-        object.__setattr__(self, "_spec", _KeptSpecialization(r, beta, Fraction(1)))
-        object.__setattr__(self, "_hash", hash((r, c, q)))
-
-    def __hash__(self):
-        return self._hash
+        object.__setattr__(self, "_spec", Specialization(r, beta, Fraction(1)))
 
     @classmethod
     def haar(cls, q) -> "MeasureParams":
@@ -146,7 +130,8 @@ class MeasureParams:
     def specialization(self) -> Specialization:
         """The multiplicative functional behind the cylinder probabilities.
 
-        One object per parameter set, which reads each p_k once.
+        One object per parameter set, built with it; it keeps no p_k, so
+        each evaluation reads the p_k it needs once, in that call.
         """
         return self._spec
 
@@ -184,7 +169,7 @@ def _hl_weights(params: MeasureParams, n: int, lams) -> list[Fraction]:
     # the rows first: above the degree cap of hl_q_row it raises before any work
     t = 1 / params.q
     rows = [hl_q_row(lam, t) for lam in lams]
-    vector = params.specialization().power_products(partitions_of(n))
+    vector = power_products(params.specialization().power_pair, partitions_of(n))
     return [row_value(row, vector) for row in rows]
 
 
@@ -193,10 +178,12 @@ def hl_weight(params: MeasureParams, lam: Partition) -> Fraction:
     """Specialized Hall-Littlewood Q weight, through the exact expansion.
 
     One integer dot product of the kept row of Q_lam(1/q) with the level's
-    vector (E, [E * p_rho for rho in partitions_of(n)]), built from the kept
-    specialization for the call and not kept.  The one-diagram case of the
-    generic family's weights, memoized for :func:`cyl_prob` and ``verify``;
-    above the degree cap of :func:`hl_q_row` it raises before any work.
+    vector (E, [E * p_rho for rho in partitions_of(n)]), built for the call
+    and not kept; above the degree cap of :func:`hl_q_row` it raises before
+    any work.  The expansion for any parameter set, closed-form families
+    included, so that ``verify`` can hold it against their closed forms;
+    :func:`cyl_prob` goes through the family's own ``weight`` and does not
+    fill this memo.
     """
     return _hl_weights(params, size(lam), [lam])[0]
 
@@ -263,9 +250,8 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 # add up to W(lam) * (1 - 1/q), so ``_Family`` builds it from one call of
 # ``weights(n, lams)`` on the successors, keeps it, and by default steps by
 # searching it.  ``_Generic``'s weights share one vector of p_rho for the
-# call and fill no memo; its ``weight``, for ``cyl_prob`` and ``verify``,
-# is :func:`hl_weight`, called by its module name so that wrappers
-# installed on it see every single weight.  The Haar, delta and single-row
+# call and fill no memo; its ``weight``, for ``cyl_prob``, is their
+# one-diagram case and fills none either.  The Haar, delta and single-row
 # families have closed-form weights, valid at any level, and step without
 # building the row: the delta and single-row chains have one successor, and
 # the Haar row telescopes (see ``_Haar.step``).  ``_Haar.row`` is the one
@@ -338,7 +324,7 @@ class _Generic(_Family):
     """Any parameter set: the exact Hall-Littlewood weights, up to their cap."""
 
     def weight(self, lam: Partition) -> Fraction:
-        return hl_weight(self.params, lam)
+        return _hl_weights(self.params, size(lam), [lam])[0]
 
     def weights(self, n: int, lams) -> list[Fraction]:
         return _hl_weights(self.params, n, lams)
@@ -488,10 +474,6 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(((seed % _U64) << 64) | (trial % _U64))
 
 
-def _step(params: MeasureParams, lam: Partition, rng: random.Random) -> Partition:
-    return params.family.step(lam, rng.getrandbits(64))
-
-
 # A delta chain is at a k-tuple at level k, so the shared table of columns
 # holds n**2 / 2 entries at level n, 15 MiB at level 2000; `sample --measure
 # delta --format json` takes 0.4 s and 45 MiB peak at level 2000, most of it
@@ -528,11 +510,11 @@ def _check_chain_length(params: MeasureParams, n_max: int, least: int):
 def sample_trajectory(params: MeasureParams, n_max: int, seed: int) -> list[Partition]:
     """Growth trajectory of Jordan types, from the empty diagram to level n_max."""
     _check_chain_length(params, n_max, 0)
-    rng = _trial_rng(seed, 0)
+    step, bits = params.family.step, _trial_rng(seed, 0).getrandbits
     lam: Partition = ()
     out = [lam]
     for _ in range(n_max):
-        lam = _step(params, lam, rng)
+        lam = step(lam, bits(64))
         out.append(lam)
     return out
 
@@ -589,11 +571,12 @@ def lln_experiment(
     # a row or column past the diagram has length 0 and adds nothing
     rows = [[0, 0] for _ in range(track)]
     cols = [[0, 0] for _ in range(track)]
+    step = params.family.step
     for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+        bits = _trial_rng(seed, trial).getrandbits
         lam: Partition = ()
         for _ in range(n_max):
-            lam = _step(params, lam, rng)
+            lam = step(lam, bits(64))
         for sums, lengths in ((rows, lam), (cols, transpose(lam))):
             for acc, length in zip(sums, lengths):
                 acc[0] += length

@@ -12,16 +12,19 @@ alongside explicit finite sequences.
 Evaluation is integer arithmetic over one denominator.  A provider puts
 its sequence over the common denominator once, when it is made, sums
 the k-th powers of those integers and returns p_k as an integer pair
-(N, D), not reduced; the specialization joins its two sides over the lcm
-of their D.  :meth:`Specialization.power_products` reads each distinct
-p_k it needs once as such a pair and puts the products p_rho over one
-common denominator E, the lcm of their denominators.  An integer
-coefficient row over the same p_rho, such as a kept Hall-Littlewood Q,
-is evaluated by :func:`row_value` as one integer dot product and a
-single `Fraction` at the end.  :meth:`Specialization.apply` does the same
-for a :class:`PowerSumElement`, whose coefficients it first puts over
-one denominator C.  :meth:`Specialization.power_sum` is the one
-`Fraction` view of a p_k.
+(N, D), not reduced; :meth:`Specialization.power_pair` joins its two
+sides over the lcm of their D.  :func:`power_products` takes any such
+pair function, reads each distinct p_k it needs once in the call and
+puts the products p_rho over one common denominator E, the lcm of their
+denominators; a caller that needs p_k in another form, such as a trace
+block's stretched and modified p_k, passes its own pair function.  An
+integer coefficient row over the same p_rho, such as a kept
+Hall-Littlewood Q, is evaluated by :func:`row_value` as one integer dot
+product and a single `Fraction` at the end.
+:meth:`Specialization.apply` does the same for a
+:class:`PowerSumElement`, whose coefficients it first puts over one
+denominator.  Nothing is kept between calls.
+:meth:`Specialization.power_sum` is the one `Fraction` view of a p_k.
 """
 
 from dataclasses import dataclass, field
@@ -133,12 +136,37 @@ class GeometricSpread:
 EMPTY = FinitePowerSums(())
 
 
+def power_products(pair, rhos) -> tuple[int, list[int]]:
+    """(E, [E * p_rho for rho in rhos]): products of power sums over one denominator.
+
+    ``pair(k)`` gives p_k = N_k / D_k as integers, as
+    :meth:`Specialization.power_pair` does, and is called once for each
+    distinct k.  With D_rho = D_rho1 * D_rho2 * ..., E is the lcm of the
+    D_rho and the entry of rho is N_rho1 * N_rho2 * ... * (E / D_rho).  E
+    divides B**L, B the lcm of the D_k and L the length of the longest rho,
+    and can be far smaller: when each D_k divides 8**k, E divides 8**n for
+    rhos of size n.
+    """
+    pairs = {k: pair(k) for k in {k for rho in rhos for k in rho}}
+    nums, dens = [], []
+    for rho in rhos:
+        num = den = 1
+        for k in rho:
+            n, d = pairs[k]
+            num *= n
+            den *= d
+        nums.append(num)
+        dens.append(den)
+    e = lcm(*dens)
+    return e, [num * (e // den) for num, den in zip(nums, dens)]
+
+
 def row_value(row: tuple[int, tuple[int, ...]], vector: tuple[int, list[int]]) -> Fraction:
     """sum_i c_i p_i for c_i = row[1][i] / row[0] and p_i = vector[1][i] / vector[0].
 
     One integer dot product and one `Fraction`: a coefficient row such as
     :func:`fqtraces.symfunc.hl_q_row` gives against p_rho values in the same
-    order, such as :meth:`Specialization.power_products` gives.
+    order, such as :func:`power_products` gives.
     """
     (den, coeffs), (e, values) = row, vector
     return Fraction(sum(map(mul, coeffs, values)), den * e)
@@ -168,7 +196,7 @@ class Specialization:
         """p_k as integers (N, D), p_k = N / D, not reduced.
 
         The two sides are joined over the lcm of their denominators, not
-        their product, which would grow E in :meth:`power_products`.
+        their product, which would grow E in :func:`power_products`.
         """
         if k < 1:
             raise ValueError("power sum index must be >= 1")
@@ -184,37 +212,12 @@ class Specialization:
     def power_sum(self, k: int) -> Fraction:
         return Fraction(*self.power_pair(k))
 
-    def power_products(self, rhos) -> tuple[int, list[int]]:
-        """(E, [E * p_rho for rho in rhos]): products of power sums over one denominator.
-
-        Each distinct p_k = N_k / D_k is read once, as a pair from
-        ``power_pair``.  With D_rho = D_rho1 * D_rho2 * ..., E is the lcm of
-        the D_rho and the entry of rho is N_rho1 * N_rho2 * ... * (E /
-        D_rho).  E divides B**L, B the lcm of the D_k and L the length of
-        the longest rho, and can be far smaller: when each D_k divides 8**k,
-        E divides 8**n for rhos of size n.
-        """
-        pairs = {k: self.power_pair(k) for k in {k for rho in rhos for k in rho}}
-        nums, dens = [], []
-        for rho in rhos:
-            num = den = 1
-            for k in rho:
-                n, d = pairs[k]
-                num *= n
-                den *= d
-            nums.append(num)
-            dens.append(den)
-        e = lcm(*dens)
-        return e, [num * (e // den) for num, den in zip(nums, dens)]
-
     def apply(self, f: PowerSumElement) -> Fraction:
         """The value of f: sum over rho of c_rho * p_rho1 * p_rho2 * ...
 
-        With c_rho = C_rho / C and p_rho = P_rho / E from
-        :meth:`power_products`, the value is sum C_rho * P_rho over C * E.
+        The coefficients over their common denominator, dotted by
+        :func:`row_value` with the p_rho from :func:`power_products`.
         """
         terms = f.terms
-        den, values = self.power_products(terms)
-        c = lcm(*(x.denominator for x in terms.values()))
-        total = sum(x.numerator * (c // x.denominator) * v for x, v in zip(terms.values(), values))
-        return Fraction(total, c * den)
+        coeffs = _over_common_denominator(tuple(terms.values()))
+        return row_value(coeffs, power_products(self.power_pair, terms))

@@ -12,9 +12,10 @@ unipotent traces through modified Hall-Littlewood specializations, and
 the coefficient expansions of traces over irreducible characters.  Each
 is built in integers and becomes one `Fraction` at the end: for q = a/b
 the q-hook products are an integer numerator and denominator, a block
-value is the kept integer row of Q dotted with the p_rho of a stretched,
-modified view of the specialization, and each trace coefficient is a
-row of the integer character table dotted with one class vector.
+value is the kept integer row of Q dotted with the p_rho of the
+specialization's power sums, stretched and modified for the block, and
+each trace coefficient is a row of the integer character table dotted
+with one class vector.
 """
 
 from collections import Counter
@@ -34,7 +35,13 @@ from fqtraces.partitions import (
     size,
     z_factor,
 )
-from fqtraces.specializations import Specialization, check_q, check_q_power, row_value
+from fqtraces.specializations import (
+    Specialization,
+    check_q,
+    check_q_power,
+    power_products,
+    row_value,
+)
 from fqtraces.symfunc import _character_table, check_hl_degree, hl_q_row
 
 UNIT = "x-1"
@@ -232,27 +239,6 @@ def _check_block_size(d: int, lam: Partition, q: Fraction):
     check_q_power(q, d * (size(lam) + n_stat(lam)), TRACE_Q_BITS_CAP, "trace values")
 
 
-class _StretchedModified:
-    """sp seen through p_k -> p_{dk}(sp) * b**k / (b**k - a**k), for t = a/b.
-
-    Made per call of :func:`unipotent_block_value` and kept nowhere; its
-    pairs come from sp's own ``power_pair``, so a kept specialization's
-    memo serves them.
-    """
-
-    __slots__ = ("sp", "d", "a", "b")
-
-    def __init__(self, sp: Specialization, d: int, t: Fraction):
-        self.sp, self.d, self.a, self.b = sp, d, t.numerator, t.denominator
-
-    def power_pair(self, k: int) -> tuple[int, int]:
-        num, den = self.sp.power_pair(self.d * k)
-        b_k = self.b**k
-        return num * b_k, den * (b_k - self.a**k)
-
-    power_products = Specialization.power_products
-
-
 def unipotent_block_value(sp: Specialization, d: int, lam: Partition, q) -> Fraction:
     """Extreme unipotent trace value on a single primary block.
 
@@ -262,7 +248,7 @@ def unipotent_block_value(sp: Specialization, d: int, lam: Partition, q) -> Frac
     parameter t = q**(-d).  The modified Q'_lam is Q_lam with each p_k
     divided by 1 - t**k, and the stretch sends p_k to p_{dk}, so with
     t = a/b the value is the kept integer row of Q_lam(t) from
-    :func:`hl_q_row` dotted with the p_rho of the view
+    :func:`hl_q_row` dotted with the p_rho of
     p_k -> p_{dk}(sp) * b**k / (b**k - a**k), with no modified or
     stretched copy of Q_lam built.
     """
@@ -272,8 +258,14 @@ def unipotent_block_value(sp: Specialization, d: int, lam: Partition, q) -> Frac
         raise ValueError("unipotent trace values need gamma = 1")
     t = 1 / q**d
     row = hl_q_row(lam, t)
-    view = _StretchedModified(sp, d, t)
-    value = row_value(row, view.power_products(partitions_of(size(lam))))
+    a, b = t.numerator, t.denominator
+
+    def pair(k: int) -> tuple[int, int]:
+        num, den = sp.power_pair(d * k)
+        b_k = b**k
+        return num * b_k, den * (b_k - a**k)
+
+    value = row_value(row, power_products(pair, partitions_of(size(lam))))
     return q ** (d * n_stat(lam)) * value
 
 
@@ -317,11 +309,11 @@ def _class_vector(sp: Specialization, n: int) -> tuple[int, list[int]]:
     """(D, [D * p_rho(sp) / z_rho for rho in partitions_of(n)]).
 
     With p_rho = P_rho / E over the one denominator of
-    :meth:`Specialization.power_products`, D = n! * E and the entry of rho
+    :func:`power_products`, D = n! * E and the entry of rho
     is n!/z_rho * P_rho.
     """
     order = partitions_of(n)
-    den, values = sp.power_products(order)
+    den, values = power_products(sp.power_pair, order)
     whole = factorial(n)
     return whole * den, [whole // z_factor(rho) * v for rho, v in zip(order, values)]
 

@@ -384,15 +384,34 @@ def test_value_past_the_digit_limit_exits_one(fmt):
     assert err == f"error: exact value has more than {limit} digits, the most fqtraces prints\n"
 
 
-@pytest.mark.parametrize("q", ["2", "3"])
-@pytest.mark.parametrize("lam", ["1155", ",".join(["35"] * 33)], ids=["1155", "35^33"])
-def test_haar_cylinder_past_the_digit_limit_exits_one_before_any_work(monkeypatch, q, lam):
+_HAAR_PAST_THE_LIMIT = {
+    f"{lam_id}-{q}": ["--q", q, "--measure", "haar", "--lam", lam]
+    for lam_id, lam in (("1155", "1155"), ("35^33", ",".join(["35"] * 33)))
+    for q in ("2", "3")
+}
+# the single-row cylinder of (n) is b**e / (a**(e-n+1) (a-b)**(n-1)), refused
+# whichever flags name the family
+_SINGLE_ROW_PAST_THE_LIMIT = {
+    "single-row-q2-171": ["--q", "2", "--measure", "single-row", "--lam", "171"],
+    "single-row-q3-1155": ["--q", "3", "--measure", "single-row", "--lam", "1155"],
+    "single-row-q2**64+1-246": ["--q", str(2**64 + 1), "--measure", "single-row", "--lam", "246"],
+    "custom-r1-171": ["--q", "2", "--measure", "custom", "--r", "1", "--lam", "171"],
+    "r1-171": ["--q", "2", "--r", "1", "--lam", "171"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*_HAAR_PAST_THE_LIMIT.values(), *_SINGLE_ROW_PAST_THE_LIMIT.values()],
+    ids=[*_HAAR_PAST_THE_LIMIT, *_SINGLE_ROW_PAST_THE_LIMIT],
+)
+def test_haar_cylinder_past_the_digit_limit_exits_one_before_any_work(monkeypatch, argv):
     # the Haar cylinder of size n is q**(-n(n-1)/2) whatever the shape
     def cyl_prob(params, lam):
         raise AssertionError("cyl_prob was called")
 
     monkeypatch.setattr(cli, "cyl_prob", cyl_prob)
-    code, out, err = run(["cyl", "--q", q, "--measure", "haar", "--lam", lam])
+    code, out, err = run(["cyl", *argv])
     assert code == 1 and out == ""
     limit = sys.get_int_max_str_digits()
     assert err == f"error: exact value has more than {limit} digits, the most fqtraces prints\n"
@@ -403,6 +422,16 @@ def test_haar_cylinder_below_the_digit_limit_prints():
     code, out, err = run(["cyl", "--q", "2", "--measure", "haar", "--lam", "169"])
     assert code == 0 and err == ""
     assert out == f"{Fraction(1, 2**14196)}\n"
+
+
+def test_single_row_cylinder_below_the_digit_limit_prints():
+    # 2**-14196 has 4274 digits, a size the up-front refusal leaves alone;
+    # a single-row cylinder off one row is 0 at any size
+    code, out, err = run(["cyl", "--q", "2", "--measure", "single-row", "--lam", "170"])
+    assert code == 0 and err == ""
+    assert out == f"{Fraction(1, 2**14196)}\n"
+    code, out, err = run(["cyl", "--q", "2", "--measure", "single-row", "--lam", "1154,1"])
+    assert (code, out, err) == (0, "0\n", "")
 
 
 def _column(tag: str, d: int, rows: int) -> dict:

@@ -1,5 +1,7 @@
+import gc
 import random
 import sys
+import weakref
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
@@ -8,6 +10,7 @@ from math import sqrt
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from fqtraces import measures
 from fqtraces.measures import (
     CHAIN_LEVEL_CAP,
     EXACT_HL_DEGREE_CAP,
@@ -19,7 +22,6 @@ from fqtraces.measures import (
     _Row,
     _corner_rows,
     _mean_stderr,
-    _step,
     _trial_rng,
     cyl_prob,
     cyl_prob_from_trace,
@@ -30,7 +32,12 @@ from fqtraces.measures import (
     transition_distribution,
 )
 from fqtraces.partitions import add_box, box_additions, partitions_of, size
-from fqtraces.specializations import FinitePowerSums, GeometricSpread, Specialization
+from fqtraces.specializations import (
+    FinitePowerSums,
+    GeometricSpread,
+    Specialization,
+    power_products,
+)
 from fqtraces.symfunc import hl_q_in_p
 
 HALF = Fraction(1, 2)
@@ -156,8 +163,8 @@ def test_family_stays_out_of_eq_hash_repr():
 
 
 def test_one_specialization_per_params_reads_each_power_sum_once(monkeypatch):
-    # the providers' power_pair is counted per (provider kind, k); a second
-    # pass over the same weights reads none of them again
+    # the providers' power_pair is counted per (provider kind, k); one apply
+    # reads each p_k it needs once, and keeps none for the next call
     params = MeasureParams((Fraction(1, 4),), (Fraction(1, 4),), Fraction(7, 3))
     reads = Counter()
     for kind in (FinitePowerSums, GeometricSpread):
@@ -169,10 +176,14 @@ def test_one_specialization_per_params_reads_each_power_sum_once(monkeypatch):
     sp = params.specialization()
     assert sp is params.specialization()
     assert (sp.alpha, sp.beta, sp.gamma) == (params.r, GeometricSpread(params.c, params.q), 1)
-    for _ in range(2):
-        for lam in partitions_of(6):
-            sp.apply(hl_q_in_p(lam, 1 / params.q))
-    assert reads == {(kind, k): 1 for kind in ("FinitePowerSums", "GeometricSpread") for k in range(2, 7)}
+    kinds = ("FinitePowerSums", "GeometricSpread")
+    for lam in partitions_of(6):
+        f = hl_q_in_p(lam, 1 / params.q)
+        ks = {k for rho in f.terms for k in rho if k > 1}
+        for calls in (1, 2):
+            sp.apply(f)
+            assert reads == {(kind, k): calls for kind in kinds for k in ks}, (lam, calls)
+        reads.clear()
 
 
 def test_equal_params_share_one_hash_and_one_hl_weight_entry():
@@ -193,21 +204,35 @@ def test_a_generic_row_builds_one_vector_per_level_and_keeps_none(monkeypatch):
     sp = params.specialization()
     levels = []
 
-    def counted(self, rhos, power_products=Specialization.power_products):
+    def counted(pair, rhos):
         levels.append(size(rhos[0]))
-        return power_products(self, rhos)
+        return power_products(pair, rhos)
 
-    monkeypatch.setattr(type(sp), "power_products", counted)
+    monkeypatch.setattr(measures, "power_products", counted)
     lam = (3, 1)
     row = transition_distribution(params, lam)
     # three successors, one vector of their level; the source's weight
     # comes from theirs, so its level is not read
     assert len(row) == 3 and levels == [5]
-    # the row's weights fill no memo, and a single weight keeps only itself
+    # neither the row's weights nor a single weight fill a memo
     assert hl_weight.cache_info().currsize == 0
     cyl_prob(params, (2, 2))
-    assert hl_weight.cache_info().currsize == 1
-    assert set(vars(sp)) == {"alpha", "beta", "gamma", "known"}
+    assert hl_weight.cache_info().currsize == 0
+    assert set(vars(sp)) == {"alpha", "beta", "gamma"}
+
+
+def test_parameter_sets_die_with_their_last_reference():
+    # no memo keyed by parameters outlives them: not the cylinder
+    # probability's weight, nor the transition row kept on the family
+    refs = []
+    for i in range(50):
+        params = MeasureParams((Fraction(1, 4 + i),), (Fraction(1, 8),), 2 + i % 3)
+        cyl_prob(params, (2, 1))
+        transition_distribution(params, (2, 1))
+        refs.append(weakref.ref(params))
+    del params
+    gc.collect()
+    assert sum(ref() is not None for ref in refs) == 0
 
 
 def test_cyl_prob_positivity_grid():
@@ -376,11 +401,11 @@ def test_generic_rows_are_built_once(monkeypatch):
     params = MeasureParams((Fraction(1, 3),), (Fraction(1, 5),), 3)
     calls = []
 
-    def counted(self, rhos, power_products=Specialization.power_products):
+    def counted(pair, rhos):
         calls.append(size(rhos[0]))
-        return power_products(self, rhos)
+        return power_products(pair, rhos)
 
-    monkeypatch.setattr(type(params.specialization()), "power_products", counted)
+    monkeypatch.setattr(measures, "power_products", counted)
     first = transition_distribution(params, (3, 1))
     assert calls == [5]
     assert transition_distribution(params, (3, 1)) == first
@@ -398,7 +423,7 @@ def test_zero_probability_source_raises(params, lam):
     with pytest.raises(ValueError, match="zero probability"):
         transition_distribution(params, lam)
     with pytest.raises(ValueError, match="zero probability"):
-        _step(params, lam, FixedBits(0))
+        params.family.step(lam, 0)
 
 
 def test_degree_cap_raises_for_generic_params():
@@ -475,7 +500,7 @@ def test_step_at_threshold_grid_points():
         2**64 - 1: (2, 1, 1),
     }
     for u, mu in expected.items():
-        assert _step(HAAR2, (2, 1), FixedBits(u)) == mu == reference_step(HAAR2, (2, 1), FixedBits(u))
+        assert HAAR2.family.step((2, 1), u) == mu == reference_step(HAAR2, (2, 1), FixedBits(u))
     # on both sides of every threshold of every row up to degree 7, each
     # family's own step, the Fraction reference and the generic route's
     # search over its kept row pick the same successor
@@ -488,7 +513,7 @@ def test_step_at_threshold_grid_points():
                     if not params.family.weight(lam) > 0:
                         continue
                     for u in threshold_variates(*params.family.row(lam, _corner_rows(lam))):
-                        mu = _step(params, lam, FixedBits(u))
+                        mu = params.family.step(lam, u)
                         assert mu == reference_step(params, lam, FixedBits(u)), (params, lam, u)
                         assert mu == generic.step(lam, u), (params, lam, u)
 

@@ -13,6 +13,7 @@ from fqtraces.specializations import (
     FinitePowerSums,
     GeometricSpread,
     Specialization,
+    power_products,
     row_value,
 )
 from fqtraces.symfunc import PowerSumElement, hl_q_in_p, hl_q_row, plethysm_pl, schur_in_p
@@ -272,7 +273,8 @@ _T_POINTS = st.one_of(
 def test_q_row_dot_product_equals_apply_of_the_q_view(sp, lam, t):
     n = size(lam)
     row = hl_q_row(lam, t)
-    assert row_value(row, sp.power_products(partitions_of(n))) == sp.apply(hl_q_in_p(lam, t))
+    vector = power_products(sp.power_pair, partitions_of(n))
+    assert row_value(row, vector) == sp.apply(hl_q_in_p(lam, t))
     assert hl_q_in_p(lam, t) == hl_q_by_charge(lam, t)
     # D is the least common denominator of the coefficients
     den, coeffs = row
