@@ -25,9 +25,8 @@ explicit Markov chain on Young diagrams.  A family is a weight W plus a
 step: one builder, shared by every family, turns the weights of a
 diagram's successors into the chain's transition row out of it, the
 extension counts times the Q-weight ratios as integer numerators over
-their least common denominator, and keeps it.
-The Haar family alone overrides that row with its closed form in q,
-which is about 15 times faster.  Everything except the Monte Carlo
+their least common denominator, and keeps it; no family overrides
+that row with a closed form.  Everything except the Monte Carlo
 summary statistics is exact.  A step of the chain draws a uniform variate
 u / 2**64 and moves to the first successor whose cumulative probability
 exceeds it, decided in integers.  Searching the kept row is the default
@@ -46,7 +45,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import lcm, sqrt
+from math import gcd, lcm, sqrt
 
 from fqtraces.partitions import (
     Partition,
@@ -165,27 +164,17 @@ def extension_count(lam: Partition, mu: Partition, q) -> Fraction:
 # Cylinder probabilities
 
 
-def _hl_weights(params: MeasureParams, n: int, lams) -> list[Fraction]:
-    # the rows first: above the degree cap of hl_q_row it raises before any work
-    t = 1 / params.q
-    rows = [hl_q_row(lam, t) for lam in lams]
-    vector = power_products(params.specialization().power_pair, partitions_of(n))
-    return [row_value(row, vector) for row in rows]
-
-
 @cache
 def hl_weight(params: MeasureParams, lam: Partition) -> Fraction:
     """Specialized Hall-Littlewood Q weight, through the exact expansion.
 
-    One integer dot product of the kept row of Q_lam(1/q) with the level's
-    vector (E, [E * p_rho for rho in partitions_of(n)]), built for the call
-    and not kept; above the degree cap of :func:`hl_q_row` it raises before
-    any work.  The expansion for any parameter set, closed-form families
-    included, so that ``verify`` can hold it against their closed forms;
-    :func:`cyl_prob` goes through the family's own ``weight`` and does not
-    fill this memo.
+    ``_Generic(params).weight(lam)``: the generic route for any parameter
+    set, closed-form families included, so that ``verify`` can hold it
+    against their closed forms; above the degree cap of :func:`hl_q_row`
+    it raises before any work.  :func:`cyl_prob` goes through the family's
+    own ``weight`` and does not fill this memo.
     """
-    return _hl_weights(params, size(lam), [lam])[0]
+    return _Generic(params).weight(lam)
 
 
 # Bound on the largest power of q a cylinder probability builds,
@@ -247,15 +236,16 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 # without the bracket at j = 1.  A box lengthening the block of equal rows
 # whose top row is i (0-based) has lam'_j = i, and lam'_{j-1} is the top row
 # of the next block, or len(lam).  As the row sums to 1, the bracketed W(mu)
-# add up to W(lam) * (1 - 1/q), so ``_Family`` builds it from one call of
-# ``weights(n, lams)`` on the successors, keeps it, and by default steps by
-# searching it.  ``_Generic``'s weights share one vector of p_rho for the
-# call and fill no memo; its ``weight``, for ``cyl_prob``, is their
-# one-diagram case and fills none either.  The Haar, delta and single-row
-# families have closed-form weights, valid at any level, and step without
-# building the row: the delta and single-row chains have one successor, and
-# the Haar row telescopes (see ``_Haar.step``).  ``_Haar.row`` is the one
-# closed-form row, for speed (see there).
+# add up to W(lam) * (1 - 1/q), so ``_Family`` builds it, in integers, from
+# one call of ``weights(n, lams)`` on the successors, keeps it, and by
+# default steps by searching it.  As it divides by their total, the weights
+# may carry one common positive factor.  ``_Generic``'s weights share one
+# vector of p_rho for the call and fill no memo; its ``weight``, for
+# ``cyl_prob``, is their one-diagram case and fills none either.  The Haar,
+# delta and single-row families have closed-form weights, valid at any
+# level, and step without building the row: the delta and single-row chains
+# have one successor, and the Haar row telescopes (see ``_Haar.step``).
+# Haar's successor weights drop the powers of q they share (see there).
 
 
 _U64 = 2**64
@@ -275,7 +265,10 @@ class _Family:
 
     Each diagram's row is built once and kept, since a chain revisits the
     few diagrams below the cap at every trial; searching it is the default
-    ``step``.  A subclass defines ``weight``.
+    ``step``.  A subclass defines ``weight``; ``weights(n, lams)``, the
+    weights of a diagram's successors at level n as ints or Fractions, may
+    be scaled by one common positive factor, since the row divides by
+    their total.
     """
 
     def __init__(self, params: MeasureParams):
@@ -307,31 +300,46 @@ class _Family:
 
     def _build_row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
         successors = self.weights(size(lam) + 1, [add_box(lam, i + 1) for i in rows])
+        # each term W(mu) * (1 - q**-d), d the rows to the next corner, as
+        # (num, den): with q = a/b the bracket is (a**d - b**d) / a**d
+        a, b = self.q.numerator, self.q.denominator
         terms = []
         for k, (i, weight) in enumerate(zip(rows, successors)):
+            num, den = weight.numerator, weight.denominator
             if i < len(lam):
-                weight *= 1 - self.q ** (i - rows[k + 1])
-            terms.append(weight)
-        total = sum(terms)  # W(lam) * (1 - 1/q), the extension sum
+                d = rows[k + 1] - i
+                num, den = num * (a**d - b**d), den * a**d
+            terms.append((num, den))
+        common = lcm(*(den for _, den in terms))
+        nums = [num * (common // den) for num, den in terms]
+        total = sum(nums)  # over common, W(lam) * (1 - 1/q) up to the weights' factor
         if total <= 0:
             raise _zero_source(lam)
-        probs = [term / total for term in terms]
-        den = lcm(*(p.denominator for p in probs))
-        return den, [p.numerator * (den // p.denominator) for p in probs]
+        g = gcd(total, *nums)
+        return total // g, [num // g for num in nums]
 
 
 class _Generic(_Family):
     """Any parameter set: the exact Hall-Littlewood weights, up to their cap."""
 
     def weight(self, lam: Partition) -> Fraction:
-        return _hl_weights(self.params, size(lam), [lam])[0]
+        return self.weights(size(lam), [lam])[0]
 
     def weights(self, n: int, lams) -> list[Fraction]:
-        return _hl_weights(self.params, n, lams)
+        # the rows first: above the degree cap of hl_q_row it raises before any work
+        t = 1 / self.q
+        rows = [hl_q_row(lam, t) for lam in lams]
+        vector = power_products(self.params.specialization().power_pair, partitions_of(n))
+        return [row_value(row, vector) for row in rows]
 
 
 class _Haar(_Family):
     """Geometric row frequencies: W(lam) = (1 - 1/q)**|lam| / q**n(lam).
+
+    The row builder gets the successors' weights without the powers of q
+    they share (see ``weights``): from the absolute weights, whose powers
+    of q grow with n(mu), the rows along one 300-level chain at
+    q = 10001/10000 took 16 s against 0.05 s (2-vCPU Xeon, Python 3.11).
 
     The chain's thresholds -T_r (see ``step``) are kept for r = 0, 1, ...
     up to the most rows a diagram stepped so far had, and stop at the
@@ -348,25 +356,19 @@ class _Haar(_Family):
     def weight(self, lam: Partition) -> Fraction:
         return self.keep ** size(lam) / self.q ** n_stat(lam)
 
-    def row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
-        # The one family whose row is not built from its weights, for speed:
-        # built from W, whose powers of q grow with n(lam), the rows of every
-        # diagram up to level 20 took 263 ms at q = 2 against 17 ms for this
-        # closed form (301 against 16 ms at q = 3), and a 300-level trajectory
-        # test at q = 10001/10000 took 76 s against 0.17 s (Python 3.11).
-        # P = q**-lam'_j - q**-lam'_{j-1}, a telescoping sum; with q = a/b
-        # and l = len(lam), q**-i = b**i * a**(l - i) / a**l
+    def weights(self, n: int, lams) -> list[int]:
+        # W(mu) times a**(high - low) * q**low / (1 - 1/q)**n, one factor for
+        # every successor, with q = a/b and low, high the least and largest n(mu)
+        stats = [n_stat(mu) for mu in lams]
+        low, high = min(stats), max(stats)
         a, b = self.q.numerator, self.q.denominator
-        ell = len(lam)
-        tails = [b**i * a ** (ell - i) for i in rows]
-        nums = [t - t_next for t, t_next in zip(tails, tails[1:])]
-        nums.append(tails[-1])
-        return a**ell, nums
+        return [b ** (s - low) * a ** (high - s) for s in stats]
 
     def step(self, lam: Partition, u: int) -> Partition:
-        # The row telescopes: through the block whose successor block starts
-        # at row r (r = l for the last block) the cumulative numerator is
-        # a**l - b**r * a**(l - r), so u * a**l < acc * 2**64 reads
+        # The row telescopes, P = q**-lam'_j - q**-lam'_{j-1}: through the
+        # block whose successor block starts at row r (r = l for the last
+        # block) the cumulative probability is 1 - q**-r, with q = a/b
+        # (a**r - b**r) / a**r, so u / 2**64 below it reads
         # b**r * 2**64 < v * a**r with v = 2**64 - u.  As v is an integer,
         # that holds exactly when v > T_r = floor(2**64 * b**r / a**r).  T
         # does not depend on lam and, as q > 1, falls from T_0 = 2**64 to 0,

@@ -17,10 +17,11 @@ horizontal strips; charge-weighted Kostka polynomials
 (:class:`TPolynomial`) come from tableau enumeration, up to the same degree
 cap, and are the independent check on the operator.
 
-Character tables, Schur functions, Kostka numbers, charge polynomials,
-Hall-Littlewood Q functions (per lam and t) and the series coefficients q_N
-of the operator are memoized in module-level ``functools.cache`` tables,
-so repeated queries reuse them and ``cache_clear`` drops them.
+Character tables, Schur functions, Kostka numbers, charge polynomials and
+Hall-Littlewood Q functions (per lam and t; the series coefficients q_N of
+the operator are the one-row Q_(N) in the same table) are memoized in
+module-level ``functools.cache`` tables, so repeated queries reuse them and
+``cache_clear`` drops them.
 """
 
 from collections import Counter
@@ -384,25 +385,6 @@ def kostka_foulkes(shape: Partition, content: Partition) -> TPolynomial:
 # Hall-Littlewood Q
 
 
-@cache
-def _q_series(n: int, t: Fraction) -> tuple[int, tuple[tuple[Partition, int], ...]]:
-    """Degree-n part of Q(z) = exp(sum_k (1 - t**k) p_k z**k / k) over one denominator.
-
-    For t = a/b this is (b**n * n!, ((rho, c), ...)): the coefficient of
-    p_rho is c / (b**n * n!) with the integer c = n!/z_rho * prod_i
-    (b**rho_i - a**rho_i).  Zero terms are left out.
-    """
-    a, b = t.numerator, t.denominator
-    out = []
-    for rho in partitions_of(n):
-        c = factorial(n) // z_factor(rho)
-        for part in rho:
-            c *= b**part - a**part
-        if c:
-            out.append((rho, c))
-    return b**n * factorial(n), tuple(out)
-
-
 def _translate(f: dict[Partition, int]) -> dict[int, dict[Partition, int]]:
     """f[p_k -> p_k - z**-k] split by powers of z: {m: coefficient of z**-m}.
 
@@ -437,35 +419,46 @@ def check_hl_degree(n: int):
 
 @cache
 def _hl_q(lam: Partition, t: Fraction) -> tuple[int, tuple[int, ...]]:
-    """Q_lam(t) = H_{lam_1} Q_{lam[1:]} as (D, row), for a checked lam and a `Fraction` t.
+    """Q_lam(t) as (D, row), for a checked lam and a `Fraction` t.
 
     The coefficient of p_rho is row[i] / D, with rho the i-th partition of
     ``partitions_of(|lam|)``; D and the row are divided by their gcd, so D
-    is the least common denominator of the coefficients.  The tail comes
-    from this memo as such a row.  The step stays in integers: the
-    denominator b**N * N! of q_N divides that of every q_N' with N' >= N,
-    so every term is lifted to the largest one.
+    is the least common denominator of the coefficients.  A lam of at most
+    one row is the series coefficient q_n of Q(z) = exp(sum_k (1 - t**k)
+    p_k z**k / k): for t = a/b the coefficient of p_rho is n!/z_rho *
+    prod_i (b**rho_i - a**rho_i) / (b**n * n!).  Any other lam is
+    H_{lam_1} Q_{lam[1:]}, with the tail and every q_{lam_1 + m} read from
+    this memo; the step stays in integers, every term lifted to the lcm of
+    the q denominators.
     """
-    if not lam:
-        return 1, (1,)
     n = size(lam)
-    tail_den, tail = _hl_q(lam[1:], t)
-    if not any(tail):  # Q_lam = 0, as at t = 1 for every lam but ()
-        return 1, (0,) * len(partitions_of(n))
-    f = {rho: c for rho, c in zip(partitions_of(n - lam[0]), tail) if c}
-    parts = _translate(f)
-    top = _q_series(lam[0] + max(parts), t)[0]
-    out: dict[Partition, int] = {}
-    for m, fm in parts.items():
-        q_den, series = _q_series(lam[0] + m, t)
-        scale = top // q_den
-        for rho, a in series:
-            a *= scale
-            for sigma, b in fm.items():
-                key = tuple(sorted(rho + sigma, reverse=True))
-                out[key] = out.get(key, 0) + a * b
-    row = [out.get(rho, 0) for rho in partitions_of(n)]
-    den = tail_den * top
+    if len(lam) < 2:
+        a, b = t.numerator, t.denominator
+        row = []
+        for rho in partitions_of(n):
+            c = factorial(n) // z_factor(rho)
+            for part in rho:
+                c *= b**part - a**part
+            row.append(c)
+        den = b**n * factorial(n)
+    else:
+        tail_den, tail = _hl_q(lam[1:], t)
+        f = {rho: c for rho, c in zip(partitions_of(n - lam[0]), tail) if c}
+        parts = _translate(f)
+        series = {m: _hl_q((lam[0] + m,), t) for m in parts}
+        # no parts, as for a zero tail, leave the zero row over lcm() = 1
+        top = lcm(*(q_den for q_den, _ in series.values()))
+        out: dict[Partition, int] = {}
+        for m, fm in parts.items():
+            q_den, q_row = series[m]
+            scale = top // q_den
+            for rho, a in zip(partitions_of(lam[0] + m), q_row):
+                a *= scale
+                for sigma, b in fm.items():
+                    key = tuple(sorted(rho + sigma, reverse=True))
+                    out[key] = out.get(key, 0) + a * b
+        row = [out.get(rho, 0) for rho in partitions_of(n)]
+        den = tail_den * top
     g = gcd(den, *row)
     return den // g, tuple(c // g for c in row)
 
@@ -474,14 +467,15 @@ def hl_q_row(lam: Partition, t) -> tuple[int, tuple[int, ...]]:
     """Hall-Littlewood Q_lam(t) at an exact rational t, as integers (D, row).
 
     Built by Jing's vertex operator (Adv. Math. 87, 1991; Macdonald III.5),
-    Q_lam = H_{lam_1} Q_{lam[1:]} down to Q_() = 1, where
-    H_n f = sum_m q_{n+m} f_m with q_N from :func:`_q_series` and f_m from
-    :func:`_translate`.  The coefficient of p_rho is row[i] / D, rho the
-    i-th partition of ``partitions_of(|lam|)`` and D the least common
-    denominator.  Every Q_lam(t) is kept in one memo, keyed on
-    (lam, Fraction(t)), so each lam builds on the kept Q of its tail and a
-    repeated query costs a lookup.  Specialized, Q_lam is one integer dot
-    product of the row with the level's p_rho over one denominator.
+    Q_lam = H_{lam_1} Q_{lam[1:]} down to one row, where
+    H_n f = sum_m q_{n+m} f_m with the series coefficient q_N = Q_(N) and
+    f_m from :func:`_translate`.  The coefficient of p_rho is row[i] / D,
+    rho the i-th partition of ``partitions_of(|lam|)`` and D the least
+    common denominator.  Every Q_lam(t), one-row ones included, is kept in
+    one memo, keyed on (lam, Fraction(t)), so each lam builds on the kept Q
+    of its tail and of the rows (N,) it needs, and a repeated query costs
+    a lookup.  Specialized, Q_lam is one integer dot product of the row
+    with the level's p_rho over one denominator.
     """
     lam = check_partition(lam)
     check_hl_degree(size(lam))

@@ -12,6 +12,7 @@ can emit CSV and CI can shard the suites by name.
 """
 
 from fractions import Fraction
+from functools import cache, partial
 from math import prod
 
 from fqtraces.measures import (
@@ -39,11 +40,13 @@ from fqtraces.oracle import (
     unipotent_upper_triangular,
 )
 from fqtraces.partitions import (
+    box_additions,
     format_partition,
     hook_lengths,
     n_stat,
     partitions_of,
     size,
+    transpose,
 )
 from fqtraces.specializations import EMPTY, GeometricSpread, Specialization
 from fqtraces.symfunc import (
@@ -243,13 +246,44 @@ def _check_haar_flatness():
 
 
 # ---------------------------------------------------------------------------
-# 6. Growth chain rows sum to one
+# 6. Growth chain rows against the cylinder ratios they stand for
+
+
+def _growth_rows(params: MeasureParams, top: int):
+    """(built row, reference row) for each diagram of positive weight up to level top.
+
+    The reference does not go through the row builder: the telescoping
+    closed form q**-lam'_j - q**-lam'_{j-1} (lam'_0 = infinity) for Haar,
+    N(lam, mu) * cyl(mu) / cyl(lam) for the other families.
+    """
+    q = params.q
+    haar = params == MeasureParams.haar(q)
+    cyl = cache(partial(cyl_prob, params))
+    for n in range(top + 1):
+        for lam in partitions_of(n):
+            if not params.family.weight(lam) > 0:
+                continue
+            if haar:
+                conj = transpose(lam) + (0,)
+                expected = [
+                    q ** -conj[col - 1] - (q ** -conj[col - 2] if col > 1 else 0)
+                    for _, col in box_additions(lam)
+                ]
+            else:
+                expected = [
+                    extension_count(lam, mu, q) * cyl(mu) / cyl(lam)
+                    for mu, _ in box_additions(lam)
+                ]
+            yield [p for _, p in transition_distribution(params, lam)], expected
 
 
 @_suite("growth-normalization")
 def _check_growth_normalization():
-    # the closed forms to level 20, the generic Hall-Littlewood route to 8;
-    # each family checks only the diagrams of positive weight
+    # The built row divides by the successors' total, so it sums to one
+    # whatever the weights; each row is held instead against a route that
+    # does not go through the builder.  Equal rows sum to one, which is the
+    # criterion.  The closed forms run to level 20, the generic
+    # Hall-Littlewood route to 8.
     cases = [
         ("haar-q2", MeasureParams.haar(2), 20),
         ("haar-q3", MeasureParams.haar(3), 20),
@@ -265,15 +299,7 @@ def _check_growth_normalization():
         ),
     ]
     for label, params, top in cases:
-        yield _tally(
-            f"{label}-to-{top}",
-            (
-                (sum(p for _, p in transition_distribution(params, lam)), 1)
-                for n in range(0, top + 1)
-                for lam in partitions_of(n)
-                if params.family.weight(lam) > 0
-            ),
-        )
+        yield _tally(f"{label}-to-{top}", _growth_rows(params, top))
 
 
 # ---------------------------------------------------------------------------

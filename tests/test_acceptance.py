@@ -20,7 +20,7 @@ CRITERIA = [
     (3, "branching", "dimensions dominate their branching predecessors"),
     (4, "extension-counts", "brute-force extensions reproduce the counts"),
     (5, "haar-flatness", "geometric rows give constant cylinders"),
-    (6, "growth-normalization", "growth chain rows sum to one"),
+    (6, "growth-normalization", "growth rows equal the cylinder ratios, so sum to one"),
     (7, "lln", "empirical Jordan frequencies hit the 3-sigma bands"),
     (8, "trace-measure-map", "trace parameters map to measure parameters"),
     (9, "flag-kostka", "flag counts match Kostka-combined characters"),

@@ -10,7 +10,7 @@ from math import sqrt
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fqtraces import measures
+from fqtraces import measures, verify
 from fqtraces.measures import (
     CHAIN_LEVEL_CAP,
     EXACT_HL_DEGREE_CAP,
@@ -349,6 +349,36 @@ def test_transition_rows_sum_to_one():
                 if not params.family.weight(lam) > 0:
                     continue
                 assert sum(p for _, p in transition_distribution(params, lam)) == 1
+
+
+@pytest.mark.parametrize("params, top", [(HAAR2, 9), (HAAR3, 9), (MIXED, 7), (TWO_ROWS, 7)])
+def test_rows_ignore_a_common_factor_of_the_weights(params, top):
+    # the builder divides by the successors' total, so weights scaled by one
+    # positive constant give the very same integers
+    scaled = type(params.family)(params)
+    weights = scaled.weights
+    scaled.weights = lambda n, lams: [Fraction(7, 3) * w for w in weights(n, lams)]
+    for n in range(top + 1):
+        for lam in partitions_of(n):
+            if params.family.weight(lam) > 0:
+                rows = _corner_rows(lam)
+                assert scaled.row(lam, rows) == params.family.row(lam, rows), lam
+
+
+def test_growth_normalization_catches_a_swapped_row(monkeypatch):
+    # a row with two entries swapped still sums to one; the suite holds it
+    # against the cylinder ratios and must fail
+    def swapped(params, lam):
+        row = transition_distribution(params, lam)
+        if lam == (2, 1):
+            (mu0, p0), (mu1, p1) = row[:2]
+            row[:2] = [(mu0, p1), (mu1, p0)]
+        return row
+
+    monkeypatch.setattr(verify, "transition_distribution", swapped)
+    rows = verify.run_suite("growth-normalization")
+    failed = {row["instance"] for row in rows if row["status"] == "fail"}
+    assert failed == {row["instance"] for row in rows} - {"delta-q2-to-20", "single-row-q2-to-20"}
 
 
 @st.composite
