@@ -57,7 +57,15 @@ def transpose(lam: Partition) -> Partition:
     """Conjugate diagram: column lengths become row lengths."""
     if not lam:
         return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+    # one pass: column j has i boxes, i the rows of length at least j; as j
+    # grows, i walks down from the bottom row
+    conj = []
+    i = len(lam)
+    for j in range(1, lam[0] + 1):
+        while lam[i - 1] < j:
+            i -= 1
+        conj.append(i)
+    return tuple(conj)
 
 
 def n_stat(lam: Partition) -> int:

@@ -8,7 +8,11 @@ expansion is one integer dot product per row over a common denominator.
 Hall-Littlewood Q functions come from Jing's vertex operator, Q_lam =
 H_{lam_1} Q_{lam[1:]} on the kept Q of the tail, up to
 :data:`EXACT_HL_DEGREE_CAP`; each step is computed in integers over one
-denominator, and each Q_lam(t) is kept as an integer row (D, c_rho) in
+denominator, on partition codes: a partition is one integer whose digits
+in base cap + 1 are its part multiplicities, so the index of a product
+p_rho p_sigma is one addition and one lookup, and the expansion of each
+p_rho under p_k -> p_k - z**-k is read from a t-free table per degree.
+Each Q_lam(t) is kept as an integer row (D, c_rho) in
 ``partitions_of(|lam|)`` order.  Specializations evaluate that row as one
 integer dot product; :func:`hl_q_in_p` and the modified Q functions,
 which rescale each ``p_k`` by ``1/(1 - t**k)``, are `Fraction` views of
@@ -17,17 +21,16 @@ horizontal strips; charge-weighted Kostka polynomials
 (:class:`TPolynomial`) come from tableau enumeration, up to the same degree
 cap, and are the independent check on the operator.
 
-Character tables, Schur functions, Kostka numbers, charge polynomials and
-Hall-Littlewood Q functions (per lam and t; the series coefficients q_N of
-the operator are the one-row Q_(N) in the same table) are memoized in
-module-level ``functools.cache`` tables, so repeated queries reuse them and
+Character tables, Schur functions, Kostka numbers, charge polynomials, the
+partition codes and p_rho expansions of each degree, and Hall-Littlewood Q
+functions (per lam and t; the series coefficients q_N of the operator are
+the one-row Q_(N) in the same table) are memoized in module-level
+``functools.cache`` tables, so repeated queries reuse them and
 ``cache_clear`` drops them.
 """
 
-from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import product
 from math import comb, factorial, gcd, lcm, prod
 
 from fqtraces.partitions import (
@@ -337,9 +340,11 @@ def kostka(shape: Partition, content: Partition) -> int:
     )
 
 
-# The slowest Q_lam at degree 16, lam = 1^16, takes 0.09 s and the degree-16
-# character table 0.06 s (2-vCPU Xeon, Python 3.11); both costs grow two to
-# four times every two degrees.  hl_q_in_p refuses larger degrees up front.
+# The slowest Q_lam at degree 16, lam = 1^16, takes 0.02-0.03 s in a fresh
+# process, its tails and code tables included, and the character tables
+# up to degree 16 0.03-0.04 s (2-vCPU Xeon, Python 3.11); both costs
+# grow two to three times every two degrees.  hl_q_row refuses larger
+# degrees up front.
 # Charge enumeration stops there too: at 16 it visits up to 1.2M tableaux.
 EXACT_HL_DEGREE_CAP = 16
 
@@ -385,28 +390,42 @@ def kostka_foulkes(shape: Partition, content: Partition) -> TPolynomial:
 # Hall-Littlewood Q
 
 
-def _translate(f: dict[Partition, int]) -> dict[int, dict[Partition, int]]:
-    """f[p_k -> p_k - z**-k] split by powers of z: {m: coefficient of z**-m}.
+# Jing's step works on partition codes: a partition's code is the sum over
+# its parts k of _CODE_BASE**(k - 1), so its base-B digits are the part
+# multiplicities and the code of rho U sigma is code(rho) + code(sigma).  A
+# partition of n <= EXACT_HL_DEGREE_CAP has no multiplicity above n, so no
+# digit carries and distinct partitions get distinct codes.  The tables
+# below are t-free, one entry per degree up to the cap: 1.6 MiB in all.
+_CODE_BASE = EXACT_HL_DEGREE_CAP + 1
 
-    Each p_rho expands binomially, one factor (p_k - z**-k)**m_k per
-    distinct part k; dropping j copies of p_k contributes
-    (-1)**j * C(m_k, j) * z**(-k j).  Integer coefficients stay integers.
+
+@cache
+def _codes(n: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The code of every partition of n in ``partitions_of(n)`` order, and code -> index."""
+    codes = tuple(sum(_CODE_BASE ** (k - 1) for k in rho) for rho in partitions_of(n))
+    return codes, {code: i for i, code in enumerate(codes)}
+
+
+@cache
+def _drops(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each rho of n, in ``partitions_of(n)`` order, p_rho[p_k -> p_k - z**-k].
+
+    Each term is (m, code of the rest, coefficient of z**-m times the rest).
+    p_rho expands binomially, one factor (p_k - z**-k)**m_k per distinct part
+    k; dropping j copies of p_k contributes (-1)**j * C(m_k, j) * z**(-k j).
     """
-    out: dict[int, dict[Partition, int]] = {}
-    for rho, c in f.items():
-        mult = Counter(rho)
-        for drops in product(*(range(m + 1) for m in mult.values())):
-            coeff, m, rest = c, 0, []
-            for (k, mk), j in zip(mult.items(), drops):
-                coeff *= comb(mk, j)
-                m += k * j
-                rest += [k] * (mk - j)
-            if sum(drops) % 2:
-                coeff = -coeff
-            bucket = out.setdefault(m, {})
-            key = tuple(rest)
-            bucket[key] = bucket.get(key, 0) + coeff
-    return out
+    out = []
+    for rho, code in zip(partitions_of(n), _codes(n)[0]):
+        terms = [(0, code, 1)]
+        for k in set(rho):
+            mk, digit = rho.count(k), _CODE_BASE ** (k - 1)
+            terms = [
+                (m + k * j, rest - digit * j, c * (-1) ** j * comb(mk, j))
+                for m, rest, c in terms
+                for j in range(mk + 1)
+            ]
+        out.append(tuple(terms))
+    return tuple(out)
 
 
 def check_hl_degree(n: int):
@@ -429,7 +448,9 @@ def _hl_q(lam: Partition, t: Fraction) -> tuple[int, tuple[int, ...]]:
     prod_i (b**rho_i - a**rho_i) / (b**n * n!).  Any other lam is
     H_{lam_1} Q_{lam[1:]}, with the tail and every q_{lam_1 + m} read from
     this memo; the step stays in integers, every term lifted to the lcm of
-    the q denominators.
+    the q denominators.  The tail's p_rho expand by :func:`_drops` into
+    terms keyed by code, and each product of a term with a p_rho of
+    q_{lam_1 + m} lands at the index of the sum of their codes.
     """
     n = size(lam)
     if len(lam) < 2:
@@ -443,21 +464,26 @@ def _hl_q(lam: Partition, t: Fraction) -> tuple[int, tuple[int, ...]]:
         den = b**n * factorial(n)
     else:
         tail_den, tail = _hl_q(lam[1:], t)
-        f = {rho: c for rho, c in zip(partitions_of(n - lam[0]), tail) if c}
-        parts = _translate(f)
+        # the tail translated, split by powers of z: {m: {code: coefficient}}
+        parts: dict[int, dict[int, int]] = {}
+        for c, terms in zip(tail, _drops(n - lam[0])):
+            if c:
+                for m, code, b in terms:
+                    bucket = parts.setdefault(m, {})
+                    bucket[code] = bucket.get(code, 0) + c * b
         series = {m: _hl_q((lam[0] + m,), t) for m in parts}
         # no parts, as for a zero tail, leave the zero row over lcm() = 1
         top = lcm(*(q_den for q_den, _ in series.values()))
-        out: dict[Partition, int] = {}
+        index = _codes(n)[1]
+        row = [0] * len(index)
         for m, fm in parts.items():
             q_den, q_row = series[m]
             scale = top // q_den
-            for rho, a in zip(partitions_of(lam[0] + m), q_row):
-                a *= scale
-                for sigma, b in fm.items():
-                    key = tuple(sorted(rho + sigma, reverse=True))
-                    out[key] = out.get(key, 0) + a * b
-        row = [out.get(rho, 0) for rho in partitions_of(n)]
+            fm = [(sigma, b * scale) for sigma, b in fm.items() if b]
+            for code, a in zip(_codes(lam[0] + m)[0], q_row):
+                if a:
+                    for sigma, b in fm:
+                        row[index[code + sigma]] += a * b
         den = tail_den * top
     g = gcd(den, *row)
     return den // g, tuple(c // g for c in row)
@@ -469,13 +495,16 @@ def hl_q_row(lam: Partition, t) -> tuple[int, tuple[int, ...]]:
     Built by Jing's vertex operator (Adv. Math. 87, 1991; Macdonald III.5),
     Q_lam = H_{lam_1} Q_{lam[1:]} down to one row, where
     H_n f = sum_m q_{n+m} f_m with the series coefficient q_N = Q_(N) and
-    f_m from :func:`_translate`.  The coefficient of p_rho is row[i] / D,
-    rho the i-th partition of ``partitions_of(|lam|)`` and D the least
-    common denominator.  Every Q_lam(t), one-row ones included, is kept in
-    one memo, keyed on (lam, Fraction(t)), so each lam builds on the kept Q
-    of its tail and of the rows (N,) it needs, and a repeated query costs
-    a lookup.  Specialized, Q_lam is one integer dot product of the row
-    with the level's p_rho over one denominator.
+    f_m the coefficient of z**-m in f[p_k -> p_k - z**-k].  The step adds
+    and looks up integer partition codes (digits the part multiplicities)
+    in t-free tables per degree, with no sorting of parts.  The coefficient
+    of p_rho is row[i] / D, rho the i-th partition of
+    ``partitions_of(|lam|)`` and D the least common denominator.  Every
+    Q_lam(t), one-row ones included, is kept in one memo, keyed on
+    (lam, Fraction(t)), so each lam builds on the kept Q of its tail and of
+    the rows (N,) it needs, and a repeated query costs a lookup.
+    Specialized, Q_lam is one integer dot product of the row with the
+    level's p_rho over one denominator.
     """
     lam = check_partition(lam)
     check_hl_degree(size(lam))

@@ -38,6 +38,16 @@ def test_transpose_examples():
     assert transpose((2, 2)) == (2, 2)
 
 
+def test_transpose_against_definition():
+    # column j of the diagram holds one box for each row of length >= j
+    for n in range(17):
+        for lam in partitions_of(n):
+            expected = tuple(
+                sum(1 for p in lam if p >= j) for j in range(1, (lam[0] if lam else 0) + 1)
+            )
+            assert transpose(lam) == expected, lam
+
+
 @given(partition_strategy())
 def test_transpose_involution(lam):
     assert transpose(transpose(lam)) == lam

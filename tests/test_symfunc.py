@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import prod
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +12,15 @@ from hypothesis import given, settings, strategies as st
 from fqtraces.partitions import partitions_of, size, z_factor
 from fqtraces.specializations import Specialization
 from fqtraces.symfunc import (
+    EXACT_HL_DEGREE_CAP,
     PowerSumElement,
+    _CODE_BASE,
     _character_table,
+    _codes,
     _hl_q,
     charge,
     hl_q_in_p,
+    hl_q_row,
     kostka,
     kostka_foulkes,
     modified_hl_q,
@@ -241,6 +249,90 @@ def partitions_up_to(max_n):
 @given(partitions_up_to(9))
 def test_hl_q_at_t_zero_is_schur(lam):
     assert hl_q_in_p(lam, 0) == schur_in_p(lam)
+
+
+def test_hl_q_at_t_zero_is_schur_to_the_cap():
+    # Q_lam(0) = s_lam, whose p_rho coefficient is chi^lam(rho) / z_rho: at
+    # every degree this checks Jing's step against the character table alone
+    for n in range(EXACT_HL_DEGREE_CAP + 1):
+        table, _ = _character_table(n)
+        z = [z_factor(rho) for rho in partitions_of(n)]
+        for lam, chi in zip(partitions_of(n), table):
+            den, row = hl_q_row(lam, 0)
+            assert [c * zr for c, zr in zip(row, z)] == [x * den for x in chi], lam
+
+
+def test_partition_codes():
+    # the base is derived from the cap: a partition of n has no part
+    # multiplicity above n, so below the cap no base-B digit carries
+    assert _CODE_BASE == EXACT_HL_DEGREE_CAP + 1
+    for n in range(EXACT_HL_DEGREE_CAP + 1):
+        codes, index = _codes(n)
+        assert len(set(codes)) == len(codes) == len(partitions_of(n))
+        assert index == {code: i for i, code in enumerate(codes)}
+        for rho, code in zip(partitions_of(n), codes):
+            digits = []
+            while code:
+                code, digit = divmod(code, _CODE_BASE)
+                digits.append(digit)
+            assert digits == [rho.count(k) for k in range(1, len(digits) + 1)], rho
+    # the code of a union is the sum of the codes
+    for a in range(11):
+        for b in range(11 - a):
+            codes, index = _codes(a + b)
+            position = {lam: i for i, lam in enumerate(partitions_of(a + b))}
+            for rho, code_rho in zip(partitions_of(a), _codes(a)[0]):
+                for sigma, code_sigma in zip(partitions_of(b), _codes(b)[0]):
+                    union = tuple(sorted(rho + sigma, reverse=True))
+                    assert codes[position[union]] == code_rho + code_sigma
+                    assert index[code_rho + code_sigma] == position[union]
+
+
+COLD_Q_SCRIPT = """
+import sys
+from fractions import Fraction
+import fqtraces.cli
+from fqtraces.symfunc import _codes, _drops, _hl_q, hl_q_row
+
+def module_globals():
+    return [
+        (name, attr, value)
+        for name, mod in list(sys.modules.items())
+        if name.startswith("fqtraces")
+        for attr, value in vars(mod).items()
+    ]
+
+def container_sizes():
+    return {
+        (name, attr): len(value)
+        for name, attr, value in module_globals()
+        if isinstance(value, (dict, list, set))
+    }
+
+at_import = container_sizes()
+t, lam = Fraction(3, 11), (4, 2, 2, 1)
+before = hl_q_row(lam, t)
+tables = {value for _, _, value in module_globals() if hasattr(value, "cache_clear")}
+assert {_codes, _drops, _hl_q} <= tables
+for table in tables:
+    table.cache_clear()
+assert _codes.cache_info().currsize == _drops.cache_info().currsize == 0
+assert container_sizes() == at_import
+assert hl_q_row(lam, t) == before
+"""
+
+
+def test_cold_q_build_keeps_nothing_past_cache_clear():
+    # every memo of the Q build is a cache_clear table of an fqtraces
+    # module: clearing them all, as a cold benchmark run does between
+    # requests, leaves every module-level container as it was at import.
+    # A fresh process, so that this suite's own memos stay warm.
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_Q_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("n", range(7))
