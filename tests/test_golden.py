@@ -13,7 +13,8 @@ and beta drawn from (), (1), (1/2), (1/4) with total mass at most 1, and
 ``kostka.txt`` holds ``kostka`` and ``kostka-foulkes``, in CSV and JSON,
 for every shape and content of degree at most 5, and ``hl-expand.txt``
 holds ``hl-expand`` for every lambda of degree at most 10, at t = 1/2 and
-with ``--modified`` at t = 2/9.  ``coeffs.txt`` holds ``coeffs``, in CSV
+with ``--modified`` at t = 2/9, then for every lambda of degree at most 7
+at t = 5/2 and t = -3/7, plain and with ``--modified``.  ``coeffs.txt`` holds ``coeffs``, in CSV
 and JSON, for every n <= 10 with alpha and beta drawn from (), (1),
 (1/2), (1/4), (1/2, 1/4) with total mass at most 1 (gamma = 1, so most
 cases keep a Plancherel part), and with ``--glu-params`` for two and
@@ -166,6 +167,13 @@ def invocations(command: str) -> list[list[str]]:
             ["hl-expand", *setting, "--lam", format_partition(lam)]
             for setting in (["--t", "1/2"], ["--t", "2/9", "--modified"])
             for n in range(11)
+            for lam in partitions_of(n)
+        ] + [
+            # t > 1 and t < 0; a negative t takes the = form, or argparse reads it as a flag
+            ["hl-expand", t, *modified, "--lam", format_partition(lam)]
+            for t in ("--t=5/2", "--t=-3/7")
+            for modified in ([], ["--modified"])
+            for n in range(8)
             for lam in partitions_of(n)
         ]
     if command == "coeffs":
