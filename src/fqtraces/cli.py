@@ -22,15 +22,22 @@ from fqtraces.measures import (
     lln_experiment,
     sample_trajectory,
 )
-from fqtraces.partitions import format_partition, n_stat, parse_partition, size, transpose
+from fqtraces.partitions import (
+    format_partition,
+    n_stat,
+    parse_partition,
+    partitions_of,
+    size,
+    transpose,
+)
 from fqtraces.specializations import Specialization, check_q_power
 from fqtraces.symfunc import (
     EXACT_HL_DEGREE_CAP,
-    hl_q_in_p,
+    hl_q_row,
     kostka,
     kostka_foulkes,
-    modified_hl_q,
-    schur_expand,
+    modified_hl_q_row,
+    schur_coefficients,
 )
 from fqtraces.traces import (
     DiagramFamily,
@@ -439,12 +446,11 @@ def _run(args) -> int:
         else:
             rows = [{"power": i, "coeff": c} for i, c in enumerate(coeffs)]
     elif args.command == "hl-expand":
-        f = modified_hl_q(args.lam, args.t) if args.modified else hl_q_in_p(args.lam, args.t)
+        n = size(args.lam)
+        row = (modified_hl_q_row if args.modified else hl_q_row)(args.lam, args.t)
+        coeffs = zip(partitions_of(n), schur_coefficients(row, n))
         header = ["mu", "coeff"]
-        rows = [
-            {"mu": _PartitionCell(format_partition(mu)), "coeff": c}
-            for mu, c in sorted(schur_expand(f).items(), reverse=True)
-        ]
+        rows = [{"mu": _PartitionCell(format_partition(mu)), "coeff": c} for mu, c in coeffs if c]
     elif args.command == "trace":
         sp = Specialization.finite(args.alpha, args.beta)
         rows = [{"value": _exact(unipotent_trace_value(sp, args.cls, args.q))}]

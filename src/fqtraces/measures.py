@@ -215,10 +215,10 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 # Measure families
 #
 # A family is a ``weight`` and a ``step``, and every family object answers
-# three questions: ``weight(lam)`` is the Q weight W(lam); ``row(lam,
-# rows)`` is the chain's transition row out of lam as (den, nums):
-# non-negative integers over one positive den, one per corner row of
-# ``rows = _corner_rows(lam)``, summing to den; and
+# three questions: ``weight(lam)`` is the Q weight W(lam); ``row(lam)`` is
+# the chain's transition row out of lam as (successors, den, nums): the
+# one-box successors in :func:`box_additions` order, and non-negative
+# integers over one positive den, one per successor, summing to den; and
 # ``step(lam, u)`` is the successor the chain moves to for the uniform
 # variate u / 2**64, 0 <= u < 2**64.  The successor is the first corner
 # whose cumulative probability acc / den exceeds u / 2**64, compared in
@@ -251,11 +251,6 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 _U64 = 2**64
 
 
-def _corner_rows(lam: Partition) -> list[int]:
-    """0-based rows of the addable corners; the last one, len(lam), opens a new row."""
-    return [row - 1 for row, _ in addable_corners(lam)]
-
-
 def _zero_source(lam: Partition) -> ValueError:
     return ValueError(f"source class {lam} has zero probability")
 
@@ -263,50 +258,50 @@ def _zero_source(lam: Partition) -> ValueError:
 class _Family:
     """The base of every family: its transition rows, built from ``weights``.
 
-    Each diagram's row is built once and kept, since a chain revisits the
-    few diagrams below the cap at every trial; searching it is the default
-    ``step``.  A subclass defines ``weight``; ``weights(n, lams)``, the
-    weights of a diagram's successors at level n as ints or Fractions, may
-    be scaled by one common positive factor, since the row divides by
-    their total.
+    Each diagram's row is built once and kept with its successors, since a
+    chain revisits the few diagrams below the cap at every trial; searching
+    it is the default ``step``.  A subclass defines ``weight``;
+    ``weights(n, lams)``, the weights of a diagram's successors at level n
+    as ints or Fractions, may be scaled by one common positive factor, since
+    the row divides by their total.
     """
 
     def __init__(self, params: MeasureParams):
         self.params = params
         self.q = params.q
         self.keep = 1 - 1 / params.q
-        self.built_rows: dict[Partition, tuple[int, list[int]]] = {}
+        self.built_rows: dict[Partition, tuple[list[Partition], int, list[int]]] = {}
 
     def weights(self, n: int, lams) -> list[Fraction]:
         return [self.weight(lam) for lam in lams]
 
-    def row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
+    def row(self, lam: Partition) -> tuple[list[Partition], int, list[int]]:
         if lam not in self.built_rows:
-            self.built_rows[lam] = self._build_row(lam, rows)
+            self.built_rows[lam] = self._build_row(lam)
         return self.built_rows[lam]
 
     def step(self, lam: Partition, u: int) -> Partition:
         # the row sums to den and u < 2**64, so the search stops at the last
-        # corner at the latest
-        rows = _corner_rows(lam)
-        den, nums = self.row(lam, rows)
+        # successor at the latest
+        successors, den, nums = self.row(lam)
         target = u * den
         acc = 0
-        for i, num in zip(rows, nums):
+        for mu, num in zip(successors, nums):
             acc += num
             if target < acc << 64:
                 break
-        return add_box(lam, i + 1)
+        return mu
 
-    def _build_row(self, lam: Partition, rows: list[int]) -> tuple[int, list[int]]:
-        successors = self.weights(size(lam) + 1, [add_box(lam, i + 1) for i in rows])
+    def _build_row(self, lam: Partition) -> tuple[list[Partition], int, list[int]]:
+        rows = [i for i, _ in addable_corners(lam)]
+        successors = [add_box(lam, i) for i in rows]
         # each term W(mu) * (1 - q**-d), d the rows to the next corner, as
         # (num, den): with q = a/b the bracket is (a**d - b**d) / a**d
         a, b = self.q.numerator, self.q.denominator
         terms = []
-        for k, (i, weight) in enumerate(zip(rows, successors)):
+        for k, (i, weight) in enumerate(zip(rows, self.weights(size(lam) + 1, successors))):
             num, den = weight.numerator, weight.denominator
-            if i < len(lam):
+            if i <= len(lam):
                 d = rows[k + 1] - i
                 num, den = num * (a**d - b**d), den * a**d
             terms.append((num, den))
@@ -316,7 +311,7 @@ class _Family:
         if total <= 0:
             raise _zero_source(lam)
         g = gcd(total, *nums)
-        return total // g, [num // g for num in nums]
+        return successors, total // g, [num // g for num in nums]
 
 
 class _Generic(_Family):
@@ -466,9 +461,8 @@ def transition_distribution(
     included.
     """
     lam = check_partition(lam)
-    rows = _corner_rows(lam)
-    den, nums = params.family.row(lam, rows)
-    return [(add_box(lam, i + 1), Fraction(num, den)) for i, num in zip(rows, nums)]
+    successors, den, nums = params.family.row(lam)
+    return [(mu, Fraction(num, den)) for mu, num in zip(successors, nums)]
 
 
 def _trial_rng(seed: int, trial: int) -> random.Random:

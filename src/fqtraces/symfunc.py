@@ -1,10 +1,11 @@
 """Exact symmetric functions in the power-sum basis.
 
-Everything is expressed through :class:`PowerSumElement`, a finite linear
-combination of power-sum products ``p_rho`` with `Fraction` coefficients.
+A degree-n function is an integer row (D, c_rho), sum_rho c_rho p_rho / D
+in ``partitions_of(n)`` order; :class:`PowerSumElement`, with `Fraction`
+coefficients, is a view of it for the independent checks.
 Schur functions enter through one integer character table per degree, built
-by Murnaghan-Nakayama on beta-sets from the tables of lower degree; a Schur
-expansion is one integer dot product per row over a common denominator.
+by Murnaghan-Nakayama on beta-sets from the tables of lower degree; every
+Schur coefficient of a row is one integer dot product with a table row.
 Hall-Littlewood Q functions come from Jing's vertex operator, Q_lam =
 H_{lam_1} Q_{lam[1:]} on the kept Q of the tail, up to
 :data:`EXACT_HL_DEGREE_CAP`; each step is computed in integers over one
@@ -12,14 +13,13 @@ denominator, on partition codes: a partition is one integer whose digits
 in base cap + 1 are its part multiplicities, so the index of a product
 p_rho p_sigma is one addition and one lookup, and the expansion of each
 p_rho under p_k -> p_k - z**-k is read from a t-free table per degree.
-Each Q_lam(t) is kept as an integer row (D, c_rho) in
-``partitions_of(|lam|)`` order.  Specializations evaluate that row as one
-integer dot product; :func:`hl_q_in_p` and the modified Q functions,
-which rescale each ``p_k`` by ``1/(1 - t**k)``, are `Fraction` views of
-it.  Kostka numbers count tableaux by a recursion over
-horizontal strips; charge-weighted Kostka polynomials
-(:class:`TPolynomial`) come from tableau enumeration, up to the same degree
-cap, and are the independent check on the operator.
+Each Q_lam(t) is kept as an integer row, which specializations evaluate as
+one dot product; :func:`modified_hl_q_row` rescales each ``p_k`` by
+``1/(1 - t**k)``, and :func:`hl_q_in_p` and :func:`modified_hl_q` are views
+of the two rows.  Kostka numbers count tableaux by a recursion over
+horizontal strips; charge-weighted Kostka polynomials (:class:`TPolynomial`)
+come from tableau enumeration, up to the same degree cap, and are the
+independent check on the operator.
 
 Character tables, Schur functions, Kostka numbers, charge polynomials, the
 partition codes and p_rho expansions of each degree, and Hall-Littlewood Q
@@ -32,6 +32,7 @@ the one-row Q_(N) in the same table) are memoized in module-level
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, lcm, prod
+from operator import mul
 
 from fqtraces.partitions import (
     Partition,
@@ -192,27 +193,26 @@ def schur_in_p(lam: Partition) -> PowerSumElement:
     )
 
 
+def schur_coefficients(row: tuple[int, list[int]], n: int) -> list[Fraction]:
+    """Every s_lam coefficient of sum_rho c_rho p_rho / D, both in ``partitions_of(n)`` order.
+
+    As p_rho = sum_lam chi^lam(rho) s_lam, each is one integer dot product
+    of the row (D, c) with a row of the character table, over D.
+    """
+    den, coeffs = row
+    return [Fraction(sum(map(mul, chi, coeffs)), den) for chi in _character_table(n)[0]]
+
+
 def schur_expand(f: PowerSumElement) -> dict[Partition, Fraction]:
     """Coefficients d_lam with f = sum d_lam s_lam, for homogeneous f.
 
-    Since p_rho = sum_lam chi^lam(rho) s_lam, d_lam is the dot product of
-    f's p-coefficients with the row of lam in the character table.  The
-    coefficients are put over one common denominator D first, so each d_lam
-    is an integer dot product divided by D.
+    A view of :func:`schur_coefficients` on f's p-coefficients over their
+    common denominator; the nonzero d_lam, in ``partitions_of`` order.
     """
-    if not f:
-        return {}
     n = f.degree()
-    table, index = _character_table(n)
     den = lcm(*(c.denominator for c in f.terms.values()))
-    cols = [index[rho] for rho in f.terms]
-    nums = [c.numerator * (den // c.denominator) for c in f.terms.values()]
-    out = {}
-    for lam, row in zip(partitions_of(n), table):
-        d = sum(a * row[j] for a, j in zip(nums, cols))
-        if d:
-            out[lam] = Fraction(d, den)
-    return out
+    row = [int(f.terms.get(rho, 0) * den) for rho in partitions_of(n)]
+    return {lam: d for lam, d in zip(partitions_of(n), schur_coefficients((den, row), n)) if d}
 
 
 # ---------------------------------------------------------------------------
@@ -511,17 +511,13 @@ def hl_q_row(lam: Partition, t) -> tuple[int, tuple[int, ...]]:
     return _hl_q(lam, Fraction(t))
 
 
-def hl_q_in_p(lam: Partition, t) -> PowerSumElement:
-    """Hall-Littlewood Q function at an exact rational t: a view of :func:`hl_q_row`."""
-    lam = check_partition(lam)
-    den, row = hl_q_row(lam, t)
-    return PowerSumElement(
-        {rho: Fraction(c, den) for rho, c in zip(partitions_of(size(lam)), row) if c}
-    )
+def modified_hl_q_row(lam: Partition, t) -> tuple[int, tuple[int, ...]]:
+    """Modified Q function: the row of :func:`hl_q_row`, p_rho scaled by prod 1/(1 - t**rho_i).
 
-
-def modified_hl_q(lam: Partition, t) -> PowerSumElement:
-    """Modified Q function: rescale the p_rho coefficient by prod 1/(1 - t**rho_i)."""
+    For t = a/b the factor is b**n / P_rho, P_rho = prod_i (b**rho_i -
+    a**rho_i).  The row (D, c) goes over D * L, L the lcm of every P_rho,
+    keeping their signs (negative for t > 1), and is not reduced.
+    """
     t = Fraction(t)
     lam = check_partition(lam)
     n = size(lam)
@@ -529,17 +525,28 @@ def modified_hl_q(lam: Partition, t) -> PowerSumElement:
     for k in range(1, min(2, n) + 1):
         if t**k == 1:
             raise ValueError(f"t = {t} has t**{k} = 1; modified Q is undefined")
-    # 1/(1 - t**k) = b**k / (b**k - a**k) for t = a/b
-    a, b = t.numerator, t.denominator
     den, row = hl_q_row(lam, t)
-    scale = b**n
+    a, b = t.numerator, t.denominator
+    products = [prod(b**k - a**k for k in rho) for rho in partitions_of(n)]
+    top = lcm(*products)
+    return den * top, tuple(c * b**n * (top // p) for c, p in zip(row, products))
+
+
+def _power_sum_view(lam, row: tuple[int, tuple[int, ...]]) -> PowerSumElement:
+    den, coeffs = row
     return PowerSumElement(
-        {
-            rho: Fraction(c * scale, den * prod(b**k - a**k for k in rho))
-            for rho, c in zip(partitions_of(n), row)
-            if c
-        }
+        {rho: Fraction(c, den) for rho, c in zip(partitions_of(size(lam)), coeffs) if c}
     )
+
+
+def hl_q_in_p(lam: Partition, t) -> PowerSumElement:
+    """Hall-Littlewood Q function at an exact rational t: a view of :func:`hl_q_row`."""
+    return _power_sum_view(lam, hl_q_row(lam, t))
+
+
+def modified_hl_q(lam: Partition, t) -> PowerSumElement:
+    """Modified Q function: a view of :func:`modified_hl_q_row`."""
+    return _power_sum_view(lam, modified_hl_q_row(lam, t))
 
 
 def plethysm_pl(f: PowerSumElement, n: int) -> PowerSumElement:

@@ -42,7 +42,7 @@ from fqtraces.specializations import (
     power_products,
     row_value,
 )
-from fqtraces.symfunc import _character_table, check_hl_degree, hl_q_row
+from fqtraces.symfunc import check_hl_degree, hl_q_row, schur_coefficients
 
 UNIT = "x-1"
 
@@ -319,16 +319,8 @@ def _class_vector(sp: Specialization, n: int) -> tuple[int, list[int]]:
 
 
 def _schur_values(sp: Specialization, n: int) -> dict[Partition, Fraction]:
-    """Every s_lam(sp) for lam of size n, in one pass over the character table.
-
-    s_lam = sum_rho chi^lam(rho) p_rho / z_rho, so s_lam(sp) is the row of
-    lam dotted with the class vector, over its denominator.
-    """
-    vector = _class_vector(sp, n)
-    return {
-        lam: row_value((1, row), vector)
-        for lam, row in zip(partitions_of(n), _character_table(n)[0])
-    }
+    """Every s_lam(sp), |lam| = n: the :func:`schur_coefficients` of the class vector."""
+    return dict(zip(partitions_of(n), schur_coefficients(_class_vector(sp, n), n)))
 
 
 def trace_coefficients(sp: Specialization, n: int) -> dict[Partition, Fraction]:

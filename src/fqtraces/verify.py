@@ -54,8 +54,8 @@ from fqtraces.symfunc import (
     hl_q_in_p,
     kostka,
     kostka_foulkes,
-    modified_hl_q,
-    schur_expand,
+    modified_hl_q_row,
+    schur_coefficients,
     schur_in_p,
 )
 from fqtraces.traces import (
@@ -152,9 +152,9 @@ def _check_hl_schur_identity():
         for n in range(1, 7):
             pairs = []
             for lam in partitions_of(n):
-                got = schur_expand(modified_hl_q(lam, t))
+                got = schur_coefficients(modified_hl_q_row(lam, t), n)
                 pairs += [
-                    (got.get(mu, 0), kostka_foulkes(mu, lam)(t)) for mu in partitions_of(n)
+                    (d, kostka_foulkes(mu, lam)(t)) for mu, d in zip(partitions_of(n), got)
                 ]
             yield _tally(f"t={t}-degree-{n}", pairs)
 

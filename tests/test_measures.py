@@ -20,7 +20,6 @@ from fqtraces.measures import (
     _Generic,
     _Haar,
     _Row,
-    _corner_rows,
     _mean_stderr,
     _trial_rng,
     cyl_prob,
@@ -121,8 +120,8 @@ def test_closed_form_family_matches_generic_route(make, q):
             assert family.weight(lam) == w, lam
             if not w > 0:
                 continue
-            den, nums = family.row(lam, _corner_rows(lam))
-            generic_den, generic_nums = generic.row(lam, _corner_rows(lam))
+            _, den, nums = family.row(lam)
+            _, generic_den, generic_nums = generic.row(lam)
             assert [Fraction(num, den) for num in nums] == [
                 Fraction(num, generic_den) for num in generic_nums
             ], lam
@@ -361,8 +360,7 @@ def test_rows_ignore_a_common_factor_of_the_weights(params, top):
     for n in range(top + 1):
         for lam in partitions_of(n):
             if params.family.weight(lam) > 0:
-                rows = _corner_rows(lam)
-                assert scaled.row(lam, rows) == params.family.row(lam, rows), lam
+                assert scaled.row(lam) == params.family.row(lam), lam
 
 
 def test_growth_normalization_catches_a_swapped_row(monkeypatch):
@@ -399,9 +397,9 @@ def test_haar_normalization_on_random_partitions(lam):
 
 def check_row(params: MeasureParams, lam):
     """Integer row: non-negative, sums to its denominator, equals N * cyl(mu) / cyl(lam)."""
-    den, nums = params.family.row(lam, _corner_rows(lam))
+    successors, den, nums = params.family.row(lam)
     assert den > 0 and all(num >= 0 for num in nums) and sum(nums) == den, (params, lam)
-    successors = [mu for mu, _ in box_additions(lam)]
+    assert successors == [mu for mu, _ in box_additions(lam)]
     assert len(nums) == len(successors)
     source = cyl_prob(params, lam)
     for mu, num in zip(successors, nums):
@@ -449,7 +447,7 @@ def test_generic_rows_are_built_once(monkeypatch):
 def test_zero_probability_source_raises(params, lam):
     assert params.family.weight(lam) == 0
     with pytest.raises(ValueError, match="zero probability"):
-        params.family.row(lam, _corner_rows(lam))
+        params.family.row(lam)
     with pytest.raises(ValueError, match="zero probability"):
         transition_distribution(params, lam)
     with pytest.raises(ValueError, match="zero probability"):
@@ -542,7 +540,7 @@ def test_step_at_threshold_grid_points():
                 for lam in partitions_of(n):
                     if not params.family.weight(lam) > 0:
                         continue
-                    for u in threshold_variates(*params.family.row(lam, _corner_rows(lam))):
+                    for u in threshold_variates(*params.family.row(lam)[1:]):
                         mu = params.family.step(lam, u)
                         assert mu == reference_step(params, lam, FixedBits(u)), (params, lam, u)
                         assert mu == generic.step(lam, u), (params, lam, u)
