@@ -11,6 +11,7 @@ the rows ``fqtraces verify`` prints: one dict per check, keyed by
 can emit CSV and CI can shard the suites by name.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
 from math import prod
@@ -197,14 +198,6 @@ def _check_branching():
 # 4. Extension counts against brute-force classification
 
 
-def _classify_extensions(g: FqMatrix) -> dict:
-    counts: dict = {}
-    for h in ext_enumerate(g, "GLU"):
-        mu = unipotent_class_of(h)
-        counts[mu] = counts.get(mu, 0) + 1
-    return counts
-
-
 @_suite("extension-counts")
 def _check_extension_counts():
     for q, top in ((2, 5), (3, 4)):
@@ -221,10 +214,8 @@ def _check_extension_counts():
             pairs = []
             for g in mats:
                 lam = unipotent_class_of(g)
-                got = _classify_extensions(g)
-                pairs += [
-                    (got.get(mu, 0), extension_count(lam, mu, q)) for mu in partitions_of(n + 1)
-                ]
+                got = Counter(unipotent_class_of(h) for h in ext_enumerate(g, "GLU"))
+                pairs += [(got[mu], extension_count(lam, mu, q)) for mu in partitions_of(n + 1)]
             yield _tally(f"n={n}-q={q}-{scope}", pairs)
 
 
