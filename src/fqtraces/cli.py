@@ -324,7 +324,9 @@ def _kostka_flags(p):
 
 def _hl_expand_flags(p):
     p.add_argument("--lam", type=_partition, required=True, metavar="PARTITION")
-    p.add_argument("--t", type=_fraction, required=True)
+    p.add_argument(
+        "--t", type=_fraction, required=True, help="rational t; write a negative one as --t=-3/7"
+    )
     p.add_argument("--modified", action="store_true", help="expand the modified Q function")
 
 

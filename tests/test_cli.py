@@ -76,6 +76,13 @@ def test_hl_expand():
     assert run(["hl-expand", "--t", "1", "--lam", "2"]) == (0, "mu,coeff\n", "")
 
 
+def test_hl_expand_negative_t_in_equals_form():
+    # argparse reads a separate -3/7 as a flag; the = form passes it as the value
+    code, out, err = run(["hl-expand", "--t=-3/7", "--lam", "2,1"])
+    assert (code, err) == (0, "")
+    assert out == 'mu,coeff\n"2,1",100/49\n"1,1,1",1200/2401\n'
+
+
 def test_coeffs_table():
     code, out, _ = run(["coeffs", "--n", "2", "--alpha", "1/2,1/2"])
     assert out == 'lambda,coeff\n"2",3/4\n"1,1",1/4\n'
