@@ -24,6 +24,10 @@ Specializations too: :func:`apply_reference` evaluates term by term in
 the references for ``Specialization.apply`` and the character-table pass
 behind the trace coefficients.
 
+Kostka numbers get one too: :func:`kostka_by_strips` peels a horizontal
+strip per part of the content, the smallest part first, with no shortcut
+for parts equal to 1.
+
 The dominance order, which the charge polynomials are triangular in, is
 here as well.
 """
@@ -46,6 +50,23 @@ def dominance_leq(lam, mu) -> bool:
         if total_l > total_m:
             return False
     return True
+
+
+@cache
+def kostka_by_strips(shape, content) -> int:
+    """Column-strict fillings of shape with the given content, letter len(content) first.
+
+    Its boxes form a horizontal strip on the rim; the rest is a filling of
+    what is left with the other letters.  The reference for ``kostka``.
+    """
+    if len(shape) > len(content):
+        return 0
+    if not content:
+        return 1
+    return sum(
+        kostka_by_strips(smaller, content[:-1])
+        for smaller in _strip_removals(shape, content[-1])
+    )
 
 
 def apply_reference(sp, f: PowerSumElement) -> Fraction:

@@ -33,6 +33,7 @@ from fqtraces.verify import hl_q_by_charge
 
 from hl_reference import (
     dominance_leq,
+    kostka_by_strips,
     kostka_foulkes_branching,
     kostka_foulkes_reference,
     sym_character_reference,
@@ -149,6 +150,15 @@ def test_kostka_against_brute_force():
         for shape in partitions_of(n):
             for content in partitions_of(n):
                 assert kostka(shape, content) == brute_kostka(shape, content)
+
+
+def test_kostka_against_the_strip_recursion():
+    # kostka peels the largest part first and leaves the ones to the hook
+    # length formula; the reference peels the smallest part first, ones too
+    for n in range(11):
+        for shape in partitions_of(n):
+            for content in partitions_of(n):
+                assert kostka(shape, content) == kostka_by_strips(shape, content), (shape, content)
 
 
 def test_kostka_size_mismatch():
