@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqtraces import cli, verify
+from fqtraces import cli, symfunc, verify
 from fqtraces.cli import BIREGULAR_MAX_SIZE, KOSTKA_FOULKES_TABLEAU_CAP, main
 from fqtraces.measures import CHAIN_LEVEL_CAP, CHAIN_STEP_CAP
 from fqtraces.oracle import SUPPORTED_ORDERS
@@ -81,6 +81,36 @@ def test_hl_expand_negative_t_in_equals_form():
     code, out, err = run(["hl-expand", "--t=-3/7", "--lam", "2,1"])
     assert (code, err) == (0, "")
     assert out == 'mu,coeff\n"2,1",100/49\n"1,1,1",1200/2401\n'
+
+
+_GENERIC = ["--q", "2", "--r", "1/4", "--c", "1/4"]
+_GLU = '{"entries": [{"label": "a", "alpha": "1/2", "gamma": "1/2"}, {"label": "b", "gamma": "1/2"}]}'
+_UNIPOTENT_CLASS = '[{"tag":"x-1","d":1,"lambda":"2,1"},{"tag":"c","d":2,"lambda":"1"}]'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hl-expand", "--lam", "3,2,1", "--t", "1/2"],
+        ["hl-expand", "--lam", "3,2,1", "--t=-3/7", "--modified"],
+        ["cyl", *_GENERIC, "--lam", "3,1"],
+        ["cyl", "--from-trace", "--q", "2", "--alpha", "1/2", "--beta", "1/4", "--lam", "3,1"],
+        ["coeffs", "--n", "5", "--alpha", "1/2", "--beta", "1/4"],
+        ["coeffs", "--n", "4", "--glu-params", _GLU],
+        ["trace", "--q", "3", "--alpha", "1/2", "--class", _UNIPOTENT_CLASS],
+        ["sample", *_GENERIC, "--nmax", "6", "--seed", "1"],
+        ["lln", *_GENERIC, "--nmax", "6", "--trials", "3", "--seed", "1"],
+    ],
+)
+def test_commands_build_no_power_sum_element(monkeypatch, argv):
+    # integer rows are the production type: only verify builds a PowerSumElement
+    def refuse(self, terms=None):
+        raise AssertionError("PowerSumElement built")
+
+    monkeypatch.setattr(symfunc.PowerSumElement, "__init__", refuse)
+    code, out, err = run(argv)
+    assert (code, err) == (0, ""), argv
+    assert out
 
 
 def test_coeffs_table():

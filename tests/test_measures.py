@@ -30,7 +30,7 @@ from fqtraces.measures import (
     sample_trajectory,
     transition_distribution,
 )
-from fqtraces.partitions import add_box, box_additions, partitions_of, size
+from fqtraces.partitions import add_box, addable_corners, box_additions, partitions_of, size
 from fqtraces.specializations import (
     FinitePowerSums,
     GeometricSpread,
@@ -438,6 +438,34 @@ def test_generic_rows_are_built_once(monkeypatch):
     assert calls == [5]
     assert transition_distribution(params, (3, 1)) == first
     assert calls == [5]
+
+
+def test_successors_are_kept_with_the_row(monkeypatch):
+    # the first request finds the corners once; a second request and a step
+    # from the same diagram read the kept successors
+    params = MeasureParams((Fraction(1, 3),), (Fraction(1, 5),), 3)
+    calls = []
+
+    def counted(lam):
+        calls.append(lam)
+        return addable_corners(lam)
+
+    monkeypatch.setattr(measures, "addable_corners", counted)
+    first = transition_distribution(params, (3, 1))
+    assert calls == [(3, 1)]
+    assert transition_distribution(params, (3, 1)) == first
+    assert params.family.step((3, 1), 2**63) in [mu for mu, _ in first]
+    assert calls == [(3, 1)]
+
+
+@pytest.mark.parametrize("params", [HAAR2, DELTA2, ROW2, MIXED, TWO_ROWS])
+def test_successors_in_box_additions_order(params):
+    for n in range(9):
+        for lam in partitions_of(n):
+            if params.family.weight(lam) > 0:
+                successors = [mu for mu, _ in box_additions(lam)]
+                assert params.family.row(lam)[0] == successors, lam
+                assert [mu for mu, _ in transition_distribution(params, lam)] == successors
 
 
 @pytest.mark.parametrize(
