@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial, prod
+from math import prod
 from operator import mul
 from pathlib import Path
 
@@ -26,7 +26,6 @@ from fqtraces.symfunc import (
     modified_hl_q,
     modified_hl_q_row,
     plethysm_pl,
-    schur_coefficients,
     schur_expand,
     schur_in_p,
     sym_character,
@@ -423,6 +422,16 @@ def test_modified_hl_rejects_roots_of_unity():
         modified_hl_q((2, 1), 1)
     with pytest.raises(ValueError):
         modified_hl_q((2,), -1)
+    for lam in [(1,), (2,), (1, 1), (3, 2, 1)]:
+        with pytest.raises(ValueError, match=r"^t = 1 has t\*\*1 = 1; modified Q is undefined$"):
+            modified_hl_q_row(lam, 1)
+    for lam in [(2,), (1, 1), (3, 2, 1)]:
+        with pytest.raises(ValueError, match=r"^t = -1 has t\*\*2 = 1; modified Q is undefined$"):
+            modified_hl_q_row(lam, -1)
+    # at n = 1 only t = 1 is refused: Q_(1)(-1) = 2 p_1, and 2 / (1 - (-1)) = 1
+    den, row = modified_hl_q_row((1,), -1)
+    assert Fraction(row[0], den) == 1
+    assert modified_hl_q((1,), -1).terms == {(1,): 1}
 
 
 @pytest.mark.parametrize(
@@ -437,30 +446,6 @@ def test_modified_row_against_its_definition(t):
             for rho, c, m in zip(partitions_of(n), row, mod_row, strict=True):
                 expected = Fraction(c, den) / prod(1 - t**k for k in rho)
                 assert Fraction(m, mod_den) == expected, (lam, t, rho)
-
-
-def test_modified_row_refusals_keep_their_message():
-    for lam in [(1,), (2,), (1, 1), (3, 2, 1)]:
-        with pytest.raises(ValueError, match=r"^t = 1 has t\*\*1 = 1; modified Q is undefined$"):
-            modified_hl_q_row(lam, 1)
-    for lam in [(2,), (1, 1), (3, 2, 1)]:
-        with pytest.raises(ValueError, match=r"^t = -1 has t\*\*2 = 1; modified Q is undefined$"):
-            modified_hl_q_row(lam, -1)
-    # at n = 1 only t = 1 is refused: Q_(1)(-1) = 2 p_1, and 2 / (1 - (-1)) = 1
-    den, row = modified_hl_q_row((1,), -1)
-    assert Fraction(row[0], den) == 1
-    assert modified_hl_q((1,), -1).terms == {(1,): 1}
-
-
-def test_schur_coefficients_of_schur_rows():
-    # s_lam = sum_rho chi^lam(rho) p_rho / z_rho, over D = n!: its coefficients pick out lam
-    for n in range(7):
-        order = partitions_of(n)
-        table = _character_table(n)[0]
-        for lam, chi in zip(order, table):
-            row = [factorial(n) // z_factor(rho) * c for rho, c in zip(order, chi)]
-            got = schur_coefficients((factorial(n), row), n)
-            assert got == [int(mu == lam) for mu in order], lam
 
 
 def test_schur_expand_of_modified_hl_matches_charge_polynomials():
