@@ -25,8 +25,8 @@ in the irreducible sieve and the family enumeration) builds none.
 A vector of at most k entries is a single chunk, an int below 256, so the
 chunk tables act on it whole: where the operands are below 256,
 elimination reduces by one lookup in line, ``_add_scaled`` is one lookup
-and ``_apply`` sums over the columns directly.  The loop over chunks runs
-only for longer vectors.
+and ``_apply`` sums over the columns directly.  Longer vectors are added
+by ``_add_scaled``'s loop over chunks.
 
 A matrix keeps its columns packed.  Dense rows only enter from callers,
 through the ``FqMatrix`` constructor, which checks them, and only leave
@@ -85,7 +85,10 @@ class FqField:
     (the first of those, None for 0).  They cover every chunk of k
     entries and are built together, whole, the first time any of them is
     read (see ``_Unbuilt``), so a field whose vectors are never packed
-    never builds them.
+    never builds them.  The F_2 and F_3 tables hold about 0.57 and 0.54
+    MiB (tracemalloc); built eagerly, in ``field_make``, they raised the
+    traces-warm benchmark's peak RSS from 25.5 to 26.7 MiB over seeds 4-6,
+    as its family enumeration makes fields that pack nothing.
     """
 
     __slots__ = ("q", "add", "mul", "neg", "inv", "k") + _CHUNK_TABLES
@@ -237,7 +240,7 @@ class FqMatrix:
     rectangle of ints in range(q); ``rows`` unpacks them again.
     """
 
-    __slots__ = ("field", "nrows", "cols", "_chunks")
+    __slots__ = ("field", "nrows", "cols")
 
     def __init__(self, field: FqField, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -251,7 +254,6 @@ class FqMatrix:
         self.field = field
         self.nrows = len(rows)
         self.cols = tuple(_pack(field, col) for col in zip(*rows))
-        self._chunks = None
 
     @property
     def ncols(self):
@@ -282,16 +284,14 @@ def _matrix(field: FqField, nrows: int, cols: tuple) -> FqMatrix:
     m.field = field
     m.nrows = nrows
     m.cols = cols
-    m._chunks = None
     return m
 
 
 def _apply(m: FqMatrix, x: int) -> int:
     """m x for a packed vector x: the columns at x's nonzero entries, scaled and summed.
 
-    The sum is taken one chunk of the result at a time, over the columns'
-    chunk values, which the matrix keeps after the first call.  When the
-    columns and x each fit one chunk, it is taken over the columns directly.
+    When the columns and x each fit one chunk, the sum is taken over the
+    columns directly; otherwise each column is added by ``_add_scaled``.
     """
     f = m.field
     add, scale, digits, k = f.cadd, f.cscale, f.cdigits, f.k
@@ -300,21 +300,12 @@ def _apply(m: FqMatrix, x: int) -> int:
         for i, d in digits[x]:
             acc = add[acc][scale[d][cols[i]]]
         return acc
-    chunks = m._chunks
-    if chunks is None:
-        chunks = m._chunks = tuple(
-            (sh, tuple(c >> sh & 255 for c in m.cols)) for sh in range(0, -(-m.nrows // k) * 8, 8)
-        )
-    out = 0
-    for sh, chunk in chunks:
-        acc = 0
-        rest, base = x, 0
-        while rest:
-            for i, d in digits[rest & 255]:
-                acc = add[acc][scale[d][chunk[base + i]]]
-            rest >>= 8
-            base += k
-        out |= acc << sh
+    out, cols, base = 0, m.cols, 0
+    while x:
+        for i, d in digits[x & 255]:
+            out = _add_scaled(f, out, d, cols[base + i])
+        x >>= 8
+        base += k
     return out
 
 

@@ -32,8 +32,6 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from fqtraces.symfunc import PowerSumElement
-
 
 def _as_fractions(values) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
@@ -212,8 +210,8 @@ class Specialization:
     def power_sum(self, k: int) -> Fraction:
         return Fraction(*self.power_pair(k))
 
-    def apply(self, f: PowerSumElement) -> Fraction:
-        """The value of f: sum over rho of c_rho * p_rho1 * p_rho2 * ...
+    def apply(self, f) -> Fraction:
+        """The value of f, a PowerSumElement: sum over rho of c_rho * p_rho1 * p_rho2 * ...
 
         The coefficients over their common denominator, dotted by
         :func:`row_value` with the p_rho from :func:`power_products`.

@@ -1,8 +1,12 @@
 """Exact symmetric functions in the power-sum basis.
 
 A degree-n function is an integer row (D, c_rho), sum_rho c_rho p_rho / D
-in ``partitions_of(n)`` order; :class:`PowerSumElement`, with `Fraction`
-coefficients, is a view of it for the independent checks.
+in ``partitions_of(n)`` order, the only format in production.
+:class:`PowerSumElement`, with `Fraction` coefficients, and its views
+:func:`hl_q_in_p`, :func:`modified_hl_q`, :func:`schur_in_p`,
+:func:`schur_expand`, :func:`plethysm_pl` and :func:`sym_character` have
+no caller in the library; they stay only because the benchmark's tracer
+and workloads name them.
 Schur functions enter through one integer character table per degree, built
 by Murnaghan-Nakayama on beta-sets from the tables of lower degree; every
 Schur coefficient of a row is one integer dot product with a table row.
@@ -15,8 +19,7 @@ p_rho p_sigma is one addition and one lookup, and the expansion of each
 p_rho under p_k -> p_k - z**-k is read from a t-free table per degree.
 Each Q_lam(t) is kept as an integer row, which specializations evaluate as
 one dot product; :func:`modified_hl_q_row` rescales each ``p_k`` by
-``1/(1 - t**k)``, and :func:`hl_q_in_p` and :func:`modified_hl_q` are views
-of the two rows.  Kostka numbers count tableaux by a recursion over
+``1/(1 - t**k)``.  Kostka numbers count tableaux by a recursion over
 horizontal strips; charge-weighted Kostka polynomials (:class:`TPolynomial`)
 come from tableau enumeration, up to the same degree cap, and are the
 independent check on the operator.

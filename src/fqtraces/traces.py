@@ -372,7 +372,7 @@ class GLUTraceParams:
         labels = [label for label, _ in self.entries]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate eigenvalue labels")
-        total = sum((sp.power_sum(1) for _, sp in self.entries), Fraction(0))
+        total = sum((sp.gamma for _, sp in self.entries), Fraction(0))
         if total != 1:
             raise ValueError(f"gammas must sum to 1, got {total}")
         if self.background.linear_blocks():

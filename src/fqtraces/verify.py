@@ -50,15 +50,7 @@ from fqtraces.partitions import (
     transpose,
 )
 from fqtraces.specializations import EMPTY, GeometricSpread, Specialization
-from fqtraces.symfunc import (
-    PowerSumElement,
-    hl_q_in_p,
-    kostka,
-    kostka_foulkes,
-    modified_hl_q_row,
-    schur_coefficients,
-    schur_in_p,
-)
+from fqtraces.symfunc import kostka, kostka_foulkes, modified_hl_q_row, schur_coefficients
 from fqtraces.traces import (
     UNIT,
     biregular_coefficient,
@@ -115,48 +107,38 @@ def _invertible(field, n: int):
 
 
 # ---------------------------------------------------------------------------
-# 1. Hall-Littlewood Q from the vertex operator vs charge polynomials
+# 1. Modified Hall-Littlewood Q in Schur functions vs charge polynomials
 
 
-def hl_q_by_charge(lam, t) -> PowerSumElement:
-    """Q_lam(t) from one charge column, independently of :func:`hl_q_in_p`.
-
-    The modified function sum_mu K_{mu,lam}(t) s_mu, with each p_rho
-    coefficient multiplied by prod_i (1 - t**rho_i).
-    """
-    f = PowerSumElement()
-    for mu in partitions_of(size(lam)):
-        f = f + schur_in_p(mu) * kostka_foulkes(mu, lam)(t)
-    return PowerSumElement(
-        {rho: c * prod(1 - t**part for part in rho) for rho, c in f.terms.items()}
+def _hl_schur_sides(lam, t) -> tuple:
+    """The s_mu coefficients of the modified Q'_lam(t), and K_{mu,lam}(t), mu in order."""
+    n = size(lam)
+    return (
+        schur_coefficients(modified_hl_q_row(lam, t), n),
+        [kostka_foulkes(mu, lam)(t) for mu in partitions_of(n)],
     )
 
 
 @_suite("hl-schur-identity")
 def _check_hl_schur_identity():
-    # symbolic identity in the polynomial ring.  On both sides every p
-    # coefficient is a polynomial in t of degree at most n(n+1)/2.  Operator
-    # side: q_N has degree N, so H_k raises the degree by at most k plus the
-    # degree of the function it acts on, at most n(n+1)/2 in total.  Charge
-    # side: n(lam) + n.  Agreement at n(n+1)/2 + 1 points proves the identity.
+    # symbolic identity in the rational functions of t.  L(t) = lcm over rho of
+    # prod_i (1 - t**rho_i) = prod_k Phi_k(t)**(n // k) has degree sum_k phi(k)
+    # (n // k) = n(n+1)/2 and no root in [0, 1).  The p coefficients of Q_lam(t)
+    # have degree at most n(n+1)/2 and K_{mu,lam}(t) less, so L times either
+    # side is a polynomial of degree at most n(n+1): agreement at the n(n+1) + 1
+    # points k/(n(n+1) + 1) proves the identity.
     for n in range(1, 6):
-        top = n * (n + 1) // 2
+        top = n * (n + 1)
         points = [Fraction(k, top + 1) for k in range(top + 1)]
         yield _tally(
             f"symbolic-degree-{n}",
-            (
-                ([hl_q_in_p(lam, t) for t in points], [hl_q_by_charge(lam, t) for t in points])
-                for lam in partitions_of(n)
-            ),
+            (zip(*(_hl_schur_sides(lam, t) for t in points)) for lam in partitions_of(n)),
         )
     for t in (Fraction(1, 2), Fraction(1, 3)):
         for n in range(1, 7):
             pairs = []
             for lam in partitions_of(n):
-                got = schur_coefficients(modified_hl_q_row(lam, t), n)
-                pairs += [
-                    (d, kostka_foulkes(mu, lam)(t)) for mu, d in zip(partitions_of(n), got)
-                ]
+                pairs += zip(*_hl_schur_sides(lam, t))
             yield _tally(f"t={t}-degree-{n}", pairs)
 
 

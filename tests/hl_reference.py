@@ -12,7 +12,8 @@ Two ways to get Hall-Littlewood data without the charge statistic:
 
 Both are deliberately different from the production paths: charge
 enumeration for the Kostka-Foulkes polynomials and Jing's vertex operator
-for Q.
+for Q.  Q itself also comes from one charge column here,
+:func:`hl_q_by_charge`, the reference for the vertex operator.
 
 Symmetric-group characters also get a reference here: the border-strip
 recursion one (lam, rho) pair at a time, against which the per-degree
@@ -34,9 +35,16 @@ here as well.
 
 from fractions import Fraction
 from functools import cache
+from math import prod
 
 from fqtraces.partitions import partitions_of, size, z_factor
-from fqtraces.symfunc import PowerSumElement, _strip_removals, kostka, schur_in_p
+from fqtraces.symfunc import (
+    PowerSumElement,
+    _strip_removals,
+    kostka,
+    kostka_foulkes,
+    schur_in_p,
+)
 
 
 def dominance_leq(lam, mu) -> bool:
@@ -66,6 +74,20 @@ def kostka_by_strips(shape, content) -> int:
     return sum(
         kostka_by_strips(smaller, content[:-1])
         for smaller in _strip_removals(shape, content[-1])
+    )
+
+
+def hl_q_by_charge(lam, t) -> PowerSumElement:
+    """Q_lam(t) from one charge column, independently of :func:`hl_q_in_p`.
+
+    The modified function sum_mu K_{mu,lam}(t) s_mu, with each p_rho
+    coefficient multiplied by prod_i (1 - t**rho_i).
+    """
+    f = PowerSumElement()
+    for mu in partitions_of(size(lam)):
+        f = f + schur_in_p(mu) * kostka_foulkes(mu, lam)(t)
+    return PowerSumElement(
+        {rho: c * prod(1 - t**part for part in rho) for rho, c in f.terms.items()}
     )
 
 

@@ -100,10 +100,11 @@ _UNIPOTENT_CLASS = '[{"tag":"x-1","d":1,"lambda":"2,1"},{"tag":"c","d":2,"lambda
         ["trace", "--q", "3", "--alpha", "1/2", "--class", _UNIPOTENT_CLASS],
         ["sample", *_GENERIC, "--nmax", "6", "--seed", "1"],
         ["lln", *_GENERIC, "--nmax", "6", "--trials", "3", "--seed", "1"],
+        ["verify", "hl-schur-identity"],
     ],
 )
 def test_commands_build_no_power_sum_element(monkeypatch, argv):
-    # integer rows are the production type: only verify builds a PowerSumElement
+    # integer rows are the production type: no command builds a PowerSumElement
     def refuse(self, terms=None):
         raise AssertionError("PowerSumElement built")
 

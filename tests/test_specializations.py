@@ -3,7 +3,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hl_reference import apply_reference
+from hl_reference import apply_reference, hl_q_by_charge
 from hypothesis import example, given, settings, strategies as st
 
 from fqtraces.partitions import partitions_of, size, transpose
@@ -17,7 +17,6 @@ from fqtraces.specializations import (
     row_value,
 )
 from fqtraces.symfunc import PowerSumElement, hl_q_in_p, hl_q_row, plethysm_pl, schur_in_p
-from fqtraces.verify import hl_q_by_charge
 
 HALF = Fraction(1, 2)
 

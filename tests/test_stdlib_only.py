@@ -1,4 +1,8 @@
-"""The library imports nothing but the standard library and itself."""
+"""The library imports nothing but the standard library and itself.
+
+Outside ``symfunc`` it names none of the power-sum views either: integer
+rows are the one production format for symmetric functions.
+"""
 
 import ast
 import sys
@@ -27,3 +31,38 @@ def test_library_imports_only_the_standard_library():
         if name not in allowed
     }
     assert outside == set()
+
+
+# kept in symfunc only because the benchmark's tracer and workloads name them
+_POWER_SUM_VIEWS = {
+    "PowerSumElement",
+    "hl_q_in_p",
+    "modified_hl_q",
+    "schur_in_p",
+    "schur_expand",
+    "plethysm_pl",
+    "sym_character",
+}
+
+
+def _used_names(tree):
+    """Every name, attribute and imported name in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_power_sum_views_are_named_only_in_symfunc():
+    sources = [path for path in sorted(SRC.glob("*.py")) if path.name != "symfunc.py"]
+    assert sources
+    named = {
+        (path.name, name)
+        for path in sources
+        for name in _used_names(ast.parse(path.read_text(), str(path)))
+        if name in _POWER_SUM_VIEWS
+    }
+    assert named == set()

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fqtraces import verify
 from fqtraces.partitions import partitions_of, size, z_factor
 from fqtraces.specializations import Specialization
 from fqtraces.symfunc import (
@@ -30,10 +31,10 @@ from fqtraces.symfunc import (
     schur_in_p,
     sym_character,
 )
-from fqtraces.verify import hl_q_by_charge
 
 from hl_reference import (
     dominance_leq,
+    hl_q_by_charge,
     kostka_by_strips,
     kostka_foulkes_branching,
     kostka_foulkes_reference,
@@ -459,6 +460,20 @@ def test_schur_expand_of_modified_hl_matches_charge_polynomials():
                     if kostka_foulkes(mu, lam)
                 }
                 assert got == expected
+
+
+def test_hl_schur_identity_catches_a_changed_coefficient(monkeypatch):
+    # one coefficient of one degree-4 row changed at t = 1/21: a point of the
+    # symbolic half, but neither 1/2 nor 1/3, so only that row may fail
+    def changed(lam, t):
+        den, row = modified_hl_q_row(lam, t)
+        if lam == (2, 1, 1) and t == Fraction(1, 21):
+            row = (row[0] + 1,) + row[1:]
+        return den, row
+
+    monkeypatch.setattr(verify, "modified_hl_q_row", changed)
+    rows = verify.run_suite("hl-schur-identity")
+    assert {row["instance"] for row in rows if row["status"] == "fail"} == {"symbolic-degree-4"}
 
 
 # ---------------------------------------------------------------------------
