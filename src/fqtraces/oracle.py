@@ -18,10 +18,10 @@ one lookup per chunk: one in all up to n = k (8, 5, 4, 3, 2, 2, 2 for
 q = 2, 3, 4, 5, 7, 8, 9).  Chunks of at most 256 values keep those tables
 at 256 x 256 entries per field whatever n is; a table over whole vectors
 would need q**n x q**n entries, 43 million for n = 4 over F_9.  Each
-field builds its chunk tables whole, one digit at a time from the field
-tables, the first time any of them is read, so packing never depends on
-what was packed before, and a field whose vectors are never packed (as
-in the irreducible sieve and the family enumeration) builds none.
+field builds its chunk tables whole when it is made, one digit at a time
+from the field tables, so packing never depends on what was packed
+before.  The sum, scale and digit tables hold their rows as ``bytes``,
+about a sixth of the memory of rows of ints (see ``FqField``).
 A vector of at most k entries is a single chunk, an int below 256, so the
 chunk tables act on it whole: where the operands are below 256,
 elimination reduces by one lookup in line, ``_add_scaled`` is one lookup
@@ -73,37 +73,48 @@ _MODULUS = {
 
 SUPPORTED_ORDERS = tuple(_MODULUS)
 
-_CHUNK_TABLES = ("cadd", "cscale", "cdigit", "cdigits", "clead")
-
-
 class FqField:
     """A finite field given by full addition/multiplication tables.
 
     It also holds the chunk tables for packed vectors, indexed by chunk
     value: ``cadd[x][y]``, ``cscale[c][x]``, ``cdigit[i][x]`` (digit i),
     ``cdigits[x]`` ((i, digit) for the nonzero digits) and ``clead[x]``
-    (the first of those, None for 0).  They cover every chunk of k
-    entries and are built together, whole, the first time any of them is
-    read (see ``_Unbuilt``), so a field whose vectors are never packed
-    never builds them.  The F_2 and F_3 tables hold about 0.57 and 0.54
-    MiB (tracemalloc); built eagerly, in ``field_make``, they raised the
-    traces-warm benchmark's peak RSS from 25.5 to 26.7 MiB over seeds 4-6,
-    as its family enumeration makes fields that pack nothing.
+    (the first of those, None for 0).  They cover every chunk of k entries
+    and are built with the field, after its axioms are checked.  Every
+    entry of ``cadd``, ``cscale`` and ``cdigit`` is a chunk value below 256
+    or a digit below q, so their rows are ``bytes``, each made whole as the
+    build goes.  The five tables of F_2, F_3 or F_4 then hold 0.09-0.11 MiB
+    and peak at 0.11 MiB while built (tracemalloc), against 0.55-0.59 MiB
+    as rows of ints; the other fields' tables are smaller.
     """
 
-    __slots__ = ("q", "add", "mul", "neg", "inv", "k") + _CHUNK_TABLES
+    __slots__ = (
+        "q", "add", "mul", "neg", "inv", "k", "cadd", "cscale", "cdigit", "cdigits", "clead"
+    )
 
     def __init__(self, q: int, add, mul):
         self.q = q
         self.add = add
         self.mul = mul
-        self.neg = tuple(next(b for b in range(q) if add[a][b] == 0) for a in range(q))
-        self.inv = (None,) + tuple(
-            next(b for b in range(1, q) if mul[a][b] == 1) for a in range(1, q)
-        )
         self._validate()
-        self.k = max(k for k in range(1, 9) if q**k <= 256)
-        self.__class__ = _Unbuilt
+        self.neg = tuple(row.index(0) for row in add)
+        self.inv = (None,) + tuple(row.index(1) for row in mul[1:])
+        self.k = k = max(j for j in range(1, 9) if q**j <= 256)
+        # one top digit a at a time, k times: chunk value a*b + x, x below b
+        cadd, cscale, cdigit, cdigits, clead = [b"\0"], [b"\0"] * q, [], [()], [None]
+        for w in range(k):
+            b = q**w
+            high = [[add[a][c] * b for c in range(q)] for a in range(q)]
+            cadd = [bytes([h + s for h in high[a] for s in row]) for a in range(q) for row in cadd]
+            cscale = [
+                bytes([mul[c][a] * b + s for a in range(q) for s in row])
+                for c, row in enumerate(cscale)
+            ]
+            cdigit = [row * q for row in cdigit] + [bytes([a for a in range(q) for _ in range(b)])]
+            cdigits = [ds + ((w, a),) if a else ds for a in range(q) for ds in cdigits]
+            clead = [ld or ((w, a) if a else None) for a in range(q) for ld in clead]
+        self.cadd, self.cscale, self.cdigit = tuple(cadd), tuple(cscale), tuple(cdigit)
+        self.cdigits, self.clead = tuple(cdigits), tuple(clead)
 
     def _validate(self):
         q, add, mul = self.q, self.add, self.mul
@@ -111,6 +122,10 @@ class FqField:
         for a in rng:
             if add[a][0] != a or mul[a][1] != a or mul[a][0] != 0:
                 raise AssertionError("identity axioms fail")
+            if 0 not in add[a]:
+                raise AssertionError(f"element {a} has no negative")
+            if a and 1 not in mul[a]:
+                raise AssertionError(f"element {a} has no inverse")
         for a in rng:
             for b in rng:
                 if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
@@ -125,42 +140,6 @@ class FqField:
 
     def __repr__(self):
         return f"FqField({self.q})"
-
-
-class _Unbuilt(FqField):
-    """A field before any of its chunk tables is read; reading one builds all five.
-
-    The field then becomes a plain ``FqField``: CPython 3.11 skips its fast
-    attribute reads on every instance of a class with ``__getattr__``, which
-    cost oracle-crosscheck about 10% of its op time in process.  The two
-    classes share one slot layout, so the class can be swapped.
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        # reached only for slots not set: a chunk table is first read
-        if name not in _CHUNK_TABLES:
-            raise AttributeError(name)
-        q, add, mul = self.q, self.add, self.mul
-        # one top digit a at a time, k times: chunk value a*b + x, x below b
-        cadd, cscale, cdigit, cdigits, clead = [[0]], [[0] for _ in range(q)], [], [()], [None]
-        for w in range(self.k):
-            b = q**w
-            high = [[add[a][c] * b for c in range(q)] for a in range(q)]
-            cadd = [[h + s for h in high[a] for s in row] for a in range(q) for row in cadd]
-            cscale = [
-                [mul[c][a] * b + s for a in range(q) for s in row]
-                for c, row in enumerate(cscale)
-            ]
-            cdigit = [row * q for row in cdigit] + [[a for a in range(q) for _ in range(b)]]
-            cdigits = [ds + ((w, a),) if a else ds for a in range(q) for ds in cdigits]
-            clead = [ld or ((w, a) if a else None) for a in range(q) for ld in clead]
-        self.cadd, self.cscale, self.cdigit, self.cdigits, self.clead = (
-            cadd, cscale, cdigit, cdigits, clead
-        )
-        self.__class__ = FqField
-        return getattr(self, name)
 
 
 @cache

@@ -46,6 +46,7 @@ from fqtraces.partitions import (
     size,
     z_factor,
 )
+from fqtraces.specializations import power_products
 
 
 class PowerSumElement:
@@ -195,6 +196,20 @@ def schur_in_p(lam: Partition) -> PowerSumElement:
             if chi
         }
     )
+
+
+def class_vector(pair, n: int) -> tuple[int, list[int]]:
+    """(D, [D * p_rho / z_rho for rho in partitions_of(n)]), p_k = N_k / D_k from ``pair(k)``.
+
+    With p_rho = P_rho / E over the one denominator of
+    :func:`~fqtraces.specializations.power_products`, D = n! * E and the
+    entry of rho is n!/z_rho * P_rho.  As h_n = sum_rho p_rho / z_rho, this
+    is h_n specialized, and its :func:`schur_coefficients` are the s_lam.
+    """
+    order = partitions_of(n)
+    den, values = power_products(pair, order)
+    whole = factorial(n)
+    return whole * den, [whole // z_factor(rho) * v for rho, v in zip(order, values)]
 
 
 def schur_coefficients(row: tuple[int, list[int]], n: int) -> list[Fraction]:
@@ -449,8 +464,8 @@ def _hl_q(lam: Partition, t: Fraction) -> tuple[int, tuple[int, ...]]:
     ``partitions_of(|lam|)``; D and the row are divided by their gcd, so D
     is the least common denominator of the coefficients.  A lam of at most
     one row is the series coefficient q_n of Q(z) = exp(sum_k (1 - t**k)
-    p_k z**k / k): for t = a/b the coefficient of p_rho is n!/z_rho *
-    prod_i (b**rho_i - a**rho_i) / (b**n * n!).  Any other lam is
+    p_k z**k / k), which is h_n at p_k -> 1 - t**k: the
+    :func:`class_vector` of (b**k - a**k) / b**k for t = a/b.  Any other lam is
     H_{lam_1} Q_{lam[1:]}, with the tail and every q_{lam_1 + m} read from
     this memo; the step stays in integers, every term lifted to the lcm of
     the q denominators.  The tail's p_rho expand by :func:`_drops` into
@@ -460,13 +475,7 @@ def _hl_q(lam: Partition, t: Fraction) -> tuple[int, tuple[int, ...]]:
     n = size(lam)
     if len(lam) < 2:
         a, b = t.numerator, t.denominator
-        row = []
-        for rho in partitions_of(n):
-            c = factorial(n) // z_factor(rho)
-            for part in rho:
-                c *= b**part - a**part
-            row.append(c)
-        den = b**n * factorial(n)
+        den, row = class_vector(lambda k: (b**k - a**k, b**k), n)
     else:
         tail_den, tail = _hl_q(lam[1:], t)
         # the tail translated, split by powers of z: {m: {code: coefficient}}
@@ -520,8 +529,10 @@ def modified_hl_q_row(lam: Partition, t) -> tuple[int, tuple[int, ...]]:
     """Modified Q function: the row of :func:`hl_q_row`, p_rho scaled by prod 1/(1 - t**rho_i).
 
     For t = a/b the factor is b**n / P_rho, P_rho = prod_i (b**rho_i -
-    a**rho_i).  The row (D, c) goes over D * L, L the lcm of every P_rho,
-    keeping their signs (negative for t > 1), and is not reduced.
+    a**rho_i), the :func:`~fqtraces.specializations.power_products` of
+    p_k = b**k / (b**k - a**k).  The row (D, c) goes over D * L, L the lcm
+    of every P_rho, keeping their signs (negative for t > 1), and is not
+    reduced.
     """
     t = Fraction(t)
     lam = check_partition(lam)
@@ -532,9 +543,8 @@ def modified_hl_q_row(lam: Partition, t) -> tuple[int, tuple[int, ...]]:
             raise ValueError(f"t = {t} has t**{k} = 1; modified Q is undefined")
     den, row = hl_q_row(lam, t)
     a, b = t.numerator, t.denominator
-    products = [prod(b**k - a**k for k in rho) for rho in partitions_of(n)]
-    top = lcm(*products)
-    return den * top, tuple(c * b**n * (top // p) for c, p in zip(row, products))
+    top, scales = power_products(lambda k: (b**k, b**k - a**k), partitions_of(n))
+    return den * top, tuple(map(mul, row, scales))
 
 
 def _power_sum_view(lam, row: tuple[int, tuple[int, ...]]) -> PowerSumElement:

@@ -21,7 +21,7 @@ with one class vector.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import prod
 
 from fqtraces.partitions import (
     Partition,
@@ -33,7 +33,6 @@ from fqtraces.partitions import (
     parse_partition,
     partitions_of,
     size,
-    z_factor,
 )
 from fqtraces.specializations import (
     Specialization,
@@ -42,7 +41,7 @@ from fqtraces.specializations import (
     power_products,
     row_value,
 )
-from fqtraces.symfunc import check_hl_degree, hl_q_row, schur_coefficients
+from fqtraces.symfunc import check_hl_degree, class_vector, hl_q_row, schur_coefficients
 
 UNIT = "x-1"
 
@@ -305,22 +304,9 @@ def _check_coefficient_degree(n: int):
         )
 
 
-def _class_vector(sp: Specialization, n: int) -> tuple[int, list[int]]:
-    """(D, [D * p_rho(sp) / z_rho for rho in partitions_of(n)]).
-
-    With p_rho = P_rho / E over the one denominator of
-    :func:`power_products`, D = n! * E and the entry of rho
-    is n!/z_rho * P_rho.
-    """
-    order = partitions_of(n)
-    den, values = power_products(sp.power_pair, order)
-    whole = factorial(n)
-    return whole * den, [whole // z_factor(rho) * v for rho, v in zip(order, values)]
-
-
 def _schur_values(sp: Specialization, n: int) -> dict[Partition, Fraction]:
     """Every s_lam(sp), |lam| = n: the :func:`schur_coefficients` of the class vector."""
-    return dict(zip(partitions_of(n), schur_coefficients(_class_vector(sp, n), n)))
+    return dict(zip(partitions_of(n), schur_coefficients(class_vector(sp.power_pair, n), n)))
 
 
 def trace_coefficients(sp: Specialization, n: int) -> dict[Partition, Fraction]:

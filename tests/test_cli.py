@@ -521,6 +521,25 @@ def test_dimension_past_the_digit_limit_exits_one_before_any_work(monkeypatch, q
     assert err == message.format(sys.get_int_max_str_digits())
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_dimension_past_the_digit_limit_after_work_exits_one(monkeypatch, fmt):
+    # the Steinberg dimension of GL(170, 2) is 2**14365, 4325 digits; the
+    # up-front bound, 2**14195, passes, so it is computed, then refused as text
+    calls = []
+
+    def green_dimension(f, q, computed=cli.green_dimension):
+        calls.append(f)
+        return computed(f, q)
+
+    monkeypatch.setattr(cli, "green_dimension", green_dimension)
+    code, out, err = run(
+        ["--format", fmt, "dim", "--q", "2", "--family", json.dumps([_column("x-1", 1, 170)])]
+    )
+    assert len(calls) == 1
+    assert code == 1 and out == ""
+    assert err == _TOO_LONG.format(sys.get_int_max_str_digits())
+
+
 def test_dimension_below_the_digit_limit_prints():
     # the Steinberg dimension of GL(100, 2) is 2**4950, 1491 digits
     code, out, err = run(["dim", "--q", "2", "--family", json.dumps([_column("x-1", 1, 100)])])
@@ -604,6 +623,12 @@ def test_verify_fault_inside_a_suite_propagates(monkeypatch):
     monkeypatch.setitem(verify._SUITES, "broken", broken)
     with pytest.raises(KeyError, match="missing"):
         run(["verify", "broken"])
+
+
+def test_run_suite_refuses_an_unknown_name_and_lists_the_known_ones():
+    with pytest.raises(KeyError) as info:
+        verify.run_suite("nope")
+    assert info.value.args == (f"unknown suite 'nope'; known: {', '.join(verify._SUITES)}",)
 
 
 def test_verify_list():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import oracle_reference as ref
@@ -72,30 +73,46 @@ def test_chunk_tables_stay_within_256_values():
         assert all(getattr(field, name) is table for name, table in zip(_CHUNK_TABLES, before))
 
 
-def _tables_set(field) -> dict:
-    """The chunk tables a field holds, read past the ``__getattr__`` that builds them."""
-    held = {}
-    for name in _CHUNK_TABLES:
-        try:
-            held[name] = object.__getattribute__(field, name)
-        except AttributeError:
-            pass
-    return held
-
-
-def test_chunk_tables_built_on_first_read():
-    # a field builds no chunk table until one is read (packing reads none;
-    # unpacking does), then all five, equal to those of field_make(q), and
-    # it is a plain FqField again, whose class has no __getattr__
+def test_chunk_tables_built_with_the_field():
+    # a field holds all five chunk tables as soon as it is made (read here
+    # past any __getattr__), equal to those of field_make(q); the sum, scale
+    # and digit rows are bytes, so one field's tables stay below 0.25 MiB,
+    # where rows of ints took 0.575 MiB for F_2 alone
     for q in SUPPORTED_ORDERS:
         made = field_make(q)
-        field = FqField(q, made.add, made.mul)
-        assert _tables_set(field) == {}
-        m = FqMatrix(field, [[1, 0], [0, 1]])
-        assert _tables_set(field) == {}
-        assert m.rows == ((1, 0), (0, 1))
-        assert _tables_set(field) == {name: getattr(made, name) for name in _CHUNK_TABLES}
-        assert type(field) is FqField
+        tracemalloc.start()
+        try:
+            field = FqField(q, made.add, made.mul)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        tables = {name: object.__getattribute__(field, name) for name in _CHUNK_TABLES}
+        assert tables == {name: getattr(made, name) for name in _CHUNK_TABLES}
+        for name in ("cadd", "cscale", "cdigit"):
+            assert all(type(row) is bytes for row in tables[name]), (q, name)
+        assert held < 0.25 * 2**20, (q, held)
+
+
+_Z4_ADD = tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4))
+_Z4_MUL = tuple(tuple(a * b % 4 for b in range(4)) for a in range(4))
+
+
+@pytest.mark.parametrize(
+    "add, mul, message",
+    [
+        # 1 + 1 = 1 leaves 1 with no negative
+        (((0, 1), (1, 1)), ((0, 0), (0, 1)), "element 1 has no negative"),
+        # the ring Z/4: 2 * b is 0 or 2
+        (_Z4_ADD, _Z4_MUL, "element 2 has no inverse"),
+        # Z/4 addition with F_4 multiplication, where 2 is x: 2 * (1 + 1) =
+        # x**2 = x + 1 = 3, but 2 * 1 + 2 * 1 = 0
+        (_Z4_ADD, F4.mul, "distributivity fails"),
+    ],
+    ids=["no-negative", "no-inverse", "not-distributive"],
+)
+def test_tables_that_fail_an_axiom_are_refused(add, mul, message):
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        FqField(len(add), add, mul)
 
 
 def test_prime_field_tables():

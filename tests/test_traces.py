@@ -10,14 +10,13 @@ from test_golden import check_suite_golden
 
 from fqtraces.partitions import hook_lengths, n_stat, partitions_of, size, transpose
 from fqtraces.specializations import GeometricSpread, Specialization
-from fqtraces.symfunc import PowerSumElement, modified_hl_q, plethysm_pl
+from fqtraces.symfunc import PowerSumElement, class_vector, modified_hl_q, plethysm_pl
 from fqtraces.traces import (
     COEFFICIENT_DEGREE_CAP,
     GLU_ROW_CAP,
     UNIT,
     DiagramFamily,
     GLUTraceParams,
-    _class_vector,
     _partition_tuples,
     _row_count,
     biregular_coefficient,
@@ -266,6 +265,22 @@ def test_biregular_examples():
     assert biregular_coefficient(family(("a", 1, (1,))), 3) == 1
 
 
+def test_biregular_suite_reports_a_degree_three_mismatch(monkeypatch):
+    # n = 3 rows print only on a mismatch: off by one on the degree-3
+    # backgrounds, two of them differ, and so does the n = 3 total
+    from fqtraces import verify
+
+    def off_by_one(background, q):
+        value = biregular_coefficient(background, q)
+        return value + 1 if background.degree == 3 else value
+
+    monkeypatch.setattr(verify, "biregular_coefficient", off_by_one)
+    rows = verify.run_suite("biregular")
+    failed = [row["instance"] for row in rows if row["status"] != "pass"]
+    assert failed == ["coefficient-n=3-mismatch"] * 2 + ["coefficient-total-n=3-q=2"]
+    assert len(rows) - len(failed) == 7
+
+
 def test_principal_schur_closed_form():
     assert _principal_schur(2, 1)[(1,)] == 1
     assert _principal_schur(2, 2) == {(2,): Fraction(1, 3), (1, 1): Fraction(2, 3)}
@@ -378,6 +393,6 @@ def test_class_vector_denominator_divides_the_power_sums():
     # power of all the p_k's together would grow with n**2 instead
     sp = Specialization.finite((HALF, Fraction(1, 4)), (Fraction(1, 8),), 1)
     for n in range(COEFFICIENT_DEGREE_CAP + 1):
-        assert factorial(n) * 8**n % _class_vector(sp, n)[0] == 0, n
+        assert factorial(n) * 8**n % class_vector(sp.power_pair, n)[0] == 0, n
     # 20! * 8**20, the figure at the degree cap
-    assert _class_vector(sp, COEFFICIENT_DEGREE_CAP)[0].bit_length() == 122
+    assert class_vector(sp.power_pair, COEFFICIENT_DEGREE_CAP)[0].bit_length() == 122
