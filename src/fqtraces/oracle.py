@@ -23,10 +23,18 @@ from the field tables, so packing never depends on what was packed
 before.  The sum, scale and digit tables hold their rows as ``bytes``,
 about a sixth of the memory of rows of ints (see ``FqField``).
 A vector of at most k entries is a single chunk, an int below 256, so the
-chunk tables act on it whole: where the operands are below 256,
-elimination reduces by one lookup in line, ``_add_scaled`` is one lookup
-and ``_apply`` sums over the columns directly.  Longer vectors are added
-by ``_add_scaled``'s loop over chunks.
+chunk tables act on it whole.  For an n x n matrix with n <= k every
+vector is one chunk, and three kernels work on chunk values alone: the
+image chain of a Jordan type (``_chunk_image_ranks``: each reduction is
+one ``clead`` lookup and one ``cadd``/``cscale`` lookup, each b v a sum
+over ``cdigits[v]``), the probes p(m) of ``conjugacy_family_of`` (one
+``cadd[v][cscale[c][w]]`` per column and coefficient) and
+``is_invariant`` (one ``clead`` lookup per reduction).  The choice rests
+on n alone; for n > k the loops over chunks are the only route.
+Elsewhere, where the operands are below 256, elimination reduces by one
+lookup in line, ``_add_scaled`` is one lookup and ``_apply`` sums over the
+columns directly.  Longer vectors are added by ``_add_scaled``'s loop over
+chunks.
 
 A matrix keeps its columns packed.  Dense rows only enter from callers,
 through the ``FqMatrix`` constructor, which checks them, and only leave
@@ -288,15 +296,10 @@ def _apply(m: FqMatrix, x: int) -> int:
     return out
 
 
-def _shift(m: FqMatrix, c: int) -> FqMatrix:
-    """m + c*I for a square m."""
+def _shift(m: FqMatrix, c: int) -> tuple:
+    """The packed columns of m + c*I for a square m."""
     f = m.field
-    add, digit, unit, k = f.add, f.cdigit, _units(f, m.nrows), f.k
-    cols = []
-    for j, col in enumerate(m.cols):
-        e = digit[j % k][col >> 8 * (j // k) & 255]
-        cols.append(col + (add[e][c] - e) * unit[j])
-    return _matrix(f, m.nrows, tuple(cols))
+    return tuple([_add_scaled(f, col, c, u) for col, u in zip(m.cols, _units(f, m.nrows))])
 
 
 def _add_scaled(field: FqField, v: int, c: int, w: int) -> int:
@@ -341,33 +344,75 @@ def rank(field: FqField, rows) -> int:
     return len(_echelon(field, rows))
 
 
-def _jordan_type(b: FqMatrix, d: int = 1) -> tuple[Partition, int]:
+def _jordan_type(field: FqField, cols: tuple, d: int = 1) -> tuple[Partition, int]:
     """Jordan type of m at p, read off b = p(m) for p irreducible of degree d,
-    and the dimension of the generalized kernel of b.
+    and the dimension of the generalized kernel of b; b is given by its
+    packed columns.
 
     The kernel of b**k grows by d times the number of Jordan blocks of size
     at least k until it is the generalized kernel; those counts are the
-    columns of the Jordan type.  The column space of b**k is b applied to
-    an echelon basis of that of b**(k-1).
+    columns of the Jordan type, read off the falling ranks of b, b**2, ...;
+    when n <= k a one-chunk kernel computes those ranks.
     """
-    n = b.nrows
-    f = b.field
-    cols = []
-    prev = 0
-    image = _echelon(f, b.cols).values()
-    while True:
-        dim = n - len(image)
-        if dim == prev:
-            break
-        step = dim - prev
+    n = len(cols)
+    ranks = _chunk_image_ranks(field, cols) if n <= field.k else _image_ranks(field, cols)
+    jumps, prev = [], 0
+    for r in ranks:
+        step = n - r - prev
         if step % d:
             raise AssertionError("kernel jump not divisible by factor degree")
-        cols.append(step // d)
-        prev = dim
-        if dim == n:
-            break
-        image = _echelon(f, [_apply(b, v) for v in image]).values()
-    return transpose(tuple(cols)), prev
+        jumps.append(step // d)
+        prev = n - r
+    return transpose(tuple(jumps)), prev
+
+
+def _image_ranks(field: FqField, cols: tuple) -> list:
+    """The ranks of b, b**2, ... while they fall, for b with packed columns.
+
+    The column space of b**k is b applied to an echelon basis of that of
+    b**(k-1).
+    """
+    b = _matrix(field, len(cols), cols)
+    rank, ranks = len(cols), []
+    image = _echelon(field, cols).values()
+    while len(image) < rank:
+        rank = len(image)
+        ranks.append(rank)
+        image = _echelon(field, [_apply(b, v) for v in image]).values()
+    return ranks
+
+
+def _chunk_image_ranks(field: FqField, cols: tuple) -> list:
+    """:func:`_image_ranks` for n <= k, where every vector is one chunk.
+
+    The whole chain is one loop: each reduction is one ``clead`` lookup and
+    one ``cadd``/``cscale`` lookup, and b v sums the columns over
+    ``cdigits[v]``.
+    """
+    lead, neg, inv, add, scale, digits = (
+        field.clead, field.neg, field.inv, field.cadd, field.cscale, field.cdigits
+    )
+    rank, ranks, vecs = len(cols), [], cols
+    while True:
+        image = {}
+        for v in vecs:
+            while v:
+                i, c = lead[v]
+                w = image.get(i)
+                if w is None:
+                    image[i] = scale[inv[c]][v]
+                    break
+                v = add[v][scale[neg[c]][w]]
+        if len(image) == rank:
+            return ranks
+        rank = len(image)
+        ranks.append(rank)
+        vecs = []
+        for v in image.values():
+            acc = 0
+            for i, c in digits[v]:
+                acc = add[acc][scale[c][cols[i]]]
+            vecs.append(acc)
 
 
 def all_matrices(field: FqField, n: int):
@@ -380,7 +425,7 @@ def unipotent_matrices(field: FqField, n: int):
     """All unipotent elements of the full matrix group (exhaustive scan)."""
     minus_one = field.neg[1]
     for m in all_matrices(field, n):
-        if _jordan_type(_shift(m, minus_one))[1] == n:
+        if _jordan_type(field, _shift(m, minus_one))[1] == n:
             yield m
 
 
@@ -396,7 +441,7 @@ def unipotent_class_of(m: FqMatrix) -> Partition:
     """Jordan type of a unipotent matrix, via kernel jumps of (m - I)**k."""
     n = m.nrows
     if m.ncols == n:
-        lam, dim = _jordan_type(_shift(m, m.field.neg[1]))
+        lam, dim = _jordan_type(m.field, _shift(m, m.field.neg[1]))
         if dim == n:
             return lam
     raise ValueError("matrix is not unipotent")
@@ -426,12 +471,25 @@ def subspaces(field: FqField, free, d: int):
             yield dict(zip(keys, rows))
 
 
-def is_invariant(field: FqField, images, basis: dict, sub: dict) -> bool:
+def is_invariant(images: "_Images", basis: dict, sub: dict) -> bool:
     """Whether m maps sub into span(basis, sub), by elimination on leading entries.
 
-    ``images[v]`` is m v, for every vector of sub.
+    ``images[v]`` is m v, for every vector of sub.  When m is n x n with
+    n <= k, every image is one chunk and each step is one ``clead`` lookup
+    and one ``cadd``/``cscale`` lookup.
     """
+    field = images.m.field
     lead, neg, add, scale = field.clead, field.neg, field.cadd, field.cscale
+    if images.m.nrows <= field.k:
+        for v in sub.values():
+            v = images[v]
+            while v:
+                i, d = lead[v]
+                b = sub.get(i) or basis.get(i)
+                if b is None:
+                    return False
+                v = add[v][scale[neg[d]][b]]
+        return True
     for v in sub.values():
         v = images[v]
         while v:
@@ -520,7 +578,7 @@ class _FlagWalk:
         free = [j for j in range(self.m.nrows) if 8 * (j // k) + j % k not in basis]
         exts = []
         for sub in subspaces(f, free, d):
-            if is_invariant(f, self.images, basis, sub):
+            if is_invariant(self.images, basis, sub):
                 w = dict(sub)
                 for lead, b in basis.items():
                     for s, u in sub.items():
@@ -672,24 +730,29 @@ def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:
         raise ValueError("conjugacy families are defined for invertible matrices")
     field = m.field
     n = m.nrows
-    power = _matrix(field, n, _units(field, n))
-    powers = [power.cols]  # the columns of m**0, m**1, ..., up to the degree probed
+    add, scale = field.cadd, field.cscale
+    one_chunk = n <= field.k
+    powers = [_units(field, n)]  # the columns of m**0, m**1, ..., up to the degree probed
     blocks = []
     covered = 0
     for d in range(1, n + 1):
         if d > n - covered:
             break
-        power = m @ power
-        powers.append(power.cols)
+        powers.append(tuple([_apply(m, v) for v in powers[-1]]))
         for poly in irreducible_polys(field.q, d):
             left = n - covered
             if left != d and left < 2 * d:
                 break
             cols = (0,) * n
             for c, pcols in zip(poly, powers):
-                if c:
-                    cols = tuple(_add_scaled(field, v, c, w) for v, w in zip(cols, pcols))
-            lam, dim = _jordan_type(_matrix(field, n, cols), d)
+                if not c:
+                    continue
+                if one_chunk:
+                    sc = scale[c]
+                    cols = tuple([add[v][sc[w]] for v, w in zip(cols, pcols)])
+                else:
+                    cols = tuple([_add_scaled(field, v, c, w) for v, w in zip(cols, pcols)])
+            lam, dim = _jordan_type(field, cols, d)
             if dim:
                 blocks.append((poly_name(field, poly), d, lam))
                 covered += dim

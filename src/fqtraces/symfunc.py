@@ -464,8 +464,9 @@ def _hl_q(lam: Partition, t: Fraction) -> tuple[int, tuple[int, ...]]:
     ``partitions_of(|lam|)``; D and the row are divided by their gcd, so D
     is the least common denominator of the coefficients.  A lam of at most
     one row is the series coefficient q_n of Q(z) = exp(sum_k (1 - t**k)
-    p_k z**k / k), which is h_n at p_k -> 1 - t**k: the
-    :func:`class_vector` of (b**k - a**k) / b**k for t = a/b.  Any other lam is
+    p_k z**k / k), which is h_n at p_k -> 1 - t**k.  For t = a/b every p_rho
+    there is over b**n, so the row is the :func:`class_vector` of the
+    integers b**k - a**k, with its denominator times b**n.  Any other lam is
     H_{lam_1} Q_{lam[1:]}, with the tail and every q_{lam_1 + m} read from
     this memo; the step stays in integers, every term lifted to the lcm of
     the q denominators.  The tail's p_rho expand by :func:`_drops` into
@@ -475,7 +476,8 @@ def _hl_q(lam: Partition, t: Fraction) -> tuple[int, tuple[int, ...]]:
     n = size(lam)
     if len(lam) < 2:
         a, b = t.numerator, t.denominator
-        den, row = class_vector(lambda k: (b**k - a**k, b**k), n)
+        den, row = class_vector(lambda k: (b**k - a**k, 1), n)
+        den *= b**n
     else:
         tail_den, tail = _hl_q(lam[1:], t)
         # the tail translated, split by powers of z: {m: {code: coefficient}}

@@ -234,7 +234,7 @@ def test_packed_matches_dense_reference(case):
     assert m.rows == dense.rows
     assert (m @ m).rows == (dense @ dense).rows
     assert m.rank() == ref.rank(field, dense.rows)
-    assert _jordan_type(m) == ref.jordan_type(dense)
+    assert _jordan_type(field, m.cols) == ref.jordan_type(dense)
     if m.is_invertible():
         assert conjugacy_family_of(m) == ref.conjugacy_family_of(dense)
     n = len(rows)
@@ -268,7 +268,22 @@ def test_packing_across_chunk_boundaries(q):
             assert m.rows == dense.rows
             assert (m @ m).rows == (dense @ dense).rows
             assert m.rank() == ref.rank(field, dense.rows)
-            assert _jordan_type(m) == ref.jordan_type(dense)
+            assert _jordan_type(field, m.cols) == ref.jordan_type(dense)
+    # classes on both sides of the one-chunk kernels' n <= k switch
+    for n in (field.k, field.k + 1):
+        unitri = [
+            [1 if i == j else rng.randrange(q) if j > i else 0 for j in range(n)]
+            for i in range(n)
+        ]
+        dense = ref.DenseMatrix(field, unitri)
+        expected = ref.jordan_type(ref.shift(dense, field.neg[1]))[0]
+        assert unipotent_class_of(FqMatrix(field, unitri)) == expected
+        while True:
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+            m, dense = FqMatrix(field, rows), ref.DenseMatrix(field, rows)
+            if m.is_invertible():
+                break
+        assert conjugacy_family_of(m) == ref.conjugacy_family_of(dense), rows
     # one Jordan block with its first k entries in one chunk, its last in the next
     block = jordan_block_matrix(field, [((field.neg[1], 1), (field.k + 1,))])
     assert unipotent_class_of(block) == (field.k + 1,)
@@ -280,16 +295,19 @@ def test_packing_across_chunk_boundaries(q):
     pair = [[1] + [0] * (n - 2) + [1], [1] + [0] * (n - 1)]
     for vecs in (long + short, short + long, pair):
         assert FqMatrix(field, list(zip(*vecs))).rank() == ref.rank(field, vecs)
-    # fixed lines and hyperplanes of F_q**(k+1), at most 511 of each, where
-    # the tested subspaces and their images straddle the two chunks
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    unitri = [
-        [1 if i == j else rng.randrange(q) if j > i else 0 for j in range(n)] for i in range(n)
-    ]
-    for rows in (ident, unitri):
-        m, dense = FqMatrix(field, rows), ref.DenseMatrix(field, rows)
-        for mu in ((1, n - 1), (n - 1, 1)):
-            assert count_fixed_flags(m, mu) == ref.flag_count(dense, mu), (rows, mu)
+    # fixed lines and hyperplanes of F_q**k, tested by the one-chunk
+    # is_invariant, and of F_q**(k+1), at most 511 of each, where the tested
+    # subspaces and their images straddle the two chunks
+    for n in (field.k, field.k + 1):
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        unitri = [
+            [1 if i == j else rng.randrange(q) if j > i else 0 for j in range(n)]
+            for i in range(n)
+        ]
+        for rows in (ident, unitri):
+            m, dense = FqMatrix(field, rows), ref.DenseMatrix(field, rows)
+            for mu in ((1, n - 1), (n - 1, 1)):
+                assert count_fixed_flags(m, mu) == ref.flag_count(dense, mu), (rows, mu)
 
 
 def test_unipotent_counts():
