@@ -269,8 +269,11 @@ def test_packing_across_chunk_boundaries(q):
             assert (m @ m).rows == (dense @ dense).rows
             assert m.rank() == ref.rank(field, dense.rows)
             assert _jordan_type(field, m.cols) == ref.jordan_type(dense)
-    # classes on both sides of the one-chunk kernels' n <= k switch
+    # classes, fixed lines and fixed hyperplanes on both sides of the
+    # one-chunk kernels' n <= k switch; at n = k + 1, with at most 511 of
+    # each, the tested subspaces and their images straddle the two chunks
     for n in (field.k, field.k + 1):
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
         unitri = [
             [1 if i == j else rng.randrange(q) if j > i else 0 for j in range(n)]
             for i in range(n)
@@ -278,6 +281,10 @@ def test_packing_across_chunk_boundaries(q):
         dense = ref.DenseMatrix(field, unitri)
         expected = ref.jordan_type(ref.shift(dense, field.neg[1]))[0]
         assert unipotent_class_of(FqMatrix(field, unitri)) == expected
+        for rows in (ident, unitri):
+            m, dense = FqMatrix(field, rows), ref.DenseMatrix(field, rows)
+            for mu in ((1, n - 1), (n - 1, 1)):
+                assert count_fixed_flags(m, mu) == ref.flag_count(dense, mu), (rows, mu)
         while True:
             rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
             m, dense = FqMatrix(field, rows), ref.DenseMatrix(field, rows)
@@ -295,19 +302,6 @@ def test_packing_across_chunk_boundaries(q):
     pair = [[1] + [0] * (n - 2) + [1], [1] + [0] * (n - 1)]
     for vecs in (long + short, short + long, pair):
         assert FqMatrix(field, list(zip(*vecs))).rank() == ref.rank(field, vecs)
-    # fixed lines and hyperplanes of F_q**k, tested by the one-chunk
-    # is_invariant, and of F_q**(k+1), at most 511 of each, where the tested
-    # subspaces and their images straddle the two chunks
-    for n in (field.k, field.k + 1):
-        ident = [[int(i == j) for j in range(n)] for i in range(n)]
-        unitri = [
-            [1 if i == j else rng.randrange(q) if j > i else 0 for j in range(n)]
-            for i in range(n)
-        ]
-        for rows in (ident, unitri):
-            m, dense = FqMatrix(field, rows), ref.DenseMatrix(field, rows)
-            for mu in ((1, n - 1), (n - 1, 1)):
-                assert count_fixed_flags(m, mu) == ref.flag_count(dense, mu), (rows, mu)
 
 
 def test_unipotent_counts():
