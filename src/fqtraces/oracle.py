@@ -51,13 +51,15 @@ A subspace has one format: an echelon basis, a dict from the key of each
 leading entry to the basis vector with that leading entry.  Flags grow
 inside F_q**n: an invariant V extends by the subspaces U of the span of
 the coordinates that are not pivots of V, a complement of V, so no
-quotient matrix is built.  Every flag shape of a matrix reads one memo:
-per subspace V, keyed by its reduced echelon basis, the invariant
-extensions of V by each dimension and the flag count for each remaining
-shape, and m v for each vector applied.  So the shapes (2, 2) and
-(2, 1, 1) test the planes once.  The memo lives for one matrix, the one
-asked about last; asking about another drops it, so callers that keep
-many matrices do not keep their walks.
+quotient matrix is built.  Every flag shape of a matrix reads one memo,
+its walk, which is itself the table of m v for each vector applied: per
+invariant subspace V, keyed by its reduced echelon basis, one basis dict,
+the invariant extensions of V by each dimension (those dicts again) and
+the flag count for each remaining shape.  So the shapes (2, 2) and
+(2, 1, 1) test the planes once, and a subspace reached by many routes is
+held once.  The memo lives for one matrix, the one asked about last;
+asking about another drops it, so callers that keep many matrices do not
+keep their walks.
 """
 
 from bisect import bisect_right
@@ -471,18 +473,18 @@ def subspaces(field: FqField, free, d: int):
             yield dict(zip(keys, rows))
 
 
-def is_invariant(images: "_Images", basis: dict, sub: dict) -> bool:
+def is_invariant(walk: "_FlagWalk", basis: dict, sub: dict) -> bool:
     """Whether m maps sub into span(basis, sub), by elimination on leading entries.
 
-    ``images[v]`` is m v, for every vector of sub.  When m is n x n with
+    ``walk[v]`` is m v, for every vector of sub.  When m is n x n with
     n <= k, every image is one chunk and each step is one ``clead`` lookup
-    and one ``cadd``/``cscale`` lookup.
+    and one ``cadd``/``cscale`` lookup; otherwise ``_add_scaled`` reduces.
     """
-    field = images.m.field
+    field = walk.m.field
     lead, neg, add, scale = field.clead, field.neg, field.cadd, field.cscale
-    if images.m.nrows <= field.k:
+    if walk.m.nrows <= field.k:
         for v in sub.values():
-            v = images[v]
+            v = walk[v]
             while v:
                 i, d = lead[v]
                 b = sub.get(i) or basis.get(i)
@@ -491,14 +493,14 @@ def is_invariant(images: "_Images", basis: dict, sub: dict) -> bool:
                 v = add[v][scale[neg[d]][b]]
         return True
     for v in sub.values():
-        v = images[v]
+        v = walk[v]
         while v:
             sh = (v & -v).bit_length() - 1 & -8
             i, d = lead[v >> sh & 255]
             b = sub.get(sh + i) or basis.get(sh + i)
             if b is None:
                 return False
-            v = add[v][scale[neg[d]][b]] if v | b < 256 else _add_scaled(field, v, neg[d], b)
+            v = _add_scaled(field, v, neg[d], b)
     return True
 
 
@@ -521,34 +523,25 @@ def _flag_walk(m: FqMatrix) -> "_FlagWalk":
     return _FlagWalk(m)
 
 
-class _Images(dict):
-    """v -> m v for the packed vectors looked up so far."""
+class _FlagWalk(dict):
+    """The memoized invariant-flag walk of one matrix; as a dict, v -> m v.
 
-    __slots__ = ("m",)
+    A missing v is applied on lookup.  A subspace V is keyed by the
+    frozenset of its reduced echelon basis, so every route to V finds the
+    same entries: ``spaces[V]`` is its one basis dict, ``exts[V, d]`` lists
+    those of the invariant W containing V with dim W - dim V = d, and
+    ``counts[V, mu]`` is the number of invariant flags of shape mu above V.
+    """
+
+    __slots__ = ("m", "spaces", "exts", "counts")
 
     def __init__(self, m: FqMatrix):
         self.m = m
+        self.spaces, self.exts, self.counts = {}, {}, {}
 
     def __missing__(self, v: int) -> int:
         w = self[v] = _apply(self.m, v)
         return w
-
-
-class _FlagWalk:
-    """The invariant-flag walk of one matrix, memoized.
-
-    A subspace V is keyed by the frozenset of its reduced echelon basis, so
-    every route to V finds the same entries: ``exts[V, d]`` holds the
-    invariant W containing V with dim W - dim V = d, ``counts[V, mu]`` the
-    number of invariant flags of shape mu above V, and ``images`` m v for
-    each vector v applied so far.
-    """
-
-    __slots__ = ("m", "images", "exts", "counts")
-
-    def __init__(self, m: FqMatrix):
-        self.m = m
-        self.images, self.exts, self.counts = _Images(m), {}, {}
 
     def count(self, basis: dict, mu: tuple) -> int:
         """Invariant flags of shape mu above V = span(basis)."""
@@ -567,18 +560,18 @@ class _FlagWalk:
         return total
 
     def _extensions(self, basis: dict, d: int) -> list:
-        """Reduced echelon bases of the invariant W = V + U, U of dimension d.
+        """The kept reduced echelon bases of the invariant W = V + U, U of dimension d.
 
         The coordinates that are not pivots of V span a complement of V,
         so each W containing V is V + U for one U there.  Clearing V's rows
         at U's pivots, with U's rows, reduces W's basis.
         """
         f = self.m.field
-        digit, neg, k = f.cdigit, f.neg, f.k
+        digit, neg, k, spaces = f.cdigit, f.neg, f.k, self.spaces
         free = [j for j in range(self.m.nrows) if 8 * (j // k) + j % k not in basis]
         exts = []
         for sub in subspaces(f, free, d):
-            if is_invariant(self.images, basis, sub):
+            if is_invariant(self, basis, sub):
                 w = dict(sub)
                 for lead, b in basis.items():
                     for s, u in sub.items():
@@ -586,7 +579,7 @@ class _FlagWalk:
                         if c:
                             b = _add_scaled(f, b, neg[c], u)
                     w[lead] = b
-                exts.append(w)
+                exts.append(spaces.setdefault(frozenset(w.values()), w))
         return exts
 
 

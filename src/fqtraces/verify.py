@@ -193,11 +193,15 @@ def _check_extension_counts():
                 # matrices, and the classification is a class function
                 mats = unipotent_upper_triangular(field, n)
                 scope = "upper-triangular"
+            mus = partitions_of(n + 1)
+            predicted = {}  # class -> its extension_count for each mu
             pairs = []
             for g in mats:
                 lam = unipotent_class_of(g)
+                if lam not in predicted:
+                    predicted[lam] = [extension_count(lam, mu, q) for mu in mus]
                 got = Counter(unipotent_class_of(h) for h in ext_enumerate(g, "GLU"))
-                pairs += [(got[mu], extension_count(lam, mu, q)) for mu in partitions_of(n + 1)]
+                pairs += zip([got[mu] for mu in mus], predicted[lam])
             yield _tally(f"n={n}-q={q}-{scope}", pairs)
 
 

@@ -355,6 +355,41 @@ def test_flag_memo_keys_each_subspace_once():
     assert len(_flag_walk(ident).counts) == 1 + gauss(4, 1, 2) + gauss(4, 2, 2)
 
 
+def test_flag_memo_keeps_one_basis_per_subspace():
+    # every shape of the identity of F_2^4 reaches each subspace of
+    # dimension 1-3 by many routes; the walk keeps one basis dict for each,
+    # keyed as its memo is, and every extension list holds that dict
+    ident = FqMatrix(F2, [[int(i == j) for j in range(4)] for i in range(4)])
+    for mu in partitions_of(4):
+        count_fixed_flags(ident, mu)
+    walk = _flag_walk(ident)
+    dims = sorted(len(basis) for basis in walk.spaces.values())
+    assert dims == [1] * gauss(4, 1, 2) + [2] * gauss(4, 2, 2) + [3] * gauss(4, 3, 2)
+    assert all(key == frozenset(basis.values()) for key, basis in walk.spaces.items())
+    listed = [w for exts in walk.exts.values() for w in exts]
+    assert len(listed) > len(walk.spaces)
+    assert all(w is walk.spaces[frozenset(w.values())] for w in listed)
+
+
+def test_flag_memo_memory_stays_bounded():
+    # with one basis dict per subspace, every shape of the identity of
+    # F_2^5 leaves its walk holding about 0.43 MiB under tracemalloc; one
+    # dict per route to each subspace held 1.00 MiB
+    ident = FqMatrix(F2, [[int(i == j) for j in range(5)] for i in range(5)])
+    shapes = partitions_of(5)
+    # the module's own caches for F_2^5 are filled before tracing starts
+    count_fixed_flags(FqMatrix(F2, [[int(j >= i) for j in range(5)] for i in range(5)]), (1, 4))
+    _flag_walk.cache_clear()
+    tracemalloc.start()
+    try:
+        for mu in shapes:
+            count_fixed_flags(ident, mu)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 0.6 * 2**20, held
+
+
 def test_count_fixed_subspaces_examples():
     # the invariant d-dimensional subspaces are the fixed flags of shape
     # (d, n - d); shapes with a zero part count those of one dimension
