@@ -24,17 +24,17 @@ before.  The sum, scale and digit tables hold their rows as ``bytes``,
 about a sixth of the memory of rows of ints (see ``FqField``).
 A vector of at most k entries is a single chunk, an int below 256, so the
 chunk tables act on it whole.  For an n x n matrix with n <= k every
-vector is one chunk, and three kernels work on chunk values alone: the
-image chain of a Jordan type (``_chunk_image_ranks``: each reduction is
-one ``clead`` lookup and one ``cadd``/``cscale`` lookup, each b v a sum
-over ``cdigits[v]``), the probes p(m) of ``conjugacy_family_of`` (one
+vector is one chunk, and three loops work on chunk values alone: the
+one-chunk builder of ``_image_chain`` (each reduction is one ``clead``
+lookup and one ``cadd``/``cscale`` lookup, each b v a sum over
+``cdigits[v]``), the probes p(m) of ``conjugacy_family_of`` (one
 ``cadd[v][cscale[c][w]]`` per column and coefficient) and
 ``is_invariant`` (one ``clead`` lookup per reduction).  The choice rests
-on n alone; for n > k the loops over chunks are the only route.
-Elsewhere, where the operands are below 256, elimination reduces by one
-lookup in line, ``_add_scaled`` is one lookup and ``_apply`` sums over the
-columns directly.  Longer vectors are added by ``_add_scaled``'s loop over
-chunks.
+on n alone; for n > k the loops over chunks are the only route, and
+``_in_span`` tests membership.  Elsewhere, where the operands are below
+256, elimination reduces by one lookup in line, ``_add_scaled`` is one
+lookup and ``_apply`` sums over the columns directly.  Longer vectors are
+added by ``_add_scaled``'s loop over chunks.
 
 A matrix keeps its columns packed.  Dense rows only enter from callers,
 through the ``FqMatrix`` constructor, which checks them, and only leave
@@ -42,8 +42,10 @@ through the ``rows`` property.  Every matrix computed here (products,
 shifts, extensions, enumerations, generalized Jordan matrices) is built on
 packed columns by ``_matrix``, unchecked; the polynomial functions check
 the coefficients they are given.  Jordan types and conjugacy classes are
-both read off one image chain: the column space of b**k is b applied to
-that of b**(k-1), so no power of b is built.  The probes b = p(m) of a
+both read off one image chain, the echelon bases of the column spaces of
+b, b**2, ...: that of b**k is b applied to that of b**(k-1), so no power
+of b is built.  Every one-row extension of a unipotent g is classified
+against g's chain (``extension_classes``).  The probes b = p(m) of a
 conjugacy class are combinations of the columns of m**0, m**1, ..., which
 are kept for the call, so each p(m) costs no matrix product.
 
@@ -63,6 +65,7 @@ keep their walks.
 """
 
 from bisect import bisect_right
+from collections import Counter
 from functools import cache, lru_cache
 from itertools import combinations, product
 
@@ -353,48 +356,37 @@ def _jordan_type(field: FqField, cols: tuple, d: int = 1) -> tuple[Partition, in
 
     The kernel of b**k grows by d times the number of Jordan blocks of size
     at least k until it is the generalized kernel; those counts are the
-    columns of the Jordan type, read off the falling ranks of b, b**2, ...;
-    when n <= k a one-chunk kernel computes those ranks.
+    columns of the Jordan type, read off the sizes of the levels of b's
+    image chain.
     """
     n = len(cols)
-    ranks = _chunk_image_ranks(field, cols) if n <= field.k else _image_ranks(field, cols)
     jumps, prev = [], 0
-    for r in ranks:
-        step = n - r - prev
+    for level in _image_chain(field, cols):
+        step = n - len(level) - prev
         if step % d:
             raise AssertionError("kernel jump not divisible by factor degree")
         jumps.append(step // d)
-        prev = n - r
+        prev = n - len(level)
     return transpose(tuple(jumps)), prev
 
 
-def _image_ranks(field: FqField, cols: tuple) -> list:
-    """The ranks of b, b**2, ... while they fall, for b with packed columns.
-
-    The column space of b**k is b applied to an echelon basis of that of
-    b**(k-1).
+def _image_chain(field: FqField, cols: tuple) -> list:
+    """The echelon bases of im b, im b**2, ... while their dimension falls,
+    for b with packed columns: one loop on chunk values for n <= k, else
+    ``_echelon`` and ``_apply`` per level.
     """
-    b = _matrix(field, len(cols), cols)
-    rank, ranks = len(cols), []
-    image = _echelon(field, cols).values()
-    while len(image) < rank:
-        rank = len(image)
-        ranks.append(rank)
-        image = _echelon(field, [_apply(b, v) for v in image]).values()
-    return ranks
-
-
-def _chunk_image_ranks(field: FqField, cols: tuple) -> list:
-    """:func:`_image_ranks` for n <= k, where every vector is one chunk.
-
-    The whole chain is one loop: each reduction is one ``clead`` lookup and
-    one ``cadd``/``cscale`` lookup, and b v sums the columns over
-    ``cdigits[v]``.
-    """
+    n, chain = len(cols), []
+    if n > field.k:
+        b, rank, image = _matrix(field, n, cols), n, _echelon(field, cols)
+        while len(image) < rank:
+            rank = len(image)
+            chain.append(image)
+            image = _echelon(field, [_apply(b, v) for v in image.values()])
+        return chain
     lead, neg, inv, add, scale, digits = (
         field.clead, field.neg, field.inv, field.cadd, field.cscale, field.cdigits
     )
-    rank, ranks, vecs = len(cols), [], cols
+    rank, vecs = n, cols
     while True:
         image = {}
         for v in vecs:
@@ -406,15 +398,28 @@ def _chunk_image_ranks(field: FqField, cols: tuple) -> list:
                     break
                 v = add[v][scale[neg[c]][w]]
         if len(image) == rank:
-            return ranks
+            return chain
         rank = len(image)
-        ranks.append(rank)
+        chain.append(image)
         vecs = []
         for v in image.values():
             acc = 0
             for i, c in digits[v]:
                 acc = add[acc][scale[c][cols[i]]]
             vecs.append(acc)
+
+
+def _in_span(field: FqField, basis: dict, v: int) -> bool:
+    """Whether packed v lies in the span of an echelon basis, by elimination on leading entries."""
+    lead, neg = field.clead, field.neg
+    while v:
+        sh = (v & -v).bit_length() - 1 & -8
+        i, d = lead[v >> sh & 255]
+        b = basis.get(sh + i)
+        if b is None:
+            return False
+        v = _add_scaled(field, v, neg[d], b)
+    return True
 
 
 def all_matrices(field: FqField, n: int):
@@ -478,7 +483,7 @@ def is_invariant(walk: "_FlagWalk", basis: dict, sub: dict) -> bool:
 
     ``walk[v]`` is m v, for every vector of sub.  When m is n x n with
     n <= k, every image is one chunk and each step is one ``clead`` lookup
-    and one ``cadd``/``cscale`` lookup; otherwise ``_add_scaled`` reduces.
+    and one ``cadd``/``cscale`` lookup; otherwise ``_in_span`` reduces.
     """
     field = walk.m.field
     lead, neg, add, scale = field.clead, field.neg, field.cadd, field.cscale
@@ -492,16 +497,8 @@ def is_invariant(walk: "_FlagWalk", basis: dict, sub: dict) -> bool:
                     return False
                 v = add[v][scale[neg[d]][b]]
         return True
-    for v in sub.values():
-        v = walk[v]
-        while v:
-            sh = (v & -v).bit_length() - 1 & -8
-            i, d = lead[v >> sh & 255]
-            b = sub.get(sh + i) or basis.get(sh + i)
-            if b is None:
-                return False
-            v = _add_scaled(field, v, neg[d], b)
-    return True
+    span = {**basis, **sub}
+    return all(_in_span(field, span, walk[v]) for v in sub.values())
 
 
 def count_fixed_flags(m: FqMatrix, mu: tuple) -> int:
@@ -604,6 +601,32 @@ def ext_enumerate(g: FqMatrix, variant: str):
     ]
 
 
+def extension_classes(g: FqMatrix) -> Counter:
+    """The Jordan types of the "GLU" extensions h = [[g, v], [0, 1]] of a
+    unipotent g, each v counted, from the image chain of b = g - 1.
+
+    (h - 1)**k = [[b**k, b**(k-1) v], [0, 0]], so rank (h - 1)**k is
+    rank b**k plus 1 while b**(k-1) v is not in im b**k; if that holds for
+    j values of k, h's type is g's with one box added in column j + 1.
+    """
+    lam = unipotent_class_of(g)
+    field, n = g.field, g.nrows
+    b = _shift(g, field.neg[1])
+    chain, m = _image_chain(field, b), _matrix(field, n, b)
+    heights = transpose(lam) + (0,)  # heights[j]: how many parts of lam exceed j
+    out = Counter()
+    for v in _all_vectors(field, n):
+        j = 0
+        for level in chain:
+            if _in_span(field, level, v):
+                break
+            v = _apply(m, v)
+            j += 1
+        i = heights[j]
+        out[lam[:i] + (j + 1,) + lam[i + 1 :]] += 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Polynomials over the field (ascending coefficient tuples, monic)
 
@@ -703,10 +726,6 @@ def jordan_block_matrix(field: FqField, blocks) -> FqMatrix:
                     col = unit[j + 1] if j < top + d - 1 else _pack(field, (0,) * top + minus)
                     cols.append(col + unit[j - d] if b else col)
     return _matrix(field, len(cols), tuple(cols))
-
-
-def class_representative(field: FqField, fam: DiagramFamily, polys_by_tag) -> FqMatrix:
-    return jordan_block_matrix(field, [(polys_by_tag[tag], lam) for tag, _d, lam in fam.blocks])
 
 
 def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:

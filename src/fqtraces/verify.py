@@ -11,7 +11,6 @@ the rows ``fqtraces verify`` prints: one dict per check, keyed by
 can emit CSV and CI can shard the suites by name.
 """
 
-from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
 from math import prod
@@ -28,10 +27,9 @@ from fqtraces.measures import (
 from fqtraces.oracle import (
     FqMatrix,
     all_matrices,
-    class_representative,
     conjugacy_family_of,
     count_fixed_flags,
-    ext_enumerate,
+    extension_classes,
     families_enumerate,
     field_make,
     jordan_block_matrix,
@@ -177,7 +175,8 @@ def _check_branching():
 
 
 # ---------------------------------------------------------------------------
-# 4. Extension counts against brute-force classification
+# 4. Extension counts against the class of every extension, each read off
+#    its parent's image chain (``extension_classes``)
 
 
 @_suite("extension-counts")
@@ -200,7 +199,7 @@ def _check_extension_counts():
                 lam = unipotent_class_of(g)
                 if lam not in predicted:
                     predicted[lam] = [extension_count(lam, mu, q) for mu in mus]
-                got = Counter(unipotent_class_of(h) for h in ext_enumerate(g, "GLU"))
+                got = extension_classes(g)
                 pairs += zip([got[mu] for mu in mus], predicted[lam])
             yield _tally(f"n={n}-q={q}-{scope}", pairs)
 
@@ -524,7 +523,8 @@ def _check_trace_values_oracle():
             schur_specialized = {label: trace_coefficients(sp, n) for label, sp in specs}
             pairs = []
             for fam in families_enumerate(n, q):
-                rep = class_representative(field, fam, tags)
+                blocks = [(tags[tag], lam) for tag, _d, lam in fam.blocks]
+                rep = jordan_block_matrix(field, blocks)
                 chi = _unipotent_characters_from_flags(rep)
                 for label, sp in specs:
                     from_flags = sum(

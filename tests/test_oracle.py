@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import oracle_reference as ref
@@ -12,11 +13,12 @@ from fqtraces.oracle import (
     FqField,
     FqMatrix,
     _flag_walk,
+    _image_chain,
     _jordan_type,
-    class_representative,
     conjugacy_family_of,
     count_fixed_flags,
     ext_enumerate,
+    extension_classes,
     families_enumerate,
     field_make,
     irreducible_polys,
@@ -269,6 +271,15 @@ def test_packing_across_chunk_boundaries(q):
             assert (m @ m).rows == (dense @ dense).rows
             assert m.rank() == ref.rank(field, dense.rows)
             assert _jordan_type(field, m.cols) == ref.jordan_type(dense)
+            # the chain's levels are im b, im b**2, ..., each smaller than the
+            # last, up to the first power whose rank equals the one before
+            sizes = [len(level) for level in _image_chain(field, m.cols)]
+            assert all(a > b for a, b in zip([n] + sizes, sizes)), sizes
+            power = dense
+            for size in sizes:
+                assert size == ref.rank(field, power.rows)
+                power = power @ dense
+            assert ref.rank(field, power.rows) == (sizes[-1] if sizes else n)
     # classes, fixed lines and fixed hyperplanes on both sides of the
     # one-chunk kernels' n <= k switch; at n = k + 1, with at most 511 of
     # each, the tested subspaces and their images straddle the two chunks
@@ -428,6 +439,29 @@ def test_ext_enumerate_counts_and_shapes():
         assert h.rows[1][0] == 0 and h.rows[1][1] != 0
 
 
+def test_extension_classes_match_every_extension():
+    # each extension's type from the parent's image chain against its own
+    # classification: every unipotent g over F_2 at n <= 3 and over F_3 at
+    # n <= 2, the identity (b = 0), and unitriangular g on both sides of
+    # one chunk, so the chain's levels and v reach a second chunk
+    cases = []
+    for q, top in ((2, 3), (3, 2)):
+        for n in range(top + 1):
+            cases += unipotent_matrices(field_make(q), n)
+    cases += [FqMatrix(F3, [[int(i == j) for j in range(n)] for i in range(n)]) for n in range(4)]
+    for q in SUPPORTED_ORDERS:
+        field, rng = field_make(q), random.Random(q)
+        for n in (field.k - 1, field.k, field.k + 1):
+            rows = [
+                [1 if i == j else rng.randrange(q) if j > i else 0 for j in range(n)]
+                for i in range(n)
+            ]
+            cases.append(FqMatrix(field, rows))
+    for g in cases:
+        brute = Counter(unipotent_class_of(h) for h in ext_enumerate(g, "GLU"))
+        assert extension_classes(g) == brute, g
+
+
 def test_irreducible_polys():
     assert irreducible_polys(2, 1) == ((1, 1),)
     assert irreducible_polys(2, 2) == ((1, 1, 1),)
@@ -565,7 +599,7 @@ def test_class_representative_round_trip():
         tags = polys_by_tag(q, max_n)
         for n in range(1, max_n + 1):
             for fam in families_enumerate(n, q):
-                m = class_representative(field, fam, tags)
+                m = jordan_block_matrix(field, [(tags[tag], lam) for tag, _d, lam in fam.blocks])
                 assert m.is_invertible()
                 assert conjugacy_family_of(m) == fam
 

@@ -21,6 +21,7 @@ from fqtraces.oracle import (
     conjugacy_family_of,
     count_fixed_flags,
     ext_enumerate,
+    extension_classes,
     field_make,
     jordan_block_matrix,
 )
@@ -134,6 +135,12 @@ REFUSALS = {
         lambda: ext_enumerate(FqMatrix(F2, [[1]]), "GL"),
         ValueError,
         "unknown extension variant 'GL'",
+    ),
+    # x^2 + x + 1 is irreducible over F_2: no eigenvalue 1
+    "extension-classes-not-unipotent": (
+        lambda: extension_classes(FqMatrix(F2, [[1, 1], [1, 0]])),
+        ValueError,
+        "matrix is not unipotent",
     ),
     # a 2 x 3 matrix used to have 1 fixed flag, a 3 x 2 one an IndexError
     "flags-of-a-wide-matrix": (
