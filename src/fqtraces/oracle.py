@@ -24,17 +24,16 @@ before.  The sum, scale and digit tables hold their rows as ``bytes``,
 about a sixth of the memory of rows of ints (see ``FqField``).
 A vector of at most k entries is a single chunk, an int below 256, so the
 chunk tables act on it whole.  For an n x n matrix with n <= k every
-vector is one chunk, and three loops work on chunk values alone: the
-one-chunk builder of ``_image_chain`` (each reduction is one ``clead``
-lookup and one ``cadd``/``cscale`` lookup, each b v a sum over
-``cdigits[v]``), the probes p(m) of ``conjugacy_family_of`` (one
-``cadd[v][cscale[c][w]]`` per column and coefficient) and
-``is_invariant`` (one ``clead`` lookup per reduction).  The choice rests
-on n alone; for n > k the loops over chunks are the only route, and
-``_in_span`` tests membership.  Elsewhere, where the operands are below
-256, elimination reduces by one lookup in line, ``_add_scaled`` is one
-lookup and ``_apply`` sums over the columns directly.  Longer vectors are
-added by ``_add_scaled``'s loop over chunks.
+vector is one chunk, and three loops work on chunk values alone: two
+elimination kernels, the one-chunk builder of ``_image_chain`` and the
+one-chunk loop of ``is_invariant`` (each step one ``clead`` lookup and
+one ``cadd``/``cscale`` lookup), and the probes p(m) of
+``conjugacy_family_of`` (one ``cadd[v][cscale[c][w]]`` per column and
+coefficient).  The choice rests on n alone.  Every other elimination is
+``_reduce``: a step on operands below 256 is one lookup in line, a longer
+one ``_add_scaled``'s loop over chunks, and ``_echelon`` keeps each
+vector's non-zero residue.  ``_apply`` sums over the columns directly
+when they and x fit one chunk.
 
 A matrix keeps its columns packed.  Dense rows only enter from callers,
 through the ``FqMatrix`` constructor, which checks them, and only leave
@@ -257,9 +256,6 @@ class FqMatrix:
         cols = [_unpack(self.field, c, self.nrows) for c in self.cols]
         return tuple(zip(*cols)) if cols else ((),) * self.nrows
 
-    def __matmul__(self, other: "FqMatrix") -> "FqMatrix":
-        return _matrix(self.field, self.nrows, tuple(_apply(self, c) for c in other.cols))
-
     def rank(self) -> int:
         return rank(self.field, self.cols)
 
@@ -324,23 +320,35 @@ def _add_scaled(field: FqField, v: int, c: int, w: int) -> int:
     return out
 
 
+def _reduce(field: FqField, basis: dict, v: int) -> int:
+    """Packed v reduced by an echelon basis until its leading entry is not a
+    pivot: 0 exactly when v lies in the span."""
+    lead, neg, add, scale = field.clead, field.neg, field.cadd, field.cscale
+    while v:
+        sh = (v & -v).bit_length() - 1 & -8
+        i, d = lead[v >> sh & 255]
+        b = basis.get(sh + i)
+        if b is None:
+            break
+        v = add[v][scale[neg[d]][b]] if v | b < 256 else _add_scaled(field, v, neg[d], b)
+    return v
+
+
 def _echelon(field: FqField, vecs) -> dict:
     """Echelon basis of the span of packed vectors.
 
     Maps a key of each leading entry (8 * chunk + position in the chunk) to
-    the basis vector with that leading entry, scaled to lead with 1.
+    the basis vector with that leading entry, scaled to lead with 1: each
+    vector's non-zero residue by ``_reduce``, in order.
     """
-    lead, neg, inv, add, scale = field.clead, field.neg, field.inv, field.cadd, field.cscale
+    lead, inv, scale = field.clead, field.inv, field.cscale
     basis = {}
     for v in vecs:
-        while v:
+        v = _reduce(field, basis, v)
+        if v:
             sh = (v & -v).bit_length() - 1 & -8
             i, d = lead[v >> sh & 255]
-            b = basis.get(sh + i)
-            if b is None:
-                basis[sh + i] = scale[inv[d]][v] if v < 256 else _add_scaled(field, 0, inv[d], v)
-                break
-            v = add[v][scale[neg[d]][b]] if v | b < 256 else _add_scaled(field, v, neg[d], b)
+            basis[sh + i] = scale[inv[d]][v] if v < 256 else _add_scaled(field, 0, inv[d], v)
     return basis
 
 
@@ -349,19 +357,17 @@ def rank(field: FqField, rows) -> int:
     return len(_echelon(field, rows))
 
 
-def _jordan_type(field: FqField, cols: tuple, d: int = 1) -> tuple[Partition, int]:
+def _jordan_type(n: int, chain: list, d: int = 1) -> tuple[Partition, int]:
     """Jordan type of m at p, read off b = p(m) for p irreducible of degree d,
-    and the dimension of the generalized kernel of b; b is given by its
-    packed columns.
+    and the dimension of the generalized kernel of b; b is n x n and
+    ``chain`` is its image chain from ``_image_chain``.
 
     The kernel of b**k grows by d times the number of Jordan blocks of size
     at least k until it is the generalized kernel; those counts are the
-    columns of the Jordan type, read off the sizes of the levels of b's
-    image chain.
+    columns of the Jordan type, read off the sizes of the chain's levels.
     """
-    n = len(cols)
     jumps, prev = [], 0
-    for level in _image_chain(field, cols):
+    for level in chain:
         step = n - len(level) - prev
         if step % d:
             raise AssertionError("kernel jump not divisible by factor degree")
@@ -409,19 +415,6 @@ def _image_chain(field: FqField, cols: tuple) -> list:
             vecs.append(acc)
 
 
-def _in_span(field: FqField, basis: dict, v: int) -> bool:
-    """Whether packed v lies in the span of an echelon basis, by elimination on leading entries."""
-    lead, neg = field.clead, field.neg
-    while v:
-        sh = (v & -v).bit_length() - 1 & -8
-        i, d = lead[v >> sh & 255]
-        b = basis.get(sh + i)
-        if b is None:
-            return False
-        v = _add_scaled(field, v, neg[d], b)
-    return True
-
-
 def all_matrices(field: FqField, n: int):
     """All n x n matrices (use only for tiny n)."""
     for cols in product(_all_vectors(field, n), repeat=n):
@@ -429,11 +422,10 @@ def all_matrices(field: FqField, n: int):
 
 
 def unipotent_matrices(field: FqField, n: int):
-    """All unipotent elements of the full matrix group (exhaustive scan)."""
-    minus_one = field.neg[1]
-    for m in all_matrices(field, n):
-        if _jordan_type(field, _shift(m, minus_one))[1] == n:
-            yield m
+    """All unipotent elements of the full matrix group: b + 1 for each nilpotent b scanned."""
+    for b in all_matrices(field, n):
+        if _jordan_type(n, _image_chain(field, b.cols))[1] == n:
+            yield _matrix(field, n, _shift(b, 1))
 
 
 def unipotent_upper_triangular(field: FqField, n: int):
@@ -446,11 +438,19 @@ def unipotent_upper_triangular(field: FqField, n: int):
 
 def unipotent_class_of(m: FqMatrix) -> Partition:
     """Jordan type of a unipotent matrix, via kernel jumps of (m - I)**k."""
+    return _unipotent_chain(m)[0]
+
+
+def _unipotent_chain(m: FqMatrix) -> tuple:
+    """The Jordan type of a unipotent m, the packed columns of b = m - 1
+    and b's image chain; any other m is refused."""
     n = m.nrows
     if m.ncols == n:
-        lam, dim = _jordan_type(m.field, _shift(m, m.field.neg[1]))
+        b = _shift(m, m.field.neg[1])
+        chain = _image_chain(m.field, b)
+        lam, dim = _jordan_type(n, chain)
         if dim == n:
-            return lam
+            return lam, b, chain
     raise ValueError("matrix is not unipotent")
 
 
@@ -483,7 +483,7 @@ def is_invariant(walk: "_FlagWalk", basis: dict, sub: dict) -> bool:
 
     ``walk[v]`` is m v, for every vector of sub.  When m is n x n with
     n <= k, every image is one chunk and each step is one ``clead`` lookup
-    and one ``cadd``/``cscale`` lookup; otherwise ``_in_span`` reduces.
+    and one ``cadd``/``cscale`` lookup; otherwise ``_reduce`` reduces.
     """
     field = walk.m.field
     lead, neg, add, scale = field.clead, field.neg, field.cadd, field.cscale
@@ -498,7 +498,7 @@ def is_invariant(walk: "_FlagWalk", basis: dict, sub: dict) -> bool:
                 v = add[v][scale[neg[d]][b]]
         return True
     span = {**basis, **sub}
-    return all(_in_span(field, span, walk[v]) for v in sub.values())
+    return not any(_reduce(field, span, walk[v]) for v in sub.values())
 
 
 def count_fixed_flags(m: FqMatrix, mu: tuple) -> int:
@@ -601,30 +601,29 @@ def ext_enumerate(g: FqMatrix, variant: str):
     ]
 
 
-def extension_classes(g: FqMatrix) -> Counter:
-    """The Jordan types of the "GLU" extensions h = [[g, v], [0, 1]] of a
-    unipotent g, each v counted, from the image chain of b = g - 1.
+def extension_classes(g: FqMatrix) -> tuple[Partition, Counter]:
+    """The Jordan type lam of a unipotent g and those of its "GLU"
+    extensions h = [[g, v], [0, 1]], each v counted, from the one image
+    chain of b = g - 1.
 
     (h - 1)**k = [[b**k, b**(k-1) v], [0, 0]], so rank (h - 1)**k is
     rank b**k plus 1 while b**(k-1) v is not in im b**k; if that holds for
-    j values of k, h's type is g's with one box added in column j + 1.
+    j values of k, h's type is lam with one box added in column j + 1.
     """
-    lam = unipotent_class_of(g)
-    field, n = g.field, g.nrows
-    b = _shift(g, field.neg[1])
-    chain, m = _image_chain(field, b), _matrix(field, n, b)
+    lam, b, chain = _unipotent_chain(g)
+    field, m = g.field, _matrix(g.field, g.nrows, b)
     heights = transpose(lam) + (0,)  # heights[j]: how many parts of lam exceed j
     out = Counter()
-    for v in _all_vectors(field, n):
+    for v in _all_vectors(field, g.nrows):
         j = 0
         for level in chain:
-            if _in_span(field, level, v):
+            if not _reduce(field, level, v):
                 break
             v = _apply(m, v)
             j += 1
         i = heights[j]
         out[lam[:i] + (j + 1,) + lam[i + 1 :]] += 1
-    return out
+    return lam, out
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +763,7 @@ def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:
                     cols = tuple([add[v][sc[w]] for v, w in zip(cols, pcols)])
                 else:
                     cols = tuple([_add_scaled(field, v, c, w) for v, w in zip(cols, pcols)])
-            lam, dim = _jordan_type(field, cols, d)
+            lam, dim = _jordan_type(n, _image_chain(field, cols), d)
             if dim:
                 blocks.append((poly_name(field, poly), d, lam))
                 covered += dim

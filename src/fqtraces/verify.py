@@ -176,7 +176,7 @@ def _check_branching():
 
 # ---------------------------------------------------------------------------
 # 4. Extension counts against the class of every extension, each read off
-#    its parent's image chain (``extension_classes``)
+#    its parent's one image chain, which gives its class too (``extension_classes``)
 
 
 @_suite("extension-counts")
@@ -196,10 +196,9 @@ def _check_extension_counts():
             predicted = {}  # class -> its extension_count for each mu
             pairs = []
             for g in mats:
-                lam = unipotent_class_of(g)
+                lam, got = extension_classes(g)
                 if lam not in predicted:
                     predicted[lam] = [extension_count(lam, mu, q) for mu in mus]
-                got = extension_classes(g)
                 pairs += zip([got[mu] for mu in mus], predicted[lam])
             yield _tally(f"n={n}-q={q}-{scope}", pairs)
 

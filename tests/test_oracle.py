@@ -12,9 +12,15 @@ from fqtraces.oracle import (
     SUPPORTED_ORDERS,
     FqField,
     FqMatrix,
+    _add_scaled,
+    _apply,
     _flag_walk,
     _image_chain,
     _jordan_type,
+    _matrix,
+    _pack,
+    _reduce,
+    _unpack,
     conjugacy_family_of,
     count_fixed_flags,
     ext_enumerate,
@@ -39,6 +45,11 @@ F3 = field_make(3)
 F4 = field_make(4)
 
 _CHUNK_TABLES = ("cadd", "cscale", "cdigit", "cdigits", "clead")
+
+
+def _square(m):
+    """m squared, built column by column with ``_apply``."""
+    return _matrix(m.field, m.nrows, tuple(_apply(m, c) for c in m.cols))
 
 
 def test_field_construction():
@@ -232,14 +243,13 @@ def _square_matrices(draw):
 def test_packed_matches_dense_reference(case):
     q, rows = case
     field = field_make(q)
-    m, dense = FqMatrix(field, rows), ref.DenseMatrix(field, rows)
+    m, dense, n = FqMatrix(field, rows), ref.DenseMatrix(field, rows), len(rows)
     assert m.rows == dense.rows
-    assert (m @ m).rows == (dense @ dense).rows
+    assert _square(m).rows == (dense @ dense).rows
     assert m.rank() == ref.rank(field, dense.rows)
-    assert _jordan_type(field, m.cols) == ref.jordan_type(dense)
+    assert _jordan_type(n, _image_chain(field, m.cols)) == ref.jordan_type(dense)
     if m.is_invertible():
         assert conjugacy_family_of(m) == ref.conjugacy_family_of(dense)
-    n = len(rows)
     # the compositions count the fixed subspaces of one dimension
     shapes = list(partitions_of(n)) + ([(0, n), (n, 0), (1, n - 1)] if n else [])
     for mu in shapes:
@@ -260,7 +270,7 @@ def test_packing_across_chunk_boundaries(q):
     # F_4; these vectors fill the one chunk that is reduced by single
     # lookups, then end one entry into a second and a third chunk
     field = field_make(q)
-    rng = random.Random(q)
+    rng, vrng = random.Random(q), random.Random(-q)
     for n in (field.k, field.k + 1, 2 * field.k + 1):
         rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
         # the strictly upper part is nilpotent: its kernel chain runs up to n
@@ -268,18 +278,38 @@ def test_packing_across_chunk_boundaries(q):
         for r in (rows, upper):
             m, dense = FqMatrix(field, r), ref.DenseMatrix(field, r)
             assert m.rows == dense.rows
-            assert (m @ m).rows == (dense @ dense).rows
+            assert _square(m).rows == (dense @ dense).rows
             assert m.rank() == ref.rank(field, dense.rows)
-            assert _jordan_type(field, m.cols) == ref.jordan_type(dense)
+            chain = _image_chain(field, m.cols)
+            assert _jordan_type(n, chain) == ref.jordan_type(dense)
             # the chain's levels are im b, im b**2, ..., each smaller than the
             # last, up to the first power whose rank equals the one before
-            sizes = [len(level) for level in _image_chain(field, m.cols)]
+            sizes = [len(level) for level in chain]
             assert all(a > b for a, b in zip([n] + sizes, sizes)), sizes
             power = dense
             for size in sizes:
                 assert size == ref.rank(field, power.rows)
                 power = power @ dense
             assert ref.rank(field, power.rows) == (sizes[-1] if sizes else n)
+            # _reduce by each level, of a combination of the level and of
+            # seeded vectors: the residue is 0 exactly for v in the span, else
+            # it leads off the level's pivots, and it spans what v does
+            for level in chain:
+                basis = [_unpack(field, w, n) for w in level.values()]
+                combo = 0
+                for w in level.values():
+                    combo = _add_scaled(field, combo, vrng.randrange(q), w)
+                seeded = [_pack(field, [vrng.randrange(q) for _ in range(n)]) for _ in range(3)]
+                for v in [combo] + seeded:
+                    res = _reduce(field, level, v)
+                    v_rows, res_rows = _unpack(field, v, n), _unpack(field, res, n)
+                    span = ref.rank(field, basis + [v_rows])
+                    assert (res == 0) == (span == len(level))
+                    if res:
+                        j = next(j for j, e in enumerate(res_rows) if e)
+                        assert 8 * (j // field.k) + j % field.k not in level
+                    assert ref.rank(field, basis + [res_rows]) == span
+                    assert ref.rank(field, basis + [v_rows, res_rows]) == span
     # classes, fixed lines and fixed hyperplanes on both sides of the
     # one-chunk kernels' n <= k switch; at n = k + 1, with at most 511 of
     # each, the tested subspaces and their images straddle the two chunks
@@ -316,10 +346,16 @@ def test_packing_across_chunk_boundaries(q):
 
 
 def test_unipotent_counts():
-    # the number of unipotent elements of the full matrix group is q^(n(n-1))
+    # the number of unipotent elements of the full matrix group is
+    # q^(n(n-1)); each yielded matrix is unipotent by the dense reference
+    # and none repeats, so together with the count that pins the set
     for q, field in ((2, F2), (3, F3)):
         for n in (0, 1, 2, 3):
-            assert sum(1 for _ in unipotent_matrices(field, n)) == q ** (n * (n - 1))
+            mats = [m.rows for m in unipotent_matrices(field, n)]
+            assert len(mats) == len(set(mats)) == q ** (n * (n - 1))
+            for rows in mats:
+                b = ref.shift(ref.DenseMatrix(field, rows), field.neg[1])
+                assert ref.jordan_type(b)[1] == n, rows
         assert [unipotent_class_of(m) for m in unipotent_matrices(field, 0)] == [()]
 
 
@@ -459,7 +495,7 @@ def test_extension_classes_match_every_extension():
             cases.append(FqMatrix(field, rows))
     for g in cases:
         brute = Counter(unipotent_class_of(h) for h in ext_enumerate(g, "GLU"))
-        assert extension_classes(g) == brute, g
+        assert extension_classes(g) == (unipotent_class_of(g), brute), g
 
 
 def test_irreducible_polys():

@@ -142,6 +142,16 @@ REFUSALS = {
         ValueError,
         "matrix is not unipotent",
     ),
+    "extension-classes-of-a-wide-matrix": (
+        lambda: extension_classes(FqMatrix(F2, [[1, 0, 0], [0, 1, 0]])),
+        ValueError,
+        "matrix is not unipotent",
+    ),
+    "extension-classes-of-a-tall-matrix": (
+        lambda: extension_classes(FqMatrix(F2, [[1, 0], [0, 1], [0, 0]])),
+        ValueError,
+        "matrix is not unipotent",
+    ),
     # a 2 x 3 matrix used to have 1 fixed flag, a 3 x 2 one an IndexError
     "flags-of-a-wide-matrix": (
         lambda: count_fixed_flags(FqMatrix(F2, [[1, 0, 0], [0, 1, 0]]), (1, 1)),
