@@ -31,22 +31,25 @@ one ``cadd``/``cscale`` lookup), and the probes p(m) of
 ``conjugacy_family_of`` (one ``cadd[v][cscale[c][w]]`` per column and
 coefficient).  The choice rests on n alone.  Every other elimination is
 ``_reduce``: a step on operands below 256 is one lookup in line, a longer
-one ``_add_scaled``'s loop over chunks, and ``_echelon`` keeps each
-vector's non-zero residue.  ``_apply`` sums over the columns directly
-when they and x fit one chunk.
+one ``_add_scaled``'s loop over chunks, and ``_echelon``, which serves
+only ``rank`` and the chain's levels past one chunk, keeps each vector's
+non-zero residue.  ``_apply`` sums over the columns directly when they
+and x fit one chunk.
 
 A matrix keeps its columns packed.  Dense rows only enter from callers,
 through the ``FqMatrix`` constructor, which checks them, and only leave
 through the ``rows`` property.  Every matrix computed here (products,
 shifts, extensions, enumerations, generalized Jordan matrices) is built on
 packed columns by ``_matrix``, unchecked; the polynomial functions check
-the coefficients they are given.  Jordan types and conjugacy classes are
-both read off one image chain, the echelon bases of the column spaces of
-b, b**2, ...: that of b**k is b applied to that of b**(k-1), so no power
-of b is built.  Every one-row extension of a unipotent g is classified
-against g's chain (``extension_classes``).  The probes b = p(m) of a
+the coefficients they are given.  Invertibility, Jordan types and
+conjugacy classes are all read off one image chain, the echelon bases of
+the column spaces of b, b**2, ... while they shrink: that of b**k is b
+applied to that of b**(k-1), so no power of b is built, and the chain is
+empty exactly when b is invertible.  Every one-row extension of a
+unipotent g is classified against g's chain (``extension_classes``).  The probes b = p(m) of a
 conjugacy class are combinations of the columns of m**0, m**1, ..., which
-are kept for the call, so each p(m) costs no matrix product.
+are kept for the call, so each p(m) costs no matrix product, and each
+irreducible p carries the tag its sieve named it by (``irreducible_polys``).
 
 A subspace has one format: an echelon basis, a dict from the key of each
 leading entry to the basis vector with that leading entry.  Flags grow
@@ -256,11 +259,9 @@ class FqMatrix:
         cols = [_unpack(self.field, c, self.nrows) for c in self.cols]
         return tuple(zip(*cols)) if cols else ((),) * self.nrows
 
-    def rank(self) -> int:
-        return rank(self.field, self.cols)
-
     def is_invertible(self) -> bool:
-        return self.nrows == self.ncols and self.rank() == self.nrows
+        """Whether m is square with an empty image chain, that is, of full rank."""
+        return self.nrows == self.ncols and not _image_chain(self.field, self.cols)
 
     def __repr__(self):
         return f"FqMatrix(q={self.field.q}, {list(map(list, self.rows))})"
@@ -379,7 +380,8 @@ def _jordan_type(n: int, chain: list, d: int = 1) -> tuple[Partition, int]:
 def _image_chain(field: FqField, cols: tuple) -> list:
     """The echelon bases of im b, im b**2, ... while their dimension falls,
     for b with packed columns: one loop on chunk values for n <= k, else
-    ``_echelon`` and ``_apply`` per level.
+    ``_echelon`` and ``_apply`` per level.  It is empty exactly when b is
+    invertible.
     """
     n, chain = len(cols), []
     if n > field.k:
@@ -681,20 +683,19 @@ def poly_name(field: FqField, poly) -> str:
 
 @cache
 def irreducible_polys(q: int, d: int) -> tuple:
-    """Monic irreducible degree-d polynomials; degree 1 excludes "x" itself.
+    """(tag, poly) for each monic irreducible poly of degree d, tagged once by
+    ``poly_name``; degree 1 runs over x - a by root a, leaving out x itself.
 
     A sieve: the reducible ones are the products of monic polynomials of
     degrees e and d - e for 1 <= e <= d/2.
     """
     field = field_make(q)
-    if d == 1:
-        return tuple((field.neg[a], 1) for a in range(1, q))
-
     monic = [[tail + (1,) for tail in product(range(q), repeat=e)] for e in range(d + 1)]
     reducible = {
         poly_mul(field, a, b) for e in range(1, d // 2 + 1) for a in monic[e] for b in monic[d - e]
     }
-    return tuple(poly for poly in monic[d] if poly not in reducible)
+    polys = [(field.neg[a], 1) for a in range(1, q)] if d == 1 else monic[d]
+    return tuple((poly_name(field, poly), poly) for poly in polys if poly not in reducible)
 
 
 def jordan_block_matrix(field: FqField, blocks) -> FqMatrix:
@@ -750,7 +751,7 @@ def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:
         if d > n - covered:
             break
         powers.append(tuple([_apply(m, v) for v in powers[-1]]))
-        for poly in irreducible_polys(field.q, d):
+        for tag, poly in irreducible_polys(field.q, d):
             left = n - covered
             if left != d and left < 2 * d:
                 break
@@ -765,7 +766,7 @@ def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:
                     cols = tuple([_add_scaled(field, v, c, w) for v, w in zip(cols, pcols)])
             lam, dim = _jordan_type(n, _image_chain(field, cols), d)
             if dim:
-                blocks.append((poly_name(field, poly), d, lam))
+                blocks.append((tag, d, lam))
                 covered += dim
     if covered != n:
         raise AssertionError("factorization did not exhaust the space")
@@ -774,12 +775,7 @@ def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:
 
 def polys_by_tag(q: int, max_degree: int) -> dict:
     """Display tag -> coefficient tuple for all irreducibles up to a degree."""
-    field = field_make(q)
-    out = {}
-    for d in range(1, max_degree + 1):
-        for poly in irreducible_polys(q, d):
-            out[poly_name(field, poly)] = poly
-    return out
+    return {tag: poly for d in range(1, max_degree + 1) for tag, poly in irreducible_polys(q, d)}
 
 
 def families_enumerate(n: int, q: int) -> list[DiagramFamily]:

@@ -140,7 +140,7 @@ def conjugacy_family_of(m):
     for d in range(1, n + 1):
         if d > n - covered:
             break
-        for poly in irreducible_polys(field.q, d):
+        for _tag, poly in irreducible_polys(field.q, d):
             lam, dim = jordan_type(poly_matrix_eval(field, poly, m), d)
             if dim:
                 blocks.append((poly_name(field, poly), d, lam))

@@ -32,6 +32,7 @@ from fqtraces.oracle import (
     poly_mul,
     poly_name,
     polys_by_tag,
+    rank,
     subspaces,
     unipotent_class_of,
     unipotent_matrices,
@@ -246,8 +247,9 @@ def test_packed_matches_dense_reference(case):
     m, dense, n = FqMatrix(field, rows), ref.DenseMatrix(field, rows), len(rows)
     assert m.rows == dense.rows
     assert _square(m).rows == (dense @ dense).rows
-    assert m.rank() == ref.rank(field, dense.rows)
+    assert rank(field, m.cols) == ref.rank(field, dense.rows)
     assert _jordan_type(n, _image_chain(field, m.cols)) == ref.jordan_type(dense)
+    assert m.is_invertible() == dense.is_invertible()
     if m.is_invertible():
         assert conjugacy_family_of(m) == ref.conjugacy_family_of(dense)
     # the compositions count the fixed subspaces of one dimension
@@ -273,13 +275,18 @@ def test_packing_across_chunk_boundaries(q):
     rng, vrng = random.Random(q), random.Random(-q)
     for n in (field.k, field.k + 1, 2 * field.k + 1):
         rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-        # the strictly upper part is nilpotent: its kernel chain runs up to n
+        # the strictly upper part is nilpotent: its kernel chain runs up to n;
+        # with the diagonal set to 1 it is invertible, with an empty chain
         upper = [[e if j > i else 0 for j, e in enumerate(row)] for i, row in enumerate(rows)]
-        for r in (rows, upper):
+        unitri = [[1 if j == i else e for j, e in enumerate(row)] for i, row in enumerate(upper)]
+        assert not FqMatrix(field, upper).is_invertible()
+        assert FqMatrix(field, unitri).is_invertible()
+        for r in (rows, upper, unitri):
             m, dense = FqMatrix(field, r), ref.DenseMatrix(field, r)
             assert m.rows == dense.rows
             assert _square(m).rows == (dense @ dense).rows
-            assert m.rank() == ref.rank(field, dense.rows)
+            assert rank(field, m.cols) == ref.rank(field, dense.rows)
+            assert m.is_invertible() == dense.is_invertible()
             chain = _image_chain(field, m.cols)
             assert _jordan_type(n, chain) == ref.jordan_type(dense)
             # the chain's levels are im b, im b**2, ..., each smaller than the
@@ -342,7 +349,7 @@ def test_packing_across_chunk_boundaries(q):
     long = [[rng.randrange(q) for _ in range(n - 1)] + [rng.randrange(1, q)] for _ in range(3)]
     pair = [[1] + [0] * (n - 2) + [1], [1] + [0] * (n - 1)]
     for vecs in (long + short, short + long, pair):
-        assert FqMatrix(field, list(zip(*vecs))).rank() == ref.rank(field, vecs)
+        assert rank(field, FqMatrix(field, list(zip(*vecs))).cols) == ref.rank(field, vecs)
 
 
 def test_unipotent_counts():
@@ -499,14 +506,14 @@ def test_extension_classes_match_every_extension():
 
 
 def test_irreducible_polys():
-    assert irreducible_polys(2, 1) == ((1, 1),)
-    assert irreducible_polys(2, 2) == ((1, 1, 1),)
+    assert irreducible_polys(2, 1) == (("x-1", (1, 1)),)
+    assert irreducible_polys(2, 2) == (("x^2+x+1", (1, 1, 1)),)
+    assert irreducible_polys(3, 1) == (("x-1", (2, 1)), ("x-2", (1, 1)))
     assert len(irreducible_polys(2, 3)) == 2
     assert len(irreducible_polys(2, 4)) == 3
-    assert len(irreducible_polys(3, 1)) == 2
     assert len(irreducible_polys(3, 2)) == 3
     # each candidate really has no roots
-    for poly in irreducible_polys(3, 2):
+    for _tag, poly in irreducible_polys(3, 2):
         for a in range(3):
             value = (poly[0] + poly[1] * a + poly[2] * a * a) % 3
             assert value != 0
@@ -516,13 +523,32 @@ def test_irreducible_polys():
 def test_irreducible_poly_counts(q):
     # Gauss: d * (number of monic irreducibles of degree d) is the sum of
     # mobius(d / e) * q**e over the divisors e of d; degree 1 leaves out x
+    # each tag is the poly's display name, and no two degrees share one
     mobius = {1: 1, 2: -1, 3: -1, 4: 0}
+    field, tags = field_make(q), []
     for d in range(1, 5):
         count = sum(mobius[d // e] * q**e for e in range(1, d + 1) if d % e == 0) // d
-        polys = irreducible_polys(q, d)
+        pairs = irreducible_polys(q, d)
+        polys = [poly for _tag, poly in pairs]
         assert len(polys) == count - (d == 1)
         assert len(set(polys)) == len(polys)
         assert all(len(poly) == d + 1 and poly[-1] == 1 for poly in polys)
+        assert all(tag == poly_name(field, poly) for tag, poly in pairs)
+        tags += [tag for tag, _poly in pairs]
+    assert len(set(tags)) == len(tags)
+
+
+def test_conjugacy_probes_sieve_only_the_degrees_they_reach():
+    # a unitriangular matrix is covered by x - 1 at degree 1, so no higher
+    # degree is sieved: sieving every degree up to 20 would take 2^20
+    # candidates at degree 20 alone
+    rng = random.Random(20)
+    n = 20
+    rows = [[1 if i == j else rng.randrange(2) if j > i else 0 for j in range(n)] for i in range(n)]
+    irreducible_polys.cache_clear()
+    fam = conjugacy_family_of(FqMatrix(F2, rows))
+    assert [(tag, d) for tag, d, _lam in fam.blocks] == [("x-1", 1)]
+    assert irreducible_polys.cache_info().currsize == 1
 
 
 def test_poly_name_and_division():
@@ -597,7 +623,7 @@ def test_jordan_block_matrix_checks_partitions(lam):
 def test_companion_matrix_annihilated_by_its_polynomial():
     for q, field in ((2, F2), (3, F3)):
         for d in (2, 3):
-            for poly in irreducible_polys(q, d):
+            for _tag, poly in irreducible_polys(q, d):
                 dense = ref.DenseMatrix(field, companion_matrix(field, poly).rows)
                 assert ref.rank(field, ref.poly_matrix_eval(field, poly, dense).rows) == 0
 

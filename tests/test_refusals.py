@@ -131,6 +131,17 @@ REFUSALS = {
         ValueError,
         "conjugacy families are defined for invertible matrices",
     ),
+    # refused before any image chain is built on columns of the wrong length
+    "conjugacy-family-of-a-wide-matrix": (
+        lambda: conjugacy_family_of(FqMatrix(F2, [[1, 0, 0], [0, 1, 0]])),
+        ValueError,
+        "conjugacy families are defined for invertible matrices",
+    ),
+    "conjugacy-family-of-a-tall-matrix": (
+        lambda: conjugacy_family_of(FqMatrix(F2, [[1, 0], [0, 1], [0, 0]])),
+        ValueError,
+        "conjugacy families are defined for invertible matrices",
+    ),
     "extension-variant-gl": (
         lambda: ext_enumerate(FqMatrix(F2, [[1]]), "GL"),
         ValueError,
