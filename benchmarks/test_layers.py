@@ -6,7 +6,11 @@ Each body times one oracle routine on fixed, seeded inputs at one size:
 - the conjugacy class of every invertible F_3 3 x 3 matrix (11232);
 - the Jordan types of all 1024 unitriangular F_2 5 x 5 matrices;
 - every flag shape of one F_2 4 x 4 matrix, the identity, whose every
-  subspace is invariant, from a cold flag walk.
+  subspace is invariant, from a cold flag walk;
+- every partition, as a flag shape, of one seeded unitriangular F_3
+  5 x 5, from a cold walk: few of its subspaces are invariant;
+- the complete flags of one seeded unitriangular F_2 7 x 7, from a cold
+  walk, which tests every proper subspace of F_2^7 for one shape.
 
 The inputs are built once, at import, and are not timed.  This file is
 outside ``testpaths``, so the tier-1 suite neither collects nor times
@@ -21,7 +25,7 @@ moved.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -35,6 +39,7 @@ from fqtraces.oracle import (
     unipotent_class_of,
     unipotent_upper_triangular,
 )
+from fqtraces.partitions import partitions_of
 
 F2, F3 = field_make(2), field_make(3)
 
@@ -47,6 +52,18 @@ UNITRIANGULAR_F2_5 = list(unipotent_upper_triangular(F2, 5))
 IDENTITY_F2_4 = FqMatrix(F2, [[int(i == j) for j in range(4)] for i in range(4)])
 # the compositions of 4: every shape of a flag in F_2^4
 FLAG_SHAPES = [mu for k in range(1, 5) for mu in product(range(1, 5), repeat=k) if sum(mu) == 4]
+
+
+def _unitriangular(field, n, seed):
+    rng = random.Random(seed)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        rows[i][j] = rng.randrange(field.q)
+    return FqMatrix(field, rows)
+
+
+UNITRIANGULAR_F3_5 = _unitriangular(F3, 5, 1)
+UNITRIANGULAR_F2_7 = _unitriangular(F2, 7, 1)
 
 
 def invertible_f3_4x4():
@@ -70,11 +87,25 @@ def flag_shapes_f2_4x4():
     return [count_fixed_flags(IDENTITY_F2_4, mu) for mu in FLAG_SHAPES]
 
 
+def flag_partitions_f3_5x5():
+    """The fixed flags of each partition of 5 as a shape, for one unitriangular F_3 5 x 5."""
+    _flag_walk.cache_clear()
+    return [count_fixed_flags(UNITRIANGULAR_F3_5, mu) for mu in partitions_of(5)]
+
+
+def complete_flags_f2_7x7():
+    """The fixed complete flags of one unitriangular F_2 7 x 7."""
+    _flag_walk.cache_clear()
+    return count_fixed_flags(UNITRIANGULAR_F2_7, (1,) * 7)
+
+
 BODIES = {
     "is-invertible-f3-4x4": invertible_f3_4x4,
     "classes-f3-3x3": classes_f3_3x3,
     "jordan-types-f2-5x5": jordan_types_f2_5x5,
     "flag-shapes-f2-4x4": flag_shapes_f2_4x4,
+    "flag-partitions-f3-5x5": flag_partitions_f3_5x5,
+    "complete-flags-f2-7x7": complete_flags_f2_7x7,
 }
 
 

@@ -52,24 +52,23 @@ are kept for the call, so each p(m) costs no matrix product, and each
 irreducible p carries the tag its sieve named it by (``irreducible_polys``).
 
 A subspace has one format: an echelon basis, a dict from the key of each
-leading entry to the basis vector with that leading entry.  Flags grow
-inside F_q**n: an invariant V extends by the subspaces U of the span of
-the coordinates that are not pivots of V, a complement of V, so no
-quotient matrix is built.  Every flag shape of a matrix reads one memo,
-its walk, which is itself the table of m v for each vector applied: per
-invariant subspace V, keyed by its reduced echelon basis, one basis dict,
-the invariant extensions of V by each dimension (those dicts again) and
-the flag count for each remaining shape.  So the shapes (2, 2) and
-(2, 1, 1) test the planes once, and a subspace reached by many routes is
-held once.  The memo lives for one matrix, the one asked about last;
-asking about another drops it, so callers that keep many matrices do not
-keep their walks.
+leading entry to the basis vector with that leading entry.  A fixed flag
+is a chain of invariant subspaces, so every flag shape of a matrix reads
+one memo, its walk (itself the table of m v for each vector applied): the
+invariant subspaces of each dimension asked about, each subspace of F_q**n
+built and tested once, and which of them lie inside which.  A matrix then
+costs the sum of [n choose d]_q tests over those dimensions d, however few
+subspaces are invariant.  That suits callers that ask for every partition
+of a small n, or for two-part shapes; a lone many-part shape of a large
+matrix pays for every dimension: the complete flags of an F_2 8 x 8 test
+all 417 197 proper subspaces of F_2^8.  The memo lives for one matrix, the one asked about last; asking about another
+drops it, so callers that keep many matrices do not keep their walks.
 """
 
 from bisect import bisect_right
 from collections import Counter
 from functools import cache, lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from fqtraces.partitions import Partition, check_partition, partitions_of, transpose
 from fqtraces.traces import DiagramFamily
@@ -92,20 +91,17 @@ class FqField:
     """A finite field given by full addition/multiplication tables.
 
     It also holds the chunk tables for packed vectors, indexed by chunk
-    value: ``cadd[x][y]``, ``cscale[c][x]``, ``cdigit[i][x]`` (digit i),
-    ``cdigits[x]`` ((i, digit) for the nonzero digits) and ``clead[x]``
-    (the first of those, None for 0).  They cover every chunk of k entries
-    and are built with the field, after its axioms are checked.  Every
-    entry of ``cadd``, ``cscale`` and ``cdigit`` is a chunk value below 256
-    or a digit below q, so their rows are ``bytes``, each made whole as the
-    build goes.  The five tables of F_2, F_3 or F_4 then hold 0.09-0.11 MiB
-    and peak at 0.11 MiB while built (tracemalloc), against 0.55-0.59 MiB
-    as rows of ints; the other fields' tables are smaller.
+    value: ``cadd[x][y]``, ``cscale[c][x]``, ``cdigits[x]`` ((i, digit)
+    for the nonzero digits) and ``clead[x]`` (the first of those, None for
+    0).  They cover every chunk of k entries and are built with the field,
+    after its axioms are checked.  Every entry of ``cadd`` and ``cscale``
+    is a chunk value below 256, so their rows are ``bytes``, each made
+    whole as the build goes.  The four tables of F_2, F_3 or F_4 then hold
+    0.09-0.11 MiB and peak at 0.11 MiB while built (tracemalloc), against
+    0.55-0.59 MiB as rows of ints; the other fields' tables are smaller.
     """
 
-    __slots__ = (
-        "q", "add", "mul", "neg", "inv", "k", "cadd", "cscale", "cdigit", "cdigits", "clead"
-    )
+    __slots__ = ("q", "add", "mul", "neg", "inv", "k", "cadd", "cscale", "cdigits", "clead")
 
     def __init__(self, q: int, add, mul):
         self.q = q
@@ -116,7 +112,7 @@ class FqField:
         self.inv = (None,) + tuple(row.index(1) for row in mul[1:])
         self.k = k = max(j for j in range(1, 9) if q**j <= 256)
         # one top digit a at a time, k times: chunk value a*b + x, x below b
-        cadd, cscale, cdigit, cdigits, clead = [b"\0"], [b"\0"] * q, [], [()], [None]
+        cadd, cscale, cdigits, clead = [b"\0"], [b"\0"] * q, [()], [None]
         for w in range(k):
             b = q**w
             high = [[add[a][c] * b for c in range(q)] for a in range(q)]
@@ -125,10 +121,9 @@ class FqField:
                 bytes([mul[c][a] * b + s for a in range(q) for s in row])
                 for c, row in enumerate(cscale)
             ]
-            cdigit = [row * q for row in cdigit] + [bytes([a for a in range(q) for _ in range(b)])]
             cdigits = [ds + ((w, a),) if a else ds for a in range(q) for ds in cdigits]
             clead = [ld or ((w, a) if a else None) for a in range(q) for ld in clead]
-        self.cadd, self.cscale, self.cdigit = tuple(cadd), tuple(cscale), tuple(cdigit)
+        self.cadd, self.cscale = tuple(cadd), tuple(cscale)
         self.cdigits, self.clead = tuple(cdigits), tuple(clead)
 
     def _validate(self):
@@ -460,19 +455,19 @@ def _unipotent_chain(m: FqMatrix) -> tuple:
 # Subspace and flag enumeration (a subspace is an echelon basis as from _echelon)
 
 
-def subspaces(field: FqField, free, d: int):
-    """Each d-dimensional subspace of span(e_j : j in free) once, free increasing.
+def subspaces(field: FqField, n: int, d: int):
+    """Each d-dimensional subspace of F_q**n once: [n choose d]_q of them.
 
-    Yields its basis in reduced echelon form on ``free``, keyed by leading
-    entry as in :func:`_echelon`.
+    Yields its basis in reduced echelon form, keyed by leading entry as in
+    :func:`_echelon`.
     """
-    q, unit, k = field.q, _units(field, max(free, default=-1) + 1), field.k
-    for pivots in combinations(free, d):
+    q, unit, k = field.q, _units(field, n), field.k
+    for pivots in combinations(range(n), d):
         choices = []
         for p in pivots:
             row = [unit[p]]
-            for j in free:
-                if j > p and j not in pivots:
+            for j in range(p + 1, n):
+                if j not in pivots:
                     row = [v + c * unit[j] for v in row for c in range(q)]
             choices.append(row)
         keys = [8 * (p // k) + p % k for p in pivots]
@@ -480,8 +475,8 @@ def subspaces(field: FqField, free, d: int):
             yield dict(zip(keys, rows))
 
 
-def is_invariant(walk: "_FlagWalk", basis: dict, sub: dict) -> bool:
-    """Whether m maps sub into span(basis, sub), by elimination on leading entries.
+def is_invariant(walk: "_FlagWalk", sub: dict) -> bool:
+    """Whether m maps sub into itself, by elimination on leading entries.
 
     ``walk[v]`` is m v, for every vector of sub.  When m is n x n with
     n <= k, every image is one chunk and each step is one ``clead`` lookup
@@ -494,17 +489,20 @@ def is_invariant(walk: "_FlagWalk", basis: dict, sub: dict) -> bool:
             v = walk[v]
             while v:
                 i, d = lead[v]
-                b = sub.get(i) or basis.get(i)
+                b = sub.get(i)
                 if b is None:
                     return False
                 v = add[v][scale[neg[d]][b]]
         return True
-    span = {**basis, **sub}
-    return not any(_reduce(field, span, walk[v]) for v in sub.values())
+    return not any(_reduce(field, sub, walk[v]) for v in sub.values())
 
 
 def count_fixed_flags(m: FqMatrix, mu: tuple) -> int:
-    """Number of invariant flags with subspace dimensions mu_1, mu_1+mu_2, ..."""
+    """Number of invariant flags with subspace dimensions mu_1, mu_1+mu_2, ...
+
+    One pass up the dimensions d strictly between 0 and n: the chains that
+    end at each invariant W are summed over the invariant V just below it.
+    """
     n = m.nrows
     if m.ncols != n:
         raise ValueError(f"fixed flags need a square matrix, not {n} x {m.ncols}")
@@ -513,7 +511,14 @@ def count_fixed_flags(m: FqMatrix, mu: tuple) -> int:
         raise ValueError(f"flag shape must have non-negative int parts: {mu!r}")
     if sum(mu) != n:
         raise ValueError("flag shape must sum to the matrix size")
-    return _flag_walk(m).count({}, mu)
+    dims = [d for part, d in zip(mu, accumulate(mu)) if part and d < n]
+    if not dims:
+        return 1
+    walk = _flag_walk(m)
+    counts = [1] * len(walk.level(dims[0]))
+    for a, b in zip(dims, dims[1:]):
+        counts = [sum(counts[i] for i in inside) for inside in walk.below(a, b)]
+    return sum(counts)
 
 
 @lru_cache(maxsize=1)
@@ -523,63 +528,44 @@ def _flag_walk(m: FqMatrix) -> "_FlagWalk":
 
 
 class _FlagWalk(dict):
-    """The memoized invariant-flag walk of one matrix; as a dict, v -> m v.
+    """The invariant subspaces of one matrix, by dimension; as a dict, v -> m v.
 
-    A missing v is applied on lookup.  A subspace V is keyed by the
-    frozenset of its reduced echelon basis, so every route to V finds the
-    same entries: ``spaces[V]`` is its one basis dict, ``exts[V, d]`` lists
-    those of the invariant W containing V with dim W - dim V = d, and
-    ``counts[V, mu]`` is the number of invariant flags of shape mu above V.
+    A missing v is applied on lookup.  ``levels[d]`` holds ``level(d)`` and
+    ``inside[a, b]`` holds ``below(a, b)``, each built once.
     """
 
-    __slots__ = ("m", "spaces", "exts", "counts")
+    __slots__ = ("m", "levels", "inside")
 
     def __init__(self, m: FqMatrix):
         self.m = m
-        self.spaces, self.exts, self.counts = {}, {}, {}
+        self.levels, self.inside = {}, {}
 
     def __missing__(self, v: int) -> int:
         w = self[v] = _apply(self.m, v)
         return w
 
-    def count(self, basis: dict, mu: tuple) -> int:
-        """Invariant flags of shape mu above V = span(basis)."""
-        if len(mu) <= 1:
-            return 1
-        key = frozenset(basis.values())
-        total = self.counts.get((key, mu))
-        if total is None:
-            exts = self.exts.get((key, mu[0]))
-            if exts is None:
-                exts = self.exts[key, mu[0]] = self._extensions(basis, mu[0])
-            rest = mu[1:]
-            # with one part left, each W ends exactly one flag
-            total = len(exts) if len(rest) == 1 else sum(self.count(w, rest) for w in exts)
-            self.counts[key, mu] = total
-        return total
+    def level(self, d: int) -> list:
+        """The invariant subspaces of dimension d: each of the [n choose d]_q
+        reduced echelon bases from ``subspaces`` tested once."""
+        subs = self.levels.get(d)
+        if subs is None:
+            field, n = self.m.field, self.m.nrows
+            subs = self.levels[d] = [s for s in subspaces(field, n, d) if is_invariant(self, s)]
+        return subs
 
-    def _extensions(self, basis: dict, d: int) -> list:
-        """The kept reduced echelon bases of the invariant W = V + U, U of dimension d.
-
-        The coordinates that are not pivots of V span a complement of V,
-        so each W containing V is V + U for one U there.  Clearing V's rows
-        at U's pivots, with U's rows, reduces W's basis.
-        """
-        f = self.m.field
-        digit, neg, k, spaces = f.cdigit, f.neg, f.k, self.spaces
-        free = [j for j in range(self.m.nrows) if 8 * (j // k) + j % k not in basis]
-        exts = []
-        for sub in subspaces(f, free, d):
-            if is_invariant(self, basis, sub):
-                w = dict(sub)
-                for lead, b in basis.items():
-                    for s, u in sub.items():
-                        c = digit[s & 7][b >> (s & -8) & 255]
-                        if c:
-                            b = _add_scaled(f, b, neg[c], u)
-                    w[lead] = b
-                exts.append(spaces.setdefault(frozenset(w.values()), w))
-        return exts
+    def below(self, a: int, b: int) -> list:
+        """For each subspace of ``level(b)``, the indices in ``level(a)`` of
+        those inside it: those whose basis lies among its q**b vectors."""
+        inside = self.inside.get((a, b))
+        if inside is None:
+            field, lower = self.m.field, self.level(a)
+            inside = self.inside[a, b] = []
+            for w in self.level(b):
+                span = {0}
+                for u in w.values():
+                    span = {_add_scaled(field, v, c, u) for v in span for c in range(field.q)}
+                inside.append([i for i, sub in enumerate(lower) if span.issuperset(sub.values())])
+        return inside
 
 
 def ext_enumerate(g: FqMatrix, variant: str):

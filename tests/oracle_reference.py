@@ -217,5 +217,5 @@ def schubert_cell_count(x, q):
     n = len(x)
     field = field_make(q)
     return sum(
-        subspace_symbol(field, basis, n) == x for basis in subspaces(field, range(n), sum(x))
+        subspace_symbol(field, basis, n) == x for basis in subspaces(field, n, sum(x))
     )

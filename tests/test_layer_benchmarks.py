@@ -23,6 +23,8 @@ def test_layer_benchmark_bodies():
         "classes-f3-3x3",
         "jordan-types-f2-5x5",
         "flag-shapes-f2-4x4",
+        "flag-partitions-f3-5x5",
+        "complete-flags-f2-7x7",
     }
     dense = [ref.DenseMatrix(m.field, m.rows) for m in layers.RANDOM_F3_4]
     assert layers.invertible_f3_4x4() == sum(m.is_invertible() for m in dense)
@@ -38,3 +40,12 @@ def test_layer_benchmark_bodies():
     flags = dict(zip(layers.FLAG_SHAPES, layers.flag_shapes_f2_4x4()))
     assert len(flags) == 8
     assert flags[(4,)] == 1 and flags[(1, 3)] == 15 and flags[(1, 1, 1, 1)] == 315
+    # the two flag bodies of larger unitriangular matrices, against the
+    # quotient recursion of the dense reference
+    m = layers.UNITRIANGULAR_F3_5
+    dense = ref.DenseMatrix(m.field, m.rows)
+    expected = [ref.flag_count(dense, mu) for mu in partitions_of(5)]
+    assert layers.flag_partitions_f3_5x5() == expected
+    m = layers.UNITRIANGULAR_F2_7
+    dense = ref.DenseMatrix(m.field, m.rows)
+    assert layers.complete_flags_f2_7x7() == ref.flag_count(dense, (1,) * 7)

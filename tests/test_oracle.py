@@ -39,13 +39,13 @@ from fqtraces.oracle import (
 )
 from fqtraces.partitions import partitions_of
 from fqtraces.traces import UNIT
-from fqtraces import verify
+from fqtraces import oracle, verify
 
 F2 = field_make(2)
 F3 = field_make(3)
 F4 = field_make(4)
 
-_CHUNK_TABLES = ("cadd", "cscale", "cdigit", "cdigits", "clead")
+_CHUNK_TABLES = ("cadd", "cscale", "cdigits", "clead")
 
 
 def _square(m):
@@ -75,10 +75,8 @@ def test_chunk_tables_stay_within_256_values():
         before = [getattr(field, name) for name in _CHUNK_TABLES]
         assert len(field.cadd) == size and all(len(row) == size for row in field.cadd)
         assert len(field.cscale) == q and all(len(row) == size for row in field.cscale)
-        assert len(field.cdigit) == k and all(len(row) == size for row in field.cdigit)
         for x in range(size):
             digits = [x // q**i % q for i in range(k)]
-            assert [row[x] for row in field.cdigit] == digits
             assert field.cdigits[x] == tuple((i, d) for i, d in enumerate(digits) if d)
             assert field.clead[x] == (field.cdigits[x][0] if x else None)
         # one Jordan block of 17 spans three chunks even over F_2
@@ -88,9 +86,9 @@ def test_chunk_tables_stay_within_256_values():
 
 
 def test_chunk_tables_built_with_the_field():
-    # a field holds all five chunk tables as soon as it is made (read here
-    # past any __getattr__), equal to those of field_make(q); the sum, scale
-    # and digit rows are bytes, so one field's tables stay below 0.25 MiB,
+    # a field holds all four chunk tables as soon as it is made (read here
+    # past any __getattr__), equal to those of field_make(q); the sum and
+    # scale rows are bytes, so one field's tables stay below 0.25 MiB,
     # where rows of ints took 0.575 MiB for F_2 alone
     for q in SUPPORTED_ORDERS:
         made = field_make(q)
@@ -102,7 +100,7 @@ def test_chunk_tables_built_with_the_field():
             tracemalloc.stop()
         tables = {name: object.__getattribute__(field, name) for name in _CHUNK_TABLES}
         assert tables == {name: getattr(made, name) for name in _CHUNK_TABLES}
-        for name in ("cadd", "cscale", "cdigit"):
+        for name in ("cadd", "cscale"):
             assert all(type(row) is bytes for row in tables[name]), (q, name)
         assert held < 0.25 * 2**20, (q, held)
 
@@ -193,7 +191,7 @@ def test_gaussian_binomial_subspace_counts():
     for q, field in ((2, F2), (3, F3)):
         for n in range(0, 5):
             for d in range(0, n + 1):
-                assert sum(1 for _ in subspaces(field, range(n), d)) == gauss(n, d, q)
+                assert sum(1 for _ in subspaces(field, n, d)) == gauss(n, d, q)
 
 
 def test_unipotent_class_examples():
@@ -319,7 +317,9 @@ def test_packing_across_chunk_boundaries(q):
                     assert ref.rank(field, basis + [v_rows, res_rows]) == span
     # classes, fixed lines and fixed hyperplanes on both sides of the
     # one-chunk kernels' n <= k switch; at n = k + 1, with at most 511 of
-    # each, the tested subspaces and their images straddle the two chunks
+    # each, the tested subspaces and their images straddle the two chunks,
+    # and so do the span sets of the hyperplanes that the shape
+    # (1, n - 2, 1) checks its lines against
     for n in (field.k, field.k + 1):
         ident = [[int(i == j) for j in range(n)] for i in range(n)]
         unitri = [
@@ -331,7 +331,11 @@ def test_packing_across_chunk_boundaries(q):
         assert unipotent_class_of(FqMatrix(field, unitri)) == expected
         for rows in (ident, unitri):
             m, dense = FqMatrix(field, rows), ref.DenseMatrix(field, rows)
-            for mu in ((1, n - 1), (n - 1, 1)):
+            shapes = [(1, n - 1), (n - 1, 1)]
+            # the identity fixes all gauss(n, 1, q) * gauss(n - 1, 1, q) of these
+            if n > field.k and (rows is unitri or gauss(n, 1, q) * gauss(n - 1, 1, q) <= 10_000):
+                shapes.append((1, n - 2, 1))
+            for mu in shapes:
                 assert count_fixed_flags(m, mu) == ref.flag_count(dense, mu), (rows, mu)
         while True:
             rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
@@ -400,35 +404,66 @@ def test_flag_memo_across_matrices_and_shapes(q):
     assert _flag_walk.cache_info().currsize <= 1
 
 
+def test_flag_counts_test_each_subspace_once(monkeypatch):
+    # from a cold memo, every partition and every composition of 4 reads the
+    # invariant subspaces of dimensions 1-3 of the identity of F_2^4, so
+    # each of the 15 + 35 + 15 subspaces is tested once, however many
+    # shapes pass through it
+    calls, test = [], oracle.is_invariant
+
+    def counted(walk, sub):
+        calls.append(frozenset(sub.values()))
+        return test(walk, sub)
+
+    monkeypatch.setattr(oracle, "is_invariant", counted)
+    ident = FqMatrix(F2, [[int(i == j) for j in range(4)] for i in range(4)])
+    compositions = [mu for k in range(1, 5) for mu in product(range(1, 5), repeat=k)]
+    for shapes in (partitions_of(4), [mu for mu in compositions if sum(mu) == 4]):
+        _flag_walk.cache_clear()
+        calls.clear()
+        for mu in shapes:
+            count_fixed_flags(ident, mu)
+        assert len(set(calls)) == len(calls) == sum(gauss(4, d, 2) for d in (1, 2, 3)) == 65
+
+
 def test_flag_memo_keys_each_subspace_once():
-    # every route to a subspace finds its one entry: the identity fixes
-    # every subspace, and the full flags of F_2^4 keep one count for each
-    # subspace of dimension 0, 1 or 2 (the last part needs none)
+    # the identity fixes every subspace: after the full flags of F_2^4 the
+    # walk holds each subspace of dimension 1, 2 or 3 once, as one basis
     ident = FqMatrix(F2, [[int(i == j) for j in range(4)] for i in range(4)])
     assert count_fixed_flags(ident, (1, 1, 1, 1)) == 1 * 3 * 7 * 15
-    assert len(_flag_walk(ident).counts) == 1 + gauss(4, 1, 2) + gauss(4, 2, 2)
+    walk = _flag_walk(ident)
+    assert sorted(walk.levels) == [1, 2, 3]
+    for d in (1, 2, 3):
+        bases = walk.level(d)
+        assert all(len(basis) == d for basis in bases)
+        assert len({frozenset(basis.values()) for basis in bases}) == len(bases) == gauss(4, d, 2)
 
 
 def test_flag_memo_keeps_one_basis_per_subspace():
-    # every shape of the identity of F_2^4 reaches each subspace of
-    # dimension 1-3 by many routes; the walk keeps one basis dict for each,
-    # keyed as its memo is, and every extension list holds that dict
+    # every shape of the identity of F_2^4 reads the lattice of its
+    # subspaces; below(a, b) names each subspace by its index in level(a),
+    # so each one stays one basis dict: each plane gets its 3 lines and
+    # each 3-space its 7 planes, exactly those of which it spans the sum
     ident = FqMatrix(F2, [[int(i == j) for j in range(4)] for i in range(4)])
     for mu in partitions_of(4):
         count_fixed_flags(ident, mu)
     walk = _flag_walk(ident)
-    dims = sorted(len(basis) for basis in walk.spaces.values())
-    assert dims == [1] * gauss(4, 1, 2) + [2] * gauss(4, 2, 2) + [3] * gauss(4, 3, 2)
-    assert all(key == frozenset(basis.values()) for key, basis in walk.spaces.items())
-    listed = [w for exts in walk.exts.values() for w in exts]
-    assert len(listed) > len(walk.spaces)
-    assert all(w is walk.spaces[frozenset(w.values())] for w in listed)
+    for a, b in ((1, 2), (2, 3)):
+        lower, upper, inside = walk.level(a), walk.level(b), walk.below(a, b)
+        assert inside is walk.below(a, b)
+        assert len(inside) == len(upper)
+        for w, indices in zip(upper, inside):
+            assert len(set(indices)) == len(indices) == gauss(b, a, 2)
+            for i, sub in enumerate(lower):
+                joint = rank(F2, list(w.values()) + list(sub.values()))
+                assert (i in indices) == (joint == b)
 
 
 def test_flag_memo_memory_stays_bounded():
-    # with one basis dict per subspace, every shape of the identity of
-    # F_2^5 leaves its walk holding about 0.43 MiB under tracemalloc; one
-    # dict per route to each subspace held 1.00 MiB
+    # with the invariant subspaces held once per dimension, every shape of
+    # the identity of F_2^5 leaves its walk holding about 0.13 MiB under
+    # tracemalloc; the walk up from each subspace held 0.41 MiB, and 1.00
+    # MiB with one dict per route to each subspace
     ident = FqMatrix(F2, [[int(i == j) for j in range(5)] for i in range(5)])
     shapes = partitions_of(5)
     # the module's own caches for F_2^5 are filled before tracing starts
