@@ -131,22 +131,43 @@ def box_removals(lam: Partition) -> list[Partition]:
 
 @cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of ``n`` in decreasing lexicographic order."""
+    """All partitions of ``n`` in decreasing lexicographic order.
+
+    Built from the tables of lower degree along :func:`first_part_blocks`:
+    block k, the partitions with first part k, is one concatenation of
+    (k,) with a tail of ``partitions_of(n - k)``.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
         return ((),)
     out: list[Partition] = []
-
-    def extend(prefix: list[int], remaining: int, cap: int):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            prefix.append(part)
-            extend(prefix, remaining - part, part)
-            prefix.pop()
-
-    extend([], n, n)
+    for k, start in first_part_blocks(n):
+        out += map((k,).__add__, partitions_of(n - k)[start:])
     return tuple(out)
 
+
+@cache
+def first_part_blocks(n: int) -> tuple[tuple[int, int], ...]:
+    """(k, start) for each first part k = n, ..., 1 of a partition of n.
+
+    In ``partitions_of(n)`` the partitions with first part k form one
+    block, (k,) + sigma for sigma in ``partitions_of(n - k)[start:]``: the
+    sigma with first part at most k, a tail, since larger first parts come
+    first.  Every per-degree table in that order is built block by block
+    from these tails of the tables of lower degree.
+    """
+    return tuple((k, tail_starts(n - k)[min(k, n - k)]) for k in range(n, 0, -1))
+
+
+@cache
+def tail_starts(n: int) -> tuple[int, ...]:
+    """Entry k, for 0 <= k <= n: where first parts of at most k begin in ``partitions_of(n)``.
+
+    Entry n is 0, and entry 0 the number of partitions of n, or 0 for n = 0,
+    whose one partition has no parts.
+    """
+    starts = [0] * (n + 1)
+    for k, start in first_part_blocks(n):
+        starts[k - 1] = starts[k] + len(partitions_of(n - k)) - start
+    return tuple(starts)

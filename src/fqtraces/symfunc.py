@@ -7,9 +7,15 @@ in ``partitions_of(n)`` order, the only format in production.
 :func:`schur_expand`, :func:`plethysm_pl` and :func:`sym_character` have
 no caller in the library; they stay only because the benchmark's tracer
 and workloads name them.
-Schur functions enter through one integer character table per degree, built
-by Murnaghan-Nakayama on beta-sets from the tables of lower degree; every
+Schur functions enter through one integer character table per degree; every
 Schur coefficient of a row is one integer dot product with a table row.
+The per-degree tables follow the blocks of ``partitions_of(n)`` by first
+part: the partitions with first part k are (k,) + sigma, sigma over a
+tail of ``partitions_of(n - k)`` (:func:`~fqtraces.partitions.first_part_blocks`),
+so the partition codes and beta-set masks of block k shift a tail of
+those of degree n - k, and the character table's column block k sums, by
+Murnaghan-Nakayama, signed tails of rows of the degree n - k table, one
+per border k-strip, each strip found on a beta-set bitmask.
 Hall-Littlewood Q functions come from Jing's vertex operator, Q_lam =
 H_{lam_1} Q_{lam[1:]} on the kept Q of the tail, up to
 :data:`EXACT_HL_DEGREE_CAP`; each step is computed in integers over one
@@ -25,21 +31,22 @@ come from tableau enumeration, up to the same degree cap, and are the
 independent check on the operator.
 
 Character tables, Schur functions, Kostka numbers, charge polynomials, the
-partition codes and p_rho expansions of each degree, and Hall-Littlewood Q
-functions (per lam and t; the series coefficients q_N of the operator are
-the one-row Q_(N) in the same table) are memoized in module-level
-``functools.cache`` tables, so repeated queries reuse them and
-``cache_clear`` drops them.
+beta-set masks, partition codes and p_rho expansions of each degree, and
+Hall-Littlewood Q functions (per lam and t; the series coefficients q_N of
+the operator are the one-row Q_(N) in the same table) are memoized in
+module-level ``functools.cache`` tables, so repeated queries reuse them
+and ``cache_clear`` drops them.
 """
 
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, lcm, prod
-from operator import mul
+from operator import add, mul, neg, sub
 
 from fqtraces.partitions import (
     Partition,
     check_partition,
+    first_part_blocks,
     format_partition,
     hook_lengths,
     partitions_of,
@@ -117,61 +124,65 @@ class PowerSumElement:
 # Symmetric group characters and Schur functions
 
 
-def _border_strips(lam: Partition) -> dict[int, list[tuple[int, Partition]]]:
-    """{k: [(sign, lam minus the strip), ...]} over the border strips of lam.
+@cache
+def _beta_masks(n: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Every beta-set mask of degree n, in ``partitions_of(n)`` order, and mask -> index.
 
-    In the first-column hook encoding beta_i = lam_i + (l - 1 - i), a
-    k-strip moves one entry b to a free b - k; the strip starts in row i of
-    b and spans h + 1 rows, where h counts the entries it jumps over, and
-    its sign is (-1)**h.  There is one strip per box of lam.
+    The mask of lam, with l parts, sets bit lam_i + l - 1 - i of each part.
+    The parts of lam[1:] keep their bits, so the mask of (k,) + sigma is
+    sigma's with bit k + l(sigma) set: each first-part block is built from
+    a tail of the masks of degree n - k.
     """
-    ell = len(lam)
-    beta = [p + ell - 1 - i for i, p in enumerate(lam)]
-    lowered = tuple(p - 1 for p in lam)
-    out: dict[int, list[tuple[int, Partition]]] = {}
-    for i, b in enumerate(beta):
-        h = 0
-        for nb in range(b - 1, -1, -1):
-            if i + h + 1 < ell and beta[i + h + 1] == nb:
-                h += 1
-                continue
-            k = b - nb
-            # rows i+1..i+h move up a row, one box shorter; what the strip
-            # leaves of row i becomes row i+h
-            mu = lam[:i] + lowered[i + 1 : i + h + 1] + (lam[i] - k + h,) + lam[i + h + 1 :]
-            if 0 in mu:  # a partition padded with zeros: cut them off
-                mu = mu[: mu.index(0)]
-            out.setdefault(k, []).append((-1 if h % 2 else 1, mu))
-    return out
+    masks = [] if n else [0]
+    for k, start in first_part_blocks(n):
+        masks += (b | 1 << (k + b.bit_count()) for b in _beta_masks(n - k)[0][start:])
+    return tuple(masks), {mask: i for i, mask in enumerate(masks)}
 
 
 @cache
 def _character_table(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[Partition, int]]:
     """Every chi^lam(rho) of degree n, and the index of each partition.
 
-    Row lam, column rho, both in ``partitions_of(n)`` order.  By
-    Murnaghan-Nakayama, the columns whose rho starts with a k-cycle are,
-    for each border k-strip of lam, plus or minus a row of the degree n - k
-    table read at rho minus its first part.
+    Row lam, column rho, both in ``partitions_of(n)`` order.  The columns
+    whose rho has first part k form one block, rho = (k,) + sigma with
+    sigma over a tail of ``partitions_of(n - k)``.  By Murnaghan-Nakayama
+    (Macdonald, *Symmetric Functions and Hall Polynomials*, I.7, Ex. 5)
+    that block of row lam is the sum, over the border k-strips of lam, of
+    plus or minus the row of lam minus the strip in the degree n - k table,
+    read from the tail's start.  On lam's beta-set mask a k-strip moves a
+    set bit b down to a clear bit b - k; its sign is the parity of the set
+    bits it passes, and the mask of lam minus the strip is the new mask with
+    its trailing ones, the zero parts, shifted off.
     """
     order = partitions_of(n)
     index = {lam: i for i, lam in enumerate(order)}
     if n == 0:
         return ((1,),), index
-    columns: dict[int, list[tuple[int, int]]] = {}
-    for j, rho in enumerate(order):
-        k = rho[0]
-        columns.setdefault(k, []).append((j, _character_table(n - k)[1][rho[1:]]))
+    # per first part k: the rows and mask index of degree n - k, the tail's
+    # start and its width
+    blocks = []
+    for k, start in first_part_blocks(n):
+        sub_rows = _character_table(n - k)[0]
+        blocks.append((k, sub_rows, _beta_masks(n - k)[1], start, len(sub_rows) - start))
     rows = []
-    for lam in order:
-        row = [0] * len(order)
-        for k, strips in _border_strips(lam).items():
-            table, sub_index = _character_table(n - k)
-            cols = columns[k]
-            for sign, mu in strips:
-                src = table[sub_index[mu]]
-                for j, i in cols:
-                    row[j] += sign * src[i]
+    for mask in _beta_masks(n)[0]:
+        row: list[int] = []
+        for k, sub_rows, sub_index, start, width in blocks:
+            block = None
+            # the set bits b >= k whose b - k is clear
+            movable = mask >> k << k & ~(mask << k)
+            while movable:
+                low = movable & -movable
+                movable ^= low
+                moved = mask ^ low ^ low >> k
+                key = moved >> (((moved + 1) & ~moved).bit_length() - 1)
+                src = sub_rows[sub_index[key]][start:]
+                odd = (mask & (low - (low >> k))).bit_count() & 1
+                if block is None:
+                    block = list(map(neg, src)) if odd else src
+                else:
+                    block = list(map(sub if odd else add, block, src))
+            row += block or [0] * width
         rows.append(tuple(row))
     return tuple(rows), index
 
@@ -360,9 +371,9 @@ def kostka(shape: Partition, content: Partition) -> int:
     return sum(kostka(smaller, content[1:]) for smaller in _strip_removals(shape, content[0]))
 
 
-# The slowest Q_lam at degree 16, lam = 1^16, takes 0.02-0.03 s in a fresh
-# process, its tails and code tables included, and the character tables
-# up to degree 16 0.03-0.04 s (2-vCPU Xeon, Python 3.11); both costs
+# The slowest Q_lam at degree 16, lam = 1^16, takes about 0.03 s in a fresh
+# process, its tails and code tables included, and so do the character
+# tables up to degree 16 (2-vCPU Xeon, Python 3.11); both costs
 # grow two to three times every two degrees.  hl_q_row refuses larger
 # degrees up front.
 # Charge enumeration stops there too: at 16 it visits up to 1.2M tableaux.
@@ -421,9 +432,15 @@ _CODE_BASE = EXACT_HL_DEGREE_CAP + 1
 
 @cache
 def _codes(n: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """The code of every partition of n in ``partitions_of(n)`` order, and code -> index."""
-    codes = tuple(sum(_CODE_BASE ** (k - 1) for k in rho) for rho in partitions_of(n))
-    return codes, {code: i for i, code in enumerate(codes)}
+    """The code of every partition of n in ``partitions_of(n)`` order, and code -> index.
+
+    The code of (k,) + sigma is _CODE_BASE**(k - 1) plus sigma's, so each
+    first-part block is one shift of a tail of the codes of degree n - k.
+    """
+    codes = [] if n else [0]
+    for k, start in first_part_blocks(n):
+        codes += map((_CODE_BASE ** (k - 1)).__add__, _codes(n - k)[0][start:])
+    return tuple(codes), {code: i for i, code in enumerate(codes)}
 
 
 @cache

@@ -21,9 +21,9 @@ cases keep a Plancherel part), and with ``--glu-params`` for two and
 three eigenvalue labels, with and without a background family, for
 n <= 8.  Each invocation is
 preceded by a ``$ fqtraces ...`` line.  ``demos.txt`` holds the stdout
-of the demo scripts 01-03, each run as a script after a ``$ python
-demos/...`` line; demo 04 runs the oracle suites and is left out for its
-time.  ``cli-usage.txt`` holds the help texts and usage errors: stdout,
+of the demo scripts 01-04, each run as a script after a ``$ python
+demos/...`` line; demo 04 runs the oracle suites, in about 0.8 s.
+``cli-usage.txt`` holds the help texts and usage errors: stdout,
 stderr and exit code of the top-level ``--help``, of each command's
 ``--help`` and of malformed requests, rendered with ``COLUMNS=80`` (a
 ``--help`` exits through ``SystemExit``, recorded as exit 0).  ``verify.txt`` holds
@@ -53,7 +53,12 @@ from fqtraces.partitions import format_partition, partitions_of
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).parent.parent
-DEMOS = ("01_dimensions_and_branching", "02_trace_values", "03_growth_chains")
+DEMOS = (
+    "01_dimensions_and_branching",
+    "02_trace_values",
+    "03_growth_chains",
+    "04_oracle_crosschecks",
+)
 COMMANDS = ("sample", "lln", "cyl", "cyl-trace", "kostka", "hl-expand", "coeffs")
 
 _NAMED = [

@@ -1,20 +1,31 @@
-"""Each body of ``benchmarks/test_layers.py`` run once, untimed, with its result checked.
+"""Each body of the files in ``benchmarks/`` run once, untimed, with its result checked.
 
-The benchmark file is outside ``testpaths``; this keeps it from rotting.
+The benchmark files are outside ``testpaths``; this keeps them from rotting.
 """
 
 import importlib.util
 from collections import Counter
+from fractions import Fraction
+from math import factorial, prod
 from pathlib import Path
 
 import oracle_reference as ref
+from hl_reference import sym_character_reference
 
-from fqtraces.partitions import partitions_of
+from fqtraces.partitions import hook_lengths, partitions_of
 
-_PATH = Path(__file__).parent.parent / "benchmarks" / "test_layers.py"
-_SPEC = importlib.util.spec_from_file_location("layer_benchmarks", _PATH)
-layers = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(layers)
+_BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+layers = _load("test_layers")
+symfunc_layers = _load("test_symfunc_layers")
 
 
 def test_layer_benchmark_bodies():
@@ -49,3 +60,25 @@ def test_layer_benchmark_bodies():
     m = layers.UNITRIANGULAR_F2_7
     dense = ref.DenseMatrix(m.field, m.rows)
     assert layers.complete_flags_f2_7x7() == ref.flag_count(dense, (1,) * 7)
+
+
+def test_symfunc_layer_benchmark_bodies():
+    assert set(symfunc_layers.COLD) == {"partitions-20", "character-table-12"}
+    assert set(symfunc_layers.WARM) == {"schur-row-12"}
+    symfunc_layers.clear_tables()
+    assert partitions_of.cache_info().currsize == 0
+    assert len(symfunc_layers.partitions_20()) == 627
+    symfunc_layers.clear_tables()
+    table, index = symfunc_layers.character_table_12()
+    order = partitions_of(12)
+    assert len(table) == len(index) == 77
+    # the column of the identity, (1^12), is the hook-length count
+    dims = [factorial(12) // prod(hook_lengths(lam)) for lam in order]
+    assert [row[-1] for row in table] == dims
+    # the Schur coefficients against the reference characters
+    den, row = symfunc_layers.Q_ROW
+    expected = [
+        Fraction(sum(sym_character_reference(lam, rho) * c for rho, c in zip(order, row)), den)
+        for lam in order
+    ]
+    assert symfunc_layers.schur_row_12() == expected

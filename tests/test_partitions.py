@@ -10,6 +10,7 @@ from fqtraces.partitions import (
     add_box,
     box_additions,
     box_removals,
+    first_part_blocks,
     format_partition,
     hook_lengths,
     is_partition,
@@ -117,13 +118,42 @@ def test_dominance_examples():
         dominance_leq((2,), (1,))
 
 
+def euler_partition_counts(top):
+    """p(0), ..., p(top) by Euler's pentagonal-number recurrence."""
+    p = [1]
+    for n in range(1, top + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * p[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                total += sign * p[n - k * (3 * k + 1) // 2]
+            k += 1
+        p.append(total)
+    return p
+
+
 def test_partitions_of_decreasing_lex():
     assert partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
-    counts = [len(partitions_of(n)) for n in range(11)]
-    assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
-    for n in range(9):
+    counts = [len(partitions_of(n)) for n in range(31)]
+    assert counts[:11] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    assert counts == euler_partition_counts(30)
+    for n in range(21):
         lams = partitions_of(n)
-        assert all(lams[i] > lams[i + 1] for i in range(len(lams) - 1))
+        assert all(is_partition(lam) and size(lam) == n for lam in lams), n
+        assert all(lams[i] > lams[i + 1] for i in range(len(lams) - 1)), n
+
+
+def test_first_part_blocks():
+    for n in range(16):
+        lams = partitions_of(n)
+        blocks = []
+        for k in range(n, 0, -1):
+            # the sigma with lam = (k,) + sigma, and where their run starts
+            tail = [lam[1:] for lam in lams if lam[0] == k]
+            blocks.append((k, partitions_of(n - k).index(tail[0])))
+            assert tuple(tail) == partitions_of(n - k)[blocks[-1][1] :], (n, k)
+        assert first_part_blocks(n) == tuple(blocks)
 
 
 def test_serialization_round_trip():

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 from operator import mul
 from pathlib import Path
 
@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqtraces import verify
-from fqtraces.partitions import partitions_of, size, z_factor
+from fqtraces.partitions import hook_lengths, partitions_of, size, transpose, z_factor
 from fqtraces.specializations import Specialization
 from fqtraces.symfunc import (
     EXACT_HL_DEGREE_CAP,
     PowerSumElement,
     _CODE_BASE,
+    _beta_masks,
     _character_table,
     _codes,
     _hl_q,
@@ -114,6 +115,33 @@ def test_character_table_column_orthogonality():
             for b in range(a, len(order)):
                 dot = sum(map(mul, columns[a], columns[b]))
                 assert dot == (z_factor(rho) if a == b else 0), (rho, order[b])
+
+
+def test_character_table_closed_forms_to_the_cap():
+    # at every degree: the identity's column counts standard tableaux, the
+    # trivial row is 1, the sign row is (-1)**(n - l(rho)), and conjugating
+    # lam multiplies by the sign
+    for n in range(EXACT_HL_DEGREE_CAP + 1):
+        order = partitions_of(n)
+        table, index = _character_table(n)
+        sign = tuple((-1) ** (n - len(rho)) for rho in order)
+        assert [row[-1] for row in table] == [
+            factorial(n) // prod(hook_lengths(lam)) for lam in order
+        ], n
+        assert table[0] == (1,) * len(order), n
+        assert table[-1] == sign, n
+        for lam, row in zip(order, table):
+            assert table[index[transpose(lam)]] == tuple(map(mul, sign, row)), lam
+
+
+def test_beta_masks():
+    for n in range(13):
+        masks, index = _beta_masks(n)
+        assert index == {mask: i for i, mask in enumerate(masks)}
+        assert masks == tuple(
+            sum(1 << (part + len(lam) - 1 - i) for i, part in enumerate(lam))
+            for lam in partitions_of(n)
+        )
 
 
 def test_sym_character_values():
