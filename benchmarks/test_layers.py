@@ -12,9 +12,12 @@ Each body times one oracle routine on fixed, seeded inputs at one size:
 - the complete flags of one seeded unitriangular F_2 7 x 7, from a cold
   walk, which tests every proper subspace of F_2^7 for one shape.
 
-The inputs are built once, at import, and are not timed.  This file is
-outside ``testpaths``, so the tier-1 suite neither collects nor times
-it; ``tests/test_layer_benchmarks.py`` runs each body once, untimed, and
+The inputs are built once, at import, and are not timed.  After its
+timed rounds each body runs once more under ``opcode_count``, against
+the same warm tables, and its count of executed bytecodes goes into
+``extra_info["opcodes"]`` of the saved JSON.  This file is outside
+``testpaths``, so the tier-1 suite neither collects nor times it;
+``tests/test_layer_benchmarks.py`` runs each body once, untimed, and
 checks its result.  Run it and compare two trees with
 
     python -m pytest benchmarks/test_layers.py --benchmark-json=after.json
@@ -28,6 +31,7 @@ import random
 from itertools import combinations, product
 
 import pytest
+from opcode_count import count_opcodes
 
 from fqtraces.oracle import (
     FqMatrix,
@@ -112,3 +116,5 @@ BODIES = {
 @pytest.mark.parametrize("name", BODIES)
 def test_oracle(benchmark, name):
     benchmark(BODIES[name])
+    if benchmark.enabled:
+        benchmark.extra_info["opcodes"] = count_opcodes(BODIES[name])

@@ -11,7 +11,10 @@ A cold body runs under ``benchmark.pedantic`` with a set-up, untimed,
 that clears every memo table of ``fqtraces.partitions`` and
 ``fqtraces.symfunc``, so each round builds its tables from nothing, as
 the first request of a fresh process does.  The Q row is built once, at
-import, and is not timed.  This file sits beside ``test_layers.py``,
+import, and is not timed.  After its timed rounds each body runs once
+more under ``opcode_count``, from the same tables as a round (cleared
+for a cold body), and its count of executed bytecodes goes into
+``extra_info["opcodes"]``.  This file sits beside ``test_layers.py``,
 outside ``testpaths``; ``tests/test_layer_benchmarks.py`` runs each body
 once, untimed, and checks its result.  Run both files and compare two
 trees with
@@ -23,6 +26,7 @@ trees with
 from fractions import Fraction
 
 import pytest
+from opcode_count import count_opcodes
 
 from fqtraces import partitions, symfunc
 from fqtraces.partitions import partitions_of
@@ -68,9 +72,14 @@ WARM = {
 @pytest.mark.parametrize("name", COLD)
 def test_cold(benchmark, name):
     benchmark.pedantic(COLD[name], setup=clear_tables, rounds=ROUNDS, iterations=1)
+    if benchmark.enabled:
+        clear_tables()
+        benchmark.extra_info["opcodes"] = count_opcodes(COLD[name])
 
 
 @pytest.mark.parametrize("name", WARM)
 def test_warm(benchmark, name):
     _character_table(12)
     benchmark(WARM[name])
+    if benchmark.enabled:
+        benchmark.extra_info["opcodes"] = count_opcodes(WARM[name])

@@ -26,8 +26,9 @@ A vector of at most k entries is a single chunk, an int below 256, so the
 chunk tables act on it whole.  For an n x n matrix with n <= k every
 vector is one chunk, and three loops work on chunk values alone: two
 elimination kernels, the one-chunk builder of ``_image_chain`` and the
-one-chunk loop of ``is_invariant`` (each step one ``clead`` lookup and
-one ``cadd``/``cscale`` lookup), and the probes p(m) of
+one-chunk loop of ``is_invariant`` (each step one ``clead`` lookup, one
+lookup of the row's position and one ``cadd``/``cscale`` lookup), and the
+probes p(m) of
 ``conjugacy_family_of`` (one ``cadd[v][cscale[c][w]]`` per column and
 coefficient).  The choice rests on n alone.  Every other elimination is
 ``_reduce``: a step on operands below 256 is one lookup in line, a longer
@@ -55,14 +56,18 @@ A subspace has one format: an echelon basis, a dict from the key of each
 leading entry to the basis vector with that leading entry.  A fixed flag
 is a chain of invariant subspaces, so every flag shape of a matrix reads
 one memo, its walk (itself the table of m v for each vector applied): the
-invariant subspaces of each dimension asked about, each subspace of F_q**n
-built and tested once, and which of them lie inside which.  A matrix then
-costs the sum of [n choose d]_q tests over those dimensions d, however few
-subspaces are invariant.  That suits callers that ask for every partition
-of a small n, or for two-part shapes; a lone many-part shape of a large
-matrix pays for every dimension: the complete flags of an F_2 8 x 8 test
-all 417 197 proper subspaces of F_2^8.  The memo lives for one matrix, the one asked about last; asking about another
-drops it, so callers that keep many matrices do not keep their walks.
+invariant subspaces of each dimension asked about, and which of them lie
+inside which.  The candidates of each dimension come from one pivot table
+per (field, n, d) (``_pivot_table``), which no matrix changes; each is
+tested once as a tuple of rows, and only an invariant one is built into a
+basis dict.  A matrix then costs the sum of [n choose d]_q tests over
+those dimensions d, however few subspaces are invariant.  That suits
+callers that ask for every partition of a small n, or for two-part
+shapes; a lone many-part shape of a large matrix pays for every
+dimension: the complete flags of an F_2 8 x 8 test all 417 197 proper
+subspaces of F_2^8.  The memo lives for one matrix, the one asked about
+last; asking about another drops it, so callers that keep many matrices
+do not keep their walks.
 """
 
 from bisect import bisect_right
@@ -455,13 +460,25 @@ def _unipotent_chain(m: FqMatrix) -> tuple:
 # Subspace and flag enumeration (a subspace is an echelon basis as from _echelon)
 
 
-def subspaces(field: FqField, n: int, d: int):
-    """Each d-dimensional subspace of F_q**n once: [n choose d]_q of them.
+@cache
+def _pivot_table(field: FqField, n: int, d: int) -> tuple:
+    """The candidates for the d-dimensional subspaces of F_q**n, as one
+    entry (slot, keys, choices) per pivot set in ``combinations(range(n), d)``
+    order.
 
-    Yields its basis in reduced echelon form, keyed by leading entry as in
-    :func:`_echelon`.
+    ``keys`` holds the key of each pivot's leading entry, as in
+    :func:`_echelon`, ``slot`` maps each key to its row's position, and
+    ``choices`` holds, for each pivot, the packed rows it may take: 1 at the
+    pivot, 0 at the other pivots and before it, anything at the free columns
+    after it.  ``product(*choices)`` then yields each reduced echelon basis
+    with those pivots, so the table names each subspace once, [n choose d]_q
+    in all, without building one of them.  Bound: per (field, n, d), the sum
+    over pivot sets of the sum over rows i of q**(free columns of row i)
+    packed ints.  Every level of F_2**8 takes 0.13 MiB (tracemalloc); its
+    417 199 bases as dicts would take 94 MiB.
     """
     q, unit, k = field.q, _units(field, n), field.k
+    table = []
     for pivots in combinations(range(n), d):
         choices = []
         for p in pivots:
@@ -469,32 +486,37 @@ def subspaces(field: FqField, n: int, d: int):
             for j in range(p + 1, n):
                 if j not in pivots:
                     row = [v + c * unit[j] for v in row for c in range(q)]
-            choices.append(row)
-        keys = [8 * (p // k) + p % k for p in pivots]
-        for rows in product(*choices):
-            yield dict(zip(keys, rows))
+            choices.append(tuple(row))
+        keys = tuple(8 * (p // k) + p % k for p in pivots)
+        table.append(({key: j for j, key in enumerate(keys)}, keys, tuple(choices)))
+    return tuple(table)
 
 
-def is_invariant(walk: "_FlagWalk", sub: dict) -> bool:
-    """Whether m maps sub into itself, by elimination on leading entries.
+def is_invariant(walk: "_FlagWalk", slot: dict, rows: tuple) -> bool:
+    """Whether m maps the span of ``rows`` into itself, by elimination on
+    leading entries; ``rows`` is a reduced echelon basis and ``slot`` maps
+    the key of each row's leading entry to its position, as in
+    ``_pivot_table``.
 
-    ``walk[v]`` is m v, for every vector of sub.  When m is n x n with
-    n <= k, every image is one chunk and each step is one ``clead`` lookup
-    and one ``cadd``/``cscale`` lookup; otherwise ``_reduce`` reduces.
+    ``walk[v]`` is m v, for every row.  When m is n x n with n <= k, every
+    image is one chunk and each step is one ``clead`` lookup, one ``slot``
+    lookup and one ``cadd``/``cscale`` lookup; otherwise the rows become a
+    basis dict and ``_reduce`` reduces.
     """
     field = walk.m.field
-    lead, neg, add, scale = field.clead, field.neg, field.cadd, field.cscale
     if walk.m.nrows <= field.k:
-        for v in sub.values():
+        lead, neg, add, scale = field.clead, field.neg, field.cadd, field.cscale
+        for v in rows:
             v = walk[v]
             while v:
                 i, d = lead[v]
-                b = sub.get(i)
-                if b is None:
+                j = slot.get(i)
+                if j is None:
                     return False
-                v = add[v][scale[neg[d]][b]]
+                v = add[v][scale[neg[d]][rows[j]]]
         return True
-    return not any(_reduce(field, sub, walk[v]) for v in sub.values())
+    sub = dict(zip(slot, rows))
+    return not any(_reduce(field, sub, walk[v]) for v in rows)
 
 
 def count_fixed_flags(m: FqMatrix, mu: tuple) -> int:
@@ -531,7 +553,9 @@ class _FlagWalk(dict):
     """The invariant subspaces of one matrix, by dimension; as a dict, v -> m v.
 
     A missing v is applied on lookup.  ``levels[d]`` holds ``level(d)`` and
-    ``inside[a, b]`` holds ``below(a, b)``, each built once.
+    ``inside[a, b]`` holds ``below(a, b)``, each built once.  The candidates
+    come from ``_pivot_table``, shared by every matrix of one size and
+    field; the walk holds basis dicts for the invariant subspaces alone.
     """
 
     __slots__ = ("m", "levels", "inside")
@@ -545,12 +569,18 @@ class _FlagWalk(dict):
         return w
 
     def level(self, d: int) -> list:
-        """The invariant subspaces of dimension d: each of the [n choose d]_q
-        reduced echelon bases from ``subspaces`` tested once."""
+        """The invariant subspaces of dimension d, as basis dicts: each of
+        the [n choose d]_q candidates of ``_pivot_table`` tested once, as a
+        tuple of rows, and only those that pass built into a dict."""
         subs = self.levels.get(d)
         if subs is None:
             field, n = self.m.field, self.m.nrows
-            subs = self.levels[d] = [s for s in subspaces(field, n, d) if is_invariant(self, s)]
+            subs = self.levels[d] = [
+                dict(zip(keys, rows))
+                for slot, keys, choices in _pivot_table(field, n, d)
+                for rows in product(*choices)
+                if is_invariant(self, slot, rows)
+            ]
         return subs
 
     def below(self, a: int, b: int) -> list:

@@ -6,12 +6,12 @@ tables.  Jordan types come from kernel dimensions of explicit powers, and
 fixed flags from invariant subspaces and quotient matrices built row by
 row.  Tests compare the packed oracle with these functions; nothing in
 ``src`` imports this module.  Schubert cells give a count check of the
-oracle's subspace enumeration.
+oracle's subspace enumeration, its pivot table.
 """
 
 from itertools import combinations, product
 
-from fqtraces.oracle import _pack, _unpack, field_make, irreducible_polys, poly_name, subspaces
+from fqtraces.oracle import _pack, _pivot_table, _unpack, field_make, irreducible_polys, poly_name
 from fqtraces.oracle import rank as packed_rank
 from fqtraces.partitions import transpose
 from fqtraces.traces import DiagramFamily
@@ -175,6 +175,18 @@ def _subspaces(field, n, d):
             yield (tuple(tuple(r) for r in rows), pivots)
 
 
+def is_invariant(m, rows, pivots):
+    """Whether m maps the span of dense echelon rows into itself: each image
+    reduces to 0 by the rows."""
+    return not any(any(_reduce_vector(m.field, rows, pivots, m.vec(b))) for b in rows)
+
+
+def invariant_subspaces(m, d):
+    """The d-dimensional subspaces that m maps into themselves, as tuples of
+    dense reduced echelon rows, in the order ``_subspaces`` yields them."""
+    return [rows for rows, piv in _subspaces(m.field, m.nrows, d) if is_invariant(m, rows, piv)]
+
+
 def _quotient_action(field, m, basis_rows, pivots):
     n = m.nrows
     others = [j for j in range(n) if j not in pivots]
@@ -193,9 +205,7 @@ def flag_count(m, mu):
     f = m.field
     total = 0
     for rows, piv in _subspaces(f, m.nrows, mu[0]):
-        if not any(
-            any(_reduce_vector(f, rows, piv, m.vec(b))) for b in rows
-        ):
+        if is_invariant(m, rows, piv):
             total += flag_count(_quotient_action(f, m, rows, piv), mu[1:])
     return total
 
@@ -211,8 +221,17 @@ def subspace_symbol(field, basis, n):
     return tuple(b - a for a, b in zip(dims, dims[1:]))
 
 
+def subspaces(field, n, d):
+    """Each d-dimensional subspace of F_q**n from the oracle's pivot table, as
+    a basis dict keyed by leading entry: the candidates of
+    ``_FlagWalk.level(d)``, in its order."""
+    for _slot, keys, choices in _pivot_table(field, n, d):
+        for rows in product(*choices):
+            yield dict(zip(keys, rows))
+
+
 def schubert_cell_count(x, q):
-    """Number of subspaces from :func:`fqtraces.oracle.subspaces` with the given 0/1 symbol."""
+    """Number of subspaces from the oracle's pivot table (:func:`subspaces`) with the given 0/1 symbol."""
     x = tuple(x)
     n = len(x)
     field = field_make(q)

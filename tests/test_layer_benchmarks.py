@@ -1,9 +1,11 @@
 """Each body of the files in ``benchmarks/`` run once, untimed, with its result checked.
 
 The benchmark files are outside ``testpaths``; this keeps them from rotting.
+The bytecode counter they share runs twice, on the cheapest body.
 """
 
 import importlib.util
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -18,12 +20,14 @@ _BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
 
 
 def _load(name):
+    # registered by name, so that the benchmark files import the counter
     spec = importlib.util.spec_from_file_location(name, _BENCHMARKS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+opcode_count = _load("opcode_count")
 layers = _load("test_layers")
 symfunc_layers = _load("test_symfunc_layers")
 
@@ -81,4 +85,16 @@ def test_symfunc_layer_benchmark_bodies():
         Fraction(sum(sym_character_reference(lam, rho) * c for rho, c in zip(order, row)), den)
         for lam in order
     ]
+    assert symfunc_layers.schur_row_12() == expected
+
+
+def test_opcode_count_of_the_cheapest_body():
+    # the warm Schur row, the cheapest body, runs some 6000 bytecodes,
+    # nearly all of them in the frames it opens; the count repeats
+    # exactly, and the trace function in place before it is back after it
+    expected = symfunc_layers.schur_row_12()
+    before = sys.gettrace()
+    counts = [opcode_count.count_opcodes(symfunc_layers.schur_row_12) for _ in range(2)]
+    assert sys.gettrace() is before
+    assert counts[0] == counts[1] > 1000
     assert symfunc_layers.schur_row_12() == expected
