@@ -5,6 +5,8 @@ Each body times one oracle routine on fixed, seeded inputs at one size:
 - ``is_invertible`` on 3000 seeded F_3 4 x 4 matrices;
 - the conjugacy class of every invertible F_3 3 x 3 matrix (11232);
 - the Jordan types of all 1024 unitriangular F_2 5 x 5 matrices;
+- the Jordan types of all 81 "GLU" extensions of each of 50 seeded
+  unitriangular F_3 4 x 4, oracle-crosscheck's most frequent op;
 - every flag shape of one F_2 4 x 4 matrix, the identity, whose every
   subspace is invariant, from a cold flag walk;
 - every partition, as a flag shape, of one seeded unitriangular F_3
@@ -28,6 +30,7 @@ moved.
 """
 
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -39,6 +42,7 @@ from fqtraces.oracle import (
     all_matrices,
     conjugacy_family_of,
     count_fixed_flags,
+    ext_enumerate,
     field_make,
     unipotent_class_of,
     unipotent_upper_triangular,
@@ -66,6 +70,8 @@ def _unitriangular(field, n, seed):
     return FqMatrix(field, rows)
 
 
+UNITRIANGULAR_F3_4 = [_unitriangular(F3, 4, seed) for seed in range(50)]
+EXTENSIONS_F3_4 = [ext_enumerate(g, "GLU") for g in UNITRIANGULAR_F3_4]
 UNITRIANGULAR_F3_5 = _unitriangular(F3, 5, 1)
 UNITRIANGULAR_F2_7 = _unitriangular(F2, 7, 1)
 
@@ -83,6 +89,11 @@ def classes_f3_3x3():
 def jordan_types_f2_5x5():
     """The Jordan type of each unitriangular F_2 5 x 5 matrix."""
     return [unipotent_class_of(m) for m in UNITRIANGULAR_F2_5]
+
+
+def unipotent_extensions_f3_4x4():
+    """The Jordan types of the extensions of each seeded unitriangular F_3 4 x 4."""
+    return [Counter(map(unipotent_class_of, exts)) for exts in EXTENSIONS_F3_4]
 
 
 def flag_shapes_f2_4x4():
@@ -107,6 +118,7 @@ BODIES = {
     "is-invertible-f3-4x4": invertible_f3_4x4,
     "classes-f3-3x3": classes_f3_3x3,
     "jordan-types-f2-5x5": jordan_types_f2_5x5,
+    "unipotent-extensions-f3-4x4": unipotent_extensions_f3_4x4,
     "flag-shapes-f2-4x4": flag_shapes_f2_4x4,
     "flag-partitions-f3-5x5": flag_partitions_f3_5x5,
     "complete-flags-f2-7x7": complete_flags_f2_7x7,

@@ -24,18 +24,20 @@ before.  The sum, scale and digit tables hold their rows as ``bytes``,
 about a sixth of the memory of rows of ints (see ``FqField``).
 A vector of at most k entries is a single chunk, an int below 256, so the
 chunk tables act on it whole.  For an n x n matrix with n <= k every
-vector is one chunk, and three loops work on chunk values alone: two
-elimination kernels, the one-chunk builder of ``_image_chain`` and the
-one-chunk loop of ``is_invariant`` (each step one ``clead`` lookup, one
-lookup of the row's position and one ``cadd``/``cscale`` lookup), and the
-probes p(m) of
-``conjugacy_family_of`` (one ``cadd[v][cscale[c][w]]`` per column and
-coefficient).  The choice rests on n alone.  Every other elimination is
-``_reduce``: a step on operands below 256 is one lookup in line, a longer
-one ``_add_scaled``'s loop over chunks, and ``_echelon``, which serves
-only ``rank`` and the chain's levels past one chunk, keeps each vector's
-non-zero residue.  ``_apply`` sums over the columns directly when they
-and x fit one chunk.
+vector is one chunk, and three loops work on chunk values alone.  The
+chain builder of ``_image_chain`` takes the shift c of b = m + c*1 and
+builds b's columns in line, leaves out zero images, stops at the first
+level that does not shrink or is empty, and returns the kernel jumps it
+counts with the levels.  The one-chunk loop of ``is_invariant`` tests a
+subspace.  Each elimination step of those two is one ``clead`` lookup, one
+lookup of the row's position and one ``cadd``/``cscale`` lookup.  The
+probes p(m) of ``conjugacy_family_of`` take one ``cadd[v][cscale[c][w]]``
+per column and coefficient.  The choice rests on n alone.  Every other
+elimination is ``_reduce``: a step on operands below 256 is one lookup in
+line, a longer one ``_add_scaled``'s loop over chunks, and ``_echelon``,
+which serves only ``rank`` and the chain's levels past one chunk, keeps
+each vector's non-zero residue.  ``_apply`` sums over the columns directly
+when they and x fit one chunk.
 
 A matrix keeps its columns packed.  Dense rows only enter from callers,
 through the ``FqMatrix`` constructor, which checks them, and only leave
@@ -44,13 +46,17 @@ shifts, extensions, enumerations, generalized Jordan matrices) is built on
 packed columns by ``_matrix``, unchecked; the polynomial functions check
 the coefficients they are given.  Invertibility, Jordan types and
 conjugacy classes are all read off one image chain, the echelon bases of
-the column spaces of b, b**2, ... while they shrink: that of b**k is b
-applied to that of b**(k-1), so no power of b is built, and the chain is
-empty exactly when b is invertible.  Every one-row extension of a
-unipotent g is classified against g's chain (``extension_classes``).  The probes b = p(m) of a
-conjugacy class are combinations of the columns of m**0, m**1, ..., which
-are kept for the call, so each p(m) costs no matrix product, and each
-irreducible p carries the tag its sieve named it by (``irreducible_polys``).
+the column spaces of b, b**2, ... while they shrink, and its kernel jumps,
+by how much each level shrinks: the image of b**k is b applied to that of
+b**(k-1), so no power of b is built; the jumps are empty exactly when b
+is invertible and sum to the dimension of b's generalized kernel, and
+over d they are the columns of the Jordan type at a factor of degree d.
+Every one-row extension of a unipotent g is classified against g's chain
+(``extension_classes``).  The probes b = p(m) of a conjugacy class are
+combinations of the columns of m, m**2, ..., which are kept for the call,
+with p's constant term left to the chain as its shift, so each p(m) costs
+no matrix product, and each irreducible p carries the tag its sieve named
+it by (``irreducible_polys``).
 
 A subspace has one format: an echelon basis, a dict from the key of each
 leading entry to the basis vector with that leading entry.  A fixed flag
@@ -260,8 +266,8 @@ class FqMatrix:
         return tuple(zip(*cols)) if cols else ((),) * self.nrows
 
     def is_invertible(self) -> bool:
-        """Whether m is square with an empty image chain, that is, of full rank."""
-        return self.nrows == self.ncols and not _image_chain(self.field, self.cols)
+        """Whether m is square with no kernel jump, that is, of full rank."""
+        return self.nrows == len(self.cols) and not _image_chain(self.field, self.cols)[1]
 
     def __repr__(self):
         return f"FqMatrix(q={self.field.q}, {list(map(list, self.rows))})"
@@ -298,10 +304,9 @@ def _apply(m: FqMatrix, x: int) -> int:
     return out
 
 
-def _shift(m: FqMatrix, c: int) -> tuple:
-    """The packed columns of m + c*I for a square m."""
-    f = m.field
-    return tuple([_add_scaled(f, col, c, u) for col, u in zip(m.cols, _units(f, m.nrows))])
+def _shift(field: FqField, cols: tuple, c: int) -> tuple:
+    """The packed columns of m + c*I for a square m with packed columns ``cols``."""
+    return tuple([_add_scaled(field, col, c, u) for col, u in zip(cols, _units(field, len(cols)))])
 
 
 def _add_scaled(field: FqField, v: int, c: int, w: int) -> int:
@@ -358,63 +363,72 @@ def rank(field: FqField, rows) -> int:
     return len(_echelon(field, rows))
 
 
-def _jordan_type(n: int, chain: list, d: int = 1) -> tuple[Partition, int]:
-    """Jordan type of m at p, read off b = p(m) for p irreducible of degree d,
-    and the dimension of the generalized kernel of b; b is n x n and
-    ``chain`` is its image chain from ``_image_chain``.
-
-    The kernel of b**k grows by d times the number of Jordan blocks of size
-    at least k until it is the generalized kernel; those counts are the
-    columns of the Jordan type, read off the sizes of the chain's levels.
+def _jordan_type(jumps: list, d: int = 1) -> Partition:
+    """Jordan type at p from the kernel jumps of b = p(m), for p irreducible
+    of degree d: the kernel of b**k grows by d times the number of Jordan
+    blocks of size at least k, so the jumps over d are the type's columns.
     """
-    jumps, prev = [], 0
-    for level in chain:
-        step = n - len(level) - prev
-        if step % d:
-            raise AssertionError("kernel jump not divisible by factor degree")
-        jumps.append(step // d)
-        prev = n - len(level)
-    return transpose(tuple(jumps)), prev
+    if any(step % d for step in jumps):
+        raise AssertionError("kernel jump not divisible by factor degree")
+    return transpose([step // d for step in jumps])
 
 
-def _image_chain(field: FqField, cols: tuple) -> list:
+def _image_chain(field: FqField, cols: tuple, c: int = 0) -> tuple[list, list]:
     """The echelon bases of im b, im b**2, ... while their dimension falls,
-    for b with packed columns: one loop on chunk values for n <= k, else
-    ``_echelon`` and ``_apply`` per level.  It is empty exactly when b is
-    invertible.
+    for b = m + c*1 and m's packed columns ``cols``, and the kernel jumps:
+    by how much the dimension falls at each level.  Both are empty exactly
+    when b is invertible, and the jumps sum to the dimension of b's
+    generalized kernel.
+
+    For n <= k one loop on chunk values builds b's columns in line, then
+    each level from the images of the one before, leaving out zero images;
+    it stops at the first level that does not shrink or at the first empty
+    one, which it keeps: the empty level ends a nilpotent chain.  Past one
+    chunk each level is ``_echelon`` of ``_apply`` on the one before.
     """
-    n, chain = len(cols), []
+    n, chain, jumps = len(cols), [], []
     if n > field.k:
+        if c:
+            cols = _shift(field, cols, c)
         b, rank, image = _matrix(field, n, cols), n, _echelon(field, cols)
         while len(image) < rank:
+            jumps.append(rank - len(image))
             rank = len(image)
             chain.append(image)
             image = _echelon(field, [_apply(b, v) for v in image.values()])
-        return chain
+        return chain, jumps
     lead, neg, inv, add, scale, digits = (
         field.clead, field.neg, field.inv, field.cadd, field.cscale, field.cdigits
     )
+    if c:
+        # a loop, not a comprehension, so that add stays a fast local
+        shift, shifted = scale[c], []
+        for v, u in zip(cols, _units(field, n)):
+            shifted.append(add[v][shift[u]])
+        cols = shifted
     rank, vecs = n, cols
-    while True:
+    while rank:
         image = {}
         for v in vecs:
             while v:
-                i, c = lead[v]
-                w = image.get(i)
-                if w is None:
-                    image[i] = scale[inv[c]][v]
+                i, d = lead[v]
+                if i not in image:
+                    image[i] = scale[inv[d]][v]
                     break
-                v = add[v][scale[neg[c]][w]]
+                v = add[v][scale[neg[d]][image[i]]]
         if len(image) == rank:
-            return chain
+            break
+        jumps.append(rank - len(image))
         rank = len(image)
         chain.append(image)
         vecs = []
         for v in image.values():
             acc = 0
-            for i, c in digits[v]:
-                acc = add[acc][scale[c][cols[i]]]
-            vecs.append(acc)
+            for i, d in digits[v]:
+                acc = add[acc][scale[d][cols[i]]]
+            if acc:
+                vecs.append(acc)
+    return chain, jumps
 
 
 def all_matrices(field: FqField, n: int):
@@ -426,8 +440,8 @@ def all_matrices(field: FqField, n: int):
 def unipotent_matrices(field: FqField, n: int):
     """All unipotent elements of the full matrix group: b + 1 for each nilpotent b scanned."""
     for b in all_matrices(field, n):
-        if _jordan_type(n, _image_chain(field, b.cols))[1] == n:
-            yield _matrix(field, n, _shift(b, 1))
+        if sum(_image_chain(field, b.cols)[1]) == n:
+            yield _matrix(field, n, _shift(field, b.cols, 1))
 
 
 def unipotent_upper_triangular(field: FqField, n: int):
@@ -439,20 +453,19 @@ def unipotent_upper_triangular(field: FqField, n: int):
 
 
 def unipotent_class_of(m: FqMatrix) -> Partition:
-    """Jordan type of a unipotent matrix, via kernel jumps of (m - I)**k."""
+    """Jordan type of a unipotent matrix, via kernel jumps of (m - I)**k;
+    any other matrix is refused."""
     return _unipotent_chain(m)[0]
 
 
 def _unipotent_chain(m: FqMatrix) -> tuple:
-    """The Jordan type of a unipotent m, the packed columns of b = m - 1
-    and b's image chain; any other m is refused."""
+    """The Jordan type of a unipotent m and the image chain of b = m - 1,
+    read off b's kernel jumps; any other m is refused."""
     n = m.nrows
-    if m.ncols == n:
-        b = _shift(m, m.field.neg[1])
-        chain = _image_chain(m.field, b)
-        lam, dim = _jordan_type(n, chain)
-        if dim == n:
-            return lam, b, chain
+    if len(m.cols) == n:
+        chain, jumps = _image_chain(m.field, m.cols, m.field.neg[1])
+        if sum(jumps) == n:
+            return transpose(jumps), chain
     raise ValueError("matrix is not unipotent")
 
 
@@ -585,15 +598,21 @@ class _FlagWalk(dict):
 
     def below(self, a: int, b: int) -> list:
         """For each subspace of ``level(b)``, the indices in ``level(a)`` of
-        those inside it: those whose basis lies among its q**b vectors."""
+        those inside it: those whose basis lies among its q**b vectors, each
+        a ``cadd``/``cscale`` lookup when n <= k."""
         inside = self.inside.get((a, b))
         if inside is None:
             field, lower = self.m.field, self.level(a)
+            add, one_chunk = field.cadd, self.m.nrows <= field.k
             inside = self.inside[a, b] = []
             for w in self.level(b):
                 span = {0}
                 for u in w.values():
-                    span = {_add_scaled(field, v, c, u) for v in span for c in range(field.q)}
+                    if one_chunk:
+                        multiples = [scale[u] for scale in field.cscale]
+                        span = {add[v][x] for v in span for x in multiples}
+                    else:
+                        span = {_add_scaled(field, v, c, u) for v in span for c in range(field.q)}
                 inside.append([i for i, sub in enumerate(lower) if span.issuperset(sub.values())])
         return inside
 
@@ -628,8 +647,9 @@ def extension_classes(g: FqMatrix) -> tuple[Partition, Counter]:
     rank b**k plus 1 while b**(k-1) v is not in im b**k; if that holds for
     j values of k, h's type is lam with one box added in column j + 1.
     """
-    lam, b, chain = _unipotent_chain(g)
-    field, m = g.field, _matrix(g.field, g.nrows, b)
+    lam, chain = _unipotent_chain(g)
+    field = g.field
+    m = _matrix(field, g.nrows, _shift(field, g.cols, field.neg[1]))
     heights = transpose(lam) + (0,)  # heights[j]: how many parts of lam exceed j
     out = Counter()
     for v in _all_vectors(field, g.nrows):
@@ -760,19 +780,21 @@ def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:
     n = m.nrows
     add, scale = field.cadd, field.cscale
     one_chunk = n <= field.k
-    powers = [_units(field, n)]  # the columns of m**0, m**1, ..., up to the degree probed
+    powers = [m.cols]  # the columns of m, m**2, ..., up to the degree probed
     blocks = []
     covered = 0
     for d in range(1, n + 1):
         if d > n - covered:
             break
-        powers.append(tuple([_apply(m, v) for v in powers[-1]]))
+        if d > 1:
+            powers.append(tuple([_apply(m, v) for v in powers[-1]]))
         for tag, poly in irreducible_polys(field.q, d):
             left = n - covered
             if left != d and left < 2 * d:
                 break
-            cols = (0,) * n
-            for c, pcols in zip(poly, powers):
+            # p(m) = m**d + p_(d-1) m**(d-1) + ... + p_1 m, shifted by p_0
+            cols = powers[d - 1]
+            for c, pcols in zip(poly[1:d], powers):
                 if not c:
                     continue
                 if one_chunk:
@@ -780,10 +802,10 @@ def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:
                     cols = tuple([add[v][sc[w]] for v, w in zip(cols, pcols)])
                 else:
                     cols = tuple([_add_scaled(field, v, c, w) for v, w in zip(cols, pcols)])
-            lam, dim = _jordan_type(n, _image_chain(field, cols), d)
-            if dim:
-                blocks.append((tag, d, lam))
-                covered += dim
+            jumps = _image_chain(field, cols, poly[0])[1]
+            if jumps:
+                blocks.append((tag, d, _jordan_type(jumps, d)))
+                covered += sum(jumps)
     if covered != n:
         raise AssertionError("factorization did not exhaust the space")
     return DiagramFamily(tuple(blocks))

@@ -122,6 +122,13 @@ def jordan_type(b, d=1):
     return transpose(tuple(cols)), prev
 
 
+def unipotent_class_of(m):
+    """Jordan type of a unipotent m, from the kernels of the powers of
+    m - 1; None for any other square m."""
+    lam, dim = jordan_type(shift(m, m.field.neg[1]))
+    return lam if dim == m.nrows else None
+
+
 def poly_matrix_eval(field, poly, m):
     """p(m) by Horner's rule."""
     n = m.nrows

@@ -14,6 +14,7 @@ from pathlib import Path
 import oracle_reference as ref
 from hl_reference import sym_character_reference
 
+from fqtraces.oracle import extension_classes
 from fqtraces.partitions import hook_lengths, partitions_of
 
 _BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
@@ -37,6 +38,7 @@ def test_layer_benchmark_bodies():
         "is-invertible-f3-4x4",
         "classes-f3-3x3",
         "jordan-types-f2-5x5",
+        "unipotent-extensions-f3-4x4",
         "flag-shapes-f2-4x4",
         "flag-partitions-f3-5x5",
         "complete-flags-f2-7x7",
@@ -51,6 +53,11 @@ def test_layer_benchmark_bodies():
     types = Counter(layers.jordan_types_f2_5x5())
     assert sum(types.values()) == 1024
     assert set(types) == set(partitions_of(5))
+    # each parent's 81 extensions, classified one by one, against the
+    # classes read off the parent's chain
+    expected = [extension_classes(g)[1] for g in layers.UNITRIANGULAR_F3_4]
+    assert layers.unipotent_extensions_f3_4x4() == expected
+    assert all(sum(c.values()) == 81 for c in expected)
     # the identity fixes every flag: (1, 1, 1, 1) counts the 15 * 7 * 3 full flags
     flags = dict(zip(layers.FLAG_SHAPES, layers.flag_shapes_f2_4x4()))
     assert len(flags) == 8

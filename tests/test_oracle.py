@@ -22,6 +22,7 @@ from fqtraces.oracle import (
     _pack,
     _pivot_table,
     _reduce,
+    _shift,
     _unpack,
     conjugacy_family_of,
     count_fixed_flags,
@@ -37,6 +38,7 @@ from fqtraces.oracle import (
     rank,
     unipotent_class_of,
     unipotent_matrices,
+    unipotent_upper_triangular,
 )
 from fqtraces.partitions import partitions_of
 from fqtraces.traces import UNIT
@@ -247,7 +249,8 @@ def test_packed_matches_dense_reference(case):
     assert m.rows == dense.rows
     assert _square(m).rows == (dense @ dense).rows
     assert rank(field, m.cols) == ref.rank(field, dense.rows)
-    assert _jordan_type(n, _image_chain(field, m.cols)) == ref.jordan_type(dense)
+    jumps = _image_chain(field, m.cols)[1]
+    assert (_jordan_type(jumps), sum(jumps)) == ref.jordan_type(dense)
     assert m.is_invertible() == dense.is_invertible()
     if m.is_invertible():
         assert conjugacy_family_of(m) == ref.conjugacy_family_of(dense)
@@ -286,12 +289,14 @@ def test_packing_across_chunk_boundaries(q):
             assert _square(m).rows == (dense @ dense).rows
             assert rank(field, m.cols) == ref.rank(field, dense.rows)
             assert m.is_invertible() == dense.is_invertible()
-            chain = _image_chain(field, m.cols)
-            assert _jordan_type(n, chain) == ref.jordan_type(dense)
+            chain, jumps = _image_chain(field, m.cols)
+            assert (_jordan_type(jumps), sum(jumps)) == ref.jordan_type(dense)
             # the chain's levels are im b, im b**2, ..., each smaller than the
-            # last, up to the first power whose rank equals the one before
+            # last, up to the first power whose rank equals the one before;
+            # the jumps are by how much each level shrinks
             sizes = [len(level) for level in chain]
             assert all(a > b for a, b in zip([n] + sizes, sizes)), sizes
+            assert jumps == [a - b for a, b in zip([n] + sizes, sizes)]
             power = dense
             for size in sizes:
                 assert size == ref.rank(field, power.rows)
@@ -355,6 +360,71 @@ def test_packing_across_chunk_boundaries(q):
     pair = [[1] + [0] * (n - 2) + [1], [1] + [0] * (n - 1)]
     for vecs in (long + short, short + long, pair):
         assert rank(field, FqMatrix(field, list(zip(*vecs))).cols) == ref.rank(field, vecs)
+
+
+def _check_chain_readers(m):
+    """The readers of the image chain against the dense reference; a matrix
+    that is not unipotent is refused with one message at every width.
+    Returns the reference's unipotent type, None if there is none."""
+    dense = ref.DenseMatrix(m.field, m.rows)
+    expected = ref.unipotent_class_of(dense)
+    if expected is None:
+        with pytest.raises(ValueError, match="^matrix is not unipotent$"):
+            unipotent_class_of(m)
+    else:
+        assert unipotent_class_of(m) == expected, m
+    assert m.is_invertible() == dense.is_invertible(), m
+    if dense.is_invertible():
+        assert conjugacy_family_of(m) == ref.conjugacy_family_of(dense), m
+    return expected
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_chain_readers_at_the_one_chunk_boundary(q):
+    # n = k is the largest size whose chain the one-chunk loop builds, with
+    # the shift taken in line, and n = k + 1 the smallest past it: seeded
+    # unipotent matrices (unitriangular with rows and columns permuted
+    # alike, so not triangular), each with its first column zeroed, which
+    # is singular, seeded invertible matrices, and an invertible matrix
+    # with an irreducible quadratic factor, which is not unipotent
+    field, rng = field_make(q), random.Random(43 * q)
+    quadratic = irreducible_polys(q, 2)[0][1]
+    for n in (field.k, field.k + 1):
+        for _ in range(3):
+            perm = rng.sample(range(n), n)
+            unitri = [
+                [1 if i == j else rng.randrange(q) if j > i else 0 for j in range(n)]
+                for i in range(n)
+            ]
+            uni = [[unitri[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+            assert _check_chain_readers(FqMatrix(field, uni)) is not None
+            assert _check_chain_readers(FqMatrix(field, [[0] + row[1:] for row in uni])) is None
+            while True:
+                rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+                if ref.DenseMatrix(field, rows).is_invertible():
+                    break
+            m = FqMatrix(field, rows)
+            _check_chain_readers(m)
+            # the shift taken by the chain is the shift of the columns, and
+            # its jumps are those of the dense reference at every c
+            for c in range(q):
+                chain, jumps = _image_chain(field, m.cols, c)
+                assert (chain, jumps) == _image_chain(field, _shift(field, m.cols, c))
+                shifted = ref.shift(ref.DenseMatrix(field, rows), c)
+                assert (_jordan_type(jumps), sum(jumps)) == ref.jordan_type(shifted)
+        rest = [((field.neg[1], 1), (n - 2,))] if n > 2 else []
+        block = jordan_block_matrix(field, [(quadratic, (1,))] + rest)
+        assert block.is_invertible()
+        assert _check_chain_readers(block) is None
+
+
+def test_chain_readers_on_every_unitriangular_f2_matrix():
+    # the unitriangular matrices over F_2 at n <= 5: every one is
+    # unipotent and invertible, and every type of size n occurs
+    for n in range(6):
+        types = Counter(_check_chain_readers(m) for m in unipotent_upper_triangular(F2, n))
+        assert sum(types.values()) == 2 ** (n * (n - 1) // 2)
+        assert set(types) == set(partitions_of(n))
 
 
 def test_unipotent_counts():
