@@ -27,20 +27,23 @@ diagram's successors into the chain's transition row out of it, the
 extension counts times the Q-weight ratios as integer numerators over
 their least common denominator, and keeps it; no family overrides
 that row with a closed form.  Everything except the Monte Carlo
-summary statistics is exact.  A step of the chain draws a uniform variate
+summary statistics is exact.  A step of the chain reads a uniform variate
 u / 2**64 and moves to the first successor whose cumulative probability
-exceeds it, decided in integers.  Searching the kept row is the default
-step; the closed-form families take it their own way to the same
-successor: the delta and single-row chains have one successor (the delta
-chain's comes from one table of columns shared by every delta chain),
-and the Haar row telescopes, so its step bisects one table of exact
-64-bit thresholds, kept per parameter set, without building the row.
-The table holds one entry per row of the longest diagram stepped so far
-and stops at its first zero: 66 entries at most for q >= 2, and
-CHAIN_LEVEL_CAP + 1 (about 88 KB) at most on a capped chain with q near 1.
+exceeds it, decided in integers; a trial's n variates come from one
+64 * n-bit draw of its own stream, split into 64-bit words.  Searching
+the kept row is the default step; the closed-form families take it their
+own way to the same successor: the delta and single-row chains have one
+successor (the delta chain's comes from one table of columns shared by
+every delta chain), and the Haar row telescopes, so its step bisects one
+ascending table of exact bounds on u, kept per parameter set, without
+building the row.  The table holds one entry per row of the longest
+diagram stepped so far and stops at its first bound of 2**64: 66 entries
+at most for q >= 2, and CHAIN_LEVEL_CAP + 1 (about 88 KB) at most on a
+capped chain with q near 1.
 """
 
-import random
+import _random
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -336,15 +339,17 @@ class _Haar(_Family):
     of q grow with n(mu), the rows along one 300-level chain at
     q = 10001/10000 took 16 s against 0.05 s (2-vCPU Xeon, Python 3.11).
 
-    The chain's thresholds -T_r (see ``step``) are kept for r = 0, 1, ...
-    up to the most rows a diagram stepped so far had, and stop at the
-    first T_r = 0: 66 entries at most for q >= 2, and at most
-    CHAIN_LEVEL_CAP + 1, each below 2**65, on a capped chain.
+    The chain's bounds S_r = 2**64 - T_r (see ``step``) are kept for
+    r = 0, 1, ... up to the most rows a diagram stepped so far had, and
+    stop at the first S_r = 2**64: 66 entries at most for q >= 2, and at
+    most CHAIN_LEVEL_CAP + 1, each at most 2**64, on a capped chain.  A
+    1000-step q = 2 trajectory takes about 0.4 ms, 0.4 us a step (the
+    draws included; 2-vCPU Xeon, Python 3.11).
     """
 
     def __init__(self, params: MeasureParams):
         super().__init__(params)
-        self.neg_thresholds = [-_U64]
+        self.bounds = [0]
         # (b**r, a**r) for the last r in the table
         self.powers = (1, 1)
 
@@ -364,34 +369,35 @@ class _Haar(_Family):
         # block whose successor block starts at row r (r = l for the last
         # block) the cumulative probability is 1 - q**-r, with q = a/b
         # (a**r - b**r) / a**r, so u / 2**64 below it reads
-        # b**r * 2**64 < v * a**r with v = 2**64 - u.  As v is an integer,
-        # that holds exactly when v > T_r = floor(2**64 * b**r / a**r).  T
-        # does not depend on lam and, as q > 1, falls from T_0 = 2**64 to 0,
-        # so the test holds for every r from some least i >= 1 on.  The first
+        # b**r * 2**64 < (2**64 - u) * a**r.  As u is an integer, that holds
+        # exactly when u < S_r = 2**64 - floor(2**64 * b**r / a**r).  S does
+        # not depend on lam and, as q > 1, rises from S_0 = 0 to 2**64, so
+        # the test holds for every r from some least i >= 1 on, the number
+        # of bounds at most u: one bisection of the kept table.  The first
         # block it accepts is the one holding row i - 1, and the box goes to
-        # that block's top row; if i > l, to a new row.  i is one bisection
-        # of the kept table of -T_r.
+        # that block's top row; if i > l, to a new row.
         ell = len(lam)
-        table = self.neg_thresholds
-        if len(table) <= ell and table[-1]:
+        bounds = self.bounds
+        if len(bounds) <= ell and bounds[-1] != _U64:
             self._extend(ell)
-        i = bisect_right(table, u - _U64)
+        i = bisect_right(bounds, u)
         if i > ell:
             return lam + (1,)
         # a block's top row is always an addable corner, so add_box's check,
         # about a tenth of a q = 2 step, is left out
-        top = lam.index(lam[i - 1])
-        return lam[:top] + (lam[top] + 1,) + lam[top + 1 :]
+        mu = list(lam)
+        mu[lam.index(lam[i - 1])] += 1
+        return tuple(mu)
 
     def _extend(self, ell: int):
-        """Append -T_r up to r = ell, or to the first T_r = 0, from the kept powers."""
+        """Append S_r up to r = ell, or to the first S_r = 2**64, from the kept powers."""
         a, b = self.q.numerator, self.q.denominator
-        table = self.neg_thresholds
+        bounds = self.bounds
         b_pow, a_pow = self.powers
-        while len(table) <= ell and table[-1]:
+        while len(bounds) <= ell and bounds[-1] != _U64:
             b_pow *= b
             a_pow *= a
-            table.append(-((b_pow << 64) // a_pow))
+            bounds.append(_U64 - (b_pow << 64) // a_pow)
         self.powers = b_pow, a_pow
 
 
@@ -465,26 +471,44 @@ def transition_distribution(
     return [(mu, Fraction(num, den)) for mu, num in zip(successors, nums)]
 
 
-def _trial_rng(seed: int, trial: int) -> random.Random:
-    """Deterministic per-trial stream, independent of evaluation order."""
-    return random.Random(((seed % _U64) << 64) | (trial % _U64))
+def _trial_rng(seed: int, trial: int) -> _random.Random:
+    """Deterministic per-trial stream, independent of evaluation order.
+
+    The C generator behind :class:`random.Random`, whose ``__init__`` and
+    ``seed`` hand an int seed straight to it, so the stream is the same;
+    skipping them saves about a sixth of a one-step trial.
+    """
+    return _random.Random(((seed % _U64) << 64) | (trial % _U64))
+
+
+def _trial_variates(seed: int, trial: int, n: int) -> tuple[int, ...]:
+    """The trial's n 64-bit variates, from one draw of 64 * n bits.
+
+    They equal n successive ``getrandbits(64)`` of the trial's stream:
+    CPython builds a draw from 32-bit words, low word first, so the i-th
+    64-bit word of the long draw, read little-endian whatever the host's
+    byte order, is the i-th 64-bit draw.
+    """
+    bits = _trial_rng(seed, trial).getrandbits(64 * n)
+    return struct.unpack(f"<{n}Q", bits.to_bytes(8 * n, "little"))
 
 
 # A delta chain is at a k-tuple at level k, so the shared table of columns
 # holds n**2 / 2 entries at level n, 15 MiB at level 2000; `sample --measure
 # delta --format json` takes 0.4 s and 45 MiB peak at level 2000, most of it
 # the JSON (before this cap, 1.2 s and 79 MiB at 3000, 1.9 s and 126 MiB at
-# 4000).  An lln run at q = 2 costs about 2 us a Haar step and 13 us a
-# trial: Haar 1000 x 200 trials takes 0.3-0.4 s, Haar 2000 x 100 0.5 s,
-# delta 2000 x 100 0.3 s (31 MiB peak, the table included) and single-row
-# 1 x 200000 2.6 s (fresh process, 2-vCPU Xeon, Python 3.11).  A Haar step
-# bisects its table of thresholds, one per row, so chains with q near 1,
-# which grow many rows, cost little more: 2000 x 100 takes 0.4 s at
-# q = 5/4 and 1.5 s at q = 10001/10000, whose diagrams reach about 1800
-# rows.  A diagram on a capped chain has at most CHAIN_LEVEL_CAP rows and
-# columns, which bounds the Haar table and the delta columns at
-# CHAIN_LEVEL_CAP + 1 entries and how many rows and columns an lln run may
-# track.
+# 4000).  In an lln run at q = 2 a Haar step costs about 0.4 us, its
+# variate included, and a trial's stream about 7 us: Haar 1000 x 200 trials
+# takes 0.21-0.26 s, Haar 2000 x 100 0.16-0.26 s, delta 2000 x 100
+# 0.14-0.21 s (31 MiB peak, the table included) and single-row 1 x 200000
+# 1.6-1.7 s (fresh process, start-up included, 2-vCPU Xeon, Python 3.11).
+# A Haar step bisects its table of bounds, one per row, so chains with q
+# near 1, which grow many rows, cost little more: 2000 x 100 takes
+# 0.20-0.26 s at q = 5/4 and 0.9-1.35 s at q = 10001/10000, whose diagrams
+# reach about 1800 rows, each copied once a step.  A diagram on a capped
+# chain has at most CHAIN_LEVEL_CAP rows and columns, which bounds the Haar
+# table and the delta columns at CHAIN_LEVEL_CAP + 1 entries and how many
+# rows and columns an lln run may track.
 CHAIN_LEVEL_CAP = 2000
 CHAIN_STEP_CAP = 200_000
 
@@ -506,11 +530,11 @@ def _check_chain_length(params: MeasureParams, n_max: int, least: int):
 def sample_trajectory(params: MeasureParams, n_max: int, seed: int) -> list[Partition]:
     """Growth trajectory of Jordan types, from the empty diagram to level n_max."""
     _check_chain_length(params, n_max, 0)
-    step, bits = params.family.step, _trial_rng(seed, 0).getrandbits
+    step = params.family.step
     lam: Partition = ()
     out = [lam]
-    for _ in range(n_max):
-        lam = step(lam, bits(64))
+    for u in _trial_variates(seed, 0, n_max):
+        lam = step(lam, u)
         out.append(lam)
     return out
 
@@ -569,10 +593,9 @@ def lln_experiment(
     cols = [[0, 0] for _ in range(track)]
     step = params.family.step
     for trial in range(trials):
-        bits = _trial_rng(seed, trial).getrandbits
         lam: Partition = ()
-        for _ in range(n_max):
-            lam = step(lam, bits(64))
+        for u in _trial_variates(seed, trial, n_max):
+            lam = step(lam, u)
         for sums, lengths in ((rows, lam), (cols, transpose(lam))):
             for acc, length in zip(sums, lengths):
                 acc[0] += length

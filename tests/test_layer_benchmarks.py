@@ -14,8 +14,16 @@ from pathlib import Path
 import oracle_reference as ref
 from hl_reference import sym_character_reference
 
+from fqtraces.measures import _trial_rng
 from fqtraces.oracle import extension_classes
-from fqtraces.partitions import hook_lengths, partitions_of
+from fqtraces.partitions import (
+    add_box,
+    addable_corners,
+    hook_lengths,
+    partitions_of,
+    size,
+    transpose,
+)
 
 _BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
 
@@ -31,6 +39,7 @@ def _load(name):
 opcode_count = _load("opcode_count")
 layers = _load("test_layers")
 symfunc_layers = _load("test_symfunc_layers")
+chain_layers = _load("test_chain_layers")
 
 
 def test_layer_benchmark_bodies():
@@ -93,6 +102,49 @@ def test_symfunc_layer_benchmark_bodies():
         for lam in order
     ]
     assert symfunc_layers.schur_row_12() == expected
+
+
+def _stepwise(params, n_max, trial):
+    """The chain's diagrams, one 64-bit draw of the trial's stream a step."""
+    bits = _trial_rng(chain_layers.SEED, trial).getrandbits
+    out = [()]
+    for _ in range(n_max):
+        out.append(params.family.step(out[-1], bits(64)))
+    return out
+
+
+def test_chain_layer_benchmark_bodies():
+    assert set(chain_layers.WARM) == {"haar-q2-1000", "haar-near-1-2000", "lln-haar-1000x20"}
+    assert set(chain_layers.COLD) == {"generic-row-12"}
+    # each level adds one box to the one before
+    for body, params, n_max in (
+        (chain_layers.haar_q2_1000, chain_layers.HAAR2, 1000),
+        (chain_layers.haar_near_1_2000, chain_layers.HAAR_NEAR_1, 2000),
+    ):
+        trajectory = body()
+        assert trajectory == _stepwise(params, n_max, 0)
+        assert all(
+            mu in {add_box(lam, i) for i, _ in addable_corners(lam)}
+            for lam, mu in zip(trajectory, trajectory[1:])
+        )
+    # the near-1 chain grows about 1800 rows
+    assert 1700 < len(chain_layers.haar_near_1_2000()[-1]) < 1900
+    # the lln rows from the per-step diagrams of the 20 trials
+    rows = chain_layers.lln_haar_1000x20()
+    last = [_stepwise(chain_layers.HAAR2, 1000, trial)[-1] for trial in range(20)]
+    assert [r.empirical for r in rows[:4]] == [
+        sum(lam[i] for lam in last if len(lam) > i) / 20000 for i in range(4)
+    ]
+    assert [r.empirical for r in rows[4:]] == [
+        sum(transpose(lam)[i] for lam in last if lam[0] > i) / 20000 for i in range(4)
+    ]
+    chain_layers.clear_tables()
+    assert partitions_of.cache_info().currsize == 0
+    row = chain_layers.generic_row_12()
+    lam = chain_layers.GENERIC_LAM
+    assert size(lam) == 12
+    assert [mu for mu, _ in row] == [add_box(lam, i) for i, _ in addable_corners(lam)]
+    assert sum(p for _, p in row) == 1 and all(p > 0 for _, p in row)
 
 
 def test_opcode_count_of_the_cheapest_body():

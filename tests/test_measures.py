@@ -22,6 +22,7 @@ from fqtraces.measures import (
     _Row,
     _mean_stderr,
     _trial_rng,
+    _trial_variates,
     cyl_prob,
     cyl_prob_from_trace,
     extension_count,
@@ -574,8 +575,8 @@ def test_step_at_threshold_grid_points():
                         assert mu == generic.step(lam, u), (params, lam, u)
 
 
-# Haar q values whose threshold tables stop at T_r = 0 early (q >= 2, and
-# 5/4 at r = 199) and one that runs to the level cap (10001/10000)
+# Haar q values whose tables of bounds stop at S_r = 2**64 early (q >= 2,
+# and 5/4 at r = 199) and one that runs to the level cap (10001/10000)
 HAAR_QS = (2, 3, Fraction(5, 4), Fraction(10001, 10000), 2**64 + 1)
 
 
@@ -646,16 +647,17 @@ def test_haar_step_at_a_long_diagram_then_short_ones(q):
     "q, entries", [(2, 66), (3, 42), (Fraction(5, 4), 200), (Fraction(10001, 10000), 2001), (2**64 + 1, 2)]
 )
 def test_haar_threshold_table_bounds(q, entries):
-    # entries for r = 0 .. rows stepped, stopped at the first T_r = 0
+    # bounds S_r for r = 0 .. rows stepped, stopped at the first S_r = 2**64
     params = MeasureParams.haar(q)
     trajectory = sample_trajectory(params, CHAIN_LEVEL_CAP, 1)
-    table = params.family.neg_thresholds
+    table = params.family.bounds
     assert len(table) == min(max(map(len, trajectory[:-1])) + 1, entries)
     # a diagram of CHAIN_LEVEL_CAP rows, the most a capped chain reaches
     params.family.step((1,) * CHAIN_LEVEL_CAP, 0)
     assert len(table) == entries <= CHAIN_LEVEL_CAP + 1
-    assert table[0] == -(2**64) and all(x <= y <= 0 for x, y in zip(table, table[1:]))
-    assert (table[-1] == 0) == (entries < CHAIN_LEVEL_CAP + 1)
+    # weakly: near the end floor(2**64 * b**r / a**r) can repeat (5/4 at r = 194-198)
+    assert table[0] == 0 and all(x <= y <= 2**64 for x, y in zip(table, table[1:]))
+    assert (table[-1] == 2**64) == (entries < CHAIN_LEVEL_CAP + 1)
     assert sys.getsizeof(table) + sum(map(sys.getsizeof, table)) < 90_000
 
 
@@ -721,6 +723,39 @@ def test_second_level_distribution_binomial():
     sigma = (trials * p * (1 - p)) ** 0.5
     assert abs(counts[(2,)] - trials * p) <= 3 * sigma
     assert counts[(2,)] + counts[(1, 1)] == trials
+
+
+@pytest.mark.parametrize("seed", [-3, 2**64 + 5])
+def test_trial_variates_are_successive_64_bit_draws(seed):
+    for n in (0, 1, 1000, CHAIN_LEVEL_CAP):
+        for trial in (0, 7):
+            bits = _trial_rng(seed, trial).getrandbits
+            assert _trial_variates(seed, trial, n) == tuple(bits(64) for _ in range(n))
+    # the trial's stream is random.Random's for the same seed
+    stdlib = random.Random(((seed % 2**64) << 64) | 7)
+    assert _trial_rng(seed, 7).getrandbits(640) == stdlib.getrandbits(640)
+
+
+@pytest.mark.parametrize("params", [HAAR2, MeasureParams.haar(Fraction(5, 4))])
+def test_lln_matches_a_per_step_reference(params):
+    # each trial's last diagram from the Fraction reference, one 64-bit
+    # draw of the trial's stream per step
+    n_max, trials, seed, track = 60, 3, 11, 4
+    rows = [[0, 0] for _ in range(track)]
+    cols = [[0, 0] for _ in range(track)]
+    for trial in range(trials):
+        rng = _trial_rng(seed, trial)
+        lam = ()
+        for _ in range(n_max):
+            lam = reference_step(params, lam, rng)
+        conj = [sum(part > j for part in lam) for j in range(track)]
+        for sums, lengths in ((rows, lam), (cols, conj)):
+            for acc, length in zip(sums, lengths):
+                acc[0] += length
+                acc[1] += length * length
+    expected = [_mean_stderr(*acc, trials, n_max) for acc in rows + cols]
+    rep = lln_experiment(params, n_max, trials, seed, track)
+    assert [(r.empirical, r.stderr) for r in rep] == expected
 
 
 def test_lln_deterministic_and_csv_shape():
