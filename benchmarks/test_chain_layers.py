@@ -5,8 +5,10 @@ Each body times one use of the chain at one size:
 - a seeded 1000-step Haar trajectory at q = 2, growth-closed's most
   frequent op;
 - a seeded 2000-step Haar trajectory at q = 10001/10000, whose diagrams
-  grow about 1800 rows, so each step copies a long diagram;
+  grow about 1800 rows, so each level it keeps is a long tuple;
 - ``lln_experiment`` of the Haar chain at q = 2, 1000 levels x 20 trials;
+- ``lln_experiment`` of the Haar chain at q = 10001/10000, 2000 levels x 5
+  trials, which steps the same long diagrams but keeps only the last;
 - the generic transition row out of (4, 3, 2, 2, 1), level 12, at
   r = (1/2, 1/4), c = (1/8,), q = 2, for a new parameter set built cold.
 
@@ -66,6 +68,11 @@ def lln_haar_1000x20():
     return lln_experiment(HAAR2, 1000, 20, SEED)
 
 
+def lln_haar_near_1_2000x5():
+    """The Haar q = 10001/10000 law of large numbers at 2000 levels over 5 trials."""
+    return lln_experiment(HAAR_NEAR_1, 2000, 5, SEED)
+
+
 def generic_row_12():
     """The generic transition row out of a level 12 diagram, from empty tables."""
     params = MeasureParams((Fraction(1, 2), Fraction(1, 4)), (Fraction(1, 8),), 2)
@@ -76,6 +83,7 @@ WARM = {
     "haar-q2-1000": haar_q2_1000,
     "haar-near-1-2000": haar_near_1_2000,
     "lln-haar-1000x20": lln_haar_1000x20,
+    "lln-haar-near-1-2000x5": lln_haar_near_1_2000x5,
 }
 COLD = {
     "generic-row-12": generic_row_12,

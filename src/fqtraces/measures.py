@@ -22,7 +22,7 @@ for the call; a parameter set keeps its specialization, but no p_k.
 
 The growth of the Jordan type under adding one row and column is an
 explicit Markov chain on Young diagrams.  A family is a weight W plus a
-step: one builder, shared by every family, turns the weights of a
+walk: one builder, shared by every family, turns the weights of a
 diagram's successors into the chain's transition row out of it, the
 extension counts times the Q-weight ratios as integer numerators over
 their least common denominator, and keeps it; no family overrides
@@ -30,16 +30,19 @@ that row with a closed form.  Everything except the Monte Carlo
 summary statistics is exact.  A step of the chain reads a uniform variate
 u / 2**64 and moves to the first successor whose cumulative probability
 exceeds it, decided in integers; a trial's n variates come from one
-64 * n-bit draw of its own stream, split into 64-bit words.  Searching
-the kept row is the default step; the closed-form families take it their
-own way to the same successor: the delta and single-row chains have one
-successor (the delta chain's comes from one table of columns shared by
-every delta chain), and the Haar row telescopes, so its step bisects one
-ascending table of exact bounds on u, kept per parameter set, without
-building the row.  The table holds one entry per row of the longest
-diagram stepped so far and stops at its first bound of 2**64: 66 entries
-at most for q >= 2, and CHAIN_LEVEL_CAP + 1 (about 88 KB) at most on a
-capped chain with q near 1.
+64 * n-bit draw of its own stream, split into 64-bit words.  Each family
+takes a trial's steps in one call of its walk, which keeps a diagram
+only where the caller asks for every level: a trajectory builds each
+level once, and an lln trial keeps only its last.  Searching the kept
+row is the default walk; the closed-form families take their own way to
+the same successors: the delta and single-row chains have one successor
+(the delta chain's come from one table of columns shared by every delta
+chain), and the Haar row telescopes, so its walk bisects one ascending
+table of exact bounds on u, kept per parameter set, without building the
+row, and adds each box to one list in place.  The table holds one entry
+per row of the longest diagram stepped so far and stops at its first
+bound of 2**64: 66 entries at most for q >= 2, and CHAIN_LEVEL_CAP + 1
+(about 88 KB) at most on a capped chain with q near 1.
 """
 
 import _random
@@ -217,19 +220,22 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 # ---------------------------------------------------------------------------
 # Measure families
 #
-# A family is a ``weight`` and a ``step``, and every family object answers
+# A family is a ``weight`` and a ``walk``, and every family object answers
 # three questions: ``weight(lam)`` is the Q weight W(lam); ``row(lam)`` is
 # the chain's transition row out of lam as (successors, den, nums): the
 # one-box successors in :func:`box_additions` order, and non-negative
 # integers over one positive den, one per successor, summing to den; and
-# ``step(lam, u)`` is the successor the chain moves to for the uniform
-# variate u / 2**64, 0 <= u < 2**64.  The successor is the first corner
-# whose cumulative probability acc / den exceeds u / 2**64, compared in
-# integers as u * den < acc * 2**64, so it comes out the same whether a
-# family builds its row or not.  The only sampling error is the grid: at
-# most one grid point per successor can be misassigned, so the bias per
-# step is below (corners + 1) * 2**-64 < 2**-60 at every level the chains
-# reach.  ``row`` and ``step`` raise ValueError where W(lam) = 0.
+# ``walk(lam, us, out=None)`` is where the chain is after one step from lam
+# per uniform variate u / 2**64, 0 <= u < 2**64, of the sequence us, each
+# diagram it steps to appended to the list ``out`` as a tuple when one is
+# given; ``step(lam, u)`` is its one-step case.  A step's successor is
+# the first corner whose cumulative probability acc / den exceeds
+# u / 2**64, compared in integers as u * den < acc * 2**64, so it comes
+# out the same whether a family builds its row or not.  The only sampling
+# error is the grid: at most one grid point per successor can be
+# misassigned, so the bias per step is below (corners + 1) * 2**-64 <
+# 2**-60 at every level the chains reach.  ``row`` and ``walk`` raise ValueError where W(lam) = 0, before
+# anything is appended.
 #
 # The row is N_{lam,mu} * cyl(mu) / cyl(lam).  The q**(n(n-1)/2) prefactors
 # cancel: with the new box in column j the probability is
@@ -241,13 +247,13 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 # of the next block, or len(lam).  As the row sums to 1, the bracketed W(mu)
 # add up to W(lam) * (1 - 1/q), so ``_Family`` builds it, in integers, from
 # one call of ``weights(n, lams)`` on the successors, keeps it, and by
-# default steps by searching it.  As it divides by their total, the weights
+# default walks by searching it.  As it divides by their total, the weights
 # may carry one common positive factor.  ``_Generic``'s weights share one
 # vector of p_rho for the call and fill no memo; its ``weight``, for
 # ``cyl_prob``, is their one-diagram case and fills none either.  The Haar,
 # delta and single-row families have closed-form weights, valid at any
-# level, and step without building the row: the delta and single-row chains
-# have one successor, and the Haar row telescopes (see ``_Haar.step``).
+# level, and walk without building the row: the delta and single-row chains
+# have one successor, and the Haar row telescopes (see ``_Haar.walk``).
 # Haar's successor weights drop the powers of q they share (see there).
 
 
@@ -263,7 +269,7 @@ class _Family:
 
     Each diagram's row is built once and kept with its successors, since a
     chain revisits the few diagrams below the cap at every trial; searching
-    it is the default ``step``.  A subclass defines ``weight``;
+    it is the default ``walk``.  A subclass defines ``weight``;
     ``weights(n, lams)``, the weights of a diagram's successors at level n
     as ints or Fractions, may be scaled by one common positive factor, since
     the row divides by their total.
@@ -284,16 +290,23 @@ class _Family:
         return self.built_rows[lam]
 
     def step(self, lam: Partition, u: int) -> Partition:
-        # the row sums to den and u < 2**64, so the search stops at the last
-        # successor at the latest
-        successors, den, nums = self.row(lam)
-        target = u * den
-        acc = 0
-        for mu, num in zip(successors, nums):
-            acc += num
-            if target < acc << 64:
-                break
-        return mu
+        return self.walk(lam, (u,))
+
+    def walk(self, lam: Partition, us, out: list | None = None) -> Partition:
+        for u in us:
+            # the row sums to den and u < 2**64, so the search stops at the
+            # last successor at the latest
+            successors, den, nums = self.row(lam)
+            target = u * den
+            acc = 0
+            for mu, num in zip(successors, nums):
+                acc += num
+                if target < acc << 64:
+                    break
+            lam = mu
+            if out is not None:
+                out.append(lam)
+        return lam
 
     def _build_row(self, lam: Partition) -> tuple[list[Partition], int, list[int]]:
         rows = [i for i, _ in addable_corners(lam)]
@@ -339,12 +352,17 @@ class _Haar(_Family):
     of q grow with n(mu), the rows along one 300-level chain at
     q = 10001/10000 took 16 s against 0.05 s (2-vCPU Xeon, Python 3.11).
 
-    The chain's bounds S_r = 2**64 - T_r (see ``step``) are kept for
+    The chain's bounds S_r = 2**64 - T_r (see ``walk``) are kept for
     r = 0, 1, ... up to the most rows a diagram stepped so far had, and
     stop at the first S_r = 2**64: 66 entries at most for q >= 2, and at
     most CHAIN_LEVEL_CAP + 1, each at most 2**64, on a capped chain.  A
-    1000-step q = 2 trajectory takes about 0.4 ms, 0.4 us a step (the
-    draws included; 2-vCPU Xeon, Python 3.11).
+    walk steps one list in place and builds a tuple of it only for each
+    level a trajectory keeps and for the last.  A 1000-step q = 2
+    trajectory takes about 0.25 ms, 0.25 us a step (the draws included),
+    and an lln trial of 2000 steps at q = 10001/10000, whose diagrams grow
+    about 1800 rows, about 0.8 ms; a 2000-step trajectory there takes
+    about 8 ms, nearly all of it the tuples of its levels (2-vCPU Xeon,
+    Python 3.11).
     """
 
     def __init__(self, params: MeasureParams):
@@ -364,7 +382,7 @@ class _Haar(_Family):
         a, b = self.q.numerator, self.q.denominator
         return [b ** (s - low) * a ** (high - s) for s in stats]
 
-    def step(self, lam: Partition, u: int) -> Partition:
+    def walk(self, lam: Partition, us, out: list | None = None) -> Partition:
         # The row telescopes, P = q**-lam'_j - q**-lam'_{j-1}: through the
         # block whose successor block starts at row r (r = l for the last
         # block) the cumulative probability is 1 - q**-r, with q = a/b
@@ -375,18 +393,22 @@ class _Haar(_Family):
         # the test holds for every r from some least i >= 1 on, the number
         # of bounds at most u: one bisection of the kept table.  The first
         # block it accepts is the one holding row i - 1, and the box goes to
-        # that block's top row; if i > l, to a new row.
-        ell = len(lam)
-        bounds = self.bounds
-        if len(bounds) <= ell and bounds[-1] != _U64:
-            self._extend(ell)
-        i = bisect_right(bounds, u)
-        if i > ell:
-            return lam + (1,)
-        # a block's top row is always an addable corner, so add_box's check,
-        # about a tenth of a q = 2 step, is left out
+        # that block's top row; if i > l, to a new row.  The diagram is one
+        # list, stepped in place; a block's top row is always an addable
+        # corner, so no step checks it.
         mu = list(lam)
-        mu[lam.index(lam[i - 1])] += 1
+        bounds = self.bounds
+        for u in us:
+            ell = len(mu)
+            if len(bounds) <= ell and bounds[-1] != _U64:
+                self._extend(ell)
+            i = bisect_right(bounds, u)
+            if i > ell:
+                mu.append(1)
+            else:
+                mu[mu.index(mu[i - 1])] += 1
+            if out is not None:
+                out.append(tuple(mu))
         return tuple(mu)
 
     def _extend(self, ell: int):
@@ -417,14 +439,17 @@ class _Delta(_Family):
     def weight(self, lam: Partition) -> Fraction:
         return self.keep ** size(lam) if not lam or lam[0] == 1 else Fraction(0)
 
-    def step(self, lam: Partition, u: int) -> Partition:
+    def walk(self, lam: Partition, us, out: list | None = None) -> Partition:
         if lam and lam[0] > 1:
             raise _zero_source(lam)
-        ell = len(lam) + 1
+        start = len(lam)
+        end = start + len(us)
         columns = self.columns
-        while len(columns) <= ell:
+        while len(columns) <= end:
             columns.append(columns[-1] + (1,))
-        return columns[ell]
+        if out is not None:
+            out += columns[start + 1 : end + 1]
+        return columns[end]
 
 
 class _Row(_Family):
@@ -435,10 +460,14 @@ class _Row(_Family):
             return Fraction(0)
         return self.keep if lam else Fraction(1)
 
-    def step(self, lam: Partition, u: int) -> Partition:
+    def walk(self, lam: Partition, us, out: list | None = None) -> Partition:
         if len(lam) > 1:
             raise _zero_source(lam)
-        return (lam[0] + 1,) if lam else (1,)
+        start = lam[0] if lam else 0
+        end = start + len(us)
+        if out is not None:
+            out += [(k,) for k in range(start + 1, end + 1)]
+        return (end,) if end else ()
 
 
 def _resolve_family(params: MeasureParams):
@@ -497,15 +526,17 @@ def _trial_variates(seed: int, trial: int, n: int) -> tuple[int, ...]:
 # holds n**2 / 2 entries at level n, 15 MiB at level 2000; `sample --measure
 # delta --format json` takes 0.4 s and 45 MiB peak at level 2000, most of it
 # the JSON (before this cap, 1.2 s and 79 MiB at 3000, 1.9 s and 126 MiB at
-# 4000).  In an lln run at q = 2 a Haar step costs about 0.4 us, its
+# 4000).  In an lln run at q = 2 a Haar step costs about 0.25 us, its
 # variate included, and a trial's stream about 7 us: Haar 1000 x 200 trials
-# takes 0.21-0.26 s, Haar 2000 x 100 0.16-0.26 s, delta 2000 x 100
-# 0.14-0.21 s (31 MiB peak, the table included) and single-row 1 x 200000
-# 1.6-1.7 s (fresh process, start-up included, 2-vCPU Xeon, Python 3.11).
-# A Haar step bisects its table of bounds, one per row, so chains with q
-# near 1, which grow many rows, cost little more: 2000 x 100 takes
-# 0.20-0.26 s at q = 5/4 and 0.9-1.35 s at q = 10001/10000, whose diagrams
-# reach about 1800 rows, each copied once a step.  A diagram on a capped
+# takes 0.12-0.18 s, Haar 2000 x 100 0.12-0.14 s, delta 2000 x 100
+# 0.12-0.16 s (31 MiB peak, the table included) and single-row 1 x 200000
+# 1.7-2.3 s (fresh process, start-up included, 2-vCPU Xeon, Python 3.11).
+# A Haar step bisects its table of bounds, one per row, and lengthens one
+# list in place, and an lln trial keeps only its last diagram, so chains
+# with q near 1, which grow many rows, cost little more: 2000 x 100 takes
+# 0.13-0.23 s at q = 5/4 and 0.16-0.20 s at q = 10001/10000, whose diagrams
+# reach about 1800 rows; `sample --nmax 2000` there takes 0.3-0.4 s, most of
+# it the tuples of the levels it prints.  A diagram on a capped
 # chain has at most CHAIN_LEVEL_CAP rows and columns, which bounds the Haar
 # table and the delta columns at CHAIN_LEVEL_CAP + 1 entries and how many
 # rows and columns an lln run may track.
@@ -530,12 +561,8 @@ def _check_chain_length(params: MeasureParams, n_max: int, least: int):
 def sample_trajectory(params: MeasureParams, n_max: int, seed: int) -> list[Partition]:
     """Growth trajectory of Jordan types, from the empty diagram to level n_max."""
     _check_chain_length(params, n_max, 0)
-    step = params.family.step
-    lam: Partition = ()
-    out = [lam]
-    for u in _trial_variates(seed, 0, n_max):
-        lam = step(lam, u)
-        out.append(lam)
+    out: list[Partition] = [()]
+    params.family.walk((), _trial_variates(seed, 0, n_max), out)
     return out
 
 
@@ -591,11 +618,9 @@ def lln_experiment(
     # a row or column past the diagram has length 0 and adds nothing
     rows = [[0, 0] for _ in range(track)]
     cols = [[0, 0] for _ in range(track)]
-    step = params.family.step
+    walk = params.family.walk
     for trial in range(trials):
-        lam: Partition = ()
-        for u in _trial_variates(seed, trial, n_max):
-            lam = step(lam, u)
+        lam = walk((), _trial_variates(seed, trial, n_max))
         for sums, lengths in ((rows, lam), (cols, transpose(lam))):
             for acc, length in zip(sums, lengths):
                 acc[0] += length

@@ -114,7 +114,12 @@ def _stepwise(params, n_max, trial):
 
 
 def test_chain_layer_benchmark_bodies():
-    assert set(chain_layers.WARM) == {"haar-q2-1000", "haar-near-1-2000", "lln-haar-1000x20"}
+    assert set(chain_layers.WARM) == {
+        "haar-q2-1000",
+        "haar-near-1-2000",
+        "lln-haar-1000x20",
+        "lln-haar-near-1-2000x5",
+    }
     assert set(chain_layers.COLD) == {"generic-row-12"}
     # each level adds one box to the one before
     for body, params, n_max in (
@@ -137,6 +142,15 @@ def test_chain_layer_benchmark_bodies():
     ]
     assert [r.empirical for r in rows[4:]] == [
         sum(transpose(lam)[i] for lam in last if lam[0] > i) / 20000 for i in range(4)
+    ]
+    # and the near-1 rows from the last per-step diagrams of its 5 trials,
+    # each of some 1800 rows
+    rows = chain_layers.lln_haar_near_1_2000x5()
+    last = [_stepwise(chain_layers.HAAR_NEAR_1, 2000, trial)[-1] for trial in range(5)]
+    assert all(1700 < len(lam) < 1900 for lam in last)
+    assert [r.empirical for r in rows[:4]] == [sum(lam[i] for lam in last) / 10000 for i in range(4)]
+    assert [r.empirical for r in rows[4:]] == [
+        sum(transpose(lam)[i] for lam in last if lam[0] > i) / 10000 for i in range(4)
     ]
     chain_layers.clear_tables()
     assert partitions_of.cache_info().currsize == 0

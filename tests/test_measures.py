@@ -692,6 +692,65 @@ def test_deterministic_chains():
     assert sample_trajectory(ROW2, 4, 11) == [(), (1,), (2,), (3,), (4,)]
 
 
+# every family's walk: Haar with short (q = 2, 3), middling (5/4) and long
+# (10001/10000) tables of bounds, the delta and single-row chains, and one
+# generic parameter set, up to its degree cap
+WALKS = {
+    **{f"haar-{q}": MeasureParams.haar(q) for q in (2, 3, Fraction(5, 4), Fraction(10001, 10000))},
+    "delta": DELTA2,
+    "single-row": ROW2,
+    "generic": MeasureParams((HALF, Fraction(1, 4)), (Fraction(1, 8),), 2),
+}
+
+
+def folded_steps(family, lam, us) -> list:
+    """The diagrams after each of the variates us, one ``step`` call each."""
+    out = []
+    for u in us:
+        lam = family.step(lam, u)
+        out.append(lam)
+    return out
+
+
+def test_step_is_defined_once():
+    for kind in (_Generic, _Haar, _Delta, _Row):
+        assert kind.step is measures._Family.step
+
+
+@pytest.mark.parametrize("name", WALKS)
+def test_walk_equals_folding_step(name):
+    family = WALKS[name].family
+    n = 12 if isinstance(family, _Generic) else 300
+    us = _trial_variates(5, 0, n)
+    expected = folded_steps(family, (), us)
+    # from the empty diagram: out receives exactly the stepped diagrams, as
+    # tuples, after what it held
+    out = ["kept"]
+    assert family.walk((), us, out) == expected[-1]
+    assert out == ["kept", *expected]
+    assert family.walk((), us) == expected[-1]
+    # from a diagram halfway, on other variates
+    start = expected[n // 2 - 1]
+    us = _trial_variates(6, 0, n - n // 2)
+    expected = folded_steps(family, start, us)
+    out = []
+    assert family.walk(start, us, out) == expected[-1]
+    assert out == expected
+    # no variates: the start comes back and nothing is appended
+    for lam in ((), start):
+        out = []
+        assert family.walk(lam, (), out) == lam
+        assert out == []
+
+
+@pytest.mark.parametrize("params, lam", [(DELTA2, (2, 1)), (ROW2, (1, 1)), (TWO_ROWS, (1, 1, 1))])
+def test_walk_from_a_zero_source_appends_nothing(params, lam):
+    out = []
+    with pytest.raises(ValueError, match="zero probability"):
+        params.family.walk(lam, _trial_variates(1, 0, 5), out)
+    assert out == []
+
+
 def test_delta_chains_share_one_bounded_table_of_columns():
     long = sample_trajectory(MeasureParams.delta_identity(3), CHAIN_LEVEL_CAP, 5)
     assert long == [(1,) * k for k in range(CHAIN_LEVEL_CAP + 1)]
@@ -736,11 +795,15 @@ def test_trial_variates_are_successive_64_bit_draws(seed):
     assert _trial_rng(seed, 7).getrandbits(640) == stdlib.getrandbits(640)
 
 
-@pytest.mark.parametrize("params", [HAAR2, MeasureParams.haar(Fraction(5, 4))])
+@pytest.mark.parametrize(
+    "params", [HAAR2, MeasureParams.haar(Fraction(5, 4)), MeasureParams.haar(Fraction(10001, 10000))]
+)
 def test_lln_matches_a_per_step_reference(params):
     # each trial's last diagram from the Fraction reference, one 64-bit
-    # draw of the trial's stream per step
-    n_max, trials, seed, track = 60, 3, 11, 4
+    # draw of the trial's stream per step; at q = 10001/10000 and level 300
+    # the diagrams have about 300 rows, a few of them of length 2, so the
+    # walk lengthens rows in place as well as adding them
+    n_max, trials, seed, track = 300, 3, 11, 4
     rows = [[0, 0] for _ in range(track)]
     cols = [[0, 0] for _ in range(track)]
     for trial in range(trials):
