@@ -18,7 +18,9 @@ unipotent class lam times q**(-n(n-1)/2);
 :func:`fqtraces.traces.unipotent_block_value` reads that value off the
 same kept row as the weight, dotted with the p_rho of p_k(sp) / (1 - q**-k).
 Both vectors come from :func:`fqtraces.specializations.power_products`
-for the call; a parameter set keeps its specialization, but no p_k.
+for the call; a parameter set keeps its specialization, but no p_k.  Both
+routes keep the value an integer pair (N, D), prefactor included, and
+build one `Fraction` from it at the end.
 
 The growth of the Jordan type under adding one row and column is an
 explicit Markov chain on Young diagrams.  A family is a weight W plus a
@@ -52,6 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, sqrt
+from operator import mul
 
 from fqtraces.partitions import (
     Partition,
@@ -73,10 +76,10 @@ from fqtraces.specializations import (
     check_q,
     check_q_power,
     power_products,
-    row_value,
+    row_pair,
 )
 from fqtraces.symfunc import EXACT_HL_DEGREE_CAP, hl_q_row
-from fqtraces.traces import unipotent_block_value
+from fqtraces.traces import _block_pair, _check_blocks
 
 
 @dataclass(frozen=True)
@@ -192,14 +195,27 @@ CYLINDER_Q_BITS_CAP = 2_000_000
 
 
 def cyl_prob(params: MeasureParams, lam: Partition) -> Fraction:
-    """Probability of the cylinder over one unipotent corner of type lam."""
+    """Probability of the cylinder over one unipotent corner of type lam.
+
+    The prefactor q**(-n(n-1)/2) * (1 - 1/q)**(-n) * q**n(lam) is, for
+    q = a/b, a**(n - e) * b**e / (a - b)**n with e = n(n-1)/2 - n(lam) >= 0;
+    it multiplies the weight's integer pair, and the product is one
+    `Fraction`.
+    """
     lam = check_partition(lam)
     n = size(lam)
     q = params.q
     check_q_power(q, n * (n - 1) // 2, CYLINDER_Q_BITS_CAP, "cylinder probabilities")
-    weight = params.family.weight(lam)
-    pref = q ** (-(n * (n - 1)) // 2) / (1 - 1 / q) ** n
-    return pref * q ** n_stat(lam) * weight
+    num, den = params.family.weight_pair(lam)
+    a, b = q.numerator, q.denominator
+    e = n * (n - 1) // 2 - n_stat(lam)
+    num *= b**e
+    den *= (a - b) ** n
+    if e > n:
+        den *= a ** (e - n)
+    else:
+        num *= a ** (n - e)
+    return Fraction(num, den)
 
 
 def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
@@ -210,18 +226,24 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
     c = beta.
     """
     lam = check_partition(lam)
+    q = check_q(q)
     # the value first: above the degree cap it raises before the prefactor,
-    # whose size grows with n**2, is built
-    value = unipotent_block_value(sp, 1, lam, q)
+    # whose size grows with n**2, is built; the value's integer pair times
+    # b**e / a**e, q = a/b and e = n(n-1)/2, is one Fraction
+    _check_blocks(sp, ((1, lam),), q)
+    num, den = _block_pair(sp, 1, lam, q)
     n = size(lam)
-    return Fraction(q) ** (-(n * (n - 1)) // 2) * value
+    e = n * (n - 1) // 2
+    return Fraction(num * q.denominator**e, den * q.numerator**e)
 
 
 # ---------------------------------------------------------------------------
 # Measure families
 #
 # A family is a ``weight`` and a ``walk``, and every family object answers
-# three questions: ``weight(lam)`` is the Q weight W(lam); ``row(lam)`` is
+# three questions: ``weight(lam)`` is the Q weight W(lam), the one
+# `Fraction` of ``weight_pair(lam)``, W(lam) as integers (N, D), which
+# ``cyl_prob`` multiplies by its prefactor's integers; ``row(lam)`` is
 # the chain's transition row out of lam as (successors, den, nums): the
 # one-box successors in :func:`box_additions` order, and non-negative
 # integers over one positive den, one per successor, summing to den; and
@@ -234,8 +256,10 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 # out the same whether a family builds its row or not.  The only sampling
 # error is the grid: at most one grid point per successor can be
 # misassigned, so the bias per step is below (corners + 1) * 2**-64 <
-# 2**-60 at every level the chains reach.  ``row`` and ``walk`` raise ValueError where W(lam) = 0, before
-# anything is appended.
+# 2**-60 at every level the chains reach.  ``row`` and ``walk`` raise
+# ValueError where W(lam) = 0, before anything is appended.  A family whose
+# walk never reads a variate says so by ``reads_variates = False``, and an
+# lln run then walks once for all its trials.
 #
 # The row is N_{lam,mu} * cyl(mu) / cyl(lam).  The q**(n(n-1)/2) prefactors
 # cancel: with the new box in column j the probability is
@@ -249,8 +273,11 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 # one call of ``weights(n, lams)`` on the successors, keeps it, and by
 # default walks by searching it.  As it divides by their total, the weights
 # may carry one common positive factor.  ``_Generic``'s weights share one
-# vector of p_rho for the call and fill no memo; its ``weight``, for
-# ``cyl_prob``, is their one-diagram case and fills none either.  The Haar,
+# vector of p_rho for the call and fill no memo; they are integers, the
+# dot products of the rows of Q with it over the lcm of the rows'
+# denominators, all sharing one factor, as Haar's are.  Its
+# ``weight_pair``, for ``cyl_prob``, is one dot product over its row's
+# denominator times that of the vector, and fills no memo either.  The Haar,
 # delta and single-row families have closed-form weights, valid at any
 # level, and walk without building the row: the delta and single-row chains
 # have one successor, and the Haar row telescopes (see ``_Haar.walk``).
@@ -269,17 +296,23 @@ class _Family:
 
     Each diagram's row is built once and kept with its successors, since a
     chain revisits the few diagrams below the cap at every trial; searching
-    it is the default ``walk``.  A subclass defines ``weight``;
-    ``weights(n, lams)``, the weights of a diagram's successors at level n
-    as ints or Fractions, may be scaled by one common positive factor, since
-    the row divides by their total.
+    it is the default ``walk``.  A subclass defines ``weight_pair``, and
+    ``weight`` is its one `Fraction`; ``weights(n, lams)``, the weights of
+    a diagram's successors at level n as ints or Fractions, may be scaled
+    by one common positive factor, since the row divides by their total.
     """
+
+    # whether ``walk`` reads its variates; a chain with one successor out of
+    # every diagram does not, so each of its trials is the same walk
+    reads_variates = True
 
     def __init__(self, params: MeasureParams):
         self.params = params
         self.q = params.q
-        self.keep = 1 - 1 / params.q
         self.built_rows: dict[Partition, tuple[list[Partition], int, list[int]]] = {}
+
+    def weight(self, lam: Partition) -> Fraction:
+        return Fraction(*self.weight_pair(lam))
 
     def weights(self, n: int, lams) -> list[Fraction]:
         return [self.weight(lam) for lam in lams]
@@ -331,17 +364,32 @@ class _Family:
 
 
 class _Generic(_Family):
-    """Any parameter set: the exact Hall-Littlewood weights, up to their cap."""
+    """Any parameter set: the exact Hall-Littlewood weights, up to their cap.
 
-    def weight(self, lam: Partition) -> Fraction:
-        return self.weights(size(lam), [lam])[0]
+    W(lam) is the kept row (D, c) of Q_lam(1/q) dotted with the level's
+    vector (E, P) of p_rho, over D * E.  The successor weights are the dot
+    products over the lcm L of their rows' D, as integers: each is W(mu)
+    times L * E, one factor for them all.
+    """
 
-    def weights(self, n: int, lams) -> list[Fraction]:
-        # the rows first: above the degree cap of hl_q_row it raises before any work
-        t = 1 / self.q
-        rows = [hl_q_row(lam, t) for lam in lams]
-        vector = power_products(self.params.specialization().power_pair, partitions_of(n))
-        return [row_value(row, vector) for row in rows]
+    def __init__(self, params: MeasureParams):
+        super().__init__(params)
+        self.t = 1 / params.q
+
+    def weight_pair(self, lam: Partition) -> tuple[int, int]:
+        # the row first: above the degree cap of hl_q_row it raises before any work
+        row = hl_q_row(lam, self.t)
+        return row_pair(row, self._vector(size(lam)))
+
+    def weights(self, n: int, lams) -> list[int]:
+        # the rows first, as in weight_pair
+        rows = [hl_q_row(lam, self.t) for lam in lams]
+        _, values = self._vector(n)
+        common = lcm(*(den for den, _ in rows))
+        return [sum(map(mul, coeffs, values)) * (common // den) for den, coeffs in rows]
+
+    def _vector(self, n: int) -> tuple[int, list[int]]:
+        return power_products(self.params.specialization().power_pair, partitions_of(n))
 
 
 class _Haar(_Family):
@@ -371,8 +419,11 @@ class _Haar(_Family):
         # (b**r, a**r) for the last r in the table
         self.powers = (1, 1)
 
-    def weight(self, lam: Partition) -> Fraction:
-        return self.keep ** size(lam) / self.q ** n_stat(lam)
+    def weight_pair(self, lam: Partition) -> tuple[int, int]:
+        # (1 - 1/q)**n / q**n(lam) = (a - b)**n * b**n(lam) / a**(n + n(lam))
+        a, b = self.q.numerator, self.q.denominator
+        n, m = size(lam), n_stat(lam)
+        return (a - b) ** n * b**m, a ** (n + m)
 
     def weights(self, n: int, lams) -> list[int]:
         # W(mu) times a**(high - low) * q**low / (1 - 1/q)**n, one factor for
@@ -435,9 +486,13 @@ class _Delta(_Family):
     """
 
     columns: list = [()]
+    reads_variates = False
 
-    def weight(self, lam: Partition) -> Fraction:
-        return self.keep ** size(lam) if not lam or lam[0] == 1 else Fraction(0)
+    def weight_pair(self, lam: Partition) -> tuple[int, int]:
+        if lam and lam[0] > 1:
+            return 0, 1
+        a, b = self.q.numerator, self.q.denominator
+        return (a - b) ** len(lam), a ** len(lam)
 
     def walk(self, lam: Partition, us, out: list | None = None) -> Partition:
         if lam and lam[0] > 1:
@@ -455,10 +510,13 @@ class _Delta(_Family):
 class _Row(_Family):
     """Row frequency 1: W = 1 on the empty diagram, 1 - 1/q on one row, else 0."""
 
-    def weight(self, lam: Partition) -> Fraction:
+    reads_variates = False
+
+    def weight_pair(self, lam: Partition) -> tuple[int, int]:
         if len(lam) > 1:
-            return Fraction(0)
-        return self.keep if lam else Fraction(1)
+            return 0, 1
+        a, b = self.q.numerator, self.q.denominator
+        return (a - b, a) if lam else (1, 1)
 
     def walk(self, lam: Partition, us, out: list | None = None) -> Partition:
         if len(lam) > 1:
@@ -528,9 +586,11 @@ def _trial_variates(seed: int, trial: int, n: int) -> tuple[int, ...]:
 # the JSON (before this cap, 1.2 s and 79 MiB at 3000, 1.9 s and 126 MiB at
 # 4000).  In an lln run at q = 2 a Haar step costs about 0.25 us, its
 # variate included, and a trial's stream about 7 us: Haar 1000 x 200 trials
-# takes 0.12-0.18 s, Haar 2000 x 100 0.12-0.14 s, delta 2000 x 100
-# 0.12-0.16 s (31 MiB peak, the table included) and single-row 1 x 200000
-# 1.7-2.3 s (fresh process, start-up included, 2-vCPU Xeon, Python 3.11).
+# takes 0.12-0.18 s and Haar 2000 x 100 0.12-0.14 s.  The delta and
+# single-row chains walk once for all their trials and draw nothing:
+# delta 2000 x 100 takes 0.11-0.14 s (31 MiB peak, the table included) and
+# single-row 1 x 200000 0.08 s, the start-up floor (fresh process, start-up
+# included, 2-vCPU Xeon, Python 3.11).
 # A Haar step bisects its table of bounds, one per row, and lengthens one
 # list in place, and an lln trial keeps only its last diagram, so chains
 # with q near 1, which grow many rows, cost little more: 2000 x 100 takes
@@ -601,7 +661,10 @@ def lln_experiment(
     One row per tracked row length, then one per tracked column length.
     Each trial uses its own stream derived from (seed, trial index), so the
     rows do not depend on scheduling; they are byte-identical across runs
-    with equal inputs.  Only the summary columns are floating point.
+    with equal inputs.  Only the summary columns are floating point.  A
+    family whose walk reads no variate (the delta and single-row chains)
+    walks once, with none drawn, and its sums count that walk ``trials``
+    times.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -618,13 +681,19 @@ def lln_experiment(
     # a row or column past the diagram has length 0 and adds nothing
     rows = [[0, 0] for _ in range(track)]
     cols = [[0, 0] for _ in range(track)]
-    walk = params.family.walk
-    for trial in range(trials):
-        lam = walk((), _trial_variates(seed, trial, n_max))
+    family = params.family
+    if family.reads_variates:
+        lasts = (family.walk((), _trial_variates(seed, trial, n_max)) for trial in range(trials))
+        times = 1
+    else:
+        # every trial is this one walk; the variates are never read
+        lasts = (family.walk((), (0,) * n_max),)
+        times = trials
+    for lam in lasts:
         for sums, lengths in ((rows, lam), (cols, transpose(lam))):
             for acc, length in zip(sums, lengths):
-                acc[0] += length
-                acc[1] += length * length
+                acc[0] += times * length
+                acc[1] += times * length * length
     predicted_r = params.r.frequencies(track)
     predicted_c = FinitePowerSums(params.c).frequencies(track)
     out = []

@@ -19,12 +19,17 @@ puts the products p_rho over one common denominator E, the lcm of their
 denominators; a caller that needs p_k in another form, such as a trace
 block's stretched and modified p_k, passes its own pair function.  An
 integer coefficient row over the same p_rho, such as a kept
-Hall-Littlewood Q, is evaluated by :func:`row_value` as one integer dot
-product and a single `Fraction` at the end.
-:meth:`Specialization.apply` does the same for a
-:class:`PowerSumElement`, whose coefficients it first puts over one
-denominator.  Nothing is kept between calls.
-:meth:`Specialization.power_sum` is the one `Fraction` view of a p_k.
+Hall-Littlewood Q, is evaluated by :func:`row_pair` as one integer dot
+product over one denominator, again a pair (N, D).  A specialized value
+stays such a pair through every later factor (a trace block's power of
+q, a cylinder's prefactor, the other blocks of a class) and becomes one
+`Fraction` only where a function returns it; the transition rows'
+successor weights never do, as integers sharing one common factor.
+:func:`row_value` is the `Fraction` of one :func:`row_pair`, and
+:meth:`Specialization.apply` reads it for a :class:`PowerSumElement`,
+whose coefficients it first puts over one denominator.  Nothing is kept
+between calls.  :meth:`Specialization.power_sum` is the one `Fraction`
+view of a p_k.
 """
 
 from dataclasses import dataclass, field
@@ -145,7 +150,7 @@ def power_products(pair, rhos) -> tuple[int, list[int]]:
     and can be far smaller: when each D_k divides 8**k, E divides 8**n for
     rhos of size n.
     """
-    pairs = {k: pair(k) for k in {k for rho in rhos for k in rho}}
+    pairs = {k: pair(k) for k in set().union(*rhos)}
     nums, dens = [], []
     for rho in rhos:
         num = den = 1
@@ -159,15 +164,20 @@ def power_products(pair, rhos) -> tuple[int, list[int]]:
     return e, [num * (e // den) for num, den in zip(nums, dens)]
 
 
-def row_value(row: tuple[int, tuple[int, ...]], vector: tuple[int, list[int]]) -> Fraction:
-    """sum_i c_i p_i for c_i = row[1][i] / row[0] and p_i = vector[1][i] / vector[0].
+def row_pair(row: tuple[int, tuple[int, ...]], vector: tuple[int, list[int]]) -> tuple[int, int]:
+    """sum_i c_i p_i as integers (N, D), for c_i = row[1][i] / row[0] and p_i = vector[1][i] / vector[0].
 
-    One integer dot product and one `Fraction`: a coefficient row such as
-    :func:`fqtraces.symfunc.hl_q_row` gives against p_rho values in the same
-    order, such as :func:`power_products` gives.
+    One integer dot product over row[0] * vector[0], not reduced: a
+    coefficient row such as :func:`fqtraces.symfunc.hl_q_row` gives against
+    p_rho values in the same order, such as :func:`power_products` gives.
     """
     (den, coeffs), (e, values) = row, vector
-    return Fraction(sum(map(mul, coeffs, values)), den * e)
+    return sum(map(mul, coeffs, values)), den * e
+
+
+def row_value(row: tuple[int, tuple[int, ...]], vector: tuple[int, list[int]]) -> Fraction:
+    """The :func:`row_pair` of a row and a vector as one `Fraction`."""
+    return Fraction(*row_pair(row, vector))
 
 
 @dataclass(frozen=True)

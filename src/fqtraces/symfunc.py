@@ -31,11 +31,11 @@ come from tableau enumeration, up to the same degree cap, and are the
 independent check on the operator.
 
 Character tables, Schur functions, Kostka numbers, charge polynomials, the
-beta-set masks, partition codes and p_rho expansions of each degree, and
-Hall-Littlewood Q functions (per lam and t; the series coefficients q_N of
-the operator are the one-row Q_(N) in the same table) are memoized in
-module-level ``functools.cache`` tables, so repeated queries reuse them
-and ``cache_clear`` drops them.
+beta-set masks, partition codes, class sizes and p_rho expansions of each
+degree, and Hall-Littlewood Q functions (per lam and t; the series
+coefficients q_N of the operator are the one-row Q_(N) in the same table)
+are memoized in module-level ``functools.cache`` tables, so repeated
+queries reuse them and ``cache_clear`` drops them.
 """
 
 from fractions import Fraction
@@ -209,18 +209,30 @@ def schur_in_p(lam: Partition) -> PowerSumElement:
     )
 
 
+@cache
+def _class_sizes(n: int) -> tuple[int, ...]:
+    """n!/z_rho, the size of the class of cycle type rho in S_n, in ``partitions_of(n)`` order.
+
+    t-free, one entry per degree that :func:`class_vector` is asked for:
+    the trace coefficients stop at ``COEFFICIENT_DEGREE_CAP`` = 20 and Q
+    at :data:`EXACT_HL_DEGREE_CAP`, so the table holds at most 21 entries,
+    627 ints at degree 20.  They sum to n!.
+    """
+    whole = factorial(n)
+    return tuple(whole // z_factor(rho) for rho in partitions_of(n))
+
+
 def class_vector(pair, n: int) -> tuple[int, list[int]]:
     """(D, [D * p_rho / z_rho for rho in partitions_of(n)]), p_k = N_k / D_k from ``pair(k)``.
 
     With p_rho = P_rho / E over the one denominator of
     :func:`~fqtraces.specializations.power_products`, D = n! * E and the
-    entry of rho is n!/z_rho * P_rho.  As h_n = sum_rho p_rho / z_rho, this
-    is h_n specialized, and its :func:`schur_coefficients` are the s_lam.
+    entry of rho is n!/z_rho * P_rho, n!/z_rho read from the kept
+    :func:`_class_sizes`.  As h_n = sum_rho p_rho / z_rho, this is h_n
+    specialized, and its :func:`schur_coefficients` are the s_lam.
     """
-    order = partitions_of(n)
-    den, values = power_products(pair, order)
-    whole = factorial(n)
-    return whole * den, [whole // z_factor(rho) * v for rho, v in zip(order, values)]
+    den, values = power_products(pair, partitions_of(n))
+    return factorial(n) * den, list(map(mul, _class_sizes(n), values))
 
 
 def schur_coefficients(row: tuple[int, list[int]], n: int) -> list[Fraction]:

@@ -13,7 +13,8 @@ the coefficient expansions of traces over irreducible characters.  Each
 is built in integers and becomes one `Fraction` at the end: for q = a/b
 the q-hook products are an integer numerator and denominator, a block
 value is the kept integer row of Q dotted with the p_rho of the
-specialization's power sums, stretched and modified for the block, and
+specialization's power sums, stretched and modified for the block, times
+a power of q, a class's value is the product of its blocks' pairs, and
 each trace coefficient is a row of the integer character table dotted
 with one class vector.
 """
@@ -39,7 +40,7 @@ from fqtraces.specializations import (
     check_q,
     check_q_power,
     power_products,
-    row_value,
+    row_pair,
 )
 from fqtraces.symfunc import check_hl_degree, class_vector, hl_q_row, schur_coefficients
 
@@ -232,10 +233,37 @@ def branching_predecessors(f: DiagramFamily, variant: str) -> list[DiagramFamily
     return out
 
 
-def _check_block_size(d: int, lam: Partition, q: Fraction):
-    # the degree first, so that a block above it is refused as such
-    check_hl_degree(size(lam))
-    check_q_power(q, d * (size(lam) + n_stat(lam)), TRACE_Q_BITS_CAP, "trace values")
+def _check_blocks(sp: Specialization, blocks, q: Fraction):
+    """Refuse, before any work, a trace value on the (d, lam) ``blocks``."""
+    for d, lam in blocks:
+        # the degree first, so that a block above it is refused as such
+        check_hl_degree(size(lam))
+        check_q_power(q, d * (size(lam) + n_stat(lam)), TRACE_Q_BITS_CAP, "trace values")
+    if blocks and sp.gamma != 1:
+        raise ValueError("unipotent trace values need gamma = 1")
+
+
+def _block_pair(sp: Specialization, d: int, lam: Partition, q: Fraction) -> tuple[int, int]:
+    """:func:`unipotent_block_value` as integers (N, D), not reduced, for a checked block.
+
+    With q = a/b, t = q**-d = b**d / a**d in lowest terms, and the row of
+    Q_lam(t) is dotted with the p_rho of
+    p_k -> p_{dk}(sp) * a**(dk) / (a**(dk) - b**(dk)), the (N, D) of
+    :func:`row_pair`; q**(d n(lam)) multiplies N by a**(d n(lam)) and D by
+    b**(d n(lam)).
+    """
+    a, b = q.numerator, q.denominator
+    a_d, b_d = a**d, b**d
+    row = hl_q_row(lam, Fraction(b_d, a_d))
+
+    def pair(k: int) -> tuple[int, int]:
+        num, den = sp.power_pair(d * k)
+        a_dk = a_d**k
+        return num * a_dk, den * (a_dk - b_d**k)
+
+    num, den = row_pair(row, power_products(pair, partitions_of(size(lam))))
+    m = n_stat(lam)
+    return num * a_d**m, den * b_d**m
 
 
 def unipotent_block_value(sp: Specialization, d: int, lam: Partition, q) -> Fraction:
@@ -249,39 +277,31 @@ def unipotent_block_value(sp: Specialization, d: int, lam: Partition, q) -> Frac
     t = a/b the value is the kept integer row of Q_lam(t) from
     :func:`hl_q_row` dotted with the p_rho of
     p_k -> p_{dk}(sp) * b**k / (b**k - a**k), with no modified or
-    stretched copy of Q_lam built.
+    stretched copy of Q_lam built: the integer pair of
+    :func:`_block_pair`, as one `Fraction`.
     """
     q = check_q(q)
-    _check_block_size(d, lam, q)
-    if sp.gamma != 1:
-        raise ValueError("unipotent trace values need gamma = 1")
-    t = 1 / q**d
-    row = hl_q_row(lam, t)
-    a, b = t.numerator, t.denominator
-
-    def pair(k: int) -> tuple[int, int]:
-        num, den = sp.power_pair(d * k)
-        b_k = b**k
-        return num * b_k, den * (b_k - a**k)
-
-    value = row_value(row, power_products(pair, partitions_of(size(lam))))
-    return q ** (d * n_stat(lam)) * value
+    _check_blocks(sp, ((d, lam),), q)
+    return Fraction(*_block_pair(sp, d, lam, q))
 
 
 def unipotent_trace_value(sp: Specialization, cls: DiagramFamily, q) -> Fraction:
     """Trace value on an arbitrary conjugacy class: product over blocks.
 
     ``cls`` is a family of diagrams read as a conjugacy class (Jordan data
-    per irreducible factor) rather than as a representation label.
+    per irreducible factor) rather than as a representation label.  The
+    blocks' integer pairs from :func:`_block_pair` are multiplied, and the
+    product becomes one `Fraction`.
     """
     q = check_q(q)
     _check_linear_capacity(cls, q)
+    _check_blocks(sp, [(d, lam) for _, d, lam in cls.blocks], q)
+    num = den = 1
     for _, d, lam in cls.blocks:
-        _check_block_size(d, lam, q)
-    value = Fraction(1)
-    for _, d, lam in cls.blocks:
-        value *= unipotent_block_value(sp, d, lam, q)
-    return value
+        n, m = _block_pair(sp, d, lam, q)
+        num *= n
+        den *= m
+    return Fraction(num, den)
 
 
 # A cold `coeffs --n N --alpha 1/2,1/4 --beta 1/8` in a fresh process

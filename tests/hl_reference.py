@@ -25,6 +25,10 @@ Specializations too: :func:`apply_reference` evaluates term by term in
 the references for ``Specialization.apply`` and the character-table pass
 behind the trace coefficients.
 
+A trace block's value, :func:`block_value_reference`, is that term by term
+evaluation of the charge-built Q, modified and stretched one p_k at a
+time, the reference for the integer pairs behind trace values.
+
 Kostka numbers get one too: :func:`kostka_by_strips` peels a horizontal
 strip per part of the content, the smallest part first, with no shortcut
 for parts equal to 1.
@@ -100,6 +104,20 @@ def apply_reference(sp, f: PowerSumElement) -> Fraction:
             value *= sp.power_sum(part)
         total += value
     return total
+
+
+def block_value_reference(sp, d: int, lam, q: Fraction) -> Fraction:
+    """q**(d n(lam)) times sp at Q_lam(t), t = q**-d, with p_k -> p_{dk} / (1 - t**k).
+
+    One `Fraction` per factor, on the charge-built Q of :func:`hl_q_by_charge`.
+    """
+    t = q**-d
+    total = Fraction(0)
+    for rho, c in hl_q_by_charge(lam, t).terms.items():
+        for k in rho:
+            c *= sp.power_sum(d * k) / (1 - t**k)
+        total += c
+    return q ** (d * sum(i * part for i, part in enumerate(lam))) * total
 
 
 def schur_value_reference(sp, lam) -> Fraction:

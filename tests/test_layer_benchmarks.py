@@ -12,9 +12,9 @@ from math import factorial, prod
 from pathlib import Path
 
 import oracle_reference as ref
-from hl_reference import sym_character_reference
+from hl_reference import block_value_reference, schur_value_reference, sym_character_reference
 
-from fqtraces.measures import _trial_rng
+from fqtraces.measures import _trial_rng, cyl_prob_from_trace
 from fqtraces.oracle import extension_classes
 from fqtraces.partitions import (
     add_box,
@@ -24,6 +24,7 @@ from fqtraces.partitions import (
     size,
     transpose,
 )
+from fqtraces.specializations import Specialization
 
 _BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
 
@@ -40,6 +41,7 @@ opcode_count = _load("opcode_count")
 layers = _load("test_layers")
 symfunc_layers = _load("test_symfunc_layers")
 chain_layers = _load("test_chain_layers")
+value_layers = _load("test_value_layers")
 
 
 def test_layer_benchmark_bodies():
@@ -159,6 +161,37 @@ def test_chain_layer_benchmark_bodies():
     assert size(lam) == 12
     assert [mu for mu, _ in row] == [add_box(lam, i) for i, _ in addable_corners(lam)]
     assert sum(p for _, p in row) == 1 and all(p > 0 for _, p in row)
+
+
+def test_value_layer_benchmark_bodies():
+    assert set(value_layers.WARM) == {
+        "power-products-16",
+        "cyl-prob-generic-8",
+        "trace-values-classes",
+        "trace-coefficients-8",
+    }
+    sp = value_layers.SP
+    # each p_rho over E against the product of its p_k
+    e, values = value_layers.power_products_16()
+    assert len(values) == 231
+    for rho, v in zip(partitions_of(16), values):
+        assert Fraction(v, e) == prod((sp.power_sum(k) for k in rho), start=Fraction(1)), rho
+    # the cylinders against the trace route, under r = spread(alpha), c = beta
+    cyls = iter(value_layers.cyl_prob_generic_8())
+    for alpha, beta, q in value_layers.CYL_SIDES:
+        trace_sp = Specialization.finite(alpha, beta, 1)
+        for lam in partitions_of(8):
+            assert next(cyls) == cyl_prob_from_trace(trace_sp, lam, q), (q, lam)
+    # the class values against the product of Fraction block values
+    classes = value_layers.CLASSES
+    assert len(classes) == 130
+    for (fam, q), value in zip(classes, value_layers.trace_values_classes(), strict=True):
+        blocks = (block_value_reference(sp, d, lam, Fraction(q)) for _, d, lam in fam.blocks)
+        assert value == prod(blocks, start=Fraction(1)), fam
+    # the coefficients against one Schur function at a time
+    assert value_layers.trace_coefficients_8() == {
+        lam: schur_value_reference(sp, lam) for lam in partitions_of(8)
+    }
 
 
 def test_opcode_count_of_the_cheapest_body():

@@ -31,7 +31,7 @@ from fqtraces.measures import (
     sample_trajectory,
     transition_distribution,
 )
-from fqtraces.partitions import add_box, addable_corners, box_additions, partitions_of, size
+from fqtraces.partitions import add_box, addable_corners, box_additions, n_stat, partitions_of, size
 from fqtraces.specializations import (
     FinitePowerSums,
     GeometricSpread,
@@ -39,6 +39,7 @@ from fqtraces.specializations import (
     power_products,
 )
 from fqtraces.symfunc import hl_q_in_p
+from hl_reference import block_value_reference
 
 HALF = Fraction(1, 2)
 HAAR2 = MeasureParams.haar(2)
@@ -96,6 +97,73 @@ def test_cyl_prob_examples():
     for n in range(0, 9):
         for lam in partitions_of(n):
             assert cyl_prob(HAAR2, lam) == Fraction(2) ** (-(n * (n - 1)) // 2)
+
+
+def _weight_by_fractions(params, lam):
+    """W(lam) as a composition of Fractions: the closed forms, else the specialized Q."""
+    q, n = params.q, size(lam)
+    keep = 1 - 1 / q
+    family = params.family
+    if isinstance(family, _Haar):
+        return keep**n / q ** n_stat(lam)
+    if isinstance(family, _Delta):
+        return keep**n if not lam or lam[0] == 1 else Fraction(0)
+    if isinstance(family, _Row):
+        return Fraction(0) if len(lam) > 1 else keep if lam else Fraction(1)
+    return params.specialization().apply(hl_q_in_p(lam, 1 / q))
+
+
+# every family, at integer q and at q = a/b with b > 1
+PAIR_GRID = [
+    HAAR2,
+    MeasureParams.haar(Fraction(5, 4)),
+    DELTA2,
+    MeasureParams.delta_identity(Fraction(7, 3)),
+    ROW2,
+    MeasureParams.single_row(Fraction(10001, 10000)),
+    MIXED,
+    TWO_ROWS,
+    MeasureParams(GeometricSpread((HALF, Fraction(1, 4)), Fraction(7, 3)), (Fraction(1, 8),), Fraction(7, 3)),
+]
+
+
+@pytest.mark.parametrize("params", PAIR_GRID)
+def test_cyl_prob_equals_the_fraction_composition(params):
+    # the composition the integer prefactor replaces:
+    # q**-e / (1 - 1/q)**n * q**n(lam) * W(lam), e = n(n-1)/2
+    q = params.q
+    for n in range(9):
+        for lam in partitions_of(n):
+            weight = _weight_by_fractions(params, lam)
+            assert params.family.weight(lam) == weight, lam
+            expected = q ** -(n * (n - 1) // 2) / (1 - 1 / q) ** n * q ** n_stat(lam) * weight
+            assert cyl_prob(params, lam) == expected, lam
+
+
+def test_cyl_prob_from_trace_equals_the_fraction_composition():
+    for sp, q in (
+        (Specialization.finite((HALF, Fraction(1, 4)), (Fraction(1, 8),), 1), Fraction(2)),
+        (Specialization(GeometricSpread((Fraction(1, 3),), 3), FinitePowerSums((HALF,)), 1), Fraction(5, 2)),
+    ):
+        for n in range(6):
+            for lam in partitions_of(n):
+                expected = q ** -(n * (n - 1) // 2) * block_value_reference(sp, 1, lam, q)
+                assert cyl_prob_from_trace(sp, lam, q) == expected, lam
+
+
+@pytest.mark.parametrize("params", PAIR_GRID)
+def test_generic_successor_weights_are_integers_sharing_one_factor(params):
+    # the generic route for every parameter set: integer weights, each the
+    # Fraction weight times one positive factor of the level
+    family = _Generic(params)
+    for n in range(1, 8):
+        lams = partitions_of(n)
+        weights = family.weights(n, lams)
+        assert all(type(w) is int for w in weights)
+        expected = [_weight_by_fractions(params, lam) for lam in lams]
+        assert [w == 0 for w in weights] == [not x for x in expected], n
+        factors = {w / x for w, x in zip(weights, expected) if x}
+        assert len(factors) == 1 and factors.pop() > 0, n
 
 
 def test_haar_weight_identity_generic_path():
@@ -850,6 +918,22 @@ def test_chains_run_at_the_level_cap():
     rep = lln_experiment(ROW2, 3, 2, 5, track=CHAIN_LEVEL_CAP)
     assert len(rep) == 2 * CHAIN_LEVEL_CAP
     assert [r.empirical for r in rep[:2]] == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("params, n_max, trials", [(ROW2, 1, 200_000), (DELTA2, 2000, 100)])
+def test_lln_of_a_one_successor_chain_draws_no_variate(monkeypatch, params, n_max, trials):
+    # the chain's walk reads no variate, so every trial is one walk: no
+    # trial seeds a stream or draws, and the sums are that walk's, times trials
+    def refuse(*args):
+        raise AssertionError("a one-successor chain drew variates")
+
+    monkeypatch.setattr(measures, "_trial_variates", refuse)
+    monkeypatch.setattr(measures, "_trial_rng", refuse)
+    rep = lln_experiment(params, n_max, trials, 1)
+    last = (n_max,) if params is ROW2 else (1,) * n_max
+    rows = [last[i] if i < len(last) else 0 for i in range(4)]
+    cols = [sum(part > j for part in last) for j in range(4)]
+    assert [(r.empirical, r.stderr) for r in rep] == [(x / n_max, 0.0) for x in rows + cols]
 
 
 def test_lln_deterministic_families_are_exact():

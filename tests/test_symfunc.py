@@ -1,7 +1,9 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import factorial, prod
 from operator import mul
 from pathlib import Path
@@ -12,12 +14,14 @@ from hypothesis import given, settings, strategies as st
 from fqtraces import verify
 from fqtraces.partitions import hook_lengths, partitions_of, size, transpose, z_factor
 from fqtraces.specializations import Specialization
+from fqtraces.traces import COEFFICIENT_DEGREE_CAP
 from fqtraces.symfunc import (
     EXACT_HL_DEGREE_CAP,
     PowerSumElement,
     _CODE_BASE,
     _beta_masks,
     _character_table,
+    _class_sizes,
     _codes,
     _hl_q,
     charge,
@@ -132,6 +136,32 @@ def test_character_table_closed_forms_to_the_cap():
         assert table[-1] == sign, n
         for lam, row in zip(order, table):
             assert table[index[transpose(lam)]] == tuple(map(mul, sign, row)), lam
+
+
+def test_class_sizes_up_to_the_coefficient_cap():
+    # n!/z_rho for every degree the class vectors reach, summing to n!, and
+    # at small degrees the counts of permutations by cycle type
+    for n in range(COEFFICIENT_DEGREE_CAP + 1):
+        sizes = _class_sizes(n)
+        assert sizes == tuple(Fraction(factorial(n), z_factor(rho)) for rho in partitions_of(n))
+        assert sum(sizes) == factorial(n), n
+    assert len(_class_sizes(COEFFICIENT_DEGREE_CAP)) == 627
+    for n in range(7):
+        counts = Counter(_cycle_type(p) for p in permutations(range(n)))
+        assert _class_sizes(n) == tuple(counts[rho] for rho in partitions_of(n)), n
+
+
+def _cycle_type(perm) -> tuple:
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        i, length = start, 0
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
 
 def test_beta_masks():

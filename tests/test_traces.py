@@ -4,7 +4,7 @@ from functools import cache
 from math import factorial, prod
 
 import pytest
-from hl_reference import schur_value_reference
+from hl_reference import block_value_reference, schur_value_reference
 from hypothesis import given, settings, strategies as st
 from test_golden import check_suite_golden
 
@@ -183,6 +183,24 @@ def test_block_value_matches_the_stretched_modified_q(sp):
                     f = plethysm_pl(modified_hl_q(lam, q**-d), d)
                     expected = q ** (d * n_stat(lam)) * sp.apply(f)
                     assert unipotent_block_value(sp, d, lam, q) == expected, (q, d, lam)
+
+
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(3), Fraction(5, 2)])
+def test_trace_value_is_the_product_of_fraction_block_values(q):
+    # the composition the integer pairs replace: each block's value as a
+    # Fraction, from the charge-built Q, and the class's value their product
+    field = q.numerator if q.denominator == 1 else 3
+    classes = _families_up_to(4, field) + [
+        family((UNIT, 1, (2, 1)), ("c", 2, (1, 1)), ("e", 3, (1,))),
+        family(("c", 2, (2,)), ("e", 4, (1,))),
+    ]
+    for sp in _BLOCK_SPECIALIZATIONS:
+        for cls in classes:
+            blocks = (block_value_reference(sp, d, lam, q) for _, d, lam in cls.blocks)
+            expected = prod(blocks, start=Fraction(1))
+            assert unipotent_trace_value(sp, cls, q) == expected, cls
+        for _, d, lam in classes[-1].blocks:
+            assert unipotent_block_value(sp, d, lam, q) == block_value_reference(sp, d, lam, q)
 
 
 def test_warm_block_value_builds_no_power_sum_element(monkeypatch):
