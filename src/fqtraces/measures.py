@@ -32,7 +32,8 @@ that row with a closed form.  Everything except the Monte Carlo
 summary statistics is exact.  A step of the chain reads a uniform variate
 u / 2**64 and moves to the first successor whose cumulative probability
 exceeds it, decided in integers; a trial's n variates come from one
-64 * n-bit draw of its own stream, split into 64-bit words.  Each family
+64 * n-bit draw of its own stream, split into 64-bit words, and a family
+whose walk reads no variate gets zeros, with no stream drawn.  Each family
 takes a trial's steps in one call of its walk, which keeps a diagram
 only where the caller asks for every level: a trajectory builds each
 level once, and an lln trial keeps only its last.  Searching the kept
@@ -78,7 +79,7 @@ from fqtraces.specializations import (
     power_products,
     row_pair,
 )
-from fqtraces.symfunc import EXACT_HL_DEGREE_CAP, hl_q_row
+from fqtraces.symfunc import EXACT_HL_DEGREE_CAP, _hl_q
 from fqtraces.traces import _block_pair, _check_blocks
 
 
@@ -179,11 +180,11 @@ def hl_weight(params: MeasureParams, lam: Partition) -> Fraction:
 
     ``_Generic(params).weight(lam)``: the generic route for any parameter
     set, closed-form families included, so that ``verify`` can hold it
-    against their closed forms; above the degree cap of :func:`hl_q_row`
-    it raises before any work.  :func:`cyl_prob` goes through the family's
-    own ``weight`` and does not fill this memo.
+    against their closed forms; above the degree cap of the Q memo behind
+    :func:`hl_q_row` it raises before any work.  :func:`cyl_prob` goes
+    through the family's own ``weight`` and does not fill this memo.
     """
-    return _Generic(params).weight(lam)
+    return _Generic(params).weight(check_partition(lam))
 
 
 # Bound on the largest power of q a cylinder probability builds,
@@ -273,9 +274,10 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 # one call of ``weights(n, lams)`` on the successors, keeps it, and by
 # default walks by searching it.  As it divides by their total, the weights
 # may carry one common positive factor.  ``_Generic``'s weights share one
-# vector of p_rho for the call and fill no memo; they are integers, the
-# dot products of the rows of Q with it over the lcm of the rows'
-# denominators, all sharing one factor, as Haar's are.  Its
+# vector of p_rho for the call and fill no memo of their own; they are
+# integers, the dot products with it of the rows of Q, read from the Q
+# memo by the integers of 1/q, over the lcm of the rows' denominators, all
+# sharing one factor, as Haar's are.  Its
 # ``weight_pair``, for ``cyl_prob``, is one dot product over its row's
 # denominator times that of the vector, and fills no memo either.  The Haar,
 # delta and single-row families have closed-form weights, valid at any
@@ -367,23 +369,26 @@ class _Generic(_Family):
     """Any parameter set: the exact Hall-Littlewood weights, up to their cap.
 
     W(lam) is the kept row (D, c) of Q_lam(1/q) dotted with the level's
-    vector (E, P) of p_rho, over D * E.  The successor weights are the dot
+    vector (E, P) of p_rho, over D * E.  The rows are read from the Q memo
+    of :func:`hl_q_row` by the integers (b, a) of 1/q, q = a/b, for
+    partitions already checked.  The successor weights are the dot
     products over the lcm L of their rows' D, as integers: each is W(mu)
     times L * E, one factor for them all.
     """
 
     def __init__(self, params: MeasureParams):
         super().__init__(params)
-        self.t = 1 / params.q
+        # t = 1/q = b/a in lowest terms, a > 0
+        self.t_num, self.t_den = params.q.denominator, params.q.numerator
 
     def weight_pair(self, lam: Partition) -> tuple[int, int]:
-        # the row first: above the degree cap of hl_q_row it raises before any work
-        row = hl_q_row(lam, self.t)
+        # the row first: above the degree cap the memo raises before any work
+        row = _hl_q(lam, self.t_num, self.t_den)
         return row_pair(row, self._vector(size(lam)))
 
     def weights(self, n: int, lams) -> list[int]:
         # the rows first, as in weight_pair
-        rows = [hl_q_row(lam, self.t) for lam in lams]
+        rows = [_hl_q(lam, self.t_num, self.t_den) for lam in lams]
         _, values = self._vector(n)
         common = lcm(*(den for den, _ in rows))
         return [sum(map(mul, coeffs, values)) * (common // den) for den, coeffs in rows]
@@ -580,6 +585,17 @@ def _trial_variates(seed: int, trial: int, n: int) -> tuple[int, ...]:
     return struct.unpack(f"<{n}Q", bits.to_bytes(8 * n, "little"))
 
 
+def _walk_variates(family: _Family, seed: int, trial: int, n: int) -> tuple[int, ...]:
+    """The n variates a trial of ``family`` walks on.
+
+    The trial's draws, or n zeros for a family whose walk reads none
+    (``reads_variates``), so that no stream is seeded or drawn for it.
+    """
+    if family.reads_variates:
+        return _trial_variates(seed, trial, n)
+    return (0,) * n
+
+
 # A delta chain is at a k-tuple at level k, so the shared table of columns
 # holds n**2 / 2 entries at level n, 15 MiB at level 2000; `sample --measure
 # delta --format json` takes 0.4 s and 45 MiB peak at level 2000, most of it
@@ -622,7 +638,7 @@ def sample_trajectory(params: MeasureParams, n_max: int, seed: int) -> list[Part
     """Growth trajectory of Jordan types, from the empty diagram to level n_max."""
     _check_chain_length(params, n_max, 0)
     out: list[Partition] = [()]
-    params.family.walk((), _trial_variates(seed, 0, n_max), out)
+    params.family.walk((), _walk_variates(params.family, seed, 0, n_max), out)
     return out
 
 
@@ -682,13 +698,10 @@ def lln_experiment(
     rows = [[0, 0] for _ in range(track)]
     cols = [[0, 0] for _ in range(track)]
     family = params.family
-    if family.reads_variates:
-        lasts = (family.walk((), _trial_variates(seed, trial, n_max)) for trial in range(trials))
-        times = 1
-    else:
-        # every trial is this one walk; the variates are never read
-        lasts = (family.walk((), (0,) * n_max),)
-        times = trials
+    # a walk that reads no variate is the same in every trial: walk it once
+    walks = trials if family.reads_variates else 1
+    times = trials // walks
+    lasts = (family.walk((), _walk_variates(family, seed, trial, n_max)) for trial in range(walks))
     for lam in lasts:
         for sums, lengths in ((rows, lam), (cols, transpose(lam))):
             for acc, length in zip(sums, lengths):

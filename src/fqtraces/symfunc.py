@@ -32,8 +32,9 @@ independent check on the operator.
 
 Character tables, Schur functions, Kostka numbers, charge polynomials, the
 beta-set masks, partition codes, class sizes and p_rho expansions of each
-degree, and Hall-Littlewood Q functions (per lam and t; the series
-coefficients q_N of the operator are the one-row Q_(N) in the same table)
+degree, and Hall-Littlewood Q functions (per lam and the integers of t;
+the series coefficients q_N of the operator are the one-row Q_(N) in the
+same table)
 are memoized in module-level ``functools.cache`` tables, so repeated
 queries reuse them and ``cache_clear`` drops them.
 """
@@ -386,8 +387,8 @@ def kostka(shape: Partition, content: Partition) -> int:
 # The slowest Q_lam at degree 16, lam = 1^16, takes about 0.03 s in a fresh
 # process, its tails and code tables included, and so do the character
 # tables up to degree 16 (2-vCPU Xeon, Python 3.11); both costs
-# grow two to three times every two degrees.  hl_q_row refuses larger
-# degrees up front.
+# grow two to three times every two degrees.  The Q memo refuses larger
+# degrees before it builds a row.
 # Charge enumeration stops there too: at 16 it visits up to 1.2M tableaux.
 EXACT_HL_DEGREE_CAP = 16
 
@@ -486,8 +487,15 @@ def check_hl_degree(n: int):
 
 
 @cache
-def _hl_q(lam: Partition, t: Fraction) -> tuple[int, tuple[int, ...]]:
-    """Q_lam(t) as (D, row), for a checked lam and a `Fraction` t.
+def _hl_q(lam: Partition, t_num: int, t_den: int) -> tuple[int, tuple[int, ...]]:
+    """Q_lam(t) as (D, row), for a checked lam and t = t_num / t_den in lowest terms, t_den > 0.
+
+    The key holds t as its integers, which hash in C, where a `Fraction`
+    key runs ``Fraction.__hash__`` in Python on every lookup; a reader
+    that has them builds no `Fraction`.  Above :data:`EXACT_HL_DEGREE_CAP`
+    it raises before any work and, as the cache keeps no exception, leaves
+    the memo as it was; every kept row is under the cap, so a hit costs no
+    check.
 
     The coefficient of p_rho is row[i] / D, with rho the i-th partition of
     ``partitions_of(|lam|)``; D and the row are divided by their gcd, so D
@@ -503,12 +511,12 @@ def _hl_q(lam: Partition, t: Fraction) -> tuple[int, tuple[int, ...]]:
     q_{lam_1 + m} lands at the index of the sum of their codes.
     """
     n = size(lam)
+    check_hl_degree(n)
     if len(lam) < 2:
-        a, b = t.numerator, t.denominator
-        den, row = class_vector(lambda k: (b**k - a**k, 1), n)
-        den *= b**n
+        den, row = class_vector(lambda k: (t_den**k - t_num**k, 1), n)
+        den *= t_den**n
     else:
-        tail_den, tail = _hl_q(lam[1:], t)
+        tail_den, tail = _hl_q(lam[1:], t_num, t_den)
         # the tail translated, split by powers of z: {m: {code: coefficient}}
         parts: dict[int, dict[int, int]] = {}
         for c, terms in zip(tail, _drops(n - lam[0])):
@@ -516,7 +524,7 @@ def _hl_q(lam: Partition, t: Fraction) -> tuple[int, tuple[int, ...]]:
                 for m, code, b in terms:
                     bucket = parts.setdefault(m, {})
                     bucket[code] = bucket.get(code, 0) + c * b
-        series = {m: _hl_q((lam[0] + m,), t) for m in parts}
+        series = {m: _hl_q((lam[0] + m,), t_num, t_den) for m in parts}
         # no parts, as for a zero tail, leave the zero row over lcm() = 1
         top = lcm(*(q_den for q_den, _ in series.values()))
         index = _codes(n)[1]
@@ -546,14 +554,18 @@ def hl_q_row(lam: Partition, t) -> tuple[int, tuple[int, ...]]:
     of p_rho is row[i] / D, rho the i-th partition of
     ``partitions_of(|lam|)`` and D the least common denominator.  Every
     Q_lam(t), one-row ones included, is kept in one memo, keyed on
-    (lam, Fraction(t)), so each lam builds on the kept Q of its tail and of
-    the rows (N,) it needs, and a repeated query costs a lookup.
+    (lam, a, b) with t = a/b in lowest terms and b > 0, so each lam builds
+    on the kept Q of its tail and of the rows (N,) it needs, and a repeated
+    query costs a lookup.  This is the checked entry for input from outside:
+    it checks lam and reads t as a `Fraction`; the memo refuses a degree
+    above the cap before any work.  Library readers whose partitions are
+    already checked read the memo by the integers of t.
     Specialized, Q_lam is one integer dot product of the row with the
     level's p_rho over one denominator.
     """
     lam = check_partition(lam)
-    check_hl_degree(size(lam))
-    return _hl_q(lam, Fraction(t))
+    t = Fraction(t)
+    return _hl_q(lam, t.numerator, t.denominator)
 
 
 def modified_hl_q_row(lam: Partition, t) -> tuple[int, tuple[int, ...]]:

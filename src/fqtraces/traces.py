@@ -42,7 +42,7 @@ from fqtraces.specializations import (
     power_products,
     row_pair,
 )
-from fqtraces.symfunc import check_hl_degree, class_vector, hl_q_row, schur_coefficients
+from fqtraces.symfunc import _hl_q, check_hl_degree, class_vector, schur_coefficients
 
 UNIT = "x-1"
 
@@ -246,15 +246,16 @@ def _check_blocks(sp: Specialization, blocks, q: Fraction):
 def _block_pair(sp: Specialization, d: int, lam: Partition, q: Fraction) -> tuple[int, int]:
     """:func:`unipotent_block_value` as integers (N, D), not reduced, for a checked block.
 
-    With q = a/b, t = q**-d = b**d / a**d in lowest terms, and the row of
-    Q_lam(t) is dotted with the p_rho of
+    With q = a/b, t = q**-d = b**d / a**d in lowest terms, a**d > 0, so
+    the row of Q_lam(t) is read from the memo by those integers, with no
+    `Fraction` built, and dotted with the p_rho of
     p_k -> p_{dk}(sp) * a**(dk) / (a**(dk) - b**(dk)), the (N, D) of
     :func:`row_pair`; q**(d n(lam)) multiplies N by a**(d n(lam)) and D by
     b**(d n(lam)).
     """
     a, b = q.numerator, q.denominator
     a_d, b_d = a**d, b**d
-    row = hl_q_row(lam, Fraction(b_d, a_d))
+    row = _hl_q(lam, b_d, a_d)
 
     def pair(k: int) -> tuple[int, int]:
         num, den = sp.power_pair(d * k)
@@ -274,15 +275,15 @@ def unipotent_block_value(sp: Specialization, d: int, lam: Partition, q) -> Frac
     specialization of the degree-stretched modified Q function at
     parameter t = q**(-d).  The modified Q'_lam is Q_lam with each p_k
     divided by 1 - t**k, and the stretch sends p_k to p_{dk}, so with
-    t = a/b the value is the kept integer row of Q_lam(t) from
-    :func:`hl_q_row` dotted with the p_rho of
+    t = a/b the value is the kept integer row of Q_lam(t), the memo of
+    :func:`hl_q_row` read by a and b, dotted with the p_rho of
     p_k -> p_{dk}(sp) * b**k / (b**k - a**k), with no modified or
     stretched copy of Q_lam built: the integer pair of
     :func:`_block_pair`, as one `Fraction`.
     """
     q = check_q(q)
     _check_blocks(sp, ((d, lam),), q)
-    return Fraction(*_block_pair(sp, d, lam, q))
+    return Fraction(*_block_pair(sp, d, check_partition(lam), q))
 
 
 def unipotent_trace_value(sp: Specialization, cls: DiagramFamily, q) -> Fraction:

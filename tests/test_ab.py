@@ -1,6 +1,7 @@
 """``benchmarks/ab.py`` on canned result files: the alternation, the refusals and the pair table.
 
-No workload runs: a stand-in for the perfbench run writes each result file.
+No workload or layer file runs: a stand-in for the perfbench or
+pytest-benchmark run writes each result file.
 """
 
 import importlib.util
@@ -98,3 +99,73 @@ def test_a_pair_with_failed_ops_or_other_outputs_is_refused(tmp_path, bad, messa
     results = {"parent": [result(1.0), result(1.0)], "change": [result(0.9), bad]}
     with pytest.raises(SystemExit, match=message):
         main(tmp_path, results, 2)
+
+
+def bench_json(times: dict, counts: dict) -> dict:
+    """A pytest-benchmark JSON with one entry per body: its minimum time and count."""
+    return {
+        "benchmarks": [
+            {
+                "fullname": f"benchmarks/test_x.py::test_warm[{name}]",
+                "stats": {"min": t},
+                "extra_info": {"opcodes": counts[name]},
+            }
+            for name, t in times.items()
+        ]
+    }
+
+
+def canned_layers(results: dict, calls: list):
+    def run(tree, out, file):
+        calls.append((tree.name, file))
+        out.write_text(json.dumps(results[tree.name].pop(0)))
+
+    return run
+
+
+def main_layers(tmp_path, results, pairs):
+    calls = []
+    argv = trees(tmp_path) + ["--layers", "benchmarks/", "--pairs", str(pairs), "--out", str(tmp_path / "out")]
+    return ab.main(argv, run_layers=canned_layers(results, calls)), calls
+
+
+def test_layer_pairs_alternate_and_the_table_gives_times_wins_and_counts(tmp_path, capsys):
+    fast = [1.0, 1.2, 0.9, 1.1, 1.3]
+    parent = [bench_json({"a": 2e-3 * f, "b": 5e-3}, {"a": 1000, "b": 80}) for f in fast]
+    # b: the change is slower in the pairs 2 and 4 and ties in the rest
+    change = [
+        bench_json({"a": 1e-3 * f, "b": 5e-3 + 1e-6 * (i % 2)}, {"a": 750, "b": 80})
+        for i, f in enumerate(fast)
+    ]
+    rows, calls = main_layers(tmp_path, {"parent": parent, "change": change}, 5)
+    assert [side for side, _ in calls] == ["parent", "change", "change", "parent"] * 2 + ["parent", "change"]
+    assert {file for _, file in calls} == {"benchmarks/"}
+    kept = {p.name for p in (tmp_path / "out").iterdir()}
+    assert len(kept) == 10 and "parent-layers-benchmarks-pair5.json" in kept
+    a, b = rows
+    assert a["body"].endswith("[a]")
+    assert (a["parent"], a["change"]) == (pytest.approx(2.2e-3), pytest.approx(1.1e-3))
+    assert (a["won"], a["pairs"], a["count_ratio"]) == (5, 5, 0.75)
+    assert (b["won"], b["count_ratio"]) == (0, 1.0)
+    out = capsys.readouterr().out
+    assert "test_x.py::test_warm[a]" in out and "0.750" in out
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (bench_json({"a": 1e-3}, {"a": 750}), "missing on one side: benchmarks/test_x.py::test_warm\\[b\\]"),
+        (bench_json({"a": 1e-3, "b": 5e-3}, {"a": 751, "b": 80}), "change count of .*\\[a\\] differs"),
+    ],
+    ids=["lone-body", "other-count"],
+)
+def test_a_layer_pair_with_a_lone_body_or_another_count_is_refused(tmp_path, bad, message):
+    parent = [bench_json({"a": 2e-3, "b": 5e-3}, {"a": 1000, "b": 80}) for _ in range(2)]
+    change = [bench_json({"a": 1e-3, "b": 5e-3}, {"a": 750, "b": 80}), bad]
+    with pytest.raises(SystemExit, match=message):
+        main_layers(tmp_path, {"parent": parent, "change": change}, 2)
+
+
+def test_a_workload_needs_a_seed(tmp_path):
+    with pytest.raises(SystemExit):
+        ab.main(trees(tmp_path) + ["--workload", "traces-warm", "--pairs", "1"], run=None)

@@ -8,11 +8,16 @@ import importlib.util
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 from pathlib import Path
 
 import oracle_reference as ref
-from hl_reference import block_value_reference, schur_value_reference, sym_character_reference
+from hl_reference import (
+    block_value_reference,
+    hl_q_by_charge,
+    schur_value_reference,
+    sym_character_reference,
+)
 
 from fqtraces.measures import _trial_rng, cyl_prob_from_trace
 from fqtraces.oracle import extension_classes
@@ -25,6 +30,7 @@ from fqtraces.partitions import (
     transpose,
 )
 from fqtraces.specializations import Specialization
+from fqtraces.symfunc import _hl_q
 
 _BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
 
@@ -85,8 +91,8 @@ def test_layer_benchmark_bodies():
 
 
 def test_symfunc_layer_benchmark_bodies():
-    assert set(symfunc_layers.COLD) == {"partitions-20", "character-table-12"}
-    assert set(symfunc_layers.WARM) == {"schur-row-12"}
+    assert set(symfunc_layers.COLD) == {"partitions-20", "character-table-12", "hl-q-cold-12"}
+    assert set(symfunc_layers.WARM) == {"schur-row-12", "hl-q-warm-12"}
     symfunc_layers.clear_tables()
     assert partitions_of.cache_info().currsize == 0
     assert len(symfunc_layers.partitions_20()) == 627
@@ -104,6 +110,20 @@ def test_symfunc_layer_benchmark_bodies():
         for lam in order
     ]
     assert symfunc_layers.schur_row_12() == expected
+    # the 77 Q rows, cold, each reduced over its least denominator, a few
+    # against the charge route; read again, they are 77 memo hits
+    symfunc_layers.clear_tables()
+    rows = symfunc_layers.hl_q_12()
+    assert len(rows) == 77
+    assert all(len(row) == 77 and den > 0 and gcd(den, *row) == 1 for den, row in rows)
+    for lam in ((12,), (10, 2), (9, 2, 1)):
+        den, row = rows[order.index(lam)]
+        expected = hl_q_by_charge(lam, symfunc_layers.Q_T).terms
+        assert {rho: Fraction(c, den) for rho, c in zip(order, row) if c} == expected, lam
+    before = _hl_q.cache_info()
+    assert symfunc_layers.hl_q_12() == rows
+    after = _hl_q.cache_info()
+    assert (after.hits - before.hits, after.currsize) == (77, before.currsize)
 
 
 def _stepwise(params, n_max, trial):

@@ -38,7 +38,8 @@ from fqtraces.specializations import (
     Specialization,
     power_products,
 )
-from fqtraces.symfunc import hl_q_in_p
+from fqtraces.symfunc import _hl_q, hl_q_in_p, hl_q_row
+from fqtraces.traces import UNIT, family, unipotent_block_value, unipotent_trace_value
 from hl_reference import block_value_reference
 
 HALF = Fraction(1, 2)
@@ -559,6 +560,51 @@ def test_degree_cap_raises_for_generic_params():
     assert cyl_prob(DELTA2, (1,) * 30) == 1
 
 
+def test_the_q_memo_serves_both_routes_under_one_key_per_t():
+    # the library's readers and the checked entry share one entry per
+    # (lam, t), t in lowest terms, whatever form t was given in
+    lam = (3, 2, 1)
+    _hl_q.cache_clear()
+    cyl_prob(MIXED, lam)
+    sp = Specialization.finite((Fraction(1, 3),), (Fraction(1, 5),), 1)
+    reads = [
+        lambda: hl_q_row(lam, Fraction(2, 4)),
+        lambda: hl_q_row(lam, "1/2"),
+        lambda: hl_q_row(lam, 0.5),
+        lambda: unipotent_block_value(sp, 1, lam, 2),
+    ]
+    for read in reads:
+        before = _hl_q.cache_info()
+        read()
+        after = _hl_q.cache_info()
+        assert after.hits > before.hits and after.currsize == before.currsize
+    # q = 5/2 at d = 2 reads the row of t = q**-2 = 4/25
+    _hl_q.cache_clear()
+    hl_q_row(lam, Fraction(4, 25))
+    before = _hl_q.cache_info()
+    unipotent_block_value(sp, 2, lam, Fraction(5, 2))
+    after = _hl_q.cache_info()
+    assert after.hits > before.hits and after.currsize == before.currsize
+
+
+def test_internal_q_readers_refuse_above_the_cap_and_keep_nothing():
+    # the memo's own check refuses for readers that skip hl_q_row, before
+    # any row, tails included, is built
+    too_big = (1,) * (EXACT_HL_DEGREE_CAP + 1)
+    sp = Specialization.finite((Fraction(1, 3),), (), 1)
+    for refused in (
+        lambda: cyl_prob(MIXED, too_big),
+        lambda: transition_distribution(MIXED, (1,) * EXACT_HL_DEGREE_CAP),
+        lambda: unipotent_trace_value(sp, family((UNIT, 1, too_big)), 2),
+    ):
+        _hl_q.cache_clear()
+        hl_q_row((2, 1), HALF)
+        size_before = _hl_q.cache_info().currsize
+        with pytest.raises(ValueError, match=f"capped at degree {EXACT_HL_DEGREE_CAP}"):
+            refused()
+        assert _hl_q.cache_info().currsize == size_before
+
+
 def test_hl_weight_generic_at_degree_13():
     # above the former cap of 12: a degree-12 cylinder still splits over its
     # one-box extensions, every one of which needs a degree-13 weight
@@ -934,6 +980,20 @@ def test_lln_of_a_one_successor_chain_draws_no_variate(monkeypatch, params, n_ma
     rows = [last[i] if i < len(last) else 0 for i in range(4)]
     cols = [sum(part > j for part in last) for j in range(4)]
     assert [(r.empirical, r.stderr) for r in rep] == [(x / n_max, 0.0) for x in rows + cols]
+
+
+@pytest.mark.parametrize("params", [DELTA2, ROW2], ids=["delta", "single-row"])
+def test_a_one_successor_trajectory_draws_no_variate(monkeypatch, params):
+    # as in lln: the walk reads no variate, so no stream is seeded or drawn
+    expected = {n_max: sample_trajectory(params, n_max, 3) for n_max in (0, 1, 1000)}
+
+    def refuse(*args):
+        raise AssertionError("a one-successor chain drew variates")
+
+    monkeypatch.setattr(measures, "_trial_variates", refuse)
+    monkeypatch.setattr(measures, "_trial_rng", refuse)
+    for n_max, trajectory in expected.items():
+        assert sample_trajectory(params, n_max, 3) == trajectory
 
 
 def test_lln_deterministic_families_are_exact():
