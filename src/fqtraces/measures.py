@@ -51,7 +51,6 @@ bound of 2**64: 66 entries at most for q >= 2, and CHAIN_LEVEL_CAP + 1
 import _random
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, sqrt
@@ -71,9 +70,12 @@ from fqtraces.partitions import (
 from fqtraces.specializations import (
     EMPTY,
     FinitePowerSums,
+    FrozenRecord,
     GeometricSpread,
     Specialization,
+    _as_fractions,
     _check_weakly_decreasing_nonneg,
+    _over_common_denominator,
     check_q,
     check_q_power,
     power_products,
@@ -83,8 +85,7 @@ from fqtraces.symfunc import EXACT_HL_DEGREE_CAP, _hl_q
 from fqtraces.traces import _block_pair, _check_blocks
 
 
-@dataclass(frozen=True)
-class MeasureParams:
+class MeasureParams(FrozenRecord):
     """Row frequencies, column frequencies, and the field size q.
 
     ``r`` may be an explicit finite tuple or a :class:`GeometricSpread`
@@ -92,31 +93,29 @@ class MeasureParams:
     finite tuple.  The total mass sum(r) + sum(c) may not exceed 1.
     """
 
-    r: object
-    c: tuple[Fraction, ...]
-    q: Fraction
-    # the weight object of the parameter family, picked once from r, c, q,
-    # and the specialization behind the weights, built once; both kept out
-    # of eq, hash and repr, which stay those of (r, c, q)
-    family: object = field(init=False, repr=False, compare=False)
-    _spec: Specialization = field(init=False, repr=False, compare=False)
+    # eq, hash and repr are those of (r, c, q)
+    _fields = ("r", "c", "q")
 
-    def __post_init__(self):
-        q = check_q(self.q)
-        r = self.r
+    def __init__(self, r, c: tuple[Fraction, ...], q: Fraction):
+        q = check_q(q)
         if isinstance(r, (tuple, list)):
-            r = FinitePowerSums(tuple(Fraction(v) for v in r))
+            r = FinitePowerSums(_as_fractions(r))
         if isinstance(r, FinitePowerSums):
-            _check_weakly_decreasing_nonneg(r.values, "row frequencies")
+            _check_weakly_decreasing_nonneg(r.values, r._scaled[1], "row frequencies")
         elif not isinstance(r, GeometricSpread):
             raise TypeError("r must be a sequence or a GeometricSpread")
-        c = tuple(Fraction(v) for v in self.c)
-        _check_weakly_decreasing_nonneg(c, "column frequencies")
-        if Fraction(*r.power_pair(1)) + sum(c) > 1:
+        c = _as_fractions(c)
+        c_den, c_nums = _over_common_denominator(c)
+        _check_weakly_decreasing_nonneg(c, c_nums, "column frequencies")
+        # sum(r) + sum(c) > 1, over positive denominators
+        r_num, r_den = r.power_pair(1)
+        if r_num * c_den + sum(c_nums) * r_den > r_den * c_den:
             raise ValueError("total frequency mass must not exceed 1")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "q", q)
+        # the weight object of the parameter family, picked once from r, c, q,
+        # and the specialization behind the weights, built once
         object.__setattr__(self, "family", _resolve_family(self))
         beta = GeometricSpread(c, q) if c else EMPTY
         object.__setattr__(self, "_spec", Specialization(r, beta, Fraction(1)))
@@ -537,11 +536,11 @@ def _resolve_family(params: MeasureParams):
     """The family object of validated parameters; equal parameters, equal kind."""
     q, r, c = params.q, params.r, params.c
     if isinstance(r, GeometricSpread):
-        if r.seq == (Fraction(1),) and r.q == q and not c:
+        if r.seq == (1,) and r.q == q and not c:
             return _Haar(params)
-    elif r.values == () and c == (Fraction(1),):
+    elif r.values == () and c == (1,):
         return _Delta(params)
-    elif r.values == (Fraction(1),) and not c:
+    elif r.values == (1,) and not c:
         return _Row(params)
     return _Generic(params)
 
@@ -646,13 +645,19 @@ def sample_trajectory(params: MeasureParams, n_max: int, seed: int) -> list[Part
 # Law-of-large-numbers experiments
 
 
-@dataclass(frozen=True)
-class LLNRow:
-    statistic: str
-    index: int
-    empirical: float
-    predicted: Fraction
-    stderr: float
+class LLNRow(FrozenRecord):
+    """One row of an lln report: a statistic's empirical mean and its prediction."""
+
+    _fields = ("statistic", "index", "empirical", "predicted", "stderr")
+
+    def __init__(
+        self, statistic: str, index: int, empirical: float, predicted: Fraction, stderr: float
+    ):
+        object.__setattr__(self, "statistic", statistic)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "empirical", empirical)
+        object.__setattr__(self, "predicted", predicted)
+        object.__setattr__(self, "stderr", stderr)
 
 
 def _mean_stderr(s1: int, s2: int, t: int, n: int) -> tuple[float, float]:

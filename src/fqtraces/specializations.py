@@ -30,22 +30,31 @@ successor weights never do, as integers sharing one common factor.
 whose coefficients it first puts over one denominator.  Nothing is kept
 between calls.  :meth:`Specialization.power_sum` is the one `Fraction`
 view of a p_k.
+
+The parameter records of the package (the power sum providers and
+:class:`Specialization` here, ``MeasureParams`` and ``LLNRow`` in
+:mod:`fqtraces.measures`, ``DiagramFamily`` and ``GLUTraceParams`` in
+:mod:`fqtraces.traces`) are :class:`FrozenRecord` subclasses.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
 
 
+def _fraction(v) -> Fraction:
+    """``Fraction(v)``, without building a copy of a `Fraction`."""
+    return v if type(v) is Fraction else Fraction(v)
+
+
 def _as_fractions(values) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
+    return tuple(map(_fraction, values))
 
 
 def check_q(q) -> Fraction:
     """The field size q as a `Fraction`; it must exceed 1."""
-    q = Fraction(q)
-    if q <= 1:
+    q = _fraction(q)
+    if q.numerator <= q.denominator:
         raise ValueError(f"q must exceed 1, got {q}")
     return q
 
@@ -67,30 +76,72 @@ def _largest(values, count: int) -> list[Fraction]:
     return out + [Fraction(0)] * (count - len(out))
 
 
-def _check_weakly_decreasing_nonneg(values, what: str):
-    for i, v in enumerate(values):
+def _check_weakly_decreasing_nonneg(values, nums: tuple[int, ...], what: str):
+    """Refuse ``values`` with a negative entry or an increase, the first fault first.
+
+    ``nums`` are the values times one positive common denominator, as
+    :func:`_over_common_denominator` gives them, so the checks compare
+    integers; a message names the value itself.
+    """
+    for i, v in enumerate(nums):
         if v < 0:
-            raise ValueError(f"{what} must be non-negative, got {v}")
-        if i and values[i - 1] < v:
+            raise ValueError(f"{what} must be non-negative, got {values[i]}")
+        if i and nums[i - 1] < v:
             raise ValueError(f"{what} must be weakly decreasing")
 
 
 def _over_common_denominator(values: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
     """(D, (D * v for v in values)), D the values' common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return den, tuple(v.numerator * (den // v.denominator) for v in values)
+    dens = [v.denominator for v in values]
+    den = lcm(*dens)
+    return den, tuple([v.numerator * (den // d) for v, d in zip(values, dens)])
 
 
-@dataclass(frozen=True)
-class FinitePowerSums:
-    """Power sums of an explicit finite sequence."""
+class FrozenRecord:
+    """An immutable record, compared and hashed as the tuple of its fields.
 
-    values: tuple[Fraction, ...]
-    # the values over their common denominator, built once
-    _scaled: tuple = field(init=False, repr=False, compare=False)
+    A subclass names its fields in ``_fields``, in order: they are what its
+    ``repr`` shows, what ``==`` compares, against a record of the very same
+    class only, and what ``hash`` hashes, as one tuple.  Its ``__init__``
+    checks its arguments and sets the fields, and anything it derives from
+    them once, with ``object.__setattr__``; every later assignment or
+    deletion raises AttributeError.  Records have no ``__slots__``: they
+    take weak references, and ``vars`` shows what they hold.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "_scaled", _over_common_denominator(self.values))
+    _fields: tuple[str, ...] = ()
+
+    def _field_values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._field_values() == other._field_values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._field_values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FinitePowerSums(FrozenRecord):
+    """Power sums of an explicit finite sequence, taken as given."""
+
+    _fields = ("values",)
+
+    def __init__(self, values: tuple[Fraction, ...]):
+        object.__setattr__(self, "values", values)
+        # the values over their common denominator, built once
+        object.__setattr__(self, "_scaled", _over_common_denominator(values))
 
     def power_pair(self, k: int) -> tuple[int, int]:
         den, nums = self._scaled
@@ -100,8 +151,7 @@ class FinitePowerSums:
         return _largest(self.values, count)
 
 
-@dataclass(frozen=True)
-class GeometricSpread:
+class GeometricSpread(FrozenRecord):
     """The doubly indexed sequence (1 - 1/q) * seq_i * q**(1-j), j = 1, 2, ...
 
     Each entry of ``seq`` is smeared into a geometric series with ratio 1/q;
@@ -112,16 +162,17 @@ class GeometricSpread:
     and the total mass equals ``sum(seq)``.
     """
 
-    seq: tuple[Fraction, ...]
-    q: Fraction
-    # the sequence over its common denominator, built once
-    _scaled: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("seq", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "seq", _as_fractions(self.seq))
-        object.__setattr__(self, "q", check_q(self.q))
-        _check_weakly_decreasing_nonneg(self.seq, "spread sequence")
-        object.__setattr__(self, "_scaled", _over_common_denominator(self.seq))
+    def __init__(self, seq: tuple[Fraction, ...], q: Fraction):
+        seq = _as_fractions(seq)
+        q = check_q(q)
+        scaled = _over_common_denominator(seq)
+        _check_weakly_decreasing_nonneg(seq, scaled[1], "spread sequence")
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "q", q)
+        # the sequence over its common denominator, built once
+        object.__setattr__(self, "_scaled", scaled)
 
     def power_pair(self, k: int) -> tuple[int, int]:
         # for q = a/b, (1 - 1/q)**k / (1 - q**-k) = (a - b)**k / (a**k - b**k)
@@ -180,25 +231,29 @@ def row_value(row: tuple[int, tuple[int, ...]], vector: tuple[int, list[int]]) -
     return Fraction(*row_pair(row, vector))
 
 
-@dataclass(frozen=True)
-class Specialization:
+class Specialization(FrozenRecord):
     """The homomorphism with parameter data (alpha side, beta side, gamma)."""
 
-    alpha: object
-    beta: object
-    gamma: Fraction
+    _fields = ("alpha", "beta", "gamma")
+
+    def __init__(self, alpha, beta, gamma: Fraction):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
 
     @classmethod
     def finite(cls, alphas=(), betas=(), gamma=1) -> "Specialization":
         """Explicit parameter sequences; validates the mass constraint."""
-        alphas = _as_fractions(alphas)
-        betas = _as_fractions(betas)
-        gamma = Fraction(gamma)
-        _check_weakly_decreasing_nonneg(alphas, "alpha")
-        _check_weakly_decreasing_nonneg(betas, "beta")
-        if sum(alphas) + sum(betas) > gamma:
+        alpha = FinitePowerSums(_as_fractions(alphas))
+        beta = FinitePowerSums(_as_fractions(betas))
+        gamma = _fraction(gamma)
+        _check_weakly_decreasing_nonneg(alpha.values, alpha._scaled[1], "alpha")
+        _check_weakly_decreasing_nonneg(beta.values, beta._scaled[1], "beta")
+        # sum(alpha) + sum(beta) > gamma, over positive denominators
+        (na, da), (nb, db) = alpha.power_pair(1), beta.power_pair(1)
+        if (na * db + nb * da) * gamma.denominator > gamma.numerator * da * db:
             raise ValueError("sum(alpha) + sum(beta) must not exceed gamma")
-        return cls(FinitePowerSums(alphas), FinitePowerSums(betas), gamma)
+        return cls(alpha, beta, gamma)
 
     def power_pair(self, k: int) -> tuple[int, int]:
         """p_k as integers (N, D), p_k = N / D, not reduced.

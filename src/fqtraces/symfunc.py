@@ -584,8 +584,9 @@ def modified_hl_q_row(lam: Partition, t) -> tuple[int, tuple[int, ...]]:
     for k in range(1, min(2, n) + 1):
         if t**k == 1:
             raise ValueError(f"t = {t} has t**{k} = 1; modified Q is undefined")
-    den, row = hl_q_row(lam, t)
+    # lam and t are checked: read the memo, which refuses a degree above the cap
     a, b = t.numerator, t.denominator
+    den, row = _hl_q(lam, a, b)
     top, scales = power_products(lambda k: (b**k, b**k - a**k), partitions_of(n))
     return den * top, tuple(map(mul, row, scales))
 

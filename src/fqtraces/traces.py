@@ -20,7 +20,6 @@ with one class vector.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -36,6 +35,7 @@ from fqtraces.partitions import (
     size,
 )
 from fqtraces.specializations import (
+    FrozenRecord,
     Specialization,
     check_q,
     check_q_power,
@@ -47,8 +47,7 @@ from fqtraces.symfunc import _hl_q, check_hl_degree, class_vector, schur_coeffic
 UNIT = "x-1"
 
 
-@dataclass(frozen=True)
-class DiagramFamily:
+class DiagramFamily(FrozenRecord):
     """A finitely supported map from tagged polynomial factors to diagrams.
 
     ``blocks`` is kept sorted by (degree, tag) so that equal families
@@ -56,12 +55,12 @@ class DiagramFamily:
     for conjugacy-class labels.
     """
 
-    blocks: tuple[tuple[str, int, Partition], ...]
+    _fields = ("blocks",)
 
-    def __post_init__(self):
+    def __init__(self, blocks: tuple[tuple[str, int, Partition], ...]):
         canon = []
         seen = set()
-        for tag, d, lam in self.blocks:
+        for tag, d, lam in blocks:
             lam = check_partition(lam)
             if not lam:
                 raise ValueError("family blocks must carry nonempty diagrams")
@@ -363,8 +362,7 @@ def biregular_coefficient(f: DiagramFamily, q) -> Fraction:
 # Traces for the unit-diagonal tower: one parameter triple per eigenvalue
 
 
-@dataclass(frozen=True)
-class GLUTraceParams:
+class GLUTraceParams(FrozenRecord):
     """Trace data with one specialization per nonzero field element.
 
     ``entries`` maps eigenvalue labels (tags of linear factors) to
@@ -372,18 +370,23 @@ class GLUTraceParams:
     part of the family and may not use degree-1 tags at all.
     """
 
-    entries: tuple[tuple[str, Specialization], ...]
-    background: DiagramFamily = EMPTY_FAMILY
+    _fields = ("entries", "background")
 
-    def __post_init__(self):
-        labels = [label for label, _ in self.entries]
+    def __init__(
+        self,
+        entries: tuple[tuple[str, Specialization], ...],
+        background: DiagramFamily = EMPTY_FAMILY,
+    ):
+        labels = [label for label, _ in entries]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate eigenvalue labels")
-        total = sum((sp.gamma for _, sp in self.entries), Fraction(0))
+        total = sum((sp.gamma for _, sp in entries), Fraction(0))
         if total != 1:
             raise ValueError(f"gammas must sum to 1, got {total}")
-        if self.background.linear_blocks():
+        if background.linear_blocks():
             raise ValueError("background family may not contain degree-1 blocks")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "background", background)
 
 
 def _partition_tuples(total: int, slots: int):

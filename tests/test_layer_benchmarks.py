@@ -1,7 +1,9 @@
 """Each body of the files in ``benchmarks/`` run once, untimed, with its result checked.
 
 The benchmark files are outside ``testpaths``; this keeps them from rotting.
-The bytecode counter they share runs twice, on the cheapest body.
+The bytecode counter they share runs twice, on the cheapest body.  The
+end-to-end bodies each start a process: their argv are parsed, and the
+cheapest one that computes runs in process.
 """
 
 import importlib.util
@@ -10,6 +12,9 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd, prod
 from pathlib import Path
+from time import perf_counter
+
+import pytest
 
 import oracle_reference as ref
 from hl_reference import (
@@ -19,7 +24,8 @@ from hl_reference import (
     sym_character_reference,
 )
 
-from fqtraces.measures import _trial_rng, cyl_prob_from_trace
+from fqtraces.cli import build_parser
+from fqtraces.measures import MeasureParams, _trial_rng, cyl_prob, cyl_prob_from_trace
 from fqtraces.oracle import extension_classes
 from fqtraces.partitions import (
     add_box,
@@ -48,6 +54,7 @@ layers = _load("test_layers")
 symfunc_layers = _load("test_symfunc_layers")
 chain_layers = _load("test_chain_layers")
 value_layers = _load("test_value_layers")
+e2e = _load("test_e2e")
 
 
 def test_layer_benchmark_bodies():
@@ -224,3 +231,22 @@ def test_opcode_count_of_the_cheapest_body():
     assert sys.gettrace() is before
     assert counts[0] == counts[1] > 1000
     assert symfunc_layers.schur_row_12() == expected
+
+
+def test_e2e_benchmark_bodies(monkeypatch, capsys):
+    assert set(e2e.INVOCATIONS) == {"help", "cyl-generic", "hl-expand-16", "lln-haar-1000x200"}
+    # every body's argv parses; --help prints the usage and exits 0
+    for name, argv in e2e.INVOCATIONS.items():
+        if name == "help":
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: fqtraces")
+        else:
+            assert build_parser().parse_args(argv).command == argv[0]
+    # the cheapest body that computes, in process, as the bodies compare it
+    monkeypatch.setenv("COLUMNS", "80")
+    start = perf_counter()
+    out = e2e.in_process(e2e.INVOCATIONS["cyl-generic"])
+    assert perf_counter() - start < 0.3
+    params = MeasureParams((Fraction(1, 2), Fraction(1, 4)), (Fraction(1, 8),), 2)
+    assert out == f"{cyl_prob(params, (3, 2, 1))}\n"

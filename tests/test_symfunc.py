@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqtraces import verify
+from fqtraces import symfunc, verify
 from fqtraces.partitions import hook_lengths, partitions_of, size, transpose, z_factor
 from fqtraces.specializations import Specialization
 from fqtraces.traces import COEFFICIENT_DEGREE_CAP
@@ -505,6 +505,23 @@ def test_modified_row_against_its_definition(t):
             for rho, c, m in zip(partitions_of(n), row, mod_row, strict=True):
                 expected = Fraction(c, den) / prod(1 - t**k for k in rho)
                 assert Fraction(m, mod_den) == expected, (lam, t, rho)
+
+
+def test_modified_row_reads_the_memo_once_checked(monkeypatch):
+    # lam and t are checked once, in modified_hl_q_row itself; the Q row is
+    # the memo's entry, and the cap is still refused where a row is built
+    lam, t = (3, 2, 2, 1), Fraction(1, 3)
+    expected = modified_hl_q_row(lam, t)
+    monkeypatch.setattr(symfunc, "hl_q_row", None)
+    hits = _hl_q.cache_info().hits
+    assert modified_hl_q_row(lam, "1/3") == expected
+    assert _hl_q.cache_info().hits == hits + 1
+    entries = _hl_q.cache_info().currsize
+    with pytest.raises(ValueError, match=f"capped at degree {EXACT_HL_DEGREE_CAP}"):
+        modified_hl_q_row((1,) * (EXACT_HL_DEGREE_CAP + 1), t)
+    with pytest.raises(ValueError, match=r"^not a partition: \(1, 2\)$"):
+        modified_hl_q_row((1, 2), t)
+    assert _hl_q.cache_info().currsize == entries
 
 
 def test_schur_expand_of_modified_hl_matches_charge_polynomials():
