@@ -1,7 +1,8 @@
-"""Alternating parent/change pairs of one perfbench workload or layer file, and the pair table.
+"""Alternating parent/change pairs of one perfbench workload, layer file or CLI request, and the pair table.
 
     python benchmarks/ab.py --parent DIR --change DIR --workload W --seed S --pairs N
     python benchmarks/ab.py --parent DIR --change DIR --layers FILE --pairs N
+    python benchmarks/ab.py --parent DIR --change DIR --cli "ARGS" --pairs N
 
 DIR is the root of an fqtraces checkout.  Each pair runs
 ``perfbench/run.py --trace 0`` once from each tree, for the
@@ -30,13 +31,28 @@ which a body ran on one side only, or in which a body's bytecode count
 run.  Per body the table gives both medians with their quartiles of the
 per-run minimum time, the ratio change/parent, the pairs the change won,
 and the ratio of the two trees' counts.
+
+With ``--cli "ARGS"`` (split as a shell would), each run is one
+``python -m fqtraces.cli ARGS`` in a fresh process, with the tree as
+working directory and its ``src`` as ``PYTHONPATH``, alternating in the
+same way.  Its wall time and the CPU time of the child
+(``resource.getrusage(RUSAGE_CHILDREN)``) are kept in ``--out`` as
+``<side>-cli-<command>-pair<i>.json``, with its exit code and the digest
+of its stdout; a pair with a nonzero exit, or whose two stdouts differ,
+stops the run.  The table gives both timings as for a workload's metrics,
+lower being better.
 """
 
 import argparse
+import hashlib
 import json
+import os
+import resource
+import shlex
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -60,6 +76,29 @@ def run_pytest_benchmark(tree: Path, out: Path, file: str):
     """One ``pytest-benchmark`` run of ``file`` from ``tree``, its JSON written to ``out``."""
     cmd = [sys.executable, "-m", "pytest", file, "-q", "-p", "no:cacheprovider", f"--benchmark-json={out}"]
     subprocess.run(cmd, cwd=tree, capture_output=True, check=False)
+
+
+def _child_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def run_cli(tree: Path, out: Path, args: list[str]):
+    """One fresh ``python -m fqtraces.cli ARGS`` from ``tree``: its timings, exit code and stdout digest to ``out``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    cpu = _child_cpu_s()
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-m", "fqtraces.cli", *args], cwd=tree, env=env, capture_output=True, check=False
+    )
+    wall = time.perf_counter() - start
+    result = {
+        "wall_s": wall,
+        "child_cpu_s": _child_cpu_s() - cpu,
+        "code": run.returncode,
+        "stdout_sha256": hashlib.sha256(run.stdout).hexdigest(),
+    }
+    out.write_text(json.dumps(result))
 
 
 def run_pairs(n: int, trees: dict, out_dir: Path, stem: str, run_one):
@@ -89,6 +128,15 @@ def check_pair(results: dict, i: int):
     digests = {result["output_sha256"] for result in results.values()}
     if len(digests) != 1:
         raise SystemExit(f"pair {i + 1}: the output digests differ")
+
+
+def check_cli_pair(results: dict, i: int):
+    """Refuse pair i when a side exits nonzero or the two stdouts differ."""
+    for side, result in results.items():
+        if result["code"]:
+            raise SystemExit(f"pair {i + 1}: the {side} request exited {result['code']}")
+    if len({result["stdout_sha256"] for result in results.values()}) != 1:
+        raise SystemExit(f"pair {i + 1}: the stdouts differ")
 
 
 def quartiles(values: list) -> tuple[float, float]:
@@ -125,6 +173,19 @@ def summarize(pairs: list[dict], spec: dict) -> list[dict]:
         name = m["name"]
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
         rows.append({"metric": name, "unit": m["unit"], **compare(values, m["better"] == "lower")})
+    return rows
+
+
+# the timings of one CLI request, both lower-is-better
+CLI_METRICS = {"wall_s": "s", "child_cpu_s": "s"}
+
+
+def summarize_cli(pairs: list[dict]) -> list[dict]:
+    """One row per timing of ``CLI_METRICS`` over ``pairs`` of {side: result}."""
+    rows = []
+    for name, unit in CLI_METRICS.items():
+        values = {side: [p[side][name] for p in pairs] for side in SIDES}
+        rows.append({"metric": name, "unit": unit, **compare(values, lower=True)})
     return rows
 
 
@@ -192,13 +253,14 @@ def layer_table(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def main(argv=None, run=run_perfbench, run_layers=run_pytest_benchmark) -> list[dict]:
+def main(argv=None, run=run_perfbench, run_layers=run_pytest_benchmark, run_request=run_cli) -> list[dict]:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path)
     ap.add_argument("--change", required=True, type=Path)
     what = ap.add_mutually_exclusive_group(required=True)
     what.add_argument("--workload")
     what.add_argument("--layers", metavar="FILE")
+    what.add_argument("--cli", metavar="ARGS")
     ap.add_argument("--seed", type=int)
     ap.add_argument("--pairs", required=True, type=int)
     ap.add_argument("--out", type=Path, default=Path("ab-out"))
@@ -218,6 +280,17 @@ def main(argv=None, run=run_perfbench, run_layers=run_pytest_benchmark) -> list[
         rows = summarize_layers(pairs)
         print(f"layers {args.layers}: {len(pairs)} pairs, parent first in the odd ones")
         print(layer_table(rows))
+        return rows
+    if args.cli is not None:
+        request = shlex.split(args.cli)
+        stem = "-".join(["cli", *request[:1]])
+        runs = run_pairs(args.pairs, trees, args.out, stem, lambda tree, out: run_request(tree, out, request))
+        for i, results in runs:
+            check_cli_pair(results, i)
+            pairs.append(results)
+        rows = summarize_cli(pairs)
+        print(f"fqtraces {args.cli}: {len(pairs)} pairs, parent first in the odd ones")
+        print(table(rows))
         return rows
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]

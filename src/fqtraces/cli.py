@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import accumulate
+from math import prod
 
 from fqtraces.measures import (
     CYLINDER_Q_BITS_CAP,
@@ -33,6 +35,7 @@ from fqtraces.partitions import (
 from fqtraces.specializations import Specialization, check_q_power
 from fqtraces.symfunc import (
     EXACT_HL_DEGREE_CAP,
+    KOSTKA_CONTENT_CAP,
     hl_q_row,
     kostka,
     kostka_foulkes,
@@ -62,6 +65,15 @@ BIREGULAR_MAX_SIZE = {2: 12, 3: 7, 4: 6, 5: 5, 7: 4, 8: 4, 9: 4}
 # degree 10-13 (in process, Python 3.11, 2 vCPU): 20000 of them take about
 # 1 s.  Their number, a Kostka number, takes at most a few ms to count.
 KOSTKA_FOULKES_TABLEAU_CAP = 20_000
+
+# kostka with a content part above 1 visits diagrams inside the shape, once
+# each, and its time follows their number.  Bounded by this cap (see
+# _check_kostka_diagrams, under 1 ms), the slowest requests found took
+# 0.35-0.6 s, start-up included: (10,10,9,7,7,6,5) with content
+# 3^10 2^10 1^4, (9,8,...,1) with 2^22 1 (Python 3.11, 2 vCPU).  The
+# near-staircase (11,10,...,3,1), 132430 sub-diagrams, took 4.8-5.6 s with
+# content 2^32 before it was refused.
+KOSTKA_DIAGRAM_CAP = 20_000
 
 
 class CliError(Exception):
@@ -260,6 +272,53 @@ def _check_tableau_count(shape, content):
         )
 
 
+def _sub_diagram_count(shape, cap: int) -> int:
+    """The number of diagrams inside ``shape``, or a number above ``cap`` once the count passes it."""
+    first = shape[0] if shape else 0
+    if first >= cap:
+        return first + 1
+    # ways[v]: the diagrams inside the rows so far whose last row has v boxes
+    ways = [1] * (first + 1)
+    total = len(ways)
+    for part in shape[1:]:
+        if total > cap:
+            break
+        # the next row keeps v <= part boxes, under a row of at least v
+        ways = list(accumulate(reversed(ways)))[::-1][: part + 1]
+        total = sum(ways)
+    return total
+
+
+def _check_kostka_diagrams(shape, content):
+    """Refuse, before any work, a Kostka number whose recursion visits too many diagrams.
+
+    With a content part above 1, :func:`kostka` removes one horizontal
+    strip per such part, and the diagrams it reaches lie inside the shape.
+    Their number is at most the shape's sub-diagrams, counted row by row,
+    and at most K times the product of shape_i + 1 over the rows below the
+    first, K the parts above 1: the diagrams after k strips share one size,
+    which fixes their first row.  What :func:`kostka` refuses itself, or
+    answers without recursing (0 for a shape of more rows than the content
+    has parts, hook lengths for content 1^n), is left to it.
+    """
+    if (
+        not content
+        or content[0] == 1
+        or len(content) > KOSTKA_CONTENT_CAP
+        or size(shape) != size(content)
+        or len(shape) > len(content)
+    ):
+        return
+    depths = sum(1 for part in content if part > 1)
+    if depths * prod(part + 1 for part in shape[1:]) <= KOSTKA_DIAGRAM_CAP:
+        return
+    if _sub_diagram_count(shape, KOSTKA_DIAGRAM_CAP) > KOSTKA_DIAGRAM_CAP:
+        raise ValueError(
+            f"kostka with a content part above 1 capped at {KOSTKA_DIAGRAM_CAP} "
+            "diagrams inside the shape"
+        )
+
+
 def _cell(c) -> str:
     if isinstance(c, _PartitionCell):
         return f'"{c}"'
@@ -438,6 +497,7 @@ def _run(args) -> int:
         _check_dimension(args.family, args.q)
         rows = [{"value": _exact(green_dimension(args.family, args.q))}]
     elif args.command == "kostka":
+        _check_kostka_diagrams(args.shape, args.content)
         rows = [{"value": _exact(kostka(args.shape, args.content))}]
     elif args.command == "kostka-foulkes":
         _check_tableau_count(args.shape, args.content)

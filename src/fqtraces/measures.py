@@ -43,9 +43,9 @@ the same successors: the delta and single-row chains have one successor
 chain), and the Haar row telescopes, so its walk bisects one ascending
 table of exact bounds on u, kept per parameter set, without building the
 row, and adds each box to one list in place.  The table holds one entry
-per row of the longest diagram stepped so far and stops at its first
-bound of 2**64: 66 entries at most for q >= 2, and CHAIN_LEVEL_CAP + 1
-(about 88 KB) at most on a capped chain with q near 1.
+per row of the longest diagram a walk has started from or reached and
+stops at its first bound of 2**64: 66 entries at most for q >= 2, and
+CHAIN_LEVEL_CAP + 1 (about 88 KB) at most on a capped chain with q near 1.
 """
 
 import _random
@@ -53,6 +53,7 @@ import struct
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from math import gcd, lcm, sqrt
 from operator import mul
 
@@ -105,7 +106,7 @@ class MeasureParams(FrozenRecord):
         elif not isinstance(r, GeometricSpread):
             raise TypeError("r must be a sequence or a GeometricSpread")
         c = _as_fractions(c)
-        c_den, c_nums = _over_common_denominator(c)
+        c_scaled = c_den, c_nums = _over_common_denominator(c)
         _check_weakly_decreasing_nonneg(c, c_nums, "column frequencies")
         # sum(r) + sum(c) > 1, over positive denominators
         r_num, r_den = r.power_pair(1)
@@ -115,9 +116,10 @@ class MeasureParams(FrozenRecord):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "q", q)
         # the weight object of the parameter family, picked once from r, c, q,
-        # and the specialization behind the weights, built once
+        # and the specialization behind the weights, built once from the
+        # column frequencies checked above
         object.__setattr__(self, "family", _resolve_family(self))
-        beta = GeometricSpread(c, q) if c else EMPTY
+        beta = GeometricSpread._unchecked(c, q, c_scaled) if c else EMPTY
         object.__setattr__(self, "_spec", Specialization(r, beta, Fraction(1)))
 
     @classmethod
@@ -405,16 +407,22 @@ class _Haar(_Family):
     q = 10001/10000 took 16 s against 0.05 s (2-vCPU Xeon, Python 3.11).
 
     The chain's bounds S_r = 2**64 - T_r (see ``walk``) are kept for
-    r = 0, 1, ... up to the most rows a diagram stepped so far had, and
-    stop at the first S_r = 2**64: 66 entries at most for q >= 2, and at
-    most CHAIN_LEVEL_CAP + 1, each at most 2**64, on a capped chain.  A
-    walk steps one list in place and builds a tuple of it only for each
-    level a trajectory keeps and for the last.  A 1000-step q = 2
-    trajectory takes about 0.25 ms, 0.25 us a step (the draws included),
-    and an lln trial of 2000 steps at q = 10001/10000, whose diagrams grow
-    about 1800 rows, about 0.8 ms; a 2000-step trajectory there takes
-    about 8 ms, nearly all of it the tuples of its levels (2-vCPU Xeon,
-    Python 3.11).
+    r = 0, 1, ... up to the most rows of a diagram that a walk started
+    from or reached, its last included, and stop at the first
+    S_r = 2**64: 66 entries at most for q >= 2, and at most
+    CHAIN_LEVEL_CAP + 1, each at most 2**64, on a capped chain.  No entry
+    is kept for a row that no diagram grew.  A walk takes its bisections
+    in one lazy C pass over its variates, extends the table only when a
+    step adds a row, steps one list in place and builds a tuple of it only
+    for each level a trajectory keeps and for the last.  At q = 2 a
+    1000-step walk takes about 0.13 ms, 0.13 us a step, and its draws
+    0.04 ms more; the trajectory, its tuples included, about 0.23 ms.
+    Setting up the pass costs about 0.2 us a walk, so a one-step walk
+    takes about 0.55 us against 0.3 us stepped from Python.  An
+    lln trial of 2000 steps at q = 10001/10000, whose diagrams grow about
+    1800 rows, takes about 0.6 ms, and a 2000-step trajectory there about
+    7.5 ms, nearly all of it the tuples of its levels (in process, 2-vCPU
+    Xeon, Python 3.11).
     """
 
     def __init__(self, params: MeasureParams):
@@ -450,16 +458,21 @@ class _Haar(_Family):
         # block it accepts is the one holding row i - 1, and the box goes to
         # that block's top row; if i > l, to a new row.  The diagram is one
         # list, stepped in place; a block's top row is always an addable
-        # corner, so no step checks it.
+        # corner, so no step checks it.  The bisections are one lazy C pass
+        # over us: the table is extended for the start's rows, then only
+        # when a step adds a row, and in place, so each bisection sees it
+        # as the step before left it.
         mu = list(lam)
+        ell = len(mu)
         bounds = self.bounds
-        for u in us:
-            ell = len(mu)
-            if len(bounds) <= ell and bounds[-1] != _U64:
-                self._extend(ell)
-            i = bisect_right(bounds, u)
+        if len(bounds) <= ell and bounds[-1] != _U64:
+            self._extend(ell)
+        for i in map(bisect_right, repeat(bounds), us):
             if i > ell:
                 mu.append(1)
+                ell += 1
+                if len(bounds) <= ell and bounds[-1] != _U64:
+                    self._extend(ell)
             else:
                 mu[mu.index(mu[i - 1])] += 1
             if out is not None:
@@ -599,18 +612,18 @@ def _walk_variates(family: _Family, seed: int, trial: int, n: int) -> tuple[int,
 # holds n**2 / 2 entries at level n, 15 MiB at level 2000; `sample --measure
 # delta --format json` takes 0.4 s and 45 MiB peak at level 2000, most of it
 # the JSON (before this cap, 1.2 s and 79 MiB at 3000, 1.9 s and 126 MiB at
-# 4000).  In an lln run at q = 2 a Haar step costs about 0.25 us, its
+# 4000).  In an lln run at q = 2 a Haar step costs about 0.17 us, its
 # variate included, and a trial's stream about 7 us: Haar 1000 x 200 trials
-# takes 0.12-0.18 s and Haar 2000 x 100 0.12-0.14 s.  The delta and
-# single-row chains walk once for all their trials and draw nothing:
-# delta 2000 x 100 takes 0.11-0.14 s (31 MiB peak, the table included) and
-# single-row 1 x 200000 0.08 s, the start-up floor (fresh process, start-up
-# included, 2-vCPU Xeon, Python 3.11).
+# takes 0.10-0.12 s and Haar 2000 x 100 0.10-0.11 s, but 1 x 200000, all
+# streams, 1.8-2.2 s.  The delta and single-row chains walk once for all
+# their trials and draw nothing: delta 2000 x 100 takes 0.08-0.09 s (31 MiB
+# peak, the table included) and single-row 1 x 200000 0.05 s, the start-up
+# floor (fresh process, start-up included, 2-vCPU Xeon, Python 3.11).
 # A Haar step bisects its table of bounds, one per row, and lengthens one
 # list in place, and an lln trial keeps only its last diagram, so chains
 # with q near 1, which grow many rows, cost little more: 2000 x 100 takes
-# 0.13-0.23 s at q = 5/4 and 0.16-0.20 s at q = 10001/10000, whose diagrams
-# reach about 1800 rows; `sample --nmax 2000` there takes 0.3-0.4 s, most of
+# 0.11-0.13 s at q = 5/4 and 0.15-0.18 s at q = 10001/10000, whose diagrams
+# reach about 1800 rows; `sample --nmax 2000` there takes 0.3 s, most of
 # it the tuples of the levels it prints.  A diagram on a capped
 # chain has at most CHAIN_LEVEL_CAP rows and columns, which bounds the Haar
 # table and the delta columns at CHAIN_LEVEL_CAP + 1 entries and how many

@@ -174,6 +174,20 @@ class GeometricSpread(FrozenRecord):
         # the sequence over its common denominator, built once
         object.__setattr__(self, "_scaled", scaled)
 
+    @classmethod
+    def _unchecked(cls, seq: tuple[Fraction, ...], q: Fraction, scaled) -> "GeometricSpread":
+        """The spread of a sequence and a q its caller has checked, not checked again.
+
+        ``seq`` is a tuple of Fractions, weakly decreasing and non-negative,
+        q a `Fraction` above 1 and ``scaled`` the (den, nums) of ``seq`` that
+        :func:`_over_common_denominator` gives.
+        """
+        spread = object.__new__(cls)
+        object.__setattr__(spread, "seq", seq)
+        object.__setattr__(spread, "q", q)
+        object.__setattr__(spread, "_scaled", scaled)
+        return spread
+
     def power_pair(self, k: int) -> tuple[int, int]:
         # for q = a/b, (1 - 1/q)**k / (1 - q**-k) = (a - b)**k / (a**k - b**k)
         a, b = self.q.numerator, self.q.denominator

@@ -359,6 +359,8 @@ def charge(word) -> int:
 # overflow the stack.  The time is set by the shapes the strip removals
 # reach: on the near-staircase (11,10,...,3,1), content 1^64 takes under
 # 1 ms, 2^8 1^48 1.7 s and 2^32 5.5 s (fresh process, Xeon, Python 3.11).
+# The CLI refuses the last two before any work, by a bound on those shapes
+# (KOSTKA_DIAGRAM_CAP in fqtraces.cli); the recursion checks nothing.
 KOSTKA_CONTENT_CAP = 64
 
 

@@ -1,7 +1,8 @@
 """``benchmarks/ab.py`` on canned result files: the alternation, the refusals and the pair table.
 
-No workload or layer file runs: a stand-in for the perfbench or
-pytest-benchmark run writes each result file.
+No workload, layer file or CLI request runs: a stand-in for the
+perfbench, pytest-benchmark or ``fqtraces.cli`` run writes each result
+file.
 """
 
 import importlib.util
@@ -169,3 +170,56 @@ def test_a_layer_pair_with_a_lone_body_or_another_count_is_refused(tmp_path, bad
 def test_a_workload_needs_a_seed(tmp_path):
     with pytest.raises(SystemExit):
         ab.main(trees(tmp_path) + ["--workload", "traces-warm", "--pairs", "1"], run=None)
+
+
+def cli_result(wall, cpu, code=0, stdout="same"):
+    return {"wall_s": wall, "child_cpu_s": cpu, "code": code, "stdout_sha256": stdout}
+
+
+def canned_cli(results: dict, calls: list):
+    def run(tree, out, args):
+        calls.append((tree.name, args))
+        out.write_text(json.dumps(results[tree.name].pop(0)))
+
+    return run
+
+
+def main_cli(tmp_path, results, pairs):
+    calls = []
+    argv = trees(tmp_path) + [
+        "--cli", "lln --q 2 --measure haar --nmax 1000", "--pairs", str(pairs), "--out", str(tmp_path / "out"),
+    ]
+    return ab.main(argv, run_request=canned_cli(results, calls)), calls
+
+
+def test_cli_pairs_alternate_and_the_table_gives_wall_and_child_cpu(tmp_path, capsys):
+    walls = [0.10, 0.11, 0.12, 0.105, 0.115, 0.102, 0.112, 0.122, 0.108, 0.118]
+    parent = [cli_result(w, w - 0.01) for w in walls]
+    # wall: the change wins 9 pairs by 0.02 s, and loses pair 4;
+    # child CPU: it wins every pair, by less than the parent's spread
+    change = [cli_result(w - 0.02, w - 0.011) for w in walls]
+    change[3]["wall_s"] = 0.11
+    rows, calls = main_cli(tmp_path, {"parent": parent, "change": change}, 10)
+    assert [side for side, _ in calls] == ["parent", "change", "change", "parent"] * 5
+    assert {tuple(args) for _, args in calls} == {("lln", "--q", "2", "--measure", "haar", "--nmax", "1000")}
+    kept = {p.name for p in (tmp_path / "out").iterdir()}
+    assert len(kept) == 20 and "change-cli-lln-pair10.json" in kept
+    wall, cpu = rows
+    assert (wall["metric"], wall["unit"], cpu["metric"]) == ("wall_s", "s", "child_cpu_s")
+    assert wall["parent"] == pytest.approx(0.111) and wall["change"] == pytest.approx(0.0935)
+    assert wall["parent_quartiles"] == pytest.approx((0.10425, 0.1185))
+    assert (wall["won"], wall["pairs"], wall["passes"]) == (9, 10, True)
+    assert wall["ratio"] == pytest.approx(0.0935 / 0.111)
+    assert (cpu["won"], cpu["passes"]) == (10, False)
+    assert "child_cpu_s" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(cli_result(0.1, 0.09, code=1), "change request exited 1"), (cli_result(0.1, 0.09, stdout="other"), "stdouts differ")],
+    ids=["nonzero-exit", "other-stdout"],
+)
+def test_a_cli_pair_with_a_failed_request_or_other_stdout_is_refused(tmp_path, bad, message):
+    results = {"parent": [cli_result(0.1, 0.09)] * 2, "change": [cli_result(0.09, 0.08), bad]}
+    with pytest.raises(SystemExit, match=message):
+        main_cli(tmp_path, results, 2)

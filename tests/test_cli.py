@@ -9,9 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqtraces import cli, symfunc, verify
-from fqtraces.cli import BIREGULAR_MAX_SIZE, KOSTKA_FOULKES_TABLEAU_CAP, main
+from fqtraces.cli import (
+    BIREGULAR_MAX_SIZE,
+    KOSTKA_DIAGRAM_CAP,
+    KOSTKA_FOULKES_TABLEAU_CAP,
+    _sub_diagram_count,
+    main,
+)
 from fqtraces.measures import CHAIN_LEVEL_CAP, CHAIN_STEP_CAP
 from fqtraces.oracle import SUPPORTED_ORDERS
+from fqtraces.partitions import parse_partition, partitions_of
 from fqtraces.traces import COEFFICIENT_DEGREE_CAP, GLU_ROW_CAP
 
 
@@ -572,6 +579,72 @@ def test_kostka_foulkes_above_tableau_cap_exits_one_at_once(shape, count):
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert err == f"error: kostka-foulkes capped at {KOSTKA_FOULKES_TABLEAU_CAP} tableaux; got {count}\n"
+
+
+def _parts(*runs) -> str:
+    """A partition as flag text, from runs of (part, count)."""
+    return ",".join(str(part) for part, count in runs for _ in range(count))
+
+
+NEAR_STAIRCASE = "11,10,9,8,7,6,5,4,3,1"
+
+
+def test_sub_diagram_count_matches_a_brute_count():
+    for n in range(9):
+        for lam in partitions_of(n):
+            inside = sum(
+                len(nu) <= len(lam) and all(a <= b for a, b in zip(nu, lam))
+                for m in range(n + 1)
+                for nu in partitions_of(m)
+            )
+            assert _sub_diagram_count(lam, 10**6) == inside, lam
+    for shape, count in [(NEAR_STAIRCASE, 132430), ("8,7,6,5,4,3,2,1", 4862), ("16,16,16,16", 4845)]:
+        assert _sub_diagram_count(parse_partition(shape), 10**6) == count
+    # the count stops once it passes the cap
+    assert _sub_diagram_count((10**12,), 100) > 100
+    assert 100 < _sub_diagram_count(parse_partition(NEAR_STAIRCASE), 100) < 132430
+
+
+@pytest.mark.parametrize(
+    "shape, content",
+    [
+        # 132430 sub-diagrams: 5.5 s and 1.75 s before the cap
+        (NEAR_STAIRCASE, _parts((2, 32))),
+        (NEAR_STAIRCASE, _parts((2, 8), (1, 48))),
+        # just over the cap by the product of the rows below the first,
+        # 64 * 313, and by the sub-diagrams
+        ("400,312", _parts((12, 8), (11, 56))),
+        ("20000,20000", _parts((1000, 40))),
+    ],
+)
+def test_kostka_over_the_diagram_cap_exits_one_at_once(shape, content):
+    start = time.perf_counter()
+    code, out, err = run(["kostka", "--shape", shape, "--content", content])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: kostka with a content part above 1 capped at {KOSTKA_DIAGRAM_CAP} "
+        "diagrams inside the shape\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "shape, content",
+    [
+        # just under the cap by the product of the rows below the first, 64 * 312
+        ("400,311", _parts((12, 7), (11, 57))),
+        # 4862 sub-diagrams
+        ("8,7,6,5,4,3,2,1", _parts((2, 18))),
+        # content 1^64 goes to the hook lengths, whatever the shape holds
+        (NEAR_STAIRCASE, _parts((1, 64))),
+    ],
+)
+def test_kostka_under_the_diagram_cap_answers_within_a_second(shape, content):
+    start = time.perf_counter()
+    code, out, err = run(["kostka", "--shape", shape, "--content", content])
+    assert time.perf_counter() - start < 1
+    expected = symfunc.kostka(parse_partition(shape), parse_partition(content))
+    assert (code, out, err) == (0, f"{expected}\n", "")
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)

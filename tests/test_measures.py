@@ -773,6 +773,71 @@ def test_haar_threshold_table_bounds(q, entries):
     assert sys.getsizeof(table) + sum(map(sys.getsizeof, table)) < 90_000
 
 
+# the entries at which each table of HAAR_QS stops, at its first S_r = 2**64;
+# at q = 10001/10000 that is far past the level cap
+HAAR_TABLE_ENTRIES = {2: 66, 3: 42, Fraction(5, 4): 200, Fraction(10001, 10000): None, 2**64 + 1: 2}
+TOP = 2**64 - 1
+LONG_START = (3,) * 70 + (2,) * 130 + (1,) * 50
+
+# name: (start, variates, steps that add a row at every q but 2**64 + 1).
+# TOP adds a row wherever the table has not stopped below the diagram's
+# rows; 0 adds a box to the first row of a diagram that has one.
+HAAR_WALKS = {
+    "every-step-adds-a-row": ((), (TOP,) * 40, 40),
+    "no-step-adds-a-row": ((4, 2, 2, 1), (0,) * 40, 0),
+    "alternating": ((), (TOP, 0) * 20 + (TOP,), 21),
+    "start-longer-than-the-table": (LONG_START, (TOP, 0, 2**63) * 10, None),
+}
+
+
+def haar_table_size(q, diagrams) -> int:
+    """The entries a fresh table holds once a walk has been at ``diagrams``.
+
+    One bound per row of the longest, with S_0, up to the first S_r = 2**64.
+    """
+    rows = max(map(len, diagrams)) + 1
+    return min(rows, HAAR_TABLE_ENTRIES[q] or rows)
+
+
+@pytest.mark.parametrize("name", HAAR_WALKS)
+@pytest.mark.parametrize("q", HAAR_QS)
+def test_haar_walk_on_crafted_variates(q, name):
+    q = Fraction(q)
+    start, us, adds = HAAR_WALKS[name]
+    family = MeasureParams.haar(q).family
+    out = []
+    assert family.walk(start, us, out) == out[-1]
+    expected, lam = [], start
+    for u in us:
+        lam = linear_scan_step(q, lam, u)
+        expected.append(lam)
+    assert out == expected
+    grown = sum(len(b) > len(a) for a, b in zip([start, *out], out))
+    if adds is not None:
+        # at q = 2**64 + 1 the table is [0, 2**64]: only the empty diagram grows a row
+        assert grown == (min(adds, 1) if q == 2**64 + 1 else adds)
+    # one bound per row of every diagram the walk was at, the last included,
+    # up to the first S_r = 2**64
+    assert len(family.bounds) == haar_table_size(q, [start, *out])
+    if q == 2**64 + 1:
+        assert family.bounds == [0, 2**64]
+
+
+@pytest.mark.parametrize("q", HAAR_QS)
+def test_a_haar_walk_of_no_steps_leaves_the_table_unchanged(q):
+    family = MeasureParams.haar(q).family
+    out = []
+    assert family.walk((), (), out) == () and out == []
+    assert family.bounds == [0]
+    trajectory = [()]
+    family.walk((), (TOP, 0) * 30, trajectory)
+    table = list(family.bounds)
+    assert len(table) == haar_table_size(Fraction(q), trajectory)
+    for lam in ((), (2, 1), trajectory[-1]):
+        assert family.walk(lam, (), out) == lam and out == []
+        assert family.bounds == table
+
+
 @pytest.mark.parametrize(
     "params, n_max",
     [

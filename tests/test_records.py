@@ -133,6 +133,19 @@ def test_measure_params_keep_family_and_specialization_out_of_equality():
     assert hash(params) == hash((params.r, params.c, params.q))
 
 
+def test_measure_params_build_their_column_spread_without_checking_it_again(monkeypatch):
+    # the spread behind the columns is the one GeometricSpread(c, q) builds,
+    # made from the values MeasureParams has already checked
+    expected = GeometricSpread((QUARTER, EIGHTH), Fraction(5, 2))
+
+    def refuse(self, seq, q):
+        raise AssertionError("the column frequencies were checked again")
+
+    monkeypatch.setattr(GeometricSpread, "__init__", refuse)
+    beta = MeasureParams((QUARTER,), (QUARTER, EIGHTH), Fraction(5, 2)).specialization().beta
+    assert type(beta) is GeometricSpread and beta == expected and vars(beta) == vars(expected)
+
+
 NAN, INF = float("nan"), float("inf")
 
 # name: (call, exception type, message)
