@@ -53,7 +53,6 @@ import struct
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
 from math import gcd, lcm, sqrt
 from operator import mul
 
@@ -86,6 +85,10 @@ from fqtraces.symfunc import EXACT_HL_DEGREE_CAP, _hl_q
 from fqtraces.traces import _block_pair, _check_blocks
 
 
+# the gamma of every parameter set's specialization, one object for all
+_ONE = Fraction(1)
+
+
 class MeasureParams(FrozenRecord):
     """Row frequencies, column frequencies, and the field size q.
 
@@ -96,17 +99,18 @@ class MeasureParams(FrozenRecord):
 
     # eq, hash and repr are those of (r, c, q)
     _fields = ("r", "c", "q")
+    __slots__ = _fields + ("_spec", "family")
 
     def __init__(self, r, c: tuple[Fraction, ...], q: Fraction):
         q = check_q(q)
         if isinstance(r, (tuple, list)):
             r = FinitePowerSums(_as_fractions(r))
         if isinstance(r, FinitePowerSums):
-            _check_weakly_decreasing_nonneg(r.values, r._scaled[1], "row frequencies")
+            _check_weakly_decreasing_nonneg(r.values, r._nums, "row frequencies")
         elif not isinstance(r, GeometricSpread):
             raise TypeError("r must be a sequence or a GeometricSpread")
         c = _as_fractions(c)
-        c_scaled = c_den, c_nums = _over_common_denominator(c)
+        c_den, c_nums = _over_common_denominator(c)
         _check_weakly_decreasing_nonneg(c, c_nums, "column frequencies")
         # sum(r) + sum(c) > 1, over positive denominators
         r_num, r_den = r.power_pair(1)
@@ -115,12 +119,13 @@ class MeasureParams(FrozenRecord):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "q", q)
-        # the weight object of the parameter family, picked once from r, c, q,
-        # and the specialization behind the weights, built once from the
-        # column frequencies checked above
+        # the specialization behind the weights, built once from the column
+        # frequencies checked above, and the weight object of the parameter
+        # family, picked once from r, c, q, which keeps q and the
+        # specialization but not the parameter set
+        beta = GeometricSpread._unchecked(c, q, c_den, c_nums) if c else EMPTY
+        object.__setattr__(self, "_spec", Specialization(r, beta, _ONE))
         object.__setattr__(self, "family", _resolve_family(self))
-        beta = GeometricSpread._unchecked(c, q, c_scaled) if c else EMPTY
-        object.__setattr__(self, "_spec", Specialization(r, beta, Fraction(1)))
 
     @classmethod
     def haar(cls, q) -> "MeasureParams":
@@ -299,20 +304,25 @@ class _Family:
 
     Each diagram's row is built once and kept with its successors, since a
     chain revisits the few diagrams below the cap at every trial; searching
-    it is the default ``walk``.  A subclass defines ``weight_pair``, and
-    ``weight`` is its one `Fraction`; ``weights(n, lams)``, the weights of
-    a diagram's successors at level n as ints or Fractions, may be scaled
-    by one common positive factor, since the row divides by their total.
+    it is the default ``walk``.  The table of kept rows is made with the
+    first row.  A family keeps q and the specialization of its parameter
+    set, not the set itself, so a set and its family hold no reference
+    cycle and are freed with the set's last reference.  A subclass defines
+    ``weight_pair``, and ``weight`` is its one `Fraction`;
+    ``weights(n, lams)``, the weights of a diagram's successors at level n
+    as ints or Fractions, may be scaled by one common positive factor,
+    since the row divides by their total.
     """
 
     # whether ``walk`` reads its variates; a chain with one successor out of
     # every diagram does not, so each of its trials is the same walk
     reads_variates = True
+    __slots__ = ("q", "spec", "built_rows")
 
     def __init__(self, params: MeasureParams):
-        self.params = params
         self.q = params.q
-        self.built_rows: dict[Partition, tuple[list[Partition], int, list[int]]] = {}
+        self.spec = params.specialization()
+        self.built_rows: dict[Partition, tuple[list[Partition], int, list[int]]] | None = None
 
     def weight(self, lam: Partition) -> Fraction:
         return Fraction(*self.weight_pair(lam))
@@ -321,9 +331,12 @@ class _Family:
         return [self.weight(lam) for lam in lams]
 
     def row(self, lam: Partition) -> tuple[list[Partition], int, list[int]]:
-        if lam not in self.built_rows:
-            self.built_rows[lam] = self._build_row(lam)
-        return self.built_rows[lam]
+        rows = self.built_rows
+        if rows is None:
+            rows = self.built_rows = {}
+        if lam not in rows:
+            rows[lam] = self._build_row(lam)
+        return rows[lam]
 
     def step(self, lam: Partition, u: int) -> Partition:
         return self.walk(lam, (u,))
@@ -377,6 +390,8 @@ class _Generic(_Family):
     times L * E, one factor for them all.
     """
 
+    __slots__ = ("t_num", "t_den")
+
     def __init__(self, params: MeasureParams):
         super().__init__(params)
         # t = 1/q = b/a in lowest terms, a > 0
@@ -395,7 +410,7 @@ class _Generic(_Family):
         return [sum(map(mul, coeffs, values)) * (common // den) for den, coeffs in rows]
 
     def _vector(self, n: int) -> tuple[int, list[int]]:
-        return power_products(self.params.specialization().power_pair, partitions_of(n))
+        return power_products(self.spec.power_pair, partitions_of(n))
 
 
 class _Haar(_Family):
@@ -411,19 +426,18 @@ class _Haar(_Family):
     from or reached, its last included, and stop at the first
     S_r = 2**64: 66 entries at most for q >= 2, and at most
     CHAIN_LEVEL_CAP + 1, each at most 2**64, on a capped chain.  No entry
-    is kept for a row that no diagram grew.  A walk takes its bisections
-    in one lazy C pass over its variates, extends the table only when a
-    step adds a row, steps one list in place and builds a tuple of it only
-    for each level a trajectory keeps and for the last.  At q = 2 a
-    1000-step walk takes about 0.13 ms, 0.13 us a step, and its draws
-    0.04 ms more; the trajectory, its tuples included, about 0.23 ms.
-    Setting up the pass costs about 0.2 us a walk, so a one-step walk
-    takes about 0.55 us against 0.3 us stepped from Python.  An
-    lln trial of 2000 steps at q = 10001/10000, whose diagrams grow about
-    1800 rows, takes about 0.6 ms, and a 2000-step trajectory there about
-    7.5 ms, nearly all of it the tuples of its levels (in process, 2-vCPU
-    Xeon, Python 3.11).
+    is kept for a row that no diagram grew.  A walk extends the table
+    only when a step adds a row, steps one list in place and builds a
+    tuple of it only for each level a trajectory keeps and for the last.
+    At q = 2 a 1000-step walk takes about 0.13 ms, 0.13 us a step, and
+    its draws 0.04 ms more; the trajectory, its tuples included, about
+    0.23 ms.  An lln trial of 2000 steps at q = 10001/10000, whose
+    diagrams grow about 1800 rows, takes about 0.6 ms, and a 2000-step
+    trajectory there about 7.5 ms, nearly all of it the tuples of its
+    levels (in process, 2-vCPU Xeon, Python 3.11).
     """
+
+    __slots__ = ("bounds", "powers")
 
     def __init__(self, params: MeasureParams):
         super().__init__(params)
@@ -458,16 +472,15 @@ class _Haar(_Family):
         # block it accepts is the one holding row i - 1, and the box goes to
         # that block's top row; if i > l, to a new row.  The diagram is one
         # list, stepped in place; a block's top row is always an addable
-        # corner, so no step checks it.  The bisections are one lazy C pass
-        # over us: the table is extended for the start's rows, then only
-        # when a step adds a row, and in place, so each bisection sees it
-        # as the step before left it.
+        # corner, so no step checks it.  The table is extended for the
+        # start's rows, then only when a step adds a row.
         mu = list(lam)
         ell = len(mu)
         bounds = self.bounds
         if len(bounds) <= ell and bounds[-1] != _U64:
             self._extend(ell)
-        for i in map(bisect_right, repeat(bounds), us):
+        for u in us:
+            i = bisect_right(bounds, u)
             if i > ell:
                 mu.append(1)
                 ell += 1
@@ -504,6 +517,7 @@ class _Delta(_Family):
 
     columns: list = [()]
     reads_variates = False
+    __slots__ = ()
 
     def weight_pair(self, lam: Partition) -> tuple[int, int]:
         if lam and lam[0] > 1:
@@ -528,6 +542,7 @@ class _Row(_Family):
     """Row frequency 1: W = 1 on the empty diagram, 1 - 1/q on one row, else 0."""
 
     reads_variates = False
+    __slots__ = ()
 
     def weight_pair(self, lam: Partition) -> tuple[int, int]:
         if len(lam) > 1:
@@ -614,22 +629,30 @@ def _walk_variates(family: _Family, seed: int, trial: int, n: int) -> tuple[int,
 # the JSON (before this cap, 1.2 s and 79 MiB at 3000, 1.9 s and 126 MiB at
 # 4000).  In an lln run at q = 2 a Haar step costs about 0.17 us, its
 # variate included, and a trial's stream about 7 us: Haar 1000 x 200 trials
-# takes 0.10-0.12 s and Haar 2000 x 100 0.10-0.11 s, but 1 x 200000, all
-# streams, 1.8-2.2 s.  The delta and single-row chains walk once for all
-# their trials and draw nothing: delta 2000 x 100 takes 0.08-0.09 s (31 MiB
-# peak, the table included) and single-row 1 x 200000 0.05 s, the start-up
-# floor (fresh process, start-up included, 2-vCPU Xeon, Python 3.11).
-# A Haar step bisects its table of bounds, one per row, and lengthens one
-# list in place, and an lln trial keeps only its last diagram, so chains
-# with q near 1, which grow many rows, cost little more: 2000 x 100 takes
-# 0.11-0.13 s at q = 5/4 and 0.15-0.18 s at q = 10001/10000, whose diagrams
-# reach about 1800 rows; `sample --nmax 2000` there takes 0.3 s, most of
-# it the tuples of the levels it prints.  A diagram on a capped
-# chain has at most CHAIN_LEVEL_CAP rows and columns, which bounds the Haar
-# table and the delta columns at CHAIN_LEVEL_CAP + 1 entries and how many
-# rows and columns an lln run may track.
+# takes 0.10-0.12 s and Haar 2000 x 100 0.10-0.11 s.  The delta and
+# single-row chains walk once for all their trials and draw nothing: delta
+# 2000 x 100 takes 0.08-0.09 s (31 MiB peak, the table included) and
+# single-row 1 x 200000 0.05 s, the start-up floor (fresh process, start-up
+# included, 2-vCPU Xeon, Python 3.11).  A Haar step bisects its table of
+# bounds, one per row, and lengthens one list in place, and an lln trial
+# keeps only its last diagram, so chains with q near 1, which grow many
+# rows, cost little more: 2000 x 100 takes 0.11-0.13 s at q = 5/4 and
+# 0.15-0.18 s at q = 10001/10000, whose diagrams reach about 1800 rows;
+# `sample --nmax 2000` there takes 0.3 s, most of it the tuples of the
+# levels it prints.  A diagram on a capped chain has at most
+# CHAIN_LEVEL_CAP rows and columns, which bounds the Haar table and the
+# delta columns at CHAIN_LEVEL_CAP + 1 entries and how many rows and
+# columns an lln run may track.
 CHAIN_LEVEL_CAP = 2000
 CHAIN_STEP_CAP = 200_000
+# Each trial of a chain that reads variates seeds and draws its own stream,
+# about 8 us a trial however short its walk, a cost that cannot be cut
+# without changing every stream: 1 x 200000 Haar trials, inside the step
+# cap, took 1.7-2.2 s.  At this cap 1 x 50000 Haar trials take
+# 0.47-0.51 s and 4 x 50000 0.56-0.61 s, at q = 2 as at q = 10001/10000
+# (fresh process, 2-vCPU Xeon, Python 3.11).  The delta and single-row
+# chains walk once for all their trials and keep the step cap alone.
+CHAIN_TRIAL_CAP = 50_000
 
 
 def _check_chain_length(params: MeasureParams, n_max: int, least: int):
@@ -662,6 +685,7 @@ class LLNRow(FrozenRecord):
     """One row of an lln report: a statistic's empirical mean and its prediction."""
 
     _fields = ("statistic", "index", "empirical", "predicted", "stderr")
+    __slots__ = _fields
 
     def __init__(
         self, statistic: str, index: int, empirical: float, predicted: Fraction, stderr: float
@@ -707,6 +731,12 @@ def lln_experiment(
         raise ValueError(
             f"lln runs capped at {CHAIN_STEP_CAP} chain steps; got {n_max} x {trials} trials"
         )
+    family = params.family
+    if family.reads_variates and trials > CHAIN_TRIAL_CAP:
+        raise ValueError(
+            f"lln runs of chains that draw variates capped at {CHAIN_TRIAL_CAP} trials; "
+            f"got {trials}"
+        )
     if track < 1:
         raise ValueError(f"lln runs track at least one row and column; got {track}")
     if track > CHAIN_LEVEL_CAP:
@@ -715,7 +745,6 @@ def lln_experiment(
     # a row or column past the diagram has length 0 and adds nothing
     rows = [[0, 0] for _ in range(track)]
     cols = [[0, 0] for _ in range(track)]
-    family = params.family
     # a walk that reads no variate is the same in every trial: walk it once
     walks = trials if family.reads_variates else 1
     times = trials // walks

@@ -773,11 +773,14 @@ def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:
     probed, every factor of lower degree is found, so the r dimensions left
     are d j for the factors of degree d, j >= 1, plus 0 or more than d for
     those above: a degree-d factor can occur only if r = d or r >= 2 d.
+    No probe is the factor x, so the factors found span the whole space
+    exactly when m is invertible; a singular m is refused once they are
+    found, with no separate test of its rank.
     """
-    if not m.is_invertible():
-        raise ValueError("conjugacy families are defined for invertible matrices")
     field = m.field
     n = m.nrows
+    if n != len(m.cols):
+        raise ValueError("conjugacy families are defined for invertible matrices")
     add, scale = field.cadd, field.cscale
     one_chunk = n <= field.k
     powers = [m.cols]  # the columns of m, m**2, ..., up to the degree probed
@@ -807,7 +810,7 @@ def conjugacy_family_of(m: FqMatrix) -> DiagramFamily:
                 blocks.append((tag, d, _jordan_type(jumps, d)))
                 covered += sum(jumps)
     if covered != n:
-        raise AssertionError("factorization did not exhaust the space")
+        raise ValueError("conjugacy families are defined for invertible matrices")
     return DiagramFamily(tuple(blocks))
 
 

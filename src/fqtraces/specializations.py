@@ -48,6 +48,9 @@ def _fraction(v) -> Fraction:
 
 
 def _as_fractions(values) -> tuple[Fraction, ...]:
+    """``values`` as a tuple of Fractions; a tuple of Fractions is returned as it is."""
+    if type(values) is tuple and all(type(v) is Fraction for v in values):
+        return values
     return tuple(map(_fraction, values))
 
 
@@ -91,10 +94,15 @@ def _check_weakly_decreasing_nonneg(values, nums: tuple[int, ...], what: str):
 
 
 def _over_common_denominator(values: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
-    """(D, (D * v for v in values)), D the values' common denominator."""
+    """(D, (D * v for v in values)), D the values' common denominator.
+
+    A numerator already over D is kept, not copied.
+    """
     dens = [v.denominator for v in values]
     den = lcm(*dens)
-    return den, tuple([v.numerator * (den // d) for v, d in zip(values, dens)])
+    return den, tuple(
+        [v.numerator if d == den else v.numerator * (den // d) for v, d in zip(values, dens)]
+    )
 
 
 class FrozenRecord:
@@ -105,10 +113,13 @@ class FrozenRecord:
     class only, and what ``hash`` hashes, as one tuple.  Its ``__init__``
     checks its arguments and sets the fields, and anything it derives from
     them once, with ``object.__setattr__``; every later assignment or
-    deletion raises AttributeError.  Records have no ``__slots__``: they
-    take weak references, and ``vars`` shows what they hold.
+    deletion raises AttributeError.  A record holds its values in
+    ``__slots__``, its fields and what it derives from them and nothing
+    else: it has no ``__dict__``, so ``vars`` does not apply to it, and
+    it takes weak references.
     """
 
+    __slots__ = ("__weakref__",)
     _fields: tuple[str, ...] = ()
 
     def _field_values(self) -> tuple:
@@ -137,15 +148,17 @@ class FinitePowerSums(FrozenRecord):
     """Power sums of an explicit finite sequence, taken as given."""
 
     _fields = ("values",)
+    # the values over their common denominator, built once
+    __slots__ = _fields + ("_den", "_nums")
 
     def __init__(self, values: tuple[Fraction, ...]):
+        den, nums = _over_common_denominator(values)
         object.__setattr__(self, "values", values)
-        # the values over their common denominator, built once
-        object.__setattr__(self, "_scaled", _over_common_denominator(values))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", nums)
 
     def power_pair(self, k: int) -> tuple[int, int]:
-        den, nums = self._scaled
-        return sum(v**k for v in nums), den**k
+        return sum(v**k for v in self._nums), self._den**k
 
     def frequencies(self, count: int) -> list[Fraction]:
         return _largest(self.values, count)
@@ -163,36 +176,40 @@ class GeometricSpread(FrozenRecord):
     """
 
     _fields = ("seq", "q")
+    # the sequence over its common denominator, built once
+    __slots__ = _fields + ("_den", "_nums")
 
     def __init__(self, seq: tuple[Fraction, ...], q: Fraction):
         seq = _as_fractions(seq)
         q = check_q(q)
-        scaled = _over_common_denominator(seq)
-        _check_weakly_decreasing_nonneg(seq, scaled[1], "spread sequence")
+        den, nums = _over_common_denominator(seq)
+        _check_weakly_decreasing_nonneg(seq, nums, "spread sequence")
         object.__setattr__(self, "seq", seq)
         object.__setattr__(self, "q", q)
-        # the sequence over its common denominator, built once
-        object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", nums)
 
     @classmethod
-    def _unchecked(cls, seq: tuple[Fraction, ...], q: Fraction, scaled) -> "GeometricSpread":
+    def _unchecked(
+        cls, seq: tuple[Fraction, ...], q: Fraction, den: int, nums: tuple[int, ...]
+    ) -> "GeometricSpread":
         """The spread of a sequence and a q its caller has checked, not checked again.
 
         ``seq`` is a tuple of Fractions, weakly decreasing and non-negative,
-        q a `Fraction` above 1 and ``scaled`` the (den, nums) of ``seq`` that
-        :func:`_over_common_denominator` gives.
+        q a `Fraction` above 1 and (``den``, ``nums``) what
+        :func:`_over_common_denominator` gives for ``seq``.
         """
         spread = object.__new__(cls)
         object.__setattr__(spread, "seq", seq)
         object.__setattr__(spread, "q", q)
-        object.__setattr__(spread, "_scaled", scaled)
+        object.__setattr__(spread, "_den", den)
+        object.__setattr__(spread, "_nums", nums)
         return spread
 
     def power_pair(self, k: int) -> tuple[int, int]:
         # for q = a/b, (1 - 1/q)**k / (1 - q**-k) = (a - b)**k / (a**k - b**k)
         a, b = self.q.numerator, self.q.denominator
-        den, nums = self._scaled
-        return (a - b) ** k * sum(v**k for v in nums), (a**k - b**k) * den**k
+        return (a - b) ** k * sum(v**k for v in self._nums), (a**k - b**k) * self._den**k
 
     def frequencies(self, count: int) -> list[Fraction]:
         """The ``count`` largest entries of the array, in decreasing order."""
@@ -249,6 +266,7 @@ class Specialization(FrozenRecord):
     """The homomorphism with parameter data (alpha side, beta side, gamma)."""
 
     _fields = ("alpha", "beta", "gamma")
+    __slots__ = _fields
 
     def __init__(self, alpha, beta, gamma: Fraction):
         object.__setattr__(self, "alpha", alpha)
@@ -261,8 +279,8 @@ class Specialization(FrozenRecord):
         alpha = FinitePowerSums(_as_fractions(alphas))
         beta = FinitePowerSums(_as_fractions(betas))
         gamma = _fraction(gamma)
-        _check_weakly_decreasing_nonneg(alpha.values, alpha._scaled[1], "alpha")
-        _check_weakly_decreasing_nonneg(beta.values, beta._scaled[1], "beta")
+        _check_weakly_decreasing_nonneg(alpha.values, alpha._nums, "alpha")
+        _check_weakly_decreasing_nonneg(beta.values, beta._nums, "beta")
         # sum(alpha) + sum(beta) > gamma, over positive denominators
         (na, da), (nb, db) = alpha.power_pair(1), beta.power_pair(1)
         if (na * db + nb * da) * gamma.denominator > gamma.numerator * da * db:

@@ -56,6 +56,7 @@ class DiagramFamily(FrozenRecord):
     """
 
     _fields = ("blocks",)
+    __slots__ = _fields
 
     def __init__(self, blocks: tuple[tuple[str, int, Partition], ...]):
         canon = []
@@ -371,6 +372,7 @@ class GLUTraceParams(FrozenRecord):
     """
 
     _fields = ("entries", "background")
+    __slots__ = _fields
 
     def __init__(
         self,

@@ -16,7 +16,7 @@ from fqtraces.cli import (
     _sub_diagram_count,
     main,
 )
-from fqtraces.measures import CHAIN_LEVEL_CAP, CHAIN_STEP_CAP
+from fqtraces.measures import CHAIN_LEVEL_CAP, CHAIN_STEP_CAP, CHAIN_TRIAL_CAP
 from fqtraces.oracle import SUPPORTED_ORDERS
 from fqtraces.partitions import parse_partition, partitions_of
 from fqtraces.traces import COEFFICIENT_DEGREE_CAP, GLU_ROW_CAP
@@ -364,6 +364,9 @@ _DELTA = ["--q", "2", "--measure", "delta"]
         ["sample", *_HAAR, "--nmax", "1000000000", "--seed", "1"],
         ["lln", *_HAAR, "--nmax", str(CHAIN_LEVEL_CAP + 1), "--trials", "1", "--seed", "1"],
         ["lln", *_HAAR, "--nmax", "1", "--trials", str(CHAIN_STEP_CAP + 1), "--seed", "1"],
+        # within the step cap, but each trial draws its own stream
+        ["lln", *_HAAR, "--nmax", "1", "--trials", str(CHAIN_STEP_CAP), "--seed", "1"],
+        ["lln", *_HAAR, "--nmax", "1", "--trials", str(CHAIN_TRIAL_CAP + 1), "--seed", "1"],
         ["lln", *_HAAR, "--nmax", "1000", "--trials", "1000000000", "--seed", "1"],
         ["lln", *_HAAR, "--nmax", "3", "--trials", "2", "--seed", "1", "--track", "1000000000"],
     ],

@@ -35,7 +35,7 @@ from fqtraces.partitions import (
     size,
     transpose,
 )
-from fqtraces.specializations import Specialization
+from fqtraces.specializations import GeometricSpread, Specialization
 from fqtraces.symfunc import _hl_q
 
 _BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
@@ -196,6 +196,7 @@ def test_value_layer_benchmark_bodies():
         "cyl-prob-generic-8",
         "trace-values-classes",
         "trace-coefficients-8",
+        "parameter-sets-1000",
     }
     sp = value_layers.SP
     # each p_rho over E against the product of its p_k
@@ -219,6 +220,17 @@ def test_value_layer_benchmark_bodies():
     assert value_layers.trace_coefficients_8() == {
         lam: schur_value_reference(sp, lam) for lam in partitions_of(8)
     }
+    # the parameter sets of the given sides, and a size for each list
+    sides = value_layers.SET_SIDES
+    params, sps = value_layers.parameter_sets_1000()
+    assert len(params) == len(sps) == len(sides) == 1000
+    for p, sp, (alpha, beta, q) in zip(params, sps, sides):
+        spread, beta_spread = GeometricSpread(alpha, q), GeometricSpread(beta, q)
+        assert p.specialization() == Specialization(spread, beta_spread, 1)
+        assert (sp.alpha.values, sp.beta.values, sp.gamma) == (alpha, beta, 1)
+    sizes = value_layers.bytes_per_set()
+    assert set(sizes) == {"measure-params", "specialization-finite"}
+    assert 0 < sizes["specialization-finite"] < sizes["measure-params"]
 
 
 def test_opcode_count_of_the_cheapest_body():

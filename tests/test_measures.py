@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from fqtraces import measures, verify
 from fqtraces.measures import (
     CHAIN_LEVEL_CAP,
+    CHAIN_TRIAL_CAP,
     EXACT_HL_DEGREE_CAP,
     MeasureParams,
     _Delta,
@@ -285,19 +286,27 @@ def test_a_generic_row_builds_one_vector_per_level_and_keeps_none(monkeypatch):
     assert hl_weight.cache_info().currsize == 0
     cyl_prob(params, (2, 2))
     assert hl_weight.cache_info().currsize == 0
-    assert set(vars(sp)) == {"alpha", "beta", "gamma"}
+    # the specialization holds its three fields and nothing else
+    assert type(sp).__slots__ == ("alpha", "beta", "gamma") and not hasattr(sp, "__dict__")
 
 
 def test_parameter_sets_die_with_their_last_reference():
     # no memo keyed by parameters outlives them: not the cylinder
-    # probability's weight, nor the transition row kept on the family
+    # probability's weight, nor the transition row kept on the family; and
+    # the family holds no reference back to its set, so reference counting
+    # frees each set, with the cycle collector off
     refs = []
-    for i in range(50):
-        params = MeasureParams((Fraction(1, 4 + i),), (Fraction(1, 8),), 2 + i % 3)
-        cyl_prob(params, (2, 1))
-        transition_distribution(params, (2, 1))
-        refs.append(weakref.ref(params))
-    del params
+    gc.disable()
+    try:
+        for i in range(50):
+            params = MeasureParams((Fraction(1, 4 + i),), (Fraction(1, 8),), 2 + i % 3)
+            cyl_prob(params, (2, 1))
+            transition_distribution(params, (2, 1))
+            refs.append(weakref.ref(params))
+        del params
+        assert sum(ref() is not None for ref in refs) == 0
+    finally:
+        gc.enable()
     gc.collect()
     assert sum(ref() is not None for ref in refs) == 0
 
@@ -422,9 +431,13 @@ def test_transition_rows_sum_to_one():
 def test_rows_ignore_a_common_factor_of_the_weights(params, top):
     # the builder divides by the successors' total, so weights scaled by one
     # positive constant give the very same integers
-    scaled = type(params.family)(params)
-    weights = scaled.weights
-    scaled.weights = lambda n, lams: [Fraction(7, 3) * w for w in weights(n, lams)]
+    class Scaled(type(params.family)):
+        __slots__ = ()
+
+        def weights(self, n, lams):
+            return [Fraction(7, 3) * w for w in super().weights(n, lams)]
+
+    scaled = Scaled(params)
     for n in range(top + 1):
         for lam in partitions_of(n):
             if params.family.weight(lam) > 0:
@@ -1002,7 +1015,8 @@ def test_lln_deterministic_and_csv_shape():
     rep1 = lln_experiment(HAAR2, 40, 12, 99)
     rep2 = lln_experiment(HAAR2, 40, 12, 99)
     assert rep1 == rep2
-    assert list(vars(rep1[0])) == ["statistic", "index", "empirical", "predicted", "stderr"]
+    assert type(rep1[0]).__slots__ == ("statistic", "index", "empirical", "predicted", "stderr")
+    assert not hasattr(rep1[0], "__dict__")
     assert len(rep1) == 2 * 4
     assert rep1[0].predicted == Fraction(1, 2)
 
@@ -1041,6 +1055,21 @@ def test_lln_of_a_one_successor_chain_draws_no_variate(monkeypatch, params, n_ma
     rows = [last[i] if i < len(last) else 0 for i in range(4)]
     cols = [sum(part > j for part in last) for j in range(4)]
     assert [(r.empirical, r.stderr) for r in rep] == [(x / n_max, 0.0) for x in rows + cols]
+
+
+@pytest.mark.parametrize("params", [HAAR2, MIXED], ids=["haar", "generic"])
+def test_lln_of_a_chain_that_draws_is_refused_above_the_trial_cap_before_any_draw(
+    monkeypatch, params
+):
+    # one stream a trial: a one-step run past the cap is inside the step
+    # cap, and still refused before the first stream is seeded
+    def refuse(*args):
+        raise AssertionError("a refused run drew variates")
+
+    monkeypatch.setattr(measures, "_trial_rng", refuse)
+    trials = CHAIN_TRIAL_CAP + 1
+    with pytest.raises(ValueError, match=f"capped at {CHAIN_TRIAL_CAP} trials; got {trials}$"):
+        lln_experiment(params, 1, trials, 1)
 
 
 @pytest.mark.parametrize("params", [DELTA2, ROW2], ids=["delta", "single-row"])

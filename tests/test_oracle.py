@@ -842,6 +842,22 @@ def test_class_representative_round_trip():
                 assert conjugacy_family_of(m) == fam
 
 
+def test_conjugacy_family_of_refuses_exactly_the_singular_matrices():
+    # every square matrix of F_2 up to 3 x 3 and of F_3 and F_4 up to 2 x 2:
+    # a singular one is refused once its probes leave part of the space
+    # uncovered, and an invertible one gets its class
+    for q, max_n in ((2, 3), (3, 2), (4, 2)):
+        field = field_make(q)
+        for n in range(1, max_n + 1):
+            for entries in product(range(q), repeat=n * n):
+                m = FqMatrix(field, [entries[i * n : (i + 1) * n] for i in range(n)])
+                if m.is_invertible():
+                    assert conjugacy_family_of(m).degree == n, m
+                else:
+                    with pytest.raises(ValueError, match="defined for invertible matrices"):
+                        conjugacy_family_of(m)
+
+
 def test_class_coverage_suite():
     rows = verify.run_suite("class-coverage")
     assert [row for row in rows if row["status"] != "pass"] == []

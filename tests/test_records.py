@@ -2,11 +2,14 @@
 
 Each record is equal only to a record of its own class with equal fields,
 hashes as the tuple of those fields, has a fixed ``repr``, refuses
-assignment and deletion, and takes weak references.  Every constructor
-refusal is pinned as (exception type, message), in the order the checks
-run: a call with two faults names the first.
+assignment and deletion, and takes weak references.  A record holds its
+fields and what it derives from them in ``__slots__``, with no
+``__dict__``.  Every constructor refusal is pinned as (exception type,
+message), in the order the checks run: a call with two faults names the
+first.
 """
 
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -19,6 +22,16 @@ from fqtraces.traces import DiagramFamily, GLUTraceParams, family
 HALF, QUARTER, EIGHTH = Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)
 SP_HALF = Specialization.finite((QUARTER,), (), HALF)
 SP_ONE = Specialization.finite((HALF,), (QUARTER,), 1)
+
+
+def slot_names(cls) -> set[str]:
+    """Every name the classes of ``cls``'s MRO declare in ``__slots__``."""
+    return {name for klass in cls.__mro__ for name in klass.__dict__.get("__slots__", ())}
+
+
+def slot_values(rec) -> dict:
+    return {name: getattr(rec, name) for name in slot_names(type(rec)) - {"__weakref__"}}
+
 
 # name: (record maker, a record of the same class with other fields,
 #        the compared fields, repr)
@@ -95,7 +108,7 @@ def test_record_contract(name):
     for other_name, (make_else, _, _, _) in RECORDS.items():
         if other_name != name and type(make_else()) is not type(rec):
             assert rec != make_else()
-    sub = type("Sub", (type(rec),), {})
+    sub = type("Sub", (type(rec),), {"__slots__": ()})
     sub_rec = make()
     object.__setattr__(sub_rec, "__class__", sub)
     assert rec != sub_rec and sub_rec != rec
@@ -109,6 +122,28 @@ def test_record_contract(name):
     assert tuple(getattr(rec, f) for f in fields) == values
     ref = weakref.ref(rec)
     assert ref() is rec
+    # the fields and the values derived from them, in slots, and no dict
+    assert not hasattr(rec, "__dict__") and set(fields) < slot_names(type(rec))
+    assert "__weakref__" in slot_names(type(rec))
+
+
+def test_a_thousand_generic_measure_params_stay_under_a_memory_bound():
+    # r = spread(alpha) and a finite c, as a long-lived process builds one
+    # set per query; the bound was fixed before records took slots, when
+    # such a set held about 1050 bytes, and this one holds about 560
+    sides = []
+    for i in range(1000):
+        den = 8 + i % 33
+        alpha = (Fraction(2 + i % 3, den), Fraction(1, den))[: 1 + i % 2]
+        sides.append((alpha, (Fraction(1 + i % 2, den),), 2 + i % 4))
+    MeasureParams(GeometricSpread((HALF,), 2), (QUARTER,), 2)
+    tracemalloc.start()
+    try:
+        sets = [MeasureParams(GeometricSpread(a, Fraction(q)), c, q) for a, c, q in sides]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / len(sets) < 768
 
 
 def test_records_keep_their_constructor_parameters():
@@ -128,7 +163,8 @@ def test_records_keep_their_constructor_parameters():
 
 def test_measure_params_keep_family_and_specialization_out_of_equality():
     params = MeasureParams((QUARTER,), (EIGHTH,), 2)
-    assert set(vars(params)) == {"r", "c", "q", "family", "_spec"}
+    assert slot_names(MeasureParams) == {"__weakref__", "r", "c", "q", "family", "_spec"}
+    assert not hasattr(params, "__dict__")
     assert params.specialization() is params.specialization()
     assert hash(params) == hash((params.r, params.c, params.q))
 
@@ -143,7 +179,9 @@ def test_measure_params_build_their_column_spread_without_checking_it_again(monk
 
     monkeypatch.setattr(GeometricSpread, "__init__", refuse)
     beta = MeasureParams((QUARTER,), (QUARTER, EIGHTH), Fraction(5, 2)).specialization().beta
-    assert type(beta) is GeometricSpread and beta == expected and vars(beta) == vars(expected)
+    assert type(beta) is GeometricSpread and beta == expected
+    assert slot_values(beta) == slot_values(expected)
+    assert (beta._den, beta._nums) == (expected._den, expected._nums) == (8, (2, 1))
 
 
 NAN, INF = float("nan"), float("inf")
