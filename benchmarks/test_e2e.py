@@ -11,7 +11,9 @@ request costs a user, start-up included:
 - ``hl-expand-16``: Q_lam(1/3) at the degree cap of Q, lam = (4, 3, 3, 2,
   2, 1, 1);
 - ``lln-haar-1000x200``: the Haar law-of-large-numbers run at q = 2,
-  1000 levels by 200 trials.
+  1000 levels by 200 trials;
+- ``kostka-slowest``: the Kostka number of the staircase (9, 8, ..., 1)
+  with content 2^22 1, the slowest request found under the diagram cap.
 
 Each body checks that the child's stdout equals ``cli.main`` on the same
 argv in this process, and keeps the child CPU time of each round, from
@@ -46,6 +48,9 @@ INVOCATIONS = {
     "hl-expand-16": ["hl-expand", "--lam", "4,3,3,2,2,1,1", "--t", "1/3"],
     "lln-haar-1000x200": [
         "lln", "--q", "2", "--measure", "haar", "--nmax", "1000", "--trials", "200", "--seed", "1",
+    ],
+    "kostka-slowest": [
+        "kostka", "--shape", "9,8,7,6,5,4,3,2,1", "--content", ",".join(["2"] * 22 + ["1"]),
     ],
 }
 

@@ -109,6 +109,9 @@ class MeasureParams(FrozenRecord):
             _check_weakly_decreasing_nonneg(r.values, r._nums, "row frequencies")
         elif not isinstance(r, GeometricSpread):
             raise TypeError("r must be a sequence or a GeometricSpread")
+        elif r.q == q:
+            # the set keeps one q, the spread's
+            q = r.q
         c = _as_fractions(c)
         c_den, c_nums = _over_common_denominator(c)
         _check_weakly_decreasing_nonneg(c, c_nums, "column frequencies")

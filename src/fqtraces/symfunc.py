@@ -41,6 +41,7 @@ queries reuse them and ``cache_clear`` drops them.
 
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul, neg, sub
 
@@ -356,17 +357,48 @@ def charge(word) -> int:
 
 
 # kostka recurses once per content part above 1, so a few hundred parts
-# overflow the stack.  The time is set by the shapes the strip removals
-# reach: on the near-staircase (11,10,...,3,1), content 1^64 takes under
-# 1 ms, 2^8 1^48 1.7 s and 2^32 5.5 s (fresh process, Xeon, Python 3.11).
-# The CLI refuses the last two before any work, by a bound on those shapes
-# (KOSTKA_DIAGRAM_CAP in fqtraces.cli); the recursion checks nothing.
+# overflow the stack.
 KOSTKA_CONTENT_CAP = 64
 
+# With a content part above 1, kostka visits diagrams inside the shape, once
+# each, and its time follows their number.  On the near-staircase
+# (11,10,...,3,1), 132430 sub-diagrams, content 1^64 takes under 1 ms (the
+# hook lengths), 2^8 1^48 1.7 s and 2^32 4.8-5.6 s before they were
+# refused.  Bounded by this cap (checked in under 1 ms), the slowest
+# requests found took 0.35-0.6 s, start-up included: (10,10,9,7,7,6,5) with
+# content 3^10 2^10 1^4, (9,8,...,1) with 2^22 1 (fresh process, Python
+# 3.11, 2 vCPU).
+KOSTKA_DIAGRAM_CAP = 20_000
 
-@cache
+
+def _sub_diagram_count(shape: Partition, cap: int) -> int:
+    """The number of diagrams inside ``shape``, or a number above ``cap`` once the count passes it."""
+    first = shape[0] if shape else 0
+    if first >= cap:
+        return first + 1
+    # ways[v]: the diagrams inside the rows so far whose last row has v boxes
+    ways = [1] * (first + 1)
+    total = len(ways)
+    for part in shape[1:]:
+        if total > cap:
+            break
+        # the next row keeps v <= part boxes, under a row of at least v
+        ways = list(accumulate(reversed(ways)))[::-1][: part + 1]
+        total = sum(ways)
+    return total
+
+
 def kostka(shape: Partition, content: Partition) -> int:
-    """Number of column-strict fillings of ``shape`` with given content."""
+    """Number of column-strict fillings of ``shape`` with given content.
+
+    The checked entry, which refuses before any work what the recursion
+    could not answer in about a second.  With a content part above 1 the
+    recursion removes one horizontal strip per such part, and the diagrams
+    it reaches lie inside the shape.  Their number is at most the shape's
+    sub-diagrams, counted row by row, and at most K times the product of
+    shape_i + 1 over the rows below the first, K the parts above 1: the
+    diagrams after k strips share one size, which fixes their first row.
+    """
     shape = check_partition(shape)
     content = check_partition(content)
     if len(content) > KOSTKA_CONTENT_CAP:
@@ -375,6 +407,24 @@ def kostka(shape: Partition, content: Partition) -> int:
         )
     if size(shape) != size(content):
         raise ValueError("kostka requires |shape| = |content|")
+    # the recursion answers a shape of more rows than the content has parts,
+    # and content 1^n, without visiting a diagram
+    if content and content[0] > 1 and len(shape) <= len(content):
+        depths = sum(1 for part in content if part > 1)
+        if (
+            depths * prod(part + 1 for part in shape[1:]) > KOSTKA_DIAGRAM_CAP
+            and _sub_diagram_count(shape, KOSTKA_DIAGRAM_CAP) > KOSTKA_DIAGRAM_CAP
+        ):
+            raise ValueError(
+                f"kostka with a content part above 1 capped at {KOSTKA_DIAGRAM_CAP} "
+                "diagrams inside the shape"
+            )
+    return _kostka(shape, content)
+
+
+@cache
+def _kostka(shape: Partition, content: Partition) -> int:
+    """:func:`kostka` for partitions it has checked, of one size; checks nothing."""
     if len(shape) > len(content):
         # a column of letters 1..len(content) is strictly increasing
         return 0
@@ -383,7 +433,7 @@ def kostka(shape: Partition, content: Partition) -> int:
         return factorial(size(shape)) // prod(hook_lengths(shape))
     # the count does not depend on the order of the parts, so the largest
     # letter takes content[0] boxes, and the ones are left to the hooks
-    return sum(kostka(smaller, content[1:]) for smaller in _strip_removals(shape, content[0]))
+    return sum(_kostka(smaller, content[1:]) for smaller in _strip_removals(shape, content[0]))
 
 
 # The slowest Q_lam at degree 16, lam = 1^16, takes about 0.03 s in a fresh
@@ -393,6 +443,12 @@ def kostka(shape: Partition, content: Partition) -> int:
 # degrees before it builds a row.
 # Charge enumeration stops there too: at 16 it visits up to 1.2M tableaux.
 EXACT_HL_DEGREE_CAP = 16
+
+
+# kostka_foulkes enumerates every tableau, at 33-58 us each for shapes of
+# degree 10-13 (in process, Python 3.11, 2 vCPU): 20000 of them take about
+# 1 s.  Their number, a Kostka number, takes at most a few ms to count.
+KOSTKA_FOULKES_TABLEAU_CAP = 20_000
 
 
 class TPolynomial(tuple):
@@ -414,7 +470,9 @@ def kostka_foulkes(shape: Partition, content: Partition) -> TPolynomial:
 
     Evaluating at t = 1 recovers :func:`kostka`.  The coefficients run up
     to the largest charge, so the last one is nonzero; no filling gives
-    the empty polynomial.
+    the empty polynomial.  Past its own checks it refuses, before
+    enumeration, more than :data:`KOSTKA_FOULKES_TABLEAU_CAP` tableaux,
+    counted by the Kostka recursion.
     """
     shape = check_partition(shape)
     content = check_partition(content)
@@ -425,6 +483,11 @@ def kostka_foulkes(shape: Partition, content: Partition) -> TPolynomial:
         )
     if size(shape) != size(content):
         raise ValueError("kostka_foulkes requires |shape| = |content|")
+    count = _kostka(shape, content)
+    if count > KOSTKA_FOULKES_TABLEAU_CAP:
+        raise ValueError(
+            f"kostka-foulkes capped at {KOSTKA_FOULKES_TABLEAU_CAP} tableaux; got {count}"
+        )
     coeffs: dict[int, int] = {}
     for chain in _ssyt_chains(shape, content):
         c = charge(_reading_word(chain))

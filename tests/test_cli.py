@@ -9,16 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqtraces import cli, symfunc, verify
-from fqtraces.cli import (
-    BIREGULAR_MAX_SIZE,
-    KOSTKA_DIAGRAM_CAP,
-    KOSTKA_FOULKES_TABLEAU_CAP,
-    _sub_diagram_count,
-    main,
-)
+from fqtraces.cli import BIREGULAR_MAX_SIZE, main
 from fqtraces.measures import CHAIN_LEVEL_CAP, CHAIN_STEP_CAP, CHAIN_TRIAL_CAP
 from fqtraces.oracle import SUPPORTED_ORDERS
-from fqtraces.partitions import parse_partition, partitions_of
+from fqtraces.partitions import parse_partition
+from fqtraces.symfunc import KOSTKA_DIAGRAM_CAP, KOSTKA_FOULKES_TABLEAU_CAP
 from fqtraces.traces import COEFFICIENT_DEGREE_CAP, GLU_ROW_CAP
 
 
@@ -404,6 +399,26 @@ def test_oversized_powers_of_q_exit_one_at_once(argv):
     assert "bits in powers of q" in err and "Traceback" not in err
 
 
+def _trace_at_q8(d: int) -> list[str]:
+    # a trace block of degree d and lam = 1^4 builds powers of q = 8 of
+    # 5 d (|lam| + n(lam)) = 50 d bits
+    block = f'[{{"tag":"f","d":{d},"lambda":"1,1,1,1"}}]'
+    return ["trace", "--q", "8", "--alpha", "1/2", "--class", block]
+
+
+def test_trace_at_exactly_the_power_cap_prints():
+    start = time.perf_counter()
+    code, out, err = run(_trace_at_q8(200))
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "") and out.startswith("1/") and out.count("\n") == 1
+
+
+def test_trace_one_block_past_the_power_cap_exits_one():
+    assert run(_trace_at_q8(201)) == (
+        1, "", "error: trace values capped at 10000 bits in powers of q; got 10050\n"
+    )
+
+
 _FAMILY = ["--family", '[{"tag":"x-1","d":1,"lambda":"1"}]']
 
 
@@ -590,22 +605,6 @@ def _parts(*runs) -> str:
 
 
 NEAR_STAIRCASE = "11,10,9,8,7,6,5,4,3,1"
-
-
-def test_sub_diagram_count_matches_a_brute_count():
-    for n in range(9):
-        for lam in partitions_of(n):
-            inside = sum(
-                len(nu) <= len(lam) and all(a <= b for a, b in zip(nu, lam))
-                for m in range(n + 1)
-                for nu in partitions_of(m)
-            )
-            assert _sub_diagram_count(lam, 10**6) == inside, lam
-    for shape, count in [(NEAR_STAIRCASE, 132430), ("8,7,6,5,4,3,2,1", 4862), ("16,16,16,16", 4845)]:
-        assert _sub_diagram_count(parse_partition(shape), 10**6) == count
-    # the count stops once it passes the cap
-    assert _sub_diagram_count((10**12,), 100) > 100
-    assert 100 < _sub_diagram_count(parse_partition(NEAR_STAIRCASE), 100) < 132430
 
 
 @pytest.mark.parametrize(

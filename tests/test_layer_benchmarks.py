@@ -246,7 +246,9 @@ def test_opcode_count_of_the_cheapest_body():
 
 
 def test_e2e_benchmark_bodies(monkeypatch, capsys):
-    assert set(e2e.INVOCATIONS) == {"help", "cyl-generic", "hl-expand-16", "lln-haar-1000x200"}
+    assert set(e2e.INVOCATIONS) == {
+        "help", "cyl-generic", "hl-expand-16", "lln-haar-1000x200", "kostka-slowest"
+    }
     # every body's argv parses; --help prints the usage and exits 0
     for name, argv in e2e.INVOCATIONS.items():
         if name == "help":

@@ -184,6 +184,18 @@ def test_measure_params_build_their_column_spread_without_checking_it_again(monk
     assert (beta._den, beta._nums) == (expected._den, expected._nums) == (8, (2, 1))
 
 
+def test_measure_params_keep_one_q_with_a_spread_at_that_q():
+    # the set, its row spread and its column spread hold one Fraction for q
+    params = MeasureParams(GeometricSpread((HALF,), Fraction(3)), (EIGHTH,), Fraction(3))
+    assert params.q is params.r.q is params.specialization().beta.q
+    for params in (MeasureParams(GeometricSpread((HALF,), 3), (), 3), MeasureParams.haar(5)):
+        assert params.q is params.r.q
+    # a spread at another q keeps its own
+    params = MeasureParams(GeometricSpread((HALF,), 3), (EIGHTH,), 2)
+    assert (params.q, params.r.q) == (2, 3)
+    assert params.specialization().beta.q is params.q
+
+
 NAN, INF = float("nan"), float("inf")
 
 # name: (call, exception type, message)

@@ -7,6 +7,7 @@ from itertools import permutations
 from math import factorial, prod
 from operator import mul
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,8 @@ from fqtraces.specializations import Specialization
 from fqtraces.traces import COEFFICIENT_DEGREE_CAP
 from fqtraces.symfunc import (
     EXACT_HL_DEGREE_CAP,
+    KOSTKA_DIAGRAM_CAP,
+    KOSTKA_FOULKES_TABLEAU_CAP,
     PowerSumElement,
     _CODE_BASE,
     _beta_masks,
@@ -24,6 +27,7 @@ from fqtraces.symfunc import (
     _class_sizes,
     _codes,
     _hl_q,
+    _sub_diagram_count,
     charge,
     hl_q_in_p,
     hl_q_row,
@@ -224,6 +228,62 @@ def test_kostka_against_the_strip_recursion():
 def test_kostka_size_mismatch():
     with pytest.raises(ValueError):
         kostka((2,), (1,))
+
+
+NEAR_STAIRCASE = (11, 10, 9, 8, 7, 6, 5, 4, 3, 1)
+
+
+def test_sub_diagram_count_matches_a_brute_count():
+    for n in range(9):
+        for lam in partitions_of(n):
+            inside = sum(
+                len(nu) <= len(lam) and all(a <= b for a, b in zip(nu, lam))
+                for m in range(n + 1)
+                for nu in partitions_of(m)
+            )
+            assert _sub_diagram_count(lam, 10**6) == inside, lam
+    for shape, count in [
+        (NEAR_STAIRCASE, 132430),
+        ((8, 7, 6, 5, 4, 3, 2, 1), 4862),
+        ((16, 16, 16, 16), 4845),
+    ]:
+        assert _sub_diagram_count(shape, 10**6) == count
+    # the count stops once it passes the cap
+    assert _sub_diagram_count((10**12,), 100) > 100
+    assert 100 < _sub_diagram_count(NEAR_STAIRCASE, 100) < 132430
+
+
+_OVER_DIAGRAMS = (
+    f"kostka with a content part above 1 capped at {KOSTKA_DIAGRAM_CAP} diagrams inside the shape"
+)
+
+
+@pytest.mark.parametrize(
+    "function, shape, content, message",
+    [
+        # 5.5 s of strip removals before the cap
+        (kostka, NEAR_STAIRCASE, (2,) * 32, _OVER_DIAGRAMS),
+        # over the cap by 64 * 313 diagrams, and by the sub-diagrams
+        (kostka, (400, 312), (12,) * 8 + (11,) * 56, _OVER_DIAGRAMS),
+        # 17 s of charge enumeration before the cap
+        (
+            kostka_foulkes,
+            (5, 4, 3, 2, 1),
+            (1,) * 15,
+            f"kostka-foulkes capped at {KOSTKA_FOULKES_TABLEAU_CAP} tableaux; got 292864",
+        ),
+    ],
+    ids=["kostka-near-staircase", "kostka-400-312", "kostka-foulkes-staircase"],
+)
+def test_library_calls_refuse_intractable_kostka_requests_at_once(
+    function, shape, content, message
+):
+    # the refusals are the library's own, and the CLI prints them as they are
+    start = perf_counter()
+    with pytest.raises(ValueError) as info:
+        function(shape, content)
+    assert perf_counter() - start < 0.1
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
