@@ -30,11 +30,10 @@ horizontal strips; charge-weighted Kostka polynomials (:class:`TPolynomial`)
 come from tableau enumeration, up to the same degree cap, and are the
 independent check on the operator.
 
-Character tables, Schur functions, Kostka numbers, charge polynomials, the
-beta-set masks, partition codes, class sizes and p_rho expansions of each
-degree, and Hall-Littlewood Q functions (per lam and the integers of t;
-the series coefficients q_N of the operator are the one-row Q_(N) in the
-same table)
+Character tables, Schur functions, Kostka numbers, charge polynomials,
+partition codes, class sizes and p_rho expansions of each degree, and
+Hall-Littlewood Q functions (per lam and the integers of t; the series
+coefficients q_N of the operator are the one-row Q_(N) in the same table)
 are memoized in module-level ``functools.cache`` tables, so repeated
 queries reuse them and ``cache_clear`` drops them.
 """
@@ -127,47 +126,37 @@ class PowerSumElement:
 
 
 @cache
-def _beta_masks(n: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Every beta-set mask of degree n, in ``partitions_of(n)`` order, and mask -> index.
+def _character_table(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], dict[int, int]]:
+    """Every chi^lam(rho) of degree n, every beta-set mask, and mask -> row index.
 
-    The mask of lam, with l parts, sets bit lam_i + l - 1 - i of each part.
-    The parts of lam[1:] keep their bits, so the mask of (k,) + sigma is
-    sigma's with bit k + l(sigma) set: each first-part block is built from
-    a tail of the masks of degree n - k.
+    Rows, columns and masks in ``partitions_of(n)`` order; n is bounded by
+    the caps of the readers of :func:`schur_coefficients`, the trace
+    coefficients' 20 and :data:`EXACT_HL_DEGREE_CAP`.  The mask of lam, with
+    l parts, sets bit lam_i + l - 1 - i of each part.  The partitions with
+    first part k form one block, (k,) + sigma with sigma over a tail of
+    ``partitions_of(n - k)``, and sigma's parts keep their bits: the block's
+    masks are the tail's masks in the degree n - k table, each with bit
+    k + l(sigma) set.  By Murnaghan-Nakayama (Macdonald, *Symmetric
+    Functions and Hall Polynomials*, I.7, Ex. 5) column block k of row lam
+    is the sum, over the border k-strips of lam, of plus or minus the row of
+    lam minus the strip in the degree n - k table, read from the tail's
+    start.  On lam's mask a k-strip moves a set bit b down to a clear bit
+    b - k; its sign is the parity of the set bits it passes, and the mask of
+    lam minus the strip is the new mask with its trailing ones, the zero
+    parts, shifted off.
     """
-    masks = [] if n else [0]
-    for k, start in first_part_blocks(n):
-        masks += (b | 1 << (k + b.bit_count()) for b in _beta_masks(n - k)[0][start:])
-    return tuple(masks), {mask: i for i, mask in enumerate(masks)}
-
-
-@cache
-def _character_table(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[Partition, int]]:
-    """Every chi^lam(rho) of degree n, and the index of each partition.
-
-    Row lam, column rho, both in ``partitions_of(n)`` order.  The columns
-    whose rho has first part k form one block, rho = (k,) + sigma with
-    sigma over a tail of ``partitions_of(n - k)``.  By Murnaghan-Nakayama
-    (Macdonald, *Symmetric Functions and Hall Polynomials*, I.7, Ex. 5)
-    that block of row lam is the sum, over the border k-strips of lam, of
-    plus or minus the row of lam minus the strip in the degree n - k table,
-    read from the tail's start.  On lam's beta-set mask a k-strip moves a
-    set bit b down to a clear bit b - k; its sign is the parity of the set
-    bits it passes, and the mask of lam minus the strip is the new mask with
-    its trailing ones, the zero parts, shifted off.
-    """
-    order = partitions_of(n)
-    index = {lam: i for i, lam in enumerate(order)}
     if n == 0:
-        return ((1,),), index
-    # per first part k: the rows and mask index of degree n - k, the tail's
-    # start and its width
+        return ((1,),), (0,), {0: 0}
+    # per first part k: the block's masks, and the rows and mask index of
+    # degree n - k, the tail's start and its width
+    masks: list[int] = []
     blocks = []
     for k, start in first_part_blocks(n):
-        sub_rows = _character_table(n - k)[0]
-        blocks.append((k, sub_rows, _beta_masks(n - k)[1], start, len(sub_rows) - start))
+        sub_rows, sub_masks, sub_index = _character_table(n - k)
+        masks += (b | 1 << (k + b.bit_count()) for b in sub_masks[start:])
+        blocks.append((k, sub_rows, sub_index, start, len(sub_rows) - start))
     rows = []
-    for mask in _beta_masks(n)[0]:
+    for mask in masks:
         row: list[int] = []
         for k, sub_rows, sub_index, start, width in blocks:
             block = None
@@ -186,14 +175,18 @@ def _character_table(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[Partitio
                     block = list(map(sub if odd else add, block, src))
             row += block or [0] * width
         rows.append(tuple(row))
-    return tuple(rows), index
+    return tuple(rows), tuple(masks), {mask: i for i, mask in enumerate(masks)}
 
 
 @cache
 def sym_character(lam: Partition, rho: Partition) -> int:
     """Character value chi^lam(rho) of the symmetric group, for |lam| = |rho|."""
-    table, index = _character_table(size(lam))
-    return table[index[lam]][index[rho]]
+    lam, rho = check_partition(lam), check_partition(rho)
+    n = size(lam)
+    if size(rho) != n:
+        raise ValueError(f"sym_character requires |lam| = |rho|; got {n} and {size(rho)}")
+    order = partitions_of(n)
+    return _character_table(n)[0][order.index(lam)][order.index(rho)]
 
 
 @cache
@@ -201,13 +194,10 @@ def schur_in_p(lam: Partition) -> PowerSumElement:
     """Schur function expanded over power sums: s_lam = sum_rho chi^lam(rho) p_rho / z_rho."""
     lam = check_partition(lam)
     n = size(lam)
-    table, index = _character_table(n)
+    order = partitions_of(n)
+    chis = _character_table(n)[0][order.index(lam)]
     return PowerSumElement(
-        {
-            rho: Fraction(chi, z_factor(rho))
-            for rho, chi in zip(partitions_of(n), table[index[lam]])
-            if chi
-        }
+        {rho: Fraction(chi, z_factor(rho)) for rho, chi in zip(order, chis) if chi}
     )
 
 

@@ -104,9 +104,9 @@ def test_symfunc_layer_benchmark_bodies():
     assert partitions_of.cache_info().currsize == 0
     assert len(symfunc_layers.partitions_20()) == 627
     symfunc_layers.clear_tables()
-    table, index = symfunc_layers.character_table_12()
+    table, masks, index = symfunc_layers.character_table_12()
     order = partitions_of(12)
-    assert len(table) == len(index) == 77
+    assert len(table) == len(masks) == len(index) == 77
     # the column of the identity, (1^12), is the hook-length count
     dims = [factorial(12) // prod(hook_lengths(lam)) for lam in order]
     assert [row[-1] for row in table] == dims

@@ -22,7 +22,6 @@ from fqtraces.symfunc import (
     KOSTKA_FOULKES_TABLEAU_CAP,
     PowerSumElement,
     _CODE_BASE,
-    _beta_masks,
     _character_table,
     _class_sizes,
     _codes,
@@ -107,9 +106,7 @@ def test_schur_in_p_against_tableau_evaluation(lam):
 def test_character_table_matches_border_strip_recursion():
     for n in range(11):
         order = partitions_of(n)
-        table, index = _character_table(n)
-        assert index == {lam: i for i, lam in enumerate(order)}
-        assert table == tuple(
+        assert _character_table(n)[0] == tuple(
             tuple(sym_character_reference(lam, rho) for rho in order) for lam in order
         )
 
@@ -131,7 +128,7 @@ def test_character_table_closed_forms_to_the_cap():
     # lam multiplies by the sign
     for n in range(EXACT_HL_DEGREE_CAP + 1):
         order = partitions_of(n)
-        table, index = _character_table(n)
+        table = _character_table(n)[0]
         sign = tuple((-1) ** (n - len(rho)) for rho in order)
         assert [row[-1] for row in table] == [
             factorial(n) // prod(hook_lengths(lam)) for lam in order
@@ -139,7 +136,7 @@ def test_character_table_closed_forms_to_the_cap():
         assert table[0] == (1,) * len(order), n
         assert table[-1] == sign, n
         for lam, row in zip(order, table):
-            assert table[index[transpose(lam)]] == tuple(map(mul, sign, row)), lam
+            assert table[order.index(transpose(lam))] == tuple(map(mul, sign, row)), lam
 
 
 def test_class_sizes_up_to_the_coefficient_cap():
@@ -169,8 +166,8 @@ def _cycle_type(perm) -> tuple:
 
 
 def test_beta_masks():
-    for n in range(13):
-        masks, index = _beta_masks(n)
+    for n in range(EXACT_HL_DEGREE_CAP + 1):
+        _, masks, index = _character_table(n)
         assert index == {mask: i for i, mask in enumerate(masks)}
         assert masks == tuple(
             sum(1 << (part + len(lam) - 1 - i) for i, part in enumerate(lam))
@@ -184,6 +181,20 @@ def test_sym_character_values():
     assert sym_character((2, 1), (1, 1, 1)) == 2
     assert sym_character((2, 1), (3,)) == -1
     assert sym_character((3, 2), (2, 2, 1)) == 1
+
+
+@pytest.mark.parametrize(
+    "lam, rho, message",
+    [
+        ((2, 1), (2,), "got 3 and 2"),
+        ((2,), (2, 1), "got 2 and 3"),
+        ((2, 1), (3, 0), "not a partition"),
+        ((1, 2), (3,), "not a partition"),
+    ],
+)
+def test_sym_character_refuses_bad_input(lam, rho, message):
+    with pytest.raises(ValueError, match=message):
+        sym_character(lam, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +396,7 @@ def test_hl_q_at_t_zero_is_schur_to_the_cap():
     # Q_lam(0) = s_lam, whose p_rho coefficient is chi^lam(rho) / z_rho: at
     # every degree this checks Jing's step against the character table alone
     for n in range(EXACT_HL_DEGREE_CAP + 1):
-        table, _ = _character_table(n)
+        table = _character_table(n)[0]
         z = [z_factor(rho) for rho in partitions_of(n)]
         for lam, chi in zip(partitions_of(n), table):
             den, row = hl_q_row(lam, 0)
@@ -422,7 +433,7 @@ COLD_Q_SCRIPT = """
 import sys
 from fractions import Fraction
 import fqtraces.cli
-from fqtraces.symfunc import _codes, _drops, _hl_q, hl_q_row
+from fqtraces.symfunc import _character_table, _codes, _drops, _hl_q, hl_q_row, schur_coefficients
 
 def module_globals():
     return [
@@ -442,13 +453,16 @@ def container_sizes():
 at_import = container_sizes()
 t, lam = Fraction(3, 11), (4, 2, 2, 1)
 before = hl_q_row(lam, t)
+schur_before = schur_coefficients(before, 9)
 tables = {value for _, _, value in module_globals() if hasattr(value, "cache_clear")}
 assert {_codes, _drops, _hl_q} <= tables
 for table in tables:
     table.cache_clear()
 assert _codes.cache_info().currsize == _drops.cache_info().currsize == 0
+assert _character_table.cache_info().currsize == 0
 assert container_sizes() == at_import
 assert hl_q_row(lam, t) == before
+assert schur_coefficients(before, 9) == schur_before
 """
 
 
