@@ -13,10 +13,17 @@ request costs a user, start-up included:
 - ``lln-haar-1000x200``: the Haar law-of-large-numbers run at q = 2,
   1000 levels by 200 trials;
 - ``kostka-slowest``: the Kostka number of the staircase (9, 8, ..., 1)
-  with content 2^22 1, the slowest request found under the diagram cap.
+  with content 2^22 1, the slowest request found under the diagram cap;
+- ``lln-generic-cap-q2`` and ``lln-generic-cap-q-near-1``: the generic
+  law-of-large-numbers run r = (1/2, 1/4), c = (1/8) at the step cap,
+  16 levels by 12500 trials, at q = 2 and q = 10001/10000, the slowest
+  accepted chain requests.
 
-Each body checks that the child's stdout equals ``cli.main`` on the same
-argv in this process, and keeps the child CPU time of each round, from
+Each body checks the child's stdout: a body with rows in
+``e2e_golden.txt``, recorded as ``tests/golden`` records them, checks
+its stdout's SHA-256 against theirs, and any other body checks that it
+equals ``cli.main`` on the same argv in this process.  Each keeps the
+child CPU time of each round, from
 ``resource.getrusage(RUSAGE_CHILDREN)``, in
 ``extra_info["child_cpu_s"]``: a small invocation is mostly start-up,
 and the CPU column shows it with less of the host's noise than the wall
@@ -28,9 +35,11 @@ cheapest in process.  Run it and compare two trees with
     pytest-benchmark compare before.json after.json
 """
 
+import hashlib
 import io
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -52,7 +61,16 @@ INVOCATIONS = {
     "kostka-slowest": [
         "kostka", "--shape", "9,8,7,6,5,4,3,2,1", "--content", ",".join(["2"] * 22 + ["1"]),
     ],
+    **{
+        f"lln-generic-cap-{name}": [
+            "lln", "--q", q, "--measure", "custom", "--r", "1/2,1/4", "--c", "1/8",
+            "--nmax", "16", "--trials", "12500", "--seed", "1",
+        ]
+        for name, q in (("q2", "2"), ("q-near-1", "10001/10000"))
+    },
 }
+
+GOLDEN = Path(__file__).resolve().parent / "e2e_golden.txt"
 
 # argparse wraps help text to the terminal's width; both sides use 80 columns
 ENV = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
@@ -68,6 +86,15 @@ def in_process(argv: list[str]) -> str:
             code = exc.code
     assert code == 0, argv
     return out.getvalue()
+
+
+def golden_digests() -> dict[str, str]:
+    """{argv as ``shlex.join`` writes it: SHA-256 of its stdout} for each request in ``GOLDEN``."""
+    chunks = GOLDEN.read_bytes().split(b"$ fqtraces ")[1:]
+    return {
+        head.decode(): hashlib.sha256(body).hexdigest()
+        for head, body in (chunk.split(b"\n", 1) for chunk in chunks)
+    }
 
 
 def _child_cpu_s() -> float:
@@ -90,7 +117,12 @@ def test_e2e(benchmark, monkeypatch, name):
         outputs.append(run.stdout)
 
     benchmark.pedantic(invoke, rounds=3, iterations=1)
-    monkeypatch.setenv("COLUMNS", "80")
-    expected = in_process(argv)
-    assert outputs and all(out == expected for out in outputs)
+    golden = golden_digests().get(shlex.join(argv))
+    if golden is None:
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = in_process(argv)
+        assert outputs and all(out == expected for out in outputs)
+    else:
+        digests = {hashlib.sha256(out.encode()).hexdigest() for out in outputs}
+        assert digests == {golden}
     benchmark.extra_info["child_cpu_s"] = cpu

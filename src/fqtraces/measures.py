@@ -27,8 +27,11 @@ explicit Markov chain on Young diagrams.  A family is a weight W plus a
 walk: one builder, shared by every family, turns the weights of a
 diagram's successors into the chain's transition row out of it, the
 extension counts times the Q-weight ratios as integer numerators over
-their least common denominator, and keeps it; no family overrides
-that row with a closed form.  Everything except the Monte Carlo
+their least common denominator; no family overrides that row with a
+closed form.  Walks keep rows and level vectors; queries keep nothing: a
+walk keeps each row it builds, and a generic walk the level's vector of
+p_rho beside it, while :func:`transition_distribution` and the weights
+behind :func:`cyl_prob` keep neither.  Everything except the Monte Carlo
 summary statistics is exact.  A step of the chain reads a uniform variate
 u / 2**64 and moves to the first successor whose cumulative probability
 exceeds it, decided in integers; a trial's n variates come from one
@@ -280,15 +283,18 @@ def cyl_prob_from_trace(sp: Specialization, lam: Partition, q) -> Fraction:
 # whose top row is i (0-based) has lam'_j = i, and lam'_{j-1} is the top row
 # of the next block, or len(lam).  As the row sums to 1, the bracketed W(mu)
 # add up to W(lam) * (1 - 1/q), so ``_Family`` builds it, in integers, from
-# one call of ``weights(n, lams)`` on the successors, keeps it, and by
-# default walks by searching it.  As it divides by their total, the weights
-# may carry one common positive factor.  ``_Generic``'s weights share one
-# vector of p_rho for the call and fill no memo of their own; they are
-# integers, the dot products with it of the rows of Q, read from the Q
-# memo by the integers of 1/q, over the lcm of the rows' denominators, all
-# sharing one factor, as Haar's are.  Its
-# ``weight_pair``, for ``cyl_prob``, is one dot product over its row's
-# denominator times that of the vector, and fills no memo either.  The Haar,
+# one call of ``weights(n, lams)`` on the successors, and by default walks
+# by searching it.  ``row``, which walks go through, keeps each row it
+# builds; ``transition_distribution`` calls the same builder and keeps
+# nothing.  As the row divides by their total, the weights may carry one
+# common positive factor.  ``_Generic``'s weights share the vector of p_rho
+# of their level; they are integers, the dot products with it of the rows
+# of Q, read from the Q memo by the integers of 1/q, over the lcm of the
+# rows' denominators, all sharing one factor, as Haar's are.  A family that
+# has kept a row keeps that vector too, one per level; before that, a
+# query builds it for the call.  Its ``weight_pair``, for ``cyl_prob``, is
+# one dot product over its row's denominator times that of a vector built
+# for the call, and fills no memo.  The Haar,
 # delta and single-row families have closed-form weights, valid at any
 # level, and walk without building the row: the delta and single-row chains
 # have one successor, and the Haar row telescopes (see ``_Haar.walk``).
@@ -305,16 +311,20 @@ def _zero_source(lam: Partition) -> ValueError:
 class _Family:
     """The base of every family: its transition rows, built from ``weights``.
 
-    Each diagram's row is built once and kept with its successors, since a
-    chain revisits the few diagrams below the cap at every trial; searching
-    it is the default ``walk``.  The table of kept rows is made with the
-    first row.  A family keeps q and the specialization of its parameter
-    set, not the set itself, so a set and its family hold no reference
-    cycle and are freed with the set's last reference.  A subclass defines
-    ``weight_pair``, and ``weight`` is its one `Fraction`;
-    ``weights(n, lams)``, the weights of a diagram's successors at level n
-    as ints or Fractions, may be scaled by one common positive factor,
-    since the row divides by their total.
+    Walks keep rows; queries keep nothing.  ``row``, which ``walk``,
+    ``step``, :func:`sample_trajectory` and :func:`lln_experiment` go
+    through, builds each diagram's row once and keeps it with its
+    successors, since a chain revisits the few diagrams below the cap at
+    every trial; searching it is the default ``walk``.  The table of kept
+    rows is made with the first row.  :func:`transition_distribution`
+    calls ``_build_row`` itself and keeps nothing, so a set that is only
+    queried holds no row.  A family keeps q and the specialization of its
+    parameter set, not the set itself, so a set and its family hold no
+    reference cycle and are freed with the set's last reference.  A
+    subclass defines ``weight_pair``, and ``weight`` is its one
+    `Fraction`; ``weights(n, lams)``, the weights of a diagram's
+    successors at level n as ints or Fractions, may be scaled by one
+    common positive factor, since the row divides by their total.
     """
 
     # whether ``walk`` reads its variates; a chain with one successor out of
@@ -391,14 +401,24 @@ class _Generic(_Family):
     partitions already checked.  The successor weights are the dot
     products over the lcm L of their rows' D, as integers: each is W(mu)
     times L * E, one factor for them all.
+
+    Walks keep level vectors; queries keep nothing.  Once ``row`` has
+    kept a row, the successor weights read the vector of their level
+    from ``vectors``, made with the first kept row and filled one level
+    at a time: at most EXACT_HL_DEGREE_CAP + 1 vectors, 231 ints at
+    degree 16, freed with the family.  The rows of a level all read one
+    vector: an lln run at the step cap builds about 810 rows on 16
+    levels.  Before any row is kept, and for ``weight_pair`` always, the
+    vector is built for the call.
     """
 
-    __slots__ = ("t_num", "t_den")
+    __slots__ = ("t_num", "t_den", "vectors")
 
     def __init__(self, params: MeasureParams):
         super().__init__(params)
         # t = 1/q = b/a in lowest terms, a > 0
         self.t_num, self.t_den = params.q.denominator, params.q.numerator
+        self.vectors: dict[int, tuple[int, list[int]]] | None = None
 
     def weight_pair(self, lam: Partition) -> tuple[int, int]:
         # the row first: above the degree cap the memo raises before any work
@@ -408,7 +428,15 @@ class _Generic(_Family):
     def weights(self, n: int, lams) -> list[int]:
         # the rows first, as in weight_pair
         rows = [_hl_q(lam, self.t_num, self.t_den) for lam in lams]
-        _, values = self._vector(n)
+        if self.built_rows is None:
+            _, values = self._vector(n)
+        else:
+            vectors = self.vectors
+            if vectors is None:
+                vectors = self.vectors = {}
+            if n not in vectors:
+                vectors[n] = self._vector(n)
+            _, values = vectors[n]
         common = lcm(*(den for den, _ in rows))
         return [sum(map(mul, coeffs, values)) * (common // den) for den, coeffs in rows]
 
@@ -589,7 +617,7 @@ def transition_distribution(
     included.
     """
     lam = check_partition(lam)
-    successors, den, nums = params.family.row(lam)
+    successors, den, nums = params.family._build_row(lam)
     return [(mu, Fraction(num, den)) for mu, num in zip(successors, nums)]
 
 
@@ -645,7 +673,13 @@ def _walk_variates(family: _Family, seed: int, trial: int, n: int) -> tuple[int,
 # levels it prints.  A diagram on a capped chain has at most
 # CHAIN_LEVEL_CAP rows and columns, which bounds the Haar table and the
 # delta columns at CHAIN_LEVEL_CAP + 1 entries and how many rows and
-# columns an lln run may track.
+# columns an lln run may track.  A generic chain stops at the Q cap, level
+# 16, so the step cap bounds it at 12500 trials: with r = (1/2, 1/4) and
+# c = (1/8), 16 x 12500 builds about 810 rows on 16 levels, each row once
+# and each level's vector of p_rho once.  Over two rounds of 10 fresh
+# processes it took a median of 0.99 and 1.02 s at q = 2 and of 0.91 and
+# 0.90 s at q = 10001/10000, single runs 0.81-1.35 s (2-vCPU Xeon, Python
+# 3.11), most of it building the rows of Q.
 CHAIN_LEVEL_CAP = 2000
 CHAIN_STEP_CAP = 200_000
 # Each trial of a chain that reads variates seeds and draws its own stream,
@@ -653,8 +687,10 @@ CHAIN_STEP_CAP = 200_000
 # without changing every stream: 1 x 200000 Haar trials, inside the step
 # cap, took 1.7-2.2 s.  At this cap 1 x 50000 Haar trials take
 # 0.47-0.51 s and 4 x 50000 0.56-0.61 s, at q = 2 as at q = 10001/10000
-# (fresh process, 2-vCPU Xeon, Python 3.11).  The delta and single-row
-# chains walk once for all their trials and keep the step cap alone.
+# (fresh process, 2-vCPU Xeon, Python 3.11).  A generic chain reaches the
+# step cap at 12500 trials, below this cap (see CHAIN_STEP_CAP).  The
+# delta and single-row chains walk once for all their trials and keep the
+# step cap alone.
 CHAIN_TRIAL_CAP = 50_000
 
 

@@ -42,7 +42,13 @@ from fqtraces.specializations import (
     power_products,
     row_pair,
 )
-from fqtraces.symfunc import _hl_q, check_hl_degree, class_vector, schur_coefficients
+from fqtraces.symfunc import (
+    CHARACTER_DEGREE_CAP,
+    _hl_q,
+    check_hl_degree,
+    class_vector,
+    schur_coefficients,
+)
 
 UNIT = "x-1"
 
@@ -313,8 +319,8 @@ def unipotent_trace_value(sp: Specialization, cls: DiagramFamily, q) -> Fraction
 # character table is about half of it at 22.  More labels mean many more
 # rows: three labels at degree 20 give 341649 of them, 20 MB of CSV in
 # 11.3 s.  So --glu-params is also capped at the row count of two labels at
-# the degree cap.
-COEFFICIENT_DEGREE_CAP = 20
+# the degree cap.  The cap is that of the character tables.
+COEFFICIENT_DEGREE_CAP = CHARACTER_DEGREE_CAP
 GLU_ROW_CAP = 24842
 
 

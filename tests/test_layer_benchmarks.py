@@ -7,6 +7,7 @@ cheapest one that computes runs in process.
 """
 
 import importlib.util
+import shlex
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -247,8 +248,13 @@ def test_opcode_count_of_the_cheapest_body():
 
 def test_e2e_benchmark_bodies(monkeypatch, capsys):
     assert set(e2e.INVOCATIONS) == {
-        "help", "cyl-generic", "hl-expand-16", "lln-haar-1000x200", "kostka-slowest"
+        "help", "cyl-generic", "hl-expand-16", "lln-haar-1000x200", "kostka-slowest",
+        "lln-generic-cap-q2", "lln-generic-cap-q-near-1",
     }
+    # every golden request is a body, and the generic lln bodies have rows
+    golden = e2e.golden_digests()
+    bodies = {shlex.join(argv): name for name, argv in e2e.INVOCATIONS.items()}
+    assert {bodies[argv] for argv in golden} == {"lln-generic-cap-q2", "lln-generic-cap-q-near-1"}
     # every body's argv parses; --help prints the usage and exits 0
     for name, argv in e2e.INVOCATIONS.items():
         if name == "help":

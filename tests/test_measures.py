@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -505,8 +506,8 @@ def test_generic_rows_on_random_partitions(lam):
 
 
 def test_generic_rows_are_built_once(monkeypatch):
-    # a second request for the same row reads the kept one and builds no
-    # vector of p_rho
+    # a query keeps nothing on the family; steps that revisit a diagram
+    # build its row, and the vector of p_rho of its level, once
     params = MeasureParams((Fraction(1, 3),), (Fraction(1, 5),), 3)
     calls = []
 
@@ -517,13 +518,22 @@ def test_generic_rows_are_built_once(monkeypatch):
     monkeypatch.setattr(measures, "power_products", counted)
     first = transition_distribution(params, (3, 1))
     assert calls == [5]
+    assert params.family.built_rows is None and params.family.vectors is None
     assert transition_distribution(params, (3, 1)) == first
+    assert calls == [5, 5]
+    calls.clear()
+    reachable = [mu for mu, p in first if p]
+    assert all(params.family.step((3, 1), u) in reachable for u in (0, 2**63, 2**64 - 1))
+    assert calls == [5] and list(params.family.vectors) == [5]
+    assert list(params.family.built_rows) == [(3, 1)]
+    # another diagram of the same level reads the kept vector
+    params.family.step((2, 2), 0)
     assert calls == [5]
 
 
 def test_successors_are_kept_with_the_row(monkeypatch):
-    # the first request finds the corners once; a second request and a step
-    # from the same diagram read the kept successors
+    # a query finds the corners for itself each time; trajectories that
+    # revisit a diagram find them once, and a step from it reads them
     params = MeasureParams((Fraction(1, 3),), (Fraction(1, 5),), 3)
     calls = []
 
@@ -533,10 +543,58 @@ def test_successors_are_kept_with_the_row(monkeypatch):
 
     monkeypatch.setattr(measures, "addable_corners", counted)
     first = transition_distribution(params, (3, 1))
-    assert calls == [(3, 1)]
     assert transition_distribution(params, (3, 1)) == first
-    assert params.family.step((3, 1), 2**63) in [mu for mu, _ in first]
-    assert calls == [(3, 1)]
+    assert calls == [(3, 1), (3, 1)] and params.family.built_rows is None
+    calls.clear()
+    paths = [sample_trajectory(params, 4, seed) for seed in range(3)]
+    assert sorted(calls) == sorted(params.family.built_rows)
+    calls.clear()
+    lam = paths[0][2]
+    assert params.family.step(lam, 2**63) in [mu for mu, _ in box_additions(lam)]
+    assert calls == []
+
+
+def test_generic_lln_builds_one_vector_per_level(monkeypatch):
+    # every row of a level, in every trial, reads one vector of p_rho
+    params = MeasureParams((Fraction(1, 3),), (Fraction(1, 5),), 3)
+    other = MeasureParams((Fraction(1, 4),), (Fraction(1, 5),), 3)
+    levels = []
+
+    def counted(pair, rhos):
+        levels.append(size(rhos[0]))
+        return power_products(pair, rhos)
+
+    monkeypatch.setattr(measures, "power_products", counted)
+    lln_experiment(params, 8, 200, 1)
+    assert sorted(levels) == list(range(1, 9))
+    assert sorted(params.family.vectors) == list(range(1, 9))
+    # each family reads its own vectors: its kept rows equal those a fresh
+    # equal set builds for a query
+    lln_experiment(other, 8, 20, 1)
+    for walked in (params, other):
+        twin = MeasureParams(walked.r, walked.c, walked.q)
+        for lam, row in walked.family.built_rows.items():
+            assert twin.family._build_row(lam) == row, lam
+
+
+def test_transition_queries_keep_no_rows_under_a_memory_bound():
+    # 500 fresh generic sets, each queried once, as a long-lived process
+    # queries them; the bound was fixed while each set kept its row, when
+    # the queries held 0.37-0.38 MB, about 750 bytes a set
+    sets = [MeasureParams((Fraction(1, k + 3),), (Fraction(1, 8),), 2) for k in range(500)]
+    lam = (3, 1)
+    transition_distribution(MeasureParams((HALF,), (Fraction(1, 8),), 2), lam)
+    tracemalloc.start()
+    try:
+        for params in sets:
+            transition_distribution(params, lam)
+        # drop the interpreter's free lists, which tracemalloc counts as held
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 32_000
+    assert all(params.family.built_rows is None for params in sets)
 
 
 @pytest.mark.parametrize("params", [HAAR2, DELTA2, ROW2, MIXED, TWO_ROWS])

@@ -27,7 +27,7 @@ from fqtraces.oracle import (
 )
 from fqtraces.partitions import check_partition, partitions_of
 from fqtraces.specializations import Specialization
-from fqtraces.symfunc import PowerSumElement, hl_q_in_p, plethysm_pl
+from fqtraces.symfunc import PowerSumElement, hl_q_in_p, plethysm_pl, schur_in_p, sym_character
 from fqtraces.traces import GLUTraceParams, family, trace_coefficients
 
 F2 = field_make(2)
@@ -195,6 +195,17 @@ REFUSALS = {
         lambda: ext_enumerate(FqMatrix(F2, [[1, 0, 0], [0, 1, 0]]), "GLU"),
         ValueError,
         "extensions need a square matrix, not 2 x 3",
+    ),
+    # used to build every character table up to degree 21
+    "sym-character-above-degree-cap": (
+        lambda: sym_character((21,), (1,) * 21),
+        ValueError,
+        "symmetric group characters capped at degree 20; got degree 21",
+    ),
+    "schur-in-p-above-degree-cap": (
+        lambda: schur_in_p((11, 10)),
+        ValueError,
+        "symmetric group characters capped at degree 20; got degree 21",
     ),
     "plethysm-degree-zero": (
         lambda: plethysm_pl(PowerSumElement({(1,): 1}), 0),

@@ -197,6 +197,36 @@ def test_sym_character_refuses_bad_input(lam, rho, message):
         sym_character(lam, rho)
 
 
+@pytest.mark.parametrize(
+    "entry, args",
+    [
+        (sym_character, ([2, 1], [1, 1, 1])),
+        (schur_in_p, ([2, 1],)),
+        (kostka_foulkes, ([2, 1], [1, 1, 1])),
+        (kostka, ([2, 1], [1, 1, 1])),
+    ],
+)
+def test_memoized_entries_take_list_partitions(entry, args):
+    # each entry checks its input before its memo, which is keyed by the
+    # checked tuples and read through the entry's cache_info
+    assert entry(*args) == entry(*map(tuple, args))
+    if entry is not kostka:
+        assert entry.cache_info().currsize >= 1 and entry.cache_info().hits >= 1
+
+
+def test_character_entries_refuse_above_the_cap_before_any_table(monkeypatch):
+    tables = _character_table.cache_info().currsize
+    for call in (lambda: sym_character((21,), (21,)), lambda: schur_in_p((1,) * 21)):
+        with pytest.raises(ValueError, match="capped at degree 20; got degree 21"):
+            call()
+    assert _character_table.cache_info().currsize == tables
+    # the cap's own degree answers
+    monkeypatch.setattr(symfunc, "CHARACTER_DEGREE_CAP", 3)
+    assert sym_character((3,), (3,)) == 1 and schur_in_p((3,)) == schur_in_p((3,))
+    with pytest.raises(ValueError, match="capped at degree 3; got degree 4"):
+        schur_in_p((4,))
+
+
 # ---------------------------------------------------------------------------
 # Kostka numbers
 
